@@ -1,6 +1,7 @@
 """Analysis toolkit for planar competitive maps.
 
-Core objects: PlanarMap (a pair of scalar components on a rectangle),
+Core objects: PlanarMap (a pair of components on a rectangle, evaluated on
+floats by step and on numpy arrays by the optional batch step),
 FixedPointRecord (equilibria and minimal period-two points with
 eigen-structure), MonotoneCurve (traced separatrices and unstable curves),
 and BasinRaster (labeled basin decompositions). Built-in systems with
@@ -29,8 +30,8 @@ from .classification import (LocalVerdict, OrderInterval, TaylorRay,
                              is_supersolution, taylor_along_eigenvector)
 from .curves import (CurveOptions, EndpointLabel, MonotoneCurve, SideOptions,
                      SideVerdict, BoundaryEndpointReport, check_boundary_endpoint_conditions,
-                     classify_side, endpoint_analysis, trace_stable_curve,
-                     trace_unstable_curve, validate_curve)
+                     classify_batch, classify_side, endpoint_analysis,
+                     trace_stable_curve, trace_unstable_curve, validate_curve)
 from .basins import (BasinRaster, ContinuityReport, LimitRecord,
                      continuity_probe, limit_equilibrium, load_csv_raster,
                      load_pgm, raster, raster_to_csv, raster_to_pgm,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -12,13 +11,12 @@ import numpy as np
 from .errors import SingularityError
 from .geometry import Point2, Rect
 from .planarmap import PlanarMap
-from .curves import SideOptions, classify_side
+from .curves import (LABEL_CODES, LABEL_NAMES, SideOptions, _resolve_mode,
+                     classify_batch)
 
 ESCAPE_BOUND = 1e6
 LIMIT_RESIDUAL_TOL = 1e-6
 
-LABEL_NAMES = ("minus", "plus", "band", "undecided", "singular")
-LABEL_CODES = {name: i for i, name in enumerate(LABEL_NAMES)}
 # PGM gray levels per label
 PGM_GRAY = {"minus": 0, "band": 128, "plus": 255, "undecided": 64, "singular": 32}
 _GRAY_TO_LABEL = {v: k for k, v in PGM_GRAY.items()}
@@ -118,49 +116,37 @@ class BasinRaster:
         return {name: int(counts[LABEL_CODES[name]]) for name in LABEL_NAMES}
 
 
-def _raster_row(m: PlanarMap, fp: Point2, window: Rect, nx: int, ny: int,
-                j: int, opts: SideOptions) -> list:
-    dx = window.width() / nx
-    y = window.y_lo + (j + 0.5) * window.height() / ny
-    row = []
-    for i in range(nx):
-        x = window.x_lo + (i + 0.5) * dx
-        v = classify_side(m, Point2(x, y), fp, opts)
-        if v.flag == "singularity":
-            row.append(LABEL_CODES["singular"])
-        else:
-            row.append(LABEL_CODES[v.label])
-    return row
-
-
-def _raster_row_task(payload):
-    return _raster_row(*payload)
+def raster_options(m: PlanarMap, window: Rect) -> SideOptions:
+    """Default raster options: limit_equilibrium mode for maps with a
+    continuum of equilibria (quadrant_escape otherwise), a verdict margin of
+    1e-4 times the window diagonal, and max_iter 5000."""
+    return SideOptions(mode=_resolve_mode(m), max_iter=5000,
+                       epsilon_margin=1e-4 * window.diagonal())
 
 
 def raster(m: PlanarMap, fp: Point2, window: Rect, nx: int, ny: int,
            opts: SideOptions = None, workers: int = 1) -> BasinRaster:
     """Classify every cell center against the separatrix through fp.
 
-    Cells are independent; the label grid depends only on the cell-center
-    coordinates, so output is identical at any worker count.
+    All cells are classified in one classify_batch call. workers is accepted
+    for compatibility and must be >= 1; it has no effect.
     """
     if not window.is_bounded():
         raise ValueError("raster needs a bounded window")
+    if not (window.width() > 0 and window.height() > 0):
+        raise ValueError(f"raster needs a window of positive width and height, "
+                         f"got {window}")
     if nx < 2 or ny < 2:
         raise ValueError("raster needs nx, ny >= 2")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
     if opts is None:
-        opts = SideOptions(epsilon_margin=1e-4 * window.diagonal(), max_iter=5000)
-        if m.meta.get("continuum"):
-            opts = SideOptions(mode="limit_equilibrium",
-                               epsilon_margin=opts.epsilon_margin, max_iter=5000)
-    tasks = [(m, Point2(*fp), window, nx, ny, j, opts) for j in range(ny)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_raster_row_task, tasks,
-                                 chunksize=max(1, ny // (4 * workers))))
-    else:
-        rows = [_raster_row_task(t) for t in tasks]
-    labels = np.array(rows, dtype=np.uint8)
+        opts = raster_options(m, window)
+    # cell centers (x_lo + (i + 0.5) * dx, y_lo + (j + 0.5) * height / ny)
+    xs = window.x_lo + (np.arange(nx) + 0.5) * (window.width() / nx)
+    ys = window.y_lo + (np.arange(ny) + 0.5) * window.height() / ny
+    X, Y = np.meshgrid(xs, ys)
+    labels = classify_batch(m, X, Y, Point2(*fp), opts)
     meta = {
         "map": m.name,
         "fp": f"{fp[0]!r},{fp[1]!r}",
@@ -282,21 +268,21 @@ def continuity_probe(m: PlanarMap, segment: tuple, n: int,
 
     Shrinking max_gap under refinement of n is numeric evidence that the
     limiting equilibrium varies continuously with the initial condition.
+    The samples are iterated together when the map has a batch step; each
+    limit equals limit_equilibrium's at its sample.
     """
     if n < 2:
         raise ValueError("need at least two probe points")
     a, b = Point2(*segment[0]), Point2(*segment[1])
-    limits = []
-    divergent = 0
-    for k in range(n):
-        t = k / (n - 1)
-        p = Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
-        rec = limit_equilibrium(m, p, tol=tol, max_iter=max_iter)
-        if rec.limit is None:
-            divergent += 1
-            limits.append(None)
-        else:
-            limits.append(rec.limit)
+    starts = [Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+              for t in (k / (n - 1) for k in range(n))]
+    if m.batch is None:
+        limits = [limit_equilibrium(m, p, tol=tol, max_iter=max_iter).limit
+                  for p in starts]
+    else:
+        with np.errstate(all="ignore"):
+            limits = _limits_batch(m, starts, tol, max_iter)
+    divergent = sum(q is None for q in limits)
     max_gap = 0.0
     argmax = 0
     prev = None
@@ -312,3 +298,40 @@ def continuity_probe(m: PlanarMap, segment: tuple, n: int,
         prev, prev_idx = q, idx
     return ContinuityReport(max_gap=max_gap, argmax=argmax, n=n,
                             divergent=divergent, limits=tuple(limits))
+
+
+def _limits_batch(m: PlanarMap, starts: list, tol: float, max_iter: int) -> list:
+    """limit_equilibrium(...).limit for every start, in lockstep.
+
+    Applies limit_equilibrium's rules to all points at once: the first-step
+    check, the escape bound, and the residual step before a limit is
+    accepted. NaN from the batch step stands for a singularity.
+    """
+    limits = [None] * len(starts)
+    X = np.array([p.x for p in starts])
+    Y = np.array([p.y for p in starts])
+    X1, Y1 = m.batch(X, Y)
+    fixed = np.maximum(np.abs(X1 - X), np.abs(Y1 - Y)) < tol
+    for k in np.flatnonzero(fixed).tolist():
+        limits[k] = starts[k]
+    live = ~fixed & np.isfinite(X1) & np.isfinite(Y1)
+    idx, X, Y = np.flatnonzero(live), X[live], Y[live]
+    for _ in range(max_iter):
+        if not len(idx):
+            break
+        Xn, Yn = m.batch(X, Y)
+        stop = (~(np.isfinite(Xn) & np.isfinite(Yn)) | (np.abs(Xn) > ESCAPE_BOUND)
+                | (np.abs(Yn) > ESCAPE_BOUND))
+        near = ~stop & (np.maximum(np.abs(Xn - X), np.abs(Yn - Y)) < tol)
+        if near.any():
+            Xr, Yr = m.batch(Xn[near], Yn[near])
+            ok = (np.maximum(np.abs(Xr - Xn[near]), np.abs(Yr - Yn[near]))
+                  < LIMIT_RESIDUAL_TOL)
+            stop[near] = np.isnan(Xr) | np.isnan(Yr)  # singular residual step
+            hit = np.flatnonzero(near)[ok]
+            stop[hit] = True
+            for k, x, y in zip(idx[hit].tolist(), Xn[hit].tolist(),
+                               Yn[hit].tolist()):
+                limits[k] = Point2(x, y)
+        idx, X, Y = idx[~stop], Xn[~stop], Yn[~stop]
+    return limits

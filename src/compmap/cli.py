@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import warnings
+from dataclasses import replace
 from typing import Optional
 
 from .errors import (ConstraintError, HypothesisError, MapEvalError,
@@ -26,9 +27,9 @@ from .fixedpoints import (FixedPointRecord, check_invariant_curve_hypotheses,
                           find_fixed_point)
 from .classification import (classify_hyperbolic_ray, classify_nonhyperbolic,
                              taylor_along_eigenvector)
-from .curves import (CurveOptions, SideOptions, check_boundary_endpoint_conditions,
+from .curves import (CurveOptions, check_boundary_endpoint_conditions,
                      trace_stable_curve, trace_unstable_curve)
-from .basins import raster, save_raster
+from .basins import raster, raster_options, save_raster
 from .geometry import Point2, Rect
 from .planarmap import check_competitive, check_O_condition, orbit
 from .systems import (DEFAULT_PARAMS, DESCRIPTIONS, EXAMPLE_IDS, make_example)
@@ -387,14 +388,13 @@ def _cmd_basin(args) -> int:
     ny = _cfg_int(cfg, "ny")
     if nx < 2 or ny < 2:
         raise _CliError(2, "raster needs nx, ny >= 2")
-    mode = cfg.get("mode")
-    if mode is None:
-        mode = "limit_equilibrium" if m.meta.get("continuum") else "quadrant_escape"
-    margin = (float(cfg["epsilon"]) if "epsilon" in cfg
-              else 1e-4 * window.diagonal())
-    opts = SideOptions(mode=mode, epsilon_margin=margin,
-                       max_iter=_cfg_int(cfg, "max_iter"),
-                       conv_tol=_cfg_float(cfg, "tol"))
+    overrides = {"max_iter": _cfg_int(cfg, "max_iter"),
+                 "conv_tol": _cfg_float(cfg, "tol")}
+    if "mode" in cfg:
+        overrides["mode"] = cfg["mode"]
+    if "epsilon" in cfg:
+        overrides["epsilon_margin"] = _cfg_float(cfg, "epsilon")
+    opts = replace(raster_options(m, window), **overrides)
     r = raster(m, fp, window, nx, ny, opts, workers=_cfg_int(cfg, "workers"))
     census = r.census()
     total = nx * ny
@@ -503,7 +503,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ny", type=int)
     p.add_argument("--mode", choices=("quadrant_escape", "limit_equilibrium"))
     p.add_argument("--epsilon", type=float, help="verdict margin")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int,
+                   help="accepted for compatibility; no effect (one numpy batch)")
 
     p = sub.add_parser("orbit", help="write orbit iterates as CSV")
     add_shared(p, with_guess=False)
@@ -531,7 +532,7 @@ def main(argv: Optional[list] = None) -> int:
     except _CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except (ConstraintError, ParseError, UnboundParameterError) as e:
+    except (ValueError, UnboundParameterError) as e:  # Constraint/ParseError too
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
     except HypothesisError as e:

@@ -14,6 +14,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
+import numpy as np
+
 from .errors import HypothesisError, NoConvergenceError, SingularityError
 from .fixedpoints import (FixedPointRecord, NEWTON_TOL, _damped_newton,
                           check_invariant_curve_hypotheses, find_fixed_point,
@@ -43,6 +45,17 @@ class SideOptions:
     max_iter: int = 10_000
     conv_tol: float = 1e-12
     escape_bound: float = 1e6
+
+    def __post_init__(self):
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
+        if not (math.isfinite(self.epsilon_margin) and self.epsilon_margin >= 0):
+            raise ValueError("epsilon_margin must be finite and >= 0, got "
+                             f"{self.epsilon_margin!r}")
+        for name in ("conv_tol", "escape_bound"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -131,6 +144,121 @@ def _classify_limit(m: PlanarMap, p: Point2, fp: Point2,
     if in_q4 and not in_q2:
         return SideVerdict("plus", n)
     return SideVerdict("undecided", n, "incomparable_limit")
+
+
+# ---------------------------------------------------------------------------
+# Lockstep side classification of many points
+
+LABEL_NAMES = ("minus", "plus", "band", "undecided", "singular")
+LABEL_CODES = {name: i for i, name in enumerate(LABEL_NAMES)}
+_MINUS, _PLUS, _BAND, _UNDECIDED, _SINGULAR = range(len(LABEL_NAMES))
+
+# A lockstep round costs about as much for one point as for hundreds, and the
+# slowest orbits (next to a nonhyperbolic point) run for thousands of
+# iterations; the last few active points therefore finish in classify_side.
+BATCH_HANDOFF = 16
+
+
+def label_code(v: SideVerdict) -> int:
+    """Code into LABEL_NAMES of a verdict; a singularity flag reads 'singular'."""
+    return _SINGULAR if v.flag == "singularity" else LABEL_CODES[v.label]
+
+
+def classify_batch(m: PlanarMap, xs, ys, fp: Point2,
+                   opts: SideOptions = SideOptions()) -> np.ndarray:
+    """classify_side for every point (xs[k], ys[k]), in lockstep numpy.
+
+    Returns uint8 codes into LABEL_NAMES, shaped like xs, equal point by point
+    to label_code(classify_side(...)). All points step together through
+    m.batch under classify_side's stop rules, and each retires as soon as its
+    rule fires. Once BATCH_HANDOFF or fewer remain, they finish in
+    classify_side with the remaining max_iter. A map without a batch step
+    takes classify_side for every point.
+    """
+    rule = _BATCH_RULES.get(opts.mode)
+    if rule is None:
+        raise ValueError(f"unknown classify_side mode {opts.mode!r}")
+    xs = np.asarray(xs, dtype=float)
+    labels = np.full(xs.shape, _UNDECIDED, dtype=np.uint8)
+    out = labels.reshape(-1)
+    idx = np.arange(xs.size)
+    X = xs.ravel()
+    Y = np.asarray(ys, dtype=float).ravel()
+    done = 0
+    if m.batch is not None:
+        with np.errstate(all="ignore"):
+            idx, X, Y, done = rule(m, idx, X, Y, fp, opts, out)
+    if len(idx):
+        rest = replace(opts, max_iter=opts.max_iter - done)
+        for k, x, y in zip(idx.tolist(), X.tolist(), Y.tolist()):
+            out[k] = label_code(classify_side(m, Point2(x, y), fp, rest))
+    return labels
+
+
+def _quadrant_batch(m, idx, X, Y, fp, opts, out):
+    """_classify_quadrant in lockstep; returns the points left for handoff
+    and the iterations they have used."""
+    eps = opts.epsilon_margin
+    bound = opts.escape_bound
+    fx, fy = fp
+    dom = m.domain
+    for n in range(opts.max_iter + 1):
+        if not len(idx) or (len(idx) <= BATCH_HANDOFF and n < opts.max_iter):
+            return idx, X, Y, n
+        dx = X - fx
+        dy = Y - fy
+        band = (np.abs(dx) <= eps) & (np.abs(dy) <= eps)
+        minus = (dx <= -eps) & (dy >= eps) & ~band
+        plus = (dx >= eps) & (dy <= -eps) & ~band
+        out[idx[band]] = _BAND
+        out[idx[minus]] = _MINUS
+        out[idx[plus]] = _PLUS
+        live = ~(band | minus | plus | (np.abs(X) > bound) | (np.abs(Y) > bound))
+        idx = idx[live]
+        X, Y = m.batch(X[live], Y[live])
+        singular = ~(np.isfinite(X) & np.isfinite(Y))
+        out[idx[singular]] = _SINGULAR
+        live = (~singular & (dom.x_lo <= X) & (X <= dom.x_hi)
+                & (dom.y_lo <= Y) & (Y <= dom.y_hi))
+        idx, X, Y = idx[live], X[live], Y[live]
+    return idx[:0], X[:0], Y[:0], opts.max_iter  # the rest stay undecided
+
+
+def _limit_batch(m, idx, X, Y, fp, opts, out):
+    """_classify_limit in lockstep; returns the points left for handoff and
+    the iterations they have used."""
+    bound = opts.escape_bound
+    tol = opts.conv_tol
+    for n in range(opts.max_iter):
+        if len(idx) <= BATCH_HANDOFF:
+            return idx, X, Y, n
+        Xn, Yn = m.batch(X, Y)
+        singular = ~(np.isfinite(Xn) & np.isfinite(Yn))
+        out[idx[singular]] = _SINGULAR
+        stop = singular | (np.abs(Xn) > bound) | (np.abs(Yn) > bound)
+        conv = ~stop & (np.maximum(np.abs(Xn - X), np.abs(Yn - Y)) < tol)
+        out[idx[conv]] = _limit_codes(Xn[conv], Yn[conv], fp, opts)
+        live = ~(stop | conv)
+        idx, X, Y = idx[live], Xn[live], Yn[live]
+    return idx[:0], X[:0], Y[:0], opts.max_iter  # the rest stay undecided
+
+
+def _limit_codes(X, Y, fp, opts):
+    """The limit comparison at the end of _classify_limit, on arrays."""
+    dx = X - fp[0]
+    dy = Y - fp[1]
+    slack = max(1e-12, 10.0 * opts.conv_tol)
+    in_q2 = (dx <= slack) & (dy >= -slack)
+    in_q4 = (dx >= -slack) & (dy <= slack)
+    codes = np.full(X.shape, _UNDECIDED, dtype=np.uint8)
+    codes[in_q2 & ~in_q4] = _MINUS
+    codes[in_q4 & ~in_q2] = _PLUS
+    codes[np.maximum(np.abs(dx), np.abs(dy)) <= opts.epsilon_margin] = _BAND
+    return codes
+
+
+_BATCH_RULES = {"quadrant_escape": _quadrant_batch,
+                "limit_equilibrium": _limit_batch}
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +383,11 @@ class CurveOptions:
     escape_bound: float = 1e6
 
 
-def _resolve_mode(m: PlanarMap, opts: CurveOptions) -> str:
-    if opts.mode is not None:
-        return opts.mode
+def _resolve_mode(m: PlanarMap, mode: Optional[str] = None) -> str:
+    """The given mode, else limit_equilibrium for maps with a continuum of
+    equilibria and quadrant_escape otherwise."""
+    if mode is not None:
+        return mode
     return "limit_equilibrium" if m.meta.get("continuum") else "quadrant_escape"
 
 
@@ -360,7 +490,7 @@ def locate_ordinate(m: PlanarMap, fp: FixedPointRecord, x: float, window: Rect,
     """
     if opts is None:
         opts = CurveOptions()
-    mode = _resolve_mode(m, opts)
+    mode = _resolve_mode(m, opts.mode)
     bisect_margin = opts.bisect_margin
     if bisect_margin is None:
         bisect_margin = max(1e-12, opts.curve_tol / 100.0)
@@ -389,7 +519,7 @@ def trace_stable_curve(m: PlanarMap, fp: FixedPointRecord, window: Rect,
     if not hyp.all_pass:
         raise HypothesisError(
             "invariant-curve hypotheses failed: " + ", ".join(hyp.failed))
-    mode = _resolve_mode(m, opts)
+    mode = _resolve_mode(m, opts.mode)
     bisect_margin = opts.bisect_margin
     if bisect_margin is None:
         bisect_margin = max(1e-12, opts.curve_tol / 100.0)

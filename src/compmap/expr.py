@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Union
 
+import numpy as np
+
 from .errors import ParseError, SingularityError, UnboundParameterError
 from .geometry import Matrix2, Point2, Rect
 
@@ -251,6 +253,54 @@ def _eval(e: Expr, x: float, y: float, params: Mapping[str, float]) -> float:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def _eval_array(e: Expr, x: np.ndarray, y: np.ndarray,
+                params: Mapping[str, float], bad: np.ndarray):
+    """Elementwise _eval on arrays; marks in bad where _eval would raise.
+
+    Every operation is the one _eval applies to a float, so unmarked results
+    are bit-identical to it. '^' goes through math.pow per element, because
+    np.power rounds differently in the last bit.
+    """
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return x if e.name == "x" else y
+    if isinstance(e, Param):
+        try:
+            return float(params[e.name])
+        except KeyError:
+            raise UnboundParameterError(e.name)
+    if isinstance(e, Neg):
+        return -_eval_array(e.child, x, y, params, bad)
+    if isinstance(e, BinOp):
+        a = _eval_array(e.left, x, y, params, bad)
+        if e.op == "^":
+            return _pow_array(a, e.right.value, bad)  # type: ignore[union-attr]
+        b = _eval_array(e.right, x, y, params, bad)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        tiny = np.abs(b) < DIV_TOL
+        bad |= tiny
+        return a / np.where(tiny, np.nan, b)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _pow_array(a, b: float, bad: np.ndarray):
+    a = np.broadcast_to(a, bad.shape)
+    out = np.empty(bad.shape)
+    for k, v in enumerate(a.flat):
+        try:
+            out.flat[k] = math.pow(v, b)
+        except (ValueError, OverflowError):
+            out.flat[k] = math.nan
+            bad.flat[k] = True
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Differentiation and constant folding
 
@@ -416,6 +466,14 @@ class ExprPair:
         return (_eval(self.f, x, y, self.params),
                 _eval(self.g, x, y, self.params))
 
+    def batch(self, x: np.ndarray, y: np.ndarray):
+        """Both components on arrays; NaN in both wherever __call__ raises."""
+        bad = np.zeros(np.broadcast(x, y).shape, dtype=bool)
+        with np.errstate(all="ignore"):
+            f = _eval_array(self.f, x, y, self.params, bad)
+            g = _eval_array(self.g, x, y, self.params, bad)
+        return np.where(bad, np.nan, f), np.where(bad, np.nan, g)
+
 
 class ExprJacobian:
     """Exact Jacobian of an expression pair via symbolic partials."""
@@ -448,8 +506,10 @@ def expr_map(f_text: str, g_text: str,
     for e in (f, g):
         _check_params_bound(e, params)
     domain = domain or Rect(-math.inf, math.inf, -math.inf, math.inf)
+    pair = ExprPair(f, g, params)
     return PlanarMap(name=name,
-                     step=ExprPair(f, g, params),
+                     step=pair,
+                     batch=pair.batch,
                      domain=domain,
                      jac=ExprJacobian(f, g, params),
                      params=params,

@@ -2,8 +2,11 @@
 
 A PlanarMap is a pair (f, g) on a rectangular domain. The step callable takes
 raw floats (x, y) and returns (f(x,y), g(x,y)); it raises SingularityError
-when a denominator vanishes within tolerance. Maps are immutable and safe to
-share across workers.
+when a denominator vanishes within tolerance. The optional batch callable is
+the same map on numpy arrays: it returns a pair of arrays of the input shape,
+bit-identical to step elementwise, with NaN (in at least one component)
+wherever step would raise. Maps are immutable and safe to share across
+workers.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ class PlanarMap:
     jac: Optional[Callable[[float, float], Matrix2]] = None
     params: Mapping[str, float] = field(default_factory=dict)
     meta: Mapping[str, str] = field(default_factory=dict)
+    batch: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
 
     def __call__(self, x: float, y: float) -> tuple:
         return self.step(x, y)

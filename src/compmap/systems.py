@@ -21,7 +21,6 @@ from functools import lru_cache, partial
 from typing import Callable, Mapping, Optional
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import ConstraintError, SingularityError
 from .fixedpoints import FixedPointRecord, eigen2x2, _classify
@@ -85,7 +84,9 @@ class ExampleSystem:
 
 
 # ---------------------------------------------------------------------------
-# Step / Jacobian functions (module level so maps pickle across workers)
+# Step / Jacobian functions (module level so maps pickle across workers).
+# Each step takes the denominator guard as a keyword: the default raises on
+# scalars, _nan_guard turns the same formula into the map's batch step.
 
 
 def _guard(d: float, what: str) -> float:
@@ -94,7 +95,11 @@ def _guard(d: float, what: str) -> float:
     return d
 
 
-def _ex1_step(a, x, y):
+def _nan_guard(d: np.ndarray, what: str) -> np.ndarray:
+    return np.where(np.abs(d) < _SING_TOL, np.nan, d)
+
+
+def _ex1_step(a, x, y, _guard=_guard):
     return x / _guard(a + y, "a+y"), y / _guard(1.0 + x, "1+x")
 
 
@@ -104,7 +109,7 @@ def _ex1_jac(a, x, y):
     return Matrix2(1.0 / d1, -x / (d1 * d1), -y / (d2 * d2), 1.0 / d2)
 
 
-def _lg_step(b1, b2, c1, c2, h1, h2, x, y):
+def _lg_step(b1, b2, c1, c2, h1, h2, x, y, _guard=_guard):
     d1 = _guard(1.0 + x + c1 * y, "1+x+c1*y")
     d2 = _guard(1.0 + y + c2 * x, "1+y+c2*x")
     return b1 * x / d1 + h1, b2 * y / d2 + h2
@@ -117,7 +122,7 @@ def _lg_jac(b1, b2, c1, c2, x, y):
                    -b2 * c2 * y / (d2 * d2), b2 * (1.0 + c2 * x) / (d2 * d2))
 
 
-def _ex3_step(x, y):
+def _ex3_step(x, y, _guard=_guard):
     return y, 1.0 + x / _guard(y, "y")
 
 
@@ -126,7 +131,7 @@ def _ex3_jac(x, y):
     return Matrix2(0.0, 1.0, 1.0 / yy, -x / (yy * yy))
 
 
-def _ex3_t2_step(x, y):
+def _ex3_t2_step(x, y, _guard=_guard):
     yy = _guard(y, "y")
     s = _guard(x + y, "x+y")
     return 1.0 + x / yy, 1.0 + y * y / s
@@ -139,7 +144,7 @@ def _ex3_t2_jac(x, y):
                    -y * y / (s * s), y * (2.0 * x + y) / (s * s))
 
 
-def _ex4_step(B1, g2, a2, b1, x, y):
+def _ex4_step(B1, g2, a2, b1, x, y, _guard=_guard):
     d1 = _guard(B1 * x + y, "B1*x+y")
     d2 = _guard(x, "x")
     return b1 * x / d1, (a2 + g2 * y) / d2
@@ -198,7 +203,8 @@ def _make_ex1(p):
     _require(a > 1.0, "a > 1")
     m = PlanarMap(name="ex1", step=partial(_ex1_step, a), domain=_POS_QUADRANT,
                   jac=partial(_ex1_jac, a), params=p,
-                  meta={"continuum": "fixed-points"})
+                  meta={"continuum": "fixed-points"},
+                  batch=partial(_ex1_step, a, _guard=_nan_guard))
 
     def point(t):
         return Point2(0.0, t)
@@ -230,7 +236,9 @@ def _make_ex2(p):
     _require(abs(c2 * (b1 - 1.0) - (b2 - 1.0)) <= 1e-12, "c2*(b1-1) = b2-1")
     m = PlanarMap(name="ex2", step=partial(_lg_step, b1, b2, c1, c2, 0.0, 0.0),
                   domain=_POS_QUADRANT, jac=partial(_lg_jac, b1, b2, c1, c2),
-                  params=p, meta={"continuum": "fixed-points"})
+                  params=p, meta={"continuum": "fixed-points"},
+                  batch=partial(_lg_step, b1, b2, c1, c2, 0.0, 0.0,
+                                _guard=_nan_guard))
 
     def point(t):
         return Point2((b1 - 1.0) * (1.0 - t), (b2 - 1.0) * t)
@@ -256,7 +264,8 @@ def _make_ex2(p):
 
 def _make_ex3_t(p):
     m = PlanarMap(name="ex3_T", step=_ex3_step, domain=_POS_QUADRANT,
-                  jac=_ex3_jac, params=p, meta={})
+                  jac=_ex3_jac, params=p, meta={},
+                  batch=partial(_ex3_step, _guard=_nan_guard))
     fixtures = (Fixture(point=Point2(2.0, 2.0), eigenvalues=(0.5, -1.0),
                         eigenvectors=(Point2(2.0, 1.0), Point2(1.0, -1.0)),
                         note="unique fixed point; period-two points fill x+y=xy"),)
@@ -265,7 +274,8 @@ def _make_ex3_t(p):
 
 def _make_ex3_t2(p):
     m = PlanarMap(name="ex3_T2", step=_ex3_t2_step, domain=_POS_QUADRANT,
-                  jac=_ex3_t2_jac, params=p, meta={"continuum": "fixed-points"})
+                  jac=_ex3_t2_jac, params=p, meta={"continuum": "fixed-points"},
+                  batch=partial(_ex3_t2_step, _guard=_nan_guard))
 
     def point(t):
         return Point2(t, t / (t - 1.0))
@@ -297,7 +307,8 @@ def _make_ex4(p):
              "beta1 - B1*gamma2 = 2*sqrt(B1*alpha2)")
     m = PlanarMap(name="ex4", step=partial(_ex4_step, B1, g2, a2, b1),
                   domain=_POS_QUADRANT, jac=partial(_ex4_jac, B1, g2, a2, b1),
-                  params=p, meta={})
+                  params=p, meta={},
+                  batch=partial(_ex4_step, B1, g2, a2, b1, _guard=_nan_guard))
     E = Point2((B1 * g2 + b1) / (2.0 * B1), (b1 - B1 * g2) / 2.0)
     lam2 = -(b1 - B1 * g2) ** 2 / (2.0 * b1 * (b1 + B1 * g2))
     e1 = Point2(-1.0, B1)
@@ -315,7 +326,9 @@ def _make_ex5(p):
                               p["h1"], p["h2"])
     m = PlanarMap(name="ex5", step=partial(_lg_step, b1, b2, c1, c2, h1, h2),
                   domain=_POS_QUADRANT, jac=partial(_lg_jac, b1, b2, c1, c2),
-                  params=p, meta={})
+                  params=p, meta={},
+                  batch=partial(_lg_step, b1, b2, c1, c2, h1, h2,
+                                _guard=_nan_guard))
     return ExampleSystem(id="ex5", params=p, map=m, fixtures=())
 
 
@@ -435,9 +448,43 @@ def ex5_equilibria(params: Optional[Mapping[str, float]] = None,
     roots = []
     sign = np.sign(gaps)
     for i in np.nonzero(np.diff(sign) != 0)[0]:
-        xr = brentq(cur.gap, xs[i], xs[i + 1], xtol=1e-14)
+        xr = _bisect_root(cur.gap, float(xs[i]), float(xs[i + 1]))
         roots.append(Point2(xr, cur.y2(xr)))
     return roots
+
+
+def _bisect_root(f, a: float, b: float, xtol: float = 1e-14) -> float:
+    """Root of f in [a, b], where f changes sign, by bisection to xtol."""
+    fa = f(a)
+    while b - a > xtol:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            break
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm < 0.0) == (fa < 0.0):
+            a, fa = mid, fm
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+def _golden_min(f, a: float, b: float, xtol: float = 1e-14) -> float:
+    """Minimizer of a unimodal f on [a, b] by golden-section search to xtol."""
+    r = 0.5 * (math.sqrt(5.0) - 1.0)
+    c, d = b - r * (b - a), a + r * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > xtol and a < c < d < b:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - r * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + r * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
 
 
 def _leftmost_local_min(cur: Ex5Curves, x_max: float = 5.0, scan: int = 4000):
@@ -447,10 +494,8 @@ def _leftmost_local_min(cur: Ex5Curves, x_max: float = 5.0, scan: int = 4000):
     g = np.array([cur.gap(x) for x in xs])
     for i in range(1, scan - 1):
         if g[i] <= g[i - 1] and g[i] <= g[i + 1]:
-            res = minimize_scalar(cur.gap, bounds=(xs[i - 1], xs[i + 1]),
-                                  method="bounded",
-                                  options={"xatol": 1e-14})
-            return float(res.x), float(cur.gap(float(res.x)))
+            x = _golden_min(cur.gap, float(xs[i - 1]), float(xs[i + 1]))
+            return x, cur.gap(x)
     return None, math.nan
 
 

@@ -195,3 +195,17 @@ def test_numbers_serialized_with_17_digits(tmp_path, capsys):
     x = row.split(",")[1]
     assert float(x) == 1.0 / 3.0  # round-trips the double exactly
     assert len(x.replace("0.", "")) >= 16
+
+
+@pytest.mark.parametrize("flags", [
+    ["--max-iter", "0"], ["--max-iter", "-1"], ["--epsilon", "nan"],
+    ["--tol", "nan"], ["--workers", "0"], ["--window", "0,0,0,4"]])
+def test_basin_invalid_input_exit_2_without_output(tmp_path, capsys, flags):
+    out_file = tmp_path / "b.pgm"
+    argv = ["basin", "--example", "ex2", "--guess", "0.5,1",
+            "--window", "0,2,0,3", "--nx", "16", "--ny", "16",
+            "--out", str(out_file)]
+    rc, _, err = _run(capsys, argv + flags)
+    assert rc == 2
+    assert "configuration error" in err
+    assert not out_file.exists()
