@@ -495,7 +495,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("quadrant_escape", "limit_equilibrium"))
     p.add_argument("--steps", type=int, help="unstable-curve iteration count")
     p.add_argument("--seed-radius", dest="seed_radius", type=float)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int,
+                   help="accepted for compatibility; no effect (columns are"
+                        " bisected together)")
 
     p = sub.add_parser("basin", help="rasterize the basin decomposition")
     add_shared(p)

@@ -10,7 +10,6 @@ would accumulate drift along the slow direction.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -237,7 +236,8 @@ def _limit_batch(m, idx, X, Y, fp, opts, out):
         out[idx[singular]] = _SINGULAR
         stop = singular | (np.abs(Xn) > bound) | (np.abs(Yn) > bound)
         conv = ~stop & (np.maximum(np.abs(Xn - X), np.abs(Yn - Y)) < tol)
-        out[idx[conv]] = _limit_codes(Xn[conv], Yn[conv], fp, opts)
+        if conv.any():
+            out[idx[conv]] = _limit_codes(Xn[conv], Yn[conv], fp, opts)
         live = ~(stop | conv)
         idx, X, Y = idx[live], Xn[live], Yn[live]
     return idx[:0], X[:0], Y[:0], opts.max_iter  # the rest stay undecided
@@ -382,6 +382,21 @@ class CurveOptions:
     conv_tol: float = 1e-12
     escape_bound: float = 1e6
 
+    def __post_init__(self):
+        for name in ("columns", "probes", "max_iter"):
+            v = getattr(self, name)
+            if v < 1:
+                raise ValueError(f"{name} must be >= 1, got {v!r}")
+        for name in ("curve_tol", "conv_tol", "escape_bound"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+        for name in ("epsilon_margin", "bisect_margin"):
+            v = getattr(self, name)
+            if v is not None and not (math.isfinite(v) and v >= 0):
+                raise ValueError(
+                    f"{name} must be None, or finite and >= 0, got {v!r}")
+
 
 def _resolve_mode(m: PlanarMap, mode: Optional[str] = None) -> str:
     """The given mode, else limit_equilibrium for maps with a continuum of
@@ -422,10 +437,10 @@ def _column_positions(window: Rect, fpx: float, columns: int) -> list:
     return sorted(xs)
 
 
-def _solve_column(m: PlanarMap, fp: Point2, slope: float, cx: float,
-                  window: Rect, curve_tol: float, probes: int,
-                  sopts: SideOptions):
-    """Locate the curve ordinate in one column; returns (y, flag) or (None, flag)."""
+def _column_probes(fp: Point2, slope: float, cx: float, window: Rect,
+                   curve_tol: float, probes: int) -> list:
+    """The ordinates scanned in column cx, ascending: probes uniform ones,
+    plus a tangent-predicted pair when cx is near the fixed point."""
     y_lo, y_hi = window.y_lo, window.y_hi
     ys = [y_lo + (i + 0.5) * (y_hi - y_lo) / probes for i in range(probes)]
     dx = cx - fp[0]
@@ -437,48 +452,90 @@ def _solve_column(m: PlanarMap, fp: Point2, slope: float, cx: float,
             if y_lo < cand < y_hi:
                 ys.append(cand)
         ys.sort()
-    lo = None
-    hi = None
-    saw_minus = False
-    saw_plus = False
-    for y in ys:
-        v = classify_side(m, Point2(cx, y), fp, sopts)
-        if v.label == "band":
-            return y, ""
-        if v.label == "plus":
-            saw_plus = True
-            lo = y
-        elif v.label == "minus":
-            saw_minus = True
-            hi = y
-            if lo is not None:
-                break
-    if lo is None or hi is None or hi <= lo:
-        if saw_minus and not saw_plus:
-            return None, "no_bracket:all_minus"  # curve below the window
-        if saw_plus and not saw_minus:
-            return None, "no_bracket:all_plus"  # curve above the window
-        return None, "no_bracket:mixed"
-    flag = ""
-    for _ in range(200):
-        if hi - lo <= curve_tol:
+    return ys
+
+
+MAX_BISECTIONS = 200
+
+
+def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
+                   curve_tol: float, probes: int, sopts: SideOptions) -> list:
+    """Locate the curve ordinate in every column of cxs, all columns together.
+
+    Returns one (y, flag) or (None, flag) per column. Each round is a single
+    classify_batch call over the columns still active. Probe round k
+    classifies probe k of every column still scanning: band returns the
+    probe, plus sets lo, minus sets hi and ends the scan once lo is set.
+    Bisection rounds then classify the midpoints of the brackets still wider
+    than curve_tol. Every column asks for the same verdicts, in the same
+    order, as a column solved on its own would.
+    """
+    n = len(cxs)
+    cx = np.asarray(cxs, dtype=float)
+    cols = [_column_probes(fp, slope, x, window, curve_tol, probes) for x in cxs]
+    width = max(map(len, cols), default=0)
+    P = np.array([c + [math.nan] * (width - len(c)) for c in cols]).reshape(n, width)
+    # NaN stands for "not set" in lo, hi and y
+    lo = np.full(n, math.nan)
+    hi = np.full(n, math.nan)
+    y = np.full(n, math.nan)
+    scanning = np.ones(n, dtype=bool)
+    for k in range(width):
+        act = np.flatnonzero(scanning & ~np.isnan(P[:, k]))
+        if not len(act):
             break
-        mid = 0.5 * (lo + hi)
-        v = classify_side(m, Point2(cx, mid), fp, sopts)
-        if v.label == "minus":
-            hi = mid
-        elif v.label == "plus":
-            lo = mid
-        elif v.label == "band":
-            return mid, ""
+        py = P[act, k]
+        codes = classify_batch(m, cx[act], py, fp, sopts)
+        band = codes == _BAND
+        plus = codes == _PLUS
+        minus = codes == _MINUS
+        closed = minus & ~np.isnan(lo[act])
+        y[act[band]] = py[band]
+        lo[act[plus]] = py[plus]
+        hi[act[minus]] = py[minus]
+        scanning[act[band | closed]] = False
+
+    saw_plus = ~np.isnan(lo)
+    saw_minus = ~np.isnan(hi)
+    bisecting = np.isnan(y) & saw_plus & saw_minus & (hi > lo)
+    flags = [""] * n
+    for j in np.flatnonzero(np.isnan(y) & ~bisecting).tolist():
+        if saw_minus[j] and not saw_plus[j]:
+            flags[j] = "no_bracket:all_minus"  # curve below the window
+        elif saw_plus[j] and not saw_minus[j]:
+            flags[j] = "no_bracket:all_plus"  # curve above the window
         else:
-            return 0.5 * (lo + hi), "undecided_probe"
-    return 0.5 * (lo + hi), flag
+            flags[j] = "no_bracket:mixed"
+
+    for _ in range(MAX_BISECTIONS):
+        act = np.flatnonzero(bisecting & (hi - lo > curve_tol))
+        if not len(act):
+            break
+        mid = 0.5 * (lo[act] + hi[act])
+        codes = classify_batch(m, cx[act], mid, fp, sopts)
+        minus = codes == _MINUS
+        plus = codes == _PLUS
+        hi[act[minus]] = mid[minus]
+        lo[act[plus]] = mid[plus]
+        stop = ~(minus | plus)  # band returns mid; undecided flags it
+        y[act[stop]] = mid[stop]
+        bisecting[act[stop]] = False
+        for j in act[stop & (codes != _BAND)].tolist():
+            flags[j] = "undecided_probe"
+    rest = np.flatnonzero(bisecting)
+    y[rest] = 0.5 * (lo[rest] + hi[rest])
+    return [(None if math.isnan(yj) else yj, flag)
+            for yj, flag in zip(y.tolist(), flags)]
 
 
-def _column_task(payload):
-    m, fp, slope, cx, window, curve_tol, probes, sopts = payload
-    return _solve_column(m, fp, slope, cx, window, curve_tol, probes, sopts)
+def _bisect_options(m: PlanarMap, opts: CurveOptions) -> SideOptions:
+    """The classify_side options column bisection runs at."""
+    bisect_margin = opts.bisect_margin
+    if bisect_margin is None:
+        bisect_margin = max(1e-12, opts.curve_tol / 100.0)
+    return SideOptions(mode=_resolve_mode(m, opts.mode),
+                       epsilon_margin=bisect_margin, max_iter=opts.max_iter,
+                       conv_tol=opts.conv_tol, escape_bound=opts.escape_bound)
 
 
 def locate_ordinate(m: PlanarMap, fp: FixedPointRecord, x: float, window: Rect,
@@ -490,17 +547,11 @@ def locate_ordinate(m: PlanarMap, fp: FixedPointRecord, x: float, window: Rect,
     """
     if opts is None:
         opts = CurveOptions()
-    mode = _resolve_mode(m, opts.mode)
-    bisect_margin = opts.bisect_margin
-    if bisect_margin is None:
-        bisect_margin = max(1e-12, opts.curve_tol / 100.0)
-    sopts = SideOptions(mode=mode, epsilon_margin=bisect_margin,
-                        max_iter=opts.max_iter, conv_tol=opts.conv_tol,
-                        escape_bound=opts.escape_bound)
+    sopts = _bisect_options(m, opts)
     v = fp.eigen.v_lam
     slope = v.y / v.x if v is not None and v.x != 0 else 1.0
-    y, _flag = _solve_column(m, fp.location, slope, x, window,
-                             opts.curve_tol, opts.probes, sopts)
+    [(y, _flag)] = _solve_columns(m, fp.location, slope, [x], window,
+                                  opts.curve_tol, opts.probes, sopts)
     return y
 
 
@@ -509,54 +560,33 @@ def trace_stable_curve(m: PlanarMap, fp: FixedPointRecord, window: Rect,
                        workers: int = 1) -> MonotoneCurve:
     """Trace the increasing invariant curve through fp over a bounded window.
 
-    Columns are bisected independently (parallelizable; the result does not
-    depend on worker count). The column through fp.x is seeded from the fixed
-    point itself and the local tangent direction.
+    All columns are bisected together, one classify_batch call per probe or
+    bisection round (_solve_columns); each column gets the verdicts it would
+    get on its own. The column through fp.x is seeded from the fixed point
+    itself and the local tangent direction. workers is accepted for
+    compatibility and has no effect.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
     if not window.is_bounded():
         raise ValueError("curve tracing needs a bounded window")
     hyp = check_invariant_curve_hypotheses(m, fp, window)
     if not hyp.all_pass:
         raise HypothesisError(
             "invariant-curve hypotheses failed: " + ", ".join(hyp.failed))
-    mode = _resolve_mode(m, opts.mode)
-    bisect_margin = opts.bisect_margin
-    if bisect_margin is None:
-        bisect_margin = max(1e-12, opts.curve_tol / 100.0)
-    sopts = SideOptions(mode=mode, epsilon_margin=bisect_margin,
-                        max_iter=opts.max_iter, conv_tol=opts.conv_tol,
-                        escape_bound=opts.escape_bound)
+    sopts = _bisect_options(m, opts)
     v = fp.eigen.v_lam
     slope = v.y / v.x
     fpl = fp.location
     xs = _column_positions(window, fpl.x, opts.columns)
 
-    tasks = []
-    fp_col = None
-    for cx in xs:
-        if cx == fpl.x:
-            fp_col = cx
-            continue
-        tasks.append((m, fpl, slope, cx, window, opts.curve_tol, opts.probes,
-                      sopts))
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_column_task, tasks,
-                                    chunksize=max(1, len(tasks) // (4 * workers))))
-    else:
-        results = [_column_task(t) for t in tasks]
-
-    columns = []  # (x, y or None, flag)
-    skipped = 0
-    flagged = 0
-    for (task, (y, flag)) in zip(tasks, results):
-        cx = task[3]
-        columns.append((cx, y, flag))
-        if y is None:
-            skipped += 1
-        elif flag:
-            flagged += 1
-    if fp_col is not None and window.y_lo <= fpl.y <= window.y_hi:
+    cxs = [cx for cx in xs if cx != fpl.x]
+    results = _solve_columns(m, fpl, slope, cxs, window, opts.curve_tol,
+                             opts.probes, sopts)
+    columns = [(cx, y, flag) for cx, (y, flag) in zip(cxs, results)]
+    skipped = sum(y is None for _cx, y, _flag in columns)
+    flagged = sum(y is not None and flag != "" for _cx, y, flag in columns)
+    if len(cxs) < len(xs) and window.y_lo <= fpl.y <= window.y_hi:
         columns.append((fpl.x, fpl.y, ""))
     columns.sort(key=lambda c: c[0])
 

@@ -117,7 +117,12 @@ def _damped_newton(F: Callable[[Point2], Point2],
             return p
         j = J(p)
         det = j.det()
-        if abs(det) < 1e-14 * max(1.0, j.norm_inf()) ** 2:
+        try:
+            singular = abs(det) < 1e-14 * max(1.0, j.norm_inf()) ** 2
+        except OverflowError:
+            raise NoConvergenceError(
+                f"Newton matrix overflows at ({p.x:.6g}, {p.y:.6g})") from None
+        if singular:
             if on_singular is not None:
                 q = on_singular(p)
                 if q is not None:

@@ -275,9 +275,9 @@ def check_O_condition(m: PlanarMap, region: Rect, samples: int = 100,
         if max(abs(ax[k] - bx[k]), abs(ay[k] - by[k])) < 1e-7:
             continue
         try:
-            pa = m.step(ax[k], ay[k])
-            pb = m.step(bx[k], by[k])
-        except SingularityError:
+            pa = m.step(float(ax[k]), float(ay[k]))
+            pb = m.step(float(bx[k]), float(by[k]))
+        except (SingularityError, DomainError, OverflowError, ZeroDivisionError):
             continue
         tested += 1
         if max(abs(pa[0] - pb[0]), abs(pa[1] - pb[1])) < collision_tol:

@@ -84,7 +84,7 @@ class ExampleSystem:
 
 
 # ---------------------------------------------------------------------------
-# Step / Jacobian functions (module level so maps pickle across workers).
+# Step / Jacobian functions (module level so maps pickle).
 # Each step takes the denominator guard as a keyword: the default raises on
 # scalars, _nan_guard turns the same formula into the map's batch step.
 

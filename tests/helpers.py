@@ -1,11 +1,11 @@
 """Shared test utilities: direction comparison, a random-expression generator,
-and independent vectorized re-implementations of the built-in recurrences used
+independent vectorized re-implementations of the built-in recurrences used
 as brute-force oracles (they deliberately bypass the library code paths they
-are checking)."""
+are checking), and the scalar column solver the lockstep one replaced."""
 
 import numpy as np
 
-from compmap import Point2
+from compmap import Point2, classify_side
 from compmap.expr import BinOp, Const, Neg, Param, Var
 
 
@@ -99,3 +99,63 @@ def ex1_boundary_scan(a, x_col, y_lo, y_hi, n_scan=513, fp_y=1.0, iters=400):
     if k == 0:
         return None, step
     return 0.5 * (ys[k - 1] + ys[k]), step
+
+
+# ---------------------------------------------------------------------------
+# Scalar column bisection: one classify_side call at a time, column by column
+
+
+def solve_column(m, fp, slope, cx, window, curve_tol, probes, sopts):
+    """Locate the curve ordinate in one column; returns (y, flag) or (None, flag)."""
+    y_lo, y_hi = window.y_lo, window.y_hi
+    ys = [y_lo + (i + 0.5) * (y_hi - y_lo) / probes for i in range(probes)]
+    dx = cx - fp[0]
+    if abs(dx) <= 0.05 * window.width():
+        yp = fp[1] + slope * dx
+        delta = max(4.0 * abs(slope * dx), 16.0 * curve_tol)
+        for cand in (yp - delta, yp + delta):
+            if y_lo < cand < y_hi:
+                ys.append(cand)
+        ys.sort()
+    lo = None
+    hi = None
+    saw_minus = False
+    saw_plus = False
+    for y in ys:
+        v = classify_side(m, Point2(cx, y), fp, sopts)
+        if v.label == "band":
+            return y, ""
+        if v.label == "plus":
+            saw_plus = True
+            lo = y
+        elif v.label == "minus":
+            saw_minus = True
+            hi = y
+            if lo is not None:
+                break
+    if lo is None or hi is None or hi <= lo:
+        if saw_minus and not saw_plus:
+            return None, "no_bracket:all_minus"
+        if saw_plus and not saw_minus:
+            return None, "no_bracket:all_plus"
+        return None, "no_bracket:mixed"
+    for _ in range(200):
+        if hi - lo <= curve_tol:
+            break
+        mid = 0.5 * (lo + hi)
+        v = classify_side(m, Point2(cx, mid), fp, sopts)
+        if v.label == "minus":
+            hi = mid
+        elif v.label == "plus":
+            lo = mid
+        elif v.label == "band":
+            return mid, ""
+        else:
+            return 0.5 * (lo + hi), "undecided_probe"
+    return 0.5 * (lo + hi), ""
+
+
+def solve_columns_one_by_one(m, fp, slope, cxs, window, curve_tol, probes, sopts):
+    """Drop-in for curves._solve_columns that runs solve_column per column."""
+    return [solve_column(m, fp, slope, cx, window, curve_tol, probes, sopts)
+            for cx in cxs]

@@ -1,9 +1,10 @@
 """The lockstep batch path against the scalar path it replaces.
 
-Batch steps, classify_batch, raster and continuity_probe must reproduce the
-scalar results exactly: the same floats bit for bit, the same labels, the
-same limits. Also pins the demo raster bytes and keeps scipy out of
-`import compmap`.
+Batch steps, classify_batch, raster, continuity_probe and the lockstep
+column bisection of trace_stable_curve must reproduce the scalar results
+exactly: the same floats bit for bit, the same labels, the same limits, the
+same curves. Also pins the demo raster and curve bytes and keeps scipy out
+of `import compmap`.
 """
 
 import hashlib
@@ -17,13 +18,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compmap import (EXAMPLE_IDS, Point2, Rect, SideOptions, SingularityError,
-                     continuity_probe, expr_map, find_fixed_point,
+from compmap import (DEFAULT_PARAMS, EXAMPLE_IDS, CurveOptions, Point2, Rect,
+                     SideOptions, SingularityError, continuity_probe,
+                     ex5_equilibria, expr_map, find_fixed_point,
                      limit_equilibrium, make_example, raster, raster_to_csv,
-                     raster_to_pgm)
+                     raster_to_pgm, trace_stable_curve)
 from compmap import curves
 from compmap.basins import raster_options
-from compmap.curves import LABEL_CODES, classify_batch, classify_side, label_code
+from compmap.curves import (LABEL_CODES, classify_batch, classify_side,
+                            label_code, locate_ordinate)
+from compmap.planarmap import PlanarMap
+from helpers import solve_columns_one_by_one
 
 QUADRANT = Rect(0.0, math.inf, 0.0, math.inf)
 
@@ -237,6 +242,114 @@ def test_demo_raster_bytes_pinned():
     csv = hashlib.sha256(raster_to_csv(r).encode()).hexdigest()
     assert pgm == "93ea3ad0826c6d3c95e22e156b2d487cefb5f39c5573ad8bc1b9be91df167b49"
     assert csv == "b68a0e7f49ce1fb9086ac6f51f003a7864599e4905d194031e102338f1bf6205"
+
+
+# ---------------------------------------------------------------------------
+# (f) lockstep column bisection == the scalar column solver, column by column
+
+
+def _oracle(fn, *args):
+    """fn(*args) with trace_stable_curve's columns solved one by one."""
+    saved = curves._solve_columns
+    curves._solve_columns = solve_columns_one_by_one
+    try:
+        return fn(*args)
+    finally:
+        curves._solve_columns = saved
+
+
+def _dsl_example(eid, f, g):
+    return expr_map(f, g, dict(DEFAULT_PARAMS[eid]), domain=QUADRANT,
+                    name=f"{eid}-dsl")
+
+
+@pytest.fixture(scope="module")
+def trace_cases():
+    ex1 = make_example("ex1").map
+    ex3 = make_example("ex3_T2").map
+    ex5 = make_example("ex5").map
+    dsl1 = _dsl_example("ex1", "x/(a+y)", "y/(1+x)")
+    dsl5 = _dsl_example("ex5", "b1*x/(1+x+c1*y)+h1", "b2*y/(1+y+c2*x)+h2")
+    saddle = ex5_equilibria(make_example("ex5").params)[1]
+    w1 = Rect(0.0, 5.0, 0.0, 6.0)
+    w5 = Rect(0.0, 1.5, 0.0, 1.5)
+    return {
+        "ex1_limit": (ex1, find_fixed_point(ex1, Point2(1e-9, 1.0)), w1,
+                      CurveOptions(mode="limit_equilibrium")),
+        "ex3_T2": (ex3, find_fixed_point(ex3, Point2(3.0, 1.5)),
+                   Rect(0.5, 8.0, 0.5, 8.0), CurveOptions()),
+        "ex5_saddle": (ex5, find_fixed_point(ex5, saddle), w5, CurveOptions()),
+        "ex5_dsl": (dsl5, find_fixed_point(dsl5, saddle), w5, CurveOptions()),
+        "ex1_dsl": (dsl1, find_fixed_point(dsl1, Point2(1e-9, 1.0)), w1,
+                    CurveOptions(mode="limit_equilibrium")),
+    }
+
+
+@pytest.mark.parametrize("case", ["ex1_limit", "ex3_T2", "ex5_saddle",
+                                  "ex5_dsl", "ex1_dsl"])
+def test_trace_matches_column_by_column(trace_cases, case):
+    m, fp, w, opts = trace_cases[case]
+    got = trace_stable_curve(m, fp, w, opts)
+    want = _oracle(trace_stable_curve, m, fp, w, opts)
+    assert got.vertices == want.vertices
+    assert got.notes == want.notes
+    assert got.endpoint_left == want.endpoint_left
+    assert got.endpoint_right == want.endpoint_right
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=st.sampled_from(["ex1_limit", "ex5_saddle"]),
+       stretch=st.tuples(st.floats(0.0, 0.01), st.floats(0.0, 0.01)),
+       columns=st.integers(8, 64), at=st.floats(0.0, 1.0),
+       max_iter=st.sampled_from([3, 30, CurveOptions().max_iter]))
+def test_trace_matches_column_by_column_on_drawn_windows(trace_cases, case,
+                                                         stretch, columns, at,
+                                                         max_iter):
+    # a short max_iter leaves probes undecided: flagged and mixed columns
+    m, fp, w, opts = trace_cases[case]
+    w = Rect(w.x_lo, w.x_hi * (1.0 + stretch[0]), w.y_lo, w.y_hi * (1.0 + stretch[1]))
+    opts = replace(opts, columns=columns, max_iter=max_iter)
+    got = trace_stable_curve(m, fp, w, opts)
+    want = _oracle(trace_stable_curve, m, fp, w, opts)
+    assert (got.vertices, got.notes) == (want.vertices, want.notes)
+    assert (got.endpoint_left, got.endpoint_right) == (want.endpoint_left,
+                                                       want.endpoint_right)
+    x = w.x_lo + at * w.width()
+    assert locate_ordinate(m, fp, x, w, opts) == _oracle(locate_ordinate, m, fp,
+                                                         x, w, opts)
+
+
+def _odd_columns_step(x, y):
+    # fp = (0, 0), columns at x < 0: every start steps once, then sits in
+    # int Q2 (minus) or int Q4 (plus) or hits a singularity
+    minus, plus = (-1.0, 1.0), (1.0, -1.0)
+    if x < -0.75:  # minus below plus: no bracket
+        return minus if y < -0.5 else plus
+    if -0.6 <= y < -0.59:
+        raise SingularityError("thin singular band inside the bracket")
+    return plus if y < -0.6 else minus
+
+
+def test_lockstep_columns_match_on_odd_verdicts():
+    m = PlanarMap(name="odd", step=_odd_columns_step, domain=Rect(-2, 2, -2, 2))
+    fp = Point2(0.0, 0.0)
+    w = Rect(-1.0, 0.0, -1.0, 0.0)
+    cxs = [-0.95, -0.9, -0.8, -0.7, -0.6, -0.55]
+    sopts = SideOptions(epsilon_margin=1e-12, max_iter=10)
+    got = curves._solve_columns(m, fp, 1.0, cxs, w, 1e-8, 17, sopts)
+    want = solve_columns_one_by_one(m, fp, 1.0, cxs, w, 1e-8, 17, sopts)
+    assert got == want
+    assert {flag for _, flag in got} == {"no_bracket:mixed", "undecided_probe"}
+
+
+def test_demo_curve_bytes_pinned():
+    # the curve demos/01_separatrix_tracing.py writes to demos/out/ex1_separatrix.csv
+    m = make_example("ex1", {"a": 2.0}).map
+    curve = trace_stable_curve(m, find_fixed_point(m, Point2(1e-9, 1.0)),
+                               Rect(0.0, 5.0, 0.0, 6.0))
+    text = "x,y\n" + "".join(f"{v.x:.17g},{v.y:.17g}\n" for v in curve.vertices)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "4fafa279a104f91b73af5139b04bf09d360dc7cd97f9809fb0db638e24002103"
 
 
 # ---------------------------------------------------------------------------

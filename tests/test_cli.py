@@ -209,3 +209,24 @@ def test_basin_invalid_input_exit_2_without_output(tmp_path, capsys, flags):
     assert rc == 2
     assert "configuration error" in err
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tol", "nan"], ["--tol", "0"], ["--columns", "0"], ["--columns", "-3"],
+    ["--workers", "0"]])
+def test_curve_invalid_input_exit_2_without_output(tmp_path, capsys, flags):
+    out_file = tmp_path / "c.csv"
+    argv = ["curve", "--example", "ex1", "--guess", "1e-9,1",
+            "--window", "0,5,0,6", "--columns", "16", "--out", str(out_file)]
+    rc, _, err = _run(capsys, argv + flags)
+    assert rc == 2
+    assert "configuration error" in err
+    assert not out_file.exists()
+
+
+def test_analyze_overflowing_newton_matrix_fails_cleanly(capsys):
+    # the Newton matrix of x^320 on this window squares to beyond a float
+    rc, _, err = _run(capsys, ["analyze", "--f", "x^320", "--g", "y/2",
+                               "--window", "0,10,0,10"])
+    assert rc in (0, 3)
+    assert "Traceback" not in err

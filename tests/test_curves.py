@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from compmap import (EndpointLabel, HypothesisError, MonotoneCurve, Point2,
-                     Rect, SideOptions, check_boundary_endpoint_conditions,
-                     classify_side, converges_to, endpoint_analysis,
-                     find_fixed_point, find_period_two, le_se, make_example,
-                     trace_stable_curve, trace_unstable_curve, validate_curve)
+from compmap import (CurveOptions, EndpointLabel, HypothesisError,
+                     MonotoneCurve, Point2, Rect, SideOptions,
+                     check_boundary_endpoint_conditions, classify_side,
+                     converges_to, endpoint_analysis, find_fixed_point,
+                     find_period_two, le_se, make_example, trace_stable_curve,
+                     trace_unstable_curve, validate_curve)
 from compmap.curves import locate_ordinate
 from compmap.fixedpoints import FixedPointRecord, eigen2x2
 from compmap.planarmap import PlanarMap, jacobian
@@ -37,6 +38,23 @@ def test_classify_side_singularity_flag(ex4):
     opts = SideOptions(epsilon_margin=1e-4, max_iter=100)
     v = classify_side(ex4.map, Point2(0.0, 0.5), Point2(2, 1), opts)
     assert v.label == "undecided" and v.flag == "singularity"
+
+
+def test_curve_options_reject_invalid_values():
+    for bad in ({"columns": 0}, {"columns": -3}, {"probes": 0},
+                {"max_iter": 0}, {"curve_tol": math.nan}, {"curve_tol": 0.0},
+                {"curve_tol": -1e-8}, {"conv_tol": math.inf},
+                {"escape_bound": 0.0}, {"epsilon_margin": math.nan},
+                {"epsilon_margin": -1.0}, {"bisect_margin": math.inf},
+                {"bisect_margin": -1e-12}):
+        with pytest.raises(ValueError):
+            CurveOptions(**bad)
+    CurveOptions(epsilon_margin=0.0, bisect_margin=0.0)
+
+
+def test_trace_rejects_zero_workers(ex1, ex1_fp):
+    with pytest.raises(ValueError):
+        trace_stable_curve(ex1.map, ex1_fp, Rect(0, 5, 0, 6), workers=0)
 
 
 def test_trace_requires_bounded_window(ex1, ex1_fp):

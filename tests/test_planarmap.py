@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from compmap import (DomainError, Matrix2, Point2, Rect, SingularityError,
                      check_competitive, check_O_condition, eigen2x2, evaluate,
                      eventually_componentwise_monotone, fd_jacobian, jacobian,
-                     make_example, orbit)
+                     expr_map, make_example, orbit)
 from compmap.planarmap import PlanarMap
 
 
@@ -126,6 +127,14 @@ def test_check_O_condition(ex1, ex3_t2):
     assert check_O_condition(ex3_t2.map, Rect(0.5, 10, 0.5, 10)).verdict == "O_plus"
     swap = PlanarMap(name="swap", step=lambda x, y: (y, x), domain=Rect(0, 1, 0, 1))
     assert check_O_condition(swap, Rect(0, 1, 0, 1)).verdict == "O_minus"
+
+
+def test_O_condition_steps_plain_floats():
+    # x^50 overflows on this window; numpy scalars would warn about it
+    m = expr_map("*".join(["x"] * 50), "y/2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check_O_condition(m, Rect(0.0, 1e8, 0.0, 10.0))
 
 
 def test_O_condition_inconclusive_on_collision():
