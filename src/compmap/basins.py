@@ -11,8 +11,8 @@ import numpy as np
 from .errors import SingularityError
 from .geometry import Point2, Rect
 from .planarmap import PlanarMap
-from .curves import (LABEL_CODES, LABEL_NAMES, SideOptions, _resolve_mode,
-                     classify_batch)
+from .curves import (BATCH_HANDOFF, LABEL_CODES, LABEL_NAMES, SideOptions,
+                     _resolve_mode, classify_batch)
 
 ESCAPE_BOUND = 1e6
 LIMIT_RESIDUAL_TOL = 1e-6
@@ -50,14 +50,19 @@ def limit_equilibrium(m: PlanarMap, p: Point2, tol: float = 1e-10,
     """
     start = Point2(*p)
     x, y = float(p[0]), float(p[1])
-    step = m.step
     try:
-        x1, y1 = step(x, y)
+        x1, y1 = m.step(x, y)
     except SingularityError:
         return LimitRecord(start, None, 0, diverged=True, flag="singularity")
     if max(abs(x1 - x), abs(y1 - y)) < tol:
         return LimitRecord(start, Point2(x, y), 0)
-    n = 0
+    return _continue_limit(m, start, x, y, 0, tol, max_iter, escape_bound)
+
+
+def _continue_limit(m: PlanarMap, start: Point2, x: float, y: float, n: int,
+                    tol: float, max_iter: int, escape_bound: float) -> LimitRecord:
+    """limit_equilibrium's iteration from its state after n steps, at (x, y)."""
+    step = m.step
     while n < max_iter:
         try:
             xn, yn = step(x, y)
@@ -305,7 +310,9 @@ def _limits_batch(m: PlanarMap, starts: list, tol: float, max_iter: int) -> list
 
     Applies limit_equilibrium's rules to all points at once: the first-step
     check, the escape bound, and the residual step before a limit is
-    accepted. NaN from the batch step stands for a singularity.
+    accepted. NaN from the batch step stands for a singularity. Once
+    BATCH_HANDOFF or fewer points remain, each finishes in limit_equilibrium's
+    scalar loop from where it stands.
     """
     limits = [None] * len(starts)
     X = np.array([p.x for p in starts])
@@ -316,10 +323,10 @@ def _limits_batch(m: PlanarMap, starts: list, tol: float, max_iter: int) -> list
         limits[k] = starts[k]
     live = ~fixed & np.isfinite(X1) & np.isfinite(Y1)
     idx, X, Y = np.flatnonzero(live), X[live], Y[live]
-    for _ in range(max_iter):
-        if not len(idx):
-            break
+    n = 0
+    while len(idx) > BATCH_HANDOFF and n < max_iter:
         Xn, Yn = m.batch(X, Y)
+        n += 1
         stop = (~(np.isfinite(Xn) & np.isfinite(Yn)) | (np.abs(Xn) > ESCAPE_BOUND)
                 | (np.abs(Yn) > ESCAPE_BOUND))
         near = ~stop & (np.maximum(np.abs(Xn - X), np.abs(Yn - Y)) < tol)
@@ -334,4 +341,7 @@ def _limits_batch(m: PlanarMap, starts: list, tol: float, max_iter: int) -> list
                                Yn[hit].tolist()):
                 limits[k] = Point2(x, y)
         idx, X, Y = idx[~stop], Xn[~stop], Yn[~stop]
+    for k, x, y in zip(idx.tolist(), X.tolist(), Y.tolist()):
+        limits[k] = _continue_limit(m, starts[k], x, y, n, tol, max_iter,
+                                    ESCAPE_BOUND).limit
     return limits

@@ -210,86 +210,141 @@ def parse(text: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: expressions compile to straight-line Python functions
 
 
 def evaluate(e: Expr, x: float, y: float, params: Mapping[str, float] | None = None) -> float:
     """Evaluate with real arithmetic; |denominator| < 1e-12 raises SingularityError."""
-    params = params or {}
-    return _eval(e, x, y, params)
+    return _compile_scalar((e,), params or {}, "return {0}")(x, y)
 
 
-def _eval(e: Expr, x: float, y: float, params: Mapping[str, float]) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return x if e.name == "x" else y
-    if isinstance(e, Param):
-        try:
-            return float(params[e.name])
-        except KeyError:
-            raise UnboundParameterError(e.name)
-    if isinstance(e, Neg):
-        return -_eval(e.child, x, y, params)
-    if isinstance(e, BinOp):
-        a = _eval(e.left, x, y, params)
-        if e.op == "^":
-            b = e.right.value  # type: ignore[union-attr]
-            try:
-                v = math.pow(a, b)
-            except (ValueError, OverflowError):
-                raise SingularityError(f"cannot raise {a!r} to power {b!r}")
-            return v
-        b = _eval(e.right, x, y, params)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if abs(b) < DIV_TOL:
-            raise SingularityError(f"division by {b!r}")
-        return a / b
-    raise TypeError(f"not an expression node: {e!r}")
+def _compile_scalar(roots, params: Mapping[str, float], ret: str):
+    """A function (x, y) computing every root on floats; ret formats the
+    return statement from the roots' variable names.
 
-
-def _eval_array(e: Expr, x: np.ndarray, y: np.ndarray,
-                params: Mapping[str, float], bad: np.ndarray):
-    """Elementwise _eval on arrays; marks in bad where _eval would raise.
-
-    Every operation is the one _eval applies to a float, so unmarked results
-    are bit-identical to it. '^' goes through math.pow per element, because
-    np.power rounds differently in the last bit.
+    A denominator below DIV_TOL in magnitude, or a '^' that math.pow rejects,
+    raises SingularityError.
     """
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return x if e.name == "x" else y
-    if isinstance(e, Param):
-        try:
-            return float(params[e.name])
-        except KeyError:
-            raise UnboundParameterError(e.name)
-    if isinstance(e, Neg):
-        return -_eval_array(e.child, x, y, params, bad)
-    if isinstance(e, BinOp):
-        a = _eval_array(e.left, x, y, params, bad)
-        if e.op == "^":
-            return _pow_array(a, e.right.value, bad)  # type: ignore[union-attr]
-        b = _eval_array(e.right, x, y, params, bad)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        tiny = np.abs(b) < DIV_TOL
-        bad |= tiny
-        return a / np.where(tiny, np.nan, b)
-    raise TypeError(f"not an expression node: {e!r}")
+    body, names, ns = _emit(roots, params, array=False)
+    return _define(body, ret.format(*names), ns)
+
+
+def _compile_batch(roots, params: Mapping[str, float]):
+    """A function (x, y) computing every root on numpy arrays, NaN wherever
+    the scalar function raises."""
+    body, names, ns = _emit(roots, params, array=True)
+    ns.update(_zeros=np.zeros, _broadcast=np.broadcast, _errstate=np.errstate)
+    body = ["bad = _zeros(_broadcast(x, y).shape, dtype=bool)",
+            "with _errstate(all='ignore'):"] + ["    " + s for s in body or ["pass"]]
+    ret = ", ".join(f"_where(bad, _nan, {v})" for v in names)
+    return _define(body, f"return {ret}", ns)
+
+
+def _define(body: list, ret: str, ns: dict):
+    """Compile `def _fn(x, y)` from body and return statement in namespace ns;
+    the function keeps its source as fn.source."""
+    lines = ["def _fn(x, y):"] + ["    " + s for s in body + [ret]]
+    source = "\n".join(lines) + "\n"
+    exec(compile(source, "<compmap.expr>", "exec"), ns)
+    fn = ns["_fn"]
+    fn.source = source
+    return fn
+
+
+def _emit(roots, params: Mapping[str, float], array: bool):
+    """Straight-line statements that compute every node of roots, one
+    temporary per node.
+
+    Shared subtrees (by identity) are computed once, and statements come in
+    the order the tree walk evaluates the nodes, left operand first, so every
+    value is the same floating-point result and the first singularity met is
+    the same one. Constants and parameters are bound by name in the returned
+    namespace. Returns (statements, root variable names, namespace).
+    """
+    ns = {"DIV_TOL": DIV_TOL, "_Matrix2": Matrix2, "_nan": math.nan,
+          "_pow": math.pow, "_pow_errors": (ValueError, OverflowError),
+          "_div_error": _div_error, "_pow_error": _pow_error,
+          "_unbound": _unbound, "_pow_array": _pow_array,
+          "_abs": np.abs, "_where": np.where}
+    body = []
+    names = {}  # id(node) -> variable name
+    for root in roots:
+        stack = [(root, False)]
+        while stack:
+            e, children_done = stack.pop()
+            if id(e) in names:
+                continue
+            if isinstance(e, Var):
+                names[id(e)] = "x" if e.name == "x" else "y"
+                continue
+            k = len(names)
+            if isinstance(e, Const):
+                names[id(e)] = f"k{k}"
+                ns[f"k{k}"] = e.value
+                continue
+            if isinstance(e, Param):
+                if e.name in params:
+                    names[id(e)] = f"p{k}"
+                    ns[f"p{k}"] = float(params[e.name])
+                else:  # raises where the tree walk would meet it
+                    ns[f"n{k}"] = e.name
+                    names[id(e)] = f"t{k}"
+                    body.append(f"t{k} = _unbound(n{k})")
+                continue
+            if not isinstance(e, (Neg, BinOp)):
+                raise TypeError(f"not an expression node: {e!r}")
+            if not children_done:
+                stack.append((e, True))
+                if isinstance(e, Neg):
+                    stack.append((e.child, False))
+                elif e.op == "^":
+                    stack.append((e.left, False))
+                else:
+                    stack.append((e.right, False))
+                    stack.append((e.left, False))
+                continue
+            t = f"t{k}"
+            names[id(e)] = t
+            if isinstance(e, Neg):
+                body.append(f"{t} = -{names[id(e.child)]}")
+                continue
+            a = names[id(e.left)]
+            if e.op == "^":
+                ns[f"k{k}"] = e.right.value  # type: ignore[union-attr]
+                if array:
+                    body.append(f"{t} = _pow_array({a}, k{k}, bad)")
+                else:
+                    body += ["try:", f"    {t} = _pow({a}, k{k})",
+                             "except _pow_errors:",
+                             f"    raise _pow_error({a}, k{k})"]
+                continue
+            b = names[id(e.right)]
+            if e.op != "/":
+                body.append(f"{t} = {a} {e.op} {b}")
+            elif array:
+                body += [f"tiny = _abs({b}) < DIV_TOL", "bad |= tiny",
+                         f"{t} = {a} / _where(tiny, _nan, {b})"]
+            else:
+                body += [f"if abs({b}) < DIV_TOL:", f"    raise _div_error({b})",
+                         f"{t} = {a} / {b}"]
+    return body, [names[id(r)] for r in roots], ns
+
+
+def _div_error(b) -> SingularityError:
+    return SingularityError(f"division by {b!r}")
+
+
+def _pow_error(a, b) -> SingularityError:
+    return SingularityError(f"cannot raise {a!r} to power {b!r}")
+
+
+def _unbound(name: str):
+    raise UnboundParameterError(name)
 
 
 def _pow_array(a, b: float, bad: np.ndarray):
+    """math.pow per element (np.power rounds differently in the last bit);
+    marks in bad where math.pow raises."""
     a = np.broadcast_to(a, bad.shape)
     out = np.empty(bad.shape)
     for k, v in enumerate(a.flat):
@@ -339,62 +394,82 @@ def _diff(e: Expr, var: str) -> Expr:
 
 
 def constant_fold(e: Expr) -> Expr:
-    """Fold constant subtrees and drop arithmetic identities (x+0, x*1, ^1, ...)."""
+    """Fold constant subtrees and drop arithmetic identities (x+0, x*1, ^1, ...).
+
+    A subtree shared by several parents (as the product rule shares them) is
+    folded once, and the folded result is shared the same way.
+    """
+    return _fold(e, {})
+
+
+def _fold(e: Expr, memo: dict) -> Expr:
+    key = id(e)
+    if key in memo:
+        return memo[key][1]
     if isinstance(e, (Const, Var, Param)):
-        return e
-    if isinstance(e, Neg):
-        c = constant_fold(e.child)
-        if isinstance(c, Const):
-            return Const(-c.value)
-        if isinstance(c, Neg):
-            return c.child
-        return Neg(c)
-    if isinstance(e, BinOp):
-        a = constant_fold(e.left)
-        b = constant_fold(e.right)
-        if e.op == "^":
-            exp = b.value  # type: ignore[union-attr]
-            if exp == 0.0:
-                return ONE
-            if exp == 1.0:
-                return a
-            if isinstance(a, Const):
-                return Const(math.pow(a.value, exp))
-            return BinOp("^", a, b)
-        if isinstance(a, Const) and isinstance(b, Const):
-            if e.op == "+":
-                return Const(a.value + b.value)
-            if e.op == "-":
-                return Const(a.value - b.value)
-            if e.op == "*":
-                return Const(a.value * b.value)
-            if abs(b.value) >= DIV_TOL:
-                return Const(a.value / b.value)
-            return BinOp(e.op, a, b)  # keep the pole visible
-        if e.op == "+":
-            if _is_zero(a):
-                return b
-            if _is_zero(b):
-                return a
-        elif e.op == "-":
-            if _is_zero(b):
-                return a
-            if _is_zero(a):
-                return constant_fold(Neg(b))
-        elif e.op == "*":
-            if _is_zero(a) or _is_zero(b):
-                return ZERO
-            if _is_one(a):
-                return b
-            if _is_one(b):
-                return a
-        elif e.op == "/":
-            if _is_zero(a):
-                return ZERO
-            if _is_one(b):
-                return a
-        return BinOp(e.op, a, b)
-    raise TypeError(f"not an expression node: {e!r}")
+        out = e
+    elif isinstance(e, Neg):
+        out = _fold_neg(_fold(e.child, memo))
+    elif isinstance(e, BinOp):
+        out = _fold_binop(e.op, _fold(e.left, memo), _fold(e.right, memo), memo)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    memo[key] = (e, out)  # holding e keeps its id from being reused
+    return out
+
+
+def _fold_neg(c: Expr) -> Expr:
+    if isinstance(c, Const):
+        return Const(-c.value)
+    if isinstance(c, Neg):
+        return c.child
+    return Neg(c)
+
+
+def _fold_binop(op: str, a: Expr, b: Expr, memo: dict) -> Expr:
+    """Fold op applied to the folded operands a and b."""
+    if op == "^":
+        exp = b.value  # type: ignore[union-attr]
+        if exp == 0.0:
+            return ONE
+        if exp == 1.0:
+            return a
+        if isinstance(a, Const):
+            return Const(math.pow(a.value, exp))
+        return BinOp("^", a, b)
+    if isinstance(a, Const) and isinstance(b, Const):
+        if op == "+":
+            return Const(a.value + b.value)
+        if op == "-":
+            return Const(a.value - b.value)
+        if op == "*":
+            return Const(a.value * b.value)
+        if abs(b.value) >= DIV_TOL:
+            return Const(a.value / b.value)
+        return BinOp(op, a, b)  # keep the pole visible
+    if op == "+":
+        if _is_zero(a):
+            return b
+        if _is_zero(b):
+            return a
+    elif op == "-":
+        if _is_zero(b):
+            return a
+        if _is_zero(a):
+            return _fold(Neg(b), memo)
+    elif op == "*":
+        if _is_zero(a) or _is_zero(b):
+            return ZERO
+        if _is_one(a):
+            return b
+        if _is_one(b):
+            return a
+    elif op == "/":
+        if _is_zero(a):
+            return ZERO
+        if _is_one(b):
+            return a
+    return BinOp(op, a, b)
 
 
 def _is_zero(e: Expr) -> bool:
@@ -453,44 +528,47 @@ def _fmt_number(v: float) -> str:
 
 
 class ExprPair:
-    """Evaluator for a pair of expressions; usable as a PlanarMap step function."""
+    """Compiled pair of expressions; usable as a PlanarMap step function."""
 
-    __slots__ = ("f", "g", "params")
+    __slots__ = ("f", "g", "params", "_step", "_batch")
 
     def __init__(self, f: Expr, g: Expr, params: Mapping[str, float]):
         self.f = f
         self.g = g
         self.params = dict(params)
+        self._step = _compile_scalar((f, g), self.params, "return {0}, {1}")
+        self._batch = _compile_batch((f, g), self.params)
 
     def __call__(self, x: float, y: float):
-        return (_eval(self.f, x, y, self.params),
-                _eval(self.g, x, y, self.params))
+        return self._step(x, y)
 
     def batch(self, x: np.ndarray, y: np.ndarray):
         """Both components on arrays; NaN in both wherever __call__ raises."""
-        bad = np.zeros(np.broadcast(x, y).shape, dtype=bool)
-        with np.errstate(all="ignore"):
-            f = _eval_array(self.f, x, y, self.params, bad)
-            g = _eval_array(self.g, x, y, self.params, bad)
-        return np.where(bad, np.nan, f), np.where(bad, np.nan, g)
+        return self._batch(x, y)
+
+    def __reduce__(self):  # compiled functions do not pickle; recompile
+        return ExprPair, (self.f, self.g, self.params)
 
 
 class ExprJacobian:
-    """Exact Jacobian of an expression pair via symbolic partials."""
+    """Exact Jacobian of an expression pair via symbolic partials, compiled
+    into one function that returns a Matrix2."""
 
-    __slots__ = ("fx", "fy", "gx", "gy", "params")
+    __slots__ = ("f", "g", "params", "_jac")
 
     def __init__(self, f: Expr, g: Expr, params: Mapping[str, float]):
-        self.fx = differentiate(f, "x")
-        self.fy = differentiate(f, "y")
-        self.gx = differentiate(g, "x")
-        self.gy = differentiate(g, "y")
+        self.f = f
+        self.g = g
         self.params = dict(params)
+        partials = [differentiate(e, v) for e in (f, g) for v in ("x", "y")]
+        self._jac = _compile_scalar(partials, self.params,
+                                    "return _Matrix2({0}, {1}, {2}, {3})")
 
     def __call__(self, x: float, y: float) -> Matrix2:
-        p = self.params
-        return Matrix2(_eval(self.fx, x, y, p), _eval(self.fy, x, y, p),
-                       _eval(self.gx, x, y, p), _eval(self.gy, x, y, p))
+        return self._jac(x, y)
+
+    def __reduce__(self):
+        return ExprJacobian, (self.f, self.g, self.params)
 
 
 def expr_map(f_text: str, g_text: str,

@@ -23,6 +23,7 @@ from .geometry import (DEFAULT_SAMPLING_WINDOW, Matrix2, Point2, Rect,
 
 SINGULAR_TOL = 1e-12
 FD_STEP = 1e-6
+_EVAL_ERRORS = (SingularityError, DomainError, OverflowError, ZeroDivisionError)
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,7 @@ def check_competitive(m: PlanarMap, region: Rect, samples: int = 100,
     for p in pts:
         try:
             j = jacobian(m, p)
-        except (SingularityError, DomainError, OverflowError, ZeroDivisionError):
+        except _EVAL_ERRORS:
             failures += 1
             continue
         n_ok += 1
@@ -232,6 +233,19 @@ class OConditionReport:
     note: str = ""
 
 
+def _images(m: PlanarMap, X: np.ndarray, Y: np.ndarray) -> tuple:
+    """m on arrays: its batch step, or step per point with NaN where it raises."""
+    if m.batch is not None:
+        return m.batch(X, Y)
+    out = np.full((2, len(X)), math.nan)
+    for k, (x, y) in enumerate(zip(X.tolist(), Y.tolist())):
+        try:
+            out[:, k] = m.step(x, y)
+        except _EVAL_ERRORS:
+            pass
+    return out[0], out[1]
+
+
 def check_O_condition(m: PlanarMap, region: Rect, samples: int = 100,
                       det_tol: float = 1e-12,
                       pairs: int = 10_000,
@@ -242,14 +256,16 @@ def check_O_condition(m: PlanarMap, region: Rect, samples: int = 100,
 
     O_plus when every sampled det > det_tol and no random pair of distinct
     points maps to (nearly) the same image; O_minus for uniformly negative
-    determinants; inconclusive on mixed signs or a probe collision.
+    determinants; inconclusive on mixed signs or a probe collision. The
+    probe maps all pairs with two batch calls; pairs with a non-finite image
+    are re-run through step, so the counts equal a per-pair step loop's.
     """
     pts = _sample_grid(region, samples, window)
     dets = []
     for p in pts:
         try:
             dets.append(jacobian(m, p).det())
-        except (SingularityError, DomainError, OverflowError, ZeroDivisionError):
+        except _EVAL_ERRORS:
             continue
     if not dets:
         return OConditionReport("inconclusive", math.nan, math.nan, 0, 0, 0,
@@ -269,18 +285,25 @@ def check_O_condition(m: PlanarMap, region: Rect, samples: int = 100,
     ay = rng.uniform(r.y_lo, r.y_hi, pairs)
     bx = rng.uniform(r.x_lo, r.x_hi, pairs)
     by = rng.uniform(r.y_lo, r.y_hi, pairs)
-    collisions = 0
-    tested = 0
-    for k in range(pairs):
-        if max(abs(ax[k] - bx[k]), abs(ay[k] - by[k])) < 1e-7:
-            continue
+    with np.errstate(all="ignore"):
+        pa = _images(m, ax, ay)
+        pb = _images(m, bx, by)
+        distinct = np.maximum(np.abs(ax - bx), np.abs(ay - by)) >= 1e-7
+        finite = np.isfinite(pa[0]) & np.isfinite(pa[1]) & np.isfinite(pb[0]) \
+            & np.isfinite(pb[1])
+        near = np.maximum(np.abs(pa[0] - pb[0]), np.abs(pa[1] - pb[1])) < collision_tol
+    tested = int(np.count_nonzero(distinct & finite))
+    collisions = int(np.count_nonzero(distinct & finite & near))
+    # a non-finite image may come from a raising step or from a step that
+    # returns it; the scalar step tells which
+    for k in np.flatnonzero(distinct & ~finite).tolist():
         try:
-            pa = m.step(float(ax[k]), float(ay[k]))
-            pb = m.step(float(bx[k]), float(by[k]))
-        except (SingularityError, DomainError, OverflowError, ZeroDivisionError):
+            qa = m.step(float(ax[k]), float(ay[k]))
+            qb = m.step(float(bx[k]), float(by[k]))
+        except _EVAL_ERRORS:
             continue
         tested += 1
-        if max(abs(pa[0] - pb[0]), abs(pa[1] - pb[1])) < collision_tol:
+        if max(abs(qa[0] - qb[0]), abs(qa[1] - qb[1])) < collision_tol:
             collisions += 1
     if collisions:
         return OConditionReport("inconclusive", det_min, det_max, len(dets),

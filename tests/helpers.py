@@ -1,12 +1,15 @@
 """Shared test utilities: direction comparison, a random-expression generator,
-independent vectorized re-implementations of the built-in recurrences used
-as brute-force oracles (they deliberately bypass the library code paths they
+the expression tree-walkers that compiled expressions replaced, independent
+vectorized re-implementations of the built-in recurrences used as
+brute-force oracles (they deliberately bypass the library code paths they
 are checking), and the scalar column solver the lockstep one replaced."""
+
+import math
 
 import numpy as np
 
-from compmap import Point2, classify_side
-from compmap.expr import BinOp, Const, Neg, Param, Var
+from compmap import Point2, SingularityError, UnboundParameterError, classify_side
+from compmap.expr import DIV_TOL, BinOp, Const, Neg, Param, Var
 
 
 def normalize_direction(v):
@@ -47,6 +50,90 @@ def random_expr(rng, depth=5):
         return BinOp("^", random_expr(rng, depth - 1),
                      Const(float(rng.integers(0, 4))))
     return BinOp(op, random_expr(rng, depth - 1), random_expr(rng, depth - 1))
+
+
+# ---------------------------------------------------------------------------
+# Tree-walking expression evaluators: the oracle for compiled expressions
+
+
+def tree_eval(e, x, y, params):
+    """Evaluate e on floats by walking the tree; raises where a compiled
+    scalar function must raise."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return x if e.name == "x" else y
+    if isinstance(e, Param):
+        try:
+            return float(params[e.name])
+        except KeyError:
+            raise UnboundParameterError(e.name)
+    if isinstance(e, Neg):
+        return -tree_eval(e.child, x, y, params)
+    if isinstance(e, BinOp):
+        a = tree_eval(e.left, x, y, params)
+        if e.op == "^":
+            b = e.right.value
+            try:
+                v = math.pow(a, b)
+            except (ValueError, OverflowError):
+                raise SingularityError(f"cannot raise {a!r} to power {b!r}")
+            return v
+        b = tree_eval(e.right, x, y, params)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        if abs(b) < DIV_TOL:
+            raise SingularityError(f"division by {b!r}")
+        return a / b
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def tree_eval_array(e, x, y, params, bad):
+    """Elementwise tree_eval on arrays; marks in bad where tree_eval raises.
+    '^' goes through math.pow per element."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return x if e.name == "x" else y
+    if isinstance(e, Param):
+        return float(params[e.name])
+    if isinstance(e, Neg):
+        return -tree_eval_array(e.child, x, y, params, bad)
+    a = tree_eval_array(e.left, x, y, params, bad)
+    if e.op == "^":
+        a = np.broadcast_to(a, bad.shape)
+        out = np.empty(bad.shape)
+        for k, v in enumerate(a.flat):
+            try:
+                out.flat[k] = math.pow(v, e.right.value)
+            except (ValueError, OverflowError):
+                out.flat[k] = math.nan
+                bad.flat[k] = True
+        return out
+    b = tree_eval_array(e.right, x, y, params, bad)
+    if e.op == "+":
+        return a + b
+    if e.op == "-":
+        return a - b
+    if e.op == "*":
+        return a * b
+    tiny = np.abs(b) < DIV_TOL
+    bad |= tiny
+    return a / np.where(tiny, np.nan, b)
+
+
+def tree_batch(f, g, x, y, params):
+    """The batch step of the pair (f, g) by tree walk: NaN in both
+    components wherever tree_eval raises on either."""
+    bad = np.zeros(np.broadcast(x, y).shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        fv = tree_eval_array(f, x, y, params, bad)
+        gv = tree_eval_array(g, x, y, params, bad)
+    return np.where(bad, np.nan, fv), np.where(bad, np.nan, gv)
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,37 @@ def test_continuity_probe_matches_limit_equilibrium(name, ends, n, tol, max_iter
     assert rep.divergent == sum(q is None for q in want)
 
 
+@pytest.mark.parametrize("name, seg", [
+    ("ex1", ((0.2, 4.8), (4.8, 0.2))),
+    ("ex3_T", ((0.5, 0.5), (4.0, 3.0))),  # period-two orbits: no sample converges
+])
+@pytest.mark.parametrize("n", [2, 64])
+@pytest.mark.parametrize("max_iter", [3, 34, 5000])
+def test_continuity_probe_hands_off_to_the_scalar_loop(name, seg, n, max_iter):
+    m = make_example(name).map
+    steps = []
+
+    def step(x, y):
+        steps.append((x, y))
+        return m.step(x, y)
+
+    counted = replace(m, step=step)
+    rep = continuity_probe(counted, seg, n, max_iter=max_iter)
+    a, b = Point2(*seg[0]), Point2(*seg[1])
+    want = []
+    for k in range(n):
+        t = k / (n - 1)
+        p = Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+        want.append(limit_equilibrium(m, p, max_iter=max_iter).limit)
+    assert list(rep.limits) == want
+    if n <= curves.BATCH_HANDOFF:  # every sample finishes in the scalar loop
+        assert len(steps) >= n
+    elif name == "ex1" and max_iter >= 34:  # the slowest samples do
+        assert steps
+    if name == "ex3_T":
+        assert rep.divergent == n
+
+
 # ---------------------------------------------------------------------------
 # (e) the demo raster keeps its committed bytes
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -230,3 +231,12 @@ def test_analyze_overflowing_newton_matrix_fails_cleanly(capsys):
                                "--window", "0,10,0,10"])
     assert rc in (0, 3)
     assert "Traceback" not in err
+
+
+def test_analyze_dsl_stdout_pinned(capsys):
+    # stdout of the tree-walking evaluator, before expressions were compiled
+    rc, out, _ = _run(capsys, ["analyze", "--f", "x/(a+y)", "--g", "y/(1+x)",
+                               "--param", "a=2"])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "aed44a328d38fed53a586bb03a60cba0364d0dd53dd6b6aa5d2975a226b5a410"

@@ -1,15 +1,18 @@
+import ast
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from compmap import ParseError, Point2, SingularityError, UnboundParameterError
-from compmap.expr import (BinOp, Const, Neg, Param, Var, constant_fold,
-                          differentiate, evaluate, expr_map, parse, to_text)
+from compmap.expr import (BinOp, Const, ExprJacobian, ExprPair, Neg, Param, Var,
+                          constant_fold, differentiate, evaluate, expr_map, parse,
+                          to_text)
 from compmap.planarmap import jacobian, fd_jacobian
 
-from helpers import random_expr
+from helpers import random_expr, tree_batch, tree_eval
 
 
 def test_parse_structure():
@@ -163,3 +166,132 @@ def test_expr_map_exact_jacobian_agrees_with_fd():
 def test_expr_map_unbound_parameter():
     with pytest.raises(UnboundParameterError):
         expr_map("x/(a+y)", "y", {})
+
+
+# ---------------------------------------------------------------------------
+# Compiled expressions against the tree-walking oracle in helpers.py
+
+PARAMS = {"a": 1.3, "b": -0.7, "c": 2.1}
+
+
+def _outcome(fn):
+    """Hex floats of fn()'s values, or the error it raises."""
+    try:
+        return tuple(float(v).hex() for v in fn())
+    except (SingularityError, UnboundParameterError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _same_arrays(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and all(
+        float(u).hex() == float(v).hex() or (math.isnan(u) and math.isnan(v))
+        for u, v in zip(a.ravel(), b.ravel()))
+
+
+def _assert_compiled_matches_oracle(f, g, pts, params=PARAMS):
+    pair = ExprPair(f, g, params)
+    jac = ExprJacobian(f, g, params)
+    partials = [differentiate(e, v) for e in (f, g) for v in ("x", "y")]
+    for x, y in pts:
+        assert _outcome(lambda: pair(x, y)) == _outcome(
+            lambda: (tree_eval(f, x, y, params), tree_eval(g, x, y, params))), (x, y)
+        assert _outcome(lambda: (evaluate(f, x, y, params),)) == _outcome(
+            lambda: (tree_eval(f, x, y, params),))
+        assert _outcome(lambda: jac(x, y)) == _outcome(
+            lambda: [tree_eval(d, x, y, params) for d in partials]), (x, y)
+    X = np.array([p[0] for p in pts])
+    Y = np.array([p[1] for p in pts])
+    got = pair.batch(X, Y)
+    want = tree_batch(f, g, X, Y, params)
+    assert _same_arrays(got[0], want[0]) and _same_arrays(got[1], want[1])
+
+
+coord = st.one_of(
+    st.floats(-4.0, 4.0, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.3, -1.3, 0.7, 1e-13, -1e-13, 5e-324]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1),
+       pts=st.lists(st.tuples(coord, coord), min_size=1, max_size=12))
+def test_compiled_matches_tree_walk_on_random_trees(seed, pts):
+    rng = np.random.default_rng(seed)
+    _assert_compiled_matches_oracle(random_expr(rng, depth=5),
+                                    random_expr(rng, depth=5), pts)
+
+
+@pytest.mark.parametrize("f, g", [
+    ("(x - 2)^0.5 + y^1.5", "(-x)^2.5 - (y - 1)^0.25"),  # negative bases
+    ("x^320", "(y/1e3)^320 + x"),  # overflow and underflow
+    ("-x*0 - y", "-(x - x)/y"),  # signed zeros
+    ("x/(a + y) + x^0", "(x*y)^2.5 + x/b"),
+])
+def test_compiled_matches_tree_walk_on_edge_cases(f, g):
+    pts = [(x, y) for x in (-3.0, -0.0, 0.0, 0.5, 1.7, 12.0)
+           for y in (-1.3, -0.0, 0.0, 2.0, 1e-13)]
+    _assert_compiled_matches_oracle(parse(f), parse(g), pts)
+
+
+def test_folded_nonfinite_constants_compile():
+    inf = constant_fold(parse("1e200*1e200*x + y"))
+    nan = constant_fold(parse("(1e200*1e200 - 1e200*1e200) + y"))
+    assert any(isinstance(n, Const) and math.isinf(n.value) for n in ast_nodes(inf))
+    assert any(isinstance(n, Const) and math.isnan(n.value) for n in ast_nodes(nan))
+    _assert_compiled_matches_oracle(inf, nan, [(0.0, 1.0), (-2.0, 0.5), (3.0, -0.0)])
+
+
+def ast_nodes(e):
+    yield e
+    for c in (getattr(e, "child", None), getattr(e, "left", None),
+              getattr(e, "right", None)):
+        if c is not None:
+            yield from ast_nodes(c)
+
+
+def test_unbound_parameter_raises_where_the_tree_walk_meets_it():
+    assert _outcome(lambda: (evaluate(parse("x/y + q"), 1.0, 0.0),)) == \
+        ("SingularityError", "division by 0.0")
+    with pytest.raises(UnboundParameterError):
+        evaluate(parse("x/y + q"), 1.0, 1.0)
+
+
+def test_deep_trees_compile():
+    e = Var("x")
+    for _ in range(3000):  # far deeper than Python's parser nests parentheses
+        e = BinOp("+", Neg(e), Const(1.0))
+    pair = ExprPair(e, Var("y"), {})
+    assert pair(0.5, 2.0) == (0.5, 2.0)
+    fx, gy = pair.batch(np.array([0.5, 1.5]), np.array([2.0, 3.0]))
+    assert fx.tolist() == [0.5, 1.5] and gy.tolist() == [2.0, 3.0]
+
+
+def _statements(fn):
+    return sum(isinstance(n, ast.stmt) for n in ast.walk(ast.parse(fn.source)))
+
+
+def test_long_product_jacobian_is_linear_in_the_factors():
+    n = 320
+    m = expr_map("*".join(["x"] * n), "y/2")
+    assert _statements(m.jac._jac) < 8 * n
+    f = parse("*".join(["x"] * n))
+    fx = differentiate(f, "x")
+    for x in (0.5, 0.9, 1.1):
+        j = m.jac(x, 0.25)
+        assert float(j.a11).hex() == float(tree_eval(fx, x, 0.25, {})).hex()
+        assert (j.a12, j.a21, j.a22) == (0.0, 0.0, 0.5)
+
+
+def test_expr_map_pickles():
+    m = expr_map("x/(a+y) + (x*y)^1.5", "y/(1+x) - a", {"a": 2.0}, name="pk")
+    m2 = pickle.loads(pickle.dumps(m))
+    assert m2.name == "pk" and m2.params == m.params and m2.meta == m.meta
+    assert m2.batch.__self__ is m2.step
+    pts = [(1.0, 1.0), (0.3, -2.0), (-1.0, 0.5), (2.5, 0.7), (-0.5, -2.0)]
+    for x, y in pts:
+        assert _outcome(lambda: m2.step(x, y)) == _outcome(lambda: m.step(x, y))
+        assert _outcome(lambda: m2.jac(x, y)) == _outcome(lambda: m.jac(x, y))
+    X = np.array([p[0] for p in pts])
+    Y = np.array([p[1] for p in pts])
+    for u, v in zip(m2.batch(X, Y), m.batch(X, Y)):
+        assert _same_arrays(u, v)

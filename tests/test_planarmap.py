@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -142,6 +143,53 @@ def test_O_condition_inconclusive_on_collision():
                          domain=Rect(0, 1, 0, 1))
     rep = check_O_condition(collapse, Rect(0, 1, 0, 1))
     assert rep.verdict == "inconclusive"
+
+
+@pytest.mark.parametrize("dsl", [False, True])
+def test_O_probe_is_two_batch_calls(ex1, dsl):
+    m = expr_map("x/(a+y)", "y/(1+x)", {"a": 2.0}) if dsl else ex1.map
+    calls = {"step": 0, "batch": 0}
+
+    def step(x, y):
+        calls["step"] += 1
+        return m.step(x, y)
+
+    def batch(X, Y):
+        calls["batch"] += 1
+        return m.batch(X, Y)
+
+    region = Rect(0, 5, 0, 5)
+    rep = check_O_condition(replace(m, step=step, batch=batch), region)
+    assert calls == {"step": 0, "batch": 2}
+    assert rep.verdict == "O_plus" and rep.injectivity_pairs > 9900
+    assert rep == check_O_condition(replace(m, batch=None), region)
+
+
+@pytest.mark.parametrize("with_batch", [False, True])
+def test_O_probe_counts_pairs_like_the_scalar_loop(with_batch):
+    # raises in one corner, returns NaN without raising along the left edge
+    def step(x, y):
+        if x > 0.8 and y > 0.8:
+            raise SingularityError("corner")
+        return (math.nan if x < 0.1 else 0.5 * x + 0.1 * y), 0.1 * x + 0.5 * y
+
+    def batch(X, Y):
+        corner = (X > 0.8) & (Y > 0.8)
+        fx = np.where(X < 0.1, np.nan, 0.5 * X + 0.1 * Y)
+        return np.where(corner, np.nan, fx), np.where(corner, np.nan, 0.1 * X + 0.5 * Y)
+
+    m = PlanarMap(name="holes", step=step, domain=Rect(0, 1, 0, 1),
+                  jac=lambda x, y: Matrix2(0.5, 0.1, 0.1, 0.5),
+                  batch=batch if with_batch else None)
+    rep = check_O_condition(m, Rect(0, 1, 0, 1), pairs=4000, seed=3)
+    rng = np.random.default_rng(3)
+    ax, ay, bx, by = (rng.uniform(0.0, 1.0, 4000) for _ in range(4))
+    corner = lambda x, y: (x > 0.8) & (y > 0.8)
+    want = ~corner(ax, ay) & ~corner(bx, by) \
+        & (np.maximum(np.abs(ax - bx), np.abs(ay - by)) >= 1e-7)
+    assert rep.verdict == "O_plus"
+    assert rep.injectivity_pairs == int(want.sum()) < 4000
+    assert np.count_nonzero(want & ((ax < 0.1) | (bx < 0.1))) > 100
 
 
 def test_O_plus_orbits_eventually_monotone(ex1):
