@@ -233,7 +233,6 @@ def _compile_batch(roots, params: Mapping[str, float]):
     """A function (x, y) computing every root on numpy arrays, NaN wherever
     the scalar function raises."""
     body, names, ns = _emit(roots, params, array=True)
-    ns.update(_zeros=np.zeros, _broadcast=np.broadcast, _errstate=np.errstate)
     body = ["bad = _zeros(_broadcast(x, y).shape, dtype=bool)",
             "with _errstate(all='ignore'):"] + ["    " + s for s in body or ["pass"]]
     ret = ", ".join(f"_where(bad, _nan, {v})" for v in names)
@@ -264,8 +263,9 @@ def _emit(roots, params: Mapping[str, float], array: bool):
     ns = {"DIV_TOL": DIV_TOL, "_Matrix2": Matrix2, "_nan": math.nan,
           "_pow": math.pow, "_pow_errors": (ValueError, OverflowError),
           "_div_error": _div_error, "_pow_error": _pow_error,
-          "_unbound": _unbound, "_pow_array": _pow_array,
-          "_abs": np.abs, "_where": np.where}
+          "_unbound": _unbound, "_pow_array": _pow_array, "_abs": np.abs,
+          "_where": np.where, "_zeros": np.zeros, "_broadcast": np.broadcast,
+          "_errstate": np.errstate}
     body = []
     names = {}  # id(node) -> variable name
     for root in roots:
