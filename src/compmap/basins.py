@@ -11,10 +11,9 @@ import numpy as np
 from .errors import SingularityError
 from .geometry import Point2, Rect
 from .planarmap import PlanarMap
-from .curves import (BATCH_HANDOFF, LABEL_CODES, LABEL_NAMES, SideOptions,
-                     _resolve_mode, classify_batch)
+from .curves import (BATCH_HANDOFF, ESCAPE_BOUND, LABEL_CODES, LABEL_NAMES,
+                     SideOptions, _resolve_mode, classify_batch)
 
-ESCAPE_BOUND = 1e6
 LIMIT_RESIDUAL_TOL = 1e-6
 
 # PGM gray levels per label
@@ -40,13 +39,12 @@ class LimitRecord:
 
 
 def limit_equilibrium(m: PlanarMap, p: Point2, tol: float = 1e-10,
-                      max_iter: int = 100_000,
-                      escape_bound: float = ESCAPE_BOUND) -> LimitRecord:
+                      max_iter: int = 100_000) -> LimitRecord:
     """Iterate to the limiting equilibrium T*(p).
 
     Converges when the sup-norm step drops below tol and the fixed-point
     residual of the candidate limit is below 1e-6; a coordinate exceeding
-    escape_bound (or a singularity) yields a divergence marker instead.
+    ESCAPE_BOUND (or a singularity) yields a divergence marker instead.
     """
     start = Point2(*p)
     x, y = float(p[0]), float(p[1])
@@ -56,11 +54,11 @@ def limit_equilibrium(m: PlanarMap, p: Point2, tol: float = 1e-10,
         return LimitRecord(start, None, 0, diverged=True, flag="singularity")
     if max(abs(x1 - x), abs(y1 - y)) < tol:
         return LimitRecord(start, Point2(x, y), 0)
-    return _continue_limit(m, start, x, y, 0, tol, max_iter, escape_bound)
+    return _continue_limit(m, start, x, y, 0, tol, max_iter)
 
 
 def _continue_limit(m: PlanarMap, start: Point2, x: float, y: float, n: int,
-                    tol: float, max_iter: int, escape_bound: float) -> LimitRecord:
+                    tol: float, max_iter: int) -> LimitRecord:
     """limit_equilibrium's iteration from its state after n steps, at (x, y)."""
     step = m.step
     while n < max_iter:
@@ -70,7 +68,7 @@ def _continue_limit(m: PlanarMap, start: Point2, x: float, y: float, n: int,
             return LimitRecord(start, None, n, diverged=True, flag="singularity")
         n += 1
         if not (math.isfinite(xn) and math.isfinite(yn)) \
-                or abs(xn) > escape_bound or abs(yn) > escape_bound:
+                or abs(xn) > ESCAPE_BOUND or abs(yn) > ESCAPE_BOUND:
             return LimitRecord(start, None, n, diverged=True, flag="escape")
         if max(abs(xn - x), abs(yn - y)) < tol:
             try:
@@ -342,6 +340,5 @@ def _limits_batch(m: PlanarMap, starts: list, tol: float, max_iter: int) -> list
                 limits[k] = Point2(x, y)
         idx, X, Y = idx[~stop], Xn[~stop], Yn[~stop]
     for k, x, y in zip(idx.tolist(), X.tolist(), Y.tolist()):
-        limits[k] = _continue_limit(m, starts[k], x, y, n, tol, max_iter,
-                                    ESCAPE_BOUND).limit
+        limits[k] = _continue_limit(m, starts[k], x, y, n, tol, max_iter).limit
     return limits

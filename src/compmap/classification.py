@@ -30,6 +30,7 @@ from .planarmap import PlanarMap
 COEFF_TOL = 1e-8
 UNIT_EIG_TOL = 1e-7
 ILL_CONDITION_REL = 1e-4
+ORDER_OFFSETS = (1e-1, 1e-2, 1e-3)  # ray offsets find_order_interval tries, in order
 
 CASE_CONCLUSIONS = {
     "hyperbolic_expanding": "orbits starting in int(Q2 u Q4) inside the order "
@@ -198,14 +199,16 @@ def classify_hyperbolic_ray(mu: float, v: Point2) -> LocalVerdict:
     return LocalVerdict(None, "hyperbolic_contracting", f"mu = {mu:.9g} < 1")
 
 
-def classify_nonhyperbolic(ray: TaylorRay, tol: float = COEFF_TOL) -> LocalVerdict:
+def classify_nonhyperbolic(ray: TaylorRay) -> LocalVerdict:
     """Parity-and-sign verdict from the first nonzero coefficient pair.
 
     Decidable patterns: (a) c_l * d_l < 0, (b) c_l nonzero with the second
     component affine along the ray, (c) d_l nonzero with the first component
-    affine. Affineness is certified by all coefficients of that component
-    staying below tol. Anything else is 'unclassified'.
+    affine. A coefficient is nonzero above COEFF_TOL, and affineness is
+    certified by all coefficients of that component staying below it.
+    Anything else is 'unclassified'.
     """
+    tol = COEFF_TOL
     ell = first_nonzero_index(ray, tol)
     if ell is None:
         return LocalVerdict(None, "unclassified",
@@ -259,12 +262,13 @@ _END_KIND = {
 }
 
 
-def find_order_interval(m: PlanarMap, fp: Point2, v: Point2, case_id: str,
-                        scan: tuple = (1e-1, 1e-2, 1e-3)) -> OrderInterval:
+def find_order_interval(m: PlanarMap, fp: Point2, v: Point2,
+                        case_id: str) -> OrderInterval:
     """Realize the order interval of a local verdict by scanning ray offsets.
 
     The corners fp + t v must satisfy the sub/supersolution inequality the
-    verdict requires at each end; the largest workable |t| from scan is kept.
+    verdict requires at each end; the largest workable |t| from ORDER_OFFSETS
+    is kept.
     """
     if case_id not in _END_KIND:
         raise ValueError(f"no order interval for case {case_id!r}")
@@ -277,7 +281,7 @@ def find_order_interval(m: PlanarMap, fp: Point2, v: Point2, case_id: str,
     corners = []
     for want, sign in ((want_q2, +1.0), (want_q4, -1.0)):
         found = None
-        for t in scan:
+        for t in ORDER_OFFSETS:
             p = Point2(fp[0] + sign * t * v.x, fp[1] + sign * t * v.y)
             if not m.domain.contains(p):
                 continue
@@ -290,7 +294,7 @@ def find_order_interval(m: PlanarMap, fp: Point2, v: Point2, case_id: str,
                 break
         if found is None:
             raise HypothesisError(
-                f"no {want}solution found on the ray at offsets {scan}")
+                f"no {want}solution found on the ray at offsets {ORDER_OFFSETS}")
         corners.append(found)
     return OrderInterval(q2_corner=corners[0], q4_corner=corners[1])
 

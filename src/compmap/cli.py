@@ -127,7 +127,7 @@ def _cfg_int(cfg: dict, key: str) -> int:
         raise _CliError(2, f"option {key!r} needs an integer, got {cfg.get(key)!r}")
 
 
-def _cfg_window(cfg: dict, require_bounded: bool = True) -> Rect:
+def _cfg_window(cfg: dict) -> Rect:
     raw = cfg.get("window")
     if raw is None:
         raise _CliError(2, "a --window xlo,xhi,ylo,yhi is required")
@@ -139,7 +139,7 @@ def _cfg_window(cfg: dict, require_bounded: bool = True) -> Rect:
         w = Rect(vals[0], vals[1], vals[2], vals[3])
     except ValueError as e:
         raise _CliError(2, f"malformed window {raw!r}: {e}")
-    if require_bounded and not w.is_bounded():
+    if not w.is_bounded():
         raise _CliError(2, f"window {raw!r} must be bounded")
     return w
 
@@ -386,8 +386,6 @@ def _cmd_basin(args) -> int:
     fp = roots[0].location
     nx = _cfg_int(cfg, "nx")
     ny = _cfg_int(cfg, "ny")
-    if nx < 2 or ny < 2:
-        raise _CliError(2, "raster needs nx, ny >= 2")
     overrides = {"max_iter": _cfg_int(cfg, "max_iter"),
                  "conv_tol": _cfg_float(cfg, "tol")}
     if "mode" in cfg:

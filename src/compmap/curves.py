@@ -16,7 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import HypothesisError, NoConvergenceError, SingularityError
-from .fixedpoints import (FixedPointRecord, NEWTON_TOL, _damped_newton,
+from .fixedpoints import (FixedPointRecord, NEWTON_MAX_ITER, NEWTON_TOL,
+                          _damped_newton, _delta_parts,
                           check_invariant_curve_hypotheses, find_fixed_point,
                           find_period_two)
 from .geometry import Point2, Rect, in_quadrant_interior
@@ -26,6 +27,9 @@ from .planarmap import PlanarMap, jacobian
 # ---------------------------------------------------------------------------
 # Side classification
 
+# An orbit with a coordinate beyond ESCAPE_BOUND in magnitude has diverged.
+ESCAPE_BOUND = 1e6
+
 
 @dataclass(frozen=True)
 class SideOptions:
@@ -34,16 +38,15 @@ class SideOptions:
     mode 'quadrant_escape' watches for entry into int Q2 / int Q4 relative to
     the fixed point with both inequalities cleared by epsilon_margin; it is
     the right tool for isolated equilibria. mode 'limit_equilibrium' iterates
-    to convergence and compares the limit against the fixed point in the
-    southeast order; use it when the map has a continuum of equilibria, where
-    quadrant entry never happens.
+    to convergence (sup-norm step below conv_tol) and compares the limit
+    against the fixed point in the southeast order; use it when the map has a
+    continuum of equilibria, where quadrant entry never happens.
     """
 
     mode: str = "quadrant_escape"
     epsilon_margin: float = 1e-9
     max_iter: int = 10_000
     conv_tol: float = 1e-12
-    escape_bound: float = 1e6
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -51,10 +54,8 @@ class SideOptions:
         if not (math.isfinite(self.epsilon_margin) and self.epsilon_margin >= 0):
             raise ValueError("epsilon_margin must be finite and >= 0, got "
                              f"{self.epsilon_margin!r}")
-        for name in ("conv_tol", "escape_bound"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+        if not (math.isfinite(self.conv_tol) and self.conv_tol > 0):
+            raise ValueError(f"conv_tol must be finite and > 0, got {self.conv_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,6 @@ def classify_side(m: PlanarMap, p: Point2, fp: Point2,
 def _classify_quadrant(m: PlanarMap, p: Point2, fp: Point2,
                        opts: SideOptions) -> SideVerdict:
     eps = opts.epsilon_margin
-    bound = opts.escape_bound
     fx, fy = fp
     dom = m.domain
     step = m.step
@@ -95,7 +95,7 @@ def _classify_quadrant(m: PlanarMap, p: Point2, fp: Point2,
             return SideVerdict("minus", n)
         if dx >= eps and dy <= -eps:
             return SideVerdict("plus", n)
-        if abs(x) > bound or abs(y) > bound:
+        if abs(x) > ESCAPE_BOUND or abs(y) > ESCAPE_BOUND:
             return SideVerdict("undecided", n, "divergence")
         try:
             x, y = step(x, y)
@@ -111,7 +111,6 @@ def _classify_quadrant(m: PlanarMap, p: Point2, fp: Point2,
 def _classify_limit(m: PlanarMap, p: Point2, fp: Point2,
                     opts: SideOptions) -> SideVerdict:
     eps = opts.epsilon_margin
-    bound = opts.escape_bound
     tol = opts.conv_tol
     step = m.step
     x, y = float(p[0]), float(p[1])
@@ -122,7 +121,7 @@ def _classify_limit(m: PlanarMap, p: Point2, fp: Point2,
             return SideVerdict("undecided", n, "singularity")
         if not (math.isfinite(xn) and math.isfinite(yn)):
             return SideVerdict("undecided", n, "singularity")
-        if abs(xn) > bound or abs(yn) > bound:
+        if abs(xn) > ESCAPE_BOUND or abs(yn) > ESCAPE_BOUND:
             return SideVerdict("undecided", n, "divergence")
         if max(abs(xn - x), abs(yn - y)) < tol:
             x, y = xn, yn
@@ -198,7 +197,6 @@ def _quadrant_batch(m, idx, X, Y, fp, opts, out):
     """_classify_quadrant in lockstep; returns the points left for handoff
     and the iterations they have used."""
     eps = opts.epsilon_margin
-    bound = opts.escape_bound
     fx, fy = fp
     dom = m.domain
     for n in range(opts.max_iter + 1):
@@ -212,7 +210,8 @@ def _quadrant_batch(m, idx, X, Y, fp, opts, out):
         out[idx[band]] = _BAND
         out[idx[minus]] = _MINUS
         out[idx[plus]] = _PLUS
-        live = ~(band | minus | plus | (np.abs(X) > bound) | (np.abs(Y) > bound))
+        live = ~(band | minus | plus | (np.abs(X) > ESCAPE_BOUND)
+                 | (np.abs(Y) > ESCAPE_BOUND))
         idx = idx[live]
         X, Y = m.batch(X[live], Y[live])
         singular = ~(np.isfinite(X) & np.isfinite(Y))
@@ -226,7 +225,6 @@ def _quadrant_batch(m, idx, X, Y, fp, opts, out):
 def _limit_batch(m, idx, X, Y, fp, opts, out):
     """_classify_limit in lockstep; returns the points left for handoff and
     the iterations they have used."""
-    bound = opts.escape_bound
     tol = opts.conv_tol
     for n in range(opts.max_iter):
         if len(idx) <= BATCH_HANDOFF:
@@ -234,7 +232,7 @@ def _limit_batch(m, idx, X, Y, fp, opts, out):
         Xn, Yn = m.batch(X, Y)
         singular = ~(np.isfinite(Xn) & np.isfinite(Yn))
         out[idx[singular]] = _SINGULAR
-        stop = singular | (np.abs(Xn) > bound) | (np.abs(Yn) > bound)
+        stop = singular | (np.abs(Xn) > ESCAPE_BOUND) | (np.abs(Yn) > ESCAPE_BOUND)
         conv = ~stop & (np.maximum(np.abs(Xn - X), np.abs(Yn - Y)) < tol)
         if conv.any():
             out[idx[conv]] = _limit_codes(Xn[conv], Yn[conv], fp, opts)
@@ -365,37 +363,25 @@ class CurveOptions:
     """Options for trace_stable_curve.
 
     columns are spread over the window with geometric refinement toward the
-    fixed point. Bisection stops when the bracket is narrower than curve_tol.
-    epsilon_margin (default 1e-4 * window diagonal) is the verdict margin for
-    reporting; bisection itself runs at bisect_margin (default
-    max(1e-12, curve_tol/100)) since the no-verdict band at the reporting
-    margin is far wider than curve_tol.
+    fixed point. Bisection stops when the bracket is narrower than curve_tol,
+    and classifies at the verdict margin max(1e-12, curve_tol/100): a wider
+    margin would leave a no-verdict band around the curve far wider than
+    curve_tol.
     """
 
     columns: int = 256
     curve_tol: float = 1e-8
-    probes: int = 17
     mode: Optional[str] = None  # None: from map meta ('continuum' -> limit mode)
-    epsilon_margin: Optional[float] = None
-    bisect_margin: Optional[float] = None
     max_iter: int = 50_000
-    conv_tol: float = 1e-12
-    escape_bound: float = 1e6
 
     def __post_init__(self):
-        for name in ("columns", "probes", "max_iter"):
+        for name in ("columns", "max_iter"):
             v = getattr(self, name)
             if v < 1:
                 raise ValueError(f"{name} must be >= 1, got {v!r}")
-        for name in ("curve_tol", "conv_tol", "escape_bound"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
-        for name in ("epsilon_margin", "bisect_margin"):
-            v = getattr(self, name)
-            if v is not None and not (math.isfinite(v) and v >= 0):
-                raise ValueError(
-                    f"{name} must be None, or finite and >= 0, got {v!r}")
+        if not (math.isfinite(self.curve_tol) and self.curve_tol > 0):
+            raise ValueError(
+                f"curve_tol must be finite and > 0, got {self.curve_tol!r}")
 
 
 def _resolve_mode(m: PlanarMap, mode: Optional[str] = None) -> str:
@@ -406,12 +392,16 @@ def _resolve_mode(m: PlanarMap, mode: Optional[str] = None) -> str:
     return "limit_equilibrium" if m.meta.get("continuum") else "quadrant_escape"
 
 
-def _geometric_offsets(span: float, n: int, theta_min: float = 1e-3) -> list:
+# The geometric columns of a side sit at offsets from span * THETA_MIN to span.
+THETA_MIN = 1e-3
+
+
+def _geometric_offsets(span: float, n: int) -> list:
     if n <= 0:
         return []
     if n == 1:
         return [span]
-    return [span * theta_min ** (1.0 - i / (n - 1)) for i in range(n)]
+    return [span * THETA_MIN ** (1.0 - i / (n - 1)) for i in range(n)]
 
 
 def _column_positions(window: Rect, fpx: float, columns: int) -> list:
@@ -437,12 +427,16 @@ def _column_positions(window: Rect, fpx: float, columns: int) -> list:
     return sorted(xs)
 
 
+# Uniform probe ordinates scanned per column before bisection.
+PROBES = 17
+
+
 def _column_probes(fp: Point2, slope: float, cx: float, window: Rect,
-                   curve_tol: float, probes: int) -> list:
-    """The ordinates scanned in column cx, ascending: probes uniform ones,
+                   curve_tol: float) -> list:
+    """The ordinates scanned in column cx, ascending: PROBES uniform ones,
     plus a tangent-predicted pair when cx is near the fixed point."""
     y_lo, y_hi = window.y_lo, window.y_hi
-    ys = [y_lo + (i + 0.5) * (y_hi - y_lo) / probes for i in range(probes)]
+    ys = [y_lo + (i + 0.5) * (y_hi - y_lo) / PROBES for i in range(PROBES)]
     dx = cx - fp[0]
     if abs(dx) <= 0.05 * window.width():
         # near the fixed point, add tangent-predicted probes to tighten the bracket
@@ -459,7 +453,7 @@ MAX_BISECTIONS = 200
 
 
 def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
-                   curve_tol: float, probes: int, sopts: SideOptions) -> list:
+                   curve_tol: float, sopts: SideOptions) -> list:
     """Locate the curve ordinate in every column of cxs, all columns together.
 
     Returns one (y, flag) or (None, flag) per column. Each round is a single
@@ -472,7 +466,7 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
     """
     n = len(cxs)
     cx = np.asarray(cxs, dtype=float)
-    cols = [_column_probes(fp, slope, x, window, curve_tol, probes) for x in cxs]
+    cols = [_column_probes(fp, slope, x, window, curve_tol) for x in cxs]
     width = max(map(len, cols), default=0)
     P = np.array([c + [math.nan] * (width - len(c)) for c in cols]).reshape(n, width)
     # NaN stands for "not set" in lo, hi and y
@@ -530,12 +524,9 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
 
 def _bisect_options(m: PlanarMap, opts: CurveOptions) -> SideOptions:
     """The classify_side options column bisection runs at."""
-    bisect_margin = opts.bisect_margin
-    if bisect_margin is None:
-        bisect_margin = max(1e-12, opts.curve_tol / 100.0)
     return SideOptions(mode=_resolve_mode(m, opts.mode),
-                       epsilon_margin=bisect_margin, max_iter=opts.max_iter,
-                       conv_tol=opts.conv_tol, escape_bound=opts.escape_bound)
+                       epsilon_margin=max(1e-12, opts.curve_tol / 100.0),
+                       max_iter=opts.max_iter)
 
 
 def locate_ordinate(m: PlanarMap, fp: FixedPointRecord, x: float, window: Rect,
@@ -551,7 +542,7 @@ def locate_ordinate(m: PlanarMap, fp: FixedPointRecord, x: float, window: Rect,
     v = fp.eigen.v_lam
     slope = v.y / v.x if v is not None and v.x != 0 else 1.0
     [(y, _flag)] = _solve_columns(m, fp.location, slope, [x], window,
-                                  opts.curve_tol, opts.probes, sopts)
+                                  opts.curve_tol, sopts)
     return y
 
 
@@ -581,8 +572,7 @@ def trace_stable_curve(m: PlanarMap, fp: FixedPointRecord, window: Rect,
     xs = _column_positions(window, fpl.x, opts.columns)
 
     cxs = [cx for cx in xs if cx != fpl.x]
-    results = _solve_columns(m, fpl, slope, cxs, window, opts.curve_tol,
-                             opts.probes, sopts)
+    results = _solve_columns(m, fpl, slope, cxs, window, opts.curve_tol, sopts)
     columns = [(cx, y, flag) for cx, (y, flag) in zip(cxs, results)]
     skipped = sum(y is None for _cx, y, _flag in columns)
     flagged = sum(y is not None and flag != "" for _cx, y, flag in columns)
@@ -652,15 +642,20 @@ def _exit_label(columns, end_vertex: Point2, fallback: EndpointLabel,
 # Unstable curve tracing
 
 
+# Seeds placed along E^mu by trace_unstable_curve.
+UNSTABLE_SEEDS = 64
+
+
 def trace_unstable_curve(m: PlanarMap, fp: FixedPointRecord,
-                         steps: int = 100, seed_radius: float = 1e-4,
-                         seeds: int = 64) -> MonotoneCurve:
+                         steps: int = 100, seed_radius: float = 1e-4
+                         ) -> MonotoneCurve:
     """Grow the decreasing unstable curve by iterating seeds along E^mu.
 
-    Requires mu > 1 with an off-axis, opposite-signed eigenvector. Seeds are
-    placed on both sides of the fixed point; every forward image inside the
-    domain is collected, sorted by x, and thinned to a strictly decreasing
-    polyline. Orbits that leave the domain truncate their end of the curve.
+    Requires mu > 1 with an off-axis, opposite-signed eigenvector.
+    UNSTABLE_SEEDS seeds are placed on both sides of the fixed point; every
+    forward image inside the domain is collected, sorted by x, and thinned
+    to a strictly decreasing polyline. Orbits that leave the domain truncate
+    their end of the curve.
     """
     e = fp.eigen
     if not e.real_distinct or e.v_mu is None:
@@ -676,8 +671,8 @@ def trace_unstable_curve(m: PlanarMap, fp: FixedPointRecord,
     pts = [fpl]
     truncated_right = False
     truncated_left = False
-    for k in range(seeds):
-        t = -seed_radius + 2.0 * seed_radius * k / (seeds - 1)
+    for k in range(UNSTABLE_SEEDS):
+        t = -seed_radius + 2.0 * seed_radius * k / (UNSTABLE_SEEDS - 1)
         x = fpl.x + t * v.x
         y = fpl.y + t * v.y
         # v.x > 0 by sign convention: t > 0 seeds grow the right (southeast) end
@@ -751,22 +746,12 @@ class BoundaryEndpointReport:
         return self.condition_i or self.condition_ii or self.condition_iii
 
 
-def _delta_parts(region: Rect, x0: float, y0: float):
-    parts = []
-    eps = 1e-9 * max(1.0, abs(x0), abs(y0))  # exclude numerical slivers
-    cx = min(max(x0, region.x_lo), region.x_hi)
-    cy = min(max(y0, region.y_lo), region.y_hi)
-    q1 = Rect(cx, region.x_hi, cy, region.y_hi)
-    if q1.x_hi > x0 + eps and q1.y_hi > y0 + eps:
-        parts.append((q1, 1))
-    q3 = Rect(region.x_lo, cx, region.y_lo, cy)
-    if q3.x_lo < x0 - eps and q3.y_lo < y0 - eps:
-        parts.append((q3, 3))
-    return parts
+# Newton starts per side of the grid laid over each part of delta.
+BOUNDARY_GRID = 8
 
 
-def check_boundary_endpoint_conditions(m: PlanarMap, fp: FixedPointRecord, region: Rect,
-                              grid: int = 8) -> BoundaryEndpointReport:
+def check_boundary_endpoint_conditions(m: PlanarMap, fp: FixedPointRecord,
+                                       region: Rect) -> BoundaryEndpointReport:
     """Search the Q1/Q3 sector for objects that would obstruct boundary endpoints."""
     if fp.kind != "fixed":
         raise ValueError("boundary-endpoint conditions apply to fixed points")
@@ -780,13 +765,11 @@ def check_boundary_endpoint_conditions(m: PlanarMap, fp: FixedPointRecord, regio
         return any(in_quadrant_interior(fp_pt, p, k, 1e-9) for _, k in parts)
 
     starts = []
-    for part, _k in parts:
-        r = part if part.is_bounded() else part.clamped(
-            Rect(x0 - 25.0, x0 + 25.0, y0 - 25.0, y0 + 25.0))
-        for i in range(grid):
-            for j in range(grid):
-                starts.append(Point2(r.x_lo + (i + 0.5) * r.width() / grid,
-                                     r.y_lo + (j + 0.5) * r.height() / grid))
+    for r, _k in parts:
+        for i in range(BOUNDARY_GRID):
+            for j in range(BOUNDARY_GRID):
+                starts.append(Point2(r.x_lo + (i + 0.5) * r.width() / BOUNDARY_GRID,
+                                     r.y_lo + (j + 0.5) * r.height() / BOUNDARY_GRID))
 
     fixed_w = []
     p2_w = []
@@ -819,7 +802,7 @@ def check_boundary_endpoint_conditions(m: PlanarMap, fp: FixedPointRecord, regio
                 return Point2(fx - _t.x, fy - _t.y)
 
             root = _damped_newton(F, lambda p: jacobian(m, p), s,
-                                  NEWTON_TOL, 100)
+                                  NEWTON_TOL, NEWTON_MAX_ITER)
             if in_delta(root) and root.dist_inf(fp_pt) > 1e-6:
                 remember(pre_w, root)
         except (NoConvergenceError, SingularityError, OverflowError):

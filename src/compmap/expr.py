@@ -435,7 +435,10 @@ def _fold_binop(op: str, a: Expr, b: Expr, memo: dict) -> Expr:
         if exp == 1.0:
             return a
         if isinstance(a, Const):
-            return Const(math.pow(a.value, exp))
+            try:
+                return Const(math.pow(a.value, exp))
+            except (ValueError, OverflowError):
+                pass  # keep the node, so evaluating it reports the singularity
         return BinOp("^", a, b)
     if isinstance(a, Const) and isinstance(b, Const):
         if op == "+":

@@ -158,8 +158,7 @@ def _damped_newton(F: Callable[[Point2], Point2],
 
 
 def find_fixed_point(m: PlanarMap, guess: Point2,
-                     tol: float = NEWTON_TOL,
-                     max_iter: int = NEWTON_MAX_ITER) -> FixedPointRecord:
+                     tol: float = NEWTON_TOL) -> FixedPointRecord:
     """Damped Newton on T(p) - p; eigen data and classification at the root.
 
     A singular Newton matrix triggers a fallback of 50 plain map iterations
@@ -185,7 +184,7 @@ def find_fixed_point(m: PlanarMap, guess: Point2,
         q = Point2(x, y)
         return q if q.dist_inf(p) > 0 else None
 
-    root = _damped_newton(F, J, guess, tol, max_iter, on_singular=fallback)
+    root = _damped_newton(F, J, guess, tol, NEWTON_MAX_ITER, on_singular=fallback)
     res = F(root)
     eig = eigen2x2(jacobian(m, root))
     return FixedPointRecord(location=root, kind="fixed", partner=None,
@@ -225,9 +224,7 @@ def _second_iterate_pieces(m: PlanarMap):
     return step2, jac2
 
 
-def find_period_two(m: PlanarMap, guess: Point2,
-                    tol: float = NEWTON_TOL,
-                    max_iter: int = NEWTON_MAX_ITER) -> FixedPointRecord:
+def find_period_two(m: PlanarMap, guess: Point2) -> FixedPointRecord:
     """Newton on T^2(p) - p, rejecting roots that are plain fixed points."""
     step2, jac2 = _second_iterate_pieces(m)
 
@@ -239,9 +236,9 @@ def find_period_two(m: PlanarMap, guess: Point2,
         j = jac2(p)
         return Matrix2(j.a11 - 1.0, j.a12, j.a21, j.a22 - 1.0)
 
-    root = _damped_newton(F, J, guess, tol, max_iter)
+    root = _damped_newton(F, J, guess, NEWTON_TOL, NEWTON_MAX_ITER)
     img = Point2(*m.step(root.x, root.y))
-    if root.dist_inf(img) < 10.0 * tol:
+    if root.dist_inf(img) < 10.0 * NEWTON_TOL:
         raise DegenerateRootError(
             f"degenerate: fixed point at ({root.x:.6g}, {root.y:.6g}),"
             " not a minimal period-two point")
@@ -284,10 +281,38 @@ class InvariantCurveHypotheses:
 
 
 AXIS_TOL = 1e-9
+# An unbounded part of delta is clamped to the box of this half-width
+# around the fixed point.
+DELTA_CLAMP = 25.0
 
 
-def check_invariant_curve_hypotheses(m: PlanarMap, fp: FixedPointRecord, region: Rect,
-                              samples: int = 100) -> InvariantCurveHypotheses:
+def _delta_parts(region: Rect, x0: float, y0: float) -> list:
+    """delta, the parts of region in Q1 and Q3 at (x0, y0), as (rect, k) pairs
+    with k in (1, 3); an unbounded part is clamped to DELTA_CLAMP."""
+    # a quadrant part narrower than eps is a numerical sliver (e.g. a Newton
+    # root at x = 1e-17 instead of an exact axis point), not an open set
+    eps = 1e-9 * max(1.0, abs(x0), abs(y0))
+    cx = min(max(x0, region.x_lo), region.x_hi)
+    cy = min(max(y0, region.y_lo), region.y_hi)
+
+    def clamp(q: Rect) -> Rect:
+        if q.is_bounded():
+            return q
+        return q.clamped(Rect(x0 - DELTA_CLAMP, x0 + DELTA_CLAMP,
+                              y0 - DELTA_CLAMP, y0 + DELTA_CLAMP))
+
+    parts = []
+    q1 = Rect(cx, region.x_hi, cy, region.y_hi)
+    if q1.x_hi > x0 + eps and q1.y_hi > y0 + eps:
+        parts.append((clamp(q1), 1))
+    q3 = Rect(region.x_lo, cx, region.y_lo, cy)
+    if q3.x_lo < x0 - eps and q3.y_lo < y0 - eps:
+        parts.append((clamp(q3), 3))
+    return parts
+
+
+def check_invariant_curve_hypotheses(m: PlanarMap, fp: FixedPointRecord,
+                                     region: Rect) -> InvariantCurveHypotheses:
     """Check the hypotheses under which the separatrix through fp exists.
 
     (a) region meets int(Q1 u Q3) at fp; (b) real eigenvalues with
@@ -299,16 +324,8 @@ def check_invariant_curve_hypotheses(m: PlanarMap, fp: FixedPointRecord, region:
     x0, y0 = fp.location
     failed = []
 
-    # a quadrant part narrower than eps is a numerical sliver (e.g. a Newton
-    # root at x = 1e-17 instead of an exact axis point), not an open set
-    eps = 1e-9 * max(1.0, abs(x0), abs(y0))
-    cx = min(max(x0, region.x_lo), region.x_hi)
-    cy = min(max(y0, region.y_lo), region.y_hi)
-    q1 = Rect(cx, region.x_hi, cy, region.y_hi)
-    q3 = Rect(region.x_lo, cx, region.y_lo, cy)
-    q1_open = q1.x_hi > x0 + eps and q1.y_hi > y0 + eps
-    q3_open = q3.x_lo < x0 - eps and q3.y_lo < y0 - eps
-    delta_nonempty = q1_open or q3_open
+    parts = _delta_parts(region, x0, y0)
+    delta_nonempty = bool(parts)
     if not delta_nonempty:
         failed.append("delta_nonempty")
 
@@ -325,14 +342,10 @@ def check_invariant_curve_hypotheses(m: PlanarMap, fp: FixedPointRecord, region:
 
     n = 0
     strong = True
-    for part, keep in ((q1, q1_open), (q3, q3_open)):
-        if not keep:
-            continue
+    for part, _k in parts:
         # grid samples sit at cell centers, so they are interior to the
         # quadrant part automatically
-        r = part if part.is_bounded() else part.clamped(
-            Rect(x0 - 25.0, x0 + 25.0, y0 - 25.0, y0 + 25.0))
-        rep = check_competitive(m, r, samples=samples)
+        rep = check_competitive(m, part)
         n += rep.samples
         strong = strong and rep.strongly
     if not (strong and n > 0):

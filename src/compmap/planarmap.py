@@ -5,8 +5,7 @@ raw floats (x, y) and returns (f(x,y), g(x,y)); it raises SingularityError
 when a denominator vanishes within tolerance. The optional batch callable is
 the same map on numpy arrays: it returns a pair of arrays of the input shape,
 bit-identical to step elementwise, with NaN (in at least one component)
-wherever step would raise. Maps are immutable and safe to share across
-workers.
+wherever step would raise. Maps are immutable.
 """
 
 from __future__ import annotations
@@ -23,6 +22,12 @@ from .geometry import (DEFAULT_SAMPLING_WINDOW, Matrix2, Point2, Rect,
 
 SINGULAR_TOL = 1e-12
 FD_STEP = 1e-6
+GRID_SAMPLES = 100  # Jacobian samples of the competitivity and orientation checks
+COMPETITIVE_TOL = 1e-9  # a Jacobian entry within this of 0 has no sign
+DET_TOL = 1e-12  # a determinant within this of 0 has no sign
+COLLISION_TOL = 1e-9  # images closer than this (sup norm) collide
+MONOTONE_ZERO_TOL = 1e-13  # an orbit difference within this of 0 has no sign
+MONOTONE_MIN_TAIL = 5  # differences needed after the last sign flip
 _EVAL_ERRORS = (SingularityError, DomainError, OverflowError, ZeroDivisionError)
 
 
@@ -50,11 +55,11 @@ def evaluate(m: PlanarMap, p: Point2) -> Point2:
     return Point2(fx, fy)
 
 
-def fd_jacobian(m: PlanarMap, p: Point2, h: float = FD_STEP) -> Matrix2:
+def fd_jacobian(m: PlanarMap, p: Point2) -> Matrix2:
     """Central finite-difference Jacobian with per-coordinate scaled steps."""
     x, y = p
-    hx = h * max(1.0, abs(x))
-    hy = h * max(1.0, abs(y))
+    hx = FD_STEP * max(1.0, abs(x))
+    hy = FD_STEP * max(1.0, abs(y))
     fxp = m.step(x + hx, y)
     fxm = m.step(x - hx, y)
     fyp = m.step(x, y + hy)
@@ -63,11 +68,11 @@ def fd_jacobian(m: PlanarMap, p: Point2, h: float = FD_STEP) -> Matrix2:
                    (fxp[1] - fxm[1]) / (2 * hx), (fyp[1] - fym[1]) / (2 * hy))
 
 
-def jacobian(m: PlanarMap, p: Point2, h: float = FD_STEP) -> Matrix2:
+def jacobian(m: PlanarMap, p: Point2) -> Matrix2:
     """Exact Jacobian when the map carries one, else central differences."""
     if m.jac is not None:
         return m.jac(p[0], p[1])
-    return fd_jacobian(m, p, h)
+    return fd_jacobian(m, p)
 
 
 # ---------------------------------------------------------------------------
@@ -117,15 +122,14 @@ def orbit(m: PlanarMap, p: Point2, max_iter: int,
     return Orbit(tuple(pts), "max_iter")
 
 
-def eventually_componentwise_monotone(points: Sequence[Point2],
-                                      zero_tol: float = 1e-13,
-                                      min_tail: int = 5) -> bool:
+def eventually_componentwise_monotone(points: Sequence[Point2]) -> bool:
     """True if each coordinate's difference signs stabilize after a finite prefix.
 
-    Differences smaller than zero_tol carry no sign information and are
-    compatible with either direction.
+    Differences smaller than MONOTONE_ZERO_TOL carry no sign information and
+    are compatible with either direction. The last sign flip must come at
+    least MONOTONE_MIN_TAIL differences before the end.
     """
-    if len(points) < min_tail + 2:
+    if len(points) < MONOTONE_MIN_TAIL + 2:
         return True
     n = len(points) - 1
     for coord in (0, 1):
@@ -133,13 +137,13 @@ def eventually_componentwise_monotone(points: Sequence[Point2],
         sign = 0
         for k in range(n):
             d = points[k + 1][coord] - points[k][coord]
-            if abs(d) <= zero_tol:
+            if abs(d) <= MONOTONE_ZERO_TOL:
                 continue
             s = 1 if d > 0 else -1
             if sign != 0 and s != sign:
                 last_flip = k
             sign = s
-        if last_flip >= n - min_tail:
+        if last_flip >= n - MONOTONE_MIN_TAIL:
             return False
     return True
 
@@ -148,10 +152,10 @@ def eventually_componentwise_monotone(points: Sequence[Point2],
 # Competitiveness / orientation checks
 
 
-def _sample_grid(region: Rect, samples: int,
-                 window: Rect = DEFAULT_SAMPLING_WINDOW) -> list:
-    """Quasi-uniform interior grid over region (clamped to window if unbounded)."""
-    r = region if region.is_bounded() else region.clamped(window)
+def _sample_grid(region: Rect, samples: int) -> list:
+    """Quasi-uniform interior grid over region (clamped to
+    DEFAULT_SAMPLING_WINDOW if unbounded)."""
+    r = region if region.is_bounded() else region.clamped(DEFAULT_SAMPLING_WINDOW)
     if r.x_lo > r.x_hi or r.y_lo > r.y_hi:
         return []
     k = max(1, math.isqrt(max(1, samples)))
@@ -185,15 +189,16 @@ class CompetitivityReport:
         return s
 
 
-def check_competitive(m: PlanarMap, region: Rect, samples: int = 100,
-                      tol: float = 1e-9,
-                      window: Rect = DEFAULT_SAMPLING_WINDOW) -> CompetitivityReport:
+def check_competitive(m: PlanarMap, region: Rect,
+                      samples: int = GRID_SAMPLES) -> CompetitivityReport:
     """Sample the Jacobian sign pattern (+, -; -, +) over a grid.
 
     competitive allows zeros on the off-diagonal; strongly requires all four
-    strict. This is a sampled certificate, not a symbolic proof.
+    strict, each by more than COMPETITIVE_TOL. This is a sampled certificate,
+    not a symbolic proof.
     """
-    pts = _sample_grid(region, samples, window)
+    tol = COMPETITIVE_TOL
+    pts = _sample_grid(region, samples)
     competitive = True
     strongly = True
     failures = 0
@@ -246,21 +251,17 @@ def _images(m: PlanarMap, X: np.ndarray, Y: np.ndarray) -> tuple:
     return out[0], out[1]
 
 
-def check_O_condition(m: PlanarMap, region: Rect, samples: int = 100,
-                      det_tol: float = 1e-12,
-                      pairs: int = 10_000,
-                      collision_tol: float = 1e-9,
-                      seed: int = 0,
-                      window: Rect = DEFAULT_SAMPLING_WINDOW) -> OConditionReport:
+def check_O_condition(m: PlanarMap, region: Rect, pairs: int = 10_000,
+                      seed: int = 0) -> OConditionReport:
     """Orientation check: sampled determinant signs plus an injectivity probe.
 
-    O_plus when every sampled det > det_tol and no random pair of distinct
-    points maps to (nearly) the same image; O_minus for uniformly negative
-    determinants; inconclusive on mixed signs or a probe collision. The
-    probe maps all pairs with two batch calls; pairs with a non-finite image
-    are re-run through step, so the counts equal a per-pair step loop's.
+    O_plus when every sampled det > DET_TOL and no random pair of distinct
+    points maps to images within COLLISION_TOL; O_minus for uniformly
+    negative determinants; inconclusive on mixed signs or a probe collision.
+    The probe maps all pairs with two batch calls; pairs with a non-finite
+    image are re-run through step, so the counts equal a per-pair step loop's.
     """
-    pts = _sample_grid(region, samples, window)
+    pts = _sample_grid(region, GRID_SAMPLES)
     dets = []
     for p in pts:
         try:
@@ -271,15 +272,15 @@ def check_O_condition(m: PlanarMap, region: Rect, samples: int = 100,
         return OConditionReport("inconclusive", math.nan, math.nan, 0, 0, 0,
                                 "no evaluable sample points")
     det_min, det_max = min(dets), max(dets)
-    if det_min > det_tol:
+    if det_min > DET_TOL:
         candidate = "O_plus"
-    elif det_max < -det_tol:
+    elif det_max < -DET_TOL:
         candidate = "O_minus"
     else:
         return OConditionReport("inconclusive", det_min, det_max, len(dets), 0, 0,
                                 "mixed or vanishing determinant signs")
 
-    r = region if region.is_bounded() else region.clamped(window)
+    r = region if region.is_bounded() else region.clamped(DEFAULT_SAMPLING_WINDOW)
     rng = np.random.default_rng(seed)
     ax = rng.uniform(r.x_lo, r.x_hi, pairs)
     ay = rng.uniform(r.y_lo, r.y_hi, pairs)
@@ -291,7 +292,7 @@ def check_O_condition(m: PlanarMap, region: Rect, samples: int = 100,
         distinct = np.maximum(np.abs(ax - bx), np.abs(ay - by)) >= 1e-7
         finite = np.isfinite(pa[0]) & np.isfinite(pa[1]) & np.isfinite(pb[0]) \
             & np.isfinite(pb[1])
-        near = np.maximum(np.abs(pa[0] - pb[0]), np.abs(pa[1] - pb[1])) < collision_tol
+        near = np.maximum(np.abs(pa[0] - pb[0]), np.abs(pa[1] - pb[1])) < COLLISION_TOL
     tested = int(np.count_nonzero(distinct & finite))
     collisions = int(np.count_nonzero(distinct & finite & near))
     # a non-finite image may come from a raising step or from a step that
@@ -303,7 +304,7 @@ def check_O_condition(m: PlanarMap, region: Rect, samples: int = 100,
         except _EVAL_ERRORS:
             continue
         tested += 1
-        if max(abs(qa[0] - qb[0]), abs(qa[1] - qb[1])) < collision_tol:
+        if max(abs(qa[0] - qb[0]), abs(qa[1] - qb[1])) < COLLISION_TOL:
             collisions += 1
     if collisions:
         return OConditionReport("inconclusive", det_min, det_max, len(dets),

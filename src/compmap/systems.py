@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConstraintError, SingularityError
 from .fixedpoints import FixedPointRecord, eigen2x2, _classify
 from .geometry import Matrix2, Point2, Rect
-from .planarmap import PlanarMap, jacobian
+from .planarmap import FD_STEP, PlanarMap, jacobian
 
 _POS_QUADRANT = Rect(0.0, math.inf, 0.0, math.inf)
 _SING_TOL = 1e-12
@@ -336,18 +336,18 @@ def _make_ex5(p):
 # Continuum sweeps
 
 
-def sweep_continuum(sys: ExampleSystem, n: int,
-                    t_range: Optional[tuple] = None) -> list:
+def sweep_continuum(sys: ExampleSystem, n: int) -> list:
     """Sample the fixed-point family; verify residuals and eigenvalue formulas.
 
-    Returns FixedPointRecords at n parameter values. Raises if a sampled point
-    fails its fixed-point residual (1e-10) or its computed eigenvalues drift
-    from the closed forms by more than 1e-8 relative.
+    Returns FixedPointRecords at n parameter values spread evenly over
+    [t_lo, t_hi] of the continuum. Raises if a sampled point fails its
+    fixed-point residual (1e-10) or its computed eigenvalues drift from the
+    closed forms by more than 1e-8 relative.
     """
     if sys.continuum is None:
         raise ValueError(f"{sys.id} does not declare a continuum of fixed points")
     cont = sys.continuum
-    lo, hi = t_range if t_range is not None else (cont.t_lo, cont.t_hi)
+    lo, hi = cont.t_lo, cont.t_hi
     records = []
     for k in range(n):
         t = lo + (hi - lo) * (k / (n - 1) if n > 1 else 0.0)
@@ -421,8 +421,10 @@ class Ex5Curves:
         g2 = [Point2(x, self.y2(x)) for x in xs if self.y2(x) is not None]
         return g1, g2
 
-    def slope_gap(self, x: float, h: float = 1e-6) -> float:
-        """Difference of the two graph slopes at x (zero at a tangency)."""
+    def slope_gap(self, x: float) -> float:
+        """Difference of the two graph slopes at x (zero at a tangency), by
+        central differences with step FD_STEP."""
+        h = FD_STEP
         d1 = (self.y1(x + h) - self.y1(x - h)) / (2.0 * h)
         d2 = (self.y2(x + h) - self.y2(x - h)) / (2.0 * h)
         return d1 - d2
@@ -438,12 +440,24 @@ def ex5_critical_curves(params: Optional[Mapping[str, float]] = None) -> Ex5Curv
                      h1=p["h1"], h2=p["h2"])
 
 
-def ex5_equilibria(params: Optional[Mapping[str, float]] = None,
-                   x_max: float = 30.0, scan: int = 20001) -> list:
+# ex5_equilibria scans the curve gap at EX5_SCAN abscissae up to EX5_X_MAX.
+EX5_X_MAX = 30.0
+EX5_SCAN = 20001
+# Bisection and golden-section search stop at brackets this narrow.
+XTOL = 1e-14
+# _leftmost_local_min scans the curve gap at TANGENCY_SCAN abscissae up to
+# TANGENCY_X_MAX.
+TANGENCY_X_MAX = 5.0
+TANGENCY_SCAN = 4000
+# The inflow h1 bracket find_ex5_two_equilibria bisects for the tangency.
+H1_BRACKET = (0.02, 0.08)
+
+
+def ex5_equilibria(params: Optional[Mapping[str, float]] = None) -> list:
     """Transversal equilibria of ex5 as crossings of the critical curves."""
     cur = ex5_critical_curves(params)
     x_lo = cur.h1 * (1.0 + 1e-9) + 1e-12
-    xs = np.linspace(x_lo, x_max, scan)
+    xs = np.linspace(x_lo, EX5_X_MAX, EX5_SCAN)
     gaps = np.array([cur.gap(x) for x in xs])
     roots = []
     sign = np.sign(gaps)
@@ -453,10 +467,10 @@ def ex5_equilibria(params: Optional[Mapping[str, float]] = None,
     return roots
 
 
-def _bisect_root(f, a: float, b: float, xtol: float = 1e-14) -> float:
-    """Root of f in [a, b], where f changes sign, by bisection to xtol."""
+def _bisect_root(f, a: float, b: float) -> float:
+    """Root of f in [a, b], where f changes sign, by bisection to XTOL."""
     fa = f(a)
-    while b - a > xtol:
+    while b - a > XTOL:
         mid = 0.5 * (a + b)
         if not a < mid < b:
             break
@@ -470,12 +484,12 @@ def _bisect_root(f, a: float, b: float, xtol: float = 1e-14) -> float:
     return 0.5 * (a + b)
 
 
-def _golden_min(f, a: float, b: float, xtol: float = 1e-14) -> float:
-    """Minimizer of a unimodal f on [a, b] by golden-section search to xtol."""
+def _golden_min(f, a: float, b: float) -> float:
+    """Minimizer of a unimodal f on [a, b] by golden-section search to XTOL."""
     r = 0.5 * (math.sqrt(5.0) - 1.0)
     c, d = b - r * (b - a), a + r * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > xtol and a < c < d < b:
+    while b - a > XTOL and a < c < d < b:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - r * (b - a)
@@ -487,12 +501,12 @@ def _golden_min(f, a: float, b: float, xtol: float = 1e-14) -> float:
     return 0.5 * (a + b)
 
 
-def _leftmost_local_min(cur: Ex5Curves, x_max: float = 5.0, scan: int = 4000):
+def _leftmost_local_min(cur: Ex5Curves):
     """Locate the leftmost local minimum of the curve gap (the tangency dip)."""
     x_lo = cur.h1 + 1e-6 * max(1.0, cur.h1)
-    xs = np.linspace(x_lo, x_max, scan)
+    xs = np.linspace(x_lo, TANGENCY_X_MAX, TANGENCY_SCAN)
     g = np.array([cur.gap(x) for x in xs])
-    for i in range(1, scan - 1):
+    for i in range(1, TANGENCY_SCAN - 1):
         if g[i] <= g[i - 1] and g[i] <= g[i + 1]:
             x = _golden_min(cur.gap, float(xs[i - 1]), float(xs[i + 1]))
             return x, cur.gap(x)
@@ -509,12 +523,13 @@ class Ex5TwoEquilibria:
 
 
 @lru_cache(maxsize=8)
-def _find_two_equilibria_cached(b1, b2, c1, c2, h2, h1_lo, h1_hi):
+def _find_two_equilibria_cached(b1, b2, c1, c2, h2):
     def min_gap(h1):
         cur = Ex5Curves(b1=b1, b2=b2, c1=c1, c2=c2, h1=h1, h2=h2)
         _x, g = _leftmost_local_min(cur)
         return g
 
+    h1_lo, h1_hi = H1_BRACKET
     g_lo = min_gap(h1_lo)
     g_hi = min_gap(h1_hi)
     if not (g_lo < 0 < g_hi):
@@ -546,15 +561,14 @@ def _find_two_equilibria_cached(b1, b2, c1, c2, h2, h1_lo, h1_hi):
 
 
 def find_ex5_two_equilibria(b1: float = 2.0, b2: float = 2.0, c1: float = 3.0,
-                            c2: float = 3.0, h2: float = 0.01,
-                            h1_bracket: tuple = (0.02, 0.08)) -> Ex5TwoEquilibria:
+                            c2: float = 3.0, h2: float = 0.01) -> Ex5TwoEquilibria:
     """Locate the inflow value h1 at which ex5 has exactly two equilibria.
 
-    Bisects h1 on the sign of the local minimum of the critical-curve gap: a
-    negative dip means three transversal crossings, a positive one means a
-    single equilibrium; the tangency between them is the two-equilibria
-    instance, whose merged equilibrium is nonhyperbolic (eigenvalue 1).
+    Bisects h1 within H1_BRACKET on the sign of the local minimum of the
+    critical-curve gap: a negative dip means three transversal crossings, a
+    positive one means a single equilibrium; the tangency between them is
+    the two-equilibria instance, whose merged equilibrium is nonhyperbolic
+    (eigenvalue 1).
     """
     return _find_two_equilibria_cached(float(b1), float(b2), float(c1),
-                                       float(c2), float(h2),
-                                       float(h1_bracket[0]), float(h1_bracket[1]))
+                                       float(c2), float(h2))

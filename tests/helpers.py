@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from compmap import Point2, SingularityError, UnboundParameterError, classify_side
+from compmap.curves import PROBES
 from compmap.expr import DIV_TOL, BinOp, Const, Neg, Param, Var
 
 
@@ -242,7 +243,7 @@ def solve_column(m, fp, slope, cx, window, curve_tol, probes, sopts):
     return 0.5 * (lo + hi), ""
 
 
-def solve_columns_one_by_one(m, fp, slope, cxs, window, curve_tol, probes, sopts):
+def solve_columns_one_by_one(m, fp, slope, cxs, window, curve_tol, sopts):
     """Drop-in for curves._solve_columns that runs solve_column per column."""
-    return [solve_column(m, fp, slope, cx, window, curve_tol, probes, sopts)
+    return [solve_column(m, fp, slope, cx, window, curve_tol, PROBES, sopts)
             for cx in cxs]

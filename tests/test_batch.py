@@ -367,8 +367,8 @@ def test_lockstep_columns_match_on_odd_verdicts():
     w = Rect(-1.0, 0.0, -1.0, 0.0)
     cxs = [-0.95, -0.9, -0.8, -0.7, -0.6, -0.55]
     sopts = SideOptions(epsilon_margin=1e-12, max_iter=10)
-    got = curves._solve_columns(m, fp, 1.0, cxs, w, 1e-8, 17, sopts)
-    want = solve_columns_one_by_one(m, fp, 1.0, cxs, w, 1e-8, 17, sopts)
+    got = curves._solve_columns(m, fp, 1.0, cxs, w, 1e-8, sopts)
+    want = solve_columns_one_by_one(m, fp, 1.0, cxs, w, 1e-8, sopts)
     assert got == want
     assert {flag for _, flag in got} == {"no_bracket:mixed", "undecided_probe"}
 
@@ -403,7 +403,6 @@ def test_side_options_reject_invalid_values():
     for bad in ({"max_iter": 0}, {"max_iter": -1},
                 {"epsilon_margin": math.nan}, {"epsilon_margin": -1e-3},
                 {"epsilon_margin": math.inf}, {"conv_tol": math.nan},
-                {"conv_tol": 0.0}, {"escape_bound": math.inf},
-                {"escape_bound": -1.0}):
+                {"conv_tol": 0.0}):
         with pytest.raises(ValueError):
             SideOptions(**bad)

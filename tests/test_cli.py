@@ -200,7 +200,8 @@ def test_numbers_serialized_with_17_digits(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [
     ["--max-iter", "0"], ["--max-iter", "-1"], ["--epsilon", "nan"],
-    ["--tol", "nan"], ["--workers", "0"], ["--window", "0,0,0,4"]])
+    ["--tol", "nan"], ["--workers", "0"], ["--window", "0,0,0,4"],
+    ["--nx", "1"]])
 def test_basin_invalid_input_exit_2_without_output(tmp_path, capsys, flags):
     out_file = tmp_path / "b.pgm"
     argv = ["basin", "--example", "ex2", "--guess", "0.5,1",
@@ -231,6 +232,15 @@ def test_analyze_overflowing_newton_matrix_fails_cleanly(capsys):
                                "--window", "0,10,0,10"])
     assert rc in (0, 3)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("f", ["10^400*x + y", "(0-2)^0.5*x + y"])
+def test_analyze_unfoldable_constant_power_exit_3(capsys, f):
+    # the Jacobian folds these constant powers, which math.pow rejects
+    rc, _, err = _run(capsys, ["analyze", "--f", f, "--g", "y/2",
+                               "--window", "0,1,0,1"])
+    assert rc == 3
+    assert "could not be evaluated" in err
 
 
 def test_analyze_dsl_stdout_pinned(capsys):

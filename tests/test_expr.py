@@ -240,6 +240,17 @@ def test_folded_nonfinite_constants_compile():
     _assert_compiled_matches_oracle(inf, nan, [(0.0, 1.0), (-2.0, 0.5), (3.0, -0.0)])
 
 
+@pytest.mark.parametrize("text", ["10^400*x + y", "(0-2)^0.5*x + y"])
+def test_constant_power_math_pow_rejects_stays_unfolded(text):
+    # math.pow overflows (10^400) or leaves the reals ((-2)^0.5): folding
+    # keeps the node, and evaluating it reports a singularity
+    folded = constant_fold(parse(text))
+    assert isinstance(folded.left.left, BinOp) and folded.left.left.op == "^"
+    with pytest.raises(SingularityError):
+        evaluate(folded, 1.0, 1.0)
+    assert differentiate(parse(text), "y") == Const(1.0)
+
+
 def test_unbound_parameter_raises_where_the_tree_walk_meets_it():
     assert _outcome(lambda: (evaluate(parse("x/y + q"), 1.0, 0.0),)) == \
         ("SingularityError", "division by 0.0")
