@@ -159,9 +159,13 @@ def _cfg_params(cfg: dict) -> dict:
     for k, v in cfg.items():
         if k.startswith("param."):
             try:
-                params[k[len("param."):]] = float(v)
+                value = float(v)
             except ValueError:
                 raise _CliError(2, f"parameter {k[6:]!r} needs a number, got {v!r}")
+            if not math.isfinite(value):
+                raise _CliError(2, f"parameter {k[6:]!r} needs a finite number, "
+                                   f"got {v!r}")
+            params[k[len("param."):]] = value
     return params
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MethodType
 from typing import Mapping, Union
 
 import numpy as np
@@ -215,84 +216,179 @@ def parse(text: str) -> Expr:
 
 def evaluate(e: Expr, x: float, y: float, params: Mapping[str, float] | None = None) -> float:
     """Evaluate with real arithmetic; |denominator| < 1e-12 raises SingularityError."""
-    return _compile_scalar((e,), params or {}, "return {0}")(x, y)
+    return _compile_scalar((e,), params or {}, "return {0}", "value")(None, x, y)
 
 
-def _compile_scalar(roots, params: Mapping[str, float], ret: str):
-    """A function (x, y) computing every root on floats; ret formats the
-    return statement from the roots' variable names.
+def _compile_scalar(roots, params: Mapping[str, float], ret: str, name: str):
+    """A function name(self, x, y) computing every root on floats; ret
+    formats the return statement from the roots' variable names.
 
     A denominator below DIV_TOL in magnitude, or a '^' that math.pow rejects,
     raises SingularityError.
     """
-    body, names, ns = _emit(roots, params, array=False)
-    return _define(body, ret.format(*names), ns)
+    body, names, ns = _emit(roots, params, "float")
+    return _define(name, body, ret.format(*names), ns)
 
 
-def _compile_batch(roots, params: Mapping[str, float]):
-    """A function (x, y) computing every root on numpy arrays, NaN wherever
-    the scalar function raises."""
-    body, names, ns = _emit(roots, params, array=True)
+def _compile_batch(roots, params: Mapping[str, float], name: str):
+    """A function name(self, x, y) computing every root on numpy arrays of
+    one shape, NaN in a root wherever the scalar function raises computing
+    it.
+
+    Without '^' the code is the plain arithmetic: a guarded division turns a
+    vanishing denominator into NaN, which + - * / and negation carry to the
+    root. Callers enter np.errstate. A '^' would turn NaN into 1
+    (math.pow(nan, 0)), so with one the code collects every singularity in a
+    mask and returns NaN in every root where the mask is set.
+    """
+    if not any(isinstance(e, BinOp) and e.op == "^" for e in _nodes(roots)):
+        body, names, ns = _emit(roots, params, "lean")
+        ret = ", ".join(
+            v if {"x", "y"} <= _variables(r) else f"_full({v}, x, y)"
+            for r, v in zip(roots, names))
+        return _define(name, body, f"return {ret}", ns)
+    body, names, ns = _emit(roots, params, "masked")
     body = ["bad = _zeros(_broadcast(x, y).shape, dtype=bool)",
-            "with _errstate(all='ignore'):"] + ["    " + s for s in body or ["pass"]]
+            "with _errstate(all='ignore'):"] + ["    " + s for s in body]
     ret = ", ".join(f"_where(bad, _nan, {v})" for v in names)
-    return _define(body, f"return {ret}", ns)
+    return _define(name, body, f"return {ret}", ns)
 
 
-def _define(body: list, ret: str, ns: dict):
-    """Compile `def _fn(x, y)` from body and return statement in namespace ns;
-    the function keeps its source as fn.source."""
-    lines = ["def _fn(x, y):"] + ["    " + s for s in body + [ret]]
+def _define(name: str, body: list, ret: str, ns: dict):
+    """Compile `def name(self, x, y)` from body and return statement in
+    namespace ns; the function keeps its source as fn.source. The unused
+    self lets it be bound as a method (see ExprPair)."""
+    lines = [f"def {name}(self, x, y):"] + ["    " + s for s in body + [ret]]
     source = "\n".join(lines) + "\n"
     exec(compile(source, "<compmap.expr>", "exec"), ns)
-    fn = ns["_fn"]
+    fn = ns[name]
     fn.source = source
     return fn
 
 
-def _emit(roots, params: Mapping[str, float], array: bool):
-    """Straight-line statements that compute every node of roots, one
-    temporary per node.
+def _nodes(roots):
+    """Every distinct node (by identity) of roots, in preorder, left operand
+    first."""
+    seen = set()
+    stack = list(reversed(roots))
+    while stack:
+        e = stack.pop()
+        if id(e) in seen:
+            continue
+        seen.add(id(e))
+        yield e
+        if isinstance(e, Neg):
+            stack.append(e.child)
+        elif isinstance(e, BinOp):
+            stack += (e.right, e.left)
 
-    Shared subtrees (by identity) are computed once, and statements come in
-    the order the tree walk evaluates the nodes, left operand first, so every
-    value is the same floating-point result and the first singularity met is
-    the same one. Constants and parameters are bound by name in the returned
-    namespace. Returns (statements, root variable names, namespace).
-    """
-    ns = {"DIV_TOL": DIV_TOL, "_Matrix2": Matrix2, "_nan": math.nan,
-          "_pow": math.pow, "_pow_errors": (ValueError, OverflowError),
-          "_div_error": _div_error, "_pow_error": _pow_error,
-          "_unbound": _unbound, "_pow_array": _pow_array, "_abs": np.abs,
-          "_where": np.where, "_zeros": np.zeros, "_broadcast": np.broadcast,
-          "_errstate": np.errstate}
-    body = []
-    names = {}  # id(node) -> variable name
+
+def _variables(e: Expr) -> set:
+    return {n.name for n in _nodes((e,)) if isinstance(n, Var)}
+
+
+def _interned(roots) -> list:
+    """roots with every set of structurally equal subtrees replaced by one
+    shared node, so that _emit computes each distinct subexpression once."""
+    canon = {}  # structural key -> the shared node
+    done = {}  # id(node) -> its shared node
     for root in roots:
         stack = [(root, False)]
         while stack:
             e, children_done = stack.pop()
-            if id(e) in names:
+            if id(e) in done:
                 continue
-            if isinstance(e, Var):
-                names[id(e)] = "x" if e.name == "x" else "y"
+            if isinstance(e, (Neg, BinOp)) and not children_done:
+                stack.append((e, True))
+                if isinstance(e, Neg):
+                    stack.append((e.child, False))
+                else:
+                    stack += [(e.right, False), (e.left, False)]
                 continue
-            k = len(names)
-            if isinstance(e, Const):
-                names[id(e)] = f"k{k}"
-                ns[f"k{k}"] = e.value
+            if isinstance(e, Neg):
+                key = ("neg", id(done[id(e.child)]))
+            elif isinstance(e, BinOp):
+                key = (e.op, id(done[id(e.left)]), id(done[id(e.right)]))
+            elif isinstance(e, Const):
+                key = ("const", float(e.value).hex())  # tells 0.0 from -0.0
+            elif isinstance(e, (Var, Param)):
+                key = (type(e).__name__, e.name)
+            else:  # not an expression node; _emit reports it
+                key = ("node", id(e))
+            if key not in canon:
+                canon[key] = _with_children(e, done)
+            done[id(e)] = canon[key]
+    return [done[id(r)] for r in roots]
+
+
+def _with_children(e, done: dict):
+    """e, or a copy of it whose children are their shared nodes in done."""
+    if isinstance(e, Neg) and done[id(e.child)] is not e.child:
+        return Neg(done[id(e.child)])
+    if isinstance(e, BinOp) and (done[id(e.left)] is not e.left
+                                 or done[id(e.right)] is not e.right):
+        return BinOp(e.op, done[id(e.left)], done[id(e.right)])
+    return e
+
+
+def _reused(roots) -> set:
+    """Ids of the nodes that are an operand more than once in roots."""
+    seen, reused = set(), set()
+    for e in _nodes(roots):
+        for c in ((e.child,) if isinstance(e, Neg) else
+                  (e.left, e.right) if isinstance(e, BinOp) else ()):
+            if id(c) in seen:
+                reused.add(id(c))
+            seen.add(id(c))
+    return reused
+
+
+# The array flavours name a subexpression nested this deep, which keeps the
+# generated code within the Python parser's nesting limits.
+NEST_DEPTH = 32
+
+
+def _emit(roots, params: Mapping[str, float], flavour: str):
+    """Python statements computing every root of roots, in one of three
+    flavours. Returns (statements, root variable names, namespace).
+
+    "float" computes one node per statement, in the order the tree walk
+    evaluates them, left operand first, so every value is the same
+    floating-point result and the first singularity met is the same one.
+
+    "lean" and "masked" compute on numpy arrays, each root as one nested
+    expression, so numpy frees every intermediate array as soon as it is
+    used; a node used twice, or nested NEST_DEPTH deep, gets its own
+    statement. Divisors go through _den, NaN where below DIV_TOL in
+    magnitude; "masked" also records those elements, and the ones where
+    math.pow raises, in the array `bad`.
+
+    Structurally equal subtrees are computed once (see _interned). Constants
+    and parameters are bound by name in the returned namespace.
+    """
+    ns = {"DIV_TOL": DIV_TOL, "_Matrix2": Matrix2, "_nan": math.nan,
+          "_pow": math.pow, "_pow_errors": (ValueError, OverflowError),
+          "_div_error": _div_error, "_pow_error": _pow_error,
+          "_unbound": _unbound, "_pow_array": _pow_array, "_den": _den,
+          "_den_masked": _den_masked, "_where": np.where, "_zeros": np.zeros,
+          "_broadcast": np.broadcast, "_errstate": np.errstate, "_full": _full}
+    roots = _interned(roots)
+    array = flavour != "float"
+    named = _reused(roots) | {id(r) for r in roots} if array else set()
+    body = []
+    code = {}  # id(node) -> its value as a Python expression
+    depth = {}  # id(node) -> nesting depth of that expression
+    for root in roots:
+        stack = [(root, False)]
+        while stack:
+            e, children_done = stack.pop()
+            if id(e) in code:
                 continue
-            if isinstance(e, Param):
-                if e.name in params:
-                    names[id(e)] = f"p{k}"
-                    ns[f"p{k}"] = float(params[e.name])
-                else:  # raises where the tree walk would meet it
-                    ns[f"n{k}"] = e.name
-                    names[id(e)] = f"t{k}"
-                    body.append(f"t{k} = _unbound(n{k})")
-                continue
+            k = len(code)
             if not isinstance(e, (Neg, BinOp)):
-                raise TypeError(f"not an expression node: {e!r}")
+                code[id(e)] = _leaf(e, k, params, ns, body)
+                depth[id(e)] = 0
+                continue
             if not children_done:
                 stack.append((e, True))
                 if isinstance(e, Neg):
@@ -303,31 +399,73 @@ def _emit(roots, params: Mapping[str, float], array: bool):
                     stack.append((e.right, False))
                     stack.append((e.left, False))
                 continue
-            t = f"t{k}"
-            names[id(e)] = t
             if isinstance(e, Neg):
-                body.append(f"{t} = -{names[id(e.child)]}")
-                continue
-            a = names[id(e.left)]
-            if e.op == "^":
+                kids = (e.child,)
+            elif e.op == "^":
+                kids = (e.left,)
                 ns[f"k{k}"] = e.right.value  # type: ignore[union-attr]
-                if array:
-                    body.append(f"{t} = _pow_array({a}, k{k}, bad)")
-                else:
-                    body += ["try:", f"    {t} = _pow({a}, k{k})",
-                             "except _pow_errors:",
-                             f"    raise _pow_error({a}, k{k})"]
-                continue
-            b = names[id(e.right)]
-            if e.op != "/":
-                body.append(f"{t} = {a} {e.op} {b}")
-            elif array:
-                body += [f"tiny = _abs({b}) < DIV_TOL", "bad |= tiny",
-                         f"{t} = {a} / _where(tiny, _nan, {b})"]
             else:
-                body += [f"if abs({b}) < DIV_TOL:", f"    raise _div_error({b})",
-                         f"{t} = {a} / {b}"]
-    return body, [names[id(r)] for r in roots], ns
+                kids = (e.left, e.right)
+            operands = [code[id(c)] for c in kids]
+            t = f"t{k}"
+            if not array:
+                code[id(e)] = t
+                body += _float_op(e, t, operands, f"k{k}")
+                continue
+            text = _array_op(e, operands, f"k{k}", flavour)
+            d = 1 + max(depth[id(c)] for c in kids)
+            if id(e) in named or d >= NEST_DEPTH:
+                body.append(f"{t} = {text}")
+                text, d = t, 0
+            code[id(e)], depth[id(e)] = text, d
+    return body, [code[id(r)] for r in roots], ns
+
+
+def _leaf(e, k: int, params: Mapping[str, float], ns: dict, body: list) -> str:
+    """The name of leaf e (number k) in the generated code, bound in ns."""
+    if isinstance(e, Var):
+        return "x" if e.name == "x" else "y"
+    if isinstance(e, Const):
+        ns[f"k{k}"] = e.value
+        return f"k{k}"
+    if not isinstance(e, Param):
+        raise TypeError(f"not an expression node: {e!r}")
+    if e.name in params:
+        ns[f"p{k}"] = float(params[e.name])
+        return f"p{k}"
+    ns[f"n{k}"] = e.name  # raises where the tree walk would meet it
+    body.append(f"t{k} = _unbound(n{k})")
+    return f"t{k}"
+
+
+def _float_op(e, t: str, operands: list, exponent: str) -> list:
+    """Statements computing node e into t on floats; a singularity raises."""
+    a = operands[0]
+    if isinstance(e, Neg):
+        return [f"{t} = -{a}"]
+    if e.op == "^":
+        return ["try:", f"    {t} = _pow({a}, {exponent})", "except _pow_errors:",
+                f"    raise _pow_error({a}, {exponent})"]
+    b = operands[1]
+    if e.op != "/":
+        return [f"{t} = {a} {e.op} {b}"]
+    return [f"if abs({b}) < DIV_TOL:", f"    raise _div_error({b})",
+            f"{t} = {a} / {b}"]
+
+
+def _array_op(e, operands: list, exponent: str, flavour: str) -> str:
+    """The array expression of node e on its operands' expressions."""
+    if isinstance(e, Neg):
+        return f"(-{operands[0]})"
+    a = operands[0]
+    if e.op == "^":
+        return f"_pow_array({a}, {exponent}, bad)"
+    b = operands[1]
+    if e.op != "/":
+        return f"({a} {e.op} {b})"
+    if flavour == "masked":
+        return f"({a} / _den_masked({b}, bad))"
+    return f"({a} / _den({b}))"
 
 
 def _div_error(b) -> SingularityError:
@@ -353,6 +491,25 @@ def _pow_array(a, b: float, bad: np.ndarray):
         except (ValueError, OverflowError):
             out.flat[k] = math.nan
             bad.flat[k] = True
+    return out
+
+
+def _den(b):
+    """Divisor b with NaN where |b| < DIV_TOL."""
+    return np.where(np.abs(b) < DIV_TOL, np.nan, b)
+
+
+def _den_masked(b, bad: np.ndarray):
+    """_den(b), also marking in bad where |b| < DIV_TOL."""
+    tiny = np.abs(b) < DIV_TOL
+    bad |= tiny
+    return np.where(tiny, np.nan, b)
+
+
+def _full(v, x, y) -> np.ndarray:
+    """v as a new float array of the broadcast shape of x and y."""
+    out = np.empty(np.broadcast(x, y).shape)
+    out[...] = v
     return out
 
 
@@ -531,47 +688,53 @@ def _fmt_number(v: float) -> str:
 
 
 class ExprPair:
-    """Compiled pair of expressions; usable as a PlanarMap step function."""
+    """Compiled pair of expressions f, g.
 
-    __slots__ = ("f", "g", "params", "_step", "_batch")
+    step(x, y) and batch(X, Y) are the compiled functions bound to the pair
+    as methods: calling one runs no Python code besides the compiled
+    function, and a PlanarMap built from them pickles (a bound method
+    pickles as its attribute of the pair, and the pair recompiles)."""
+
+    __slots__ = ("f", "g", "params", "step", "batch")
 
     def __init__(self, f: Expr, g: Expr, params: Mapping[str, float]):
         self.f = f
         self.g = g
         self.params = dict(params)
-        self._step = _compile_scalar((f, g), self.params, "return {0}, {1}")
-        self._batch = _compile_batch((f, g), self.params)
+        self.step = MethodType(_compile_scalar((f, g), self.params,
+                                               "return {0}, {1}", "step"), self)
+        # batch: both components on arrays; NaN in a component wherever step
+        # raises computing it, and in both if f or g has a '^'. Callers enter
+        # np.errstate.
+        self.batch = MethodType(_compile_batch((f, g), self.params, "batch"), self)
 
     def __call__(self, x: float, y: float):
-        return self._step(x, y)
-
-    def batch(self, x: np.ndarray, y: np.ndarray):
-        """Both components on arrays; NaN in both wherever __call__ raises."""
-        return self._batch(x, y)
+        return self.step(x, y)
 
     def __reduce__(self):  # compiled functions do not pickle; recompile
         return ExprPair, (self.f, self.g, self.params)
 
 
 class ExprJacobian:
-    """Exact Jacobian of an expression pair via symbolic partials, compiled
-    into one function that returns a Matrix2."""
+    """A Jacobian compiled from its four partials (df/dx, df/dy, dg/dx,
+    dg/dy) into one function that returns a Matrix2, bound as the method jac
+    as ExprPair binds step. expr_map passes the symbolic partials of
+    differentiate; the built-in systems pass closed forms."""
 
-    __slots__ = ("f", "g", "params", "_jac")
+    __slots__ = ("partials", "params", "jac")
 
-    def __init__(self, f: Expr, g: Expr, params: Mapping[str, float]):
-        self.f = f
-        self.g = g
+    def __init__(self, partials, params: Mapping[str, float]):
+        self.partials = tuple(partials)
         self.params = dict(params)
-        partials = [differentiate(e, v) for e in (f, g) for v in ("x", "y")]
-        self._jac = _compile_scalar(partials, self.params,
-                                    "return _Matrix2({0}, {1}, {2}, {3})")
+        self.jac = MethodType(_compile_scalar(
+            self.partials, self.params, "return _Matrix2({0}, {1}, {2}, {3})",
+            "jac"), self)
 
     def __call__(self, x: float, y: float) -> Matrix2:
-        return self._jac(x, y)
+        return self.jac(x, y)
 
     def __reduce__(self):
-        return ExprJacobian, (self.f, self.g, self.params)
+        return ExprJacobian, (self.partials, self.params)
 
 
 def expr_map(f_text: str, g_text: str,
@@ -584,24 +747,16 @@ def expr_map(f_text: str, g_text: str,
     params = dict(params or {})
     f = parse(f_text)
     g = parse(g_text)
-    for e in (f, g):
-        _check_params_bound(e, params)
+    for e in _nodes((f, g)):
+        if isinstance(e, Param) and e.name not in params:
+            raise UnboundParameterError(e.name)
     domain = domain or Rect(-math.inf, math.inf, -math.inf, math.inf)
     pair = ExprPair(f, g, params)
+    partials = [differentiate(e, v) for e in (f, g) for v in ("x", "y")]
     return PlanarMap(name=name,
-                     step=pair,
+                     step=pair.step,
                      batch=pair.batch,
                      domain=domain,
-                     jac=ExprJacobian(f, g, params),
+                     jac=ExprJacobian(partials, params).jac,
                      params=params,
                      meta={"f": f_text, "g": g_text})
-
-
-def _check_params_bound(e: Expr, params: Mapping[str, float]):
-    if isinstance(e, Param) and e.name not in params:
-        raise UnboundParameterError(e.name)
-    if isinstance(e, Neg):
-        _check_params_bound(e.child, params)
-    elif isinstance(e, BinOp):
-        _check_params_bound(e.left, params)
-        _check_params_bound(e.right, params)

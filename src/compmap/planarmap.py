@@ -2,10 +2,11 @@
 
 A PlanarMap is a pair (f, g) on a rectangular domain. The step callable takes
 raw floats (x, y) and returns (f(x,y), g(x,y)); it raises SingularityError
-when a denominator vanishes within tolerance. The optional batch callable is
-the same map on numpy arrays: it returns a pair of arrays of the input shape,
-bit-identical to step elementwise, with NaN (in at least one component)
-wherever step would raise. Maps are immutable.
+when a denominator vanishes within tolerance (expr.DIV_TOL for the built-in
+and expression maps). The optional batch callable is the same map on numpy
+arrays: it returns a pair of arrays of the input shape, bit-identical to step
+elementwise, with NaN (in at least one component) wherever step would raise.
+Callers of batch enter np.errstate. Maps are immutable.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .errors import DomainError, SingularityError
 from .geometry import (DEFAULT_SAMPLING_WINDOW, Matrix2, Point2, Rect,
                        in_quadrant_interior)
 
-SINGULAR_TOL = 1e-12
 FD_STEP = 1e-6
 GRID_SAMPLES = 100  # Jacobian samples of the competitivity and orientation checks
 COMPETITIVE_TOL = 1e-9  # a Jacobian entry within this of 0 has no sign
@@ -94,8 +94,13 @@ def orbit(m: PlanarMap, p: Point2, max_iter: int,
     Rules, checked in order each step: singularity during evaluation,
     escape from the domain rectangle, entry into int Q_k(origin) when
     quadrant=(origin, k) is given, convergence (sup-norm step < conv_tol),
-    and the max_iter cap.
+    and the max_iter cap. max_iter must be at least 1, and conv_tol finite
+    and non-negative (0 turns the convergence rule off).
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not 0.0 <= conv_tol < math.inf:
+        raise ValueError(f"conv_tol must be finite and >= 0, got {conv_tol}")
     if not m.domain.contains(Point2(*p)):
         raise DomainError(f"{tuple(p)} outside domain of {m.name}")
     pts = [Point2(p[0], p[1])]

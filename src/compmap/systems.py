@@ -1,9 +1,10 @@
 """Built-in planar systems with closed-form fixture data.
 
 Each system id maps to a rational competitive map on the closed positive
-quadrant, with exact Jacobians. Fixtures record equilibrium locations,
-eigenvalues, and eigenvectors in closed form; continua describe
-one-parameter families of equilibria where they exist.
+quadrant, written as expression strings (_EXPRESSIONS) and compiled as
+expr_map compiles its maps, with closed-form Jacobian partials. Fixtures
+record equilibrium locations, eigenvalues, and eigenvectors in closed form;
+continua describe one-parameter families of equilibria where they exist.
 
     ex1     x' = x/(a+y),            y' = y/(1+x)          (a > 1)
     ex2     x' = b1 x/(1+x+c1 y),    y' = b2 y/(1+y+c2 x)  (nonhyperbolic line)
@@ -17,18 +18,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import ConstraintError, SingularityError
+from .errors import ConstraintError
+from .expr import ExprJacobian, ExprPair, parse
 from .fixedpoints import FixedPointRecord, eigen2x2, _classify
-from .geometry import Matrix2, Point2, Rect
+from .geometry import Point2, Rect
 from .planarmap import FD_STEP, PlanarMap, jacobian
 
 _POS_QUADRANT = Rect(0.0, math.inf, 0.0, math.inf)
-_SING_TOL = 1e-12
 
 EXAMPLE_IDS = ("ex1", "ex2", "ex3_T", "ex3_T2", "ex4", "ex5")
 
@@ -84,77 +85,38 @@ class ExampleSystem:
 
 
 # ---------------------------------------------------------------------------
-# Step / Jacobian functions (module level so maps pickle).
-# Each step takes the denominator guard as a keyword: the default raises on
-# scalars, _nan_guard turns the same formula into the map's batch step.
+# The maps as expressions: f, g, then the closed-form partials df/dx, df/dy,
+# dg/dx, dg/dy. The operation order fixes every float, so keep it.
+
+_LESLIE_GOWER = ("b1*x/(1+x+c1*y) + h1", "b2*y/(1+y+c2*x) + h2",
+                 "b1*(1+c1*y)/((1+x+c1*y)*(1+x+c1*y))",
+                 "-b1*c1*x/((1+x+c1*y)*(1+x+c1*y))",
+                 "-b2*c2*y/((1+y+c2*x)*(1+y+c2*x))",
+                 "b2*(1+c2*x)/((1+y+c2*x)*(1+y+c2*x))")
+
+_EXPRESSIONS = {
+    "ex1": ("x/(a+y)", "y/(1+x)",
+            "1/(a+y)", "-x/((a+y)*(a+y))", "-y/((1+x)*(1+x))", "1/(1+x)"),
+    "ex2": _LESLIE_GOWER,
+    "ex3_T": ("y", "1 + x/y", "0", "1", "1/y", "-x/(y*y)"),
+    "ex3_T2": ("1 + x/y", "1 + y*y/(x+y)",
+               "1/y", "-x/(y*y)", "-y*y/((x+y)*(x+y))", "y*(2*x+y)/((x+y)*(x+y))"),
+    "ex4": ("beta1*x/(B1*x+y)", "(alpha2+gamma2*y)/x",
+            "beta1*y/((B1*x+y)*(B1*x+y))", "-beta1*x/((B1*x+y)*(B1*x+y))",
+            "-(alpha2+gamma2*y)/(x*x)", "gamma2/x"),
+    "ex5": _LESLIE_GOWER,
+}
 
 
-def _guard(d: float, what: str) -> float:
-    if abs(d) < _SING_TOL:
-        raise SingularityError(f"denominator {what} vanished")
-    return d
-
-
-def _nan_guard(d: np.ndarray, what: str) -> np.ndarray:
-    return np.where(np.abs(d) < _SING_TOL, np.nan, d)
-
-
-def _ex1_step(a, x, y, _guard=_guard):
-    return x / _guard(a + y, "a+y"), y / _guard(1.0 + x, "1+x")
-
-
-def _ex1_jac(a, x, y):
-    d1 = _guard(a + y, "a+y")
-    d2 = _guard(1.0 + x, "1+x")
-    return Matrix2(1.0 / d1, -x / (d1 * d1), -y / (d2 * d2), 1.0 / d2)
-
-
-def _lg_step(b1, b2, c1, c2, h1, h2, x, y, _guard=_guard):
-    d1 = _guard(1.0 + x + c1 * y, "1+x+c1*y")
-    d2 = _guard(1.0 + y + c2 * x, "1+y+c2*x")
-    return b1 * x / d1 + h1, b2 * y / d2 + h2
-
-
-def _lg_jac(b1, b2, c1, c2, x, y):
-    d1 = _guard(1.0 + x + c1 * y, "1+x+c1*y")
-    d2 = _guard(1.0 + y + c2 * x, "1+y+c2*x")
-    return Matrix2(b1 * (1.0 + c1 * y) / (d1 * d1), -b1 * c1 * x / (d1 * d1),
-                   -b2 * c2 * y / (d2 * d2), b2 * (1.0 + c2 * x) / (d2 * d2))
-
-
-def _ex3_step(x, y, _guard=_guard):
-    return y, 1.0 + x / _guard(y, "y")
-
-
-def _ex3_jac(x, y):
-    yy = _guard(y, "y")
-    return Matrix2(0.0, 1.0, 1.0 / yy, -x / (yy * yy))
-
-
-def _ex3_t2_step(x, y, _guard=_guard):
-    yy = _guard(y, "y")
-    s = _guard(x + y, "x+y")
-    return 1.0 + x / yy, 1.0 + y * y / s
-
-
-def _ex3_t2_jac(x, y):
-    yy = _guard(y, "y")
-    s = _guard(x + y, "x+y")
-    return Matrix2(1.0 / yy, -x / (yy * yy),
-                   -y * y / (s * s), y * (2.0 * x + y) / (s * s))
-
-
-def _ex4_step(B1, g2, a2, b1, x, y, _guard=_guard):
-    d1 = _guard(B1 * x + y, "B1*x+y")
-    d2 = _guard(x, "x")
-    return b1 * x / d1, (a2 + g2 * y) / d2
-
-
-def _ex4_jac(B1, g2, a2, b1, x, y):
-    d1 = _guard(B1 * x + y, "B1*x+y")
-    d2 = _guard(x, "x")
-    return Matrix2(b1 * y / (d1 * d1), -b1 * x / (d1 * d1),
-                   -(a2 + g2 * y) / (d2 * d2), g2 / d2)
+def _map(eid: str, p: dict, meta: dict, values: Optional[dict] = None) -> PlanarMap:
+    """The built-in map eid with parameters p, compiled from _EXPRESSIONS with
+    the parameter values `values` (default p)."""
+    f, g, *partials = (parse(text) for text in _EXPRESSIONS[eid])
+    values = p if values is None else values
+    pair = ExprPair(f, g, values)
+    return PlanarMap(name=eid, step=pair.step, domain=_POS_QUADRANT,
+                     jac=ExprJacobian(partials, values).jac, params=p, meta=meta,
+                     batch=pair.batch)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +146,7 @@ def make_example(eid: str, params: Optional[Mapping[str, float]] = None
                               f"known ids: {', '.join(EXAMPLE_IDS)}")
     p = _resolve_params(eid, params)
     for k, v in p.items():
-        _require(v > 0, f"{k} > 0")
+        _require(0 < v < math.inf, f"0 < {k} < inf")
     if eid == "ex1":
         return _make_ex1(p)
     if eid == "ex2":
@@ -201,10 +163,7 @@ def make_example(eid: str, params: Optional[Mapping[str, float]] = None
 def _make_ex1(p):
     a = p["a"]
     _require(a > 1.0, "a > 1")
-    m = PlanarMap(name="ex1", step=partial(_ex1_step, a), domain=_POS_QUADRANT,
-                  jac=partial(_ex1_jac, a), params=p,
-                  meta={"continuum": "fixed-points"},
-                  batch=partial(_ex1_step, a, _guard=_nan_guard))
+    m = _map("ex1", p, {"continuum": "fixed-points"})
 
     def point(t):
         return Point2(0.0, t)
@@ -234,11 +193,7 @@ def _make_ex2(p):
     _require(b2 > 1.0, "b2 > 1")
     _require(abs(c1 * (b2 - 1.0) - (b1 - 1.0)) <= 1e-12, "c1*(b2-1) = b1-1")
     _require(abs(c2 * (b1 - 1.0) - (b2 - 1.0)) <= 1e-12, "c2*(b1-1) = b2-1")
-    m = PlanarMap(name="ex2", step=partial(_lg_step, b1, b2, c1, c2, 0.0, 0.0),
-                  domain=_POS_QUADRANT, jac=partial(_lg_jac, b1, b2, c1, c2),
-                  params=p, meta={"continuum": "fixed-points"},
-                  batch=partial(_lg_step, b1, b2, c1, c2, 0.0, 0.0,
-                                _guard=_nan_guard))
+    m = _map("ex2", p, {"continuum": "fixed-points"}, {**p, "h1": 0.0, "h2": 0.0})
 
     def point(t):
         return Point2((b1 - 1.0) * (1.0 - t), (b2 - 1.0) * t)
@@ -263,9 +218,7 @@ def _make_ex2(p):
 
 
 def _make_ex3_t(p):
-    m = PlanarMap(name="ex3_T", step=_ex3_step, domain=_POS_QUADRANT,
-                  jac=_ex3_jac, params=p, meta={},
-                  batch=partial(_ex3_step, _guard=_nan_guard))
+    m = _map("ex3_T", p, {})
     fixtures = (Fixture(point=Point2(2.0, 2.0), eigenvalues=(0.5, -1.0),
                         eigenvectors=(Point2(2.0, 1.0), Point2(1.0, -1.0)),
                         note="unique fixed point; period-two points fill x+y=xy"),)
@@ -273,9 +226,7 @@ def _make_ex3_t(p):
 
 
 def _make_ex3_t2(p):
-    m = PlanarMap(name="ex3_T2", step=_ex3_t2_step, domain=_POS_QUADRANT,
-                  jac=_ex3_t2_jac, params=p, meta={"continuum": "fixed-points"},
-                  batch=partial(_ex3_t2_step, _guard=_nan_guard))
+    m = _map("ex3_T2", p, {"continuum": "fixed-points"})
 
     def point(t):
         return Point2(t, t / (t - 1.0))
@@ -305,10 +256,7 @@ def _make_ex4(p):
     B1, g2, a2, b1 = p["B1"], p["gamma2"], p["alpha2"], p["beta1"]
     _require(abs(b1 - B1 * g2 - 2.0 * math.sqrt(B1 * a2)) <= 1e-12,
              "beta1 - B1*gamma2 = 2*sqrt(B1*alpha2)")
-    m = PlanarMap(name="ex4", step=partial(_ex4_step, B1, g2, a2, b1),
-                  domain=_POS_QUADRANT, jac=partial(_ex4_jac, B1, g2, a2, b1),
-                  params=p, meta={},
-                  batch=partial(_ex4_step, B1, g2, a2, b1, _guard=_nan_guard))
+    m = _map("ex4", p, {})
     E = Point2((B1 * g2 + b1) / (2.0 * B1), (b1 - B1 * g2) / 2.0)
     lam2 = -(b1 - B1 * g2) ** 2 / (2.0 * b1 * (b1 + B1 * g2))
     e1 = Point2(-1.0, B1)
@@ -322,14 +270,7 @@ def _make_ex4(p):
 
 
 def _make_ex5(p):
-    b1, b2, c1, c2, h1, h2 = (p["b1"], p["b2"], p["c1"], p["c2"],
-                              p["h1"], p["h2"])
-    m = PlanarMap(name="ex5", step=partial(_lg_step, b1, b2, c1, c2, h1, h2),
-                  domain=_POS_QUADRANT, jac=partial(_lg_jac, b1, b2, c1, c2),
-                  params=p, meta={},
-                  batch=partial(_lg_step, b1, b2, c1, c2, h1, h2,
-                                _guard=_nan_guard))
-    return ExampleSystem(id="ex5", params=p, map=m, fixtures=())
+    return ExampleSystem(id="ex5", params=p, map=_map("ex5", p, {}), fixtures=())
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
 """Shared test utilities: direction comparison, a random-expression generator,
-the expression tree-walkers that compiled expressions replaced, independent
-vectorized re-implementations of the built-in recurrences used as
-brute-force oracles (they deliberately bypass the library code paths they
-are checking), and the scalar column solver the lockstep one replaced."""
+the expression tree-walkers that compiled expressions replaced, the
+hand-written built-in steps and Jacobians that their expression form
+replaced, independent vectorized re-implementations of the built-in
+recurrences used as brute-force oracles (they deliberately bypass the
+library code paths they are checking), and the scalar column solver the
+lockstep one replaced."""
 
 import math
+from functools import partial
 
 import numpy as np
 
-from compmap import Point2, SingularityError, UnboundParameterError, classify_side
+from compmap import (Matrix2, Point2, SingularityError, UnboundParameterError,
+                     classify_side)
 from compmap.curves import PROBES
 from compmap.expr import DIV_TOL, BinOp, Const, Neg, Param, Var
 
@@ -127,14 +131,125 @@ def tree_eval_array(e, x, y, params, bad):
     return a / np.where(tiny, np.nan, b)
 
 
+def has_power(e):
+    if isinstance(e, Neg):
+        return has_power(e.child)
+    if isinstance(e, BinOp):
+        return e.op == "^" or has_power(e.left) or has_power(e.right)
+    return False
+
+
 def tree_batch(f, g, x, y, params):
-    """The batch step of the pair (f, g) by tree walk: NaN in both
-    components wherever tree_eval raises on either."""
-    bad = np.zeros(np.broadcast(x, y).shape, dtype=bool)
+    """The batch step of the pair (f, g) by tree walk: NaN in a component
+    wherever tree_eval raises on it; in both components wherever tree_eval
+    raises on either, if f or g has a '^'."""
+    bad_f = np.zeros(np.broadcast(x, y).shape, dtype=bool)
+    bad_g = bad_f.copy()
     with np.errstate(all="ignore"):
-        fv = tree_eval_array(f, x, y, params, bad)
-        gv = tree_eval_array(g, x, y, params, bad)
-    return np.where(bad, np.nan, fv), np.where(bad, np.nan, gv)
+        fv = tree_eval_array(f, x, y, params, bad_f)
+        gv = tree_eval_array(g, x, y, params, bad_g)
+    if has_power(f) or has_power(g):
+        bad_f = bad_g = bad_f | bad_g
+    return np.where(bad_f, np.nan, fv), np.where(bad_g, np.nan, gv)
+
+
+# ---------------------------------------------------------------------------
+# The built-in maps as hand-written Python: the oracle for their expression
+# form. Each step and Jacobian takes the denominator guard as a keyword;
+# nan_guard turns a step into the batch step.
+
+
+def guard(d, what):
+    if abs(d) < DIV_TOL:
+        raise SingularityError(f"denominator {what} vanished")
+    return d
+
+
+def nan_guard(d, what):
+    return np.where(np.abs(d) < DIV_TOL, np.nan, d)
+
+
+def square_guard(d, what):
+    """Raises where the square of d is below DIV_TOL, as a compiled division
+    by d*d does."""
+    if abs(d * d) < DIV_TOL:
+        raise SingularityError(f"denominator ({what})^2 vanished")
+    return d
+
+
+def ex1_step(a, x, y, _guard=guard):
+    return x / _guard(a + y, "a+y"), y / _guard(1.0 + x, "1+x")
+
+
+def ex1_jac(a, x, y, _guard=guard):
+    d1 = _guard(a + y, "a+y")
+    d2 = _guard(1.0 + x, "1+x")
+    return Matrix2(1.0 / d1, -x / (d1 * d1), -y / (d2 * d2), 1.0 / d2)
+
+
+def lg_step(b1, b2, c1, c2, h1, h2, x, y, _guard=guard):
+    d1 = _guard(1.0 + x + c1 * y, "1+x+c1*y")
+    d2 = _guard(1.0 + y + c2 * x, "1+y+c2*x")
+    return b1 * x / d1 + h1, b2 * y / d2 + h2
+
+
+def lg_jac(b1, b2, c1, c2, x, y, _guard=guard):
+    d1 = _guard(1.0 + x + c1 * y, "1+x+c1*y")
+    d2 = _guard(1.0 + y + c2 * x, "1+y+c2*x")
+    return Matrix2(b1 * (1.0 + c1 * y) / (d1 * d1), -b1 * c1 * x / (d1 * d1),
+                   -b2 * c2 * y / (d2 * d2), b2 * (1.0 + c2 * x) / (d2 * d2))
+
+
+def ex3_step(x, y, _guard=guard):
+    return y, 1.0 + x / _guard(y, "y")
+
+
+def ex3_jac(x, y, _guard=guard):
+    yy = _guard(y, "y")
+    return Matrix2(0.0, 1.0, 1.0 / yy, -x / (yy * yy))
+
+
+def ex3_t2_step(x, y, _guard=guard):
+    yy = _guard(y, "y")
+    s = _guard(x + y, "x+y")
+    return 1.0 + x / yy, 1.0 + y * y / s
+
+
+def ex3_t2_jac(x, y, _guard=guard):
+    yy = _guard(y, "y")
+    s = _guard(x + y, "x+y")
+    return Matrix2(1.0 / yy, -x / (yy * yy),
+                   -y * y / (s * s), y * (2.0 * x + y) / (s * s))
+
+
+def ex4_step(B1, g2, a2, b1, x, y, _guard=guard):
+    d1 = _guard(B1 * x + y, "B1*x+y")
+    d2 = _guard(x, "x")
+    return b1 * x / d1, (a2 + g2 * y) / d2
+
+
+def ex4_jac(B1, g2, a2, b1, x, y, _guard=guard):
+    d1 = _guard(B1 * x + y, "B1*x+y")
+    d2 = _guard(x, "x")
+    return Matrix2(b1 * y / (d1 * d1), -b1 * x / (d1 * d1),
+                   -(a2 + g2 * y) / (d2 * d2), g2 / d2)
+
+
+def hand_written(eid, p):
+    """(step, jac) of built-in eid with parameters p: functions of
+    (x, y, _guard=...)."""
+    if eid == "ex1":
+        return partial(ex1_step, p["a"]), partial(ex1_jac, p["a"])
+    if eid in ("ex2", "ex5"):
+        lg = (p["b1"], p["b2"], p["c1"], p["c2"])
+        return (partial(lg_step, *lg, p.get("h1", 0.0), p.get("h2", 0.0)),
+                partial(lg_jac, *lg))
+    if eid == "ex3_T":
+        return ex3_step, ex3_jac
+    if eid == "ex3_T2":
+        return ex3_t2_step, ex3_t2_jac
+    ex4 = (p["B1"], p["gamma2"], p["alpha2"], p["beta1"])
+    return partial(ex4_step, *ex4), partial(ex4_jac, *ex4)
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,31 @@ def test_curve_invalid_input_exit_2_without_output(tmp_path, capsys, flags):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--n", "-3"], ["--n", "0"], ["--tol", "nan"], ["--tol", "-1"],
+    ["--tol", "inf"]])
+def test_orbit_invalid_input_exit_2_without_output(tmp_path, capsys, flags):
+    out_file = tmp_path / "o.csv"
+    argv = ["orbit", "--example", "ex4", "--start", "2,1", "--n", "10",
+            "--out", str(out_file)]
+    rc, _, err = _run(capsys, argv + flags)
+    assert rc == 2
+    assert "error" in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--example", "ex1", "--param", "a=inf"],
+    ["--example", "ex1", "--param", "a=nan"],
+    ["--example", "ex5", "--param", "h1=-inf"],
+    ["--f", "x/(a+y)", "--g", "y/(1+x)", "--param", "a=nan"],
+    ["--f", "x/(a+y)", "--g", "y/(1+x)", "--param", "a=inf"]])
+def test_analyze_non_finite_parameter_exit_2(capsys, argv):
+    rc, out, err = _run(capsys, ["analyze"] + argv)
+    assert rc == 2
+    assert "finite" in err and out == ""
+
+
 def test_analyze_overflowing_newton_matrix_fails_cleanly(capsys):
     # the Newton matrix of x^320 on this window squares to beyond a float
     rc, _, err = _run(capsys, ["analyze", "--f", "x^320", "--g", "y/2",

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compmap import ParseError, Point2, SingularityError, UnboundParameterError
+from compmap import (ParseError, Point2, SingularityError, UnboundParameterError,
+                     make_example)
 from compmap.expr import (BinOp, Const, ExprJacobian, ExprPair, Neg, Param, Var,
                           constant_fold, differentiate, evaluate, expr_map, parse,
                           to_text)
@@ -191,8 +192,8 @@ def _same_arrays(a, b):
 
 def _assert_compiled_matches_oracle(f, g, pts, params=PARAMS):
     pair = ExprPair(f, g, params)
-    jac = ExprJacobian(f, g, params)
     partials = [differentiate(e, v) for e in (f, g) for v in ("x", "y")]
+    jac = ExprJacobian(partials, params)
     for x, y in pts:
         assert _outcome(lambda: pair(x, y)) == _outcome(
             lambda: (tree_eval(f, x, y, params), tree_eval(g, x, y, params))), (x, y)
@@ -202,7 +203,8 @@ def _assert_compiled_matches_oracle(f, g, pts, params=PARAMS):
             lambda: [tree_eval(d, x, y, params) for d in partials]), (x, y)
     X = np.array([p[0] for p in pts])
     Y = np.array([p[1] for p in pts])
-    got = pair.batch(X, Y)
+    with np.errstate(all="ignore"):
+        got = pair.batch(X, Y)
     want = tree_batch(f, g, X, Y, params)
     assert _same_arrays(got[0], want[0]) and _same_arrays(got[1], want[1])
 
@@ -240,6 +242,18 @@ def test_folded_nonfinite_constants_compile():
     _assert_compiled_matches_oracle(inf, nan, [(0.0, 1.0), (-2.0, 0.5), (3.0, -0.0)])
 
 
+def test_equal_subexpressions_are_computed_once():
+    f = parse("x/((1+x)*(1+x)) + y/((1+x)*(1+x))")
+    assigned = sum(isinstance(n, ast.Assign)
+                   for n in ast.walk(ast.parse(ExprPair(f, Var("y"), {}).step.__func__.source)))
+    assert assigned == 5  # 1+x, its square, two quotients, the sum
+    # constants equal as floats but not bit for bit stay apart
+    signed = BinOp("-", BinOp("*", Var("x"), Const(-0.0)),
+                   BinOp("*", Var("x"), Const(0.0)))
+    _assert_compiled_matches_oracle(signed, f, [(1.0, 2.0), (-1.0, 0.5)])
+    assert math.copysign(1.0, ExprPair(signed, f, {})(1.0, 2.0)[0]) == -1.0
+
+
 @pytest.mark.parametrize("text", ["10^400*x + y", "(0-2)^0.5*x + y"])
 def test_constant_power_math_pow_rejects_stays_unfolded(text):
     # math.pow overflows (10^400) or leaves the reals ((-2)^0.5): folding
@@ -275,7 +289,7 @@ def _statements(fn):
 def test_long_product_jacobian_is_linear_in_the_factors():
     n = 320
     m = expr_map("*".join(["x"] * n), "y/2")
-    assert _statements(m.jac._jac) < 8 * n
+    assert _statements(m.jac.__func__) < 8 * n
     f = parse("*".join(["x"] * n))
     fx = differentiate(f, "x")
     for x in (0.5, 0.9, 1.1):
@@ -285,10 +299,18 @@ def test_long_product_jacobian_is_linear_in_the_factors():
 
 
 def test_expr_map_pickles():
-    m = expr_map("x/(a+y) + (x*y)^1.5", "y/(1+x) - a", {"a": 2.0}, name="pk")
+    _assert_pickles(expr_map("x/(a+y) + (x*y)^1.5", "y/(1+x) - a", {"a": 2.0},
+                             name="pk"))
+
+
+def test_builtin_map_pickles():
+    _assert_pickles(make_example("ex2").map)  # binds h1 = h2 = 0, not in params
+
+
+def _assert_pickles(m):
     m2 = pickle.loads(pickle.dumps(m))
-    assert m2.name == "pk" and m2.params == m.params and m2.meta == m.meta
-    assert m2.batch.__self__ is m2.step
+    assert m2.name == m.name and m2.params == m.params and m2.meta == m.meta
+    assert m2.batch.__self__ is m2.step.__self__
     pts = [(1.0, 1.0), (0.3, -2.0), (-1.0, 0.5), (2.5, 0.7), (-0.5, -2.0)]
     for x, y in pts:
         assert _outcome(lambda: m2.step(x, y)) == _outcome(lambda: m.step(x, y))

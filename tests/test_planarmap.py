@@ -92,6 +92,13 @@ def test_orbit_consecutive_points_are_images(ex1):
         assert ex1.map.step(p.x, p.y) == tuple(q)
 
 
+@pytest.mark.parametrize("max_iter, conv_tol", [
+    (0, 1e-12), (-3, 1e-12), (10, math.nan), (10, -1.0), (10, math.inf)])
+def test_orbit_rejects_invalid_length_and_tolerance(ex1, max_iter, conv_tol):
+    with pytest.raises(ValueError):
+        orbit(ex1.map, Point2(1.0, 0.5), max_iter=max_iter, conv_tol=conv_tol)
+
+
 def test_check_competitive(ex1):
     rep = check_competitive(ex1.map, Rect(0, 5, 0, 5), samples=100)
     assert rep.competitive and rep.strongly

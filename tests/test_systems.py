@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from compmap import (ConstraintError, Point2, eigen2x2, ex5_critical_curves,
-                     ex5_equilibria, find_fixed_point, jacobian, le_se,
-                     make_example, sweep_continuum)
-from helpers import direction_close
+from compmap import (EXAMPLE_IDS, ConstraintError, Point2, SingularityError,
+                     eigen2x2, ex5_critical_curves, ex5_equilibria,
+                     find_fixed_point, jacobian, le_se, make_example,
+                     sweep_continuum)
+from helpers import direction_close, hand_written, nan_guard, square_guard
 
 
 def test_unknown_ids_and_params():
@@ -25,6 +27,61 @@ def test_constraint_violations():
         make_example("ex4", {"beta1": 4.0})
     with pytest.raises(ConstraintError):
         make_example("ex5", {"h1": -0.1})
+
+
+@pytest.mark.parametrize("eid, name", [("ex1", "a"), ("ex5", "h1"), ("ex4", "B1")])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_parameters_rejected(eid, name, value):
+    with pytest.raises(ConstraintError, match=f"0 < {name} < inf"):
+        make_example(eid, {name: value})
+
+
+# ---------------------------------------------------------------------------
+# The expression form of the built-ins against the hand-written oracle
+
+
+def _outcome(fn, *args):
+    """Hex floats of fn(*args), or the type of the error it raises."""
+    try:
+        return tuple(float(v).hex() for v in fn(*args))
+    except SingularityError as exc:
+        return type(exc).__name__
+
+
+def _hex(a):
+    return [float(v).hex() for v in np.asarray(a, dtype=float).ravel()]
+
+
+coord = st.one_of(
+    st.floats(-50.0, 50.0, allow_nan=False),
+    st.sampled_from([0.0, -0.0, -1.0, 1.0, -2.0, 2.0, 0.5, 1e-7, -1e-7, 1e-13,
+                     -1e-13, 5e-324]))
+
+
+@pytest.mark.parametrize("eid", EXAMPLE_IDS)
+@settings(max_examples=60, deadline=None)
+@given(pts=st.lists(st.tuples(coord, coord), min_size=1, max_size=30),
+       mirror=st.booleans())
+def test_builtin_maps_match_hand_written_oracle(eid, pts, mirror):
+    m = make_example(eid).map
+    step, jac = hand_written(eid, m.params)
+    if mirror:  # y = -x zeroes denominators such as B1*x + y and x + y
+        pts = pts + [(x, -x) for x, _ in pts]
+    for x, y in pts:
+        assert _outcome(m.step, x, y) == _outcome(step, x, y), (x, y)
+        # every Jacobian entry divides by a denominator d or by d*d, and a
+        # compiled division raises where its divisor is below DIV_TOL: the
+        # compiled Jacobian raises where d*d is (|d| below about 1e-6), the
+        # hand-written one only where |d| < DIV_TOL
+        assert _outcome(m.jac, x, y) == \
+            _outcome(lambda x, y: jac(x, y, _guard=square_guard), x, y), (x, y)
+    X = np.array([p[0] for p in pts])
+    Y = np.array([p[1] for p in pts])
+    with np.errstate(all="ignore"):
+        got = m.batch(X, Y)
+        want = step(X, Y, _guard=nan_guard)
+    for u, v in zip(got, want):
+        assert _hex(u) == _hex(np.broadcast_to(v, X.shape))
 
 
 def test_ex2_fixture_values(ex2):
