@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import (ConstraintError, HypothesisError, MapEvalError,
@@ -31,7 +31,7 @@ from .curves import (CurveOptions, check_boundary_endpoint_conditions,
                      trace_stable_curve, trace_unstable_curve)
 from .basins import raster, raster_options, save_raster
 from .geometry import Point2, Rect
-from .planarmap import check_competitive, check_O_condition, orbit
+from .planarmap import _sample_grid, check_competitive, check_O_condition, orbit
 from .systems import (DEFAULT_PARAMS, DESCRIPTIONS, EXAMPLE_IDS, make_example)
 
 _FMT = "{:.17g}"
@@ -48,22 +48,80 @@ class _CliError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Configuration handling. The canonical configuration is a flat dict of
-# strings, exactly as written in a config file; flags are folded into it.
+# Options. Each verb lists the options it reads, once; the table builds the
+# argparse subparser, the defaults, the keys a config file may set and the
+# echo. The canonical configuration is a flat dict of strings, exactly as
+# written in a config file; flags are folded into it.
 
-_DEFAULTS = {
-    "analyze": {"window": "0,5,0,5", "tol": "1e-10", "max_iter": "1000",
-                "format": "text"},
-    "curve": {"tol": "1e-8", "max_iter": "50000", "columns": "256",
-              "format": "csv", "unstable": "false", "steps": "100",
-              "seed_radius": "1e-4", "workers": "1"},
-    "basin": {"nx": "128", "ny": "128", "tol": "1e-12", "max_iter": "5000",
-              "format": "pgm", "workers": "1"},
-    "orbit": {"n": "1000", "tol": "1e-12", "format": "csv"},
-    "examples": {"format": "text"},
+
+@dataclass(frozen=True)
+class _Opt:
+    """One option of a verb, keyed by its flag name with '-' read as '_'.
+
+    default is the config string when neither flag nor file sets it (None:
+    unset). A value must parse as type and be one of choices, if given. A
+    repeated flag joins its values with ';'; a const flag takes no value.
+    """
+
+    flag: str
+    default: Optional[str] = None
+    type: type = str
+    choices: tuple = ()
+    help: Optional[str] = None
+    metavar: Optional[str] = None
+    repeat: bool = False
+    const: Optional[str] = None
+    echo: bool = True
+
+    @property
+    def key(self) -> str:
+        return self.flag.lstrip("-").replace("-", "_")
+
+
+_MAP = (_Opt("--example", help="built-in system id (see 'examples')"),
+        _Opt("--param", metavar="K=V", repeat=True,
+             help="parameter binding, repeatable"),
+        _Opt("--f", help="first map component (expression)"),
+        _Opt("--g", help="second map component (expression)"))
+_GUESS = _Opt("--guess", metavar="X,Y", repeat=True,
+              help="fixed-point guess, repeatable")
+_WINDOW = _Opt("--window", metavar="XLO,XHI,YLO,YHI")
+_OUT = _Opt("--out", help="output file path", echo=False)
+_MODE = _Opt("--mode", choices=("quadrant_escape", "limit_equilibrium"))
+_WORKERS = _Opt("--workers", "1", int, echo=False,
+                help="accepted for compatibility; no effect")
+
+_VERBS = {
+    "analyze": ("find and classify fixed points", _MAP + (
+        _GUESS, replace(_WINDOW, default="0,5,0,5"), _OUT,
+        _Opt("--format", "text", choices=("text", "json")),
+        _Opt("--tol", "1e-10", float))),
+    "curve": ("trace the stable (or unstable) curve", _MAP + (
+        _GUESS, _WINDOW, _OUT, _Opt("--format", "csv", choices=("csv",)),
+        _Opt("--tol", "1e-8", float), _Opt("--max-iter", "50000", int),
+        _Opt("--columns", "256", int), _MODE,
+        _Opt("--unstable", "false", choices=("false", "true"), const="true"),
+        _Opt("--steps", "100", int, help="unstable-curve iteration count"),
+        _Opt("--seed-radius", "1e-4", float), _WORKERS)),
+    "basin": ("rasterize the basin decomposition", _MAP + (
+        _GUESS, _WINDOW, _OUT, _Opt("--format", "pgm", choices=("pgm", "csv")),
+        _Opt("--tol", "1e-12", float), _Opt("--max-iter", "5000", int),
+        _Opt("--nx", "128", int), _Opt("--ny", "128", int), _MODE,
+        _Opt("--epsilon", type=float, help="verdict margin"), _WORKERS)),
+    "orbit": ("write orbit iterates as CSV", _MAP + (
+        _Opt("--start", metavar="X,Y"),
+        _Opt("--n", "1000", int, help="maximum number of steps"),
+        _OUT, _Opt("--format", "csv", choices=("csv",)),
+        _Opt("--tol", "1e-12", float))),
+    "examples": ("list built-in systems",
+                 (_Opt("--format", "text", choices=("text", "json")),)),
 }
+_OPTIONS = {verb: {o.key: o for o in opts} for verb, (_, opts) in _VERBS.items()}
 
-_ECHO_EXCLUDE = {"out", "workers", "config"}
+# Keys an output records that no option sets (besides 'command'): a basin
+# file records the raster's resolved settings. A config file made from an
+# echo may carry them; they are ignored.
+_RECORDED = {"basin": ("map", "fp", "epsilon_margin", "conv_tol")}
 
 
 def _read_config_file(path: str) -> dict:
@@ -83,48 +141,68 @@ def _read_config_file(path: str) -> dict:
     return cfg
 
 
+def _parse(o: _Opt, raw: str):
+    """raw as a value of o; exit 2 unless it parses and is allowed."""
+    try:
+        value = o.type(raw)
+    except ValueError:
+        what = {int: "an integer", float: "a number"}[o.type]
+        raise _CliError(2, f"option {o.key!r} needs {what}, got {raw!r}")
+    if o.choices and raw not in o.choices:
+        raise _CliError(2, f"option {o.key!r} must be one of "
+                           f"{', '.join(o.choices)}; got {raw!r}")
+    return value
+
+
 def _fold_args(cmd: str, args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS[cmd])
+    """The verb's defaults, overridden by the config file, then by flags."""
+    table = _OPTIONS[cmd]
+    cfg = {k: o.default for k, o in table.items() if o.default is not None}
     cfg["command"] = cmd
-    if getattr(args, "config", None):
-        file_cfg = _read_config_file(args.config)
-        file_cfg.pop("command", None)
-        cfg.update(file_cfg)
-    for name in ("example", "f", "g", "window", "tol", "max_iter", "format",
-                 "out", "nx", "ny", "columns", "mode", "steps", "seed_radius",
-                 "start", "n", "workers", "epsilon"):
-        v = getattr(args, name, None)
-        if v is not None:
-            cfg[name] = str(v)
-    if getattr(args, "param", None):
-        for item in args.param:
-            if "=" not in item:
-                raise _CliError(2, f"--param expects k=v, got {item!r}")
-            k, v = item.split("=", 1)
-            cfg[f"param.{k.strip()}"] = v.strip()
-    if getattr(args, "guess", None):
-        cfg["guess"] = ";".join(args.guess)
-    if getattr(args, "unstable", None):
-        cfg["unstable"] = "true"
+    if args.config:
+        for k, v in _read_config_file(args.config).items():
+            option = "param" if k.startswith("param.") else k
+            if option in table and k != "param":
+                cfg[k] = v
+            elif k != "command" and k not in _RECORDED.get(cmd, ()):
+                raise _CliError(2, f"{args.config}: {cmd} reads no option {k!r}")
+    for k, o in table.items():
+        v = getattr(args, k)
+        if v is None:
+            continue
+        if k == "param":
+            for item in v:
+                if "=" not in item:
+                    raise _CliError(2, f"--param expects k=v, got {item!r}")
+                name, value = item.split("=", 1)
+                cfg[f"param.{name.strip()}"] = value.strip()
+        else:
+            cfg[k] = ";".join(v) if o.repeat else str(_parse(o, v))
+    for k in [k for k in table if k in cfg]:  # file values a flag left standing
+        _parse(table[k], cfg[k])
     return cfg
 
 
-def _echo_lines(cfg: dict) -> list:
-    return [f"# {k}={cfg[k]}" for k in sorted(cfg) if k not in _ECHO_EXCLUDE]
+def _value(cfg: dict, key: str):
+    """A folded option as its type; the fold has checked that it parses."""
+    return _OPTIONS[cfg["command"]][key].type(cfg[key])
 
 
-def _cfg_float(cfg: dict, key: str) -> float:
-    try:
-        return float(cfg[key])
-    except (KeyError, ValueError):
-        raise _CliError(2, f"option {key!r} needs a number, got {cfg.get(key)!r}")
+def _echoed(cfg: dict) -> dict:
+    """The folded options an output records, sorted by key."""
+    table = _OPTIONS[cfg["command"]]
+    return {k: cfg[k] for k in sorted(cfg) if k not in table or table[k].echo}
 
 
-def _cfg_int(cfg: dict, key: str) -> int:
-    try:
-        return int(cfg[key])
-    except (KeyError, ValueError):
-        raise _CliError(2, f"option {key!r} needs an integer, got {cfg.get(key)!r}")
+def _write_csv(cfg: dict, header: str, rows) -> None:
+    """The echo, header and rows to --out, else to stdout."""
+    text = "\n".join([f"# {k}={v}" for k, v in _echoed(cfg).items()]
+                     + [header] + list(rows)) + "\n"
+    if cfg.get("out"):
+        with open(cfg["out"], "w", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _cfg_window(cfg: dict) -> Rect:
@@ -197,17 +275,12 @@ def _build_map(cfg: dict):
 
 def _resolve_fixed_points(cfg: dict, m, sys_, window: Rect,
                           tol: float) -> list:
-    guesses = []
     if cfg.get("guess"):
-        for raw in cfg["guess"].split(";"):
-            guesses.append(_cfg_point(raw, "guess"))
+        guesses = [_cfg_point(raw, "guess") for raw in cfg["guess"].split(";")]
     elif sys_ is not None and sys_.fixtures:
         guesses = [f.point for f in sys_.fixtures]
     else:
-        for i in range(6):
-            for j in range(6):
-                guesses.append(Point2(window.x_lo + (i + 0.5) * window.width() / 6,
-                                      window.y_lo + (j + 0.5) * window.height() / 6))
+        guesses = _sample_grid(window, 36)
     roots = []
     eval_failures = 0
     for g in guesses:
@@ -256,17 +329,14 @@ def _local_verdict(m, rec: FixedPointRecord):
 # Commands
 
 
-def _cmd_analyze(args) -> int:
-    cfg = _fold_args("analyze", args)
+def _cmd_analyze(cfg: dict) -> int:
     m, sys_ = _build_map(cfg)
     window = _cfg_window(cfg)
-    tol = _cfg_float(cfg, "tol")
-    roots = _resolve_fixed_points(cfg, m, sys_, window, tol)
+    roots = _resolve_fixed_points(cfg, m, sys_, window, _value(cfg, "tol"))
 
     comp = check_competitive(m, window)
     ocond = check_O_condition(m, window)
-    report = {"config": {k: v for k, v in sorted(cfg.items())
-                         if k not in _ECHO_EXCLUDE},
+    report = {"config": _echoed(cfg),
               "map": m.name,
               "competitivity": str(comp),
               "o_condition": ocond.verdict,
@@ -296,7 +366,7 @@ def _cmd_analyze(args) -> int:
         }
         report["fixed_points"].append(entry)
 
-    if cfg.get("format") == "json":
+    if cfg["format"] == "json":
         text = json.dumps(report, indent=2)
     else:
         lines = [f"map: {m.name}",
@@ -327,46 +397,32 @@ def _cmd_analyze(args) -> int:
 
     print(text)
     if cfg.get("out"):
+        if cfg["format"] == "text":
+            text = "".join(f"# {k}={v}\n" for k, v in report["config"].items()) + text
         with open(cfg["out"], "w", newline="\n") as fh:
-            if cfg.get("format") == "json":
-                fh.write(json.dumps(report, indent=2) + "\n")
-            else:
-                fh.write("\n".join(_echo_lines(cfg)) + "\n" + text + "\n")
+            fh.write(text + "\n")
     return 0
 
 
-def _cmd_curve(args) -> int:
-    cfg = _fold_args("curve", args)
+def _cmd_curve(cfg: dict) -> int:
     m, sys_ = _build_map(cfg)
     window = _cfg_window(cfg)
-    tol = _cfg_float(cfg, "tol")
     roots = _resolve_fixed_points(cfg, m, sys_, window, tol=1e-10)
     if not roots:
         raise _CliError(3, "no fixed point could be resolved from the guesses")
     fp = roots[0]
-    workers = _cfg_int(cfg, "workers")
-    unstable = cfg.get("unstable", "false").lower() in ("true", "1", "yes")
-    if unstable:
-        curve = trace_unstable_curve(m, fp, steps=_cfg_int(cfg, "steps"),
-                                     seed_radius=_cfg_float(cfg, "seed_radius"))
+    if cfg["unstable"] == "true":
+        curve = trace_unstable_curve(m, fp, steps=_value(cfg, "steps"),
+                                     seed_radius=_value(cfg, "seed_radius"))
     else:
-        opts = CurveOptions(columns=_cfg_int(cfg, "columns"),
-                            curve_tol=tol,
+        opts = CurveOptions(columns=_value(cfg, "columns"),
+                            curve_tol=_value(cfg, "tol"),
                             mode=cfg.get("mode"),
-                            max_iter=_cfg_int(cfg, "max_iter"))
-        curve = trace_stable_curve(m, fp, window, opts, workers=workers)
+                            max_iter=_value(cfg, "max_iter"))
+        curve = trace_stable_curve(m, fp, window, opts,
+                                   workers=_value(cfg, "workers"))
 
-    out = cfg.get("out")
-    lines = _echo_lines(cfg)
-    lines.append("x,y")
-    for v in curve.vertices:
-        lines.append(f"{v.x:.17g},{v.y:.17g}")
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_csv(cfg, "x,y", (f"{v.x:.17g},{v.y:.17g}" for v in curve.vertices))
     print(f"# vertices: {len(curve.vertices)}", file=sys.stderr)
     print(f"# monotonicity: strictly {curve.monotonicity} (verified)",
           file=sys.stderr)
@@ -377,81 +433,63 @@ def _cmd_curve(args) -> int:
     return 0
 
 
-def _cmd_basin(args) -> int:
-    cfg = _fold_args("basin", args)
+def _cmd_basin(cfg: dict) -> int:
+    if not cfg.get("out"):
+        raise _CliError(2, "basin needs an --out path")
     m, sys_ = _build_map(cfg)
     window = _cfg_window(cfg)
-    fmt = cfg.get("format", "pgm")
-    if fmt not in ("pgm", "csv"):
-        raise _CliError(2, f"basin format must be pgm or csv, got {fmt!r}")
     roots = _resolve_fixed_points(cfg, m, sys_, window, tol=1e-10)
     if not roots:
         raise _CliError(3, "no fixed point could be resolved from the guesses")
     fp = roots[0].location
-    nx = _cfg_int(cfg, "nx")
-    ny = _cfg_int(cfg, "ny")
-    overrides = {"max_iter": _cfg_int(cfg, "max_iter"),
-                 "conv_tol": _cfg_float(cfg, "tol")}
+    nx = _value(cfg, "nx")
+    ny = _value(cfg, "ny")
+    overrides = {"max_iter": _value(cfg, "max_iter"),
+                 "conv_tol": _value(cfg, "tol")}
     if "mode" in cfg:
         overrides["mode"] = cfg["mode"]
     if "epsilon" in cfg:
-        overrides["epsilon_margin"] = _cfg_float(cfg, "epsilon")
+        overrides["epsilon_margin"] = _value(cfg, "epsilon")
     opts = replace(raster_options(m, window), **overrides)
-    r = raster(m, fp, window, nx, ny, opts, workers=_cfg_int(cfg, "workers"))
+    r = raster(m, fp, window, nx, ny, opts, workers=_value(cfg, "workers"))
     census = r.census()
     total = nx * ny
     if census["singular"] > 0.5 * total:
         raise _CliError(3, f"{census['singular']}/{total} cells hit singularities")
     meta = dict(r.meta)
-    for k, v in sorted(cfg.items()):
-        if k not in _ECHO_EXCLUDE:
-            meta.setdefault(k, v)
+    for k, v in _echoed(cfg).items():
+        meta.setdefault(k, v)
     r = type(r)(window=r.window, nx=r.nx, ny=r.ny, labels=r.labels, meta=meta)
-    out = cfg.get("out")
-    if not out:
-        raise _CliError(2, "basin needs an --out path")
-    save_raster(r, out, fmt=fmt)
+    save_raster(r, cfg["out"], fmt=cfg["format"])
     for name, count in census.items():
         print(f"{name}: {count}")
     return 0
 
 
-def _cmd_orbit(args) -> int:
-    cfg = _fold_args("orbit", args)
+def _cmd_orbit(cfg: dict) -> int:
     m, _sys = _build_map(cfg)
     if "start" not in cfg:
         raise _CliError(2, "orbit needs a --start x,y")
     start = _cfg_point(cfg["start"], "start")
-    n = _cfg_int(cfg, "n")
-    tol = _cfg_float(cfg, "tol")
     try:
-        orb = orbit(m, start, max_iter=n, conv_tol=tol)
+        orb = orbit(m, start, max_iter=_value(cfg, "n"),
+                    conv_tol=_value(cfg, "tol"))
     except MapEvalError as e:
         raise _CliError(3, f"cannot start the orbit: {e}")
     if len(orb.points) == 1 and orb.terminated_by == "singularity":
         raise _CliError(3, "singularity at step 0")
-    lines = _echo_lines(cfg)
-    lines.append("n,x,y")
-    for k, p in enumerate(orb.points):
-        lines.append(f"{k},{p.x:.17g},{p.y:.17g}")
-    text = "\n".join(lines) + "\n"
-    out = cfg.get("out")
-    if out:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_csv(cfg, "n,x,y", (f"{k},{p.x:.17g},{p.y:.17g}"
+                              for k, p in enumerate(orb.points)))
     print(f"# terminated_by: {orb.terminated_by}", file=sys.stderr)
     return 0
 
 
-def _cmd_examples(args) -> int:
-    cfg = _fold_args("examples", args)
+def _cmd_examples(cfg: dict) -> int:
     entries = []
     for eid in EXAMPLE_IDS:
         entries.append({"id": eid, "description": DESCRIPTIONS[eid],
                         "default_params": DEFAULT_PARAMS[eid]})
-    if cfg.get("format") == "json":
+    if cfg["format"] == "json":
         print(json.dumps(entries, indent=2))
     else:
         for e in entries:
@@ -470,54 +508,14 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="compmap",
                                  description="planar competitive map analysis")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add_shared(p, with_guess=True):
-        p.add_argument("--example", help="built-in system id (see 'examples')")
-        p.add_argument("--param", action="append", metavar="K=V",
-                       help="parameter binding, repeatable")
-        p.add_argument("--f", help="first map component (expression)")
-        p.add_argument("--g", help="second map component (expression)")
-        p.add_argument("--window", metavar="XLO,XHI,YLO,YHI")
-        p.add_argument("--out", help="output file path")
-        p.add_argument("--format", choices=("csv", "pgm", "json", "text"))
-        p.add_argument("--tol", type=float)
-        p.add_argument("--max-iter", dest="max_iter", type=int)
+    for verb, (about, opts) in _VERBS.items():
+        p = sub.add_parser(verb, help=about)
+        for o in opts:
+            action = "store_const" if o.const else "append" if o.repeat else "store"
+            metavar = o.metavar or ("{%s}" % ",".join(o.choices) if o.choices else None)
+            p.add_argument(o.flag, action=action, const=o.const, metavar=metavar,
+                           help=o.help)
         p.add_argument("--config", help="key=value config file; flags override")
-        if with_guess:
-            p.add_argument("--guess", action="append", metavar="X,Y",
-                           help="fixed-point guess, repeatable")
-
-    p = sub.add_parser("analyze", help="find and classify fixed points")
-    add_shared(p)
-
-    p = sub.add_parser("curve", help="trace the stable (or unstable) curve")
-    add_shared(p)
-    p.add_argument("--unstable", action="store_true", default=None)
-    p.add_argument("--columns", type=int)
-    p.add_argument("--mode", choices=("quadrant_escape", "limit_equilibrium"))
-    p.add_argument("--steps", type=int, help="unstable-curve iteration count")
-    p.add_argument("--seed-radius", dest="seed_radius", type=float)
-    p.add_argument("--workers", type=int,
-                   help="accepted for compatibility; no effect (columns are"
-                        " bisected together)")
-
-    p = sub.add_parser("basin", help="rasterize the basin decomposition")
-    add_shared(p)
-    p.add_argument("--nx", type=int)
-    p.add_argument("--ny", type=int)
-    p.add_argument("--mode", choices=("quadrant_escape", "limit_equilibrium"))
-    p.add_argument("--epsilon", type=float, help="verdict margin")
-    p.add_argument("--workers", type=int,
-                   help="accepted for compatibility; no effect (one numpy batch)")
-
-    p = sub.add_parser("orbit", help="write orbit iterates as CSV")
-    add_shared(p, with_guess=False)
-    p.add_argument("--start", metavar="X,Y")
-    p.add_argument("--n", type=int, help="maximum number of steps")
-
-    p = sub.add_parser("examples", help="list built-in systems")
-    p.add_argument("--format", choices=("json", "text"))
-    p.add_argument("--config", help=argparse.SUPPRESS)
     return ap
 
 
@@ -532,7 +530,7 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](_fold_args(args.command, args))
     except _CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

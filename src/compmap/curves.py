@@ -21,7 +21,7 @@ from .fixedpoints import (FixedPointRecord, NEWTON_MAX_ITER, NEWTON_TOL,
                           check_invariant_curve_hypotheses, find_fixed_point,
                           find_period_two)
 from .geometry import Point2, Rect, in_quadrant_interior
-from .planarmap import PlanarMap, jacobian
+from .planarmap import PlanarMap, _sample_grid, jacobian
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +301,6 @@ class MonotoneCurve:
             return a.y
         t = (x - a.x) / (b.x - a.x)
         return a.y + t * (b.y - a.y)
-
-    def vertical_distance(self, p: Point2) -> float:
-        """|p.y - curve(p.x)|, inf when p.x is outside the traced range."""
-        try:
-            return abs(p[1] - self.y_at(p[0]))
-        except ValueError:
-            return math.inf
 
 
 def validate_curve(curve: MonotoneCurve) -> None:
@@ -655,8 +648,13 @@ def trace_unstable_curve(m: PlanarMap, fp: FixedPointRecord,
     UNSTABLE_SEEDS seeds are placed on both sides of the fixed point; every
     forward image inside the domain is collected, sorted by x, and thinned
     to a strictly decreasing polyline. Orbits that leave the domain truncate
-    their end of the curve.
+    their end of the curve. steps must be >= 1 and seed_radius finite and
+    > 0.
     """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps!r}")
+    if not (math.isfinite(seed_radius) and seed_radius > 0):
+        raise ValueError(f"seed_radius must be finite and > 0, got {seed_radius!r}")
     e = fp.eigen
     if not e.real_distinct or e.v_mu is None:
         raise HypothesisError("unstable tracing needs real distinct eigenvalues")
@@ -764,12 +762,7 @@ def check_boundary_endpoint_conditions(m: PlanarMap, fp: FixedPointRecord,
             return False
         return any(in_quadrant_interior(fp_pt, p, k, 1e-9) for _, k in parts)
 
-    starts = []
-    for r, _k in parts:
-        for i in range(BOUNDARY_GRID):
-            for j in range(BOUNDARY_GRID):
-                starts.append(Point2(r.x_lo + (i + 0.5) * r.width() / BOUNDARY_GRID,
-                                     r.y_lo + (j + 0.5) * r.height() / BOUNDARY_GRID))
+    starts = [s for r, _k in parts for s in _sample_grid(r, BOUNDARY_GRID ** 2)]
 
     fixed_w = []
     p2_w = []

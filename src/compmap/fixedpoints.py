@@ -162,8 +162,11 @@ def find_fixed_point(m: PlanarMap, guess: Point2,
     """Damped Newton on T(p) - p; eigen data and classification at the root.
 
     A singular Newton matrix triggers a fallback of 50 plain map iterations
-    before the search is abandoned.
+    before the search is abandoned. tol must be finite and > 0.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+
     def F(p: Point2) -> Point2:
         fx, fy = m.step(p.x, p.y)
         return Point2(fx - p.x, fy - p.y)

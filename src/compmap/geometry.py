@@ -89,9 +89,6 @@ class Rect:
     def diagonal(self) -> float:
         return math.hypot(self.width(), self.height())
 
-    def center(self) -> Point2:
-        return Point2(0.5 * (self.x_lo + self.x_hi), 0.5 * (self.y_lo + self.y_hi))
-
     def clamped(self, window: "Rect") -> "Rect":
         """Intersection with a bounded window; used to sample unbounded domains."""
         r = Rect(max(self.x_lo, window.x_lo), min(self.x_hi, window.x_hi),

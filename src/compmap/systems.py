@@ -356,12 +356,6 @@ class Ex5Curves:
             return math.nan
         return a - b
 
-    def trace(self, xs) -> tuple:
-        """Graphs of both curves over the abscissae; unsolvable columns skipped."""
-        g1 = [Point2(x, self.y1(x)) for x in xs if self.y1(x) is not None]
-        g2 = [Point2(x, self.y2(x)) for x in xs if self.y2(x) is not None]
-        return g1, g2
-
     def slope_gap(self, x: float) -> float:
         """Difference of the two graph slopes at x (zero at a tangency), by
         central differences with step FD_STEP."""

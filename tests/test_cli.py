@@ -161,20 +161,68 @@ def test_orbit_missing_start_exit_2(capsys):
     assert rc == 2
 
 
+_ECHO_RUNS = [
+    (["basin", "--example", "ex4", "--guess", "2,1", "--window", "0,6,0,4",
+      "--nx", "16", "--ny", "16"], "pgm"),
+    (["curve", "--example", "ex1", "--guess", "1e-9,1", "--window", "0,5,0,6",
+      "--columns", "16", "--tol", "1e-7"], "csv"),
+    (["curve", "--example", "ex5", "--unstable", "--guess", "0.235,0.352",
+      "--window", "0,2,0,2", "--steps", "20"], "csv"),
+    (["orbit", "--example", "ex4", "--param", "beta1=3", "--start", "2,1",
+      "--n", "50", "--tol", "1e-9"], "csv"),
+    (["analyze", "--example", "ex4", "--guess", "2,1"], "txt"),
+]
+
+
 def test_config_echo_reproduces_output(tmp_path, capsys):
-    f1 = tmp_path / "a.pgm"
-    rc, _, _ = _run(capsys, ["basin", "--example", "ex4", "--guess", "2,1",
-                             "--window", "0,6,0,4", "--nx", "16", "--ny", "16",
-                             "--out", str(f1)])
-    assert rc == 0
-    echo = [ln[2:] for ln in f1.read_text().splitlines()
-            if ln.startswith("# ") and "=" in ln]
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("\n".join(echo) + "\n")
-    f2 = tmp_path / "b.pgm"
-    rc, _, _ = _run(capsys, ["basin", "--config", str(cfg), "--out", str(f2)])
-    assert rc == 0
-    assert f1.read_bytes() == f2.read_bytes()
+    for k, (argv, ext) in enumerate(_ECHO_RUNS):
+        f1 = tmp_path / f"a{k}.{ext}"
+        rc, _, _ = _run(capsys, argv + ["--out", str(f1)])
+        assert rc == 0
+        echo = [ln[2:] for ln in f1.read_text().splitlines()
+                if ln.startswith("# ") and "=" in ln]
+        cfg = tmp_path / f"run{k}.cfg"
+        cfg.write_text("\n".join(echo) + "\n")
+        f2 = tmp_path / f"b{k}.{ext}"
+        rc, _, _ = _run(capsys, [argv[0], "--config", str(cfg), "--out", str(f2)])
+        assert rc == 0
+        assert f1.read_bytes() == f2.read_bytes()
+        # the echo names only options the verb reads: one more key is refused
+        cfg.write_text("\n".join(echo + ["colums=8"]) + "\n")
+        f3 = tmp_path / f"c{k}.{ext}"
+        rc, _, err = _run(capsys, [argv[0], "--config", str(cfg), "--out", str(f3)])
+        assert rc == 2 and "colums" in err
+        assert not f3.exists()
+
+
+def test_cli_defaults_match_library_defaults():
+    import inspect
+
+    from compmap import CurveOptions, Rect, SideOptions, make_example
+    from compmap.basins import raster_options
+    from compmap.cli import _OPTIONS
+    from compmap.curves import trace_unstable_curve
+    from compmap.fixedpoints import NEWTON_TOL
+    from compmap.planarmap import orbit
+
+    def cli(verb, key):
+        o = _OPTIONS[verb][key]
+        return o.type(o.default)
+
+    def lib(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    curve = CurveOptions()
+    assert cli("curve", "tol") == curve.curve_tol
+    assert cli("curve", "max_iter") == curve.max_iter
+    assert cli("curve", "columns") == curve.columns
+    assert cli("curve", "steps") == lib(trace_unstable_curve, "steps")
+    assert cli("curve", "seed_radius") == lib(trace_unstable_curve, "seed_radius")
+    ex4 = make_example("ex4").map
+    assert cli("basin", "max_iter") == raster_options(ex4, Rect(0, 6, 0, 4)).max_iter
+    assert cli("basin", "tol") == SideOptions().conv_tol
+    assert cli("orbit", "tol") == lib(orbit, "conv_tol")
+    assert cli("analyze", "tol") == NEWTON_TOL
 
 
 def test_config_flags_override_file(tmp_path, capsys):
@@ -275,3 +323,85 @@ def test_analyze_dsl_stdout_pinned(capsys):
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "aed44a328d38fed53a586bb03a60cba0364d0dd53dd6b6aa5d2975a226b5a410"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--steps", "0"], ["--steps", "-1"], ["--seed-radius", "nan"],
+    ["--seed-radius", "inf"], ["--seed-radius", "0"]])
+def test_curve_unstable_invalid_input_exit_2_without_output(tmp_path, capsys, flags):
+    out_file = tmp_path / "u.csv"
+    argv = ["curve", "--example", "ex5", "--unstable", "--guess", "0.235,0.352",
+            "--window", "0,2,0,2", "--out", str(out_file)]
+    rc, _, err = _run(capsys, argv + flags)
+    assert rc == 2
+    assert "configuration error" in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("flags", [["--tol", "nan"], ["--tol", "0"], ["--tol=-1"]])
+def test_analyze_invalid_tolerance_exit_2_without_output(tmp_path, capsys, flags):
+    out_file = tmp_path / "a.txt"
+    rc, out, err = _run(capsys, ["analyze", "--example", "ex1", "--out",
+                                 str(out_file)] + flags)
+    assert rc == 2
+    assert "tol" in err and "fixed points found" not in out
+    assert not out_file.exists()
+
+
+_ORBIT = ["orbit", "--example", "ex1", "--start", "1,1"]
+_CURVE = ["curve", "--example", "ex1", "--guess", "1e-9,1", "--window", "0,5,0,6",
+          "--columns", "16"]
+_BASIN = ["basin", "--example", "ex4", "--guess", "2,1", "--window", "0,6,0,4",
+          "--nx", "4", "--ny", "4"]
+
+
+def _refused(tmp_path, capsys, argv, cfg_text=None):
+    """Run argv (with a config file holding cfg_text, if given); assert exit 2,
+    no output file and nothing on stdout; return stderr."""
+    out_file = tmp_path / "out"
+    if cfg_text is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(cfg_text)
+        argv = argv + ["--config", str(cfg)]
+    if argv[0] != "examples":
+        argv = argv + ["--out", str(out_file)]
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2
+    assert out == "" and not out_file.exists()
+    return err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--example", "ex1", "--max-iter", "0"],
+    _ORBIT + ["--max-iter", "7"],
+    _ORBIT + ["--window", "0,1,0,1"]])
+def test_dropped_flags_exit_2_without_output(tmp_path, capsys, argv):
+    assert "unrecognized arguments" in _refused(tmp_path, capsys, argv)
+
+
+@pytest.mark.parametrize("argv, fmt", [
+    (["analyze", "--example", "ex1"], "csv"), (_CURVE, "pgm"), (_CURVE, "json"),
+    (_ORBIT, "json")])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_unsupported_format_exit_2_without_output(tmp_path, capsys, argv, fmt,
+                                                  source):
+    if source == "flag":
+        err = _refused(tmp_path, capsys, argv + ["--format", fmt])
+    else:
+        err = _refused(tmp_path, capsys, argv, f"format={fmt}\n")
+    assert "format" in err and fmt in err
+
+
+@pytest.mark.parametrize("argv, line", [
+    (_CURVE, "colums=8"),
+    (["analyze", "--example", "ex1"], "max_iter=1000"),  # echo before the fix
+    (_ORBIT, "window=0,1,0,1"),
+    (_ORBIT, "config=other.cfg"),
+    (["examples"], "param.a=2"),
+    (["examples"], "format=csv"),
+    (_CURVE, "unstable=yes"),
+    (_CURVE, "steps=many")])  # read only by unstable curves
+def test_unread_config_key_or_value_exit_2_without_output(tmp_path, capsys, argv,
+                                                          line):
+    err = _refused(tmp_path, capsys, argv, line + "\n")
+    assert line.split("=")[0] in err

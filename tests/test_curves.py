@@ -152,6 +152,16 @@ def test_trace_unstable_rejects_contracting(ex1, ex1_fp):
         trace_unstable_curve(ex1.map, ex1_fp)
 
 
+@pytest.mark.parametrize("kw", [
+    {"steps": 0}, {"steps": -1}, {"seed_radius": math.nan},
+    {"seed_radius": math.inf}, {"seed_radius": 0.0}, {"seed_radius": -1e-4}])
+def test_trace_unstable_rejects_invalid_steps_and_seed_radius(ex5_three, kw):
+    saddle = find_fixed_point(ex5_three.map, Point2(0.235, 0.352))
+    assert saddle.eigen.mu > 1
+    with pytest.raises(ValueError):
+        trace_unstable_curve(ex5_three.map, saddle, **kw)
+
+
 def test_endpoint_analysis_labels(ex3_t):
     region = Rect(0, 10, 0, 10)
     # right end on the unique fixed point

@@ -36,6 +36,12 @@ def test_eigen2x2_complex_and_repeated():
     assert e.lam == e.mu == 2.0
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_find_fixed_point_rejects_invalid_tolerance(ex1, tol):
+    with pytest.raises(ValueError, match="tol"):
+        find_fixed_point(ex1.map, Point2(1e-9, 1.0), tol=tol)
+
+
 entries = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
 
