@@ -20,7 +20,9 @@ from .planarmap import (CompetitivityReport, OConditionReport, Orbit,
                         fd_jacobian, jacobian, orbit)
 from .expr import (differentiate, evaluate as eval_expr, expr_map, parse,
                    to_text)
-from .fixedpoints import (EigenData, FixedPointRecord, InvariantCurveHypotheses,
+from .fixedpoints import (BoundaryEndpointReport, EigenData, FixedPointRecord,
+                          InvariantCurveHypotheses,
+                          check_boundary_endpoint_conditions,
                           check_invariant_curve_hypotheses, eigen2x2,
                           find_fixed_point, find_period_two)
 from .classification import (LocalVerdict, OrderInterval, TaylorRay,
@@ -29,8 +31,7 @@ from .classification import (LocalVerdict, OrderInterval, TaylorRay,
                              first_nonzero_index, is_subsolution,
                              is_supersolution, taylor_along_eigenvector)
 from .curves import (CurveOptions, EndpointLabel, MonotoneCurve, SideOptions,
-                     SideVerdict, BoundaryEndpointReport, check_boundary_endpoint_conditions,
-                     classify_batch, classify_side, endpoint_analysis,
+                     SideVerdict, classify_batch, classify_side, endpoint_analysis,
                      trace_stable_curve, trace_unstable_curve, validate_curve)
 from .basins import (BasinRaster, ContinuityReport, LimitRecord,
                      continuity_probe, limit_equilibrium, load_csv_raster,

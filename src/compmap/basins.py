@@ -89,9 +89,9 @@ def _continue_limit(m: PlanarMap, start: Point2, x: float, y: float, n: int,
 class BasinRaster:
     """Labeled grid over a bounded window; labels[j][i] is the cell at (i, j).
 
-    Cell (i, j) has center (x_lo + (i+0.5)dx, y_lo + (j+0.5)dy); j grows with
-    y. The meta mapping echoes the full configuration and round-trips through
-    the PGM/CSV serializations.
+    Cell (i, j) has center _cell_centers(window, nx, ny, i, j), the point
+    raster classifies; j grows with y. The meta mapping echoes the full
+    configuration and round-trips through the PGM/CSV serializations.
     """
 
     window: Rect
@@ -101,8 +101,7 @@ class BasinRaster:
     meta: Mapping[str, str] = field(default_factory=dict)
 
     def cell_center(self, i: int, j: int) -> Point2:
-        return Point2(self.window.x_lo + (i + 0.5) * self.window.width() / self.nx,
-                      self.window.y_lo + (j + 0.5) * self.window.height() / self.ny)
+        return Point2(*_cell_centers(self.window, self.nx, self.ny, i, j))
 
     def label_at(self, i: int, j: int) -> str:
         return LABEL_NAMES[self.labels[j, i]]
@@ -117,6 +116,12 @@ class BasinRaster:
     def census(self) -> dict:
         counts = np.bincount(self.labels.ravel(), minlength=len(LABEL_NAMES))
         return {name: int(counts[LABEL_CODES[name]]) for name in LABEL_NAMES}
+
+
+def _cell_centers(window: Rect, nx: int, ny: int, i, j) -> tuple:
+    """Center coordinates of column i and row j (ints or arrays)."""
+    return (window.x_lo + (i + 0.5) * (window.width() / nx),
+            window.y_lo + (j + 0.5) * window.height() / ny)
 
 
 def raster_options(m: PlanarMap, window: Rect) -> SideOptions:
@@ -145,10 +150,7 @@ def raster(m: PlanarMap, fp: Point2, window: Rect, nx: int, ny: int,
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     if opts is None:
         opts = raster_options(m, window)
-    # cell centers (x_lo + (i + 0.5) * dx, y_lo + (j + 0.5) * height / ny)
-    xs = window.x_lo + (np.arange(nx) + 0.5) * (window.width() / nx)
-    ys = window.y_lo + (np.arange(ny) + 0.5) * window.height() / ny
-    X, Y = np.meshgrid(xs, ys)
+    X, Y = np.meshgrid(*_cell_centers(window, nx, ny, np.arange(nx), np.arange(ny)))
     labels = classify_batch(m, X, Y, Point2(*fp), opts)
     meta = {
         "map": m.name,

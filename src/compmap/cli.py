@@ -23,12 +23,12 @@ from typing import Optional
 from .errors import (ConstraintError, HypothesisError, MapEvalError,
                      NoConvergenceError, ParseError, UnboundParameterError)
 from .expr import expr_map
-from .fixedpoints import (FixedPointRecord, check_invariant_curve_hypotheses,
-                          find_fixed_point)
+from .fixedpoints import (FixedPointRecord, check_boundary_endpoint_conditions,
+                          check_invariant_curve_hypotheses, find_fixed_point)
 from .classification import (classify_hyperbolic_ray, classify_nonhyperbolic,
                              taylor_along_eigenvector)
-from .curves import (CurveOptions, check_boundary_endpoint_conditions,
-                     trace_stable_curve, trace_unstable_curve)
+from .curves import (SIDE_MODES, CurveOptions, trace_stable_curve,
+                     trace_unstable_curve)
 from .basins import raster, raster_options, save_raster
 from .geometry import Point2, Rect
 from .planarmap import _sample_grid, check_competitive, check_O_condition, orbit
@@ -87,7 +87,7 @@ _GUESS = _Opt("--guess", metavar="X,Y", repeat=True,
               help="fixed-point guess, repeatable")
 _WINDOW = _Opt("--window", metavar="XLO,XHI,YLO,YHI")
 _OUT = _Opt("--out", help="output file path", echo=False)
-_MODE = _Opt("--mode", choices=("quadrant_escape", "limit_equilibrium"))
+_MODE = _Opt("--mode", choices=SIDE_MODES)
 _WORKERS = _Opt("--workers", "1", int, echo=False,
                 help="accepted for compatibility; no effect")
 

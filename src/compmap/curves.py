@@ -16,12 +16,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import HypothesisError, NoConvergenceError, SingularityError
-from .fixedpoints import (FixedPointRecord, NEWTON_MAX_ITER, NEWTON_TOL,
-                          _damped_newton, _delta_parts,
-                          check_invariant_curve_hypotheses, find_fixed_point,
-                          find_period_two)
-from .geometry import Point2, Rect, in_quadrant_interior
-from .planarmap import PlanarMap, _sample_grid, jacobian
+from .fixedpoints import FixedPointRecord, check_invariant_curve_hypotheses
+from .geometry import Point2, Rect
+from .planarmap import PlanarMap
 
 
 # ---------------------------------------------------------------------------
@@ -29,6 +26,8 @@ from .planarmap import PlanarMap, _sample_grid, jacobian
 
 # An orbit with a coordinate beyond ESCAPE_BOUND in magnitude has diverged.
 ESCAPE_BOUND = 1e6
+
+SIDE_MODES = ("quadrant_escape", "limit_equilibrium")
 
 
 @dataclass(frozen=True)
@@ -49,6 +48,9 @@ class SideOptions:
     conv_tol: float = 1e-12
 
     def __post_init__(self):
+        if self.mode not in SIDE_MODES:
+            raise ValueError(f"mode must be one of {', '.join(SIDE_MODES)}, "
+                             f"got {self.mode!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
         if not (math.isfinite(self.epsilon_margin) and self.epsilon_margin >= 0):
@@ -74,9 +76,7 @@ def classify_side(m: PlanarMap, p: Point2, fp: Point2,
     """
     if opts.mode == "quadrant_escape":
         return _classify_quadrant(m, p, fp, opts)
-    if opts.mode == "limit_equilibrium":
-        return _classify_limit(m, p, fp, opts)
-    raise ValueError(f"unknown classify_side mode {opts.mode!r}")
+    return _classify_limit(m, p, fp, opts)
 
 
 def _classify_quadrant(m: PlanarMap, p: Point2, fp: Point2,
@@ -173,9 +173,7 @@ def classify_batch(m: PlanarMap, xs, ys, fp: Point2,
     classify_side with the remaining max_iter. A map without a batch step
     takes classify_side for every point.
     """
-    rule = _BATCH_RULES.get(opts.mode)
-    if rule is None:
-        raise ValueError(f"unknown classify_side mode {opts.mode!r}")
+    rule = _BATCH_RULES[opts.mode]
     xs = np.asarray(xs, dtype=float)
     labels = np.full(xs.shape, _UNDECIDED, dtype=np.uint8)
     out = labels.reshape(-1)
@@ -368,6 +366,9 @@ class CurveOptions:
     max_iter: int = 50_000
 
     def __post_init__(self):
+        if self.mode not in (None,) + SIDE_MODES:
+            raise ValueError("mode must be None or one of "
+                             f"{', '.join(SIDE_MODES)}, got {self.mode!r}")
         for name in ("columns", "max_iter"):
             v = getattr(self, name)
             if v < 1:
@@ -715,102 +716,3 @@ def trace_unstable_curve(m: PlanarMap, fp: FixedPointRecord,
     curve = replace(curve, endpoint_left=left, endpoint_right=right)
     validate_curve(curve)
     return curve
-
-
-# ---------------------------------------------------------------------------
-# Boundary-endpoint sufficient conditions
-
-
-@dataclass(frozen=True)
-class BoundaryEndpointReport:
-    """Sampled verdicts for the boundary-endpoint sufficient conditions.
-
-    Each verdict means "no counterexample found among the Newton starts", not
-    a proof. Witnesses carry any interior fixed points, minimal period-two
-    points, or extra preimages of the fixed point found in the Q1/Q3 sector.
-    """
-
-    condition_i: bool
-    condition_ii: bool
-    condition_iii: bool
-    det_at_fp: float
-    starts: int
-    fixed_witnesses: tuple
-    period_two_witnesses: tuple
-    preimage_witnesses: tuple
-
-    @property
-    def any_holds(self) -> bool:
-        return self.condition_i or self.condition_ii or self.condition_iii
-
-
-# Newton starts per side of the grid laid over each part of delta.
-BOUNDARY_GRID = 8
-
-
-def check_boundary_endpoint_conditions(m: PlanarMap, fp: FixedPointRecord,
-                                       region: Rect) -> BoundaryEndpointReport:
-    """Search the Q1/Q3 sector for objects that would obstruct boundary endpoints."""
-    if fp.kind != "fixed":
-        raise ValueError("boundary-endpoint conditions apply to fixed points")
-    x0, y0 = fp.location
-    parts = _delta_parts(region, x0, y0)
-    fp_pt = fp.location
-
-    def in_delta(p: Point2) -> bool:
-        if not region.contains(p):
-            return False
-        return any(in_quadrant_interior(fp_pt, p, k, 1e-9) for _, k in parts)
-
-    starts = [s for r, _k in parts for s in _sample_grid(r, BOUNDARY_GRID ** 2)]
-
-    fixed_w = []
-    p2_w = []
-    pre_w = []
-
-    def remember(bag, p):
-        for q in bag:
-            if p.dist_inf(q) < 1e-6:
-                return
-        bag.append(p)
-
-    for s in starts:
-        try:
-            rec = find_fixed_point(m, s)
-            r = rec.location
-            if in_delta(r) and r.dist_inf(fp_pt) > 1e-6:
-                remember(fixed_w, r)
-        except (NoConvergenceError, SingularityError, OverflowError):
-            pass
-        try:
-            rec = find_period_two(m, s)
-            r = rec.location
-            if in_delta(r):
-                remember(p2_w, r)
-        except (NoConvergenceError, SingularityError, OverflowError):
-            pass
-        try:
-            def F(p, _t=fp_pt):
-                fx, fy = m.step(p.x, p.y)
-                return Point2(fx - _t.x, fy - _t.y)
-
-            root = _damped_newton(F, lambda p: jacobian(m, p), s,
-                                  NEWTON_TOL, NEWTON_MAX_ITER)
-            if in_delta(root) and root.dist_inf(fp_pt) > 1e-6:
-                remember(pre_w, root)
-        except (NoConvergenceError, SingularityError, OverflowError):
-            pass
-
-    det = jacobian(m, fp.location).det()
-    no_fixed = not fixed_w
-    no_p2 = not p2_w
-    no_pre = not pre_w
-    return BoundaryEndpointReport(
-        condition_i=no_fixed and no_p2,
-        condition_ii=no_fixed and det > 0 and no_pre,
-        condition_iii=no_p2 and det < 0 and no_pre,
-        det_at_fp=det,
-        starts=len(starts),
-        fixed_witnesses=tuple(fixed_w),
-        period_two_witnesses=tuple(p2_w),
-        preimage_witnesses=tuple(pre_w))

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import (DegenerateRootError, NoConvergenceError, SingularityError,
                      DomainError)
-from .geometry import Matrix2, Point2, Rect
-from .planarmap import PlanarMap, check_competitive, jacobian
+from .geometry import Matrix2, Point2, Rect, in_quadrant_interior
+from .planarmap import PlanarMap, _sample_grid, check_competitive, jacobian
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 100
@@ -97,25 +97,58 @@ class FixedPointRecord:
     residual: float
 
 
-def _damped_newton(F: Callable[[Point2], Point2],
-                   J: Callable[[Point2], Matrix2],
-                   guess: Point2,
-                   tol: float,
-                   max_iter: int,
-                   on_singular: Optional[Callable[[Point2], Optional[Point2]]] = None
-                   ) -> Point2:
-    """Newton iteration with step halving until the residual decreases.
+def _residual(m: PlanarMap, p: Point2, k: int, target: Optional[Point2]) -> Point2:
+    """T^k(p) - target, with target None meaning p."""
+    x, y = p
+    for _ in range(k):
+        x, y = m.step(x, y)
+    t = p if target is None else target
+    return Point2(x - t.x, y - t.y)
 
-    on_singular, when given, may rescue a singular linear system by returning
-    a replacement iterate (or None to give up).
+
+def _dt(m: PlanarMap, p: Point2, k: int) -> Matrix2:
+    """DT^k(p), by the chain rule along the orbit of p."""
+    j = jacobian(m, p)
+    for _ in range(k - 1):
+        p = Point2(*m.step(p.x, p.y))
+        a = jacobian(m, p)
+        j = Matrix2(a.a11 * j.a11 + a.a12 * j.a21, a.a11 * j.a12 + a.a12 * j.a22,
+                    a.a21 * j.a11 + a.a22 * j.a21, a.a21 * j.a12 + a.a22 * j.a22)
+    return j
+
+
+def _iterate_ahead(m: PlanarMap, p: Point2) -> Optional[Point2]:
+    """The 50th iterate of p, or None if the orbit breaks down or stays put."""
+    x, y = p
+    for _ in range(50):
+        try:
+            x, y = m.step(x, y)
+        except SingularityError:
+            return None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return None
+    q = Point2(x, y)
+    return q if q.dist_inf(p) > 0 else None
+
+
+def _solve(m: PlanarMap, guess: Point2, k: int = 1,
+           target: Optional[Point2] = None, tol: float = NEWTON_TOL,
+           fallback: bool = False) -> tuple:
+    """Damped Newton on T^k(p) - target = 0 (target None: p), k in {1, 2}.
+
+    Each step is halved until the sup-norm residual decreases. With
+    fallback, a singular Newton matrix restarts from _iterate_ahead before
+    the search is abandoned. Returns the root and its sup-norm residual.
     """
     p = Point2(float(guess[0]), float(guess[1]))
-    fp = F(p)
+    fp = _residual(m, p, k, target)
     res = max(abs(fp.x), abs(fp.y))
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if res < tol:
-            return p
-        j = J(p)
+            return p, res
+        j = _dt(m, p, k)
+        if target is None:
+            j = Matrix2(j.a11 - 1.0, j.a12, j.a21, j.a22 - 1.0)
         det = j.det()
         try:
             singular = abs(det) < 1e-14 * max(1.0, j.norm_inf()) ** 2
@@ -123,13 +156,12 @@ def _damped_newton(F: Callable[[Point2], Point2],
             raise NoConvergenceError(
                 f"Newton matrix overflows at ({p.x:.6g}, {p.y:.6g})") from None
         if singular:
-            if on_singular is not None:
-                q = on_singular(p)
-                if q is not None:
-                    p = q
-                    fp = F(p)
-                    res = max(abs(fp.x), abs(fp.y))
-                    continue
+            q = _iterate_ahead(m, p) if fallback else None
+            if q is not None:
+                p = q
+                fp = _residual(m, p, k, target)
+                res = max(abs(fp.x), abs(fp.y))
+                continue
             raise NoConvergenceError(
                 f"singular Newton matrix at ({p.x:.6g}, {p.y:.6g})")
         dx = (-fp.x * j.a22 + fp.y * j.a12) / det
@@ -138,7 +170,7 @@ def _damped_newton(F: Callable[[Point2], Point2],
         for _h in range(MAX_HALVINGS + 1):
             cand = Point2(p.x + dx, p.y + dy)
             try:
-                fc = F(cand)
+                fc = _residual(m, cand, k, target)
                 cres = max(abs(fc.x), abs(fc.y))
                 if math.isfinite(cres) and cres < res:
                     p, fp, res = cand, fc, cres
@@ -152,9 +184,29 @@ def _damped_newton(F: Callable[[Point2], Point2],
             raise NoConvergenceError(
                 f"Newton stalled at ({p.x:.6g}, {p.y:.6g}), residual {res:.3g}")
     if res < tol:
-        return p
-    raise NoConvergenceError(
-        f"no convergence after {max_iter} Newton iterations (residual {res:.3g})")
+        return p, res
+    raise NoConvergenceError(f"no convergence after {NEWTON_MAX_ITER} Newton "
+                             f"iterations (residual {res:.3g})")
+
+
+def _record(root: Point2, kind: str, partner: Optional[Point2], dt: Matrix2,
+            residual: float) -> FixedPointRecord:
+    """The record of a root of T^k(p) - target, given DT^k(root) as dt.
+
+    A complex pair is nonhyperbolic when its modulus sqrt|det dt| is 1.
+    """
+    eig = eigen2x2(dt)
+    if eig.complex_pair:
+        rho = math.sqrt(abs(dt.det()))
+        cls = "nonhyperbolic" if abs(rho - 1.0) <= NONHYPERBOLIC_TOL else "complex"
+    elif not eig.real_distinct:
+        a = abs(eig.lam)
+        cls = ("nonhyperbolic" if abs(a - 1.0) <= NONHYPERBOLIC_TOL
+               else "attractor" if a < 1.0 else "repeller")
+    else:
+        cls = classify_eigen(eig)
+    return FixedPointRecord(location=root, kind=kind, partner=partner, eigen=eig,
+                            classification=cls, residual=residual)
 
 
 def find_fixed_point(m: PlanarMap, guess: Point2,
@@ -166,90 +218,22 @@ def find_fixed_point(m: PlanarMap, guess: Point2,
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-
-    def F(p: Point2) -> Point2:
-        fx, fy = m.step(p.x, p.y)
-        return Point2(fx - p.x, fy - p.y)
-
-    def J(p: Point2) -> Matrix2:
-        j = jacobian(m, p)
-        return Matrix2(j.a11 - 1.0, j.a12, j.a21, j.a22 - 1.0)
-
-    def fallback(p: Point2) -> Optional[Point2]:
-        x, y = p
-        for _ in range(50):
-            try:
-                x, y = m.step(x, y)
-            except SingularityError:
-                return None
-            if not (math.isfinite(x) and math.isfinite(y)):
-                return None
-        q = Point2(x, y)
-        return q if q.dist_inf(p) > 0 else None
-
-    root = _damped_newton(F, J, guess, tol, NEWTON_MAX_ITER, on_singular=fallback)
-    res = F(root)
-    eig = eigen2x2(jacobian(m, root))
-    return FixedPointRecord(location=root, kind="fixed", partner=None,
-                            eigen=eig, classification=_classify(m, root, eig),
-                            residual=max(abs(res.x), abs(res.y)))
-
-
-def _classify(m: PlanarMap, p: Point2, eig: EigenData) -> str:
-    if eig.complex_pair:
-        det = jacobian(m, p).det()
-        rho = math.sqrt(abs(det))
-        if abs(rho - 1.0) <= NONHYPERBOLIC_TOL:
-            return "nonhyperbolic"
-        return "complex"
-    if not eig.real_distinct:
-        a = abs(eig.lam)
-        if abs(a - 1.0) <= NONHYPERBOLIC_TOL:
-            return "nonhyperbolic"
-        return "attractor" if a < 1.0 else "repeller"
-    return classify_eigen(eig)
-
-
-def _second_iterate_pieces(m: PlanarMap):
-    def step2(x: float, y: float):
-        u, v = m.step(x, y)
-        return m.step(u, v)
-
-    def jac2(p: Point2) -> Matrix2:
-        j1 = jacobian(m, p)
-        u, v = m.step(p.x, p.y)
-        j2 = jacobian(m, Point2(u, v))
-        return Matrix2(j2.a11 * j1.a11 + j2.a12 * j1.a21,
-                       j2.a11 * j1.a12 + j2.a12 * j1.a22,
-                       j2.a21 * j1.a11 + j2.a22 * j1.a21,
-                       j2.a21 * j1.a12 + j2.a22 * j1.a22)
-
-    return step2, jac2
+    root, res = _solve(m, guess, tol=tol, fallback=True)
+    return _record(root, "fixed", None, jacobian(m, root), res)
 
 
 def find_period_two(m: PlanarMap, guess: Point2) -> FixedPointRecord:
-    """Newton on T^2(p) - p, rejecting roots that are plain fixed points."""
-    step2, jac2 = _second_iterate_pieces(m)
+    """Newton on T^2(p) - p, rejecting roots that are plain fixed points.
 
-    def F(p: Point2) -> Point2:
-        fx, fy = step2(p.x, p.y)
-        return Point2(fx - p.x, fy - p.y)
-
-    def J(p: Point2) -> Matrix2:
-        j = jac2(p)
-        return Matrix2(j.a11 - 1.0, j.a12, j.a21, j.a22 - 1.0)
-
-    root = _damped_newton(F, J, guess, NEWTON_TOL, NEWTON_MAX_ITER)
+    Eigen data and classification come from DT^2 at the root.
+    """
+    root, res = _solve(m, guess, k=2)
     img = Point2(*m.step(root.x, root.y))
     if root.dist_inf(img) < 10.0 * NEWTON_TOL:
         raise DegenerateRootError(
             f"degenerate: fixed point at ({root.x:.6g}, {root.y:.6g}),"
             " not a minimal period-two point")
-    res = F(root)
-    eig = eigen2x2(jac2(root))
-    return FixedPointRecord(location=root, kind="period_two", partner=img,
-                            eigen=eig, classification=_classify(m, root, eig),
-                            residual=max(abs(res.x), abs(res.y)))
+    return _record(root, "period_two", img, _dt(m, root, 2), res)
 
 
 # ---------------------------------------------------------------------------
@@ -358,3 +342,76 @@ def check_invariant_curve_hypotheses(m: PlanarMap, fp: FixedPointRecord,
                           eigenvector_off_axis=off_axis,
                           strongly_competitive=strong, samples=n,
                           failed=tuple(failed))
+
+
+# ---------------------------------------------------------------------------
+# Boundary-endpoint sufficient conditions
+
+
+@dataclass(frozen=True)
+class BoundaryEndpointReport:
+    """Sampled verdicts for the boundary-endpoint sufficient conditions.
+
+    Each verdict means "no counterexample found among the Newton starts", not
+    a proof. Witnesses carry any interior fixed points, minimal period-two
+    points, or extra preimages of the fixed point found in the Q1/Q3 sector.
+    """
+
+    condition_i: bool
+    condition_ii: bool
+    condition_iii: bool
+    det_at_fp: float
+    starts: int
+    fixed_witnesses: tuple
+    period_two_witnesses: tuple
+    preimage_witnesses: tuple
+
+    @property
+    def any_holds(self) -> bool:
+        return self.condition_i or self.condition_ii or self.condition_iii
+
+
+# Newton starts per side of the grid laid over each part of delta.
+BOUNDARY_GRID = 8
+
+
+def check_boundary_endpoint_conditions(m: PlanarMap, fp: FixedPointRecord,
+                                       region: Rect) -> BoundaryEndpointReport:
+    """Search the Q1/Q3 sector for objects that would obstruct boundary endpoints.
+
+    From every start, Newton looks for a fixed point (T - id), a minimal
+    period-two point (T^2 - id) and a preimage of fp (T - fp); a root in
+    delta other than fp becomes a witness.
+    """
+    if fp.kind != "fixed":
+        raise ValueError("boundary-endpoint conditions apply to fixed points")
+    fp_pt = fp.location
+    parts = _delta_parts(region, fp_pt.x, fp_pt.y)
+    starts = [s for r, _k in parts for s in _sample_grid(r, BOUNDARY_GRID ** 2)]
+    fixed_w, p2_w, pre_w = [], [], []
+    # (witnesses, whether fp itself is excluded, search)
+    searches = ((fixed_w, True, lambda s: find_fixed_point(m, s).location),
+                (p2_w, False, lambda s: find_period_two(m, s).location),
+                (pre_w, True, lambda s: _solve(m, s, target=fp_pt)[0]))
+    for s in starts:
+        for bag, off_fp, search in searches:
+            try:
+                r = search(s)
+            except (NoConvergenceError, SingularityError, OverflowError):
+                continue
+            if (region.contains(r)
+                    and any(in_quadrant_interior(fp_pt, r, k, 1e-9) for _, k in parts)
+                    and (not off_fp or r.dist_inf(fp_pt) > 1e-6)
+                    and all(not r.dist_inf(q) < 1e-6 for q in bag)):
+                bag.append(r)
+
+    det = jacobian(m, fp_pt).det()
+    return BoundaryEndpointReport(
+        condition_i=not fixed_w and not p2_w,
+        condition_ii=not fixed_w and det > 0 and not pre_w,
+        condition_iii=not p2_w and det < 0 and not pre_w,
+        det_at_fp=det,
+        starts=len(starts),
+        fixed_witnesses=tuple(fixed_w),
+        period_two_witnesses=tuple(p2_w),
+        preimage_witnesses=tuple(pre_w))

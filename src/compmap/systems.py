@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConstraintError
 from .expr import ExprJacobian, ExprPair, parse
-from .fixedpoints import FixedPointRecord, eigen2x2, _classify
+from .fixedpoints import _record
 from .geometry import Point2, Rect
 from .planarmap import FD_STEP, PlanarMap, jacobian
 
@@ -297,16 +297,13 @@ def sweep_continuum(sys: ExampleSystem, n: int) -> list:
         res = max(abs(fx - pt.x), abs(fy - pt.y))
         if res > 1e-10:
             raise AssertionError(f"{sys.id} continuum point {pt} has residual {res:g}")
-        eig = eigen2x2(jacobian(sys.map, pt))
+        rec = _record(pt, "fixed", None, jacobian(sys.map, pt), res)
         lam_f, mu_f = cont.eigenvalues(t)
-        for got, want in ((eig.lam, lam_f), (eig.mu, mu_f)):
+        for got, want in ((rec.eigen.lam, lam_f), (rec.eigen.mu, mu_f)):
             if abs(got - want) > 1e-8 * max(1.0, abs(want)):
                 raise AssertionError(
                     f"{sys.id} eigenvalue {got!r} != closed form {want!r} at t={t:g}")
-        records.append(FixedPointRecord(location=pt, kind="fixed", partner=None,
-                                        eigen=eig,
-                                        classification=_classify(sys.map, pt, eig),
-                                        residual=res))
+        records.append(rec)
     return records
 
 
@@ -333,28 +330,23 @@ class Ex5Curves:
         return (y * y + self.c2 * x * y + (1.0 - self.b2 - self.h2) * y
                 - self.c2 * self.h2 * x - self.h2)
 
-    def y1(self, x: float) -> Optional[float]:
-        """Solve residual_c1 = 0 for y (linear in y); None at the x = h1 pole."""
-        den = self.c1 * (x - self.h1)
-        if abs(den) < 1e-14:
-            return None
-        return (-x * x - (1.0 - self.b1 - self.h1) * x + self.h1) / den
+    # y1, y2 and gap take a float (and return one) or an array.
 
-    def y2(self, x: float) -> Optional[float]:
-        """Positive root of residual_c2 = 0 (quadratic in y)."""
+    def y1(self, x):
+        """Solve residual_c1 = 0 for y (linear in y); NaN at the x = h1 pole."""
+        den = self.c1 * (x - self.h1)
+        return ((-x * x - (1.0 - self.b1 - self.h1) * x + self.h1)
+                / _nan_where(abs(den) < 1e-14, den))
+
+    def y2(self, x):
+        """Positive root of residual_c2 = 0 (quadratic in y); NaN if none is real."""
         b = self.c2 * x + (1.0 - self.b2 - self.h2)
         c = -(self.c2 * self.h2 * x + self.h2)
         disc = b * b - 4.0 * c
-        if disc < 0.0:
-            return None
-        return 0.5 * (-b + math.sqrt(disc))
+        return 0.5 * (-b + _sqrt(_nan_where(disc < 0.0, disc)))
 
-    def gap(self, x: float) -> float:
-        a = self.y1(x)
-        b = self.y2(x)
-        if a is None or b is None:
-            return math.nan
-        return a - b
+    def gap(self, x):
+        return self.y1(x) - self.y2(x)
 
     def slope_gap(self, x: float) -> float:
         """Difference of the two graph slopes at x (zero at a tangency), by
@@ -363,6 +355,17 @@ class Ex5Curves:
         d1 = (self.y1(x + h) - self.y1(x - h)) / (2.0 * h)
         d2 = (self.y2(x + h) - self.y2(x - h)) / (2.0 * h)
         return d1 - d2
+
+
+def _nan_where(bad, v):
+    """v with NaN where bad holds; a float stays a float."""
+    if isinstance(v, np.ndarray):
+        return np.where(bad, math.nan, v)
+    return math.nan if bad else v
+
+
+def _sqrt(v):
+    return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
 
 
 def ex5_critical_curves(params: Optional[Mapping[str, float]] = None) -> Ex5Curves:
@@ -393,9 +396,8 @@ def ex5_equilibria(params: Optional[Mapping[str, float]] = None) -> list:
     cur = ex5_critical_curves(params)
     x_lo = cur.h1 * (1.0 + 1e-9) + 1e-12
     xs = np.linspace(x_lo, EX5_X_MAX, EX5_SCAN)
-    gaps = np.array([cur.gap(x) for x in xs])
+    sign = np.sign(cur.gap(xs))
     roots = []
-    sign = np.sign(gaps)
     for i in np.nonzero(np.diff(sign) != 0)[0]:
         xr = _bisect_root(cur.gap, float(xs[i]), float(xs[i + 1]))
         roots.append(Point2(xr, cur.y2(xr)))
@@ -440,12 +442,13 @@ def _leftmost_local_min(cur: Ex5Curves):
     """Locate the leftmost local minimum of the curve gap (the tangency dip)."""
     x_lo = cur.h1 + 1e-6 * max(1.0, cur.h1)
     xs = np.linspace(x_lo, TANGENCY_X_MAX, TANGENCY_SCAN)
-    g = np.array([cur.gap(x) for x in xs])
-    for i in range(1, TANGENCY_SCAN - 1):
-        if g[i] <= g[i - 1] and g[i] <= g[i + 1]:
-            x = _golden_min(cur.gap, float(xs[i - 1]), float(xs[i + 1]))
-            return x, cur.gap(x)
-    return None, math.nan
+    g = cur.gap(xs)
+    dips = np.flatnonzero((g[1:-1] <= g[:-2]) & (g[1:-1] <= g[2:]))
+    if not len(dips):
+        return None, math.nan
+    i = int(dips[0]) + 1
+    x = _golden_min(cur.gap, float(xs[i - 1]), float(xs[i + 1]))
+    return x, cur.gap(x)
 
 
 @dataclass(frozen=True)

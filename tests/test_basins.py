@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from compmap import (Point2, Rect, SideOptions, classify_side,
-                     continuity_probe, limit_equilibrium, load_csv_raster,
-                     load_pgm, raster, raster_to_csv, raster_to_pgm,
-                     save_raster)
+from compmap import (Point2, Rect, SideOptions, SingularityError, basins,
+                     classify_side, continuity_probe, limit_equilibrium,
+                     load_csv_raster, load_pgm, raster, raster_to_csv,
+                     raster_to_pgm, save_raster)
 from compmap.basins import LABEL_CODES, LABEL_NAMES
 from compmap.planarmap import PlanarMap
 
@@ -38,6 +40,36 @@ def test_limit_ex2_on_segment(ex2):
 def test_limit_divergence_marker(ex4):
     rec = limit_equilibrium(ex4.map, Point2(1.0, 2.0), max_iter=5000)
     assert rec.diverged and rec.limit is None
+
+
+def test_limit_singularity_mid_orbit():
+    def step(x, y):
+        if x > 3.5:
+            raise SingularityError("pole")
+        return x + 1.0, y
+
+    m = PlanarMap(name="drift", step=step, domain=Rect(0, 10, 0, 10))
+    rec = limit_equilibrium(m, Point2(0.0, 1.0))
+    assert (rec.limit, rec.iterations, rec.diverged, rec.flag) == \
+        (None, 4, True, "singularity")
+
+
+def test_cell_centers_are_the_classified_points(ex4, monkeypatch):
+    seen = []
+    classify = basins.classify_batch
+
+    def spy(m, X, Y, fp, opts):
+        seen.append((X, Y))
+        return classify(m, X, Y, fp, opts)
+
+    monkeypatch.setattr(basins, "classify_batch", spy)
+    # on this window 2.5 * (6/33) and 2.5 * 6 / 33 differ by an ulp
+    r = raster(ex4.map, Point2(2, 1), Rect(0, 6, 0, 4), 33, 33,
+               SideOptions(max_iter=5))
+    [(X, Y)] = seen
+    for j in range(33):
+        for i in range(33):
+            assert r.cell_center(i, j) == (X[j, i], Y[j, i])
 
 
 def test_raster_census_and_labels(ex4_raster):
@@ -156,3 +188,9 @@ def test_continuity_probe_gap_shrinks(ex1):
     gaps = [continuity_probe(ex1.map, (Point2(0.1, 0.1), Point2(0.1, 4.0)),
                              n=n, tol=1e-12).max_gap for n in (32, 64)]
     assert gaps[1] < gaps[0]
+
+
+def test_continuity_probe_without_batch_matches_batch(ex1):
+    seg = (Point2(0.1, 0.1), Point2(0.1, 4.0))
+    assert continuity_probe(replace(ex1.map, batch=None), seg, n=24) == \
+        continuity_probe(ex1.map, seg, n=24)

@@ -403,6 +403,6 @@ def test_side_options_reject_invalid_values():
     for bad in ({"max_iter": 0}, {"max_iter": -1},
                 {"epsilon_margin": math.nan}, {"epsilon_margin": -1e-3},
                 {"epsilon_margin": math.inf}, {"conv_tol": math.nan},
-                {"conv_tol": 0.0}):
+                {"conv_tol": 0.0}, {"mode": "bogus"}, {"mode": None}):
         with pytest.raises(ValueError):
             SideOptions(**bad)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from compmap import (CurveOptions, EndpointLabel, HypothesisError,
-                     MonotoneCurve, Point2, Rect, SideOptions,
+                     MonotoneCurve, Point2, Rect, SideOptions, SingularityError,
                      check_boundary_endpoint_conditions, classify_side,
                      converges_to, endpoint_analysis, find_fixed_point,
                      find_period_two, le_se, make_example, trace_stable_curve,
@@ -40,10 +40,34 @@ def test_classify_side_singularity_flag(ex4):
     assert v.label == "undecided" and v.flag == "singularity"
 
 
+def _pole(x, y):
+    raise SingularityError("pole")
+
+
+_PLANE = Rect(-math.inf, math.inf, -math.inf, math.inf)
+
+
+@pytest.mark.parametrize("mode,step,domain,flag", [
+    ("quadrant_escape", lambda x, y: (x, y + 1.0), Rect(-5, 5, -5, 5), "escape"),
+    ("quadrant_escape", lambda x, y: (x, 10.0 * y), _PLANE, "divergence"),
+    ("quadrant_escape", lambda x, y: (x, math.nan), _PLANE, "singularity"),
+    ("limit_equilibrium", lambda x, y: (x, 10.0 * y), _PLANE, "divergence"),
+    ("limit_equilibrium", lambda x, y: (x, math.nan), _PLANE, "singularity"),
+    ("limit_equilibrium", _pole, _PLANE, "singularity"),
+])
+def test_classify_side_undecided_flags(mode, step, domain, flag):
+    # the orbit of (0, 1) stays on the vertical through fp = (0, 0), so no
+    # quadrant entry or limit decides it before the flag fires
+    m = PlanarMap(name="toy", step=step, domain=domain)
+    v = classify_side(m, Point2(0.0, 1.0), Point2(0.0, 0.0),
+                      SideOptions(mode=mode, max_iter=100))
+    assert (v.label, v.flag) == ("undecided", flag)
+
+
 def test_curve_options_reject_invalid_values():
     for bad in ({"columns": 0}, {"columns": -3}, {"max_iter": 0},
                 {"curve_tol": math.nan}, {"curve_tol": 0.0},
-                {"curve_tol": -1e-8}):
+                {"curve_tol": -1e-8}, {"mode": "bogus"}):
         with pytest.raises(ValueError):
             CurveOptions(**bad)
 
@@ -137,6 +161,25 @@ def test_trace_unstable_ex5(ex5_three):
     for i in range(len(sample)):
         for j in range(i + 1, len(sample)):
             assert le_se(sample[i], sample[j])
+
+
+@pytest.mark.parametrize("wall", [False, True])
+def test_trace_unstable_truncates_where_orbits_stop(wall):
+    # a linear saddle at the origin with mu = 2 along (1, -1): orbits leave
+    # the domain on both sides, or on the left stop at a pole past x = -0.5
+    def step(x, y):
+        if wall and x < -0.5:
+            raise SingularityError("wall")
+        return 1.25 * x - 0.75 * y, -0.75 * x + 1.25 * y
+
+    m = PlanarMap(name="saddle", step=step, domain=Rect(-1, 1, -1, 1))
+    rec = find_fixed_point(m, Point2(0.1, 0.05))
+    assert rec.eigen.mu == pytest.approx(2.0)
+    wu = trace_unstable_curve(m, rec, steps=40)
+    validate_curve(wu)
+    assert all(m.domain.contains(v) for v in wu.vertices)
+    assert wu.endpoint_left.kind == wu.endpoint_right.kind == "truncated"
+    assert -1.0 <= wu.vertices[0].x < -0.5 and 0.5 < wu.vertices[-1].x <= 1.0
 
 
 def test_trace_unstable_rejects_axis_eigenvector():

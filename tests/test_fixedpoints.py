@@ -164,3 +164,31 @@ def test_record_residual_invariant(ex1, ex3_t):
             fx, fy = m.step(fx, fy)
         assert max(abs(fx - x), abs(fy - y)) < 1e-10
         assert rec.residual < 1e-10
+
+
+def _rotation(r, degrees):
+    c = r * math.cos(math.radians(degrees))
+    s = r * math.sin(math.radians(degrees))
+    return Matrix2(c, -s, s, c)
+
+
+def test_period_two_classified_from_second_iterate():
+    # T swaps p = (1, 0) and q = (-1, 0), affine near each: DT(p) = 0.5 R(60),
+    # DT(q) = 2 R(30), so DT^2(p) = R(90) with eigenvalues +-i, |lambda| = 1,
+    # while det DT(p) alone would give modulus 0.5
+    A, B = _rotation(0.5, 60.0), _rotation(2.0, 30.0)
+
+    def step(x, y):
+        if x > 0:
+            u = A.mul(Point2(x - 1.0, y))
+            return -1.0 + u.x, u.y
+        u = B.mul(Point2(x + 1.0, y))
+        return 1.0 + u.x, u.y
+
+    m = PlanarMap(name="swap", step=step, domain=Rect(-3, 3, -3, 3),
+                  jac=lambda x, y: A if x > 0 else B)
+    rec = find_period_two(m, Point2(1.05, 0.03))
+    assert rec.location == pytest.approx((1.0, 0.0), abs=1e-12)
+    assert rec.partner == pytest.approx((-1.0, 0.0), abs=1e-12)
+    assert rec.eigen.complex_pair
+    assert rec.classification == "nonhyperbolic"

@@ -152,6 +152,19 @@ def test_O_condition_inconclusive_on_collision():
     assert rep.verdict == "inconclusive"
 
 
+def test_O_condition_inconclusive_on_injectivity_collision():
+    # the identity, except that a strip between the Jacobian samples
+    # (x = 0.05, 0.15, ...) collapses to one point
+    def step(x, y):
+        return (0.1, 0.5) if 0.06 < x < 0.14 else (x, y)
+
+    m = PlanarMap(name="strip", step=step, domain=Rect(0, 1, 0, 1))
+    rep = check_O_condition(m, Rect(0, 1, 0, 1))
+    assert rep.det_min > 0
+    assert rep.verdict == "inconclusive"
+    assert rep.note == "injectivity probe collision" and rep.collisions > 0
+
+
 @pytest.mark.parametrize("dsl", [False, True])
 def test_O_probe_is_two_batch_calls(ex1, dsl):
     m = expr_map("x/(a+y)", "y/(1+x)", {"a": 2.0}) if dsl else ex1.map

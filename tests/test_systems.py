@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compmap import (EXAMPLE_IDS, ConstraintError, Point2, SingularityError,
-                     eigen2x2, ex5_critical_curves, ex5_equilibria,
-                     find_fixed_point, jacobian, le_se, make_example,
-                     sweep_continuum)
+from compmap import (EXAMPLE_IDS, ConstraintError, Ex5Curves, Point2,
+                     SingularityError, eigen2x2, ex5_critical_curves,
+                     ex5_equilibria, find_fixed_point, jacobian, le_se,
+                     make_example, sweep_continuum)
 from helpers import direction_close, hand_written, nan_guard, square_guard
 
 
@@ -233,3 +233,35 @@ def test_ex5_curves_reduce_to_lines_without_inflow():
         y_line = (b1 - 1.0 - x) / c1
         assert abs(cur.residual_c1(x, y_line)) < 1e-12
         assert cur.y1(x) == pytest.approx(y_line, rel=1e-12)
+
+
+def _same_floats(a, b):
+    return all(x == y or (math.isnan(x) and math.isnan(y)) for x, y in zip(a, b))
+
+
+def test_ex5_curves_on_arrays_match_floats():
+    cur = ex5_critical_curves()
+    xs = np.append(np.linspace(cur.h1 * (1.0 + 1e-9) + 1e-12, 30.0, 2001), cur.h1)
+    for f in (cur.y1, cur.y2, cur.gap):
+        one_by_one = [f(x) for x in xs.tolist()]
+        assert all(type(v) is float for v in one_by_one)
+        assert _same_floats(f(xs).tolist(), one_by_one)
+    assert math.isnan(cur.y1(cur.h1)) and math.isnan(cur.gap(cur.h1))
+    # b2 < 0 leaves residual_c2 without a real root near x = -0.67
+    odd = Ex5Curves(b1=2.0, b2=-1.0, c1=3.0, c2=3.0, h1=0.03, h2=0.01)
+    assert math.isnan(odd.y2(-0.67)) and np.isnan(odd.y2(np.array([-0.67])))[0]
+
+
+def test_ex5_equilibria_are_pinned_python_floats(ex5_two):
+    # the merged point reaches raster meta through repr, so its type and
+    # every bit are part of the output
+    got = (ex5_two.h1, ex5_two.tangency_x, *ex5_two.nonhyperbolic,
+           *ex5_two.attractor)
+    assert all(type(v) is float for v in got)
+    assert got == (0.04691816709483519, 0.1592269195057127, 0.1592269195057127,
+                   0.558764732279821, 1.0366330975384046, 0.019392793095048155)
+    eqs = ex5_equilibria()
+    assert all(type(v) is float for p in eqs for v in p)
+    assert eqs == [Point2(0.06951868601942504, 0.8162501392090162),
+                   Point2(0.23540061993701655, 0.3522371495843135),
+                   Point2(1.0021093513735613, 0.019870699979225193)]
