@@ -30,13 +30,13 @@ from .classification import (LocalVerdict, OrderInterval, TaylorRay,
                              converges_to, exits_interval, find_order_interval,
                              first_nonzero_index, is_subsolution,
                              is_supersolution, taylor_along_eigenvector)
-from .curves import (CurveOptions, EndpointLabel, MonotoneCurve, SideOptions,
-                     SideVerdict, classify_batch, classify_side, endpoint_analysis,
-                     trace_stable_curve, trace_unstable_curve, validate_curve)
-from .basins import (BasinRaster, ContinuityReport, LimitRecord,
-                     continuity_probe, limit_equilibrium, load_csv_raster,
-                     load_pgm, raster, raster_to_csv, raster_to_pgm,
-                     save_raster)
+from .curves import (CurveOptions, EndpointLabel, LimitRecord, MonotoneCurve,
+                     SideOptions, SideVerdict, classify_batch, classify_side,
+                     endpoint_analysis, limit_equilibrium, trace_stable_curve,
+                     trace_unstable_curve, validate_curve)
+from .basins import (BasinRaster, ContinuityReport, continuity_probe,
+                     load_csv_raster, load_pgm, raster, raster_to_csv,
+                     raster_to_pgm, save_raster)
 from .systems import (DEFAULT_PARAMS, DESCRIPTIONS, EXAMPLE_IDS, Continuum,
                       Ex5Curves, Ex5TwoEquilibria, ExampleSystem, Fixture,
                       ex5_critical_curves, ex5_equilibria,

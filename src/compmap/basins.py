@@ -1,4 +1,5 @@
-"""Basin decomposition rasters, limiting equilibria, and continuity probes."""
+"""Basin decomposition rasters and continuity probes of the limiting-equilibrium
+map T* (which curves defines; limit_equilibrium is re-exported here)."""
 
 from __future__ import annotations
 
@@ -8,77 +9,15 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import SingularityError
 from .geometry import Point2, Rect
 from .planarmap import PlanarMap
-from .curves import (BATCH_HANDOFF, ESCAPE_BOUND, LABEL_CODES, LABEL_NAMES,
-                     SideOptions, _resolve_mode, classify_batch)
-
-LIMIT_RESIDUAL_TOL = 1e-6
+from .curves import (LABEL_CODES, LABEL_NAMES, SideOptions, _check_limit_args,
+                     _limits_lockstep, _resolve_mode, classify_batch)
+from .curves import LimitRecord, limit_equilibrium  # noqa: F401  (re-exported)
 
 # PGM gray levels per label
 PGM_GRAY = {"minus": 0, "band": 128, "plus": 255, "undecided": 64, "singular": 32}
 _GRAY_TO_LABEL = {v: k for k, v in PGM_GRAY.items()}
-
-
-# ---------------------------------------------------------------------------
-# Limiting equilibrium T*
-
-
-@dataclass(frozen=True)
-class LimitRecord:
-    start: Point2
-    limit: Optional[Point2]
-    iterations: int
-    diverged: bool = False
-    flag: str = ""
-
-    @property
-    def converged(self) -> bool:
-        return self.limit is not None
-
-
-def limit_equilibrium(m: PlanarMap, p: Point2, tol: float = 1e-10,
-                      max_iter: int = 100_000) -> LimitRecord:
-    """Iterate to the limiting equilibrium T*(p).
-
-    Converges when the sup-norm step drops below tol and the fixed-point
-    residual of the candidate limit is below 1e-6; a coordinate exceeding
-    ESCAPE_BOUND (or a singularity) yields a divergence marker instead.
-    """
-    start = Point2(*p)
-    x, y = float(p[0]), float(p[1])
-    try:
-        x1, y1 = m.step(x, y)
-    except SingularityError:
-        return LimitRecord(start, None, 0, diverged=True, flag="singularity")
-    if max(abs(x1 - x), abs(y1 - y)) < tol:
-        return LimitRecord(start, Point2(x, y), 0)
-    return _continue_limit(m, start, x, y, 0, tol, max_iter)
-
-
-def _continue_limit(m: PlanarMap, start: Point2, x: float, y: float, n: int,
-                    tol: float, max_iter: int) -> LimitRecord:
-    """limit_equilibrium's iteration from its state after n steps, at (x, y)."""
-    step = m.step
-    while n < max_iter:
-        try:
-            xn, yn = step(x, y)
-        except SingularityError:
-            return LimitRecord(start, None, n, diverged=True, flag="singularity")
-        n += 1
-        if not (math.isfinite(xn) and math.isfinite(yn)) \
-                or abs(xn) > ESCAPE_BOUND or abs(yn) > ESCAPE_BOUND:
-            return LimitRecord(start, None, n, diverged=True, flag="escape")
-        if max(abs(xn - x), abs(yn - y)) < tol:
-            try:
-                xr, yr = step(xn, yn)
-            except SingularityError:
-                return LimitRecord(start, None, n, diverged=True, flag="singularity")
-            if max(abs(xr - xn), abs(yr - yn)) < LIMIT_RESIDUAL_TOL:
-                return LimitRecord(start, Point2(xn, yn), n)
-        x, y = xn, yn
-    return LimitRecord(start, None, max_iter, diverged=False, flag="max_iter")
 
 
 # ---------------------------------------------------------------------------
@@ -273,20 +212,20 @@ def continuity_probe(m: PlanarMap, segment: tuple, n: int,
 
     Shrinking max_gap under refinement of n is numeric evidence that the
     limiting equilibrium varies continuously with the initial condition.
-    The samples are iterated together when the map has a batch step; each
-    limit equals limit_equilibrium's at its sample.
+    The samples are iterated together; each limit equals limit_equilibrium's
+    at its sample. tol must be finite and > 0, and max_iter >= 1.
     """
     if n < 2:
         raise ValueError("need at least two probe points")
+    _check_limit_args(tol, max_iter)
     a, b = Point2(*segment[0]), Point2(*segment[1])
     starts = [Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
               for t in (k / (n - 1) for k in range(n))]
-    if m.batch is None:
-        limits = [limit_equilibrium(m, p, tol=tol, max_iter=max_iter).limit
-                  for p in starts]
-    else:
-        with np.errstate(all="ignore"):
-            limits = _limits_batch(m, starts, tol, max_iter)
+    LX, LY, _ = _limits_lockstep(m, np.array([p.x for p in starts], dtype=float),
+                                 np.array([p.y for p in starts], dtype=float),
+                                 tol, max_iter)
+    limits = [None if math.isnan(x) else Point2(x, y)
+              for x, y in zip(LX.tolist(), LY.tolist())]
     divergent = sum(q is None for q in limits)
     max_gap = 0.0
     argmax = 0
@@ -303,44 +242,3 @@ def continuity_probe(m: PlanarMap, segment: tuple, n: int,
         prev, prev_idx = q, idx
     return ContinuityReport(max_gap=max_gap, argmax=argmax, n=n,
                             divergent=divergent, limits=tuple(limits))
-
-
-def _limits_batch(m: PlanarMap, starts: list, tol: float, max_iter: int) -> list:
-    """limit_equilibrium(...).limit for every start, in lockstep.
-
-    Applies limit_equilibrium's rules to all points at once: the first-step
-    check, the escape bound, and the residual step before a limit is
-    accepted. NaN from the batch step stands for a singularity. Once
-    BATCH_HANDOFF or fewer points remain, each finishes in limit_equilibrium's
-    scalar loop from where it stands.
-    """
-    limits = [None] * len(starts)
-    X = np.array([p.x for p in starts])
-    Y = np.array([p.y for p in starts])
-    X1, Y1 = m.batch(X, Y)
-    fixed = np.maximum(np.abs(X1 - X), np.abs(Y1 - Y)) < tol
-    for k in np.flatnonzero(fixed).tolist():
-        limits[k] = starts[k]
-    live = ~fixed & np.isfinite(X1) & np.isfinite(Y1)
-    idx, X, Y = np.flatnonzero(live), X[live], Y[live]
-    n = 0
-    while len(idx) > BATCH_HANDOFF and n < max_iter:
-        Xn, Yn = m.batch(X, Y)
-        n += 1
-        stop = (~(np.isfinite(Xn) & np.isfinite(Yn)) | (np.abs(Xn) > ESCAPE_BOUND)
-                | (np.abs(Yn) > ESCAPE_BOUND))
-        near = ~stop & (np.maximum(np.abs(Xn - X), np.abs(Yn - Y)) < tol)
-        if near.any():
-            Xr, Yr = m.batch(Xn[near], Yn[near])
-            ok = (np.maximum(np.abs(Xr - Xn[near]), np.abs(Yr - Yn[near]))
-                  < LIMIT_RESIDUAL_TOL)
-            stop[near] = np.isnan(Xr) | np.isnan(Yr)  # singular residual step
-            hit = np.flatnonzero(near)[ok]
-            stop[hit] = True
-            for k, x, y in zip(idx[hit].tolist(), Xn[hit].tolist(),
-                               Yn[hit].tolist()):
-                limits[k] = Point2(x, y)
-        idx, X, Y = idx[~stop], Xn[~stop], Yn[~stop]
-    for k, x, y in zip(idx.tolist(), X.tolist(), Y.tolist()):
-        limits[k] = _continue_limit(m, starts[k], x, y, n, tol, max_iter).limit
-    return limits

@@ -24,11 +24,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import HypothesisError, SingularityError
-from .geometry import Point2, Rect, order_interval
+from .fixedpoints import NONHYPERBOLIC_TOL
+from .geometry import Point2, Rect, order_interval, sup_norm
 from .planarmap import PlanarMap
 
 COEFF_TOL = 1e-8
-UNIT_EIG_TOL = 1e-7
 ILL_CONDITION_REL = 1e-4
 ORDER_OFFSETS = (1e-1, 1e-2, 1e-3)  # ray offsets find_order_interval tries, in order
 
@@ -102,14 +102,14 @@ def taylor_along_eigenvector(m: PlanarMap, fp: Point2, v: Point2,
     to flag ill-conditioning. h is the largest ray offset; much below 0.05 the
     degree-4 coefficient drowns in rounding noise (error ~ eps/h^4). Requires
     |T(fp) - fp| < 1e-10; warns when the measured eigenvalue along v is not
-    within 1e-7 of 1.
+    within NONHYPERBOLIC_TOL of 1.
     """
     if not 2 <= degree <= 4:
         raise ValueError("degree must be between 2 and 4")
     if h <= 0:
         raise ValueError("step h must be positive")
     fx, fy = m.step(fp[0], fp[1])
-    if max(abs(fx - fp[0]), abs(fy - fp[1])) > 1e-10:
+    if not sup_norm(fx - fp[0], fy - fp[1]) <= 1e-10:
         raise ValueError(f"({fp[0]:.6g}, {fp[1]:.6g}) is not a fixed point to "
                          "residual 1e-10")
     v = Point2(*v).unit()
@@ -157,10 +157,10 @@ def taylor_along_eigenvector(m: PlanarMap, fp: Point2, v: Point2,
     ill = math.sqrt(disagreement_sq) > ILL_CONDITION_REL * max(1.0, math.sqrt(norm_sq))
 
     mu_est = 1.0 + lin[0] * v.x + lin[1] * v.y
-    if abs(mu_est - 1.0) > UNIT_EIG_TOL:
+    if abs(mu_est - 1.0) > NONHYPERBOLIC_TOL:
         warnings.warn(
             f"eigenvalue along the ray is {mu_est:.9g}, not within "
-            f"{UNIT_EIG_TOL:g} of 1; nonhyperbolic classification does not apply",
+            f"{NONHYPERBOLIC_TOL:g} of 1; nonhyperbolic classification does not apply",
             stacklevel=2)
     coeffs = tuple((coeffs_by_power[j][0], coeffs_by_power[j][1])
                    for j in range(2, degree + 1))
@@ -191,9 +191,9 @@ def classify_hyperbolic_ray(mu: float, v: Point2) -> LocalVerdict:
     """Hyperbolic local dynamics along an eigenvector with v1*v2 < 0."""
     if not (v[0] * v[1] < 0):
         raise HypothesisError("eigenvector components must have opposite signs")
-    if abs(mu - 1.0) <= UNIT_EIG_TOL:
-        raise HypothesisError(
-            "eigenvalue within 1e-7 of 1: use the nonhyperbolic Taylor path")
+    if abs(mu - 1.0) <= NONHYPERBOLIC_TOL:
+        raise HypothesisError(f"eigenvalue within {NONHYPERBOLIC_TOL:g} of 1: "
+                              "use the nonhyperbolic Taylor path")
     if mu > 1.0:
         return LocalVerdict(None, "hyperbolic_expanding", f"mu = {mu:.9g} > 1")
     return LocalVerdict(None, "hyperbolic_contracting", f"mu = {mu:.9g} < 1")

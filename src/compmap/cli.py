@@ -23,7 +23,8 @@ from typing import Optional
 from .errors import (ConstraintError, HypothesisError, MapEvalError,
                      NoConvergenceError, ParseError, UnboundParameterError)
 from .expr import expr_map
-from .fixedpoints import (FixedPointRecord, check_boundary_endpoint_conditions,
+from .fixedpoints import (NONHYPERBOLIC_TOL, FixedPointRecord,
+                          check_boundary_endpoint_conditions,
                           check_invariant_curve_hypotheses, find_fixed_point)
 from .classification import (classify_hyperbolic_ray, classify_nonhyperbolic,
                              taylor_along_eigenvector)
@@ -305,7 +306,7 @@ def _local_verdict(m, rec: FixedPointRecord):
     for val, vec in ((e.mu, e.v_mu), (e.lam, e.v_lam)):
         if vec is None or not (vec.x * vec.y < 0):
             continue
-        if abs(val - 1.0) <= 1e-7:
+        if abs(val - 1.0) <= NONHYPERBOLIC_TOL:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 try:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import HypothesisError, NoConvergenceError, SingularityError
 from .fixedpoints import FixedPointRecord, check_invariant_curve_hypotheses
-from .geometry import Point2, Rect
+from .geometry import Point2, Rect, sup_norm
 from .planarmap import PlanarMap
 
 
@@ -36,10 +36,10 @@ class SideOptions:
 
     mode 'quadrant_escape' watches for entry into int Q2 / int Q4 relative to
     the fixed point with both inequalities cleared by epsilon_margin; it is
-    the right tool for isolated equilibria. mode 'limit_equilibrium' iterates
-    to convergence (sup-norm step below conv_tol) and compares the limit
-    against the fixed point in the southeast order; use it when the map has a
-    continuum of equilibria, where quadrant entry never happens.
+    the right tool for isolated equilibria. mode 'limit_equilibrium' takes
+    the limiting equilibrium T* (limit_equilibrium with tol conv_tol) and
+    compares it with the fixed point in the southeast order; use it when the
+    map has a continuum of equilibria, where quadrant entry never happens.
     """
 
     mode: str = "quadrant_escape"
@@ -110,38 +110,130 @@ def _classify_quadrant(m: PlanarMap, p: Point2, fp: Point2,
 
 def _classify_limit(m: PlanarMap, p: Point2, fp: Point2,
                     opts: SideOptions) -> SideVerdict:
-    eps = opts.epsilon_margin
-    tol = opts.conv_tol
-    step = m.step
-    x, y = float(p[0]), float(p[1])
-    for n in range(1, opts.max_iter + 1):
+    flag, x, y, n = _limit_orbit(m.step, float(p[0]), float(p[1]), 0,
+                                 opts.conv_tol, opts.max_iter)
+    if flag:
+        return SideVerdict("undecided", n, flag)
+    code = int(_limit_codes(np.array([x]), np.array([y]), fp, opts)[0])
+    return SideVerdict(LABEL_NAMES[code], n,
+                       "incomparable_limit" if code == _UNDECIDED else "")
+
+
+# ---------------------------------------------------------------------------
+# The limiting-equilibrium map T*
+
+LIMIT_RESIDUAL_TOL = 1e-6
+
+
+@dataclass(frozen=True)
+class LimitRecord:
+    """T*(start) = T^iterations(start), or limit None with the flag that
+    ended the orbit at its iterations-th point."""
+
+    start: Point2
+    limit: Optional[Point2]
+    iterations: int
+    diverged: bool = False
+    flag: str = ""  # '' | 'singularity' | 'divergence' | 'max_iter'
+
+    @property
+    def converged(self) -> bool:
+        return self.limit is not None
+
+
+def _check_limit_args(tol: float, max_iter: int) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
+
+
+def limit_equilibrium(m: PlanarMap, p: Point2, tol: float = 1e-10,
+                      max_iter: int = 100_000) -> LimitRecord:
+    """The limiting equilibrium T*(p).
+
+    T*(p) is the first orbit point x_k = T^k(p), k < max_iter, whose step
+    T(x_k) - x_k is below min(tol, LIMIT_RESIDUAL_TOL) in both coordinates;
+    that step certifies x_k. A raise or a non-finite iterate ends the orbit
+    as 'singularity', an iterate beyond ESCAPE_BOUND as 'divergence', and k
+    reaching max_iter as 'max_iter'; diverged marks the first two. tol must
+    be finite and > 0, and max_iter >= 1.
+    """
+    _check_limit_args(tol, max_iter)
+    start = Point2(*p)
+    flag, x, y, n = _limit_orbit(m.step, float(start.x), float(start.y), 0,
+                                 tol, max_iter)
+    return LimitRecord(start, None if flag else Point2(x, y), n,
+                       diverged=flag in ("singularity", "divergence"), flag=flag)
+
+
+def _limit_orbit(step, x: float, y: float, n: int, tol: float,
+                 max_iter: int) -> tuple:
+    """T* from the orbit point x_n = (x, y); returns (flag, x_k, y_k, k).
+
+    flag is '' when x_k is the limit, else what ended the orbit at x_k.
+    """
+    tol = min(tol, LIMIT_RESIDUAL_TOL)
+    while n < max_iter:
         try:
             xn, yn = step(x, y)
         except SingularityError:
-            return SideVerdict("undecided", n, "singularity")
+            return "singularity", x, y, n
         if not (math.isfinite(xn) and math.isfinite(yn)):
-            return SideVerdict("undecided", n, "singularity")
+            return "singularity", x, y, n
         if abs(xn) > ESCAPE_BOUND or abs(yn) > ESCAPE_BOUND:
-            return SideVerdict("undecided", n, "divergence")
-        if max(abs(xn - x), abs(yn - y)) < tol:
-            x, y = xn, yn
-            break
+            return "divergence", x, y, n
+        if abs(xn - x) < tol and abs(yn - y) < tol:
+            return "", x, y, n
         x, y = xn, yn
-    else:
-        return SideVerdict("undecided", opts.max_iter, "max_iter")
-    dx = x - fp[0]
-    dy = y - fp[1]
-    mag = max(abs(dx), abs(dy))
-    if mag <= eps:
-        return SideVerdict("band", n)
-    slack = max(1e-12, 10.0 * tol)
-    in_q2 = dx <= slack and dy >= -slack
-    in_q4 = dx >= -slack and dy <= slack
-    if in_q2 and not in_q4:
-        return SideVerdict("minus", n)
-    if in_q4 and not in_q2:
-        return SideVerdict("plus", n)
-    return SideVerdict("undecided", n, "incomparable_limit")
+        n += 1
+    return "max_iter", x, y, n
+
+
+# A lockstep round costs about as much for one point as for hundreds, and the
+# slowest orbits (next to a nonhyperbolic point) run for thousands of
+# iterations; the last few active points therefore finish in a scalar loop.
+BATCH_HANDOFF = 16
+
+
+def _limits_lockstep(m: PlanarMap, X: np.ndarray, Y: np.ndarray, tol: float,
+                     max_iter: int) -> tuple:
+    """_limit_orbit from every (X[k], Y[k]), in lockstep numpy.
+
+    Returns the limit coordinates, NaN where the orbit ended without one,
+    and a mask of the orbits that ended in a singularity. All points step
+    together through m.batch, where NaN stands for a singularity; once
+    BATCH_HANDOFF or fewer remain (at once without a batch step), each
+    finishes in _limit_orbit from where it stands.
+    """
+    tol = min(tol, LIMIT_RESIDUAL_TOL)
+    LX = np.full(X.shape, math.nan)
+    LY = np.full(X.shape, math.nan)
+    singular = np.zeros(X.shape, dtype=bool)
+    idx = np.arange(X.size)
+    n = 0
+    if m.batch is not None:
+        with np.errstate(all="ignore"):
+            while len(idx) > BATCH_HANDOFF and n < max_iter:
+                Xn, Yn = m.batch(X, Y)
+                bad = ~(np.isfinite(Xn) & np.isfinite(Yn))
+                singular[idx[bad]] = True
+                stop = bad | (np.abs(Xn) > ESCAPE_BOUND) | (np.abs(Yn) > ESCAPE_BOUND)
+                conv = ~stop & (np.maximum(np.abs(Xn - X), np.abs(Yn - Y)) < tol)
+                if conv.any():
+                    LX[idx[conv]] = X[conv]
+                    LY[idx[conv]] = Y[conv]
+                live = ~(stop | conv)
+                idx, X, Y = idx[live], Xn[live], Yn[live]
+                n += 1
+    if n < max_iter:  # otherwise the rest ran out of iterations
+        for k, x, y in zip(idx.tolist(), X.tolist(), Y.tolist()):
+            flag, x, y, _ = _limit_orbit(m.step, x, y, n, tol, max_iter)
+            if flag:
+                singular[k] = flag == "singularity"
+            else:
+                LX[k], LY[k] = x, y
+    return LX, LY, singular
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +242,6 @@ def _classify_limit(m: PlanarMap, p: Point2, fp: Point2,
 LABEL_NAMES = ("minus", "plus", "band", "undecided", "singular")
 LABEL_CODES = {name: i for i, name in enumerate(LABEL_NAMES)}
 _MINUS, _PLUS, _BAND, _UNDECIDED, _SINGULAR = range(len(LABEL_NAMES))
-
-# A lockstep round costs about as much for one point as for hundreds, and the
-# slowest orbits (next to a nonhyperbolic point) run for thousands of
-# iterations; the last few active points therefore finish in classify_side.
-BATCH_HANDOFF = 16
 
 
 def label_code(v: SideVerdict) -> int:
@@ -167,28 +254,32 @@ def classify_batch(m: PlanarMap, xs, ys, fp: Point2,
     """classify_side for every point (xs[k], ys[k]), in lockstep numpy.
 
     Returns uint8 codes into LABEL_NAMES, shaped like xs, equal point by point
-    to label_code(classify_side(...)). All points step together through
-    m.batch under classify_side's stop rules, and each retires as soon as its
-    rule fires. Once BATCH_HANDOFF or fewer remain, they finish in
-    classify_side with the remaining max_iter. A map without a batch step
+    to label_code(classify_side(...)). In limit mode T* comes from
+    _limits_lockstep. In quadrant mode all points step together through
+    m.batch under classify_side's stop rules, each retiring as soon as its
+    rule fires, and once BATCH_HANDOFF or fewer remain they finish in
+    classify_side with the remaining max_iter; a map without a batch step
     takes classify_side for every point.
     """
-    rule = _BATCH_RULES[opts.mode]
     xs = np.asarray(xs, dtype=float)
-    labels = np.full(xs.shape, _UNDECIDED, dtype=np.uint8)
-    out = labels.reshape(-1)
-    idx = np.arange(xs.size)
     X = xs.ravel()
     Y = np.asarray(ys, dtype=float).ravel()
+    if opts.mode == "limit_equilibrium":
+        LX, LY, singular = _limits_lockstep(m, X, Y, opts.conv_tol, opts.max_iter)
+        out = _limit_codes(LX, LY, fp, opts)  # NaN limits read undecided
+        out[singular] = _SINGULAR
+        return out.reshape(xs.shape)
+    out = np.full(X.size, _UNDECIDED, dtype=np.uint8)
+    idx = np.arange(X.size)
     done = 0
     if m.batch is not None:
         with np.errstate(all="ignore"):
-            idx, X, Y, done = rule(m, idx, X, Y, fp, opts, out)
+            idx, X, Y, done = _quadrant_batch(m, idx, X, Y, fp, opts, out)
     if len(idx):
         rest = replace(opts, max_iter=opts.max_iter - done)
         for k, x, y in zip(idx.tolist(), X.tolist(), Y.tolist()):
             out[k] = label_code(classify_side(m, Point2(x, y), fp, rest))
-    return labels
+    return out.reshape(xs.shape)
 
 
 def _quadrant_batch(m, idx, X, Y, fp, opts, out):
@@ -220,27 +311,8 @@ def _quadrant_batch(m, idx, X, Y, fp, opts, out):
     return idx[:0], X[:0], Y[:0], opts.max_iter  # the rest stay undecided
 
 
-def _limit_batch(m, idx, X, Y, fp, opts, out):
-    """_classify_limit in lockstep; returns the points left for handoff and
-    the iterations they have used."""
-    tol = opts.conv_tol
-    for n in range(opts.max_iter):
-        if len(idx) <= BATCH_HANDOFF:
-            return idx, X, Y, n
-        Xn, Yn = m.batch(X, Y)
-        singular = ~(np.isfinite(Xn) & np.isfinite(Yn))
-        out[idx[singular]] = _SINGULAR
-        stop = singular | (np.abs(Xn) > ESCAPE_BOUND) | (np.abs(Yn) > ESCAPE_BOUND)
-        conv = ~stop & (np.maximum(np.abs(Xn - X), np.abs(Yn - Y)) < tol)
-        if conv.any():
-            out[idx[conv]] = _limit_codes(Xn[conv], Yn[conv], fp, opts)
-        live = ~(stop | conv)
-        idx, X, Y = idx[live], Xn[live], Yn[live]
-    return idx[:0], X[:0], Y[:0], opts.max_iter  # the rest stay undecided
-
-
 def _limit_codes(X, Y, fp, opts):
-    """The limit comparison at the end of _classify_limit, on arrays."""
+    """The comparison of limits (X, Y) with fp in the southeast order."""
     dx = X - fp[0]
     dy = Y - fp[1]
     slack = max(1e-12, 10.0 * opts.conv_tol)
@@ -251,10 +323,6 @@ def _limit_codes(X, Y, fp, opts):
     codes[in_q4 & ~in_q2] = _PLUS
     codes[np.maximum(np.abs(dx), np.abs(dy)) <= opts.epsilon_margin] = _BAND
     return codes
-
-
-_BATCH_RULES = {"quadrant_escape": _quadrant_batch,
-                "limit_equilibrium": _limit_batch}
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +401,11 @@ def _endpoint_label(m: PlanarMap, e: Point2, region: Rect) -> EndpointLabel:
         return EndpointLabel("domain_boundary", e)
     try:
         fx, fy = m.step(e.x, e.y)
-        r1 = max(abs(fx - e.x), abs(fy - e.y))
+        r1 = sup_norm(fx - e.x, fy - e.y)
         if r1 < ENDPOINT_RESIDUAL_TOL:
             return EndpointLabel("fixed_point", e)
         gx, gy = m.step(fx, fy)
-        r2 = max(abs(gx - e.x), abs(gy - e.y))
+        r2 = sup_norm(gx - e.x, gy - e.y)
         if r2 < ENDPOINT_RESIDUAL_TOL:
             return EndpointLabel("period_two_pair", e, Point2(fx, fy))
     except SingularityError:

@@ -8,13 +8,13 @@ from typing import Optional
 
 from .errors import (DegenerateRootError, NoConvergenceError, SingularityError,
                      DomainError)
-from .geometry import Matrix2, Point2, Rect, in_quadrant_interior
+from .geometry import Matrix2, Point2, Rect, in_quadrant_interior, sup_norm
 from .planarmap import PlanarMap, _sample_grid, check_competitive, jacobian
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 100
 MAX_HALVINGS = 20
-NONHYPERBOLIC_TOL = 1e-7  # |eigenvalue| within this of 1 is labeled nonhyperbolic
+NONHYPERBOLIC_TOL = 1e-7  # an eigenvalue (or |eigenvalue|) within this of 1 counts as 1
 REPEATED_EIG_REL_TOL = 1e-12  # discriminant below this * norm^2 counts as repeated
 
 
@@ -74,19 +74,6 @@ def eigen2x2(m: Matrix2) -> EigenData:
     return EigenData(lam, mu, _eigvec(m, lam), _eigvec(m, mu), real_distinct=True)
 
 
-def classify_eigen(e: EigenData) -> str:
-    """Map eigen-structure to {attractor, repeller, saddle, nonhyperbolic, complex}."""
-    if e.complex_pair:
-        return "complex"
-    if abs(abs(e.lam) - 1.0) <= NONHYPERBOLIC_TOL or abs(abs(e.mu) - 1.0) <= NONHYPERBOLIC_TOL:
-        return "nonhyperbolic"
-    if abs(e.mu) < 1.0:
-        return "attractor"
-    if abs(e.lam) > 1.0:
-        return "repeller"
-    return "saddle"
-
-
 @dataclass(frozen=True)
 class FixedPointRecord:
     location: Point2
@@ -142,7 +129,7 @@ def _solve(m: PlanarMap, guess: Point2, k: int = 1,
     """
     p = Point2(float(guess[0]), float(guess[1]))
     fp = _residual(m, p, k, target)
-    res = max(abs(fp.x), abs(fp.y))
+    res = sup_norm(fp.x, fp.y)
     for _ in range(NEWTON_MAX_ITER):
         if res < tol:
             return p, res
@@ -160,7 +147,7 @@ def _solve(m: PlanarMap, guess: Point2, k: int = 1,
             if q is not None:
                 p = q
                 fp = _residual(m, p, k, target)
-                res = max(abs(fp.x), abs(fp.y))
+                res = sup_norm(fp.x, fp.y)
                 continue
             raise NoConvergenceError(
                 f"singular Newton matrix at ({p.x:.6g}, {p.y:.6g})")
@@ -171,7 +158,7 @@ def _solve(m: PlanarMap, guess: Point2, k: int = 1,
             cand = Point2(p.x + dx, p.y + dy)
             try:
                 fc = _residual(m, cand, k, target)
-                cres = max(abs(fc.x), abs(fc.y))
+                cres = sup_norm(fc.x, fc.y)
                 if math.isfinite(cres) and cres < res:
                     p, fp, res = cand, fc, cres
                     accepted = True
@@ -193,18 +180,23 @@ def _record(root: Point2, kind: str, partner: Optional[Point2], dt: Matrix2,
             residual: float) -> FixedPointRecord:
     """The record of a root of T^k(p) - target, given DT^k(root) as dt.
 
-    A complex pair is nonhyperbolic when its modulus sqrt|det dt| is 1.
+    The classification is attractor, repeller, saddle, nonhyperbolic (an
+    eigenvalue modulus within NONHYPERBOLIC_TOL of 1) or complex. A complex
+    pair is nonhyperbolic when its modulus sqrt|det dt| is 1.
     """
     eig = eigen2x2(dt)
     if eig.complex_pair:
         rho = math.sqrt(abs(dt.det()))
         cls = "nonhyperbolic" if abs(rho - 1.0) <= NONHYPERBOLIC_TOL else "complex"
-    elif not eig.real_distinct:
-        a = abs(eig.lam)
-        cls = ("nonhyperbolic" if abs(a - 1.0) <= NONHYPERBOLIC_TOL
-               else "attractor" if a < 1.0 else "repeller")
+    elif (abs(abs(eig.lam) - 1.0) <= NONHYPERBOLIC_TOL
+          or abs(abs(eig.mu) - 1.0) <= NONHYPERBOLIC_TOL):
+        cls = "nonhyperbolic"
+    elif abs(eig.mu) < 1.0:
+        cls = "attractor"
+    elif abs(eig.lam) > 1.0:
+        cls = "repeller"
     else:
-        cls = classify_eigen(eig)
+        cls = "saddle"
     return FixedPointRecord(location=root, kind=kind, partner=partner, eigen=eig,
                             classification=cls, residual=residual)
 

@@ -20,7 +20,7 @@ class Point2(NamedTuple):
         return math.isfinite(self.x) and math.isfinite(self.y)
 
     def dist_inf(self, other: "Point2") -> float:
-        return max(abs(self.x - other.x), abs(self.y - other.y))
+        return sup_norm(self.x - other.x, self.y - other.y)
 
     def dist2(self, other: "Point2") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
@@ -33,6 +33,17 @@ class Point2(NamedTuple):
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
         return Point2(self.x / n, self.y / n)
+
+
+def sup_norm(dx: float, dy: float) -> float:
+    """max(|dx|, |dy|), NaN when either is NaN.
+
+    The builtin max drops a NaN in second place (max(0, nan) is 0), so a
+    residual (0, nan) would otherwise read as small.
+    """
+    if math.isnan(dx) or math.isnan(dy):
+        return math.nan
+    return max(abs(dx), abs(dy))
 
 
 class Matrix2(NamedTuple):

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConstraintError
 from .expr import ExprJacobian, ExprPair, parse
 from .fixedpoints import _record
-from .geometry import Point2, Rect
+from .geometry import Point2, Rect, sup_norm
 from .planarmap import FD_STEP, PlanarMap, jacobian
 
 _POS_QUADRANT = Rect(0.0, math.inf, 0.0, math.inf)
@@ -294,8 +294,8 @@ def sweep_continuum(sys: ExampleSystem, n: int) -> list:
         t = lo + (hi - lo) * (k / (n - 1) if n > 1 else 0.0)
         pt = cont.point(t)
         fx, fy = sys.map.step(pt.x, pt.y)
-        res = max(abs(fx - pt.x), abs(fy - pt.y))
-        if res > 1e-10:
+        res = sup_norm(fx - pt.x, fy - pt.y)
+        if not res <= 1e-10:
             raise AssertionError(f"{sys.id} continuum point {pt} has residual {res:g}")
         rec = _record(pt, "fixed", None, jacobian(sys.map, pt), res)
         lam_f, mu_f = cont.eigenvalues(t)

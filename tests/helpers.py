@@ -3,10 +3,11 @@ the expression tree-walkers that compiled expressions replaced, the
 hand-written built-in steps and Jacobians that their expression form
 replaced, independent vectorized re-implementations of the built-in
 recurrences used as brute-force oracles (they deliberately bypass the
-library code paths they are checking), and the scalar column solver the
-lockstep one replaced."""
+library code paths they are checking), the scalar column solver the
+lockstep one replaced, and a map-evaluation counter."""
 
 import math
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -362,3 +363,24 @@ def solve_columns_one_by_one(m, fp, slope, cxs, window, curve_tol, sopts):
     """Drop-in for curves._solve_columns that runs solve_column per column."""
     return [solve_column(m, fp, slope, cx, window, curve_tol, PROBES, sopts)
             for cx in cxs]
+
+
+# ---------------------------------------------------------------------------
+# Map-evaluation counting
+
+
+def counting_map(m, box):
+    """A copy of PlanarMap m that adds one to box[0] per step call and the
+    number of elements per batch call."""
+    step, batch = m.step, m.batch
+
+    def counted_step(x, y):
+        box[0] += 1
+        return step(x, y)
+
+    def counted_batch(X, Y):
+        box[0] += np.size(X)
+        return batch(X, Y)
+
+    return replace(m, step=counted_step,
+                   batch=None if batch is None else counted_batch)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from compmap import (Point2, Rect, SideOptions, SingularityError, basins,
                      load_csv_raster, load_pgm, raster, raster_to_csv,
                      raster_to_pgm, save_raster)
 from compmap.basins import LABEL_CODES, LABEL_NAMES
+from compmap.curves import LIMIT_RESIDUAL_TOL
 from compmap.planarmap import PlanarMap
 
 
@@ -23,6 +25,74 @@ def test_limit_record_invariants(ex1):
     fx, fy = ex1.map.step(x, y)
     assert max(abs(fx - x), abs(fy - y)) < 1e-6
     assert x == pytest.approx(0.0, abs=1e-9) and y >= 0.0
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-3])
+def test_limit_is_certified_by_its_own_step(ex2, tol):
+    # the limit is the iterations-th orbit point, its step is below
+    # min(tol, LIMIT_RESIDUAL_TOL), and that step is the last evaluation
+    steps = []
+
+    def step(x, y):
+        steps.append((x, y))
+        return ex2.map.step(x, y)
+
+    rec = limit_equilibrium(replace(ex2.map, step=step), Point2(0.7, 0.9), tol=tol)
+    x, y = rec.limit
+    fx, fy = ex2.map.step(x, y)
+    assert max(abs(fx - x), abs(fy - y)) < min(tol, LIMIT_RESIDUAL_TOL)
+    assert len(steps) == rec.iterations + 1 and steps[-1] == (x, y)
+
+
+def _nan_y(x, y):
+    return x, math.nan
+
+
+def _pole(x, y):
+    raise SingularityError("pole")
+
+
+_PLANE = Rect(-math.inf, math.inf, -math.inf, math.inf)
+
+
+@pytest.mark.parametrize("step, flag, diverged", [
+    (_nan_y, "singularity", True),
+    (_pole, "singularity", True),
+    (lambda x, y: (x, 10.0 * y), "divergence", True),
+    (lambda x, y: (x + 1e-3, y), "max_iter", False),
+])
+def test_limit_flags(step, flag, diverged):
+    m = PlanarMap(name="toy", step=step, domain=_PLANE)
+    rec = limit_equilibrium(m, Point2(0.0, 1.0), max_iter=50)
+    assert (rec.limit, rec.flag, rec.diverged) == (None, flag, diverged)
+
+
+@pytest.mark.parametrize("batch", [None, lambda X, Y: (X, np.full_like(Y, math.nan))])
+def test_continuity_probe_nan_map_is_divergent(batch):
+    m = PlanarMap(name="nan-y", step=_nan_y, domain=_PLANE, batch=batch)
+    rep = continuity_probe(m, (Point2(0.0, 1.0), Point2(1.0, 2.0)), n=20)
+    assert rep.divergent == 20 and set(rep.limits) == {None}
+
+
+@pytest.mark.parametrize("step, p", [
+    (None, Point2(0.7, 0.9)), (None, Point2(0.1, 2.5)), (None, Point2(1.9, 0.2)),
+    (lambda x, y: (x, 10.0 * y), Point2(0.0, 1.0)), (_nan_y, Point2(0.0, 1.0)),
+])
+def test_classify_side_limit_mode_uses_limit_equilibrium(ex2, step, p):
+    m = ex2.map if step is None else PlanarMap(name="toy", step=step, domain=_PLANE)
+    opts = SideOptions(mode="limit_equilibrium", max_iter=5000, conv_tol=1e-11)
+    v = classify_side(m, p, Point2(0.5, 1.0), opts)
+    rec = limit_equilibrium(m, p, tol=opts.conv_tol, max_iter=opts.max_iter)
+    assert (v.iterations_used, v.flag) == (rec.iterations, rec.flag)
+
+
+@pytest.mark.parametrize("kw", [{"tol": math.nan}, {"tol": 0.0}, {"tol": -1e-10},
+                                {"tol": math.inf}, {"max_iter": 0}])
+def test_limit_arguments_validated(ex1, kw):
+    with pytest.raises(ValueError):
+        limit_equilibrium(ex1.map, Point2(1, 1), **kw)
+    with pytest.raises(ValueError):
+        continuity_probe(ex1.map, (Point2(0.1, 0.1), Point2(0.1, 4.0)), 8, **kw)
 
 
 def test_limit_fixed_start_zero_iterations(ex1):

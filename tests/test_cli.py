@@ -307,6 +307,15 @@ def test_analyze_overflowing_newton_matrix_fails_cleanly(capsys):
     assert "Traceback" not in err
 
 
+def test_analyze_nan_residual_is_no_fixed_point(capsys):
+    # T(0, 0.5) = (0, nan): inf - inf in g, and a residual (0, nan) is not small
+    rc, out, _ = _run(capsys, ["analyze", "--f", "x/2", "--g",
+                               "y*1e300*1e300 - y*1e300*1e300 + y/2",
+                               "--guess", "0,0.5", "--window", "0,1,0,1"])
+    assert rc == 0
+    assert "fixed points found: 0" in out
+
+
 @pytest.mark.parametrize("f", ["10^400*x + y", "(0-2)^0.5*x + y"])
 def test_analyze_unfoldable_constant_power_exit_3(capsys, f):
     # the Jacobian folds these constant powers, which math.pow rejects

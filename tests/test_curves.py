@@ -234,6 +234,16 @@ def test_endpoint_analysis_labels(ex3_t):
     assert left.kind == "domain_boundary"
 
 
+def test_endpoint_analysis_nan_image_is_truncated():
+    m = PlanarMap(name="nan-y", step=lambda x, y: (x, math.nan), domain=_PLANE)
+    c = MonotoneCurve(vertices=(Point2(1.0, 1.0), Point2(2.0, 2.0)),
+                      monotonicity="increasing",
+                      endpoint_left=EndpointLabel("truncated", Point2(1.0, 1.0)),
+                      endpoint_right=EndpointLabel("truncated", Point2(2.0, 2.0)))
+    left, right = endpoint_analysis(m, c, Rect(0, 10, 0, 10))
+    assert (left.kind, right.kind) == ("truncated", "truncated")
+
+
 def test_validate_curve_rejects_bad_vertices():
     bad = MonotoneCurve(vertices=(Point2(0, 0), Point2(1, 0)),
                         monotonicity="increasing",

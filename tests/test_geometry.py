@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from compmap import Point2, Rect, le_ne, le_se, order_interval, quadrant_membership
+from compmap.geometry import sup_norm
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 points = st.tuples(finite, finite).map(lambda t: Point2(*t))
@@ -13,6 +14,13 @@ def test_se_order_examples():
     assert le_se(Point2(0, 1), Point2(1, 0))
     assert le_se(Point2(0.3, -2.0), Point2(0.3, -2.0))
     assert not le_se(Point2(1, 0), Point2(0, 1))
+
+
+def test_sup_norm_propagates_nan():
+    assert sup_norm(-3.0, 2.0) == 3.0
+    assert math.isnan(sup_norm(0.0, math.nan))
+    assert math.isnan(sup_norm(math.nan, 0.0))
+    assert math.isnan(Point2(0.0, math.nan).dist_inf(Point2(0.0, 0.0)))
 
 
 def test_ne_order_examples():
