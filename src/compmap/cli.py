@@ -23,9 +23,8 @@ from typing import Optional
 from .errors import (ConstraintError, HypothesisError, MapEvalError,
                      NoConvergenceError, ParseError, UnboundParameterError)
 from .expr import expr_map
-from .fixedpoints import (NONHYPERBOLIC_TOL, FixedPointRecord,
-                          check_boundary_endpoint_conditions,
-                          check_invariant_curve_hypotheses, find_fixed_point)
+from .fixedpoints import (NONHYPERBOLIC_TOL, FixedPointRecord, _boundary_reports,
+                          _find_fixed_points, check_invariant_curve_hypotheses)
 from .classification import (classify_hyperbolic_ray, classify_nonhyperbolic,
                              taylor_along_eigenvector)
 from .curves import (SIDE_MODES, CurveOptions, trace_stable_curve,
@@ -277,24 +276,24 @@ def _build_map(cfg: dict):
 def _resolve_fixed_points(cfg: dict, m, sys_, window: Rect,
                           tol: float) -> list:
     if cfg.get("guess"):
-        guesses = [_cfg_point(raw, "guess") for raw in cfg["guess"].split(";")]
+        X, Y = zip(*(_cfg_point(raw, "guess") for raw in cfg["guess"].split(";")))
     elif sys_ is not None and sys_.fixtures:
-        guesses = [f.point for f in sys_.fixtures]
+        X, Y = zip(*(f.point for f in sys_.fixtures))
     else:
-        guesses = _sample_grid(window, 36)
+        X, Y = _sample_grid(window, 36)
     roots = []
     eval_failures = 0
-    for g in guesses:
-        try:
-            rec = find_fixed_point(m, g, tol=tol)
-        except MapEvalError:
+    for rec in _find_fixed_points(m, X, Y, tol=tol):
+        if isinstance(rec, MapEvalError):
             eval_failures += 1
             continue
-        except NoConvergenceError:
+        if isinstance(rec, NoConvergenceError):
             continue
+        if isinstance(rec, Exception):
+            raise rec
         if not any(rec.location.dist_inf(r.location) < 1e-6 for r in roots):
             roots.append(rec)
-    if not roots and eval_failures == len(guesses) and guesses:
+    if not roots and eval_failures == len(X) and len(X):
         raise _CliError(3, "the map could not be evaluated at any start point")
     return roots
 
@@ -342,9 +341,8 @@ def _cmd_analyze(cfg: dict) -> int:
               "competitivity": str(comp),
               "o_condition": ocond.verdict,
               "fixed_points": []}
-    for rec in roots:
+    for rec, thm2 in zip(roots, _boundary_reports(m, roots, window)):
         thm1 = check_invariant_curve_hypotheses(m, rec, window)
-        thm2 = check_boundary_endpoint_conditions(m, rec, window)
         entry = {
             "location": [rec.location.x, rec.location.y],
             "residual": rec.residual,

@@ -312,10 +312,11 @@ def _quadrant_batch(m, idx, X, Y, fp, opts, out):
 
 
 def _limit_codes(X, Y, fp, opts):
-    """The comparison of limits (X, Y) with fp in the southeast order."""
+    """The comparison of limits (X, Y) with fp in the southeast order, with
+    the slack of ten times the tolerance the limits are certified at."""
     dx = X - fp[0]
     dy = Y - fp[1]
-    slack = max(1e-12, 10.0 * opts.conv_tol)
+    slack = max(1e-12, 10.0 * min(opts.conv_tol, LIMIT_RESIDUAL_TOL))
     in_q2 = (dx <= slack) & (dy >= -slack)
     in_q4 = (dx >= -slack) & (dy <= slack)
     codes = np.full(X.shape, _UNDECIDED, dtype=np.uint8)

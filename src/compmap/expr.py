@@ -480,10 +480,17 @@ def _unbound(name: str):
     raise UnboundParameterError(name)
 
 
+_POW = np.frompyfunc(math.pow, 2, 1)
+
+
 def _pow_array(a, b: float, bad: np.ndarray):
     """math.pow per element (np.power rounds differently in the last bit);
     marks in bad where math.pow raises."""
     a = np.broadcast_to(a, bad.shape)
+    try:
+        return np.asarray(_POW(a, b), dtype=float)
+    except (ValueError, OverflowError):
+        pass  # some element raises: find which, one at a time
     out = np.empty(bad.shape)
     for k, v in enumerate(a.flat):
         try:
@@ -718,10 +725,12 @@ class ExprPair:
 class ExprJacobian:
     """A Jacobian compiled from its four partials (df/dx, df/dy, dg/dx,
     dg/dy) into one function that returns a Matrix2, bound as the method jac
-    as ExprPair binds step. expr_map passes the symbolic partials of
-    differentiate; the built-in systems pass closed forms."""
+    as ExprPair binds step, and into its array flavour, bound as batch, which
+    returns the four entries as arrays (NaN as ExprPair.batch has it).
+    expr_map passes the symbolic partials of differentiate; the built-in
+    systems pass closed forms."""
 
-    __slots__ = ("partials", "params", "jac")
+    __slots__ = ("partials", "params", "jac", "batch")
 
     def __init__(self, partials, params: Mapping[str, float]):
         self.partials = tuple(partials)
@@ -729,6 +738,8 @@ class ExprJacobian:
         self.jac = MethodType(_compile_scalar(
             self.partials, self.params, "return _Matrix2({0}, {1}, {2}, {3})",
             "jac"), self)
+        self.batch = MethodType(_compile_batch(self.partials, self.params,
+                                               "batch"), self)
 
     def __call__(self, x: float, y: float) -> Matrix2:
         return self.jac(x, y)
@@ -752,11 +763,13 @@ def expr_map(f_text: str, g_text: str,
             raise UnboundParameterError(e.name)
     domain = domain or Rect(-math.inf, math.inf, -math.inf, math.inf)
     pair = ExprPair(f, g, params)
-    partials = [differentiate(e, v) for e in (f, g) for v in ("x", "y")]
+    jac = ExprJacobian([differentiate(e, v) for e in (f, g) for v in ("x", "y")],
+                       params)
     return PlanarMap(name=name,
                      step=pair.step,
                      batch=pair.batch,
                      domain=domain,
-                     jac=ExprJacobian(partials, params).jac,
+                     jac=jac.jac,
+                     batch_jac=jac.batch,
                      params=params,
                      meta={"f": f_text, "g": g_text})

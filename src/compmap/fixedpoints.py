@@ -6,10 +6,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (DegenerateRootError, NoConvergenceError, SingularityError,
-                     DomainError)
-from .geometry import Matrix2, Point2, Rect, in_quadrant_interior, sup_norm
-from .planarmap import PlanarMap, _sample_grid, check_competitive, jacobian
+import numpy as np
+
+from .errors import DegenerateRootError, NoConvergenceError, SingularityError
+from .expr import _pow_array
+from .geometry import Matrix2, Point2, Rect, sup_norm
+from .planarmap import (_EVAL_ERRORS, PlanarMap, _images, _jacobians, _sample_grid,
+                        check_competitive, jacobian)
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 100
@@ -118,62 +121,170 @@ def _iterate_ahead(m: PlanarMap, p: Point2) -> Optional[Point2]:
     return q if q.dist_inf(p) > 0 else None
 
 
-def _solve(m: PlanarMap, guess: Point2, k: int = 1,
-           target: Optional[Point2] = None, tol: float = NEWTON_TOL,
-           fallback: bool = False) -> tuple:
-    """Damped Newton on T^k(p) - target = 0 (target None: p), k in {1, 2}.
+# Why a lockstep Newton search gave up on a start (_Newton.code; 0: converged)
+_EVAL, _SINGULAR, _OVERFLOW, _STALLED, _MAX_ITER = 1, 2, 3, 4, 5
+
+
+@dataclass(frozen=True)
+class _Newton:
+    """The outcome of _solve per start i: the root (x[i], y[i]) and its
+    sup-norm residual res[i] where code[i] is 0, else the point and residual
+    at which the search gave up, and why."""
+
+    x: np.ndarray
+    y: np.ndarray
+    res: np.ndarray
+    code: np.ndarray
+    raised: dict  # start -> what evaluating the map raised there (code _EVAL)
+
+    def root(self, i: int) -> Point2:
+        return Point2(float(self.x[i]), float(self.y[i]))
+
+    def error(self, i: int) -> Optional[Exception]:
+        """The exception the scalar search from start i raises, or None."""
+        code = int(self.code[i])
+        x, y, res = float(self.x[i]), float(self.y[i]), float(self.res[i])
+        if code == 0:
+            return None
+        if code == _EVAL:
+            return self.raised[i]
+        return NoConvergenceError({
+            _SINGULAR: f"singular Newton matrix at ({x:.6g}, {y:.6g})",
+            _OVERFLOW: f"Newton matrix overflows at ({x:.6g}, {y:.6g})",
+            _STALLED: f"Newton stalled at ({x:.6g}, {y:.6g}), residual {res:.3g}",
+            _MAX_ITER: f"no convergence after {NEWTON_MAX_ITER} Newton "
+                       f"iterations (residual {res:.3g})"}[code])
+
+
+def _residuals(m: PlanarMap, X, Y, k: int, TX, TY) -> tuple:
+    """_residual on arrays, and where an image along the way has a NaN,
+    which may stand for a raising step."""
+    IX, IY = X, Y
+    nan = np.zeros(X.shape, dtype=bool)
+    for _ in range(k):
+        IX, IY = _images(m, IX, IY)
+        nan |= np.isnan(IX) | np.isnan(IY)
+    return IX - TX, IY - TY, nan
+
+
+def _dts(m: PlanarMap, X, Y, k: int) -> tuple:
+    """_dt on arrays, as entry arrays (a11, a12, a21, a22), and where a
+    Jacobian or image along the way has a NaN."""
+    j = _jacobians(m, X, Y)
+    nan = np.isnan(j[0]) | np.isnan(j[1]) | np.isnan(j[2]) | np.isnan(j[3])
+    for _ in range(k - 1):
+        X, Y = _images(m, X, Y)
+        a = _jacobians(m, X, Y)
+        nan |= (np.isnan(X) | np.isnan(Y) | np.isnan(a[0]) | np.isnan(a[1])
+                | np.isnan(a[2]) | np.isnan(a[3]))
+        j = (a[0] * j[0] + a[1] * j[2], a[0] * j[1] + a[1] * j[3],
+             a[2] * j[0] + a[3] * j[2], a[2] * j[1] + a[3] * j[3])
+    return j, nan
+
+
+def _solve(m: PlanarMap, X, Y, k: int = 1, target: Optional[tuple] = None,
+           tol: float = NEWTON_TOL, fallback: bool = False) -> _Newton:
+    """Damped Newton on T^k(p) - target = 0 (target None: p), k in {1, 2},
+    from every start (X[i], Y[i]) in lockstep; target, if given, is a pair
+    of arrays of per-start targets.
 
     Each step is halved until the sup-norm residual decreases. With
     fallback, a singular Newton matrix restarts from _iterate_ahead before
-    the search is abandoned. Returns the root and its sup-norm residual.
+    the search is abandoned. Every start follows the arithmetic of a scalar
+    search from it, so roots and residuals are those of one; each Newton
+    iteration and each halving round is one batch call over the starts
+    still in it. Where a NaN may stand for a raising map, the scalar
+    step or Jacobian is asked at that one point.
     """
-    p = Point2(float(guess[0]), float(guess[1]))
-    fp = _residual(m, p, k, target)
-    res = sup_norm(fp.x, fp.y)
-    for _ in range(NEWTON_MAX_ITER):
-        if res < tol:
-            return p, res
-        j = _dt(m, p, k)
-        if target is None:
-            j = Matrix2(j.a11 - 1.0, j.a12, j.a21, j.a22 - 1.0)
-        det = j.det()
+    X = np.array(X, dtype=float)
+    Y = np.array(Y, dtype=float)
+    TX, TY = (X, Y) if target is None else (np.asarray(target[0], dtype=float),
+                                            np.asarray(target[1], dtype=float))
+    code = np.zeros(X.shape, dtype=np.int8)
+    raised = {}
+
+    def scalar(i: int, fn, *args):
+        """fn(*args) for start i; what it raises ends the start's search."""
         try:
-            singular = abs(det) < 1e-14 * max(1.0, j.norm_inf()) ** 2
-        except OverflowError:
-            raise NoConvergenceError(
-                f"Newton matrix overflows at ({p.x:.6g}, {p.y:.6g})") from None
-        if singular:
-            q = _iterate_ahead(m, p) if fallback else None
-            if q is not None:
-                p = q
-                fp = _residual(m, p, k, target)
-                res = sup_norm(fp.x, fp.y)
-                continue
-            raise NoConvergenceError(
-                f"singular Newton matrix at ({p.x:.6g}, {p.y:.6g})")
-        dx = (-fp.x * j.a22 + fp.y * j.a12) / det
-        dy = (-fp.y * j.a11 + fp.x * j.a21) / det
-        accepted = False
-        for _h in range(MAX_HALVINGS + 1):
-            cand = Point2(p.x + dx, p.y + dy)
-            try:
-                fc = _residual(m, cand, k, target)
-                cres = sup_norm(fc.x, fc.y)
-                if math.isfinite(cres) and cres < res:
-                    p, fp, res = cand, fc, cres
-                    accepted = True
+            return fn(*args)
+        except Exception as e:
+            code[i], raised[i] = _EVAL, e
+            return None
+
+    def aim(i: int) -> Optional[Point2]:
+        return None if target is None else Point2(float(TX[i]), float(TY[i]))
+
+    def residual(i: int, x: float, y: float):
+        return scalar(i, _residual, m, Point2(x, y), k, aim(i))
+
+    with np.errstate(all="ignore"):
+        FX, FY, nan = _residuals(m, X, Y, k, TX, TY)
+        for i in np.flatnonzero(nan).tolist():
+            f = residual(i, float(X[i]), float(Y[i]))
+            if f is not None:
+                FX[i], FY[i] = f
+        res = np.maximum(np.abs(FX), np.abs(FY))
+        for _ in range(NEWTON_MAX_ITER):
+            idx = np.flatnonzero((code == 0) & ~(res < tol))
+            if idx.size == 0:
+                break
+            (a11, a12, a21, a22), nan = _dts(m, X[idx], Y[idx], k)
+            for n in np.flatnonzero(nan).tolist():
+                i = int(idx[n])
+                j = scalar(i, _dt, m, Point2(float(X[i]), float(Y[i])), k)
+                if j is not None:
+                    a11[n], a12[n], a21[n], a22[n] = j
+            if target is None:
+                a11, a22 = a11 - 1.0, a22 - 1.0
+            det = a11 * a22 - a12 * a21
+            # Matrix2.norm_inf: max(row 1, row 2) keeps row 1 unless row 2 is
+            # larger, and max(1.0, nan) is 1.0
+            r1 = np.abs(a11) + np.abs(a12)
+            r2 = np.abs(a21) + np.abs(a22)
+            scale = np.fmax(1.0, np.where(r2 > r1, r2, r1))
+            overflow = np.zeros(idx.shape, dtype=bool)
+            square = _pow_array(scale, 2.0, overflow)  # the bits of scale ** 2
+            singular = np.abs(det) < 1e-14 * square
+            code[idx[overflow & (code[idx] == 0)]] = _OVERFLOW
+            for i in idx[singular & (code[idx] == 0)].tolist():
+                p = Point2(float(X[i]), float(Y[i]))
+                q = scalar(i, _iterate_ahead, m, p) if fallback else None
+                f = None if q is None else residual(i, q.x, q.y)
+                if f is not None:
+                    X[i], Y[i], FX[i], FY[i] = q.x, q.y, f.x, f.y
+                    res[i] = sup_norm(f.x, f.y)
+                elif code[i] == 0:
+                    code[i] = _SINGULAR
+            go = ~singular & (code[idx] == 0)
+            idx, det = idx[go], det[go]
+            a11, a12, a21, a22 = a11[go], a12[go], a21[go], a22[go]
+            dx = (-FX[idx] * a22 + FY[idx] * a12) / det
+            dy = (-FY[idx] * a11 + FX[idx] * a21) / det
+            for _h in range(MAX_HALVINGS + 1):
+                if idx.size == 0:
                     break
-            except (SingularityError, DomainError, OverflowError, ZeroDivisionError):
-                pass
-            dx *= 0.5
-            dy *= 0.5
-        if not accepted:
-            raise NoConvergenceError(
-                f"Newton stalled at ({p.x:.6g}, {p.y:.6g}), residual {res:.3g}")
-    if res < tol:
-        return p, res
-    raise NoConvergenceError(f"no convergence after {NEWTON_MAX_ITER} Newton "
-                             f"iterations (residual {res:.3g})")
+                cx, cy = X[idx] + dx, Y[idx] + dy
+                gx, gy, nan = _residuals(
+                    m, cx, cy, k, *((cx, cy) if target is None else (TX[idx], TY[idx])))
+                cres = np.maximum(np.abs(gx), np.abs(gy))
+                # with k = 2 a finite residual may hide a raising first step
+                for n in np.flatnonzero(nan & np.isfinite(cres)).tolist():
+                    try:
+                        f = _residual(m, Point2(float(cx[n]), float(cy[n])), k,
+                                      aim(int(idx[n])))
+                        gx[n], gy[n] = f
+                        cres[n] = sup_norm(f.x, f.y)
+                    except _EVAL_ERRORS:
+                        cres[n] = math.nan
+                take = np.isfinite(cres) & (cres < res[idx])
+                t = idx[take]
+                X[t], Y[t], FX[t], FY[t], res[t] = (cx[take], cy[take], gx[take],
+                                                    gy[take], cres[take])
+                left = ~take
+                idx, dx, dy = idx[left], dx[left] * 0.5, dy[left] * 0.5
+            code[idx] = _STALLED
+    code[(code == 0) & ~(res < tol)] = _MAX_ITER
+    return _Newton(X, Y, res, code, raised)
 
 
 def _record(root: Point2, kind: str, partner: Optional[Point2], dt: Matrix2,
@@ -208,10 +319,40 @@ def find_fixed_point(m: PlanarMap, guess: Point2,
     A singular Newton matrix triggers a fallback of 50 plain map iterations
     before the search is abandoned. tol must be finite and > 0.
     """
+    out = _find_fixed_points(m, [float(guess[0])], [float(guess[1])], tol)[0]
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _find_fixed_points(m: PlanarMap, X, Y, tol: float = NEWTON_TOL) -> list:
+    """find_fixed_point from every start (X[i], Y[i]), in one lockstep
+    search: per start its record, or the exception find_fixed_point raises."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    root, res = _solve(m, guess, tol=tol, fallback=True)
-    return _record(root, "fixed", None, jacobian(m, root), res)
+    sol = _solve(m, X, Y, tol=tol, fallback=True)
+    out = []
+    for i in range(len(sol.code)):
+        err = sol.error(i)
+        if err is None:
+            root = sol.root(i)
+            try:
+                err = _record(root, "fixed", None, jacobian(m, root), float(sol.res[i]))
+            except Exception as e:
+                err = e
+        out.append(err)
+    return out
+
+
+def _partner(m: PlanarMap, root: Point2) -> Point2:
+    """T(root) for a root of T^2 - id; raises DegenerateRootError where root
+    is a plain fixed point."""
+    img = Point2(*m.step(root.x, root.y))
+    if root.dist_inf(img) < 10.0 * NEWTON_TOL:
+        raise DegenerateRootError(
+            f"degenerate: fixed point at ({root.x:.6g}, {root.y:.6g}),"
+            " not a minimal period-two point")
+    return img
 
 
 def find_period_two(m: PlanarMap, guess: Point2) -> FixedPointRecord:
@@ -219,13 +360,13 @@ def find_period_two(m: PlanarMap, guess: Point2) -> FixedPointRecord:
 
     Eigen data and classification come from DT^2 at the root.
     """
-    root, res = _solve(m, guess, k=2)
-    img = Point2(*m.step(root.x, root.y))
-    if root.dist_inf(img) < 10.0 * NEWTON_TOL:
-        raise DegenerateRootError(
-            f"degenerate: fixed point at ({root.x:.6g}, {root.y:.6g}),"
-            " not a minimal period-two point")
-    return _record(root, "period_two", img, _dt(m, root, 2), res)
+    sol = _solve(m, [float(guess[0])], [float(guess[1])], k=2)
+    err = sol.error(0)
+    if err is not None:
+        raise err
+    root = sol.root(0)
+    img = _partner(m, root)
+    return _record(root, "period_two", img, _dt(m, root, 2), float(sol.res[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -375,35 +516,81 @@ def check_boundary_endpoint_conditions(m: PlanarMap, fp: FixedPointRecord,
     period-two point (T^2 - id) and a preimage of fp (T - fp); a root in
     delta other than fp becomes a witness.
     """
-    if fp.kind != "fixed":
-        raise ValueError("boundary-endpoint conditions apply to fixed points")
-    fp_pt = fp.location
-    parts = _delta_parts(region, fp_pt.x, fp_pt.y)
-    starts = [s for r, _k in parts for s in _sample_grid(r, BOUNDARY_GRID ** 2)]
-    fixed_w, p2_w, pre_w = [], [], []
-    # (witnesses, whether fp itself is excluded, search)
-    searches = ((fixed_w, True, lambda s: find_fixed_point(m, s).location),
-                (p2_w, False, lambda s: find_period_two(m, s).location),
-                (pre_w, True, lambda s: _solve(m, s, target=fp_pt)[0]))
-    for s in starts:
-        for bag, off_fp, search in searches:
-            try:
-                r = search(s)
-            except (NoConvergenceError, SingularityError, OverflowError):
-                continue
-            if (region.contains(r)
-                    and any(in_quadrant_interior(fp_pt, r, k, 1e-9) for _, k in parts)
-                    and (not off_fp or r.dist_inf(fp_pt) > 1e-6)
-                    and all(not r.dist_inf(q) < 1e-6 for q in bag)):
-                bag.append(r)
+    return _boundary_reports(m, [fp], region)[0]
 
-    det = jacobian(m, fp_pt).det()
-    return BoundaryEndpointReport(
-        condition_i=not fixed_w and not p2_w,
-        condition_ii=not fixed_w and det > 0 and not pre_w,
-        condition_iii=not p2_w and det < 0 and not pre_w,
-        det_at_fp=det,
-        starts=len(starts),
-        fixed_witnesses=tuple(fixed_w),
-        period_two_witnesses=tuple(p2_w),
-        preimage_witnesses=tuple(pre_w))
+
+# What a search from one start may raise without ending the check (as a
+# search that finds nothing).
+_NO_ROOT = (NoConvergenceError, SingularityError, OverflowError)
+
+
+def _boundary_reports(m: PlanarMap, fps, region: Rect) -> list:
+    """check_boundary_endpoint_conditions at each fixed point of fps, with
+    the starts of all of them in one lockstep search per kind of root."""
+    if any(fp.kind != "fixed" for fp in fps):
+        raise ValueError("boundary-endpoint conditions apply to fixed points")
+    grids, owner, q1, q3 = [], [], [], []
+    for i, fp in enumerate(fps):
+        parts = _delta_parts(region, fp.location.x, fp.location.y)
+        for r, _k in parts:
+            grids.append(_sample_grid(r, BOUNDARY_GRID ** 2))
+            owner.append(np.full(len(grids[-1][0]), i))
+        q1.append(any(k == 1 for _, k in parts))
+        q3.append(any(k == 3 for _, k in parts))
+    X = np.concatenate([g[0] for g in grids] + [np.empty(0)])
+    Y = np.concatenate([g[1] for g in grids] + [np.empty(0)])
+    owner = np.concatenate(owner + [np.empty(0, dtype=int)])
+    FX = np.array([fp.location.x for fp in fps], dtype=float)[owner]
+    FY = np.array([fp.location.y for fp in fps], dtype=float)[owner]
+    q1 = np.array(q1, dtype=bool)[owner]
+    q3 = np.array(q3, dtype=bool)[owner]
+
+    def fixed_ok(r):
+        jacobian(m, r)
+
+    def period_two_ok(r):
+        _partner(m, r)
+        _dt(m, r, 2)
+
+    # (search, whether fp itself is excluded, what must evaluate at a witness)
+    searches = ((_solve(m, X, Y, fallback=True), True, fixed_ok),
+                (_solve(m, X, Y, k=2), False, period_two_ok),
+                (_solve(m, X, Y, target=(FX, FY)), True, None))
+    # anything else a search raises ends the check: the first, in start order
+    fatal = [(s, n, e) for n, (sol, _, _) in enumerate(searches)
+             for s, e in sol.raised.items() if not isinstance(e, _NO_ROOT)]
+    if fatal:
+        raise min(fatal, key=lambda t: t[:2])[2]
+    bags = [([], [], []) for _ in fps]
+    for n, (sol, off_fp, evaluates) in enumerate(searches):
+        dx, dy = sol.x - FX, sol.y - FY
+        near = (sol.code == 0) \
+            & (region.x_lo <= sol.x) & (sol.x <= region.x_hi) \
+            & (region.y_lo <= sol.y) & (sol.y <= region.y_hi) \
+            & ((q1 & (dx >= 1e-9) & (dy >= 1e-9)) | (q3 & (-dx >= 1e-9) & (-dy >= 1e-9)))
+        if off_fp:
+            near &= np.maximum(np.abs(dx), np.abs(dy)) > 1e-6
+        for s in np.flatnonzero(near).tolist():
+            bag, r = bags[owner[s]][n], sol.root(s)
+            if any(r.dist_inf(q) < 1e-6 for q in bag):
+                continue
+            try:
+                if evaluates is not None:
+                    evaluates(r)
+            except _NO_ROOT:
+                continue
+            bag.append(r)
+
+    reports = []
+    for fp, (fixed_w, p2_w, pre_w) in zip(fps, bags):
+        det = jacobian(m, fp.location).det()
+        reports.append(BoundaryEndpointReport(
+            condition_i=not fixed_w and not p2_w,
+            condition_ii=not fixed_w and det > 0 and not pre_w,
+            condition_iii=not p2_w and det < 0 and not pre_w,
+            det_at_fp=det,
+            starts=int(np.count_nonzero(owner == len(reports))),
+            fixed_witnesses=tuple(fixed_w),
+            period_two_witnesses=tuple(p2_w),
+            preimage_witnesses=tuple(pre_w)))
+    return reports

@@ -6,7 +6,10 @@ when a denominator vanishes within tolerance (expr.DIV_TOL for the built-in
 and expression maps). The optional batch callable is the same map on numpy
 arrays: it returns a pair of arrays of the input shape, bit-identical to step
 elementwise, with NaN (in at least one component) wherever step would raise.
-Callers of batch enter np.errstate. Maps are immutable.
+The optional batch_jac is jac on arrays in the same way: the four entries
+(a11, a12, a21, a22) as arrays, NaN in at least one of them wherever jac
+would raise. Callers of batch and batch_jac enter np.errstate. Maps are
+immutable.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ class PlanarMap:
     params: Mapping[str, float] = field(default_factory=dict)
     meta: Mapping[str, str] = field(default_factory=dict)
     batch: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
+    batch_jac: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
 
     def __call__(self, x: float, y: float) -> tuple:
         return self.step(x, y)
@@ -157,20 +161,15 @@ def eventually_componentwise_monotone(points: Sequence[Point2]) -> bool:
 # Competitiveness / orientation checks
 
 
-def _sample_grid(region: Rect, samples: int) -> list:
+def _sample_grid(region: Rect, samples: int) -> tuple:
     """Quasi-uniform interior grid over region (clamped to
-    DEFAULT_SAMPLING_WINDOW if unbounded)."""
+    DEFAULT_SAMPLING_WINDOW if unbounded), as arrays X, Y of the cell
+    centres, x-major."""
     r = region if region.is_bounded() else region.clamped(DEFAULT_SAMPLING_WINDOW)
-    if r.x_lo > r.x_hi or r.y_lo > r.y_hi:
-        return []
     k = max(1, math.isqrt(max(1, samples)))
-    pts = []
-    for i in range(k):
-        x = r.x_lo + (i + 0.5) * r.width() / k
-        for j in range(k):
-            y = r.y_lo + (j + 0.5) * r.height() / k
-            pts.append(Point2(x, y))
-    return pts
+    xs = r.x_lo + (np.arange(k) + 0.5) * r.width() / k
+    ys = r.y_lo + (np.arange(k) + 0.5) * r.height() / k
+    return np.repeat(xs, k), np.tile(ys, k)
 
 
 @dataclass(frozen=True)
@@ -203,33 +202,36 @@ def check_competitive(m: PlanarMap, region: Rect,
     not a symbolic proof.
     """
     tol = COMPETITIVE_TOL
-    pts = _sample_grid(region, samples)
-    competitive = True
-    strongly = True
-    failures = 0
+    X, Y = _sample_grid(region, samples)
+    J, ok = _sampled_jacobians(m, X, Y)
+    a11, a12, a21, a22 = J[:, ok]
+    weak = (a11 >= -tol) & (a12 <= tol) & (a21 <= tol) & (a22 >= -tol)
+    strong = (a11 > tol) & (a12 < -tol) & (a21 < -tol) & (a22 > tol)
+    competitive = bool(weak.all())
     witness = None
-    n_ok = 0
-    for p in pts:
+    if not competitive:  # the first sample, in grid order, off the weak pattern
+        i = int(np.flatnonzero(ok)[np.argmin(weak)])
+        witness = (Point2(float(X[i]), float(Y[i])), Matrix2(*J[:, i].tolist()))
+    return CompetitivityReport(competitive=competitive,
+                               strongly=competitive and bool(strong.all()),
+                               samples=int(np.count_nonzero(ok)),
+                               failures=int(np.count_nonzero(~ok)), witness=witness)
+
+
+def _sampled_jacobians(m: PlanarMap, X: np.ndarray, Y: np.ndarray) -> tuple:
+    """The Jacobian entries of m at the samples, as rows of a 4 x n array,
+    and where jacobian evaluates; a NaN entry may come from a raising
+    jacobian or from one that returns it, and the scalar jacobian tells
+    which."""
+    with np.errstate(all="ignore"):
+        J = np.array(_jacobians(m, X, Y), dtype=float)
+    ok = np.ones(len(X), dtype=bool)
+    for k in np.flatnonzero(np.isnan(J).any(axis=0)).tolist():
         try:
-            j = jacobian(m, p)
+            J[:, k] = jacobian(m, Point2(float(X[k]), float(Y[k])))
         except _EVAL_ERRORS:
-            failures += 1
-            continue
-        n_ok += 1
-        ok_weak = (j.a11 >= -tol and j.a12 <= tol and j.a21 <= tol and j.a22 >= -tol)
-        ok_strong = (j.a11 > tol and j.a12 < -tol and j.a21 < -tol and j.a22 > tol)
-        if not ok_weak and competitive:
-            competitive = False
-            if witness is None:
-                witness = (p, j)
-        if not ok_strong and strongly:
-            strongly = False
-            if witness is None and not ok_weak:
-                witness = (p, j)
-    if not competitive:
-        strongly = False
-    return CompetitivityReport(competitive=competitive, strongly=strongly,
-                               samples=n_ok, failures=failures, witness=witness)
+            ok[k] = False
+    return J, ok
 
 
 @dataclass(frozen=True)
@@ -256,6 +258,20 @@ def _images(m: PlanarMap, X: np.ndarray, Y: np.ndarray) -> tuple:
     return out[0], out[1]
 
 
+def _jacobians(m: PlanarMap, X: np.ndarray, Y: np.ndarray) -> tuple:
+    """The Jacobian entries (a11, a12, a21, a22) of m on arrays: its
+    batch_jac, or jacobian per point with NaN where it raises."""
+    if m.batch_jac is not None:
+        return m.batch_jac(X, Y)
+    out = np.full((4, len(X)), math.nan)
+    for k, (x, y) in enumerate(zip(X.tolist(), Y.tolist())):
+        try:
+            out[:, k] = jacobian(m, Point2(x, y))
+        except _EVAL_ERRORS:
+            pass
+    return tuple(out)
+
+
 def check_O_condition(m: PlanarMap, region: Rect, pairs: int = 10_000,
                       seed: int = 0) -> OConditionReport:
     """Orientation check: sampled determinant signs plus an injectivity probe.
@@ -266,13 +282,10 @@ def check_O_condition(m: PlanarMap, region: Rect, pairs: int = 10_000,
     The probe maps all pairs with two batch calls; pairs with a non-finite
     image are re-run through step, so the counts equal a per-pair step loop's.
     """
-    pts = _sample_grid(region, GRID_SAMPLES)
-    dets = []
-    for p in pts:
-        try:
-            dets.append(jacobian(m, p).det())
-        except _EVAL_ERRORS:
-            continue
+    J, ok = _sampled_jacobians(m, *_sample_grid(region, GRID_SAMPLES))
+    a11, a12, a21, a22 = J[:, ok]
+    with np.errstate(all="ignore"):
+        dets = (a11 * a22 - a12 * a21).tolist()
     if not dets:
         return OConditionReport("inconclusive", math.nan, math.nan, 0, 0, 0,
                                 "no evaluable sample points")

@@ -114,9 +114,10 @@ def _map(eid: str, p: dict, meta: dict, values: Optional[dict] = None) -> Planar
     f, g, *partials = (parse(text) for text in _EXPRESSIONS[eid])
     values = p if values is None else values
     pair = ExprPair(f, g, values)
+    jac = ExprJacobian(partials, values)
     return PlanarMap(name=eid, step=pair.step, domain=_POS_QUADRANT,
-                     jac=ExprJacobian(partials, values).jac, params=p, meta=meta,
-                     batch=pair.batch)
+                     jac=jac.jac, params=p, meta=meta, batch=pair.batch,
+                     batch_jac=jac.batch)
 
 
 # ---------------------------------------------------------------------------

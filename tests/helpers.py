@@ -3,8 +3,9 @@ the expression tree-walkers that compiled expressions replaced, the
 hand-written built-in steps and Jacobians that their expression form
 replaced, independent vectorized re-implementations of the built-in
 recurrences used as brute-force oracles (they deliberately bypass the
-library code paths they are checking), the scalar column solver the
-lockstep one replaced, and a map-evaluation counter."""
+library code paths they are checking), the scalar column solver, Newton
+search, boundary-endpoint check and competitivity check the lockstep ones
+replaced, and a map-evaluation counter."""
 
 import math
 from dataclasses import replace
@@ -12,9 +13,16 @@ from functools import partial
 
 import numpy as np
 
-from compmap import (Matrix2, Point2, SingularityError, UnboundParameterError,
-                     classify_side)
+from compmap import (BoundaryEndpointReport, CompetitivityReport,
+                     DegenerateRootError, Matrix2, NoConvergenceError, Point2,
+                     SingularityError, UnboundParameterError, classify_side,
+                     jacobian)
 from compmap.curves import PROBES
+from compmap.fixedpoints import (BOUNDARY_GRID, MAX_HALVINGS, NEWTON_MAX_ITER,
+                                 NEWTON_TOL, _delta_parts, _dt, _iterate_ahead,
+                                 _record, _residual)
+from compmap.geometry import in_quadrant_interior, sup_norm
+from compmap.planarmap import _EVAL_ERRORS, COMPETITIVE_TOL, _sample_grid
 from compmap.expr import DIV_TOL, BinOp, Const, Neg, Param, Var
 
 
@@ -366,13 +374,137 @@ def solve_columns_one_by_one(m, fp, slope, cxs, window, curve_tol, sopts):
 
 
 # ---------------------------------------------------------------------------
+# Scalar Newton: one start at a time, raising where the search fails
+
+
+def scalar_solve(m, guess, k=1, target=None, tol=NEWTON_TOL, fallback=False):
+    """Damped Newton on T^k(p) - target = 0 (target None: p) from one start;
+    returns the root and its sup-norm residual, or raises."""
+    p = Point2(float(guess[0]), float(guess[1]))
+    fp = _residual(m, p, k, target)
+    res = sup_norm(fp.x, fp.y)
+    for _ in range(NEWTON_MAX_ITER):
+        if res < tol:
+            return p, res
+        j = _dt(m, p, k)
+        if target is None:
+            j = Matrix2(j.a11 - 1.0, j.a12, j.a21, j.a22 - 1.0)
+        det = j.det()
+        try:
+            singular = abs(det) < 1e-14 * max(1.0, j.norm_inf()) ** 2
+        except OverflowError:
+            raise NoConvergenceError(
+                f"Newton matrix overflows at ({p.x:.6g}, {p.y:.6g})") from None
+        if singular:
+            q = _iterate_ahead(m, p) if fallback else None
+            if q is not None:
+                p = q
+                fp = _residual(m, p, k, target)
+                res = sup_norm(fp.x, fp.y)
+                continue
+            raise NoConvergenceError(
+                f"singular Newton matrix at ({p.x:.6g}, {p.y:.6g})")
+        dx = (-fp.x * j.a22 + fp.y * j.a12) / det
+        dy = (-fp.y * j.a11 + fp.x * j.a21) / det
+        accepted = False
+        for _h in range(MAX_HALVINGS + 1):
+            cand = Point2(p.x + dx, p.y + dy)
+            try:
+                fc = _residual(m, cand, k, target)
+                cres = sup_norm(fc.x, fc.y)
+                if math.isfinite(cres) and cres < res:
+                    p, fp, res = cand, fc, cres
+                    accepted = True
+                    break
+            except _EVAL_ERRORS:
+                pass
+            dx *= 0.5
+            dy *= 0.5
+        if not accepted:
+            raise NoConvergenceError(
+                f"Newton stalled at ({p.x:.6g}, {p.y:.6g}), residual {res:.3g}")
+    if res < tol:
+        return p, res
+    raise NoConvergenceError(f"no convergence after {NEWTON_MAX_ITER} Newton "
+                             f"iterations (residual {res:.3g})")
+
+
+def scalar_boundary_report(m, fp, region):
+    """check_boundary_endpoint_conditions with one scalar search per start
+    and kind of root, each building the record the search returns."""
+
+    def fixed(s):
+        root, res = scalar_solve(m, s, fallback=True)
+        return _record(root, "fixed", None, jacobian(m, root), res).location
+
+    def period_two(s):
+        root, res = scalar_solve(m, s, k=2)
+        img = Point2(*m.step(root.x, root.y))
+        if root.dist_inf(img) < 10.0 * NEWTON_TOL:
+            raise DegenerateRootError("degenerate")
+        return _record(root, "period_two", img, _dt(m, root, 2), res).location
+
+    fp_pt = fp.location
+    parts = _delta_parts(region, fp_pt.x, fp_pt.y)
+    starts = [Point2(x, y) for r, _k in parts
+              for x, y in zip(*(a.tolist() for a in _sample_grid(r, BOUNDARY_GRID ** 2)))]
+    fixed_w, p2_w, pre_w = [], [], []
+    searches = ((fixed_w, True, fixed), (p2_w, False, period_two),
+                (pre_w, True, lambda s: scalar_solve(m, s, target=fp_pt)[0]))
+    for s in starts:
+        for bag, off_fp, search in searches:
+            try:
+                r = search(s)
+            except (NoConvergenceError, SingularityError, OverflowError):
+                continue
+            if (region.contains(r)
+                    and any(in_quadrant_interior(fp_pt, r, k, 1e-9) for _, k in parts)
+                    and (not off_fp or r.dist_inf(fp_pt) > 1e-6)
+                    and all(not r.dist_inf(q) < 1e-6 for q in bag)):
+                bag.append(r)
+    det = jacobian(m, fp_pt).det()
+    return BoundaryEndpointReport(
+        condition_i=not fixed_w and not p2_w,
+        condition_ii=not fixed_w and det > 0 and not pre_w,
+        condition_iii=not p2_w and det < 0 and not pre_w,
+        det_at_fp=det, starts=len(starts), fixed_witnesses=tuple(fixed_w),
+        period_two_witnesses=tuple(p2_w), preimage_witnesses=tuple(pre_w))
+
+
+def scalar_check_competitive(m, region, samples=100):
+    """check_competitive with one jacobian call per grid point."""
+    tol = COMPETITIVE_TOL
+    competitive = strongly = True
+    failures = n_ok = 0
+    witness = None
+    for x, y in zip(*(a.tolist() for a in _sample_grid(region, samples))):
+        p = Point2(x, y)
+        try:
+            j = jacobian(m, p)
+        except _EVAL_ERRORS:
+            failures += 1
+            continue
+        n_ok += 1
+        ok_weak = (j.a11 >= -tol and j.a12 <= tol and j.a21 <= tol and j.a22 >= -tol)
+        ok_strong = (j.a11 > tol and j.a12 < -tol and j.a21 < -tol and j.a22 > tol)
+        if not ok_weak and competitive:
+            competitive = False
+            witness = (p, j)
+        strongly = strongly and ok_strong
+    return CompetitivityReport(competitive=competitive,
+                               strongly=competitive and strongly, samples=n_ok,
+                               failures=failures, witness=witness)
+
+
+# ---------------------------------------------------------------------------
 # Map-evaluation counting
 
 
 def counting_map(m, box):
     """A copy of PlanarMap m that adds one to box[0] per step call and the
-    number of elements per batch call."""
-    step, batch = m.step, m.batch
+    number of elements per batch call, and to box[1] per jac call and the
+    number of elements per batch_jac call."""
+    step, batch, jac, batch_jac = m.step, m.batch, m.jac, m.batch_jac
 
     def counted_step(x, y):
         box[0] += 1
@@ -382,5 +514,15 @@ def counting_map(m, box):
         box[0] += np.size(X)
         return batch(X, Y)
 
+    def counted_jac(x, y):
+        box[1] += 1
+        return jac(x, y)
+
+    def counted_batch_jac(X, Y):
+        box[1] += np.size(X)
+        return batch_jac(X, Y)
+
     return replace(m, step=counted_step,
-                   batch=None if batch is None else counted_batch)
+                   batch=None if batch is None else counted_batch,
+                   jac=None if jac is None else counted_jac,
+                   batch_jac=None if batch_jac is None else counted_batch_jac)

@@ -112,6 +112,20 @@ def test_basin_contraction_single_label(tmp_path, capsys):
     assert int(census["band"]) == 4
 
 
+def test_basin_loose_tolerance_compares_certified_limits(tmp_path, capsys):
+    # a T* limit is certified at min(tol, 1e-6); compared with fp under a
+    # slack of 10 * tol = 1e-2, ten cells near the segment of fixed points
+    # read incomparable
+    out_file = tmp_path / "b.pgm"
+    rc, out, _ = _run(capsys, ["basin", "--example", "ex2", "--guess", "0.5,1",
+                               "--window", "0,2,0,3", "--nx", "32", "--ny", "32",
+                               "--tol", "1e-3", "--out", str(out_file)])
+    assert rc == 0
+    census = dict(ln.split(": ") for ln in out.strip().splitlines())
+    assert census == {"minus": "341", "plus": "683", "band": "0", "undecided": "0",
+                      "singular": "0"}
+
+
 def test_basin_pervasive_singularity_exit_3(tmp_path, capsys):
     out_file = tmp_path / "s.pgm"
     rc, _, err = _run(capsys, ["basin", "--f", "x/0", "--g", "y",
@@ -332,6 +346,34 @@ def test_analyze_dsl_stdout_pinned(capsys):
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "aed44a328d38fed53a586bb03a60cba0364d0dd53dd6b6aa5d2975a226b5a410"
+
+
+ANALYZE_PINS = {
+    ("ex1", "text"): "5302020860ee7e50de4cb3d913f58cabce38ca66716458a5fd12b4d46b997636",
+    ("ex1", "json"): "ed8f701531b6e90a852e0ef29bcb08cc4fd1088e07e35d0a1fdbd62c86321962",
+    ("ex2", "text"): "6b5642b7eff56b1594b8e7c3875bbacf6455b2309319c2af9a29528528849c86",
+    ("ex2", "json"): "d2d9c73daa9e4be5a29980d9ed917051fc44f87c69fe1e76f1dde5db35de79e9",
+    ("ex3_T", "text"): "16644a4baeb08dcafa776b4db64079969ec8d64bf05ed6995f300a99f40a6e15",
+    ("ex3_T", "json"): "86cf305ce5bbef3cf80bd7d7f0858270ffadfe773d03b897495360a4ae5963c1",
+    ("ex3_T2", "text"): "d01f3e1f7c904da2eee1a0a99d894784c2ee603f928f9f732cc72864ef2f81d0",
+    ("ex3_T2", "json"): "4ac3c976445ae0f74ca6a228e244e63a9b471329652c26786aee94265b7fb5f8",
+    ("ex4", "text"): "5262210384f14207a0d5c2fed161b1b18f112c89e0276e9b8505d93d464a1771",
+    ("ex4", "json"): "36eea8e6fd643bbb8dc839b78ef6faee6d0b5beb0499eae0dc7880309a0b92c6",
+    ("ex5", "text"): "ccfd4b4763835f8e26530027a0b51bfde05c99ac96238d4af0361e27acf52849",
+    ("ex5", "json"): "867b4cc008fb1a23a052c83acd237f709e692d094cd68f64c2de99b271e285de",
+    ("ex1_dsl", "text"): "aed44a328d38fed53a586bb03a60cba0364d0dd53dd6b6aa5d2975a226b5a410",
+    ("ex1_dsl", "json"): "390f381a59acbaa9a54685c707a0156c44dfb3c6a1bf707903971893994c2ab7",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(ANALYZE_PINS))
+def test_analyze_stdout_pinned(capsys, name, fmt):
+    # stdout of the scalar Newton searches, before they ran in lockstep
+    argv = (["--f", "x/(a+y)", "--g", "y/(1+x)", "--param", "a=2"]
+            if name == "ex1_dsl" else ["--example", name])
+    rc, out, _ = _run(capsys, ["analyze"] + argv + ["--format", fmt])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_PINS[name, fmt]
 
 
 @pytest.mark.parametrize("flags", [

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from compmap import (ParseError, Point2, SingularityError, UnboundParameterError,
                      make_example)
 from compmap.expr import (BinOp, Const, ExprJacobian, ExprPair, Neg, Param, Var,
-                          constant_fold, differentiate, evaluate, expr_map, parse,
-                          to_text)
+                          _pow_array, constant_fold, differentiate, evaluate,
+                          expr_map, parse, to_text)
 from compmap.planarmap import jacobian, fd_jacobian
 
 from helpers import random_expr, tree_batch, tree_eval
@@ -207,6 +207,17 @@ def _assert_compiled_matches_oracle(f, g, pts, params=PARAMS):
         got = pair.batch(X, Y)
     want = tree_batch(f, g, X, Y, params)
     assert _same_arrays(got[0], want[0]) and _same_arrays(got[1], want[1])
+    # the batch Jacobian: NaN in some entry wherever the scalar one raises,
+    # its values bit for bit elsewhere
+    with np.errstate(all="ignore"):
+        got = jac.batch(X, Y)
+    for n, (x, y) in enumerate(pts):
+        row = tuple(float(a[n]) for a in got)
+        want = _outcome(lambda: [tree_eval(d, x, y, params) for d in partials])
+        if want[0] in ("SingularityError", "UnboundParameterError"):
+            assert any(math.isnan(v) for v in row), (x, y)
+        else:
+            assert tuple(v.hex() for v in row) == want, (x, y)
 
 
 coord = st.one_of(
@@ -319,3 +330,24 @@ def _assert_pickles(m):
     Y = np.array([p[1] for p in pts])
     for u, v in zip(m2.batch(X, Y), m.batch(X, Y)):
         assert _same_arrays(u, v)
+    with np.errstate(all="ignore"):
+        for u, v in zip(m2.batch_jac(X, Y), m.batch_jac(X, Y)):
+            assert _same_arrays(u, v)
+
+
+@pytest.mark.parametrize("b", [2.0, 0.5, 3.0, -1.5, 320.0])
+def test_pow_array_is_math_pow_per_element(b):
+    rng = np.random.default_rng(5)
+    a = np.concatenate([rng.uniform(-3.0, 3.0, 500),
+                        [0.0, -0.0, 1e200, -1e200, math.inf, -math.inf, math.nan]])
+    bad = np.zeros(a.shape, dtype=bool)
+    got = _pow_array(a, b, bad)
+    for v, g, marked in zip(a.tolist(), got.tolist(), bad.tolist()):
+        try:
+            want = math.pow(v, b)
+        except (ValueError, OverflowError):
+            assert marked and math.isnan(g), v
+        else:
+            assert not marked and g.hex() == want.hex(), v
+    bad = np.zeros((), dtype=bool)
+    assert float(_pow_array(3.0, b, bad)).hex() == math.pow(3.0, b).hex() and not bad
