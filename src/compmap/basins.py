@@ -10,8 +10,10 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .geometry import Point2, Rect
-from .planarmap import PlanarMap
-from .curves import (LABEL_CODES, LABEL_NAMES, SideOptions, _check_limit_args,
+from .planarmap import (GRID_SAMPLES, PlanarMap, _images, _sample_grid,
+                        check_competitive)
+from .curves import (_MINUS, _PLUS, _SINGULAR, _UNDECIDED, LABEL_CODES,
+                     LABEL_NAMES, SideOptions, _check_limit_args,
                      _limits_lockstep, _resolve_mode, classify_batch)
 from .curves import LimitRecord, limit_equilibrium  # noqa: F401  (re-exported)
 
@@ -71,12 +73,33 @@ def raster_options(m: PlanarMap, window: Rect) -> SideOptions:
                        epsilon_margin=1e-4 * window.diagonal())
 
 
+# Lattice strides of a licensed limit-mode raster: a coarse lattice, then
+# every cell the coarse verdicts leave open.
+ORDER_STRIDES = (8, 1)
+_UNKNOWN = 255  # a cell not yet classified or inferred
+
+
 def raster(m: PlanarMap, fp: Point2, window: Rect, nx: int, ny: int,
            opts: SideOptions = None, workers: int = 1) -> BasinRaster:
     """Classify every cell center against the separatrix through fp.
 
-    All cells are classified in one classify_batch call. workers is accepted
-    for compatibility and must be >= 1; it has no effect.
+    Cells are classified level by level over lattice strides, one
+    classify_batch call per level over the lattice cells that the verdicts
+    so far leave open; the other cells are inferred from the southeast
+    order. The paper's separatrix is an increasing curve that splits the
+    region into two invariant parts, and a competitive map keeps z <=_se p
+    in T^n(z) <=_se T^n(p). So the minus cells form a down-set of the order
+    (a cell left of or above a minus cell is minus) and the plus cells an
+    up-set. A cell implied minus and not plus is filled as minus, and the
+    other way round; a cell implied both ways is classified. band,
+    undecided and singular cells imply nothing, and a level whose verdicts
+    include undecided or singular cells ends the inference.
+
+    The strides are ORDER_STRIDES in limit_equilibrium mode when the
+    sampled licence of _order_licensed holds, and (1,) otherwise: one
+    classify_batch call over every cell. Quadrant-mode cells cost about one
+    evaluation each, so there the lattice would cost more than it saves.
+    workers is accepted for compatibility and must be >= 1; it has no effect.
     """
     if not window.is_bounded():
         raise ValueError("raster needs a bounded window")
@@ -89,8 +112,26 @@ def raster(m: PlanarMap, fp: Point2, window: Rect, nx: int, ny: int,
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     if opts is None:
         opts = raster_options(m, window)
+    infer = opts.mode == "limit_equilibrium" and _order_licensed(m, window, nx * ny)
     X, Y = np.meshgrid(*_cell_centers(window, nx, ny, np.arange(nx), np.arange(ny)))
-    labels = classify_batch(m, X, Y, Point2(*fp), opts)
+    labels = np.full((ny, nx), _UNKNOWN, dtype=np.uint8)
+    for s in ORDER_STRIDES if infer else (1,):
+        lattice = (slice(None, None, s),) * 2
+        known = labels[lattice]  # a view: writes go to labels
+        todo = known == _UNKNOWN
+        if infer and not todo.all():  # fill what the verdicts so far imply
+            minus, plus = (a[lattice] for a in _implied(labels))
+            known[todo & minus & ~plus] = _MINUS
+            known[todo & plus & ~minus] = _PLUS
+            todo &= minus == plus
+        if todo.all():  # the whole lattice, in one call on its own shape
+            todo = ...
+        codes = classify_batch(m, X[lattice][todo], Y[lattice][todo], Point2(*fp), opts)
+        known[todo] = codes
+        # an undecided or singular verdict shows an orbit outside the
+        # licence's premises (out of iterations, diverged, at a pole): the
+        # cells left open are classified, not inferred
+        infer = infer and not np.isin(codes, (_UNDECIDED, _SINGULAR)).any()
     meta = {
         "map": m.name,
         "fp": f"{fp[0]!r},{fp[1]!r}",
@@ -104,6 +145,41 @@ def raster(m: PlanarMap, fp: Point2, window: Rect, nx: int, ny: int,
     for k, val in sorted(m.params.items()):
         meta[f"param.{k}"] = repr(float(val))
     return BasinRaster(window=window, nx=nx, ny=ny, labels=labels, meta=meta)
+
+
+def _order_licensed(m: PlanarMap, window: Rect, cells: int) -> bool:
+    """The sampled licence for inferring raster labels from the southeast
+    order: check_competitive passes (weak sign pattern) on the window and on
+    m's domain, and the images of min(GRID_SAMPLES, cells) sample points of
+    the window are finite and lie in the domain (a raster of few cells
+    cannot repay more images than it has cells)."""
+    if not (check_competitive(m, window).competitive
+            and check_competitive(m, m.domain).competitive):
+        return False
+    d = m.domain
+    with np.errstate(all="ignore"):
+        X, Y = _images(m, *_sample_grid(window, min(GRID_SAMPLES, cells)))
+    return bool(np.all((d.x_lo <= X) & (X <= d.x_hi) & (d.y_lo <= Y) & (Y <= d.y_hi)))
+
+
+def _implied(labels: np.ndarray) -> tuple:
+    """Masks of the cells the known minus cells imply minus and the known
+    plus cells imply plus.
+
+    Per column, the lowest minus row and the highest plus row are the
+    frontiers; a suffix minimum and a prefix maximum over the columns turn
+    them into the down-set of the minus cells and the up-set of the plus
+    cells (row j grows with y, column i with x).
+    """
+    ny = labels.shape[0]
+    rows = np.arange(ny)[:, None]
+    is_minus = labels == _MINUS
+    is_plus = labels == _PLUS
+    low_minus = np.where(is_minus.any(axis=0), is_minus.argmax(axis=0), ny)
+    high_plus = np.where(is_plus.any(axis=0),
+                         ny - 1 - is_plus[::-1].argmax(axis=0), -1)
+    return (rows >= np.minimum.accumulate(low_minus[::-1])[::-1],
+            rows <= np.maximum.accumulate(high_plus))
 
 
 # ---------------------------------------------------------------------------

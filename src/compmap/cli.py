@@ -119,8 +119,10 @@ _VERBS = {
 _OPTIONS = {verb: {o.key: o for o in opts} for verb, (_, opts) in _VERBS.items()}
 
 # Keys an output records that no option sets (besides 'command'): a basin
-# file records the raster's resolved settings. A config file made from an
-# echo may carry them; they are ignored.
+# file records the raster's resolved map, fixed point and settings. A config
+# file made from an echo may carry them. map and fp follow from the options
+# and are ignored; a recorded setting must equal the one the run resolves
+# (basin's --tol and --epsilon set them).
 _RECORDED = {"basin": ("map", "fp", "epsilon_margin", "conv_tol")}
 
 
@@ -162,9 +164,9 @@ def _fold_args(cmd: str, args: argparse.Namespace) -> dict:
     if args.config:
         for k, v in _read_config_file(args.config).items():
             option = "param" if k.startswith("param.") else k
-            if option in table and k != "param":
+            if (option in table and k != "param") or k in _RECORDED.get(cmd, ()):
                 cfg[k] = v
-            elif k != "command" and k not in _RECORDED.get(cmd, ()):
+            elif k != "command":
                 raise _CliError(2, f"{args.config}: {cmd} reads no option {k!r}")
     for k, o in table.items():
         v = getattr(args, k)
@@ -450,6 +452,16 @@ def _cmd_basin(cfg: dict) -> int:
     if "epsilon" in cfg:
         overrides["epsilon_margin"] = _value(cfg, "epsilon")
     opts = replace(raster_options(m, window), **overrides)
+    for key, option in (("conv_tol", "tol"), ("epsilon_margin", "epsilon")):
+        resolved = getattr(opts, key)
+        try:
+            same = key not in cfg or float(cfg[key]) == resolved
+        except ValueError:
+            same = False
+        if not same:
+            raise _CliError(2, f"config key {key!r} records {cfg[key]!r}, but this "
+                               f"run resolves {key}={resolved!r}; set it with "
+                               f"{option!r} or drop the key")
     r = raster(m, fp, window, nx, ny, opts, workers=_value(cfg, "workers"))
     census = r.census()
     total = nx * ny

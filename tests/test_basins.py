@@ -3,14 +3,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from compmap import (Point2, Rect, SideOptions, SingularityError, basins,
-                     classify_side, continuity_probe, limit_equilibrium,
-                     load_csv_raster, load_pgm, raster, raster_to_csv,
-                     raster_to_pgm, save_raster)
-from compmap.basins import LABEL_CODES, LABEL_NAMES
-from compmap.curves import LIMIT_RESIDUAL_TOL
+                     check_competitive, classify_side, continuity_probe,
+                     expr_map, limit_equilibrium, load_csv_raster, load_pgm,
+                     make_example, raster, raster_to_csv, raster_to_pgm,
+                     save_raster)
+from compmap.basins import LABEL_CODES, LABEL_NAMES, raster_options
+from compmap.curves import LIMIT_RESIDUAL_TOL, classify_batch
 from compmap.planarmap import PlanarMap
+
+from helpers import counting_map
+
+QUADRANT = Rect(0.0, math.inf, 0.0, math.inf)
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +210,118 @@ def test_contraction_raster_labels():
                 SideOptions(mode="limit_equilibrium", epsilon_margin=1e-3,
                             max_iter=1000, conv_tol=1e-13))
     assert r2.census()["band"] == 64
+
+
+# ---------------------------------------------------------------------------
+# Order-inferred rasters: a licensed limit-mode raster classifies a coarse
+# lattice and the cells its verdicts leave open, and fills the rest
+
+
+def _direct(m, fp, window, nx, ny, opts):
+    """classify_batch over every cell center: the labels without inference."""
+    X, Y = np.meshgrid(*basins._cell_centers(window, nx, ny, np.arange(nx),
+                                             np.arange(ny)))
+    return classify_batch(m, X, Y, fp, opts)
+
+
+@pytest.fixture(scope="module")
+def limit_cases():
+    return {
+        "ex1": (make_example("ex1").map, Point2(0.0, 1.0), Rect(0.0, 5.0, 0.0, 6.0)),
+        "ex1_dsl": (expr_map("x/(a+y)", "y/(1+x)", {"a": 2.0}, domain=QUADRANT),
+                    Point2(0.0, 1.0), Rect(0.0, 5.0, 0.0, 6.0)),
+        "ex2": (make_example("ex2").map, Point2(0.5, 1.0), Rect(0.0, 2.0, 0.0, 3.0)),
+        "ex3_T2": (make_example("ex3_T2").map, Point2(4.0, 4.0 / 3.0),
+                   Rect(0.5, 8.0, 0.5, 8.0)),
+    }
+
+
+def test_limit_cases_are_licensed(limit_cases):
+    for m, _, w in limit_cases.values():
+        assert basins._order_licensed(m, w, 4)
+
+
+@pytest.mark.parametrize("case", ["ex1", "ex1_dsl", "ex2", "ex3_T2"])
+@settings(max_examples=30, deadline=None)
+@given(lo=st.tuples(st.floats(0.0, 0.9), st.floats(0.0, 0.9)),
+       size=st.tuples(st.floats(0.1, 1.0), st.floats(0.1, 1.0)),
+       nx=st.integers(2, 40), ny=st.integers(2, 40),
+       conv_tol=st.sampled_from([1e-12, 1e-6, 1e-3]))
+def test_inferred_raster_matches_direct_classification(limit_cases, case, lo, size,
+                                                       nx, ny, conv_tol):
+    m, fp, w = limit_cases[case]
+    xs = [w.x_lo + t * w.width() for t in (lo[0], lo[0] + (1.0 - lo[0]) * size[0])]
+    ys = [w.y_lo + t * w.height() for t in (lo[1], lo[1] + (1.0 - lo[1]) * size[1])]
+    sub = Rect(xs[0], xs[1], ys[0], ys[1])
+    opts = replace(raster_options(m, sub), mode="limit_equilibrium", conv_tol=conv_tol)
+    r = raster(m, fp, sub, nx, ny, opts)
+    assert np.array_equal(r.labels, _direct(m, fp, sub, nx, ny, opts))
+
+
+def _counted_raster_and_direct(m, fp, w, n, opts):
+    """(raster labels, its step count) and the same for classify_batch over
+    every cell."""
+    got, want = [0, 0], [0, 0]
+    r = raster(counting_map(m, got), fp, w, n, n, opts)
+    labels = _direct(counting_map(m, want), fp, w, n, n, opts)
+    return (r.labels, got[0]), (labels, want[0])
+
+
+def test_noncompetitive_limit_raster_classifies_every_cell():
+    # g's x-partial y * (0.05 - 1/(1+x)^2) turns positive for x > 3.48, so the
+    # map leaves the competitive sign pattern inside the window
+    m = expr_map("x/(a+y)", "y/(1+x) + 0.05*x*y", {"a": 2.0}, domain=QUADRANT)
+    w = Rect(0.0, 5.0, 0.0, 6.0)
+    assert not check_competitive(m, w).competitive
+    opts = replace(raster_options(m, w), mode="limit_equilibrium")
+    got, want = _counted_raster_and_direct(m, Point2(0.0, 1.0), w, 32, opts)
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    assert {"minus", "plus"} <= {LABEL_NAMES[c] for c in np.unique(got[0])}
+
+
+def test_quadrant_raster_classifies_every_cell_in_one_call(ex4, monkeypatch):
+    m, fp, w = ex4.map, Point2(2.0, 1.0), Rect(0.0, 6.0, 0.0, 4.0)
+    calls = []
+    classify = basins.classify_batch
+
+    def spy(m, X, Y, fp, opts):
+        calls.append(X.shape)
+        return classify(m, X, Y, fp, opts)
+
+    monkeypatch.setattr(basins, "classify_batch", spy)
+    got, want = _counted_raster_and_direct(m, fp, w, 32, raster_options(m, w))
+    assert calls == [(32, 32)]
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+
+def test_undecided_lattice_verdicts_stop_the_inference(limit_cases):
+    # with max_iter 30 most orbits run out of iterations, and the lattice
+    # verdicts mix minus, plus and undecided: every other cell is classified,
+    # and the raster costs a direct classification plus the licence's images
+    m, fp, w = limit_cases["ex2"]
+    opts = replace(raster_options(m, w), max_iter=30)
+    got, want = _counted_raster_and_direct(m, fp, w, 32, opts)
+    lattice = {LABEL_NAMES[c] for c in got[0][::8, ::8].ravel()}
+    assert {"minus", "plus", "undecided"} <= lattice
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1] + basins.GRID_SAMPLES
+
+
+def test_cells_implied_both_ways_are_classified(limit_cases, monkeypatch):
+    # a classifier that breaks the order, minus below y = 2 and plus above:
+    # lattice rows 0, 8 and 16 read minus and row 24 plus, so rows 0..24 of
+    # columns 0..24 are implied both ways and keep the classifier's labels
+    m, fp, w = limit_cases["ex2"]
+
+    def fake(m, X, Y, fp, opts):
+        return np.where(Y > 2.0, LABEL_CODES["plus"], LABEL_CODES["minus"]).astype(np.uint8)
+
+    monkeypatch.setattr(basins, "classify_batch", fake)
+    r = raster(m, fp, w, 32, 32)
+    want = fake(m, *np.meshgrid(*basins._cell_centers(w, 32, 32, np.arange(32),
+                                                      np.arange(32))), fp, None)
+    assert np.array_equal(r.labels[:25, :25], want[:25, :25])
+    assert set(np.unique(r.labels)) == {LABEL_CODES["minus"], LABEL_CODES["plus"]}
 
 
 def test_raster_serialization_round_trip(tmp_path, ex4_raster):

@@ -187,7 +187,7 @@ def _scalar_raster_labels(m, fp, window, nx, ny, opts):
     return labels
 
 
-@pytest.mark.parametrize("case", ["ex4", "ex5_two", "ex2", "ex3_T2"])
+@pytest.mark.parametrize("case", ["ex4", "ex4_dsl", "ex5", "ex5_two", "ex2", "ex3_T2"])
 def test_raster_matches_scalar_loop(side_cases, case):
     m, fp, w = side_cases[case]
     r = raster(m, fp, w, 128, 128)

@@ -209,6 +209,52 @@ def test_config_echo_reproduces_output(tmp_path, capsys):
         assert not f3.exists()
 
 
+_BASIN_ECHO = ["basin", "--example", "ex2", "--guess", "0.5,1", "--window", "0,2,0,3",
+               "--nx", "16", "--ny", "16"]
+
+
+@pytest.mark.parametrize("key, value", [("conv_tol", "1e-3"),
+                                        ("epsilon_margin", "0.5"),
+                                        ("conv_tol", "small")])
+def test_basin_config_recorded_setting_must_match(tmp_path, capsys, key, value):
+    f1 = tmp_path / "a.pgm"
+    rc, _, _ = _run(capsys, _BASIN_ECHO + ["--out", str(f1)])
+    assert rc == 0
+    echo = [ln[2:] for ln in f1.read_text().splitlines()
+            if ln.startswith("# ") and "=" in ln]
+    assert sum(ln.startswith(f"{key}=") for ln in echo) == 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(echo) + "\n")
+    f2 = tmp_path / "b.pgm"
+    rc, _, _ = _run(capsys, ["basin", "--config", str(cfg), "--out", str(f2)])
+    assert rc == 0 and f1.read_bytes() == f2.read_bytes()
+    edited = [f"{key}={value}" if ln.startswith(f"{key}=") else ln for ln in echo]
+    cfg.write_text("\n".join(edited) + "\n")
+    f3 = tmp_path / "c.pgm"
+    rc, out, err = _run(capsys, ["basin", "--config", str(cfg), "--out", str(f3)])
+    assert rc == 2 and key in err and out == ""
+    assert not f3.exists()
+
+
+# sha256 of the basin files before limit-mode rasters inferred labels from the
+# southeast order
+BASIN_PINS = {
+    "ex2": (["--guess", "0.5,1", "--window", "0,2,0,3"],
+            "2e10c2179af4fa7eaacb9e207931a91f0b43b6dc4459438b61d71f6deaba3bb6"),
+    "ex3_T2": (["--guess", "4,1.3333333333333333", "--window", "0.5,8,0.5,8"],
+               "7702252173da141a1642044fd83e17d0e4ba185fbc048c18d45ccbe479aa3f45"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASIN_PINS))
+def test_limit_mode_basin_bytes_pinned(tmp_path, capsys, name):
+    flags, digest = BASIN_PINS[name]
+    out = tmp_path / "b.pgm"
+    rc, _, _ = _run(capsys, ["basin", "--example", name] + flags + ["--out", str(out)])
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_cli_defaults_match_library_defaults():
     import inspect
 

@@ -25,7 +25,18 @@ def test_ex1_trace_64_columns():
 
 def test_ex2_raster_32():
     assert _evaluations(make_example("ex2").map, lambda c: raster(
-        c, Point2(0.5, 1.0), Rect(0.0, 2.0, 0.0, 3.0), 32, 32)) == 33_378
+        c, Point2(0.5, 1.0), Rect(0.0, 2.0, 0.0, 3.0), 32, 32)) == 13_044
+
+
+def test_ex3_t2_raster_32():
+    assert _evaluations(make_example("ex3_T2").map, lambda c: raster(
+        c, Point2(4.0, 4.0 / 3.0), Rect(0.5, 8.0, 0.5, 8.0), 32, 32)) == 7_860
+
+
+def test_ex4_raster_32_quadrant_mode():
+    # quadrant mode classifies every cell, as before rasters inferred labels
+    assert _evaluations(make_example("ex4").map, lambda c: raster(
+        c, Point2(2.0, 1.0), Rect(0.0, 6.0, 0.0, 4.0), 32, 32)) == 808
 
 
 def test_ex1_continuity_probe_64():
