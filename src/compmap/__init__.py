@@ -12,12 +12,10 @@ written in a small expression language (compmap.expr).
 from .errors import (ConstraintError, DegenerateRootError, DomainError,
                      HypothesisError, MapEvalError, NoConvergenceError,
                      ParseError, SingularityError, UnboundParameterError)
-from .geometry import (Matrix2, Point2, Rect, le_ne, le_se, lt_se,
-                       order_interval, quadrant_membership)
+from .geometry import Matrix2, Point2, Rect, le_se, order_interval
 from .planarmap import (CompetitivityReport, OConditionReport, Orbit,
                         PlanarMap, check_competitive, check_O_condition,
-                        evaluate, eventually_componentwise_monotone,
-                        fd_jacobian, jacobian, orbit)
+                        evaluate, fd_jacobian, jacobian, orbit)
 from .expr import (differentiate, evaluate as eval_expr, expr_map, parse,
                    to_text)
 from .fixedpoints import (BoundaryEndpointReport, EigenData, FixedPointRecord,
@@ -27,9 +25,9 @@ from .fixedpoints import (BoundaryEndpointReport, EigenData, FixedPointRecord,
                           find_fixed_point, find_period_two)
 from .classification import (LocalVerdict, OrderInterval, TaylorRay,
                              classify_hyperbolic_ray, classify_nonhyperbolic,
-                             converges_to, exits_interval, find_order_interval,
-                             first_nonzero_index, is_subsolution,
-                             is_supersolution, taylor_along_eigenvector)
+                             find_order_interval, first_nonzero_index,
+                             is_subsolution, is_supersolution,
+                             taylor_along_eigenvector)
 from .curves import (CurveOptions, EndpointLabel, LimitRecord, MonotoneCurve,
                      SideOptions, SideVerdict, classify_batch, classify_side,
                      endpoint_analysis, limit_equilibrium, trace_stable_curve,

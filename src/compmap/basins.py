@@ -99,7 +99,8 @@ def raster(m: PlanarMap, fp: Point2, window: Rect, nx: int, ny: int,
     sampled licence of _order_licensed holds, and (1,) otherwise: one
     classify_batch call over every cell. Quadrant-mode cells cost about one
     evaluation each, so there the lattice would cost more than it saves.
-    workers is accepted for compatibility and must be >= 1; it has no effect.
+    workers has no effect; it stays only for perfbench's process-pool probe
+    and must be >= 1.
     """
     if not window.is_bounded():
         raise ValueError("raster needs a bounded window")

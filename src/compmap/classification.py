@@ -298,36 +298,3 @@ def find_order_interval(m: PlanarMap, fp: Point2, v: Point2,
         corners.append(found)
     return OrderInterval(q2_corner=corners[0], q4_corner=corners[1])
 
-
-def converges_to(m: PlanarMap, p: Point2, target: Point2,
-                 tol: float = 1e-5, max_iter: int = 100_000) -> bool:
-    """True when the orbit of p comes within sup-distance tol of target."""
-    x, y = p
-    tx, ty = target
-    for _ in range(max_iter):
-        if max(abs(x - tx), abs(y - ty)) <= tol:
-            return True
-        try:
-            x, y = m.step(x, y)
-        except SingularityError:
-            return False
-        if not (math.isfinite(x) and math.isfinite(y)):
-            return False
-    return max(abs(x - tx), abs(y - ty)) <= tol
-
-
-def exits_interval(m: PlanarMap, p: Point2, interval: OrderInterval,
-                   max_iter: int = 100_000) -> bool:
-    """True when the orbit of p leaves the order interval within max_iter."""
-    rect = interval.as_rect()
-    x, y = p
-    for _ in range(max_iter):
-        if not (rect.x_lo <= x <= rect.x_hi and rect.y_lo <= y <= rect.y_hi):
-            return True
-        try:
-            x, y = m.step(x, y)
-        except SingularityError:
-            return False
-        if not (math.isfinite(x) and math.isfinite(y)):
-            return True  # blown up, certainly outside
-    return False

@@ -88,8 +88,6 @@ _GUESS = _Opt("--guess", metavar="X,Y", repeat=True,
 _WINDOW = _Opt("--window", metavar="XLO,XHI,YLO,YHI")
 _OUT = _Opt("--out", help="output file path", echo=False)
 _MODE = _Opt("--mode", choices=SIDE_MODES)
-_WORKERS = _Opt("--workers", "1", int, echo=False,
-                help="accepted for compatibility; no effect")
 
 _VERBS = {
     "analyze": ("find and classify fixed points", _MAP + (
@@ -102,12 +100,12 @@ _VERBS = {
         _Opt("--columns", "256", int), _MODE,
         _Opt("--unstable", "false", choices=("false", "true"), const="true"),
         _Opt("--steps", "100", int, help="unstable-curve iteration count"),
-        _Opt("--seed-radius", "1e-4", float), _WORKERS)),
+        _Opt("--seed-radius", "1e-4", float))),
     "basin": ("rasterize the basin decomposition", _MAP + (
         _GUESS, _WINDOW, _OUT, _Opt("--format", "pgm", choices=("pgm", "csv")),
         _Opt("--tol", "1e-12", float), _Opt("--max-iter", "5000", int),
         _Opt("--nx", "128", int), _Opt("--ny", "128", int), _MODE,
-        _Opt("--epsilon", type=float, help="verdict margin"), _WORKERS)),
+        _Opt("--epsilon", type=float, help="verdict margin"))),
     "orbit": ("write orbit iterates as CSV", _MAP + (
         _Opt("--start", metavar="X,Y"),
         _Opt("--n", "1000", int, help="maximum number of steps"),
@@ -219,8 +217,9 @@ def _cfg_window(cfg: dict) -> Rect:
         w = Rect(vals[0], vals[1], vals[2], vals[3])
     except ValueError as e:
         raise _CliError(2, f"malformed window {raw!r}: {e}")
-    if not w.is_bounded():
-        raise _CliError(2, f"window {raw!r} must be bounded")
+    if not (math.isfinite(w.width()) and math.isfinite(w.height())):
+        raise _CliError(2, f"window {raw!r} must be bounded, with a finite "
+                           f"width and height")
     return w
 
 
@@ -229,9 +228,12 @@ def _cfg_point(raw: str, what: str) -> Point2:
     if len(parts) != 2:
         raise _CliError(2, f"malformed {what} {raw!r}: expected x,y")
     try:
-        return Point2(float(parts[0]), float(parts[1]))
+        p = Point2(float(parts[0]), float(parts[1]))
     except ValueError as e:
         raise _CliError(2, f"malformed {what} {raw!r}: {e}")
+    if not (math.isfinite(p.x) and math.isfinite(p.y)):
+        raise _CliError(2, f"{what} {raw!r} must be finite")
+    return p
 
 
 def _cfg_params(cfg: dict) -> dict:
@@ -420,8 +422,7 @@ def _cmd_curve(cfg: dict) -> int:
                             curve_tol=_value(cfg, "tol"),
                             mode=cfg.get("mode"),
                             max_iter=_value(cfg, "max_iter"))
-        curve = trace_stable_curve(m, fp, window, opts,
-                                   workers=_value(cfg, "workers"))
+        curve = trace_stable_curve(m, fp, window, opts)
 
     _write_csv(cfg, "x,y", (f"{v.x:.17g},{v.y:.17g}" for v in curve.vertices))
     print(f"# vertices: {len(curve.vertices)}", file=sys.stderr)
@@ -462,7 +463,7 @@ def _cmd_basin(cfg: dict) -> int:
             raise _CliError(2, f"config key {key!r} records {cfg[key]!r}, but this "
                                f"run resolves {key}={resolved!r}; set it with "
                                f"{option!r} or drop the key")
-    r = raster(m, fp, window, nx, ny, opts, workers=_value(cfg, "workers"))
+    r = raster(m, fp, window, nx, ny, opts)
     census = r.census()
     total = nx * ny
     if census["singular"] > 0.5 * total:

@@ -133,12 +133,15 @@ class LimitRecord:
     start: Point2
     limit: Optional[Point2]
     iterations: int
-    diverged: bool = False
     flag: str = ""  # '' | 'singularity' | 'divergence' | 'max_iter'
 
     @property
     def converged(self) -> bool:
         return self.limit is not None
+
+    @property
+    def diverged(self) -> bool:
+        return self.flag in ("singularity", "divergence")
 
 
 def _check_limit_args(tol: float, max_iter: int) -> None:
@@ -163,8 +166,7 @@ def limit_equilibrium(m: PlanarMap, p: Point2, tol: float = 1e-10,
     start = Point2(*p)
     flag, x, y, n = _limit_orbit(m.step, float(start.x), float(start.y), 0,
                                  tol, max_iter)
-    return LimitRecord(start, None if flag else Point2(x, y), n,
-                       diverged=flag in ("singularity", "divergence"), flag=flag)
+    return LimitRecord(start, None if flag else Point2(x, y), n, flag)
 
 
 def _limit_orbit(step, x: float, y: float, n: int, tol: float,
@@ -617,8 +619,8 @@ def trace_stable_curve(m: PlanarMap, fp: FixedPointRecord, window: Rect,
     All columns are bisected together, one classify_batch call per probe or
     bisection round (_solve_columns); each column gets the verdicts it would
     get on its own. The column through fp.x is seeded from the fixed point
-    itself and the local tangent direction. workers is accepted for
-    compatibility and has no effect.
+    itself and the local tangent direction. workers has no effect; it stays
+    only for perfbench's process-pool probe and must be >= 1.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")

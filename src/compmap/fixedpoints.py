@@ -499,10 +499,6 @@ class BoundaryEndpointReport:
     period_two_witnesses: tuple
     preimage_witnesses: tuple
 
-    @property
-    def any_holds(self) -> bool:
-        return self.condition_i or self.condition_ii or self.condition_iii
-
 
 # Newton starts per side of the grid laid over each part of delta.
 BOUNDARY_GRID = 8

@@ -1,8 +1,7 @@
-"""Points, rectangles, 2x2 matrices, and the southeast/northeast partial orders.
+"""Points, rectangles, 2x2 matrices, and the southeast partial order.
 
 The southeast order is the one competitive planar maps preserve:
 (x1, y1) <=_se (x2, y2)  iff  x1 <= x2 and y1 >= y2.
-Quadrants are closed and taken relative to a base point.
 """
 
 from __future__ import annotations
@@ -15,9 +14,6 @@ from typing import NamedTuple
 class Point2(NamedTuple):
     x: float
     y: float
-
-    def is_finite(self) -> bool:
-        return math.isfinite(self.x) and math.isfinite(self.y)
 
     def dist_inf(self, other: "Point2") -> float:
         return sup_norm(self.x - other.x, self.y - other.y)
@@ -85,9 +81,6 @@ class Rect:
     def contains(self, p: Point2) -> bool:
         return self.x_lo <= p.x <= self.x_hi and self.y_lo <= p.y <= self.y_hi
 
-    def strictly_contains(self, p: Point2) -> bool:
-        return self.x_lo < p.x < self.x_hi and self.y_lo < p.y < self.y_hi
-
     def is_bounded(self) -> bool:
         return all(math.isfinite(v) for v in (self.x_lo, self.x_hi, self.y_lo, self.y_hi))
 
@@ -118,61 +111,6 @@ class Rect:
 def le_se(p: Point2, q: Point2) -> bool:
     """Southeast order: p <=_se q iff p.x <= q.x and p.y >= q.y."""
     return p[0] <= q[0] and p[1] >= q[1]
-
-
-def le_ne(p: Point2, q: Point2) -> bool:
-    """Northeast (componentwise) order."""
-    return p[0] <= q[0] and p[1] <= q[1]
-
-
-def lt_se(p: Point2, q: Point2) -> bool:
-    """Strict southeast order: comparable, distinct in both coordinates."""
-    return p[0] < q[0] and p[1] > q[1]
-
-
-def quadrant_membership(origin: Point2, p: Point2):
-    """Closed-quadrant membership of p relative to origin.
-
-    Returns (members, interior): frozensets of quadrant indices 1..4.
-    Q1 is {u >= x, v >= y}, Q2 is {u <= x, v >= y}, Q3 = {u <= x, v <= y},
-    Q4 = {u >= x, v <= y}; interior uses strict inequalities.
-    """
-    dx = p[0] - origin[0]
-    dy = p[1] - origin[1]
-    members = set()
-    interior = set()
-    if dx >= 0 and dy >= 0:
-        members.add(1)
-        if dx > 0 and dy > 0:
-            interior.add(1)
-    if dx <= 0 and dy >= 0:
-        members.add(2)
-        if dx < 0 and dy > 0:
-            interior.add(2)
-    if dx <= 0 and dy <= 0:
-        members.add(3)
-        if dx < 0 and dy < 0:
-            interior.add(3)
-    if dx >= 0 and dy <= 0:
-        members.add(4)
-        if dx > 0 and dy < 0:
-            interior.add(4)
-    return frozenset(members), frozenset(interior)
-
-
-def in_quadrant_interior(origin: Point2, p: Point2, k: int, margin: float = 0.0) -> bool:
-    """True if p is inside int Q_k(origin) with both inequalities cleared by margin."""
-    dx = p[0] - origin[0]
-    dy = p[1] - origin[1]
-    if k == 1:
-        return dx >= margin and dy >= margin if margin > 0 else dx > 0 and dy > 0
-    if k == 2:
-        return -dx >= margin and dy >= margin if margin > 0 else dx < 0 and dy > 0
-    if k == 3:
-        return -dx >= margin and -dy >= margin if margin > 0 else dx < 0 and dy < 0
-    if k == 4:
-        return dx >= margin and -dy >= margin if margin > 0 else dx > 0 and dy < 0
-    raise ValueError(f"quadrant index must be 1..4, got {k}")
 
 
 def order_interval(a: Point2, b: Point2) -> Rect:

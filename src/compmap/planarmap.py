@@ -1,4 +1,4 @@
-"""Planar map abstraction: evaluation, Jacobians, orbits, monotonicity checks.
+"""Planar map abstraction: evaluation, Jacobians, orbits, competitivity checks.
 
 A PlanarMap is a pair (f, g) on a rectangular domain. The step callable takes
 raw floats (x, y) and returns (f(x,y), g(x,y)); it raises SingularityError
@@ -16,21 +16,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .geometry import (DEFAULT_SAMPLING_WINDOW, Matrix2, Point2, Rect,
-                       in_quadrant_interior)
+from .geometry import DEFAULT_SAMPLING_WINDOW, Matrix2, Point2, Rect
 
 FD_STEP = 1e-6
 GRID_SAMPLES = 100  # Jacobian samples of the competitivity and orientation checks
 COMPETITIVE_TOL = 1e-9  # a Jacobian entry within this of 0 has no sign
 DET_TOL = 1e-12  # a determinant within this of 0 has no sign
 COLLISION_TOL = 1e-9  # images closer than this (sup norm) collide
-MONOTONE_ZERO_TOL = 1e-13  # an orbit difference within this of 0 has no sign
-MONOTONE_MIN_TAIL = 5  # differences needed after the last sign flip
 _EVAL_ERRORS = (SingularityError, DomainError, OverflowError, ZeroDivisionError)
 
 
@@ -86,18 +83,15 @@ def jacobian(m: PlanarMap, p: Point2) -> Matrix2:
 @dataclass(frozen=True)
 class Orbit:
     points: tuple
-    terminated_by: str  # 'max_iter' | 'escape' | 'convergence' | 'singularity' | 'quadrant'
+    terminated_by: str  # 'max_iter' | 'escape' | 'convergence' | 'singularity'
 
 
 def orbit(m: PlanarMap, p: Point2, max_iter: int,
-          conv_tol: float = 1e-12,
-          quadrant: tuple | None = None,
-          quadrant_margin: float = 0.0) -> Orbit:
+          conv_tol: float = 1e-12) -> Orbit:
     """Iterate from p until a stopping rule fires.
 
     Rules, checked in order each step: singularity during evaluation,
-    escape from the domain rectangle, entry into int Q_k(origin) when
-    quadrant=(origin, k) is given, convergence (sup-norm step < conv_tol),
+    escape from the domain rectangle, convergence (sup-norm step < conv_tol)
     and the max_iter cap. max_iter must be at least 1, and conv_tol finite
     and non-negative (0 turns the convergence rule off).
     """
@@ -121,40 +115,10 @@ def orbit(m: PlanarMap, p: Point2, max_iter: int,
         pts.append(Point2(xn, yn))
         if not (dom.x_lo <= xn <= dom.x_hi and dom.y_lo <= yn <= dom.y_hi):
             return Orbit(tuple(pts), "escape")
-        if quadrant is not None:
-            origin, k = quadrant
-            if in_quadrant_interior(origin, Point2(xn, yn), k, quadrant_margin):
-                return Orbit(tuple(pts), "quadrant")
         if max(abs(xn - x), abs(yn - y)) < conv_tol:
             return Orbit(tuple(pts), "convergence")
         x, y = xn, yn
     return Orbit(tuple(pts), "max_iter")
-
-
-def eventually_componentwise_monotone(points: Sequence[Point2]) -> bool:
-    """True if each coordinate's difference signs stabilize after a finite prefix.
-
-    Differences smaller than MONOTONE_ZERO_TOL carry no sign information and
-    are compatible with either direction. The last sign flip must come at
-    least MONOTONE_MIN_TAIL differences before the end.
-    """
-    if len(points) < MONOTONE_MIN_TAIL + 2:
-        return True
-    n = len(points) - 1
-    for coord in (0, 1):
-        last_flip = -1
-        sign = 0
-        for k in range(n):
-            d = points[k + 1][coord] - points[k][coord]
-            if abs(d) <= MONOTONE_ZERO_TOL:
-                continue
-            s = 1 if d > 0 else -1
-            if sign != 0 and s != sign:
-                last_flip = k
-            sign = s
-        if last_flip >= n - MONOTONE_MIN_TAIL:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

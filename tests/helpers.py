@@ -5,7 +5,8 @@ replaced, independent vectorized re-implementations of the built-in
 recurrences used as brute-force oracles (they deliberately bypass the
 library code paths they are checking), the scalar column solver, Newton
 search, boundary-endpoint check and competitivity check the lockstep ones
-replaced, and a map-evaluation counter."""
+replaced, a map-evaluation counter, and the orbit and quadrant predicates
+that only tests use as oracles."""
 
 import math
 from dataclasses import replace
@@ -21,7 +22,7 @@ from compmap.curves import PROBES
 from compmap.fixedpoints import (BOUNDARY_GRID, MAX_HALVINGS, NEWTON_MAX_ITER,
                                  NEWTON_TOL, _delta_parts, _dt, _iterate_ahead,
                                  _record, _residual)
-from compmap.geometry import in_quadrant_interior, sup_norm
+from compmap.geometry import sup_norm
 from compmap.planarmap import _EVAL_ERRORS, COMPETITIVE_TOL, _sample_grid
 from compmap.expr import DIV_TOL, BinOp, Const, Neg, Param, Var
 
@@ -526,3 +527,85 @@ def counting_map(m, box):
                    batch=None if batch is None else counted_batch,
                    jac=None if jac is None else counted_jac,
                    batch_jac=None if batch_jac is None else counted_batch_jac)
+
+
+# ---------------------------------------------------------------------------
+# Orbit and quadrant predicates
+
+MONOTONE_ZERO_TOL = 1e-13  # an orbit difference within this of 0 has no sign
+MONOTONE_MIN_TAIL = 5  # differences needed after the last sign flip
+
+
+def in_quadrant_interior(origin: Point2, p: Point2, k: int, margin: float = 0.0) -> bool:
+    """True if p is inside int Q_k(origin) with both inequalities cleared by margin."""
+    dx = p[0] - origin[0]
+    dy = p[1] - origin[1]
+    if k == 1:
+        return dx >= margin and dy >= margin if margin > 0 else dx > 0 and dy > 0
+    if k == 2:
+        return -dx >= margin and dy >= margin if margin > 0 else dx < 0 and dy > 0
+    if k == 3:
+        return -dx >= margin and -dy >= margin if margin > 0 else dx < 0 and dy < 0
+    if k == 4:
+        return dx >= margin and -dy >= margin if margin > 0 else dx > 0 and dy < 0
+    raise ValueError(f"quadrant index must be 1..4, got {k}")
+
+
+def converges_to(m, p: Point2, target: Point2,
+                 tol: float = 1e-5, max_iter: int = 100_000) -> bool:
+    """True when the orbit of p comes within sup-distance tol of target."""
+    x, y = p
+    tx, ty = target
+    for _ in range(max_iter):
+        if max(abs(x - tx), abs(y - ty)) <= tol:
+            return True
+        try:
+            x, y = m.step(x, y)
+        except SingularityError:
+            return False
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return False
+    return max(abs(x - tx), abs(y - ty)) <= tol
+
+
+def exits_interval(m, p: Point2, interval,
+                   max_iter: int = 100_000) -> bool:
+    """True when the orbit of p leaves the order interval within max_iter."""
+    rect = interval.as_rect()
+    x, y = p
+    for _ in range(max_iter):
+        if not (rect.x_lo <= x <= rect.x_hi and rect.y_lo <= y <= rect.y_hi):
+            return True
+        try:
+            x, y = m.step(x, y)
+        except SingularityError:
+            return False
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return True  # blown up, certainly outside
+    return False
+
+
+def eventually_componentwise_monotone(points) -> bool:
+    """True if each coordinate's difference signs stabilize after a finite prefix.
+
+    Differences smaller than MONOTONE_ZERO_TOL carry no sign information and
+    are compatible with either direction. The last sign flip must come at
+    least MONOTONE_MIN_TAIL differences before the end.
+    """
+    if len(points) < MONOTONE_MIN_TAIL + 2:
+        return True
+    n = len(points) - 1
+    for coord in (0, 1):
+        last_flip = -1
+        sign = 0
+        for k in range(n):
+            d = points[k + 1][coord] - points[k][coord]
+            if abs(d) <= MONOTONE_ZERO_TOL:
+                continue
+            s = 1 if d > 0 else -1
+            if sign != 0 and s != sign:
+                last_flip = k
+            sign = s
+        if last_flip >= n - MONOTONE_MIN_TAIL:
+            return False
+    return True

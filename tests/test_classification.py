@@ -5,10 +5,11 @@ import pytest
 
 from compmap import (HypothesisError, Point2, Rect, TaylorRay,
                      classify_hyperbolic_ray, classify_nonhyperbolic,
-                     converges_to, exits_interval, find_order_interval,
-                     first_nonzero_index, is_subsolution, is_supersolution,
-                     le_se, taylor_along_eigenvector)
+                     find_order_interval, first_nonzero_index, is_subsolution,
+                     is_supersolution, le_se, taylor_along_eigenvector)
 from compmap.planarmap import PlanarMap
+
+from helpers import converges_to, exits_interval
 
 
 def test_fixed_points_are_both_sub_and_super(ex1, ex4):

@@ -308,7 +308,7 @@ def test_numbers_serialized_with_17_digits(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [
     ["--max-iter", "0"], ["--max-iter", "-1"], ["--epsilon", "nan"],
-    ["--tol", "nan"], ["--workers", "0"], ["--window", "0,0,0,4"],
+    ["--tol", "nan"], ["--epsilon", "-1"], ["--window", "0,0,0,4"],
     ["--nx", "1"]])
 def test_basin_invalid_input_exit_2_without_output(tmp_path, capsys, flags):
     out_file = tmp_path / "b.pgm"
@@ -323,7 +323,7 @@ def test_basin_invalid_input_exit_2_without_output(tmp_path, capsys, flags):
 
 @pytest.mark.parametrize("flags", [
     ["--tol", "nan"], ["--tol", "0"], ["--columns", "0"], ["--columns", "-3"],
-    ["--workers", "0"]])
+    ["--max-iter", "0"]])
 def test_curve_invalid_input_exit_2_without_output(tmp_path, capsys, flags):
     out_file = tmp_path / "c.csv"
     argv = ["curve", "--example", "ex1", "--guess", "1e-9,1",
@@ -336,7 +336,7 @@ def test_curve_invalid_input_exit_2_without_output(tmp_path, capsys, flags):
 
 @pytest.mark.parametrize("flags", [
     ["--n", "-3"], ["--n", "0"], ["--tol", "nan"], ["--tol", "-1"],
-    ["--tol", "inf"]])
+    ["--tol", "inf"], ["--start", "nan,1"], ["--start", "1,inf"]])
 def test_orbit_invalid_input_exit_2_without_output(tmp_path, capsys, flags):
     out_file = tmp_path / "o.csv"
     argv = ["orbit", "--example", "ex4", "--start", "2,1", "--n", "10",
@@ -471,9 +471,22 @@ def _refused(tmp_path, capsys, argv, cfg_text=None):
 @pytest.mark.parametrize("argv", [
     ["analyze", "--example", "ex1", "--max-iter", "0"],
     _ORBIT + ["--max-iter", "7"],
-    _ORBIT + ["--window", "0,1,0,1"]])
+    _ORBIT + ["--window", "0,1,0,1"],
+    _CURVE + ["--workers", "1"],
+    _BASIN + ["--workers", "1"]])
 def test_dropped_flags_exit_2_without_output(tmp_path, capsys, argv):
     assert "unrecognized arguments" in _refused(tmp_path, capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--example", "ex1", "--guess", "nan,1"],
+    ["curve", "--example", "ex1", "--guess", "nan,1", "--window", "0,5,0,6"],
+    _BASIN + ["--guess", "nan,1"],
+    ["analyze", "--example", "ex1", "--window=-1e308,1e308,0,5"],
+    ["analyze", "--example", "ex1", "--window=0,5,-1e308,1e308"]])
+def test_non_finite_point_or_window_exit_2_without_output(tmp_path, capsys, argv):
+    # a window from -1e308 to 1e308 is bounded, but its width overflows
+    assert "finite" in _refused(tmp_path, capsys, argv)
 
 
 @pytest.mark.parametrize("argv, fmt", [
@@ -497,7 +510,8 @@ def test_unsupported_format_exit_2_without_output(tmp_path, capsys, argv, fmt,
     (["examples"], "param.a=2"),
     (["examples"], "format=csv"),
     (_CURVE, "unstable=yes"),
-    (_CURVE, "steps=many")])  # read only by unstable curves
+    (_CURVE, "steps=many"),  # read only by unstable curves
+    (_BASIN, "workers=2")])
 def test_unread_config_key_or_value_exit_2_without_output(tmp_path, capsys, argv,
                                                           line):
     err = _refused(tmp_path, capsys, argv, line + "\n")

@@ -6,12 +6,14 @@ import pytest
 from compmap import (CurveOptions, EndpointLabel, HypothesisError,
                      MonotoneCurve, Point2, Rect, SideOptions, SingularityError,
                      check_boundary_endpoint_conditions, classify_side,
-                     converges_to, endpoint_analysis, find_fixed_point,
-                     find_period_two, le_se, make_example, trace_stable_curve,
+                     endpoint_analysis, find_fixed_point, find_period_two,
+                     le_se, make_example, trace_stable_curve,
                      trace_unstable_curve, validate_curve)
 from compmap.curves import locate_ordinate
 from compmap.fixedpoints import FixedPointRecord, eigen2x2
 from compmap.planarmap import PlanarMap, jacobian
+
+from helpers import converges_to
 
 
 def _limit_opts(margin=1e-6):

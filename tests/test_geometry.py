@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from compmap import Point2, Rect, le_ne, le_se, order_interval, quadrant_membership
+from compmap import Point2, Rect, le_se, order_interval
 from compmap.geometry import sup_norm
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -23,12 +23,7 @@ def test_sup_norm_propagates_nan():
     assert math.isnan(Point2(0.0, math.nan).dist_inf(Point2(0.0, 0.0)))
 
 
-def test_ne_order_examples():
-    assert le_ne(Point2(0, 0), Point2(1, 1))
-    assert not le_ne(Point2(0, 2), Point2(1, 1))
-
-
-@pytest.mark.parametrize("le", [le_se, le_ne])
+@pytest.mark.parametrize("le", [le_se])
 @given(p=points, q=points, r=points)
 def test_partial_order_laws(le, p, q, r):
     assert le(p, p)
@@ -36,24 +31,6 @@ def test_partial_order_laws(le, p, q, r):
         assert p == q
     if le(p, q) and le(q, r):
         assert le(p, r)
-
-
-def test_quadrant_membership_examples():
-    members, interior = quadrant_membership(Point2(0, 0), Point2(0, 0))
-    assert members == frozenset({1, 2, 3, 4}) and interior == frozenset()
-
-    members, interior = quadrant_membership(Point2(2, 1), Point2(1, 2))
-    assert members == frozenset({2}) and interior == frozenset({2})
-
-    members, interior = quadrant_membership(Point2(0, 0), Point2(1, -1))
-    assert members == frozenset({4}) and interior == frozenset({4})
-
-
-@given(p=points)
-def test_quadrant_membership_of_self(p):
-    members, interior = quadrant_membership(p, p)
-    assert members == frozenset({1, 2, 3, 4})
-    assert interior == frozenset()
 
 
 def test_order_interval():
@@ -78,13 +55,9 @@ def test_rect_validation_and_predicates():
     w = Rect(0, 5, 0, 6)
     assert w.diagonal() == pytest.approx(math.hypot(5, 6))
     assert w.boundary_dist(Point2(1, 3)) == 1
-    assert w.strictly_contains(Point2(1, 3))
-    assert not w.strictly_contains(Point2(0, 3))
 
 
 def test_point_helpers():
-    assert Point2(1.0, 2.0).is_finite()
-    assert not Point2(math.inf, 0.0).is_finite()
     assert Point2(3, 4).norm() == 5
     u = Point2(3, 4).unit()
     assert u.norm() == pytest.approx(1.0)

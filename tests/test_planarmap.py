@@ -7,9 +7,10 @@ import pytest
 
 from compmap import (DomainError, Matrix2, Point2, Rect, SingularityError,
                      check_competitive, check_O_condition, eigen2x2, evaluate,
-                     eventually_componentwise_monotone, fd_jacobian, jacobian,
-                     expr_map, make_example, orbit)
+                     fd_jacobian, jacobian, expr_map, make_example, orbit)
 from compmap.planarmap import PlanarMap
+
+from helpers import eventually_componentwise_monotone
 
 
 def _ident():
@@ -76,14 +77,6 @@ def test_orbit_unbounded_second_coordinate(ex4):
     # inflow-free side of the separatrix: y exceeds any bound (checked at 1e3)
     orb = orbit(ex4.map, Point2(1.0, 2.0), max_iter=500)
     assert max(p.y for p in orb.points) > 1e3
-
-
-def test_orbit_quadrant_stop(ex4):
-    orb = orbit(ex4.map, Point2(1.0, 2.0), max_iter=500,
-                quadrant=(Point2(2.0, 1.0), 2), quadrant_margin=1e-6)
-    assert orb.terminated_by == "quadrant"
-    last = orb.points[-1]
-    assert last.x < 2.0 and last.y > 1.0
 
 
 def test_orbit_consecutive_points_are_images(ex1):
