@@ -217,7 +217,7 @@ def _cfg_window(cfg: dict) -> Rect:
         w = Rect(vals[0], vals[1], vals[2], vals[3])
     except ValueError as e:
         raise _CliError(2, f"malformed window {raw!r}: {e}")
-    if not (math.isfinite(w.width()) and math.isfinite(w.height())):
+    if not w.is_bounded():
         raise _CliError(2, f"window {raw!r} must be bounded, with a finite "
                            f"width and height")
     return w

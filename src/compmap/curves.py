@@ -18,7 +18,7 @@ import numpy as np
 from .errors import HypothesisError, NoConvergenceError, SingularityError
 from .fixedpoints import FixedPointRecord, check_invariant_curve_hypotheses
 from .geometry import Point2, Rect, sup_norm
-from .planarmap import PlanarMap
+from .planarmap import PlanarMap, _images
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +198,22 @@ def _limit_orbit(step, x: float, y: float, n: int, tol: float,
 BATCH_HANDOFF = 16
 
 
+def _finite_sides(dom: Rect) -> tuple:
+    """(coordinate, comparison, bound) of each finite side of dom; a finite
+    point lies in dom when comparison(point[coordinate], bound) holds for
+    all of them."""
+    sides = ((0, np.greater_equal, dom.x_lo), (0, np.less_equal, dom.x_hi),
+             (1, np.greater_equal, dom.y_lo), (1, np.less_equal, dom.y_hi))
+    return tuple(s for s in sides if math.isfinite(s[2]))
+
+
+def _within(sides, X, Y, mask: np.ndarray) -> np.ndarray:
+    """mask, and-ed in place with the _finite_sides tests of (X, Y)."""
+    for coord, compare, bound in sides:
+        mask &= compare(Y if coord else X, bound)
+    return mask
+
+
 def _limits_lockstep(m: PlanarMap, X: np.ndarray, Y: np.ndarray, tol: float,
                      max_iter: int) -> tuple:
     """_limit_orbit from every (X[k], Y[k]), in lockstep numpy.
@@ -207,6 +223,15 @@ def _limits_lockstep(m: PlanarMap, X: np.ndarray, Y: np.ndarray, tol: float,
     together through m.batch, where NaN stands for a singularity; once
     BATCH_HANDOFF or fewer remain (at once without a batch step), each
     finishes in _limit_orbit from where it stands.
+
+    A round is the batch call and twelve ufunc calls into preallocated
+    buffers, which leave one "going" mask: max(|x|, |y|) <= ESCAPE_BOUND of
+    the images (False for NaN and inf too), less the orbits whose step is
+    below tol. Only a round in which an orbit ended writes anything: each
+    ended orbit's last point, as its limit, and that max of its image; then
+    it compacts the arrays. After the last round the max tells limits (an
+    image that was going), singularities (NaN or inf) and divergence apart,
+    all at once.
     """
     tol = min(tol, LIMIT_RESIDUAL_TOL)
     LX = np.full(X.shape, math.nan)
@@ -214,20 +239,37 @@ def _limits_lockstep(m: PlanarMap, X: np.ndarray, Y: np.ndarray, tol: float,
     singular = np.zeros(X.shape, dtype=bool)
     idx = np.arange(X.size)
     n = 0
-    if m.batch is not None:
+    if m.batch is not None and X.size > BATCH_HANDOFF:
+        # max(|x|, |y|) of the image that ended each orbit; 0 while it goes on
+        ENDS = np.zeros(X.size)
+        buffers = ([np.empty(X.size) for _ in range(2)]
+                   + [np.empty(X.size, dtype=bool) for _ in range(2)])
+        a, b, go, conv = buffers  # views sized to the live points
         with np.errstate(all="ignore"):
             while len(idx) > BATCH_HANDOFF and n < max_iter:
                 Xn, Yn = m.batch(X, Y)
-                bad = ~(np.isfinite(Xn) & np.isfinite(Yn))
-                singular[idx[bad]] = True
-                stop = bad | (np.abs(Xn) > ESCAPE_BOUND) | (np.abs(Yn) > ESCAPE_BOUND)
-                conv = ~stop & (np.maximum(np.abs(Xn - X), np.abs(Yn - Y)) < tol)
-                if conv.any():
-                    LX[idx[conv]] = X[conv]
-                    LY[idx[conv]] = Y[conv]
-                live = ~(stop | conv)
-                idx, X, Y = idx[live], Xn[live], Yn[live]
+                np.maximum(np.abs(np.subtract(Xn, X, out=a), out=a),
+                           np.abs(np.subtract(Yn, Y, out=b), out=b), out=a)
+                np.less(a, tol, out=conv)
+                np.maximum(np.abs(Xn, out=a), np.abs(Yn, out=b), out=a)
+                np.less_equal(a, ESCAPE_BOUND, out=go)
+                conv &= go  # X is the limit
+                go ^= conv
                 n += 1
+                if np.count_nonzero(go) == len(go):
+                    X, Y = Xn, Yn
+                    continue
+                stop = ~go
+                k = idx[stop]
+                LX[k] = X[stop]
+                LY[k] = Y[stop]
+                ENDS[k] = a[stop]
+                idx, X, Y = idx[go], Xn[go], Yn[go]
+                a, b, go, conv = (v[:len(idx)] for v in buffers)
+        no_limit = ~(ENDS <= ESCAPE_BOUND)
+        LX[no_limit] = math.nan
+        LY[no_limit] = math.nan
+        singular[~(ENDS < math.inf)] = True  # a NaN or infinite image
     if n < max_iter:  # otherwise the rest ran out of iterations
         for k, x, y in zip(idx.tolist(), X.tolist(), Y.tolist()):
             flag, x, y, _ = _limit_orbit(m.step, x, y, n, tol, max_iter)
@@ -274,9 +316,9 @@ def classify_batch(m: PlanarMap, xs, ys, fp: Point2,
     out = np.full(X.size, _UNDECIDED, dtype=np.uint8)
     idx = np.arange(X.size)
     done = 0
-    if m.batch is not None:
+    if m.batch is not None and X.size > BATCH_HANDOFF:
         with np.errstate(all="ignore"):
-            idx, X, Y, done = _quadrant_batch(m, idx, X, Y, fp, opts, out)
+            idx, X, Y, done = _quadrant_batch(m, X, Y, fp, opts, out)
     if len(idx):
         rest = replace(opts, max_iter=opts.max_iter - done)
         for k, x, y in zip(idx.tolist(), X.tolist(), Y.tolist()):
@@ -284,33 +326,81 @@ def classify_batch(m: PlanarMap, xs, ys, fp: Point2,
     return out.reshape(xs.shape)
 
 
-def _quadrant_batch(m, idx, X, Y, fp, opts, out):
-    """_classify_quadrant in lockstep; returns the points left for handoff
-    and the iterations they have used."""
+def _quadrant_batch(m, X, Y, fp, opts, out):
+    """_classify_quadrant in lockstep; labels out (all undecided on entry)
+    and returns the points left for handoff, their indices and the
+    iterations they have used.
+
+    The starts are labelled first. A round then steps the live points (all
+    finite, inside the domain, within ESCAPE_BOUND and undecided) and
+    builds, with 16 ufunc calls plus two per finite side of the domain, all
+    into preallocated buffers, the masks of the images: ok, max(|x|, |y|)
+    <= ESCAPE_BOUND (False for NaN and inf too) inside the domain's finite
+    sides; and, with u = x - fx, w = fy - y, hi = max(u, w) and lo =
+    min(u, w), not minus (hi > -eps), not plus (lo < eps) and not band
+    (max(hi, -lo) > eps). The live points go on where all four hold. Only
+    a round in which an image stopped labels it, from those masks, and
+    compacts the arrays; the rare image that stopped not ok is told
+    singular, escaped or beyond ESCAPE_BOUND on its own. The image of
+    round max_iter only tells singular from undecided, as in
+    _classify_quadrant.
+    """
     eps = opts.epsilon_margin
     fx, fy = fp
-    dom = m.domain
-    for n in range(opts.max_iter + 1):
-        if not len(idx) or (len(idx) <= BATCH_HANDOFF and n < opts.max_iter):
-            return idx, X, Y, n
-        dx = X - fx
-        dy = Y - fy
-        band = (np.abs(dx) <= eps) & (np.abs(dy) <= eps)
-        minus = (dx <= -eps) & (dy >= eps) & ~band
-        plus = (dx >= eps) & (dy <= -eps) & ~band
-        out[idx[band]] = _BAND
-        out[idx[minus]] = _MINUS
-        out[idx[plus]] = _PLUS
-        live = ~(band | minus | plus | (np.abs(X) > ESCAPE_BOUND)
-                 | (np.abs(Y) > ESCAPE_BOUND))
-        idx = idx[live]
-        X, Y = m.batch(X[live], Y[live])
-        singular = ~(np.isfinite(X) & np.isfinite(Y))
-        out[idx[singular]] = _SINGULAR
-        live = (~singular & (dom.x_lo <= X) & (X <= dom.x_hi)
-                & (dom.y_lo <= Y) & (Y <= dom.y_hi))
-        idx, X, Y = idx[live], X[live], Y[live]
-    return idx[:0], X[:0], Y[:0], opts.max_iter  # the rest stay undecided
+    sides = _finite_sides(m.domain)
+    dx = X - fx
+    dy = Y - fy
+    out[(dx >= eps) & (dy <= -eps)] = _PLUS
+    out[(dx <= -eps) & (dy >= eps)] = _MINUS
+    out[(np.abs(dx) <= eps) & (np.abs(dy) <= eps)] = _BAND
+    idx = ((out == _UNDECIDED) & ~((np.abs(X) > ESCAPE_BOUND)
+                                   | (np.abs(Y) > ESCAPE_BOUND))).nonzero()[0]
+    X, Y = X[idx], Y[idx]
+    # the label of an image that stopped, at 4 not band + 2 not minus + not plus
+    stopped = np.array([_BAND] * 4 + [_MINUS, _MINUS, _PLUS, _UNDECIDED], dtype=np.uint8)
+    buffers = ([np.empty(len(idx)) for _ in range(3)]
+               + [np.empty(len(idx), dtype=bool) for _ in range(5)])
+    # views sized to the live points
+    a, b, c, ok, not_minus, not_plus, not_band, go = buffers
+    n = 0
+    while len(idx) and (len(idx) > BATCH_HANDOFF or n == opts.max_iter):
+        Xn, Yn = m.batch(X, Y)
+        np.maximum(np.abs(Xn, out=a), np.abs(Yn, out=b), out=a)
+        if n == opts.max_iter:  # the rest stay undecided
+            out[idx[~(a < math.inf)]] = _SINGULAR
+            idx, X, Y = idx[:0], X[:0], Y[:0]
+            break
+        np.less_equal(a, ESCAPE_BOUND, out=ok)
+        for coord, compare, bound in sides:
+            ok &= compare(Yn if coord else Xn, bound, out=go)
+        np.maximum(np.subtract(Xn, fx, out=a), np.subtract(fy, Yn, out=b), out=c)
+        np.minimum(a, b, out=a)
+        np.greater(c, -eps, out=not_minus)
+        np.less(a, eps, out=not_plus)
+        np.greater(np.maximum(c, np.negative(a, out=b), out=b), eps, out=not_band)
+        np.logical_and(ok, not_minus, out=go)
+        go &= not_plus
+        go &= not_band
+        n += 1
+        if np.count_nonzero(go) == len(go):
+            X, Y = Xn, Yn
+            continue
+        # integer indices: each serves several gathers
+        stop, keep = (~go).nonzero()[0], go.nonzero()[0]
+        key = not_band[stop].view(np.uint8) << 2
+        key |= not_minus[stop].view(np.uint8) << 1
+        key |= not_plus[stop].view(np.uint8)
+        codes = stopped.take(key)
+        if np.count_nonzero(ok) < len(ok):  # not finite, out of the domain,
+            odd = (~ok[stop]).nonzero()[0]   # or beyond ESCAPE_BOUND
+            x, y = Xn[stop[odd]], Yn[stop[odd]]
+            finite = np.isfinite(x) & np.isfinite(y)
+            codes[odd[~_within(sides, x, y, finite.copy())]] = _UNDECIDED
+            codes[odd[~finite]] = _SINGULAR
+        out[idx[stop]] = codes
+        idx, X, Y = idx[keep], Xn[keep], Yn[keep]
+        a, b, c, ok, not_minus, not_plus, not_band, go = (v[:len(idx)] for v in buffers)
+    return idx, X, Y, n
 
 
 def _limit_codes(X, Y, fp, opts):
@@ -496,22 +586,24 @@ def _column_positions(window: Rect, fpx: float, columns: int) -> list:
 PROBES = 17
 
 
-def _column_probes(fp: Point2, slope: float, cx: float, window: Rect,
-                   curve_tol: float) -> list:
-    """The ordinates scanned in column cx, ascending: PROBES uniform ones,
-    plus a tangent-predicted pair when cx is near the fixed point."""
+def _probe_matrix(fp: Point2, slope: float, cx: np.ndarray, window: Rect,
+                  curve_tol: float) -> np.ndarray:
+    """The ordinates scanned in each column of cx, one ascending row per
+    column, NaN-padded at the end: PROBES uniform ones, plus a
+    tangent-predicted pair, where it lies inside the window, in the columns
+    near the fixed point."""
     y_lo, y_hi = window.y_lo, window.y_hi
-    ys = [y_lo + (i + 0.5) * (y_hi - y_lo) / PROBES for i in range(PROBES)]
+    P = np.full((len(cx), PROBES + 2), math.nan)
+    P[:, :PROBES] = y_lo + ((np.arange(PROBES) + 0.5) * (y_hi - y_lo)) / PROBES
     dx = cx - fp[0]
-    if abs(dx) <= 0.05 * window.width():
-        # near the fixed point, add tangent-predicted probes to tighten the bracket
-        yp = fp[1] + slope * dx
-        delta = max(4.0 * abs(slope * dx), 16.0 * curve_tol)
-        for cand in (yp - delta, yp + delta):
-            if y_lo < cand < y_hi:
-                ys.append(cand)
-        ys.sort()
-    return ys
+    near = np.abs(dx) <= 0.05 * window.width()
+    # near the fixed point, add tangent-predicted probes to tighten the bracket
+    yp = fp[1] + slope * dx[near]
+    delta = np.maximum(4.0 * np.abs(slope * dx[near]), 16.0 * curve_tol)
+    for j, cand in ((PROBES, yp - delta), (PROBES + 1, yp + delta)):
+        P[near, j] = np.where((y_lo < cand) & (cand < y_hi), cand, math.nan)
+    P[near] = np.sort(P[near], axis=1, kind="stable")
+    return P[:, ~np.isnan(P).all(axis=0)]
 
 
 MAX_BISECTIONS = 200
@@ -531,9 +623,8 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
     """
     n = len(cxs)
     cx = np.asarray(cxs, dtype=float)
-    cols = [_column_probes(fp, slope, x, window, curve_tol) for x in cxs]
-    width = max(map(len, cols), default=0)
-    P = np.array([c + [math.nan] * (width - len(c)) for c in cols]).reshape(n, width)
+    P = _probe_matrix(fp, slope, cx, window, curve_tol)
+    width = P.shape[1]
     # NaN stands for "not set" in lo, hi and y
     lo = np.full(n, math.nan)
     hi = np.full(n, math.nan)
@@ -717,11 +808,16 @@ def trace_unstable_curve(m: PlanarMap, fp: FixedPointRecord,
     """Grow the decreasing unstable curve by iterating seeds along E^mu.
 
     Requires mu > 1 with an off-axis, opposite-signed eigenvector.
-    UNSTABLE_SEEDS seeds are placed on both sides of the fixed point; every
-    forward image inside the domain is collected, sorted by x, and thinned
-    to a strictly decreasing polyline. Orbits that leave the domain truncate
-    their end of the curve. steps must be >= 1 and seed_radius finite and
-    > 0.
+    UNSTABLE_SEEDS seeds are placed on both sides of the fixed point and
+    step together, one planarmap._images call per step, so a map without a
+    batch step runs the same loop; where an image is NaN, m.step is asked
+    again. A SingularityError ends a seed's orbit. A non-finite image or
+    one outside the domain ends it too and truncates its end of the curve.
+    Any other exception propagates, the lowest seed's when several seeds
+    raise, as a loop over the seeds one by one would raise it. The fixed
+    point, the seeds inside the domain and every image kept are sorted by x
+    (descending y among equal x) and thinned to a strictly decreasing
+    polyline. steps must be >= 1 and seed_radius finite and > 0.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps!r}")
@@ -738,51 +834,71 @@ def trace_unstable_curve(m: PlanarMap, fp: FixedPointRecord,
             "the unstable eigenvector must have nonzero components of opposite"
             " sign (not a coordinate axis)")
     fpl = fp.location
-    pts = [fpl]
-    truncated_right = False
-    truncated_left = False
-    for k in range(UNSTABLE_SEEDS):
-        t = -seed_radius + 2.0 * seed_radius * k / (UNSTABLE_SEEDS - 1)
-        x = fpl.x + t * v.x
-        y = fpl.y + t * v.y
-        # v.x > 0 by sign convention: t > 0 seeds grow the right (southeast) end
-        right_side = t * v.x > 0
-        if m.domain.contains(Point2(x, y)):
-            pts.append(Point2(x, y))
+    sides = _finite_sides(m.domain)
+    idx = np.arange(UNSTABLE_SEEDS)
+    t = -seed_radius + 2.0 * seed_radius * idx / (UNSTABLE_SEEDS - 1)
+    X = fpl.x + t * v.x
+    Y = fpl.y + t * v.y
+    # v.x > 0 by sign convention: t > 0 seeds grow the right (southeast) end
+    right_side = t * v.x > 0
+    inside = _within(sides, X, Y, np.ones(UNSTABLE_SEEDS, dtype=bool))
+    parts = [(idx[inside], X[inside], Y[inside])]  # (seeds, iterates) per round
+    truncated = np.zeros(UNSTABLE_SEEDS, dtype=bool)
+    errors = {}  # seed -> the exception its step raised
+    with np.errstate(all="ignore"):
         for _ in range(steps):
+            if not len(idx):
+                break
             try:
-                x, y = m.step(x, y)
-            except SingularityError:
-                break
-            if not (math.isfinite(x) and math.isfinite(y)
-                    and m.domain.contains(Point2(x, y))):
-                if right_side:
-                    truncated_right = True
-                else:
-                    truncated_left = True
-                break
-            pts.append(Point2(x, y))
+                Xn, Yn = _images(m, X, Y)
+            except Exception:  # the step re-asked below tells which seed raised
+                Xn = Yn = np.full(len(idx), math.nan)
+            ended = np.zeros(len(idx), dtype=bool)  # by a raise: no truncation
+            nan = np.isnan(Xn) | np.isnan(Yn)
+            if nan.any():
+                Xn, Yn = np.array(Xn, dtype=float), np.array(Yn, dtype=float)
+                for j in np.flatnonzero(nan).tolist():
+                    try:
+                        Xn[j], Yn[j] = m.step(float(X[j]), float(Y[j]))
+                    except SingularityError:
+                        ended[j] = True
+                    except Exception as exc:
+                        errors[int(idx[j])] = exc
+                        ended[j] = True
+            ok = _within(sides, Xn, Yn, np.isfinite(Xn) & np.isfinite(Yn))
+            truncated[idx[~(ok | ended)]] = True
+            ok &= ~ended
+            idx, X, Y = idx[ok], Xn[ok], Yn[ok]
+            parts.append((idx, X, Y))
+    if errors:
+        raise errors[min(errors)]
 
-    pts.sort(key=lambda p: (p.x, -p.y))
-    kept = []
+    seeds, PX, PY = (np.concatenate(c) for c in zip(*parts))
+    order = np.argsort(seeds, kind="stable")  # seed by seed, each in orbit order
+    PX = np.concatenate(([fpl.x], PX[order]))
+    PY = np.concatenate(([fpl.y], PY[order]))
+    perm = np.lexsort((-PY, PX))  # stable: by x, then by descending y
+    xs, ys = PX[perm].tolist(), PY[perm].tolist()
+    kept = [Point2(xs[0], ys[0])]
+    last_x, last_y = xs[0], ys[0]
     dropped = 0
-    for p in pts:
-        if kept:
-            if p.x - kept[-1].x < 1e-6:
-                continue
-            if not p.y < kept[-1].y:
-                dropped += 1
-                continue
-        kept.append(p)
+    for x, y in zip(xs[1:], ys[1:]):
+        if x - last_x < 1e-6:
+            continue
+        if not y < last_y:
+            dropped += 1
+            continue
+        kept.append(Point2(x, y))
+        last_x, last_y = x, y
     notes = (f"{dropped} vertices dropped by the monotonicity filter",) if dropped else ()
     curve = MonotoneCurve(vertices=tuple(kept), monotonicity="decreasing",
                           endpoint_left=EndpointLabel("truncated", kept[0]),
                           endpoint_right=EndpointLabel("truncated", kept[-1]),
                           notes=notes)
     left, right = endpoint_analysis(m, curve, m.domain)
-    if truncated_left:
+    if (truncated & ~right_side).any():
         left = EndpointLabel("truncated", kept[0])
-    if truncated_right:
+    if (truncated & right_side).any():
         right = EndpointLabel("truncated", kept[-1])
     curve = replace(curve, endpoint_left=left, endpoint_right=right)
     validate_curve(curve)

@@ -82,7 +82,9 @@ class Rect:
         return self.x_lo <= p.x <= self.x_hi and self.y_lo <= p.y <= self.y_hi
 
     def is_bounded(self) -> bool:
-        return all(math.isfinite(v) for v in (self.x_lo, self.x_hi, self.y_lo, self.y_hi))
+        """Finite sides, and a width and height that do not overflow."""
+        return all(math.isfinite(v) for v in (self.x_lo, self.x_hi, self.y_lo,
+                                              self.y_hi, self.width(), self.height()))
 
     def width(self) -> float:
         return self.x_hi - self.x_lo

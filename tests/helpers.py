@@ -3,10 +3,10 @@ the expression tree-walkers that compiled expressions replaced, the
 hand-written built-in steps and Jacobians that their expression form
 replaced, independent vectorized re-implementations of the built-in
 recurrences used as brute-force oracles (they deliberately bypass the
-library code paths they are checking), the scalar column solver, Newton
-search, boundary-endpoint check and competitivity check the lockstep ones
-replaced, a map-evaluation counter, and the orbit and quadrant predicates
-that only tests use as oracles."""
+library code paths they are checking), the scalar column solver,
+unstable-curve trace, Newton search, boundary-endpoint check and
+competitivity check the lockstep ones replaced, a map-evaluation counter,
+and the orbit and quadrant predicates that only tests use as oracles."""
 
 import math
 from dataclasses import replace
@@ -15,10 +15,11 @@ from functools import partial
 import numpy as np
 
 from compmap import (BoundaryEndpointReport, CompetitivityReport,
-                     DegenerateRootError, Matrix2, NoConvergenceError, Point2,
+                     DegenerateRootError, EndpointLabel, Matrix2,
+                     MonotoneCurve, NoConvergenceError, Point2,
                      SingularityError, UnboundParameterError, classify_side,
-                     jacobian)
-from compmap.curves import PROBES
+                     endpoint_analysis, jacobian, validate_curve)
+from compmap.curves import PROBES, UNSTABLE_SEEDS
 from compmap.fixedpoints import (BOUNDARY_GRID, MAX_HALVINGS, NEWTON_MAX_ITER,
                                  NEWTON_TOL, _delta_parts, _dt, _iterate_ahead,
                                  _record, _residual)
@@ -318,8 +319,9 @@ def ex1_boundary_scan(a, x_col, y_lo, y_hi, n_scan=513, fp_y=1.0, iters=400):
 # Scalar column bisection: one classify_side call at a time, column by column
 
 
-def solve_column(m, fp, slope, cx, window, curve_tol, probes, sopts):
-    """Locate the curve ordinate in one column; returns (y, flag) or (None, flag)."""
+def column_probes(fp, slope, cx, window, curve_tol, probes=PROBES):
+    """The ordinates scanned in column cx, ascending: probes uniform ones,
+    plus a tangent-predicted pair when cx is near the fixed point."""
     y_lo, y_hi = window.y_lo, window.y_hi
     ys = [y_lo + (i + 0.5) * (y_hi - y_lo) / probes for i in range(probes)]
     dx = cx - fp[0]
@@ -330,6 +332,12 @@ def solve_column(m, fp, slope, cx, window, curve_tol, probes, sopts):
             if y_lo < cand < y_hi:
                 ys.append(cand)
         ys.sort()
+    return ys
+
+
+def solve_column(m, fp, slope, cx, window, curve_tol, probes, sopts):
+    """Locate the curve ordinate in one column; returns (y, flag) or (None, flag)."""
+    ys = column_probes(fp, slope, cx, window, curve_tol, probes)
     lo = None
     hi = None
     saw_minus = False
@@ -372,6 +380,65 @@ def solve_columns_one_by_one(m, fp, slope, cxs, window, curve_tol, sopts):
     """Drop-in for curves._solve_columns that runs solve_column per column."""
     return [solve_column(m, fp, slope, cx, window, curve_tol, PROBES, sopts)
             for cx in cxs]
+
+
+# ---------------------------------------------------------------------------
+# Scalar unstable-curve trace: one seed at a time, one step call per iterate
+
+
+def scalar_trace_unstable_curve(m, fp, steps=100, seed_radius=1e-4):
+    """trace_unstable_curve with each seed's orbit iterated by m.step; the
+    arguments must pass trace_unstable_curve's checks."""
+    v = fp.eigen.v_mu
+    fpl = fp.location
+    pts = [fpl]
+    truncated_right = False
+    truncated_left = False
+    for k in range(UNSTABLE_SEEDS):
+        t = -seed_radius + 2.0 * seed_radius * k / (UNSTABLE_SEEDS - 1)
+        x = fpl.x + t * v.x
+        y = fpl.y + t * v.y
+        right_side = t * v.x > 0
+        if m.domain.contains(Point2(x, y)):
+            pts.append(Point2(x, y))
+        for _ in range(steps):
+            try:
+                x, y = m.step(x, y)
+            except SingularityError:
+                break
+            if not (math.isfinite(x) and math.isfinite(y)
+                    and m.domain.contains(Point2(x, y))):
+                if right_side:
+                    truncated_right = True
+                else:
+                    truncated_left = True
+                break
+            pts.append(Point2(x, y))
+
+    pts.sort(key=lambda p: (p.x, -p.y))
+    kept = []
+    dropped = 0
+    for p in pts:
+        if kept:
+            if p.x - kept[-1].x < 1e-6:
+                continue
+            if not p.y < kept[-1].y:
+                dropped += 1
+                continue
+        kept.append(p)
+    notes = (f"{dropped} vertices dropped by the monotonicity filter",) if dropped else ()
+    curve = MonotoneCurve(vertices=tuple(kept), monotonicity="decreasing",
+                          endpoint_left=EndpointLabel("truncated", kept[0]),
+                          endpoint_right=EndpointLabel("truncated", kept[-1]),
+                          notes=notes)
+    left, right = endpoint_analysis(m, curve, m.domain)
+    if truncated_left:
+        left = EndpointLabel("truncated", kept[0])
+    if truncated_right:
+        right = EndpointLabel("truncated", kept[-1])
+    curve = replace(curve, endpoint_left=left, endpoint_right=right)
+    validate_curve(curve)
+    return curve
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +570,8 @@ def scalar_check_competitive(m, region, samples=100):
 
 def counting_map(m, box):
     """A copy of PlanarMap m that adds one to box[0] per step call and the
-    number of elements per batch call, and to box[1] per jac call and the
-    number of elements per batch_jac call."""
+    number of elements per batch call, to box[1] per jac call and the
+    number of elements per batch_jac call, and to box[2] per batch call."""
     step, batch, jac, batch_jac = m.step, m.batch, m.jac, m.batch_jac
 
     def counted_step(x, y):
@@ -513,6 +580,7 @@ def counting_map(m, box):
 
     def counted_batch(X, Y):
         box[0] += np.size(X)
+        box[2] += 1
         return batch(X, Y)
 
     def counted_jac(x, y):

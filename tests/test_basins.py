@@ -156,6 +156,11 @@ def test_raster_census_and_labels(ex4_raster):
     assert ex4_raster.labels.shape == (64, 64)
 
 
+def test_raster_refuses_a_window_whose_width_overflows(ex4):
+    with pytest.raises(ValueError, match="needs a bounded window"):
+        raster(ex4.map, Point2(2.0, 1.0), Rect(-1e308, 1e308, 0, 4), 8, 8)
+
+
 def test_raster_label_invariance(ex4, ex4_raster):
     # minus cells map into minus territory, plus cells into plus territory
     rng = np.random.default_rng(31)
@@ -261,7 +266,7 @@ def test_inferred_raster_matches_direct_classification(limit_cases, case, lo, si
 def _counted_raster_and_direct(m, fp, w, n, opts):
     """(raster labels, its step count) and the same for classify_batch over
     every cell."""
-    got, want = [0, 0], [0, 0]
+    got, want = [0, 0, 0], [0, 0, 0]
     r = raster(counting_map(m, got), fp, w, n, n, opts)
     labels = _direct(counting_map(m, want), fp, w, n, n, opts)
     return (r.labels, got[0]), (labels, want[0])

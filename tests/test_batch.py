@@ -18,17 +18,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compmap import (DEFAULT_PARAMS, EXAMPLE_IDS, CurveOptions, Point2, Rect,
-                     SideOptions, SingularityError, continuity_probe,
-                     ex5_equilibria, expr_map, find_fixed_point,
-                     limit_equilibrium, make_example, raster, raster_to_csv,
-                     raster_to_pgm, trace_stable_curve)
+from compmap import (DEFAULT_PARAMS, EXAMPLE_IDS, CurveOptions, DomainError,
+                     Point2, Rect, SideOptions, SingularityError,
+                     continuity_probe, ex5_equilibria, expr_map,
+                     find_fixed_point, limit_equilibrium, make_example, raster,
+                     raster_to_csv, raster_to_pgm, trace_stable_curve,
+                     trace_unstable_curve)
 from compmap import curves
 from compmap.basins import raster_options
-from compmap.curves import (LABEL_CODES, classify_batch, classify_side,
-                            label_code, locate_ordinate)
+from compmap.curves import (BATCH_HANDOFF, LABEL_CODES, classify_batch,
+                            classify_side, label_code, locate_ordinate)
 from compmap.planarmap import PlanarMap
-from helpers import solve_columns_one_by_one
+from helpers import (column_probes, scalar_trace_unstable_curve,
+                     solve_columns_one_by_one)
 
 QUADRANT = Rect(0.0, math.inf, 0.0, math.inf)
 
@@ -170,6 +172,155 @@ def test_band_wins_ties_with_minus_and_plus():
     ys = [1.5] * 20 + [0.5] * 20
     got = classify_batch(m, xs, ys, Point2(2.0, 1.0), SideOptions(epsilon_margin=0.5))
     assert got.tolist() == [LABEL_CODES["band"]] * 40
+
+
+# Maps whose orbits end in every way a lockstep round can retire them: a
+# pole (guarded division), x^320 overflowing math.pow, passing
+# ESCAPE_BOUND, leaving the domain, a first step below tol (starts on a
+# fixed point), or running out of max_iter.
+RETIRING_MAPS = {
+    "pole": ("x/(a - y)", "y/(a - x)", None),
+    "power": ("a*x + x^320", "a*y - x/(1 + y)", None),
+    "saddle": ("a*x", "y/a", None),
+    "box": ("a*x - y", "a*y - x", Rect(-4.0, 4.0, -4.0, 3.0)),
+}
+retiring_coord = st.one_of(st.floats(-12.0, 12.0),
+                           st.sampled_from([0.0, 1.0, -1.0, 10.0, 0.5]))
+
+
+def _retiring_map(name, a):
+    f, g, domain = RETIRING_MAPS[name]
+    return expr_map(f, g, {"a": a}, domain=domain, name=name)
+
+
+@pytest.mark.parametrize("name", sorted(RETIRING_MAPS))
+@pytest.mark.parametrize("mode", ["quadrant_escape", "limit_equilibrium"])
+@settings(max_examples=30, deadline=None)
+@given(a=st.sampled_from([0.5, 1.5, 2.0, 3.0, 40.0]),
+       pts=st.lists(st.tuples(retiring_coord, retiring_coord),
+                    min_size=BATCH_HANDOFF + 1, max_size=60),
+       fp=st.sampled_from([(0.0, 0.0), (1.0, 1.0), (-2.0, 3.0)]),
+       eps=st.sampled_from([0.0, 1e-9, 0.25]),
+       max_iter=st.one_of(st.integers(1, 40), st.just(5000)),
+       conv_tol=st.sampled_from([1e-12, 1e-3]))
+def test_lockstep_retirements_match_the_scalar_loops(name, mode, a, pts, fp, eps,
+                                                     max_iter, conv_tol):
+    m = _retiring_map(name, a)
+    X = np.array([p[0] for p in pts])
+    Y = np.array([p[1] for p in pts])
+    opts = SideOptions(mode=mode, epsilon_margin=eps, max_iter=max_iter,
+                       conv_tol=conv_tol)
+    want = [label_code(classify_side(m, Point2(x, y), Point2(*fp), opts))
+            for x, y in pts]
+    assert classify_batch(m, X, Y, Point2(*fp), opts).tolist() == want
+    LX, LY, singular = curves._limits_lockstep(m, X, Y, conv_tol, max_iter)
+    for k, (x, y) in enumerate(pts):
+        flag, lx, ly, _ = curves._limit_orbit(m.step, x, y, 0, conv_tol, max_iter)
+        if flag:
+            assert math.isnan(LX[k]) and math.isnan(LY[k])
+        else:
+            assert float(LX[k]).hex() == lx.hex() and float(LY[k]).hex() == ly.hex()
+        assert bool(singular[k]) == (flag == "singularity")
+
+
+def test_lockstep_retirements_cover_every_flag():
+    # the drawn inputs above can end orbits in every way: one fixed input
+    # per map shows each flag arising with more than BATCH_HANDOFF points
+    flags = set()
+    grid = [(x, y) for x in (-9.0, -1.0, 0.0, 0.5, 1.0, 2.5, 9.5, 11.0)
+            for y in (-3.0, 0.0, 0.5, 1.0, 2.0)]
+    for name in sorted(RETIRING_MAPS):
+        m = _retiring_map(name, 1.5)
+        X = np.array([p[0] for p in grid])
+        Y = np.array([p[1] for p in grid])
+        for mode in ("quadrant_escape", "limit_equilibrium"):
+            opts = SideOptions(mode=mode, epsilon_margin=1e-9, max_iter=25)
+            verdicts = [classify_side(m, Point2(*p), Point2(0.0, 0.0), opts)
+                        for p in grid]
+            assert (classify_batch(m, X, Y, Point2(0.0, 0.0), opts).tolist()
+                    == [label_code(v) for v in verdicts])
+            flags |= {v.flag or v.label for v in verdicts}
+        first = [curves._limit_orbit(m.step, x, y, 0, 1e-12, 25) for x, y in grid]
+        flags |= {"first_round" for f in first if not f[0] and f[3] == 0}
+    assert flags >= {"singularity", "divergence", "escape", "max_iter",
+                     "first_round", "minus", "plus"}
+
+
+@pytest.mark.parametrize("f, g, domain, start, fp, eps, max_iter, label", [
+    # orbits reach a verdict exactly on its boundary (or a pole on the
+    # last step), and the next image would leave the domain: a round late
+    # or early reads undecided
+    ("x + 1", "y", Rect(-10, 0, -10, 10), (-3, -1), (0, 0), 0.0, 50, "plus"),
+    ("x", "y + 1", Rect(-10, 10, -10, 0), (-1, -3), (0, 0), 0.0, 50, "minus"),
+    ("x + 0.25", "y", Rect(-10, -0.25, -10, 10), (-1, 0), (0, 0), 0.25, 50, "band"),
+    ("x + 1", "y/(x - 3)", None, (0, 1), (10, 10), 1e-9, 2, "undecided"),
+    ("x + 1", "y/(x - 3)", None, (0, 1), (10, 10), 1e-9, 3, "singular"),
+    ("x + 1", "y/(x - 3)", None, (0, 1), (10, 10), 1e-9, 4, "singular"),
+    # x = ESCAPE_BOUND goes on; its image beyond the bound is decided first
+    ("x + 1", "y", None, (1e6 - 2, -1), (1e6 + 0.5, 0), 1e-9, 50, "plus"),
+])
+def test_quadrant_lockstep_retires_on_exact_boundaries(f, g, domain, start, fp, eps,
+                                                       max_iter, label):
+    m = expr_map(f, g, {}, domain=domain)
+    opts = SideOptions(epsilon_margin=eps, max_iter=max_iter)
+    n = BATCH_HANDOFF + 4
+    assert label_code(classify_side(m, Point2(*start), Point2(*fp), opts)) \
+        == LABEL_CODES[label]
+    got = classify_batch(m, [start[0]] * n, [start[1]] * n, Point2(*fp), opts)
+    assert got.tolist() == [LABEL_CODES[label]] * n
+
+
+def test_limit_lockstep_step_equal_to_tol_goes_on():
+    # from x = 0 the first steps are exactly 1e-6 = tol, not below it; the
+    # step from the rounded 3e-6 is the first below
+    m = expr_map("x + 0.000001", "y", {})
+    X = np.zeros(BATCH_HANDOFF + 4)
+    Y = np.arange(BATCH_HANDOFF + 4, dtype=float)
+    LX, LY, singular = curves._limits_lockstep(m, X, Y, 1e-6, 30)
+    flag, x, _y, n = curves._limit_orbit(m.step, 0.0, 0.0, 0, 1e-6, 30)
+    assert (flag, n) == ("", 3)
+    assert LX.tolist() == [x] * len(X) and LY.tolist() == Y.tolist()
+    assert not singular.any()
+
+
+@pytest.mark.parametrize("f, flags", [
+    # an orbit that converges at |x| = ESCAPE_BOUND has its limit there
+    ("x", ["", "", "divergence", ""]),
+    # an image on the bound goes on; the next one, beyond it, has diverged
+    ("x + 1", ["divergence", "divergence", "divergence", "max_iter"]),
+])
+def test_limit_lockstep_on_the_escape_bound(f, flags):
+    m = expr_map(f, "0.5*y", {})
+    edge = curves.ESCAPE_BOUND
+    xs = [edge, edge - 1, math.nextafter(edge, math.inf), 1.0] * 5
+    LX, LY, singular = curves._limits_lockstep(m, np.array(xs),
+                                               np.full(len(xs), 1e-9), 1e-6, 50)
+    for k, x in enumerate(xs):
+        flag, lx, ly, _ = curves._limit_orbit(m.step, x, 1e-9, 0, 1e-6, 50)
+        assert flag == flags[k % 4]
+        assert (math.isnan(LX[k]) if flag else (LX[k], LY[k]) == (lx, ly))
+    assert not singular.any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(fp=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+       slope=st.floats(-20.0, 20.0), curve_tol=st.sampled_from([1e-8, 1e-3, 0.5]),
+       window=st.tuples(st.floats(-5.0, 5.0), st.floats(0.01, 10.0),
+                        st.floats(-5.0, 5.0), st.floats(0.01, 10.0)),
+       us=st.lists(st.floats(-0.1, 1.1), max_size=40))
+def test_probe_matrix_matches_the_per_column_lists(fp, slope, curve_tol, window,
+                                                   us):
+    x_lo, w, y_lo, h = window
+    win = Rect(x_lo, x_lo + w, y_lo, y_lo + h)
+    cxs = [fp[0] + 0.06 * w * (2.0 * u - 1.0) if k % 2 else x_lo + u * w
+           for k, u in enumerate(us)]
+    P = curves._probe_matrix(Point2(*fp), slope, np.array(cxs, dtype=float), win,
+                             curve_tol)
+    cols = [column_probes(Point2(*fp), slope, cx, win, curve_tol) for cx in cxs]
+    assert P.shape == (len(cxs), max(map(len, cols), default=0))
+    for row, col in zip(P.tolist(), cols):
+        assert [v.hex() for v in row[:len(col)]] == [v.hex() for v in col]
+        assert all(math.isnan(v) for v in row[len(col):])
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +524,32 @@ def test_lockstep_columns_match_on_odd_verdicts():
     assert {flag for _, flag in got} == {"no_bracket:mixed", "undecided_probe"}
 
 
+# sha256 of repr(curve) of the benchmark-shaped traces (perfbench's trace
+# workload at its unmoved windows); the built-in and DSL forms agree bit for bit
+TRACE_REPR_SHA256 = {
+    "ex1_limit": "1cd10cba9cfb84b8369d1d9b2786232c4d1dde4495473eccdf34e1106259983d",
+    "ex3_T2": "f51bc1b7f5c4576d927d98f5de9794b3f88e4b2a143dac351f8c6e68a5f6bffa",
+    "ex5_saddle": "5e6108cd0c8d2e8a425044366965f99382b96a720f140bcb05c39b7ea67765aa",
+    "ex5_dsl": "5e6108cd0c8d2e8a425044366965f99382b96a720f140bcb05c39b7ea67765aa",
+    "ex1_dsl": "1cd10cba9cfb84b8369d1d9b2786232c4d1dde4495473eccdf34e1106259983d",
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_REPR_SHA256))
+def test_benchmark_shaped_traces_pinned(trace_cases, case):
+    m, fp, w, opts = trace_cases[case]
+    curve = trace_stable_curve(m, fp, w, opts)
+    assert hashlib.sha256(repr(curve).encode()).hexdigest() == TRACE_REPR_SHA256[case]
+
+
+def test_benchmark_shaped_unstable_trace_pinned(trace_cases):
+    m, fp, _w, _opts = trace_cases["ex5_saddle"]
+    curve = trace_unstable_curve(m, fp)
+    assert len(curve.vertices) == 4585
+    assert (hashlib.sha256(repr(curve).encode()).hexdigest()
+            == "3a38ffd7734f3261045dcc08b4afc94b7cea6632741b39a9588a3b9aa5613dff")
+
+
 def test_demo_curve_bytes_pinned():
     # the curve demos/01_separatrix_tracing.py writes to demos/out/ex1_separatrix.csv
     m = make_example("ex1", {"a": 2.0}).map
@@ -381,6 +558,77 @@ def test_demo_curve_bytes_pinned():
     text = "x,y\n" + "".join(f"{v.x:.17g},{v.y:.17g}\n" for v in curve.vertices)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "4fafa279a104f91b73af5139b04bf09d360dc7cd97f9809fb0db638e24002103"
+
+
+# ---------------------------------------------------------------------------
+# (g) the lockstep unstable-curve trace == the seed-by-seed loop
+
+
+def _same_curve(got, want):
+    assert got.vertices == want.vertices
+    assert [repr(v) for v in got.vertices] == [repr(v) for v in want.vertices]
+    assert got.notes == want.notes
+    assert (got.endpoint_left, got.endpoint_right) == (want.endpoint_left,
+                                                       want.endpoint_right)
+
+
+@pytest.mark.parametrize("steps", [1, 100, 200])
+def test_unstable_trace_matches_seed_by_seed(ex5_three, steps):
+    saddle = find_fixed_point(ex5_three.map, ex5_equilibria(ex5_three.params)[1])
+    _same_curve(trace_unstable_curve(ex5_three.map, saddle, steps=steps),
+                scalar_trace_unstable_curve(ex5_three.map, saddle, steps=steps))
+
+
+def _linear_saddle_step(x, y):
+    # mu = 2 along (1, -1) and 1/2 along (1, 1), fixed point at the origin
+    return 1.25 * x - 0.75 * y, -0.75 * x + 1.25 * y
+
+
+def _wall_step(x, y):
+    if x < -0.5:
+        raise SingularityError("wall")
+    return _linear_saddle_step(x, y)
+
+
+def _fence_batch(X, Y):
+    FX, FY = _linear_saddle_step(X, Y)
+    return np.where(X > 0.5, math.nan, FX), FY
+
+
+@pytest.mark.parametrize("m", [
+    PlanarMap(name="saddle", step=_linear_saddle_step, domain=Rect(-1, 1, -1, 1)),
+    PlanarMap(name="wall", step=_wall_step, domain=Rect(-1, 1, -1, 1)),
+    # a pole past x = -0.5: (x + 0.5)^0.5 raises there
+    expr_map("1.25*x - 0.75*y + 0*(x + 0.5)^0.5", "-0.75*x + 1.25*y", {},
+             domain=Rect(-1, 1, -1, 1), name="dsl-wall"),
+], ids=lambda m: m.name)
+@pytest.mark.parametrize("steps", [3, 40])
+def test_unstable_trace_matches_seed_by_seed_where_orbits_stop(m, steps):
+    rec = find_fixed_point(m, Point2(0.1, 0.05))
+    got = trace_unstable_curve(m, rec, steps=steps)
+    _same_curve(got, scalar_trace_unstable_curve(m, rec, steps=steps))
+    if steps == 40:
+        assert got.endpoint_left.kind == got.endpoint_right.kind == "truncated"
+
+
+@pytest.mark.parametrize("error, batch", [
+    (DomainError, None), (DomainError, _fence_batch),
+    (ValueError, None)])  # a ValueError escapes planarmap._images
+def test_unstable_trace_raises_the_lowest_seeds_exception(error, batch):
+    # right-hand seeds farther out reach the fence in fewer steps, but the
+    # seed-by-seed loop meets the innermost right-hand seed's raise first
+    def step(x, y):
+        if x > 0.5:
+            raise error(f"fence at x = {x!r}")
+        return _linear_saddle_step(x, y)
+
+    m = PlanarMap(name="fence", step=step, domain=Rect(-1, 1, -1, 1), batch=batch)
+    rec = find_fixed_point(m, Point2(0.1, 0.05))
+    with pytest.raises(error) as want:
+        scalar_trace_unstable_curve(m, rec, steps=40)
+    with pytest.raises(error) as got:
+        trace_unstable_curve(m, rec, steps=40)
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------

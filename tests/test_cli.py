@@ -485,7 +485,7 @@ def test_dropped_flags_exit_2_without_output(tmp_path, capsys, argv):
     ["analyze", "--example", "ex1", "--window=-1e308,1e308,0,5"],
     ["analyze", "--example", "ex1", "--window=0,5,-1e308,1e308"]])
 def test_non_finite_point_or_window_exit_2_without_output(tmp_path, capsys, argv):
-    # a window from -1e308 to 1e308 is bounded, but its width overflows
+    # a window from -1e308 to 1e308 has finite sides, but its width overflows
     assert "finite" in _refused(tmp_path, capsys, argv)
 
 

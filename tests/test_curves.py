@@ -84,6 +84,11 @@ def test_trace_requires_bounded_window(ex1, ex1_fp):
         trace_stable_curve(ex1.map, ex1_fp, Rect(0, math.inf, 0, 6))
 
 
+def test_trace_refuses_a_window_whose_width_overflows(ex1, ex1_fp):
+    with pytest.raises(ValueError, match="needs a bounded window"):
+        trace_stable_curve(ex1.map, ex1_fp, Rect(-1e308, 1e308, 0, 4))
+
+
 def test_trace_rejects_failed_hypotheses(ex1):
     origin = find_fixed_point(ex1.map, Point2(1e-12, 1e-12))
     with pytest.raises(HypothesisError):

@@ -1,19 +1,27 @@
 """Pinned map-evaluation counts (step calls plus batch elements, and for
 the boundary check also jac calls plus batch_jac elements) of small fixed
-inputs. A change that makes compmap do more or less work on them changes a
-pin here, and says why in CHANGES.md."""
+inputs, and for the curve traces the number of batch calls too. A change
+that makes compmap do more or less work on them changes a pin here, and
+says why in CHANGES.md."""
 
 from compmap import (CurveOptions, Point2, Rect, check_boundary_endpoint_conditions,
-                     continuity_probe, find_fixed_point, make_example, raster,
-                     trace_stable_curve)
+                     continuity_probe, ex5_equilibria, find_fixed_point,
+                     make_example, raster, trace_stable_curve,
+                     trace_unstable_curve)
 
 from helpers import counting_map
 
 
 def _evaluations(m, run, jacobians=False):
-    box = [0, 0]
+    box = [0, 0, 0]
     run(counting_map(m, box))
-    return tuple(box) if jacobians else box[0]
+    return tuple(box[:2]) if jacobians else box[0]
+
+
+def _evaluations_and_batch_calls(m, run):
+    box = [0, 0, 0]
+    run(counting_map(m, box))
+    return box[0], box[2]
 
 
 def test_ex1_trace_64_columns():
@@ -21,6 +29,23 @@ def test_ex1_trace_64_columns():
     fp = find_fixed_point(m, Point2(1e-9, 1.0))
     assert _evaluations(m, lambda c: trace_stable_curve(
         c, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions(columns=64))) == 52_165
+
+
+def test_ex1_trace_64_columns_batch_calls():
+    # one batch call per lockstep round of every probe and bisection round
+    m = make_example("ex1").map
+    fp = find_fixed_point(m, Point2(1e-9, 1.0))
+    assert _evaluations_and_batch_calls(m, lambda c: trace_stable_curve(
+        c, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions(columns=64))) == (52_165, 1_250)
+
+
+def test_ex5_unstable_trace():
+    # 64 seeds step together: one batch call per step, 100 steps, plus the
+    # three scalar steps of the endpoint analysis
+    sys = make_example("ex5")
+    saddle = find_fixed_point(sys.map, ex5_equilibria(sys.params)[1])
+    assert _evaluations_and_batch_calls(sys.map, lambda c: trace_unstable_curve(
+        c, saddle)) == (6_403, 100)
 
 
 def test_ex2_raster_32():

@@ -57,6 +57,13 @@ def test_rect_validation_and_predicates():
     assert w.boundary_dist(Point2(1, 3)) == 1
 
 
+@pytest.mark.parametrize("r", [Rect(-1e308, 1e308, 0, 4), Rect(0, 4, -1e308, 1e308)])
+def test_rect_whose_width_or_height_overflows_is_unbounded(r):
+    assert math.isinf(r.width()) or math.isinf(r.height())
+    assert not r.is_bounded()
+    assert r.clamped(Rect(0, 50, 0, 50)).is_bounded()
+
+
 def test_point_helpers():
     assert Point2(3, 4).norm() == 5
     u = Point2(3, 4).unit()

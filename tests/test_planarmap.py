@@ -106,6 +106,13 @@ def test_check_competitive(ex1):
     assert rep.witness is not None
 
 
+def test_check_competitive_clamps_a_window_whose_width_overflows(ex4):
+    # the window counts as unbounded, so the sampling window clamps it
+    rep = check_competitive(ex4.map, Rect(-1e308, 1e308, 0, 4))
+    assert rep == check_competitive(ex4.map, Rect(0, 50, 0, 4))
+    assert rep.witness is None or math.isfinite(rep.witness[0].x)
+
+
 def test_strongly_competitive_preserves_se_order(ex1, ex2):
     # images of comparable distinct points stay comparable and differ in
     # both coordinates
