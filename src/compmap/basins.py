@@ -212,9 +212,24 @@ def raster_to_csv(r: BasinRaster) -> str:
 
 
 def save_raster(r: BasinRaster, path: str, fmt: str = "pgm") -> None:
+    """Write r to path as fmt, 'pgm' or 'csv'; another fmt raises ValueError
+    before the file is opened."""
+    if fmt not in ("pgm", "csv"):
+        raise ValueError(f"unknown raster format {fmt!r}; expected pgm or csv")
     text = raster_to_pgm(r) if fmt == "pgm" else raster_to_csv(r)
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
+
+
+def _read_meta(line: str, meta: dict) -> bool:
+    """Whether line is a '#' comment; a '# key=value' one goes into meta."""
+    if not line.startswith("#"):
+        return False
+    body = line[1:].strip()
+    if "=" in body:
+        k, v = body.split("=", 1)
+        meta[k.strip()] = v
+    return True
 
 
 def load_pgm(path: str):
@@ -226,13 +241,8 @@ def load_pgm(path: str):
         if magic != "P2":
             raise ValueError(f"not a P2 PGM: {magic!r}")
         for line in fh:
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    k, v = body.split("=", 1)
-                    meta[k.strip()] = v
-                continue
-            tokens.extend(line.split())
+            if not _read_meta(line, meta):
+                tokens.extend(line.split())
     nx, ny, maxval = int(tokens[0]), int(tokens[1]), int(tokens[2])
     vals = np.array(tokens[3:3 + nx * ny], dtype=int).reshape(ny, nx)
     labels = np.empty((ny, nx), dtype=np.uint8)
@@ -249,15 +259,7 @@ def load_csv_raster(path: str):
     with open(path) as fh:
         for line in fh:
             line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    k, v = body.split("=", 1)
-                    meta[k.strip()] = v
-                continue
-            if line.startswith("i,"):
+            if not line or _read_meta(line, meta) or line.startswith("i,"):
                 continue
             i_s, j_s, _x, _y, label = line.split(",")
             i, j = int(i_s), int(j_s)

@@ -117,11 +117,9 @@ _VERBS = {
 _OPTIONS = {verb: {o.key: o for o in opts} for verb, (_, opts) in _VERBS.items()}
 
 # Keys an output records that no option sets (besides 'command'): a basin
-# file records the raster's resolved map, fixed point and settings. A config
-# file made from an echo may carry them. map and fp follow from the options
-# and are ignored; a recorded setting must equal the one the run resolves
-# (basin's --tol and --epsilon set them).
-_RECORDED = {"basin": ("map", "fp", "epsilon_margin", "conv_tol")}
+# file records the raster's resolved map and fixed point. A config file made
+# from an echo may carry them; they follow from the options and are ignored.
+_RECORDED = {"basin": ("map", "fp")}
 
 
 def _read_config_file(path: str) -> dict:
@@ -268,9 +266,7 @@ def _build_map(cfg: dict):
         if "f" not in cfg or "g" not in cfg:
             raise _CliError(2, "a map needs both --f and --g expressions")
         try:
-            m = expr_map(cfg["f"], cfg["g"], params,
-                         domain=Rect(-math.inf, math.inf, -math.inf, math.inf),
-                         name="expr-map")
+            m = expr_map(cfg["f"], cfg["g"], params)
         except (ParseError, UnboundParameterError) as e:
             raise _CliError(2, f"bad expression: {e}")
         return m, None
@@ -453,23 +449,15 @@ def _cmd_basin(cfg: dict) -> int:
     if "epsilon" in cfg:
         overrides["epsilon_margin"] = _value(cfg, "epsilon")
     opts = replace(raster_options(m, window), **overrides)
-    for key, option in (("conv_tol", "tol"), ("epsilon_margin", "epsilon")):
-        resolved = getattr(opts, key)
-        try:
-            same = key not in cfg or float(cfg[key]) == resolved
-        except ValueError:
-            same = False
-        if not same:
-            raise _CliError(2, f"config key {key!r} records {cfg[key]!r}, but this "
-                               f"run resolves {key}={resolved!r}; set it with "
-                               f"{option!r} or drop the key")
     r = raster(m, fp, window, nx, ny, opts)
     census = r.census()
     total = nx * ny
     if census["singular"] > 0.5 * total:
         raise _CliError(3, f"{census['singular']}/{total} cells hit singularities")
-    meta = dict(r.meta)
-    for k, v in _echoed(cfg).items():
+    # the echo's tol and epsilon record conv_tol and epsilon_margin, the
+    # margin as resolved, so the file records each setting once
+    meta = {k: v for k, v in r.meta.items() if k not in ("conv_tol", "epsilon_margin")}
+    for k, v in _echoed({**cfg, "epsilon": repr(opts.epsilon_margin)}).items():
         meta.setdefault(k, v)
     r = type(r)(window=r.window, nx=r.nx, ny=r.ny, labels=r.labels, meta=meta)
     save_raster(r, cfg["out"], fmt=cfg["format"])

@@ -74,19 +74,25 @@ def classify_side(m: PlanarMap, p: Point2, fp: Point2,
     minus is the northwest component (orbit enters int Q2(fp), or its limit
     equilibrium is strictly southeast-less than fp); plus the southeast one.
     """
+    x, y = float(p[0]), float(p[1])
     if opts.mode == "quadrant_escape":
-        return _classify_quadrant(m, p, fp, opts)
-    return _classify_limit(m, p, fp, opts)
+        return _classify_quadrant(m, x, y, 0, fp, opts)
+    flag, x, y, n = _limit_orbit(m.step, x, y, 0, opts.conv_tol, opts.max_iter)
+    if flag:
+        return SideVerdict("undecided", n, flag)
+    code = int(_limit_codes(np.array([x]), np.array([y]), fp, opts)[0])
+    return SideVerdict(LABEL_NAMES[code], n,
+                       "incomparable_limit" if code == _UNDECIDED else "")
 
 
-def _classify_quadrant(m: PlanarMap, p: Point2, fp: Point2,
+def _classify_quadrant(m: PlanarMap, x: float, y: float, n: int, fp: Point2,
                        opts: SideOptions) -> SideVerdict:
+    """The quadrant-mode verdict from the orbit point x_n = (x, y)."""
     eps = opts.epsilon_margin
     fx, fy = fp
     dom = m.domain
     step = m.step
-    x, y = float(p[0]), float(p[1])
-    for n in range(opts.max_iter + 1):
+    for n in range(n, opts.max_iter + 1):
         dx = x - fx
         dy = y - fy
         if abs(dx) <= eps and abs(dy) <= eps:
@@ -106,17 +112,6 @@ def _classify_quadrant(m: PlanarMap, p: Point2, fp: Point2,
         if not (dom.x_lo <= x <= dom.x_hi and dom.y_lo <= y <= dom.y_hi):
             return SideVerdict("undecided", n, "escape")
     return SideVerdict("undecided", opts.max_iter, "max_iter")
-
-
-def _classify_limit(m: PlanarMap, p: Point2, fp: Point2,
-                    opts: SideOptions) -> SideVerdict:
-    flag, x, y, n = _limit_orbit(m.step, float(p[0]), float(p[1]), 0,
-                                 opts.conv_tol, opts.max_iter)
-    if flag:
-        return SideVerdict("undecided", n, flag)
-    code = int(_limit_codes(np.array([x]), np.array([y]), fp, opts)[0])
-    return SideVerdict(LABEL_NAMES[code], n,
-                       "incomparable_limit" if code == _UNDECIDED else "")
 
 
 # ---------------------------------------------------------------------------
@@ -298,38 +293,32 @@ def classify_batch(m: PlanarMap, xs, ys, fp: Point2,
     """classify_side for every point (xs[k], ys[k]), in lockstep numpy.
 
     Returns uint8 codes into LABEL_NAMES, shaped like xs, equal point by point
-    to label_code(classify_side(...)). In limit mode T* comes from
-    _limits_lockstep. In quadrant mode all points step together through
-    m.batch under classify_side's stop rules, each retiring as soon as its
-    rule fires, and once BATCH_HANDOFF or fewer remain they finish in
-    classify_side with the remaining max_iter; a map without a batch step
-    takes classify_side for every point.
+    to label_code(classify_side(...)). T* comes from _limits_lockstep in
+    limit mode, and the quadrant-mode verdicts from _quadrant_batch.
     """
     xs = np.asarray(xs, dtype=float)
     X = xs.ravel()
     Y = np.asarray(ys, dtype=float).ravel()
-    if opts.mode == "limit_equilibrium":
-        LX, LY, singular = _limits_lockstep(m, X, Y, opts.conv_tol, opts.max_iter)
-        out = _limit_codes(LX, LY, fp, opts)  # NaN limits read undecided
-        out[singular] = _SINGULAR
-        return out.reshape(xs.shape)
-    out = np.full(X.size, _UNDECIDED, dtype=np.uint8)
-    idx = np.arange(X.size)
-    done = 0
-    if m.batch is not None and X.size > BATCH_HANDOFF:
-        with np.errstate(all="ignore"):
-            idx, X, Y, done = _quadrant_batch(m, X, Y, fp, opts, out)
-    if len(idx):
-        rest = replace(opts, max_iter=opts.max_iter - done)
-        for k, x, y in zip(idx.tolist(), X.tolist(), Y.tolist()):
-            out[k] = label_code(classify_side(m, Point2(x, y), fp, rest))
+    if opts.mode == "quadrant_escape":
+        return _quadrant_batch(m, X, Y, fp, opts).reshape(xs.shape)
+    LX, LY, singular = _limits_lockstep(m, X, Y, opts.conv_tol, opts.max_iter)
+    out = _limit_codes(LX, LY, fp, opts)  # NaN limits read undecided
+    out[singular] = _SINGULAR
     return out.reshape(xs.shape)
 
 
-def _quadrant_batch(m, X, Y, fp, opts, out):
-    """_classify_quadrant in lockstep; labels out (all undecided on entry)
-    and returns the points left for handoff, their indices and the
-    iterations they have used.
+# The label of a stopped quadrant-mode image, at 4 not band + 2 not minus + not plus
+_STOPPED = np.array([_BAND] * 4 + [_MINUS, _MINUS, _PLUS, _UNDECIDED], dtype=np.uint8)
+
+
+def _quadrant_batch(m: PlanarMap, X: np.ndarray, Y: np.ndarray, fp: Point2,
+                    opts: SideOptions) -> np.ndarray:
+    """_classify_quadrant from every (X[k], Y[k]), in lockstep numpy; returns
+    the label codes.
+
+    All points step together through m.batch; once BATCH_HANDOFF or fewer
+    remain (at once without a batch step), each finishes in
+    _classify_quadrant from where it stands.
 
     The starts are labelled first. A round then steps the live points (all
     finite, inside the domain, within ESCAPE_BOUND and undecided) and
@@ -345,62 +334,69 @@ def _quadrant_batch(m, X, Y, fp, opts, out):
     round max_iter only tells singular from undecided, as in
     _classify_quadrant.
     """
-    eps = opts.epsilon_margin
-    fx, fy = fp
-    sides = _finite_sides(m.domain)
-    dx = X - fx
-    dy = Y - fy
-    out[(dx >= eps) & (dy <= -eps)] = _PLUS
-    out[(dx <= -eps) & (dy >= eps)] = _MINUS
-    out[(np.abs(dx) <= eps) & (np.abs(dy) <= eps)] = _BAND
-    idx = ((out == _UNDECIDED) & ~((np.abs(X) > ESCAPE_BOUND)
-                                   | (np.abs(Y) > ESCAPE_BOUND))).nonzero()[0]
-    X, Y = X[idx], Y[idx]
-    # the label of an image that stopped, at 4 not band + 2 not minus + not plus
-    stopped = np.array([_BAND] * 4 + [_MINUS, _MINUS, _PLUS, _UNDECIDED], dtype=np.uint8)
-    buffers = ([np.empty(len(idx)) for _ in range(3)]
-               + [np.empty(len(idx), dtype=bool) for _ in range(5)])
-    # views sized to the live points
-    a, b, c, ok, not_minus, not_plus, not_band, go = buffers
+    out = np.full(X.size, _UNDECIDED, dtype=np.uint8)
+    idx = np.arange(X.size)
     n = 0
-    while len(idx) and (len(idx) > BATCH_HANDOFF or n == opts.max_iter):
-        Xn, Yn = m.batch(X, Y)
-        np.maximum(np.abs(Xn, out=a), np.abs(Yn, out=b), out=a)
-        if n == opts.max_iter:  # the rest stay undecided
-            out[idx[~(a < math.inf)]] = _SINGULAR
-            idx, X, Y = idx[:0], X[:0], Y[:0]
-            break
-        np.less_equal(a, ESCAPE_BOUND, out=ok)
-        for coord, compare, bound in sides:
-            ok &= compare(Yn if coord else Xn, bound, out=go)
-        np.maximum(np.subtract(Xn, fx, out=a), np.subtract(fy, Yn, out=b), out=c)
-        np.minimum(a, b, out=a)
-        np.greater(c, -eps, out=not_minus)
-        np.less(a, eps, out=not_plus)
-        np.greater(np.maximum(c, np.negative(a, out=b), out=b), eps, out=not_band)
-        np.logical_and(ok, not_minus, out=go)
-        go &= not_plus
-        go &= not_band
-        n += 1
-        if np.count_nonzero(go) == len(go):
-            X, Y = Xn, Yn
-            continue
-        # integer indices: each serves several gathers
-        stop, keep = (~go).nonzero()[0], go.nonzero()[0]
-        key = not_band[stop].view(np.uint8) << 2
-        key |= not_minus[stop].view(np.uint8) << 1
-        key |= not_plus[stop].view(np.uint8)
-        codes = stopped.take(key)
-        if np.count_nonzero(ok) < len(ok):  # not finite, out of the domain,
-            odd = (~ok[stop]).nonzero()[0]   # or beyond ESCAPE_BOUND
-            x, y = Xn[stop[odd]], Yn[stop[odd]]
-            finite = np.isfinite(x) & np.isfinite(y)
-            codes[odd[~_within(sides, x, y, finite.copy())]] = _UNDECIDED
-            codes[odd[~finite]] = _SINGULAR
-        out[idx[stop]] = codes
-        idx, X, Y = idx[keep], Xn[keep], Yn[keep]
-        a, b, c, ok, not_minus, not_plus, not_band, go = (v[:len(idx)] for v in buffers)
-    return idx, X, Y, n
+    if m.batch is not None and X.size > BATCH_HANDOFF:
+        with np.errstate(all="ignore"):
+            eps = opts.epsilon_margin
+            fx, fy = fp
+            sides = _finite_sides(m.domain)
+            dx = X - fx
+            dy = Y - fy
+            out[(dx >= eps) & (dy <= -eps)] = _PLUS
+            out[(dx <= -eps) & (dy >= eps)] = _MINUS
+            out[(np.abs(dx) <= eps) & (np.abs(dy) <= eps)] = _BAND
+            idx = ((out == _UNDECIDED) & ~((np.abs(X) > ESCAPE_BOUND)
+                                           | (np.abs(Y) > ESCAPE_BOUND))).nonzero()[0]
+            X, Y = X[idx], Y[idx]
+            buffers = ([np.empty(len(idx)) for _ in range(3)]
+                       + [np.empty(len(idx), dtype=bool) for _ in range(5)])
+            # views sized to the live points
+            a, b, c, ok, not_minus, not_plus, not_band, go = buffers
+            while len(idx) and (len(idx) > BATCH_HANDOFF or n == opts.max_iter):
+                Xn, Yn = m.batch(X, Y)
+                np.maximum(np.abs(Xn, out=a), np.abs(Yn, out=b), out=a)
+                if n == opts.max_iter:  # the rest stay undecided
+                    out[idx[~(a < math.inf)]] = _SINGULAR
+                    idx, X, Y = idx[:0], X[:0], Y[:0]
+                    break
+                np.less_equal(a, ESCAPE_BOUND, out=ok)
+                for coord, compare, bound in sides:
+                    ok &= compare(Yn if coord else Xn, bound, out=go)
+                np.maximum(np.subtract(Xn, fx, out=a), np.subtract(fy, Yn, out=b),
+                           out=c)
+                np.minimum(a, b, out=a)
+                np.greater(c, -eps, out=not_minus)
+                np.less(a, eps, out=not_plus)
+                np.greater(np.maximum(c, np.negative(a, out=b), out=b), eps,
+                           out=not_band)
+                np.logical_and(ok, not_minus, out=go)
+                go &= not_plus
+                go &= not_band
+                n += 1
+                if np.count_nonzero(go) == len(go):
+                    X, Y = Xn, Yn
+                    continue
+                # integer indices: each serves several gathers
+                stop, keep = (~go).nonzero()[0], go.nonzero()[0]
+                key = not_band[stop].view(np.uint8) << 2
+                key |= not_minus[stop].view(np.uint8) << 1
+                key |= not_plus[stop].view(np.uint8)
+                codes = _STOPPED.take(key)
+                if np.count_nonzero(ok) < len(ok):  # not finite, out of the domain,
+                    odd = (~ok[stop]).nonzero()[0]   # or beyond ESCAPE_BOUND
+                    x, y = Xn[stop[odd]], Yn[stop[odd]]
+                    finite = np.isfinite(x) & np.isfinite(y)
+                    codes[odd[~_within(sides, x, y, finite.copy())]] = _UNDECIDED
+                    codes[odd[~finite]] = _SINGULAR
+                out[idx[stop]] = codes
+                idx, X, Y = idx[keep], Xn[keep], Yn[keep]
+                a, b, c, ok, not_minus, not_plus, not_band, go = (
+                    v[:len(idx)] for v in buffers)
+    for k, x, y in zip(idx.tolist(), X.tolist(), Y.tolist()):
+        out[k] = label_code(_classify_quadrant(m, x, y, n, fp, opts))
+    return out
 
 
 def _limit_codes(X, Y, fp, opts):

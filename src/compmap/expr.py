@@ -257,7 +257,7 @@ def _compile_batch(roots, params: Mapping[str, float], name: str):
 def _define(name: str, body: list, ret: str, ns: dict):
     """Compile `def name(self, x, y)` from body and return statement in
     namespace ns; the function keeps its source as fn.source. The unused
-    self lets it be bound as a method (see ExprPair)."""
+    self lets it be bound as a method (see _Compiled)."""
     lines = [f"def {name}(self, x, y):"] + ["    " + s for s in body + [ret]]
     source = "\n".join(lines) + "\n"
     exec(compile(source, "<compmap.expr>", "exec"), ns)
@@ -694,58 +694,44 @@ def _fmt_number(v: float) -> str:
 # Building planar maps from expressions
 
 
-class ExprPair:
-    """Compiled pair of expressions f, g.
+class _Compiled:
+    """Expressions (the roots) compiled once into two functions bound as
+    methods: scalar(x, y) computes them on floats and returns the statement
+    ret formats from their values; batch(X, Y) computes them on numpy arrays
+    of one shape and returns them as a tuple, NaN in a root wherever scalar
+    raises computing it, and in every root if one has a '^'. Callers of
+    batch enter np.errstate. source is the generated code of scalar.
 
-    step(x, y) and batch(X, Y) are the compiled functions bound to the pair
-    as methods: calling one runs no Python code besides the compiled
-    function, and a PlanarMap built from them pickles (a bound method
-    pickles as its attribute of the pair, and the pair recompiles)."""
+    Calling a method runs no Python code besides the compiled function, and
+    a PlanarMap built from them pickles: a bound method pickles as its
+    attribute of the instance, and the instance recompiles."""
 
-    __slots__ = ("f", "g", "params", "step", "batch")
+    __slots__ = ("roots", "params", "ret", "scalar", "batch", "source")
 
-    def __init__(self, f: Expr, g: Expr, params: Mapping[str, float]):
-        self.f = f
-        self.g = g
+    def __init__(self, roots, params: Mapping[str, float], ret: str):
+        self.roots = tuple(roots)
         self.params = dict(params)
-        self.step = MethodType(_compile_scalar((f, g), self.params,
-                                               "return {0}, {1}", "step"), self)
-        # batch: both components on arrays; NaN in a component wherever step
-        # raises computing it, and in both if f or g has a '^'. Callers enter
-        # np.errstate.
-        self.batch = MethodType(_compile_batch((f, g), self.params, "batch"), self)
-
-    def __call__(self, x: float, y: float):
-        return self.step(x, y)
+        self.ret = ret
+        self.scalar = MethodType(_compile_scalar(self.roots, self.params, ret,
+                                                 "scalar"), self)
+        self.batch = MethodType(_compile_batch(self.roots, self.params, "batch"),
+                                self)
+        self.source = self.scalar.source
 
     def __reduce__(self):  # compiled functions do not pickle; recompile
-        return ExprPair, (self.f, self.g, self.params)
+        return _Compiled, (self.roots, self.params, self.ret)
 
 
-class ExprJacobian:
-    """A Jacobian compiled from its four partials (df/dx, df/dy, dg/dx,
-    dg/dy) into one function that returns a Matrix2, bound as the method jac
-    as ExprPair binds step, and into its array flavour, bound as batch, which
-    returns the four entries as arrays (NaN as ExprPair.batch has it).
-    expr_map passes the symbolic partials of differentiate; the built-in
-    systems pass closed forms."""
+def _planar_map(name: str, f: Expr, g: Expr, partials, values: Mapping[str, float],
+                domain: Rect, params: Mapping[str, float], meta: dict):
+    """The PlanarMap of f and g with the Jacobian partials (df/dx, df/dy,
+    dg/dx, dg/dy), all compiled with the parameter values `values`."""
+    from .planarmap import PlanarMap  # local import keeps module layering one-way
 
-    __slots__ = ("partials", "params", "jac", "batch")
-
-    def __init__(self, partials, params: Mapping[str, float]):
-        self.partials = tuple(partials)
-        self.params = dict(params)
-        self.jac = MethodType(_compile_scalar(
-            self.partials, self.params, "return _Matrix2({0}, {1}, {2}, {3})",
-            "jac"), self)
-        self.batch = MethodType(_compile_batch(self.partials, self.params,
-                                               "batch"), self)
-
-    def __call__(self, x: float, y: float) -> Matrix2:
-        return self.jac(x, y)
-
-    def __reduce__(self):
-        return ExprJacobian, (self.partials, self.params)
+    step = _Compiled((f, g), values, "return {0}, {1}")
+    jac = _Compiled(partials, values, "return _Matrix2({0}, {1}, {2}, {3})")
+    return PlanarMap(name=name, step=step.scalar, batch=step.batch, domain=domain,
+                     jac=jac.scalar, batch_jac=jac.batch, params=params, meta=meta)
 
 
 def expr_map(f_text: str, g_text: str,
@@ -753,8 +739,6 @@ def expr_map(f_text: str, g_text: str,
              domain: Rect | None = None,
              name: str = "expr-map"):
     """Build a PlanarMap from two expression strings with an exact Jacobian."""
-    from .planarmap import PlanarMap  # local import keeps module layering one-way
-
     params = dict(params or {})
     f = parse(f_text)
     g = parse(g_text)
@@ -762,14 +746,6 @@ def expr_map(f_text: str, g_text: str,
         if isinstance(e, Param) and e.name not in params:
             raise UnboundParameterError(e.name)
     domain = domain or Rect(-math.inf, math.inf, -math.inf, math.inf)
-    pair = ExprPair(f, g, params)
-    jac = ExprJacobian([differentiate(e, v) for e in (f, g) for v in ("x", "y")],
-                       params)
-    return PlanarMap(name=name,
-                     step=pair.step,
-                     batch=pair.batch,
-                     domain=domain,
-                     jac=jac.jac,
-                     batch_jac=jac.batch,
-                     params=params,
-                     meta={"f": f_text, "g": g_text})
+    partials = [differentiate(e, v) for e in (f, g) for v in ("x", "y")]
+    return _planar_map(name, f, g, partials, params, domain, params,
+                       {"f": f_text, "g": g_text})

@@ -125,11 +125,28 @@ def orbit(m: PlanarMap, p: Point2, max_iter: int,
 # Competitiveness / orientation checks
 
 
+def _sampled_region(region: Rect) -> Rect:
+    """region if bounded, else a box to sample it by, axis by axis: the
+    axis's part of DEFAULT_SAMPLING_WINDOW where the two meet, else its own
+    interval if bounded, else one as wide as the window from its finite end."""
+    if region.is_bounded():
+        return region
+    w = DEFAULT_SAMPLING_WINDOW
+    box = []
+    for lo, hi, w_lo, w_hi in ((region.x_lo, region.x_hi, w.x_lo, w.x_hi),
+                               (region.y_lo, region.y_hi, w.y_lo, w.y_hi)):
+        a, b = max(lo, w_lo), min(hi, w_hi)
+        if a > b:  # the axis misses the window
+            a = lo if math.isfinite(lo) else hi - (w_hi - w_lo)
+            b = hi if math.isfinite(hi) else a + (w_hi - w_lo)
+        box += (a, b)
+    return Rect(*box)
+
+
 def _sample_grid(region: Rect, samples: int) -> tuple:
-    """Quasi-uniform interior grid over region (clamped to
-    DEFAULT_SAMPLING_WINDOW if unbounded), as arrays X, Y of the cell
-    centres, x-major."""
-    r = region if region.is_bounded() else region.clamped(DEFAULT_SAMPLING_WINDOW)
+    """Quasi-uniform interior grid over _sampled_region(region), as arrays
+    X, Y of the cell centres, x-major."""
+    r = _sampled_region(region)
     k = max(1, math.isqrt(max(1, samples)))
     xs = r.x_lo + (np.arange(k) + 0.5) * r.width() / k
     ys = r.y_lo + (np.arange(k) + 0.5) * r.height() / k
@@ -262,7 +279,7 @@ def check_O_condition(m: PlanarMap, region: Rect, pairs: int = 10_000,
         return OConditionReport("inconclusive", det_min, det_max, len(dets), 0, 0,
                                 "mixed or vanishing determinant signs")
 
-    r = region if region.is_bounded() else region.clamped(DEFAULT_SAMPLING_WINDOW)
+    r = _sampled_region(region)
     rng = np.random.default_rng(seed)
     ax = rng.uniform(r.x_lo, r.x_hi, pairs)
     ay = rng.uniform(r.y_lo, r.y_hi, pairs)

@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .errors import ConstraintError
-from .expr import ExprJacobian, ExprPair, parse
+from .expr import _planar_map, parse
 from .fixedpoints import _record
 from .geometry import Point2, Rect, sup_norm
 from .planarmap import FD_STEP, PlanarMap, jacobian
@@ -112,12 +112,8 @@ def _map(eid: str, p: dict, meta: dict, values: Optional[dict] = None) -> Planar
     """The built-in map eid with parameters p, compiled from _EXPRESSIONS with
     the parameter values `values` (default p)."""
     f, g, *partials = (parse(text) for text in _EXPRESSIONS[eid])
-    values = p if values is None else values
-    pair = ExprPair(f, g, values)
-    jac = ExprJacobian(partials, values)
-    return PlanarMap(name=eid, step=pair.step, domain=_POS_QUADRANT,
-                     jac=jac.jac, params=p, meta=meta, batch=pair.batch,
-                     batch_jac=jac.batch)
+    return _planar_map(eid, f, g, partials, p if values is None else values,
+                       _POS_QUADRANT, p, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +144,16 @@ def make_example(eid: str, params: Optional[Mapping[str, float]] = None
     p = _resolve_params(eid, params)
     for k, v in p.items():
         _require(0 < v < math.inf, f"0 < {k} < inf")
-    if eid == "ex1":
-        return _make_ex1(p)
-    if eid == "ex2":
-        return _make_ex2(p)
-    if eid == "ex3_T":
-        return _make_ex3_t(p)
-    if eid == "ex3_T2":
-        return _make_ex3_t2(p)
-    if eid == "ex4":
-        return _make_ex4(p)
-    return _make_ex5(p)
+    return _MAKERS[eid](p)
+
+
+def _fixtures(cont: Continuum, ts, v_mu: Callable[[Point2], Point2], note: str):
+    """Fixtures at the parameters ts of cont, from its own closures; v_mu
+    gives the mu eigenvector at a point and note.format(t=t) the note."""
+    return tuple(Fixture(point=cont.point(t), eigenvalues=cont.eigenvalues(t),
+                         eigenvectors=(cont.eigenvector_lam(t), v_mu(cont.point(t))),
+                         note=note.format(t=t))
+                 for t in ts)
 
 
 def _make_ex1(p):
@@ -175,15 +170,11 @@ def _make_ex1(p):
     def vlam(t):
         return Point2(a - 1.0 + t, t * (a + t))
 
-    fixtures = tuple(
-        Fixture(point=Point2(0.0, yb),
-                eigenvalues=(1.0 / (a + yb), 1.0),
-                eigenvectors=(Point2(a - 1.0 + yb, yb * (a + yb)), Point2(0.0, 1.0)),
-                note=f"equilibrium (0, {yb:g})")
-        for yb in (0.0, 1.0, 2.0))
     cont = Continuum(t_lo=0.0, t_hi=2.0, point=point, eigenvalues=eig,
                      eigenvector_lam=vlam,
                      note="equilibria (0, t) along the y-axis, t >= 0")
+    fixtures = _fixtures(cont, (0.0, 1.0, 2.0), lambda q: Point2(0.0, 1.0),
+                         "equilibrium (0, {t:g})")
     return ExampleSystem(id="ex1", params=p, map=m, fixtures=fixtures,
                          continuum=cont)
 
@@ -206,14 +197,11 @@ def _make_ex2(p):
         return Point2(b2 * (1.0 - b1) ** 2 * (1.0 - t), b1 * (1.0 - b2) ** 2 * t)
 
     v_mu = Point2(-(1.0 - b1) / (1.0 - b2), 1.0)
-    fixtures = tuple(
-        Fixture(point=point(t), eigenvalues=eig(t),
-                eigenvectors=(vlam(t), v_mu),
-                note=f"segment equilibrium at t={t:g}")
-        for t in (0.0, 0.25, 0.5, 0.75, 1.0))
     cont = Continuum(t_lo=0.0, t_hi=1.0, point=point, eigenvalues=eig,
                      eigenvector_lam=vlam,
                      note="segment of equilibria from (b1-1, 0) to (0, b2-1)")
+    fixtures = _fixtures(cont, (0.0, 0.25, 0.5, 0.75, 1.0), lambda q: v_mu,
+                         "segment equilibrium at t={t:g}")
     return ExampleSystem(id="ex2", params=p, map=m, fixtures=fixtures,
                          continuum=cont)
 
@@ -239,17 +227,13 @@ def _make_ex3_t2(p):
     def vlam(t):
         return Point2(t, 1.0)
 
-    fixtures = []
-    for xb in (3.0, 4.0, 5.0):
-        yb = xb / (xb - 1.0)
-        fixtures.append(Fixture(
-            point=Point2(xb, yb), eigenvalues=(1.0 / (xb * yb), 1.0),
-            eigenvectors=(Point2(xb, 1.0), Point2(xb, yb * (1.0 - yb))),
-            note="hyperbola fixed point of the second iterate"))
     cont = Continuum(t_lo=3.0, t_hi=5.0, point=point, eigenvalues=eig,
                      eigenvector_lam=vlam,
                      note="fixed points on the branch x+y=xy, parametrized by x")
-    return ExampleSystem(id="ex3_T2", params=p, map=m, fixtures=tuple(fixtures),
+    fixtures = _fixtures(cont, (3.0, 4.0, 5.0),
+                         lambda q: Point2(q.x, q.y * (1.0 - q.y)),
+                         "hyperbola fixed point of the second iterate")
+    return ExampleSystem(id="ex3_T2", params=p, map=m, fixtures=fixtures,
                          continuum=cont)
 
 
@@ -272,6 +256,10 @@ def _make_ex4(p):
 
 def _make_ex5(p):
     return ExampleSystem(id="ex5", params=p, map=_map("ex5", p, {}), fixtures=())
+
+
+_MAKERS = {"ex1": _make_ex1, "ex2": _make_ex2, "ex3_T": _make_ex3_t,
+           "ex3_T2": _make_ex3_t2, "ex4": _make_ex4, "ex5": _make_ex5}
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,20 @@ def test_noncompetitive_limit_raster_classifies_every_cell():
     assert {"minus", "plus"} <= {LABEL_NAMES[c] for c in np.unique(got[0])}
 
 
+def test_limit_raster_on_a_domain_beside_the_sampling_window():
+    # ex1 moved by -200 in both coordinates: the licence samples the map's
+    # domain, whose x-interval misses the sampling window [0, 50]
+    m = expr_map("(x+200)/(a+y+200) - 200", "(y+200)/(1+x+200) - 200", {"a": 2.0},
+                 domain=Rect(-200.0, -100.0, -200.0, math.inf))
+    w = Rect(-200.0, -195.0, -200.0, -194.0)
+    fp = Point2(-200.0, -199.0)
+    assert basins._order_licensed(m, w, 24 * 24)
+    opts = replace(raster_options(m, w), mode="limit_equilibrium")
+    r = raster(m, fp, w, 24, 24, opts)
+    assert np.array_equal(r.labels, _direct(m, fp, w, 24, 24, opts))
+    assert r.census()["minus"] > 0 and r.census()["plus"] > 0
+
+
 def test_quadrant_raster_classifies_every_cell_in_one_call(ex4, monkeypatch):
     m, fp, w = ex4.map, Point2(2.0, 1.0), Rect(0.0, 6.0, 0.0, 4.0)
     calls = []
@@ -342,6 +356,13 @@ def test_raster_serialization_round_trip(tmp_path, ex4_raster):
     labels2, meta2 = load_csv_raster(str(csv))
     assert np.array_equal(labels2, ex4_raster.labels)
     assert meta2 == dict(ex4_raster.meta)
+
+
+def test_save_raster_refuses_an_unknown_format(tmp_path, ex4_raster):
+    path = tmp_path / "r.bogus"
+    with pytest.raises(ValueError, match="'bogus'"):
+        save_raster(ex4_raster, str(path), fmt="bogus")
+    assert not path.exists()
 
 
 def test_raster_deterministic_and_worker_independent(ex4):

@@ -178,6 +178,8 @@ def test_orbit_missing_start_exit_2(capsys):
 _ECHO_RUNS = [
     (["basin", "--example", "ex4", "--guess", "2,1", "--window", "0,6,0,4",
       "--nx", "16", "--ny", "16"], "pgm"),
+    (["basin", "--example", "ex2", "--guess", "0.5,1", "--window", "0,2,0,3",
+      "--nx", "16", "--ny", "16", "--format", "csv"], "csv"),
     (["curve", "--example", "ex1", "--guess", "1e-9,1", "--window", "0,5,0,6",
       "--columns", "16", "--tol", "1e-7"], "csv"),
     (["curve", "--example", "ex5", "--unstable", "--guess", "0.235,0.352",
@@ -209,40 +211,14 @@ def test_config_echo_reproduces_output(tmp_path, capsys):
         assert not f3.exists()
 
 
-_BASIN_ECHO = ["basin", "--example", "ex2", "--guess", "0.5,1", "--window", "0,2,0,3",
-               "--nx", "16", "--ny", "16"]
-
-
-@pytest.mark.parametrize("key, value", [("conv_tol", "1e-3"),
-                                        ("epsilon_margin", "0.5"),
-                                        ("conv_tol", "small")])
-def test_basin_config_recorded_setting_must_match(tmp_path, capsys, key, value):
-    f1 = tmp_path / "a.pgm"
-    rc, _, _ = _run(capsys, _BASIN_ECHO + ["--out", str(f1)])
-    assert rc == 0
-    echo = [ln[2:] for ln in f1.read_text().splitlines()
-            if ln.startswith("# ") and "=" in ln]
-    assert sum(ln.startswith(f"{key}=") for ln in echo) == 1
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("\n".join(echo) + "\n")
-    f2 = tmp_path / "b.pgm"
-    rc, _, _ = _run(capsys, ["basin", "--config", str(cfg), "--out", str(f2)])
-    assert rc == 0 and f1.read_bytes() == f2.read_bytes()
-    edited = [f"{key}={value}" if ln.startswith(f"{key}=") else ln for ln in echo]
-    cfg.write_text("\n".join(edited) + "\n")
-    f3 = tmp_path / "c.pgm"
-    rc, out, err = _run(capsys, ["basin", "--config", str(cfg), "--out", str(f3)])
-    assert rc == 2 and key in err and out == ""
-    assert not f3.exists()
-
-
-# sha256 of the basin files before limit-mode rasters inferred labels from the
-# southeast order
+# sha256 of the basin files: the labels from before limit-mode rasters
+# inferred labels from the southeast order, under an echo that records each
+# setting once (tol and epsilon, not conv_tol and epsilon_margin as well)
 BASIN_PINS = {
     "ex2": (["--guess", "0.5,1", "--window", "0,2,0,3"],
-            "2e10c2179af4fa7eaacb9e207931a91f0b43b6dc4459438b61d71f6deaba3bb6"),
+            "35cc914ce2d31e0caf90884a6458fc5efdcddbd98da4e89a36f063333a844ab6"),
     "ex3_T2": (["--guess", "4,1.3333333333333333", "--window", "0.5,8,0.5,8"],
-               "7702252173da141a1642044fd83e17d0e4ba185fbc048c18d45ccbe479aa3f45"),
+               "3818711069be8b096d60ceeb47a815c95fd745217e3dc6032a5791f4448231c1"),
 }
 
 
@@ -511,7 +487,11 @@ def test_unsupported_format_exit_2_without_output(tmp_path, capsys, argv, fmt,
     (["examples"], "format=csv"),
     (_CURVE, "unstable=yes"),
     (_CURVE, "steps=many"),  # read only by unstable curves
-    (_BASIN, "workers=2")])
+    (_BASIN, "workers=2"),
+    # basin files once recorded these next to tol and epsilon
+    (_BASIN, "conv_tol=1e-3"),
+    (_BASIN, "epsilon_margin=0.5"),
+    (_BASIN, "conv_tol=small")])
 def test_unread_config_key_or_value_exit_2_without_output(tmp_path, capsys, argv,
                                                           line):
     err = _refused(tmp_path, capsys, argv, line + "\n")

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from compmap import (ParseError, Point2, SingularityError, UnboundParameterError,
                      make_example)
-from compmap.expr import (BinOp, Const, ExprJacobian, ExprPair, Neg, Param, Var,
-                          _pow_array, constant_fold, differentiate, evaluate,
-                          expr_map, parse, to_text)
+from compmap.expr import (BinOp, Const, Neg, Param, Var, _Compiled, _pow_array,
+                          constant_fold, differentiate, evaluate, expr_map, parse,
+                          to_text)
 from compmap.planarmap import jacobian, fd_jacobian
 
 from helpers import random_expr, tree_batch, tree_eval
@@ -190,16 +190,20 @@ def _same_arrays(a, b):
         for u, v in zip(a.ravel(), b.ravel()))
 
 
+def _pair(f, g, params):
+    return _Compiled((f, g), params, "return {0}, {1}")
+
+
 def _assert_compiled_matches_oracle(f, g, pts, params=PARAMS):
-    pair = ExprPair(f, g, params)
+    pair = _pair(f, g, params)
     partials = [differentiate(e, v) for e in (f, g) for v in ("x", "y")]
-    jac = ExprJacobian(partials, params)
+    jac = _Compiled(partials, params, "return _Matrix2({0}, {1}, {2}, {3})")
     for x, y in pts:
-        assert _outcome(lambda: pair(x, y)) == _outcome(
+        assert _outcome(lambda: pair.scalar(x, y)) == _outcome(
             lambda: (tree_eval(f, x, y, params), tree_eval(g, x, y, params))), (x, y)
         assert _outcome(lambda: (evaluate(f, x, y, params),)) == _outcome(
             lambda: (tree_eval(f, x, y, params),))
-        assert _outcome(lambda: jac(x, y)) == _outcome(
+        assert _outcome(lambda: jac.scalar(x, y)) == _outcome(
             lambda: [tree_eval(d, x, y, params) for d in partials]), (x, y)
     X = np.array([p[0] for p in pts])
     Y = np.array([p[1] for p in pts])
@@ -256,13 +260,13 @@ def test_folded_nonfinite_constants_compile():
 def test_equal_subexpressions_are_computed_once():
     f = parse("x/((1+x)*(1+x)) + y/((1+x)*(1+x))")
     assigned = sum(isinstance(n, ast.Assign)
-                   for n in ast.walk(ast.parse(ExprPair(f, Var("y"), {}).step.__func__.source)))
+                   for n in ast.walk(ast.parse(_pair(f, Var("y"), {}).source)))
     assert assigned == 5  # 1+x, its square, two quotients, the sum
     # constants equal as floats but not bit for bit stay apart
     signed = BinOp("-", BinOp("*", Var("x"), Const(-0.0)),
                    BinOp("*", Var("x"), Const(0.0)))
     _assert_compiled_matches_oracle(signed, f, [(1.0, 2.0), (-1.0, 0.5)])
-    assert math.copysign(1.0, ExprPair(signed, f, {})(1.0, 2.0)[0]) == -1.0
+    assert math.copysign(1.0, _pair(signed, f, {}).scalar(1.0, 2.0)[0]) == -1.0
 
 
 @pytest.mark.parametrize("text", ["10^400*x + y", "(0-2)^0.5*x + y"])
@@ -287,8 +291,8 @@ def test_deep_trees_compile():
     e = Var("x")
     for _ in range(3000):  # far deeper than Python's parser nests parentheses
         e = BinOp("+", Neg(e), Const(1.0))
-    pair = ExprPair(e, Var("y"), {})
-    assert pair(0.5, 2.0) == (0.5, 2.0)
+    pair = _pair(e, Var("y"), {})
+    assert pair.scalar(0.5, 2.0) == (0.5, 2.0)
     fx, gy = pair.batch(np.array([0.5, 1.5]), np.array([2.0, 3.0]))
     assert fx.tolist() == [0.5, 1.5] and gy.tolist() == [2.0, 3.0]
 

@@ -113,6 +113,18 @@ def test_check_competitive_clamps_a_window_whose_width_overflows(ex4):
     assert rep.witness is None or math.isfinite(rep.witness[0].x)
 
 
+@pytest.mark.parametrize("region, box", [
+    # an axis that misses the sampling window [0, 50] keeps its own bounded
+    # interval, or takes one 50 wide from its finite end
+    (Rect(100, math.inf, 0, math.inf), Rect(100, 150, 0, 50)),
+    (Rect(-math.inf, -10, 60, 70), Rect(-60, -10, 60, 70)),
+    # an axis that meets it is clamped to it
+    (Rect(0, math.inf, 60, 70), Rect(0, 50, 60, 70))])
+def test_unbounded_region_is_sampled_axis_by_axis(ex1, region, box):
+    assert check_competitive(ex1.map, region) == check_competitive(ex1.map, box)
+    assert check_O_condition(ex1.map, region) == check_O_condition(ex1.map, box)
+
+
 def test_strongly_competitive_preserves_se_order(ex1, ex2):
     # images of comparable distinct points stay comparable and differ in
     # both coordinates
