@@ -29,7 +29,7 @@ from .classification import (classify_hyperbolic_ray, classify_nonhyperbolic,
                              taylor_along_eigenvector)
 from .curves import (SIDE_MODES, CurveOptions, trace_stable_curve,
                      trace_unstable_curve)
-from .basins import raster, raster_options, save_raster
+from .basins import raster, raster_options, raster_to_csv, raster_to_pgm
 from .geometry import Point2, Rect
 from .planarmap import _sample_grid, check_competitive, check_O_condition, orbit
 from .systems import (DEFAULT_PARAMS, DESCRIPTIONS, EXAMPLE_IDS, make_example)
@@ -197,10 +197,18 @@ def _write_csv(cfg: dict, header: str, rows) -> None:
     text = "\n".join([f"# {k}={v}" for k, v in _echoed(cfg).items()]
                      + [header] + list(rows)) + "\n"
     if cfg.get("out"):
-        with open(cfg["out"], "w", newline="\n") as fh:
-            fh.write(text)
+        _save(cfg["out"], text)
     else:
         sys.stdout.write(text)
+
+
+def _save(path: str, text: str) -> None:
+    """text to the file path; exit 2 if it cannot be written."""
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise _CliError(2, f"cannot write {path}: {e.strerror}")
 
 
 def _cfg_window(cfg: dict) -> Rect:
@@ -398,8 +406,7 @@ def _cmd_analyze(cfg: dict) -> int:
     if cfg.get("out"):
         if cfg["format"] == "text":
             text = "".join(f"# {k}={v}\n" for k, v in report["config"].items()) + text
-        with open(cfg["out"], "w", newline="\n") as fh:
-            fh.write(text + "\n")
+        _save(cfg["out"], text + "\n")
     return 0
 
 
@@ -460,7 +467,7 @@ def _cmd_basin(cfg: dict) -> int:
     for k, v in _echoed({**cfg, "epsilon": repr(opts.epsilon_margin)}).items():
         meta.setdefault(k, v)
     r = type(r)(window=r.window, nx=r.nx, ny=r.ny, labels=r.labels, meta=meta)
-    save_raster(r, cfg["out"], fmt=cfg["format"])
+    _save(cfg["out"], raster_to_pgm(r) if cfg["format"] == "pgm" else raster_to_csv(r))
     for name, count in census.items():
         print(f"{name}: {count}")
     return 0

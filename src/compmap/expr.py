@@ -6,14 +6,15 @@ command line):
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
     factor := '-' factor | power
-    power  := base ('^' number)?
+    power  := base ('^' '-'? number)?
     base   := number | ident | '(' expr ')'
 
 Identifiers 'x' and 'y' are the map variables; any other identifier is a
 named parameter. Exponents are literal numbers only, so every expression is
 differentiable by elementary rules. Unary minus binds looser than '^', i.e.
 -x^2 parses as -(x^2). There is no implicit multiplication: "2x" is a
-syntax error.
+syntax error. Nesting past Python's recursion limit (about 190 levels of
+parentheses) is a ParseError; every transform walks trees of any depth.
 """
 
 from __future__ import annotations
@@ -165,21 +166,26 @@ class _Parser:
         return e
 
     def factor(self) -> Expr:
-        if self.peek().kind == "-":
+        negations = 0
+        while self.peek().kind == "-":
             self.advance()
-            return Neg(self.factor())
-        return self.power()
+            negations += 1
+        e = self.power()
+        for _ in range(negations):
+            e = Neg(e)
+        return e
 
     def power(self) -> Expr:
         e = self.base()
         if self.peek().kind == "^":
             self.advance()
+            sign = self.advance().text if self.peek().kind == "-" else ""
             t = self.peek()
             if t.kind != "number":
                 raise ParseError("exponent must be a literal number", t.offset,
                                  ("number",))
             self.advance()
-            e = BinOp("^", e, Const(float(t.text)))
+            e = BinOp("^", e, Const(float(sign + t.text)))
         return e
 
     def base(self) -> Expr:
@@ -207,7 +213,11 @@ class _Parser:
 
 def parse(text: str) -> Expr:
     """Parse text into an expression tree; raises ParseError with byte offset."""
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nests too deeply", parser.peek().offset) from None
 
 
 # ---------------------------------------------------------------------------
@@ -216,24 +226,25 @@ def parse(text: str) -> Expr:
 
 def evaluate(e: Expr, x: float, y: float, params: Mapping[str, float] | None = None) -> float:
     """Evaluate with real arithmetic; |denominator| < 1e-12 raises SingularityError."""
-    return _compile_scalar((e,), params or {}, "return {0}", "value")(None, x, y)
+    return _compile_scalar(_interned((e,)), params or {}, "return {0}",
+                           "value")(None, x, y)
 
 
-def _compile_scalar(roots, params: Mapping[str, float], ret: str, name: str):
-    """A function name(self, x, y) computing every root on floats; ret
-    formats the return statement from the roots' variable names.
+def _compile_scalar(interned, params: Mapping[str, float], ret: str, name: str):
+    """A function name(self, x, y) computing the roots of interned on floats;
+    ret formats the return statement from the roots' variable names.
 
     A denominator below DIV_TOL in magnitude, or a '^' that math.pow rejects,
     raises SingularityError.
     """
-    body, names, ns = _emit(roots, params, "float")
+    body, names, ns = _emit(interned, params, "float")
     return _define(name, body, ret.format(*names), ns)
 
 
-def _compile_batch(roots, params: Mapping[str, float], name: str):
-    """A function name(self, x, y) computing every root on numpy arrays of
-    one shape, NaN in a root wherever the scalar function raises computing
-    it.
+def _compile_batch(interned, params: Mapping[str, float], name: str):
+    """A function name(self, x, y) computing every root of interned on numpy
+    arrays of one shape, NaN in a root wherever the scalar function raises
+    computing it.
 
     Without '^' the code is the plain arithmetic: a guarded division turns a
     vanishing denominator into NaN, which + - * / and negation carry to the
@@ -241,13 +252,14 @@ def _compile_batch(roots, params: Mapping[str, float], name: str):
     (math.pow(nan, 0)), so with one the code collects every singularity in a
     mask and returns NaN in every root where the mask is set.
     """
-    if not any(isinstance(e, BinOp) and e.op == "^" for e in _nodes(roots)):
-        body, names, ns = _emit(roots, params, "lean")
+    roots, nodes = interned
+    if not any(isinstance(e, BinOp) and e.op == "^" for e in nodes):
+        body, names, ns = _emit(interned, params, "lean")
         ret = ", ".join(
             v if {"x", "y"} <= _variables(r) else f"_full({v}, x, y)"
             for r, v in zip(roots, names))
         return _define(name, body, f"return {ret}", ns)
-    body, names, ns = _emit(roots, params, "masked")
+    body, names, ns = _emit(interned, params, "masked")
     body = ["bad = _zeros(_broadcast(x, y).shape, dtype=bool)",
             "with _errstate(all='ignore'):"] + ["    " + s for s in body]
     ret = ", ".join(f"_where(bad, _nan, {v})" for v in names)
@@ -266,77 +278,80 @@ def _define(name: str, body: list, ret: str, ns: dict):
     return fn
 
 
+def _operands(e) -> tuple:
+    """The operands of node e, left first; a leaf has none."""
+    if isinstance(e, BinOp):
+        return e.left, e.right
+    if isinstance(e, Neg):
+        return (e.child,)
+    return ()
+
+
 def _nodes(roots):
-    """Every distinct node (by identity) of roots, in preorder, left operand
-    first."""
+    """Every distinct node (by identity) of roots once, after its operands,
+    left operand first, root by root. The walk keeps its own stack, so a
+    tree of any depth works."""
     seen = set()
-    stack = list(reversed(roots))
+    stack = [(r, _operands(r)) for r in reversed(roots)]
     while stack:
-        e = stack.pop()
+        e, operands = stack.pop()  # operands () once e's are done
         if id(e) in seen:
             continue
-        seen.add(id(e))
-        yield e
-        if isinstance(e, Neg):
-            stack.append(e.child)
-        elif isinstance(e, BinOp):
-            stack += (e.right, e.left)
+        if operands:
+            stack.append((e, ()))
+            stack += [(c, _operands(c)) for c in reversed(operands)]
+        else:
+            seen.add(id(e))
+            yield e
+
+
+def _walk(root, rule):
+    """rule(node, *results of its operands) at every node of root, in walk
+    order; returns the result at root. A node shared by several parents is
+    visited once and its result shared; any other result is dropped once
+    used, so that texts do not pile up."""
+    nodes = list(_nodes((root,)))
+    shared = _reused(nodes)
+    out = {}  # id(node) -> its result, until its last parent is done
+    for e in nodes:
+        out[id(e)] = rule(e, *[out[id(c)] if id(c) in shared else out.pop(id(c))
+                               for c in _operands(e)])
+    return out[id(root)]
 
 
 def _variables(e: Expr) -> set:
     return {n.name for n in _nodes((e,)) if isinstance(n, Var)}
 
 
-def _interned(roots) -> list:
-    """roots with every set of structurally equal subtrees replaced by one
-    shared node, so that _emit computes each distinct subexpression once."""
+def _interned(roots):
+    """(roots, nodes): roots with every set of structurally equal subtrees
+    replaced by one shared node, so that _emit computes each distinct
+    subexpression once, and the shared nodes in walk order."""
     canon = {}  # structural key -> the shared node
     done = {}  # id(node) -> its shared node
-    for root in roots:
-        stack = [(root, False)]
-        while stack:
-            e, children_done = stack.pop()
-            if id(e) in done:
-                continue
-            if isinstance(e, (Neg, BinOp)) and not children_done:
-                stack.append((e, True))
-                if isinstance(e, Neg):
-                    stack.append((e.child, False))
-                else:
-                    stack += [(e.right, False), (e.left, False)]
-                continue
-            if isinstance(e, Neg):
-                key = ("neg", id(done[id(e.child)]))
-            elif isinstance(e, BinOp):
-                key = (e.op, id(done[id(e.left)]), id(done[id(e.right)]))
-            elif isinstance(e, Const):
-                key = ("const", float(e.value).hex())  # tells 0.0 from -0.0
-            elif isinstance(e, (Var, Param)):
-                key = (type(e).__name__, e.name)
-            else:  # not an expression node; _emit reports it
-                key = ("node", id(e))
-            if key not in canon:
-                canon[key] = _with_children(e, done)
-            done[id(e)] = canon[key]
-    return [done[id(r)] for r in roots]
-
-
-def _with_children(e, done: dict):
-    """e, or a copy of it whose children are their shared nodes in done."""
-    if isinstance(e, Neg) and done[id(e.child)] is not e.child:
-        return Neg(done[id(e.child)])
-    if isinstance(e, BinOp) and (done[id(e.left)] is not e.left
-                                 or done[id(e.right)] is not e.right):
-        return BinOp(e.op, done[id(e.left)], done[id(e.right)])
-    return e
-
-
-def _reused(roots) -> set:
-    """Ids of the nodes that are an operand more than once in roots."""
-    seen, reused = set(), set()
     for e in _nodes(roots):
-        for c in ((e.child,) if isinstance(e, Neg) else
-                  (e.left, e.right) if isinstance(e, BinOp) else ()):
+        operands = [done[id(c)] for c in _operands(e)]
+        if operands:
+            key = (e.op if isinstance(e, BinOp) else "neg", *map(id, operands))
+        elif isinstance(e, Const):
+            key = ("const", float(e.value).hex())  # tells 0.0 from -0.0
+        elif isinstance(e, (Var, Param)):
+            key = (type(e).__name__, e.name)
+        else:  # not an expression node; _emit reports it
+            key = ("node", id(e))
+        if key not in canon:  # e, its operands replaced by their shared nodes
+            same = all(a is b for a, b in zip(operands, _operands(e)))
+            canon[key] = e if same else (
+                BinOp(e.op, *operands) if isinstance(e, BinOp) else Neg(*operands))
+        done[id(e)] = canon[key]
+    return [done[id(r)] for r in roots], list(canon.values())
+
+
+def _reused(nodes) -> set:
+    """Ids of the nodes that are an operand more than once among nodes."""
+    seen, reused = set(), set()
+    for e in nodes:
+        for c in _operands(e):
             if id(c) in seen:
                 reused.add(id(c))
             seen.add(id(c))
@@ -348,9 +363,9 @@ def _reused(roots) -> set:
 NEST_DEPTH = 32
 
 
-def _emit(roots, params: Mapping[str, float], flavour: str):
-    """Python statements computing every root of roots, in one of three
-    flavours. Returns (statements, root variable names, namespace).
+def _emit(interned, params: Mapping[str, float], flavour: str):
+    """Python statements computing the roots of interned (see _interned), in
+    one of three flavours. Returns (statements, root names, namespace).
 
     "float" computes one node per statement, in the order the tree walk
     evaluates them, left operand first, so every value is the same
@@ -363,8 +378,7 @@ def _emit(roots, params: Mapping[str, float], flavour: str):
     magnitude; "masked" also records those elements, and the ones where
     math.pow raises, in the array `bad`.
 
-    Structurally equal subtrees are computed once (see _interned). Constants
-    and parameters are bound by name in the returned namespace.
+    Constants and parameters are bound by name in the returned namespace.
     """
     ns = {"DIV_TOL": DIV_TOL, "_Matrix2": Matrix2, "_nan": math.nan,
           "_pow": math.pow, "_pow_errors": (ValueError, OverflowError),
@@ -372,52 +386,29 @@ def _emit(roots, params: Mapping[str, float], flavour: str):
           "_unbound": _unbound, "_pow_array": _pow_array, "_den": _den,
           "_den_masked": _den_masked, "_where": np.where, "_zeros": np.zeros,
           "_broadcast": np.broadcast, "_errstate": np.errstate, "_full": _full}
-    roots = _interned(roots)
+    roots, nodes = interned
     array = flavour != "float"
-    named = _reused(roots) | {id(r) for r in roots} if array else set()
+    named = _reused(nodes) | {id(r) for r in roots} if array else set()
     body = []
     code = {}  # id(node) -> its value as a Python expression
     depth = {}  # id(node) -> nesting depth of that expression
-    for root in roots:
-        stack = [(root, False)]
-        while stack:
-            e, children_done = stack.pop()
-            if id(e) in code:
-                continue
-            k = len(code)
-            if not isinstance(e, (Neg, BinOp)):
-                code[id(e)] = _leaf(e, k, params, ns, body)
-                depth[id(e)] = 0
-                continue
-            if not children_done:
-                stack.append((e, True))
-                if isinstance(e, Neg):
-                    stack.append((e.child, False))
-                elif e.op == "^":
-                    stack.append((e.left, False))
-                else:
-                    stack.append((e.right, False))
-                    stack.append((e.left, False))
-                continue
-            if isinstance(e, Neg):
-                kids = (e.child,)
-            elif e.op == "^":
-                kids = (e.left,)
-                ns[f"k{k}"] = e.right.value  # type: ignore[union-attr]
-            else:
-                kids = (e.left, e.right)
-            operands = [code[id(c)] for c in kids]
-            t = f"t{k}"
-            if not array:
-                code[id(e)] = t
-                body += _float_op(e, t, operands, f"k{k}")
-                continue
-            text = _array_op(e, operands, f"k{k}", flavour)
-            d = 1 + max(depth[id(c)] for c in kids)
-            if id(e) in named or d >= NEST_DEPTH:
-                body.append(f"{t} = {text}")
-                text, d = t, 0
-            code[id(e)], depth[id(e)] = text, d
+    for k, e in enumerate(nodes):
+        kids = _operands(e)
+        if not kids:
+            code[id(e)], depth[id(e)] = _leaf(e, k, params, ns, body), 0
+            continue
+        operands = [code[id(c)] for c in kids]
+        t = f"t{k}"
+        if not array:
+            code[id(e)] = t
+            body += _float_op(e, t, operands)
+            continue
+        text = _array_op(e, operands, flavour)
+        d = 1 + max(depth[id(c)] for c in kids)
+        if id(e) in named or d >= NEST_DEPTH:
+            body.append(f"{t} = {text}")
+            text, d = t, 0
+        code[id(e)], depth[id(e)] = text, d
     return body, [code[id(r)] for r in roots], ns
 
 
@@ -438,29 +429,28 @@ def _leaf(e, k: int, params: Mapping[str, float], ns: dict, body: list) -> str:
     return f"t{k}"
 
 
-def _float_op(e, t: str, operands: list, exponent: str) -> list:
+def _float_op(e, t: str, operands: list) -> list:
     """Statements computing node e into t on floats; a singularity raises."""
     a = operands[0]
     if isinstance(e, Neg):
         return [f"{t} = -{a}"]
-    if e.op == "^":
-        return ["try:", f"    {t} = _pow({a}, {exponent})", "except _pow_errors:",
-                f"    raise _pow_error({a}, {exponent})"]
     b = operands[1]
+    if e.op == "^":
+        return ["try:", f"    {t} = _pow({a}, {b})", "except _pow_errors:",
+                f"    raise _pow_error({a}, {b})"]
     if e.op != "/":
         return [f"{t} = {a} {e.op} {b}"]
     return [f"if abs({b}) < DIV_TOL:", f"    raise _div_error({b})",
             f"{t} = {a} / {b}"]
 
 
-def _array_op(e, operands: list, exponent: str, flavour: str) -> str:
+def _array_op(e, operands: list, flavour: str) -> str:
     """The array expression of node e on its operands' expressions."""
     if isinstance(e, Neg):
         return f"(-{operands[0]})"
-    a = operands[0]
+    a, b = operands
     if e.op == "^":
-        return f"_pow_array({a}, {exponent}, bad)"
-    b = operands[1]
+        return f"_pow_array({a}, {b}, bad)"
     if e.op != "/":
         return f"({a} {e.op} {b})"
     if flavour == "masked":
@@ -528,27 +518,24 @@ def differentiate(e: Expr, var: str) -> Expr:
     """Symbolic partial derivative with respect to 'x' or 'y', constant-folded."""
     if var not in ("x", "y"):
         raise ValueError("var must be 'x' or 'y'")
-    return constant_fold(_diff(e, var))
+    return constant_fold(_walk(e, lambda n, *ds: _diff(n, var, *ds)))
 
 
-def _diff(e: Expr, var: str) -> Expr:
+def _diff(e: Expr, var: str, du=None, dv=None) -> Expr:
+    """The derivative of node e from du and dv, those of its operands."""
     if isinstance(e, (Const, Param)):
         return ZERO
     if isinstance(e, Var):
         return ONE if e.name == var else ZERO
     if isinstance(e, Neg):
-        return Neg(_diff(e.child, var))
+        return Neg(du)
     if isinstance(e, BinOp):
         u, v = e.left, e.right
-        du = _diff(u, var)
-        if e.op == "+":
-            return BinOp("+", du, _diff(v, var))
-        if e.op == "-":
-            return BinOp("-", du, _diff(v, var))
+        if e.op in ("+", "-"):
+            return BinOp(e.op, du, dv)
         if e.op == "*":
-            return BinOp("+", BinOp("*", du, v), BinOp("*", u, _diff(v, var)))
+            return BinOp("+", BinOp("*", du, v), BinOp("*", u, dv))
         if e.op == "/":
-            dv = _diff(v, var)
             num = BinOp("-", BinOp("*", du, v), BinOp("*", u, dv))
             return BinOp("/", num, BinOp("^", v, Const(2.0)))
         # power with constant exponent: d(u^c) = c * u^(c-1) * u'
@@ -563,35 +550,18 @@ def constant_fold(e: Expr) -> Expr:
     A subtree shared by several parents (as the product rule shares them) is
     folded once, and the folded result is shared the same way.
     """
-    return _fold(e, {})
+    return _walk(e, _fold)
 
 
-def _fold(e: Expr, memo: dict) -> Expr:
-    key = id(e)
-    if key in memo:
-        return memo[key][1]
+def _fold(e: Expr, a=None, b=None) -> Expr:
+    """Node e folded, given its folded operands a and b."""
     if isinstance(e, (Const, Var, Param)):
-        out = e
-    elif isinstance(e, Neg):
-        out = _fold_neg(_fold(e.child, memo))
-    elif isinstance(e, BinOp):
-        out = _fold_binop(e.op, _fold(e.left, memo), _fold(e.right, memo), memo)
-    else:
+        return e
+    if isinstance(e, Neg):
+        return _fold_neg(a)
+    if not isinstance(e, BinOp):
         raise TypeError(f"not an expression node: {e!r}")
-    memo[key] = (e, out)  # holding e keeps its id from being reused
-    return out
-
-
-def _fold_neg(c: Expr) -> Expr:
-    if isinstance(c, Const):
-        return Const(-c.value)
-    if isinstance(c, Neg):
-        return c.child
-    return Neg(c)
-
-
-def _fold_binop(op: str, a: Expr, b: Expr, memo: dict) -> Expr:
-    """Fold op applied to the folded operands a and b."""
+    op = e.op
     if op == "^":
         exp = b.value  # type: ignore[union-attr]
         if exp == 0.0:
@@ -623,7 +593,7 @@ def _fold_binop(op: str, a: Expr, b: Expr, memo: dict) -> Expr:
         if _is_zero(b):
             return a
         if _is_zero(a):
-            return _fold(Neg(b), memo)
+            return _fold_neg(b)
     elif op == "*":
         if _is_zero(a) or _is_zero(b):
             return ZERO
@@ -639,6 +609,14 @@ def _fold_binop(op: str, a: Expr, b: Expr, memo: dict) -> Expr:
     return BinOp(op, a, b)
 
 
+def _fold_neg(c: Expr) -> Expr:
+    if isinstance(c, Const):
+        return Const(-c.value)
+    if isinstance(c, Neg):
+        return c.child
+    return Neg(c)
+
+
 def _is_zero(e: Expr) -> bool:
     return isinstance(e, Const) and e.value == 0.0
 
@@ -650,38 +628,40 @@ def _is_one(e: Expr) -> bool:
 # ---------------------------------------------------------------------------
 # Pretty printer
 
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
 
 
 def to_text(e: Expr) -> str:
     """Render an expression; parse(to_text(e)) reproduces the tree."""
-    return _render(e, 0)
+    return _walk(e, _render)[0]
 
 
-def _render(e: Expr, parent_prec: int) -> str:
+def _render(e: Expr, *operands: tuple) -> tuple:
+    """(text, precedence) of node e, given those of its operands."""
     if isinstance(e, Const):
         v = e.value
         if v < 0 or (v == 0 and math.copysign(1.0, v) < 0):
-            s = _fmt_number(-v)
-            inner = f"-{s}"
-            return f"({inner})" if parent_prec > _PRECEDENCE["neg"] else inner
-        return _fmt_number(v)
+            return f"-{_fmt_number(-v)}", _PRECEDENCE["neg"]
+        return _fmt_number(v), _PRECEDENCE["atom"]
     if isinstance(e, (Var, Param)):
-        return e.name
+        return e.name, _PRECEDENCE["atom"]
     if isinstance(e, Neg):
-        inner = f"-{_render(e.child, _PRECEDENCE['neg'])}"
-        return f"({inner})" if parent_prec > _PRECEDENCE["neg"] else inner
+        return f"-{_wrap(operands[0], _PRECEDENCE['neg'])}", _PRECEDENCE["neg"]
     if isinstance(e, BinOp):
         prec = _PRECEDENCE[e.op]
-        if e.op == "^":
-            left = _render(e.left, prec + 1)  # ^ of non-atom needs parens
-            s = f"{left}^{_fmt_number(e.right.value)}"  # type: ignore[union-attr]
-        else:
-            left = _render(e.left, prec)
-            right = _render(e.right, prec + 1)  # - and / are left associative
-            s = f"{left} {e.op} {right}"
-        return f"({s})" if parent_prec > prec else s
+        if e.op == "^":  # ^ of non-atom needs parens
+            left = _wrap(operands[0], prec + 1)
+            return f"{left}^{_fmt_number(e.right.value)}", prec  # type: ignore[union-attr]
+        # - and / are left associative
+        return f"{_wrap(operands[0], prec)} {e.op} {_wrap(operands[1], prec + 1)}", prec
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _wrap(rendered: tuple, prec: int) -> str:
+    """The text of rendered (text, precedence), in parentheses if it binds
+    looser than prec."""
+    text, own = rendered
+    return f"({text})" if own < prec else text
 
 
 def _fmt_number(v: float) -> str:
@@ -712,10 +692,9 @@ class _Compiled:
         self.roots = tuple(roots)
         self.params = dict(params)
         self.ret = ret
-        self.scalar = MethodType(_compile_scalar(self.roots, self.params, ret,
-                                                 "scalar"), self)
-        self.batch = MethodType(_compile_batch(self.roots, self.params, "batch"),
-                                self)
+        interned = _interned(self.roots)
+        self.scalar = MethodType(_compile_scalar(interned, self.params, ret, "scalar"), self)
+        self.batch = MethodType(_compile_batch(interned, self.params, "batch"), self)
         self.source = self.scalar.source
 
     def __reduce__(self):  # compiled functions do not pickle; recompile

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from compmap import (HypothesisError, Point2, Rect, TaylorRay,
+from compmap import (HypothesisError, Point2, Rect, SingularityError, TaylorRay,
                      classify_hyperbolic_ray, classify_nonhyperbolic,
                      find_order_interval, first_nonzero_index, is_subsolution,
                      is_supersolution, le_se, taylor_along_eigenvector)
@@ -141,6 +142,28 @@ def test_find_order_interval_ex4(ex4):
     assert le_se(iv.q2_corner, E) and le_se(E, iv.q4_corner)
     r = iv.as_rect()
     assert r.contains(E)
+
+
+def test_find_order_interval_orients_skips_and_refuses(ex4):
+    E = Point2(2.0, 1.0)
+    wide = find_order_interval(ex4.map, E, Point2(-1, 1), "even_se_negative")
+    # a direction pointing into Q4 is flipped to point into Q2
+    assert find_order_interval(ex4.map, E, Point2(1, -1), "even_se_negative") == wide
+    # offset 1e-1 leaves the domain, or meets a singularity: 1e-2 is used
+    narrow = replace(ex4.map, domain=Rect(1.95, 2.05, 0.95, 1.05))
+
+    def step(x, y):
+        if abs(x - 2.0) > 0.05:
+            raise SingularityError("far from E")
+        return ex4.map.step(x, y)
+
+    for m in (narrow, replace(ex4.map, step=step)):
+        iv = find_order_interval(m, E, Point2(-1, 1), "even_se_negative")
+        assert iv.q2_corner.x == pytest.approx(2.0 - 1e-2 / math.sqrt(2.0), abs=1e-15)
+        assert iv.q4_corner.x == pytest.approx(2.0 + 1e-2 / math.sqrt(2.0), abs=1e-15)
+    # both ends of ex4's ray are subsolutions: no supersolution end exists
+    with pytest.raises(HypothesisError, match="no supersolution"):
+        find_order_interval(ex4.map, E, Point2(-1, 1), "even_se_positive")
 
 
 def test_verdict_dynamics_smoke(ex4):

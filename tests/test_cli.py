@@ -445,6 +445,23 @@ def _refused(tmp_path, capsys, argv, cfg_text=None):
 
 
 @pytest.mark.parametrize("argv", [
+    ["analyze", "--example", "ex4"], _ORBIT + ["--n", "5"], _CURVE, _BASIN])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_out_exit_2_without_output(tmp_path, capsys, argv, where):
+    out = tmp_path / "missing" / "out" if where == "missing directory" else tmp_path
+    rc, _, err = _run(capsys, argv + ["--out", str(out)])
+    assert rc == 2
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_too_deep_nesting_exit_2_without_output(tmp_path, capsys):
+    f = "(" * 1000 + "x" + ")" * 1000
+    err = _refused(tmp_path, capsys, ["analyze", "--f", f, "--g", "y"])
+    assert "nests too deeply" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
     ["analyze", "--example", "ex1", "--max-iter", "0"],
     _ORBIT + ["--max-iter", "7"],
     _ORBIT + ["--window", "0,1,0,1"],

@@ -46,6 +46,26 @@ def test_parse_errors_carry_offsets():
         parse("(x+y")
 
 
+def test_deep_nesting_parses_or_is_a_parse_error():
+    minuses = "-" * 1000 + "x"
+    assert to_text(parse(minuses)) == minuses
+    assert evaluate(parse(minuses), 0.5, 0.0) == 0.5
+    with pytest.raises(ParseError, match="nests too deeply"):
+        parse("(" * 1000 + "x" + ")" * 1000)
+
+
+@pytest.mark.parametrize("text", ["x^0.5", "(x+y)^-2", "y^0.25"])
+def test_derivatives_with_negative_exponents_round_trip(text):
+    for var in ("x", "y"):
+        rendered = to_text(differentiate(parse(text), var))
+        assert to_text(parse(rendered)) == rendered
+    assert to_text(differentiate(parse("x^0.5"), "x")) == "0.5 * x^-0.5"
+    assert parse("x^-2") == BinOp("^", Var("x"), Const(-2.0))
+    with pytest.raises(ParseError) as exc:
+        parse("x^-y")
+    assert exc.value.offset == 3
+
+
 def test_eval_examples():
     assert evaluate(parse("x/(a+y)"), 1.0, 1.0, {"a": 2.0}) == pytest.approx(1 / 3)
     assert evaluate(parse("x+y"), 0.0, 0.0) == 0.0
@@ -295,6 +315,24 @@ def test_deep_trees_compile():
     assert pair.scalar(0.5, 2.0) == (0.5, 2.0)
     fx, gy = pair.batch(np.array([0.5, 1.5]), np.array([2.0, 3.0]))
     assert fx.tolist() == [0.5, 1.5] and gy.tolist() == [2.0, 3.0]
+
+
+def test_long_sum_builds_and_renders():
+    # far deeper than Python's recursion limit; texts and floats are compared,
+    # as == and repr of a tree recurse
+    n = 5000
+    text = " + ".join("x" if k % 2 == 0 else "x * y" for k in range(n))
+    assert to_text(parse(text)) == text
+    m = expr_map(text, "y")
+    for x, y in ((0.3, 1.7), (-1.1, 0.45), (2.0, -0.0)):
+        f, fx, fy = x, 1.0, 0.0  # the sum and its partials, left to right
+        for k in range(1, n):
+            f, fx, fy = (f + x, fx + 1.0, fy) if k % 2 == 0 else (f + x * y, fx + y, fy + x)
+        assert m.step(x, y) == (f, y)
+        assert tuple(m.jac(x, y)) == (fx, fy, 0.0, 1.0)
+        X, Y = np.array([x]), np.array([y])
+        assert [a.tolist() for a in m.batch(X, Y)] == [[f], [y]]
+        assert [a.tolist() for a in m.batch_jac(X, Y)] == [[fx], [fy], [0.0], [1.0]]
 
 
 def _statements(fn):

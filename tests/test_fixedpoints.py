@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from compmap import (DegenerateRootError, Matrix2, NoConvergenceError, Point2,
                      Rect, check_invariant_curve_hypotheses, eigen2x2,
                      find_fixed_point, find_period_two, jacobian, make_example)
+from compmap.fixedpoints import DELTA_CLAMP
 from compmap.planarmap import PlanarMap
 
 from helpers import direction_close
@@ -134,6 +135,17 @@ def test_curve_hypotheses_pass_at_interior_axis_point(ex1):
     rec = find_fixed_point(ex1.map, Point2(1e-12, 1.0))
     rep = check_invariant_curve_hypotheses(ex1.map, rec, Rect(0, 5, 0, 6))
     assert rep.all_pass, rep.failed
+
+
+def test_curve_hypotheses_clamp_an_unbounded_region(ex1):
+    # the Q1 part of the quadrant region is unbounded: it is checked on the
+    # box DELTA_CLAMP wide from the fixed point, as the bounded region is
+    rec = find_fixed_point(ex1.map, Point2(1e-12, 1.0))
+    x0, y0 = rec.location
+    rep = check_invariant_curve_hypotheses(ex1.map, rec, Rect(0, math.inf, 0, math.inf))
+    assert rep.all_pass, rep.failed
+    assert rep == check_invariant_curve_hypotheses(
+        ex1.map, rec, Rect(0, x0 + DELTA_CLAMP, 0, y0 + DELTA_CLAMP))
 
 
 def test_curve_hypotheses_fail_at_origin(ex1):

@@ -85,6 +85,15 @@ def test_orbit_consecutive_points_are_images(ex1):
         assert ex1.map.step(p.x, p.y) == tuple(q)
 
 
+def test_orbit_ends_on_escape_and_on_a_non_finite_step():
+    doubling = expr_map("2*x", "y", domain=Rect(-1, 1, -1, 1))
+    orb = orbit(doubling, Point2(0.3, 0.5), max_iter=10)
+    assert orb.terminated_by == "escape"
+    assert [p.x for p in orb.points] == [0.3, 0.6, 1.2]  # the escaped point is kept
+    orb = orbit(expr_map("x*x", "y"), Point2(1e200, 0.5), max_iter=10)
+    assert orb.terminated_by == "singularity" and orb.points == (Point2(1e200, 0.5),)
+
+
 @pytest.mark.parametrize("max_iter, conv_tol", [
     (0, 1e-12), (-3, 1e-12), (10, math.nan), (10, -1.0), (10, math.inf)])
 def test_orbit_rejects_invalid_length_and_tolerance(ex1, max_iter, conv_tol):
