@@ -59,6 +59,7 @@ class Param(Expr):
 @dataclass(frozen=True)
 class Neg(Expr):
     child: Expr
+    op = "neg"  # its key in _OPS, as BinOp.op is
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,10 @@ class BinOp(Expr):
     op: str  # one of + - * / ^
     left: Expr
     right: Expr  # for '^' this is always a Const
+
+    def __post_init__(self):
+        if self.op == "neg" or self.op not in _OPS:
+            raise ValueError(f"unknown binary operator {self.op!r}")
 
 
 ZERO = Const(0.0)
@@ -332,7 +337,7 @@ def _interned(roots):
     for e in _nodes(roots):
         operands = [done[id(c)] for c in _operands(e)]
         if operands:
-            key = (e.op if isinstance(e, BinOp) else "neg", *map(id, operands))
+            key = (e.op, *map(id, operands))
         elif isinstance(e, Const):
             key = ("const", float(e.value).hex())  # tells 0.0 from -0.0
         elif isinstance(e, (Var, Param)):
@@ -362,6 +367,21 @@ def _reused(nodes) -> set:
 # generated code within the Python parser's nesting limits.
 NEST_DEPTH = 32
 
+# Per operation: the "float" flavour's statements computing t from operands a
+# and b, raising SingularityError inline (no call per division), and the array
+# flavours' expression; {bad} is ", bad" in "masked" (the only one with '^').
+_OPS = {
+    "neg": (["{t} = -{a}"], "(-{a})"),
+    "+": (["{t} = {a} + {b}"], "({a} + {b})"),
+    "-": (["{t} = {a} - {b}"], "({a} - {b})"),
+    "*": (["{t} = {a} * {b}"], "({a} * {b})"),
+    "/": (["if abs({b}) < DIV_TOL:", "    raise _Singular(f'division by {{{b}!r}}')",
+           "{t} = {a} / {b}"], "({a} / _den({b}{bad}))"),
+    "^": (["try:", "    {t} = _pow({a}, {b})", "except _pow_errors:",
+           "    raise _Singular(f'cannot raise {{{a}!r}} to power {{{b}!r}}')"],
+          "_pow_array({a}, {b}{bad})"),
+}
+
 
 def _emit(interned, params: Mapping[str, float], flavour: str):
     """Python statements computing the roots of interned (see _interned), in
@@ -382,13 +402,14 @@ def _emit(interned, params: Mapping[str, float], flavour: str):
     """
     ns = {"DIV_TOL": DIV_TOL, "_Matrix2": Matrix2, "_nan": math.nan,
           "_pow": math.pow, "_pow_errors": (ValueError, OverflowError),
-          "_div_error": _div_error, "_pow_error": _pow_error,
-          "_unbound": _unbound, "_pow_array": _pow_array, "_den": _den,
-          "_den_masked": _den_masked, "_where": np.where, "_zeros": np.zeros,
-          "_broadcast": np.broadcast, "_errstate": np.errstate, "_full": _full}
+          "_Singular": SingularityError, "_Unbound": UnboundParameterError,
+          "_pow_array": _pow_array, "_den": _den, "_where": np.where,
+          "_zeros": np.zeros, "_broadcast": np.broadcast,
+          "_errstate": np.errstate, "_full": _full}
     roots, nodes = interned
     array = flavour != "float"
     named = _reused(nodes) | {id(r) for r in roots} if array else set()
+    bad = ", bad" if flavour == "masked" else ""
     body = []
     code = {}  # id(node) -> its value as a Python expression
     depth = {}  # id(node) -> nesting depth of that expression
@@ -397,13 +418,14 @@ def _emit(interned, params: Mapping[str, float], flavour: str):
         if not kids:
             code[id(e)], depth[id(e)] = _leaf(e, k, params, ns, body), 0
             continue
-        operands = [code[id(c)] for c in kids]
         t = f"t{k}"
+        statements, expression = _OPS[e.op]
+        fields = dict(zip("ab", [code[id(c)] for c in kids]), t=t, bad=bad)
         if not array:
             code[id(e)] = t
-            body += _float_op(e, t, operands)
+            body += [s.format(**fields) for s in statements]
             continue
-        text = _array_op(e, operands, flavour)
+        text = expression.format(**fields)
         d = 1 + max(depth[id(c)] for c in kids)
         if id(e) in named or d >= NEST_DEPTH:
             body.append(f"{t} = {text}")
@@ -425,49 +447,8 @@ def _leaf(e, k: int, params: Mapping[str, float], ns: dict, body: list) -> str:
         ns[f"p{k}"] = float(params[e.name])
         return f"p{k}"
     ns[f"n{k}"] = e.name  # raises where the tree walk would meet it
-    body.append(f"t{k} = _unbound(n{k})")
-    return f"t{k}"
-
-
-def _float_op(e, t: str, operands: list) -> list:
-    """Statements computing node e into t on floats; a singularity raises."""
-    a = operands[0]
-    if isinstance(e, Neg):
-        return [f"{t} = -{a}"]
-    b = operands[1]
-    if e.op == "^":
-        return ["try:", f"    {t} = _pow({a}, {b})", "except _pow_errors:",
-                f"    raise _pow_error({a}, {b})"]
-    if e.op != "/":
-        return [f"{t} = {a} {e.op} {b}"]
-    return [f"if abs({b}) < DIV_TOL:", f"    raise _div_error({b})",
-            f"{t} = {a} / {b}"]
-
-
-def _array_op(e, operands: list, flavour: str) -> str:
-    """The array expression of node e on its operands' expressions."""
-    if isinstance(e, Neg):
-        return f"(-{operands[0]})"
-    a, b = operands
-    if e.op == "^":
-        return f"_pow_array({a}, {b}, bad)"
-    if e.op != "/":
-        return f"({a} {e.op} {b})"
-    if flavour == "masked":
-        return f"({a} / _den_masked({b}, bad))"
-    return f"({a} / _den({b}))"
-
-
-def _div_error(b) -> SingularityError:
-    return SingularityError(f"division by {b!r}")
-
-
-def _pow_error(a, b) -> SingularityError:
-    return SingularityError(f"cannot raise {a!r} to power {b!r}")
-
-
-def _unbound(name: str):
-    raise UnboundParameterError(name)
+    body.append(f"raise _Unbound(n{k})")
+    return f"n{k}"
 
 
 _POW = np.frompyfunc(math.pow, 2, 1)
@@ -491,15 +472,15 @@ def _pow_array(a, b: float, bad: np.ndarray):
     return out
 
 
-def _den(b):
-    """Divisor b with NaN where |b| < DIV_TOL."""
-    return np.where(np.abs(b) < DIV_TOL, np.nan, b)
-
-
-def _den_masked(b, bad: np.ndarray):
-    """_den(b), also marking in bad where |b| < DIV_TOL."""
+def _den(b, bad: np.ndarray | None = None):
+    """Divisor b with NaN where |b| < DIV_TOL, marked in bad when given."""
+    # Returning b itself when nothing is tiny (NaN is not >= DIV_TOL) is safe
+    # only because generated code never writes into an array in place.
+    if np.size(b) and np.abs(b).min() >= DIV_TOL:
+        return b
     tiny = np.abs(b) < DIV_TOL
-    bad |= tiny
+    if bad is not None:
+        bad |= tiny
     return np.where(tiny, np.nan, b)
 
 
@@ -665,6 +646,8 @@ def _wrap(rendered: tuple, prec: int) -> str:
 
 
 def _fmt_number(v: float) -> str:
+    if not math.isfinite(v):  # parse reads 1e999 as inf, and inf - inf is NaN
+        return repr(v).replace("inf", "1e999").replace("nan", "(1e999 - 1e999)")
     if v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
@@ -689,16 +672,33 @@ class _Compiled:
     __slots__ = ("roots", "params", "ret", "scalar", "batch", "source")
 
     def __init__(self, roots, params: Mapping[str, float], ret: str):
-        self.roots = tuple(roots)
+        interned = _interned(roots)
+        self.roots = tuple(interned[0])
         self.params = dict(params)
         self.ret = ret
-        interned = _interned(self.roots)
         self.scalar = MethodType(_compile_scalar(interned, self.params, ret, "scalar"), self)
         self.batch = MethodType(_compile_batch(interned, self.params, "batch"), self)
         self.source = self.scalar.source
 
-    def __reduce__(self):  # compiled functions do not pickle; recompile
-        return _Compiled, (self.roots, self.params, self.ret)
+    def __reduce__(self):
+        # Compiled functions do not pickle, and pickle recurses per tree level:
+        # the nodes go in walk order, a leaf as is, others as (op, operand indices)
+        nodes = list(_nodes(self.roots))
+        index = {id(e): k for k, e in enumerate(nodes)}
+        flat = [(e.op, *[index[id(c)] for c in _operands(e)]) if _operands(e) else e
+                for e in nodes]
+        return _unflattened, (flat, [index[id(r)] for r in self.roots], self.params, self.ret)
+
+
+def _unflattened(flat, roots, params: Mapping[str, float], ret: str) -> _Compiled:
+    """The _Compiled that _Compiled.__reduce__ flattened, recompiled."""
+    nodes = []
+    for e in flat:
+        if isinstance(e, tuple):
+            kids = [nodes[k] for k in e[1:]]
+            e = Neg(*kids) if e[0] == "neg" else BinOp(e[0], *kids)
+        nodes.append(e)
+    return _Compiled([nodes[k] for k in roots], params, ret)
 
 
 def _planar_map(name: str, f: Expr, g: Expr, partials, values: Mapping[str, float],

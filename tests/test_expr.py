@@ -1,16 +1,17 @@
 import ast
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compmap import (ParseError, Point2, SingularityError, UnboundParameterError,
-                     make_example)
-from compmap.expr import (BinOp, Const, Neg, Param, Var, _Compiled, _pow_array,
-                          constant_fold, differentiate, evaluate, expr_map, parse,
-                          to_text)
+from compmap import (ParseError, Point2, Rect, SingularityError, UnboundParameterError,
+                     check_boundary_endpoint_conditions, make_example)
+from compmap.expr import (DIV_TOL, BinOp, Const, Neg, Param, Var, _Compiled, _den,
+                          _pow_array, constant_fold, differentiate, evaluate, expr_map,
+                          parse, to_text)
 from compmap.planarmap import jacobian, fd_jacobian
 
 from helpers import random_expr, tree_batch, tree_eval
@@ -263,6 +264,8 @@ def test_compiled_matches_tree_walk_on_random_trees(seed, pts):
     ("x^320", "(y/1e3)^320 + x"),  # overflow and underflow
     ("-x*0 - y", "-(x - x)/y"),  # signed zeros
     ("x/(a + y) + x^0", "(x*y)^2.5 + x/b"),
+    ("x/(y*1e999 - 1e999) + y/(x*0)", "x/(-0*y) - 1/(y - y)"),  # NaN and ±0 divisors
+    ("(x/(y*1e999 - 1e999))^2 + y/(x*0)", "x/(-0*y) + y^0"),  # the same, masked
 ])
 def test_compiled_matches_tree_walk_on_edge_cases(f, g):
     pts = [(x, y) for x in (-3.0, -0.0, 0.0, 0.5, 1.7, 12.0)
@@ -273,8 +276,49 @@ def test_compiled_matches_tree_walk_on_edge_cases(f, g):
 def test_folded_nonfinite_constants_compile():
     inf = constant_fold(parse("1e200*1e200*x + y"))
     nan = constant_fold(parse("(1e200*1e200 - 1e200*1e200) + y"))
+    minus_inf = constant_fold(parse("(0 - 1e200*1e200)*y + x"))
     assert inf.left.left == Const(math.inf) and math.isnan(nan.left.value)
-    _assert_compiled_matches_oracle(inf, nan, [(0.0, 1.0), (-2.0, 0.5), (3.0, -0.0)])
+    assert minus_inf.left.left == Const(-math.inf)
+    pts = [(0.0, 1.0), (-2.0, 0.5), (3.0, -0.0)]
+    _assert_compiled_matches_oracle(inf, nan, pts)
+    _assert_compiled_matches_oracle(minus_inf, nan, pts)
+    # to_text renders them so that parsing and folding gives the same bits
+    for t in (inf, nan, minus_inf):
+        back = constant_fold(parse(to_text(t)))
+        want, got = _pair(t, t, {}), _pair(back, back, {})
+        assert got.source == want.source
+        for x, y in pts:
+            assert _outcome(lambda: got.scalar(x, y)) == _outcome(lambda: want.scalar(x, y))
+        X, Y = np.array([p[0] for p in pts]), np.array([p[1] for p in pts])
+        with np.errstate(all="ignore"):
+            assert all(_same_arrays(u, v) for u, v in zip(got.batch(X, Y), want.batch(X, Y)))
+
+
+@pytest.mark.parametrize("op", ["%", "**", "neg", ""])
+def test_binop_rejects_unknown_operators(op):
+    with pytest.raises(ValueError, match=re.escape(f"operator {op!r}")):
+        BinOp(op, Var("x"), Const(3.0))
+
+
+@pytest.mark.parametrize("b", [
+    np.empty(0), np.empty((0, 3)), np.array(0.5), np.array(1e-13), np.array(-0.0), 2.0,
+    np.array([math.nan, 1.0]), np.array([math.nan]), np.array([math.inf, -math.inf]),
+    np.array([0.0, -0.0, 3.0]), np.array([1e-13, -1e-13, DIV_TOL, -DIV_TOL]),
+    np.array([[2.0, -3.0], [1e300, -1e-12]]),
+])
+def test_den_is_the_where_guard(b):
+    want = np.where(np.abs(b) < DIV_TOL, np.nan, b)
+    assert _same_arrays(_den(b), want)
+    bad = np.zeros(np.shape(b), dtype=bool)
+    assert _same_arrays(_den(b, bad), want)
+    assert np.array_equal(bad, np.abs(b) < DIV_TOL)  # exactly the tiny elements
+
+
+def test_boundary_check_with_no_starts_batches_empty_arrays(ex3_t2, ex3_t2_fp):
+    # delta has no part with area in this region: the lockstep searches call
+    # batch and batch_jac on empty arrays
+    rep = check_boundary_endpoint_conditions(ex3_t2.map, ex3_t2_fp, Rect(2, 3, 1.5, 2.5))
+    assert rep.starts == 0
 
 
 def test_equal_subexpressions_are_computed_once():
@@ -360,10 +404,18 @@ def test_builtin_map_pickles():
     _assert_pickles(make_example("ex2").map)  # binds h1 = h2 = 0, not in params
 
 
+def test_deep_expr_map_pickles():
+    # pickle recurses once per level of a nested structure; this tree is far
+    # deeper than its recursion limit
+    _assert_pickles(expr_map(" + ".join(["x", "x * y"] * 1000), "y"))
+
+
 def _assert_pickles(m):
     m2 = pickle.loads(pickle.dumps(m))
     assert m2.name == m.name and m2.params == m.params and m2.meta == m.meta
     assert m2.batch.__self__ is m2.step.__self__
+    assert m2.step.__self__.source == m.step.__self__.source
+    assert m2.jac.__self__.source == m.jac.__self__.source
     pts = [(1.0, 1.0), (0.3, -2.0), (-1.0, 0.5), (2.5, 0.7), (-0.5, -2.0)]
     for x, y in pts:
         assert _outcome(lambda: m2.step(x, y)) == _outcome(lambda: m.step(x, y))
