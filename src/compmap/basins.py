@@ -10,8 +10,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .geometry import Point2, Rect
-from .planarmap import (GRID_SAMPLES, PlanarMap, _images, _sample_grid,
-                        check_competitive)
+from .planarmap import PlanarMap, _order_licensed
 from .curves import (_MINUS, _PLUS, _SINGULAR, _UNDECIDED, LABEL_CODES,
                      LABEL_NAMES, SideOptions, _check_limit_args,
                      _limits_lockstep, _resolve_mode, classify_batch)
@@ -96,11 +95,11 @@ def raster(m: PlanarMap, fp: Point2, window: Rect, nx: int, ny: int,
     include undecided or singular cells ends the inference.
 
     The strides are ORDER_STRIDES in limit_equilibrium mode when the
-    sampled licence of _order_licensed holds, and (1,) otherwise: one
-    classify_batch call over every cell. Quadrant-mode cells cost about one
-    evaluation each, so there the lattice would cost more than it saves.
-    workers has no effect; it stays only for perfbench's process-pool probe
-    and must be >= 1.
+    sampled licence of planarmap._order_licensed (which curve traces share)
+    holds, and (1,) otherwise: one classify_batch call over every cell.
+    Quadrant-mode cells cost about one evaluation each, so there the
+    lattice would cost more than it saves. workers has no effect; it stays
+    only for perfbench's process-pool probe and must be >= 1.
     """
     if not window.is_bounded():
         raise ValueError("raster needs a bounded window")
@@ -146,21 +145,6 @@ def raster(m: PlanarMap, fp: Point2, window: Rect, nx: int, ny: int,
     for k, val in sorted(m.params.items()):
         meta[f"param.{k}"] = repr(float(val))
     return BasinRaster(window=window, nx=nx, ny=ny, labels=labels, meta=meta)
-
-
-def _order_licensed(m: PlanarMap, window: Rect, cells: int) -> bool:
-    """The sampled licence for inferring raster labels from the southeast
-    order: check_competitive passes (weak sign pattern) on the window and on
-    m's domain, and the images of min(GRID_SAMPLES, cells) sample points of
-    the window are finite and lie in the domain (a raster of few cells
-    cannot repay more images than it has cells)."""
-    if not (check_competitive(m, window).competitive
-            and check_competitive(m, m.domain).competitive):
-        return False
-    d = m.domain
-    with np.errstate(all="ignore"):
-        X, Y = _images(m, *_sample_grid(window, min(GRID_SAMPLES, cells)))
-    return bool(np.all((d.x_lo <= X) & (X <= d.x_hi) & (d.y_lo <= Y) & (Y <= d.y_hi)))
 
 
 def _implied(labels: np.ndarray) -> tuple:

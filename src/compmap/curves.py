@@ -18,7 +18,7 @@ import numpy as np
 from .errors import HypothesisError, NoConvergenceError, SingularityError
 from .fixedpoints import FixedPointRecord, check_invariant_curve_hypotheses
 from .geometry import Point2, Rect, sup_norm
-from .planarmap import PlanarMap, _images
+from .planarmap import PlanarMap, _images, _order_licensed
 
 
 # ---------------------------------------------------------------------------
@@ -603,43 +603,78 @@ def _probe_matrix(fp: Point2, slope: float, cx: np.ndarray, window: Rect,
 
 
 MAX_BISECTIONS = 200
+# Every AUDIT_STRIDE-th column of a licensed call also scans its probes linearly.
+AUDIT_STRIDE = 16
 
 
 def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
-                   curve_tol: float, sopts: SideOptions) -> list:
+                   curve_tol: float, sopts: SideOptions,
+                   licensed: bool = False) -> Optional[list]:
     """Locate the curve ordinate in every column of cxs, all columns together.
 
-    Returns one (y, flag) or (None, flag) per column. Each round is a single
-    classify_batch call over the columns still active. Probe round k
-    classifies probe k of every column still scanning: band returns the
-    probe, plus sets lo, minus sets hi and ends the scan once lo is set.
-    Bisection rounds then classify the midpoints of the brackets still wider
-    than curve_tol. Every column asks for the same verdicts, in the same
-    order, as a column solved on its own would.
+    Returns one (y, flag) or (None, flag) per column, or None when the audit
+    below disagrees with the licence. Each round is a single classify_batch
+    call over the columns still active. The linear scan classifies a
+    column's ascending probes one a round: band returns the probe, plus sets
+    lo, minus sets hi and ends the scan once lo is set. licensed says the
+    order licence (planarmap._order_licensed) holds: verdicts are then plus
+    below the curve and minus above it, so a binary search over the probe
+    indices (plus at mid moves a to mid + 1, minus moves b to mid) leaves
+    the same lo and hi in about five rounds. A column that meets any other
+    verdict goes back to the linear scan, which gives the same result from
+    the same verdicts. Every AUDIT_STRIDE-th column also scans linearly in
+    the same rounds; one that ends elsewhere than its binary search makes the
+    call return None. Bisection rounds then classify the midpoints of the
+    brackets still wider than curve_tol.
     """
     n = len(cxs)
     cx = np.asarray(cxs, dtype=float)
     P = _probe_matrix(fp, slope, cx, window, curve_tol)
-    width = P.shape[1]
-    # NaN stands for "not set" in lo, hi and y
-    lo = np.full(n, math.nan)
-    hi = np.full(n, math.nan)
-    y = np.full(n, math.nan)
-    scanning = np.ones(n, dtype=bool)
-    for k in range(width):
-        act = np.flatnonzero(scanning & ~np.isnan(P[:, k]))
-        if not len(act):
-            break
-        py = P[act, k]
+    count = np.count_nonzero(~np.isnan(P), axis=1)
+    P = np.c_[P, np.full(n, math.nan)]  # every row ends in NaN
+    # NaN stands for "not set" in lo, hi and y, the rows of state
+    lo, hi, y = state = np.full((3, n), math.nan)
+    k = np.zeros(n, dtype=int)  # the next probe of a linear scan
+    a, b = np.zeros(n, dtype=int), count.copy()  # a binary search's open range
+    binary = np.full(n, licensed)
+    searching = binary.copy()
+    scanning = ~binary | (np.arange(n) % AUDIT_STRIDE == 0)
+    audited = np.flatnonzero(binary & scanning)
+    while searching.any() or scanning.any():
+        srch, scan = np.flatnonzero(searching), np.flatnonzero(scanning)
+        s = len(srch)
+        mid = (a[srch] + b[srch]) // 2
+        act = np.concatenate((srch, scan))
+        py = P[act, np.concatenate((mid, k[scan]))]
         codes = classify_batch(m, cx[act], py, fp, sopts)
+        plus, minus = codes == _PLUS, codes == _MINUS
+        a[srch[plus[:s]]] = mid[plus[:s]] + 1
+        b[srch[minus[:s]]] = mid[minus[:s]]
+        odd = srch[~(plus | minus)[:s]]
+        binary[odd] = False
+        scanning[odd] = True
+        searching[srch] = binary[srch] & (a[srch] < b[srch])
+
+        codes, py, plus, minus = codes[s:], py[s:], plus[s:], minus[s:]
         band = codes == _BAND
-        plus = codes == _PLUS
-        minus = codes == _MINUS
-        closed = minus & ~np.isnan(lo[act])
-        y[act[band]] = py[band]
-        lo[act[plus]] = py[plus]
-        hi[act[minus]] = py[minus]
-        scanning[act[band | closed]] = False
+        closed = minus & ~np.isnan(lo[scan])
+        y[scan[band]] = py[band]
+        lo[scan[plus]] = py[plus]
+        hi[scan[minus]] = py[minus]
+        k[scan] += 1
+        scanning[scan] = ~(band | closed) & (k[scan] < count[scan])
+
+    # the lo and hi a linear scan leaves on plus verdicts below index a and
+    # minus verdicts from it on: no lo when a is 0, and then hi is the last
+    # probe; no hi when a is count
+    j = np.flatnonzero(binary)
+    audited = audited[binary[audited]]
+    scanned = state[:, audited]
+    lo[j] = P[j, a[j] - 1]
+    hi[j] = P[j, np.where(a[j] > 0, a[j], count[j] - 1)]
+    y[j] = math.nan
+    if not np.array_equal(scanned, state[:, audited], equal_nan=True):
+        return None
 
     saw_plus = ~np.isnan(lo)
     saw_minus = ~np.isnan(hi)
@@ -703,11 +738,14 @@ def trace_stable_curve(m: PlanarMap, fp: FixedPointRecord, window: Rect,
                        workers: int = 1) -> MonotoneCurve:
     """Trace the increasing invariant curve through fp over a bounded window.
 
-    All columns are bisected together, one classify_batch call per probe or
-    bisection round (_solve_columns); each column gets the verdicts it would
-    get on its own. The column through fp.x is seeded from the fixed point
-    itself and the local tangent direction. workers has no effect; it stays
-    only for perfbench's process-pool probe and must be >= 1.
+    All columns are solved together, one classify_batch call per probe or
+    bisection round (_solve_columns). Under the order licence
+    (planarmap._order_licensed) a binary search over each column's probes
+    finds the bracket the linear scan of a column on its own would find; a
+    failed audit of the licence scans every column linearly and adds a note.
+    The column through fp.x is seeded from the fixed point itself and the
+    local tangent direction. workers has no effect; it stays only for
+    perfbench's process-pool probe and must be >= 1.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
@@ -724,7 +762,11 @@ def trace_stable_curve(m: PlanarMap, fp: FixedPointRecord, window: Rect,
     xs = _column_positions(window, fpl.x, opts.columns)
 
     cxs = [cx for cx in xs if cx != fpl.x]
-    results = _solve_columns(m, fpl, slope, cxs, window, opts.curve_tol, sopts)
+    args = (m, fpl, slope, cxs, window, opts.curve_tol, sopts)
+    results = _solve_columns(*args, _order_licensed(m, window, len(cxs) * PROBES))
+    audit_failed = results is None
+    if audit_failed:
+        results = _solve_columns(*args)
     columns = [(cx, y, flag) for cx, (y, flag) in zip(cxs, results)]
     skipped = sum(y is None for _cx, y, _flag in columns)
     flagged = sum(y is not None and flag != "" for _cx, y, flag in columns)
@@ -752,6 +794,8 @@ def trace_stable_curve(m: PlanarMap, fp: FixedPointRecord, window: Rect,
         notes.append(f"{flagged} columns flagged (bisection probe undecided)")
     if dropped:
         notes.append(f"{dropped} vertices dropped by the monotonicity filter")
+    if audit_failed:
+        notes.append("order licence failed its audit (probes scanned linearly)")
     curve = MonotoneCurve(vertices=tuple(kept), monotonicity="increasing",
                           endpoint_left=EndpointLabel("truncated", kept[0]),
                           endpoint_right=EndpointLabel("truncated", kept[-1]),

@@ -50,6 +50,10 @@ class Const(Expr):
 class Var(Expr):
     name: str  # 'x' or 'y'
 
+    def __post_init__(self):
+        if self.name not in ("x", "y"):
+            raise ValueError(f"unknown variable {self.name!r}: use 'x' or 'y'")
+
 
 @dataclass(frozen=True)
 class Param(Expr):
@@ -71,6 +75,9 @@ class BinOp(Expr):
     def __post_init__(self):
         if self.op == "neg" or self.op not in _OPS:
             raise ValueError(f"unknown binary operator {self.op!r}")
+        # to_text could not render a NaN exponent in a form parse reads back
+        if self.op == "^" and isinstance(self.right, Const) and math.isnan(self.right.value):
+            raise ValueError("the exponent of '^' is NaN")
 
 
 ZERO = Const(0.0)

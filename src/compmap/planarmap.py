@@ -199,6 +199,22 @@ def check_competitive(m: PlanarMap, region: Rect,
                                failures=int(np.count_nonzero(~ok)), witness=witness)
 
 
+def _order_licensed(m: PlanarMap, window: Rect, points: int) -> bool:
+    """The sampled licence for reading verdicts from the southeast order (in
+    rasters and in curve traces): check_competitive passes (weak sign
+    pattern) on the window and on m's domain, and the images of
+    min(GRID_SAMPLES, points) sample points of the window are finite and lie
+    in the domain (a call that classifies few points cannot repay more
+    images than it has points)."""
+    if not (check_competitive(m, window).competitive
+            and check_competitive(m, m.domain).competitive):
+        return False
+    d = m.domain
+    with np.errstate(all="ignore"):
+        X, Y = _images(m, *_sample_grid(window, min(GRID_SAMPLES, points)))
+    return bool(np.all((d.x_lo <= X) & (X <= d.x_hi) & (d.y_lo <= Y) & (Y <= d.y_hi)))
+
+
 def _sampled_jacobians(m: PlanarMap, X: np.ndarray, Y: np.ndarray) -> tuple:
     """The Jacobian entries of m at the samples, as rows of a 4 x n array,
     and where jacobian evaluates; a NaN entry may come from a raising

@@ -376,8 +376,10 @@ def solve_column(m, fp, slope, cx, window, curve_tol, probes, sopts):
     return 0.5 * (lo + hi), ""
 
 
-def solve_columns_one_by_one(m, fp, slope, cxs, window, curve_tol, sopts):
-    """Drop-in for curves._solve_columns that runs solve_column per column."""
+def solve_columns_one_by_one(m, fp, slope, cxs, window, curve_tol, sopts,
+                             licensed=False):
+    """Drop-in for curves._solve_columns that runs solve_column per column:
+    the linear scan whether or not the order licence holds."""
     return [solve_column(m, fp, slope, cx, window, curve_tol, PROBES, sopts)
             for cx in cxs]
 

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from compmap import (Point2, Rect, SideOptions, SingularityError, basins,
                      check_competitive, classify_side, continuity_probe,
                      expr_map, limit_equilibrium, load_csv_raster, load_pgm,
-                     make_example, raster, raster_to_csv, raster_to_pgm,
-                     save_raster)
+                     make_example, planarmap, raster, raster_to_csv,
+                     raster_to_pgm, save_raster)
 from compmap.basins import LABEL_CODES, LABEL_NAMES, raster_options
 from compmap.curves import LIMIT_RESIDUAL_TOL, classify_batch
 from compmap.planarmap import PlanarMap
@@ -243,7 +243,7 @@ def limit_cases():
 
 def test_limit_cases_are_licensed(limit_cases):
     for m, _, w in limit_cases.values():
-        assert basins._order_licensed(m, w, 4)
+        assert planarmap._order_licensed(m, w, 4)
 
 
 @pytest.mark.parametrize("case", ["ex1", "ex1_dsl", "ex2", "ex3_T2"])
@@ -291,7 +291,7 @@ def test_limit_raster_on_a_domain_beside_the_sampling_window():
                  domain=Rect(-200.0, -100.0, -200.0, math.inf))
     w = Rect(-200.0, -195.0, -200.0, -194.0)
     fp = Point2(-200.0, -199.0)
-    assert basins._order_licensed(m, w, 24 * 24)
+    assert planarmap._order_licensed(m, w, 24 * 24)
     opts = replace(raster_options(m, w), mode="limit_equilibrium")
     r = raster(m, fp, w, 24, 24, opts)
     assert np.array_equal(r.labels, _direct(m, fp, w, 24, 24, opts))
@@ -323,7 +323,7 @@ def test_undecided_lattice_verdicts_stop_the_inference(limit_cases):
     lattice = {LABEL_NAMES[c] for c in got[0][::8, ::8].ravel()}
     assert {"minus", "plus", "undecided"} <= lattice
     assert np.array_equal(got[0], want[0])
-    assert got[1] == want[1] + basins.GRID_SAMPLES
+    assert got[1] == want[1] + planarmap.GRID_SAMPLES
 
 
 def test_cells_implied_both_ways_are_classified(limit_cases, monkeypatch):

@@ -24,7 +24,7 @@ from compmap import (DEFAULT_PARAMS, EXAMPLE_IDS, CurveOptions, DomainError,
                      find_fixed_point, limit_equilibrium, make_example, raster,
                      raster_to_csv, raster_to_pgm, trace_stable_curve,
                      trace_unstable_curve)
-from compmap import curves
+from compmap import curves, planarmap
 from compmap.basins import raster_options
 from compmap.curves import (BATCH_HANDOFF, LABEL_CODES, classify_batch,
                             classify_side, label_code, locate_ordinate)
@@ -522,6 +522,58 @@ def test_lockstep_columns_match_on_odd_verdicts():
     want = solve_columns_one_by_one(m, fp, 1.0, cxs, w, 1e-8, sopts)
     assert got == want
     assert {flag for _, flag in got} == {"no_bracket:mixed", "undecided_probe"}
+
+
+def test_binary_scan_hands_a_band_verdict_to_the_linear_scan(trace_cases,
+                                                              monkeypatch):
+    # the window puts the saddle on uniform probe 13 of its own column: the
+    # binary search classifies it in its second round (probe index 14, after
+    # the tangent probe below it) and reads band there
+    m, rec, _w, _opts = trace_cases["ex5_saddle"]
+    fp = rec.location
+    w = Rect(0.0, 1.5, fp.y - 13.5 * 0.34 / 17, fp.y + 3.5 * 0.34 / 17)
+    assert planarmap._order_licensed(m, w, 3 * curves.PROBES)
+    slope = rec.eigen.v_lam.y / rec.eigen.v_lam.x
+    cxs = [fp.x - 0.01, fp.x, fp.x + 0.01]
+    sopts = SideOptions(epsilon_margin=1e-6)
+    rounds = []
+
+    def spy(*args):
+        codes = classify_batch(*args)
+        rounds.append(dict(zip(zip(args[1].tolist(), args[2].tolist()),
+                               codes.tolist())))
+        return codes
+
+    monkeypatch.setattr(curves, "classify_batch", spy)
+    got = curves._solve_columns(m, fp, slope, cxs, w, 1e-8, sopts, True)
+    assert rounds[1][fp.x, fp.y] == LABEL_CODES["band"]
+    assert got == solve_columns_one_by_one(m, fp, slope, cxs, w, 1e-8, sopts)
+    assert got[1][1] == "" and abs(got[1][0] - fp.y) <= 1e-6
+
+
+def test_order_audit_disagreement_scans_every_column_linearly(trace_cases,
+                                                              monkeypatch):
+    # the audited first column reads minus at its second probe, below the
+    # plus probes under the curve: the binary search never classifies it,
+    # the audit's linear scan stops there
+    m, fp, w, opts = trace_cases["ex1_limit"]
+    opts = replace(opts, columns=32)
+    x0 = min(x for x in curves._column_positions(w, fp.location.x, opts.columns)
+             if x != fp.location.x)
+    y1 = w.y_lo + 1.5 * w.height() / curves.PROBES
+
+    def odd_column(m, xs, ys, fp, sopts):
+        codes = classify_batch(m, xs, ys, fp, sopts)
+        codes[(xs == x0) & (np.abs(ys - y1) < 0.1)] = LABEL_CODES["minus"]
+        return codes
+
+    monkeypatch.setattr(curves, "classify_batch", odd_column)
+    got = trace_stable_curve(m, fp, w, opts)
+    monkeypatch.setattr(curves, "_order_licensed", lambda *args: False)
+    want = trace_stable_curve(m, fp, w, opts)
+    note = "order licence failed its audit (probes scanned linearly)"
+    assert got.notes == want.notes + (note,)
+    assert replace(got, notes=want.notes) == want
 
 
 # sha256 of repr(curve) of the benchmark-shaped traces (perfbench's trace

@@ -231,6 +231,31 @@ def test_limit_mode_basin_bytes_pinned(tmp_path, capsys, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# sha256 of stdout, stderr and the --out file of stable-curve runs, from
+# before traces read probe verdicts from the southeast order
+CURVE_PINS = {
+    "ex1": (["--guess", "1e-9,1", "--window", "0,5,0,6", "--columns", "64"],
+            ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+             "c763b5330f12b77dfafac437e209f2b2d998b8eed5ea6b897388159521d9e67e",
+             "9ddf27dd94279984390e96c7b2a6b260ea1052a959600457791b07bf3b1cc9a7")),
+    "ex5": (["--guess", "0.235,0.352", "--window", "0,1.5,0,1.5"],  # the saddle
+            ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+             "3e96e665b3acc1b1139ff58014b67e2fb5da8bc7ad407beb264c3a3d5ed983b3",
+             "49c4ebb7323edf84288074db689db747404c8f400735e31ad56903e2ab9e41ca")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CURVE_PINS))
+def test_stable_curve_bytes_pinned(tmp_path, capsys, name):
+    flags, digests = CURVE_PINS[name]
+    out = tmp_path / "c.csv"
+    rc, stdout, stderr = _run(capsys, ["curve", "--example", name] + flags
+                              + ["--out", str(out)])
+    assert rc == 0
+    assert tuple(hashlib.sha256(b).hexdigest() for b in
+                 (stdout.encode(), stderr.encode(), out.read_bytes())) == digests
+
+
 def test_cli_defaults_match_library_defaults():
     import inspect
 

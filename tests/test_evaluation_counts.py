@@ -28,15 +28,24 @@ def test_ex1_trace_64_columns():
     m = make_example("ex1").map
     fp = find_fixed_point(m, Point2(1e-9, 1.0))
     assert _evaluations(m, lambda c: trace_stable_curve(
-        c, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions(columns=64))) == 52_165
+        c, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions(columns=64))) == 38_728
 
 
 def test_ex1_trace_64_columns_batch_calls():
     # one batch call per lockstep round of every probe and bisection round
+    # (the licensed binary probe scan), plus the order licence's image batch
     m = make_example("ex1").map
     fp = find_fixed_point(m, Point2(1e-9, 1.0))
     assert _evaluations_and_batch_calls(m, lambda c: trace_stable_curve(
-        c, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions(columns=64))) == (52_165, 1_250)
+        c, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions(columns=64))) == (38_728, 798)
+
+
+def test_ex5_trace_64_columns_quadrant_mode():
+    # the saddle's separatrix in quadrant mode, under the same binary probe scan
+    sys = make_example("ex5")
+    saddle = find_fixed_point(sys.map, ex5_equilibria(sys.params)[1])
+    assert _evaluations_and_batch_calls(sys.map, lambda c: trace_stable_curve(
+        c, saddle, Rect(0.0, 1.5, 0.0, 1.5), CurveOptions(columns=64))) == (14_017, 301)
 
 
 def test_ex5_unstable_trace():

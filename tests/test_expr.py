@@ -300,6 +300,21 @@ def test_binop_rejects_unknown_operators(op):
         BinOp(op, Var("x"), Const(3.0))
 
 
+@pytest.mark.parametrize("name", ["z", "X", "a", ""])
+def test_var_rejects_names_other_than_x_and_y(name):
+    with pytest.raises(ValueError, match=re.escape(f"variable {name!r}")):
+        Var(name)
+
+
+def test_power_rejects_a_nan_exponent():
+    with pytest.raises(ValueError, match="NaN"):
+        BinOp("^", Var("x"), Const(math.nan))
+    # infinite exponents render as 1e999 and parse back
+    for e in (BinOp("^", Var("x"), Const(math.inf)),
+              BinOp("^", Var("y"), Const(-math.inf))):
+        assert parse(to_text(e)) == e
+
+
 @pytest.mark.parametrize("b", [
     np.empty(0), np.empty((0, 3)), np.array(0.5), np.array(1e-13), np.array(-0.0), 2.0,
     np.array([math.nan, 1.0]), np.array([math.nan]), np.array([math.inf, -math.inf]),
