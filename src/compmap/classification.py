@@ -106,8 +106,8 @@ def taylor_along_eigenvector(m: PlanarMap, fp: Point2, v: Point2,
     """
     if not 2 <= degree <= 4:
         raise ValueError("degree must be between 2 and 4")
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step h must be finite and > 0, got {h!r}")
     fx, fy = m.step(fp[0], fp[1])
     if not sup_norm(fx - fp[0], fy - fp[1]) <= 1e-10:
         raise ValueError(f"({fp[0]:.6g}, {fp[1]:.6g}) is not a fixed point to "

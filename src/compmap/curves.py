@@ -442,7 +442,7 @@ class MonotoneCurve:
     def y_at(self, x: float) -> float:
         """Piecewise-linear interpolation; x must lie within the vertex range."""
         vs = self.vertices
-        if not vs or x < vs[0].x or x > vs[-1].x:
+        if not (vs and vs[0].x <= x <= vs[-1].x):
             raise ValueError(f"x={x!r} outside the traced range")
         lo, hi = 0, len(vs) - 1
         while hi - lo > 1:
@@ -850,14 +850,14 @@ def trace_unstable_curve(m: PlanarMap, fp: FixedPointRecord,
     Requires mu > 1 with an off-axis, opposite-signed eigenvector.
     UNSTABLE_SEEDS seeds are placed on both sides of the fixed point and
     step together, one planarmap._images call per step, so a map without a
-    batch step runs the same loop; where an image is NaN, m.step is asked
-    again. A SingularityError ends a seed's orbit. A non-finite image or
-    one outside the domain ends it too and truncates its end of the curve.
-    Any other exception propagates, the lowest seed's when several seeds
-    raise, as a loop over the seeds one by one would raise it. The fixed
-    point, the seeds inside the domain and every image kept are sorted by x
-    (descending y among equal x) and thinned to a strictly decreasing
-    polyline. steps must be >= 1 and seed_radius finite and > 0.
+    batch step runs the same loop. A SingularityError ends a seed's orbit.
+    A non-finite image or one outside the domain ends it too and truncates
+    its end of the curve. Any other exception propagates, the lowest seed's
+    when several seeds raise, as a loop over the seeds one by one would
+    raise it. The fixed point, the seeds inside the domain and every image
+    kept are sorted by x (descending y among equal x) and thinned to a
+    strictly decreasing polyline. steps must be >= 1 and seed_radius finite
+    and > 0.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps!r}")
@@ -889,22 +889,12 @@ def trace_unstable_curve(m: PlanarMap, fp: FixedPointRecord,
         for _ in range(steps):
             if not len(idx):
                 break
-            try:
-                Xn, Yn = _images(m, X, Y)
-            except Exception:  # the step re-asked below tells which seed raised
-                Xn = Yn = np.full(len(idx), math.nan)
+            (Xn, Yn), raised = _images(m, X, Y)
             ended = np.zeros(len(idx), dtype=bool)  # by a raise: no truncation
-            nan = np.isnan(Xn) | np.isnan(Yn)
-            if nan.any():
-                Xn, Yn = np.array(Xn, dtype=float), np.array(Yn, dtype=float)
-                for j in np.flatnonzero(nan).tolist():
-                    try:
-                        Xn[j], Yn[j] = m.step(float(X[j]), float(Y[j]))
-                    except SingularityError:
-                        ended[j] = True
-                    except Exception as exc:
-                        errors[int(idx[j])] = exc
-                        ended[j] = True
+            for j, exc in raised.items():
+                ended[j] = True
+                if not isinstance(exc, SingularityError):
+                    errors[int(idx[j])] = exc
             ok = _within(sides, Xn, Yn, np.isfinite(Xn) & np.isfinite(Yn))
             truncated[idx[~(ok | ended)]] = True
             ok &= ~ended

@@ -157,29 +157,28 @@ class _Newton:
 
 
 def _residuals(m: PlanarMap, X, Y, k: int, TX, TY) -> tuple:
-    """_residual on arrays, and where an image along the way has a NaN,
-    which may stand for a raising step."""
-    IX, IY = X, Y
-    nan = np.zeros(X.shape, dtype=bool)
+    """_residual on arrays, NaN where it raises, and per start what it
+    raises (the first raise along the orbit)."""
+    raised = {}
     for _ in range(k):
-        IX, IY = _images(m, IX, IY)
-        nan |= np.isnan(IX) | np.isnan(IY)
-    return IX - TX, IY - TY, nan
+        (X, Y), r = _images(m, X, Y)
+        raised = {**r, **raised}
+    RX, RY = X - TX, Y - TY
+    RX[list(raised)] = RY[list(raised)] = math.nan
+    return RX, RY, raised
 
 
 def _dts(m: PlanarMap, X, Y, k: int) -> tuple:
-    """_dt on arrays, as entry arrays (a11, a12, a21, a22), and where a
-    Jacobian or image along the way has a NaN."""
-    j = _jacobians(m, X, Y)
-    nan = np.isnan(j[0]) | np.isnan(j[1]) | np.isnan(j[2]) | np.isnan(j[3])
+    """_dt on arrays, as entry arrays (a11, a12, a21, a22), and per start
+    what it raises (the first raise along the orbit)."""
+    j, raised = _jacobians(m, X, Y)
     for _ in range(k - 1):
-        X, Y = _images(m, X, Y)
-        a = _jacobians(m, X, Y)
-        nan |= (np.isnan(X) | np.isnan(Y) | np.isnan(a[0]) | np.isnan(a[1])
-                | np.isnan(a[2]) | np.isnan(a[3]))
+        (X, Y), ri = _images(m, X, Y)
+        a, rj = _jacobians(m, X, Y)
+        raised = {**rj, **ri, **raised}
         j = (a[0] * j[0] + a[1] * j[2], a[0] * j[1] + a[1] * j[3],
              a[2] * j[0] + a[3] * j[2], a[2] * j[1] + a[3] * j[3])
-    return j, nan
+    return j, raised
 
 
 def _solve(m: PlanarMap, X, Y, k: int = 1, target: Optional[tuple] = None,
@@ -188,52 +187,30 @@ def _solve(m: PlanarMap, X, Y, k: int = 1, target: Optional[tuple] = None,
     from every start (X[i], Y[i]) in lockstep; target, if given, is a pair
     of arrays of per-start targets.
 
-    Each step is halved until the sup-norm residual decreases. With
+    Each step is halved until the sup-norm residual decreases; a candidate
+    at which the map raises a map error (_EVAL_ERRORS) is no decrease. With
     fallback, a singular Newton matrix restarts from _iterate_ahead before
     the search is abandoned. Every start follows the arithmetic of a scalar
-    search from it, so roots and residuals are those of one; each Newton
-    iteration and each halving round is one batch call over the starts
-    still in it. Where a NaN may stand for a raising map, the scalar
-    step or Jacobian is asked at that one point.
+    search from it, so roots and residuals are those of one, and anything
+    else the map raises ends the start's search; each Newton iteration and
+    each halving round is one batch call over the starts still in it.
     """
     X = np.array(X, dtype=float)
     Y = np.array(Y, dtype=float)
     TX, TY = (X, Y) if target is None else (np.asarray(target[0], dtype=float),
                                             np.asarray(target[1], dtype=float))
     code = np.zeros(X.shape, dtype=np.int8)
-    raised = {}
-
-    def scalar(i: int, fn, *args):
-        """fn(*args) for start i; what it raises ends the start's search."""
-        try:
-            return fn(*args)
-        except Exception as e:
-            code[i], raised[i] = _EVAL, e
-            return None
-
-    def aim(i: int) -> Optional[Point2]:
-        return None if target is None else Point2(float(TX[i]), float(TY[i]))
-
-    def residual(i: int, x: float, y: float):
-        return scalar(i, _residual, m, Point2(x, y), k, aim(i))
-
     with np.errstate(all="ignore"):
-        FX, FY, nan = _residuals(m, X, Y, k, TX, TY)
-        for i in np.flatnonzero(nan).tolist():
-            f = residual(i, float(X[i]), float(Y[i]))
-            if f is not None:
-                FX[i], FY[i] = f
+        FX, FY, raised = _residuals(m, X, Y, k, TX, TY)
+        code[list(raised)] = _EVAL
         res = np.maximum(np.abs(FX), np.abs(FY))
         for _ in range(NEWTON_MAX_ITER):
             idx = np.flatnonzero((code == 0) & ~(res < tol))
             if idx.size == 0:
                 break
-            (a11, a12, a21, a22), nan = _dts(m, X[idx], Y[idx], k)
-            for n in np.flatnonzero(nan).tolist():
-                i = int(idx[n])
-                j = scalar(i, _dt, m, Point2(float(X[i]), float(Y[i])), k)
-                if j is not None:
-                    a11[n], a12[n], a21[n], a22[n] = j
+            (a11, a12, a21, a22), r = _dts(m, X[idx], Y[idx], k)
+            for n, e in r.items():
+                code[idx[n]], raised[int(idx[n])] = _EVAL, e
             if target is None:
                 a11, a22 = a11 - 1.0, a22 - 1.0
             det = a11 * a22 - a12 * a21
@@ -248,13 +225,18 @@ def _solve(m: PlanarMap, X, Y, k: int = 1, target: Optional[tuple] = None,
             code[idx[overflow & (code[idx] == 0)]] = _OVERFLOW
             for i in idx[singular & (code[idx] == 0)].tolist():
                 p = Point2(float(X[i]), float(Y[i]))
-                q = scalar(i, _iterate_ahead, m, p) if fallback else None
-                f = None if q is None else residual(i, q.x, q.y)
-                if f is not None:
+                aim = None if target is None else Point2(float(TX[i]), float(TY[i]))
+                try:
+                    q = _iterate_ahead(m, p) if fallback else None
+                    f = None if q is None else _residual(m, q, k, aim)
+                except Exception as e:
+                    code[i], raised[i] = _EVAL, e
+                    continue
+                if f is None:
+                    code[i] = _SINGULAR
+                else:
                     X[i], Y[i], FX[i], FY[i] = q.x, q.y, f.x, f.y
                     res[i] = sup_norm(f.x, f.y)
-                elif code[i] == 0:
-                    code[i] = _SINGULAR
             go = ~singular & (code[idx] == 0)
             idx, det = idx[go], det[go]
             a11, a12, a21, a22 = a11[go], a12[go], a21[go], a22[go]
@@ -264,23 +246,17 @@ def _solve(m: PlanarMap, X, Y, k: int = 1, target: Optional[tuple] = None,
                 if idx.size == 0:
                     break
                 cx, cy = X[idx] + dx, Y[idx] + dy
-                gx, gy, nan = _residuals(
+                gx, gy, r = _residuals(
                     m, cx, cy, k, *((cx, cy) if target is None else (TX[idx], TY[idx])))
+                for n, e in r.items():
+                    if not isinstance(e, _EVAL_ERRORS):
+                        code[idx[n]], raised[int(idx[n])] = _EVAL, e
                 cres = np.maximum(np.abs(gx), np.abs(gy))
-                # with k = 2 a finite residual may hide a raising first step
-                for n in np.flatnonzero(nan & np.isfinite(cres)).tolist():
-                    try:
-                        f = _residual(m, Point2(float(cx[n]), float(cy[n])), k,
-                                      aim(int(idx[n])))
-                        gx[n], gy[n] = f
-                        cres[n] = sup_norm(f.x, f.y)
-                    except _EVAL_ERRORS:
-                        cres[n] = math.nan
                 take = np.isfinite(cres) & (cres < res[idx])
                 t = idx[take]
                 X[t], Y[t], FX[t], FY[t], res[t] = (cx[take], cy[take], gx[take],
                                                     gy[take], cres[take])
-                left = ~take
+                left = ~take & (code[idx] == 0)
                 idx, dx, dy = idx[left], dx[left] * 0.5, dy[left] * 0.5
             code[idx] = _STALLED
     code[(code == 0) & ~(res < tol)] = _MAX_ITER

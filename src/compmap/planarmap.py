@@ -10,6 +10,11 @@ The optional batch_jac is jac on arrays in the same way: the four entries
 (a11, a12, a21, a22) as arrays, NaN in at least one of them wherever jac
 would raise. Callers of batch and batch_jac enter np.errstate. Maps are
 immutable.
+
+One rule tells a raising map from a NaN it returns: at each point where
+batch or batch_jac gives a NaN, _images and _jacobians ask the scalar step
+or jacobian once and report what it raised. No other code asks again; each
+caller decides what a raise means to it.
 """
 
 from __future__ import annotations
@@ -74,6 +79,61 @@ def jacobian(m: PlanarMap, p: Point2) -> Matrix2:
     if m.jac is not None:
         return m.jac(p[0], p[1])
     return fd_jacobian(m, p)
+
+
+# ---------------------------------------------------------------------------
+# Maps on arrays
+
+
+def _ask(batch, scalar, n: int, X: np.ndarray, Y: np.ndarray) -> tuple:
+    """(values, raised) on 1-d arrays: values is batch(X, Y), n arrays, and
+    where one of them has a NaN (at every point when batch is None)
+    scalar(x, y) is asked once; raised maps the index of each point at
+    which it raised to what it raised, and the point's values are then NaN.
+    Batch output without a NaN comes back as it is."""
+    raised = {}
+    if batch is None:
+        out = np.full((n, len(X)), math.nan)
+        points = range(len(X))
+    else:
+        out = batch(X, Y)
+        nan = np.isnan(out[0])
+        for v in out[1:]:
+            nan |= np.isnan(v)
+        points = np.flatnonzero(nan).tolist()
+        if not points:
+            return out, raised
+        out = np.array(out, dtype=float)
+    for k in points:
+        try:
+            v = scalar(float(X[k]), float(Y[k]))
+        except Exception as e:
+            raised[k], v = e, math.nan
+        out[:, k] = v
+    return tuple(out), raised
+
+
+def _images(m: PlanarMap, X: np.ndarray, Y: np.ndarray) -> tuple:
+    """m on arrays, as ((fX, fY), raised); see _ask."""
+    return _ask(m.batch, m.step, 2, X, Y)
+
+
+def _jacobians(m: PlanarMap, X: np.ndarray, Y: np.ndarray) -> tuple:
+    """The Jacobian entries of m on arrays, as ((a11, a12, a21, a22),
+    raised); see _ask."""
+    return _ask(m.batch_jac, lambda x, y: jacobian(m, Point2(x, y)), 4, X, Y)
+
+
+def _failed(raised: dict, n: int) -> np.ndarray:
+    """Where of n points the map failed, given what _images or _jacobians
+    reports it raised: a map error (_EVAL_ERRORS) is a failed point, and
+    any other exception propagates, the lowest point's first."""
+    failed = np.zeros(n, dtype=bool)
+    for k in sorted(raised):
+        if not isinstance(raised[k], _EVAL_ERRORS):
+            raise raised[k]
+        failed[k] = True
+    return failed
 
 
 # ---------------------------------------------------------------------------
@@ -211,24 +271,17 @@ def _order_licensed(m: PlanarMap, window: Rect, points: int) -> bool:
         return False
     d = m.domain
     with np.errstate(all="ignore"):
-        X, Y = _images(m, *_sample_grid(window, min(GRID_SAMPLES, points)))
+        (X, Y), raised = _images(m, *_sample_grid(window, min(GRID_SAMPLES, points)))
+    _failed(raised, len(X))  # a map error leaves NaN, which fails the licence
     return bool(np.all((d.x_lo <= X) & (X <= d.x_hi) & (d.y_lo <= Y) & (Y <= d.y_hi)))
 
 
 def _sampled_jacobians(m: PlanarMap, X: np.ndarray, Y: np.ndarray) -> tuple:
     """The Jacobian entries of m at the samples, as rows of a 4 x n array,
-    and where jacobian evaluates; a NaN entry may come from a raising
-    jacobian or from one that returns it, and the scalar jacobian tells
-    which."""
+    and where jacobian evaluates (see _failed)."""
     with np.errstate(all="ignore"):
-        J = np.array(_jacobians(m, X, Y), dtype=float)
-    ok = np.ones(len(X), dtype=bool)
-    for k in np.flatnonzero(np.isnan(J).any(axis=0)).tolist():
-        try:
-            J[:, k] = jacobian(m, Point2(float(X[k]), float(Y[k])))
-        except _EVAL_ERRORS:
-            ok[k] = False
-    return J, ok
+        J, raised = _jacobians(m, X, Y)
+    return np.array(J, dtype=float), ~_failed(raised, len(X))
 
 
 @dataclass(frozen=True)
@@ -242,33 +295,6 @@ class OConditionReport:
     note: str = ""
 
 
-def _images(m: PlanarMap, X: np.ndarray, Y: np.ndarray) -> tuple:
-    """m on arrays: its batch step, or step per point with NaN where it raises."""
-    if m.batch is not None:
-        return m.batch(X, Y)
-    out = np.full((2, len(X)), math.nan)
-    for k, (x, y) in enumerate(zip(X.tolist(), Y.tolist())):
-        try:
-            out[:, k] = m.step(x, y)
-        except _EVAL_ERRORS:
-            pass
-    return out[0], out[1]
-
-
-def _jacobians(m: PlanarMap, X: np.ndarray, Y: np.ndarray) -> tuple:
-    """The Jacobian entries (a11, a12, a21, a22) of m on arrays: its
-    batch_jac, or jacobian per point with NaN where it raises."""
-    if m.batch_jac is not None:
-        return m.batch_jac(X, Y)
-    out = np.full((4, len(X)), math.nan)
-    for k, (x, y) in enumerate(zip(X.tolist(), Y.tolist())):
-        try:
-            out[:, k] = jacobian(m, Point2(x, y))
-        except _EVAL_ERRORS:
-            pass
-    return tuple(out)
-
-
 def check_O_condition(m: PlanarMap, region: Rect, pairs: int = 10_000,
                       seed: int = 0) -> OConditionReport:
     """Orientation check: sampled determinant signs plus an injectivity probe.
@@ -276,8 +302,9 @@ def check_O_condition(m: PlanarMap, region: Rect, pairs: int = 10_000,
     O_plus when every sampled det > DET_TOL and no random pair of distinct
     points maps to images within COLLISION_TOL; O_minus for uniformly
     negative determinants; inconclusive on mixed signs or a probe collision.
-    The probe maps all pairs with two batch calls; pairs with a non-finite
-    image are re-run through step, so the counts equal a per-pair step loop's.
+    The probe maps all pairs with two _images calls and drops the pairs
+    with a failed image (see _failed), so the counts equal a per-pair step
+    loop's.
     """
     J, ok = _sampled_jacobians(m, *_sample_grid(region, GRID_SAMPLES))
     a11, a12, a21, a22 = J[:, ok]
@@ -302,25 +329,14 @@ def check_O_condition(m: PlanarMap, region: Rect, pairs: int = 10_000,
     bx = rng.uniform(r.x_lo, r.x_hi, pairs)
     by = rng.uniform(r.y_lo, r.y_hi, pairs)
     with np.errstate(all="ignore"):
-        pa = _images(m, ax, ay)
-        pb = _images(m, bx, by)
-        distinct = np.maximum(np.abs(ax - bx), np.abs(ay - by)) >= 1e-7
-        finite = np.isfinite(pa[0]) & np.isfinite(pa[1]) & np.isfinite(pb[0]) \
-            & np.isfinite(pb[1])
-        near = np.maximum(np.abs(pa[0] - pb[0]), np.abs(pa[1] - pb[1])) < COLLISION_TOL
-    tested = int(np.count_nonzero(distinct & finite))
-    collisions = int(np.count_nonzero(distinct & finite & near))
-    # a non-finite image may come from a raising step or from a step that
-    # returns it; the scalar step tells which
-    for k in np.flatnonzero(distinct & ~finite).tolist():
-        try:
-            qa = m.step(float(ax[k]), float(ay[k]))
-            qb = m.step(float(bx[k]), float(by[k]))
-        except _EVAL_ERRORS:
-            continue
-        tested += 1
-        if max(abs(qa[0] - qb[0]), abs(qa[1] - qb[1])) < COLLISION_TOL:
-            collisions += 1
+        (pax, pay), raised_a = _images(m, ax, ay)
+        (pbx, pby), raised_b = _images(m, bx, by)
+        dx, dy = np.abs(pax - pbx), np.abs(pay - pby)
+        near = np.where(dy > dx, dy, dx) < COLLISION_TOL  # Python's max(dx, dy) on NaN
+    kept = (np.maximum(np.abs(ax - bx), np.abs(ay - by)) >= 1e-7) \
+        & ~_failed(raised_a, pairs) & ~_failed(raised_b, pairs)
+    tested = int(np.count_nonzero(kept))
+    collisions = int(np.count_nonzero(kept & near))
     if collisions:
         return OConditionReport("inconclusive", det_min, det_max, len(dets),
                                 tested, collisions, "injectivity probe collision")

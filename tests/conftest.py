@@ -1,8 +1,17 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from compmap import (CurveOptions, Point2, Rect, find_fixed_point,
                      find_ex5_two_equilibria, make_example,
                      trace_stable_curve)
+
+# On CI a failing property test prints a @reproduce_failure line to replay
+# its example; examples are still drawn at random.
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

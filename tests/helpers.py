@@ -16,8 +16,8 @@ import numpy as np
 
 from compmap import (BoundaryEndpointReport, CompetitivityReport,
                      DegenerateRootError, EndpointLabel, Matrix2,
-                     MonotoneCurve, NoConvergenceError, Point2,
-                     SingularityError, UnboundParameterError, classify_side,
+                     MonotoneCurve, NoConvergenceError, PlanarMap, Point2,
+                     Rect, SingularityError, UnboundParameterError, classify_side,
                      endpoint_analysis, jacobian, validate_curve)
 from compmap.curves import PROBES, UNSTABLE_SEEDS
 from compmap.fixedpoints import (BOUNDARY_GRID, MAX_HALVINGS, NEWTON_MAX_ITER,
@@ -564,6 +564,36 @@ def scalar_check_competitive(m, region, samples=100):
     return CompetitivityReport(competitive=competitive,
                                strongly=competitive and strongly, samples=n_ok,
                                failures=failures, witness=witness)
+
+
+def patchy_map():
+    """A map whose Jacobian raises for x < 1, returns NaN for y < 1 and
+    breaks the competitive sign pattern for x > 3."""
+    def jac(x, y):
+        if x < 1:
+            raise SingularityError("x < 1")
+        if y < 1:
+            return Matrix2(math.nan, -1.0, -1.0, 1.0)
+        return Matrix2(1.0, 0.5 if x > 3 else -1.0, -1.0, 1.0)
+
+    return PlanarMap(name="patchy", step=lambda x, y: (x, y), domain=Rect(0, 5, 0, 5),
+                     jac=jac)
+
+
+def linear_saddle_step(x, y):
+    # mu = 2 along (1, -1) and 1/2 along (1, 1), fixed point at the origin
+    return 1.25 * x - 0.75 * y, -0.75 * x + 1.25 * y
+
+
+def wall_map():
+    """linear_saddle_step, without a batch step, raising SingularityError
+    for x < -0.5."""
+    def step(x, y):
+        if x < -0.5:
+            raise SingularityError("wall")
+        return linear_saddle_step(x, y)
+
+    return PlanarMap(name="wall", step=step, domain=Rect(-1, 1, -1, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ from compmap.basins import raster_options
 from compmap.curves import (BATCH_HANDOFF, LABEL_CODES, classify_batch,
                             classify_side, label_code, locate_ordinate)
 from compmap.planarmap import PlanarMap
-from helpers import (column_probes, scalar_trace_unstable_curve,
-                     solve_columns_one_by_one)
+from helpers import (column_probes, linear_saddle_step, scalar_trace_unstable_curve,
+                     solve_columns_one_by_one, wall_map)
 
 QUADRANT = Rect(0.0, math.inf, 0.0, math.inf)
 
@@ -90,6 +90,28 @@ def test_constant_component_broadcasts():
     assert np.all(gy == 1.0)
     fx, _ = _dsl("constant_f").batch(X + 3.0, X)  # clear of the pole x = a
     assert fx.shape == (2, 3) and np.all(fx == -3.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(c=st.one_of(st.sampled_from([0.0, -0.0, 1.5]), st.floats(-10.0, 10.0)),
+       g=st.sampled_from(["(x-c)^0.5", "x*(x-c)^-0.5", "y"]), data=st.data())
+def test_array_evaluators_report_what_the_scalar_map_raises(c, g, data):
+    # _images and _jacobians on a map with poles, with and without its batch
+    # callables: the same value bits, and the same exception types at the
+    # same points
+    m = expr_map("x/(y-c)", g, {"c": c})
+    bare = replace(m, batch=None, batch_jac=None)
+    at = st.one_of(st.floats(allow_nan=False), st.sampled_from(
+        [0.0, -0.0, c, c + 1e-13, c - 1e-13, math.inf, -math.inf]))
+    pts = data.draw(st.lists(st.tuples(at, at), min_size=1, max_size=12))
+    X, Y = (np.array(v, dtype=float) for v in zip(*pts))
+    for evaluate in (planarmap._images, planarmap._jacobians):
+        with np.errstate(all="ignore"):
+            got, got_raised = evaluate(m, X, Y)
+            want, want_raised = evaluate(bare, X, Y)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert ({k: type(e) for k, e in got_raised.items()}
+                == {k: type(e) for k, e in want_raised.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -631,25 +653,14 @@ def test_unstable_trace_matches_seed_by_seed(ex5_three, steps):
                 scalar_trace_unstable_curve(ex5_three.map, saddle, steps=steps))
 
 
-def _linear_saddle_step(x, y):
-    # mu = 2 along (1, -1) and 1/2 along (1, 1), fixed point at the origin
-    return 1.25 * x - 0.75 * y, -0.75 * x + 1.25 * y
-
-
-def _wall_step(x, y):
-    if x < -0.5:
-        raise SingularityError("wall")
-    return _linear_saddle_step(x, y)
-
-
 def _fence_batch(X, Y):
-    FX, FY = _linear_saddle_step(X, Y)
+    FX, FY = linear_saddle_step(X, Y)
     return np.where(X > 0.5, math.nan, FX), FY
 
 
 @pytest.mark.parametrize("m", [
-    PlanarMap(name="saddle", step=_linear_saddle_step, domain=Rect(-1, 1, -1, 1)),
-    PlanarMap(name="wall", step=_wall_step, domain=Rect(-1, 1, -1, 1)),
+    PlanarMap(name="saddle", step=linear_saddle_step, domain=Rect(-1, 1, -1, 1)),
+    wall_map(),
     # a pole past x = -0.5: (x + 0.5)^0.5 raises there
     expr_map("1.25*x - 0.75*y + 0*(x + 0.5)^0.5", "-0.75*x + 1.25*y", {},
              domain=Rect(-1, 1, -1, 1), name="dsl-wall"),
@@ -665,14 +676,14 @@ def test_unstable_trace_matches_seed_by_seed_where_orbits_stop(m, steps):
 
 @pytest.mark.parametrize("error, batch", [
     (DomainError, None), (DomainError, _fence_batch),
-    (ValueError, None)])  # a ValueError escapes planarmap._images
+    (ValueError, None)])  # a ValueError is no map error
 def test_unstable_trace_raises_the_lowest_seeds_exception(error, batch):
     # right-hand seeds farther out reach the fence in fewer steps, but the
     # seed-by-seed loop meets the innermost right-hand seed's raise first
     def step(x, y):
         if x > 0.5:
             raise error(f"fence at x = {x!r}")
-        return _linear_saddle_step(x, y)
+        return linear_saddle_step(x, y)
 
     m = PlanarMap(name="fence", step=step, domain=Rect(-1, 1, -1, 1), batch=batch)
     rec = find_fixed_point(m, Point2(0.1, 0.05))

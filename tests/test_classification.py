@@ -75,6 +75,12 @@ def test_taylor_requires_fixed_point(ex4):
         taylor_along_eigenvector(ex4.map, Point2(2.5, 1.0), Point2(-1, 1))
 
 
+@pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf])
+def test_taylor_rejects_a_step_that_is_not_finite_and_positive(ex4, h):
+    with pytest.raises(ValueError, match="step h must be finite and > 0"):
+        taylor_along_eigenvector(ex4.map, Point2(2, 1), Point2(-1, 1), h=h)
+
+
 def test_taylor_extrapolation_stability(ex4):
     # halving the base step must not move the reported coefficients much
     a = taylor_along_eigenvector(ex4.map, Point2(2, 1), Point2(-1, 1), h=0.1)

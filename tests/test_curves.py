@@ -148,6 +148,12 @@ def test_ex3_t2_curve(ex3_t2, ex3_t2_curve, ex3_t2_fp):
     assert xs[0] < 3.0 < xs[-1]
 
 
+@pytest.mark.parametrize("x", [math.nan, 0.4, 8.1])
+def test_y_at_rejects_x_outside_the_traced_range(ex3_t2_curve, x):
+    with pytest.raises(ValueError, match="outside the traced range"):
+        ex3_t2_curve.y_at(x)
+
+
 def test_trace_unstable_ex5(ex5_three):
     from compmap import ex5_equilibria
     eqs = ex5_equilibria(ex5_three.params)

@@ -5,11 +5,11 @@ that makes compmap do more or less work on them changes a pin here, and
 says why in CHANGES.md."""
 
 from compmap import (CurveOptions, Point2, Rect, check_boundary_endpoint_conditions,
-                     continuity_probe, ex5_equilibria, find_fixed_point,
-                     make_example, raster, trace_stable_curve,
+                     check_competitive, continuity_probe, ex5_equilibria,
+                     find_fixed_point, make_example, raster, trace_stable_curve,
                      trace_unstable_curve)
 
-from helpers import counting_map
+from helpers import counting_map, patchy_map, wall_map
 
 
 def _evaluations(m, run, jacobians=False):
@@ -57,6 +57,20 @@ def test_ex5_unstable_trace():
         c, saddle)) == (6_403, 100)
 
 
+def test_unstable_trace_without_batch_where_seeds_fail():
+    # a map without batch step is asked once per seed and step, a raising
+    # seed included: 32 seeds end at the wall, each asked once there
+    m = wall_map()
+    rec = find_fixed_point(m, Point2(0.1, 0.05))
+    assert _evaluations(m, lambda c: trace_unstable_curve(c, rec, steps=40)) == 1_007
+
+
+def test_competitivity_check_without_batch_jac():
+    # one jacobian call per sample, the 20 raising and 16 NaN ones included
+    assert _evaluations(patchy_map(), lambda c: check_competitive(
+        c, Rect(0, 5, 0, 5)), jacobians=True) == (0, 100)
+
+
 def test_ex2_raster_32():
     assert _evaluations(make_example("ex2").map, lambda c: raster(
         c, Point2(0.5, 1.0), Rect(0.0, 2.0, 0.0, 3.0), 32, 32)) == 13_044
@@ -79,8 +93,10 @@ def test_ex1_continuity_probe_64():
 
 
 def test_ex3_t_boundary_check():
+    # 24 of the steps are scalar: halving candidates whose batch residual is
+    # NaN, where only the step can tell a raise from a NaN
     m = make_example("ex3_T").map
     fp = find_fixed_point(m, Point2(2.0, 2.0))
     assert fp.location == (2.0, 2.0)
     assert _evaluations(m, lambda c: check_boundary_endpoint_conditions(
-        c, fp, Rect(0.0, 5.0, 0.0, 5.0)), jacobians=True) == (1_473, 781)
+        c, fp, Rect(0.0, 5.0, 0.0, 5.0)), jacobians=True) == (1_497, 781)

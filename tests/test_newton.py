@@ -4,6 +4,7 @@ class with the same message, and boundary-endpoint reports equal to the
 scalar check's."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from compmap import (DEFAULT_PARAMS, EXAMPLE_IDS, Matrix2, NoConvergenceError, P
                      find_fixed_point, find_period_two, jacobian, make_example)
 from compmap import cli
 from compmap.fixedpoints import (_EVAL, _OVERFLOW, _SINGULAR, _STALLED, _boundary_reports,
-                                 _solve)
+                                 _residuals, _solve)
 
-from helpers import scalar_boundary_report, scalar_check_competitive, scalar_solve
+from helpers import (patchy_map, scalar_boundary_report, scalar_check_competitive,
+                     scalar_solve)
 
 DSL = {"ex1": ("x/(a+y)", "y/(1+x)"),
        "ex4": ("beta1*x/(B1*x+y)", "(alpha2+gamma2*y)/x"),
@@ -104,6 +106,50 @@ def test_step_raising_in_a_halving(batch):
     m, calls = _raising_region_map(batch)
     sol = _assert_matches_scalar(m, [(0.6, 0.2)])
     assert sol.error(0) is None and calls["raised"] > 0
+
+
+@pytest.mark.parametrize("band", [False, True])
+def test_non_map_error_in_a_halving_ends_the_search(band):
+    # T(x, y) = (x^2, y/2) from (0.6, 0.2): the batch residual of the first
+    # candidate, x = 1.8, is NaN, and only the step tells that it raises a
+    # ValueError there, which is no map error. With band every later
+    # candidate (0.6 < x <= 1.5) raises a map error, which would stall the
+    # search
+    def step(x, y):
+        if x > 1.5:
+            raise ValueError("x > 1.5")
+        if band and x > 0.6:
+            raise SingularityError("0.6 < x <= 1.5")
+        return x * x, y / 2
+
+    def batch(X, Y):
+        return np.where(X > (0.6 if band else 1.5), np.nan, X * X), Y / 2
+
+    m = PlanarMap(name="raising", step=step, batch=batch, domain=Rect(-5, 5, -5, 5),
+                  jac=lambda x, y: Matrix2(2 * x, 0.0, 0.0, 0.5))
+    _assert_matches_scalar(m, [(0.6, 0.2)])
+    with pytest.raises(ValueError):
+        find_fixed_point(m, Point2(0.6, 0.2))
+
+
+def test_a_raise_the_next_batch_step_hides_leaves_a_nan_residual():
+    # T clips at 3 (as t < 3 ? t : 3, so NaN maps to 3) and raises for
+    # 1.5 < x < 2.5: T^2 of the raising start (2, 0.5) is finite in batch
+    def step(x, y):
+        if 1.5 < x < 2.5:
+            raise SingularityError("1.5 < x < 2.5")
+        return (x if x < 3 else 3.0), (y if y < 3 else 3.0)
+
+    def batch(X, Y):
+        band = (1.5 < X) & (X < 2.5)
+        return np.where(band, np.nan, np.where(X < 3, X, 3.0)), np.where(Y < 3, Y, 3.0)
+
+    m = PlanarMap(name="clip", step=step, batch=batch, domain=Rect(-5, 5, -5, 5))
+    X, Y = np.array([2.0, 0.5]), np.array([0.5, 0.5])
+    with np.errstate(all="ignore"):
+        RX, RY, raised = _residuals(m, X, Y, 2, X, Y)
+    assert list(raised) == [0] and isinstance(raised[0], SingularityError)
+    assert np.isnan(RX[0]) and np.isnan(RY[0]) and (RX[1], RY[1]) == (0.0, 0.0)
 
 
 def test_step_raising_at_the_start():
@@ -255,23 +301,9 @@ def test_boundary_reports_at_every_analyze_fixed_point(argv):
         [scalar_boundary_report(m, r, window) for r in roots]
 
 
-def _patchy_map():
-    """A map whose Jacobian raises for x < 1, returns NaN for y < 1 and
-    breaks the competitive sign pattern for x > 3."""
-    def jac(x, y):
-        if x < 1:
-            raise SingularityError("x < 1")
-        if y < 1:
-            return Matrix2(math.nan, -1.0, -1.0, 1.0)
-        return Matrix2(1.0, 0.5 if x > 3 else -1.0, -1.0, 1.0)
-
-    return PlanarMap(name="patchy", step=lambda x, y: (x, y), domain=Rect(0, 5, 0, 5),
-                     jac=jac)
-
-
 @pytest.mark.parametrize("name", sorted(MAPS) + ["patchy"])
 def test_check_competitive_matches_the_scalar_loop(name):
-    m = _patchy_map() if name == "patchy" else MAPS[name][0]
+    m = patchy_map() if name == "patchy" else MAPS[name][0]
     for region in (Rect(0, 5, 0, 5), Rect(0.01, 2, 0.01, 3), Rect(2, 50, 0, 1)):
         rep = check_competitive(m, region)
         assert repr(rep) == repr(scalar_check_competitive(m, region))  # NaN != NaN
@@ -280,13 +312,44 @@ def test_check_competitive_matches_the_scalar_loop(name):
             assert all(type(v) is float for v in (*p, *j))
 
 
+@pytest.mark.parametrize("batch", [False, True])
+def test_sampled_checks_let_a_non_map_error_propagate(batch):
+    # a ValueError for x > 4, from jac (the lowest grid sample's, as the
+    # scalar loop raises it) and from step in the injectivity probe
+    def jac(x, y):
+        if x > 4:
+            raise ValueError(f"x = {x!r}")
+        return Matrix2(1.0, -1.0, -1.0, 1.0)
+
+    def step(x, y):
+        if x > 4:
+            raise ValueError(f"x = {x!r}")
+        return x, y
+
+    def nan_above_4(X, *entries):
+        return tuple(np.where(X > 4, np.nan, e) for e in entries)
+
+    m = PlanarMap(name="bad", step=step, domain=Rect(0, 5, 0, 5), jac=jac,
+                  batch=(lambda X, Y: nan_above_4(X, X, Y)) if batch else None,
+                  batch_jac=(lambda X, Y: nan_above_4(X, 1.0, -1.0, -1.0, 1.0))
+                  if batch else None)
+    with pytest.raises(ValueError) as want:
+        scalar_check_competitive(m, Rect(0, 5, 0, 5))
+    with pytest.raises(ValueError) as got:
+        check_competitive(m, Rect(0, 5, 0, 5))
+    assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError):
+        check_O_condition(replace(m, jac=lambda x, y: Matrix2(1.0, 0.0, 0.0, 1.0),
+                                  batch_jac=None), Rect(0, 5, 0, 5))
+
+
 def test_o_condition_counts_only_evaluable_samples():
-    rep = check_O_condition(_patchy_map(), Rect(0, 5, 0, 5))
+    rep = check_O_condition(patchy_map(), Rect(0, 5, 0, 5))
     # 20 of the 100 grid columns have x < 1 and raise; y < 1 gives a NaN
     # determinant, which the Python min keeps in first place
     assert rep.samples == 80
     assert rep.verdict == "inconclusive"
-    m = _patchy_map()
+    m = patchy_map()
     dets = []
     for x, y in ((0.25 + 0.5 * i, 0.25 + 0.5 * j) for i in range(10) for j in range(10)):
         try:
