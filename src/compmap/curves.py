@@ -602,7 +602,7 @@ def _probe_matrix(fp: Point2, slope: float, cx: np.ndarray, window: Rect,
     return P[:, ~np.isnan(P).all(axis=0)]
 
 
-MAX_BISECTIONS = 200
+MAX_BISECTIONS = 200  # bisection levels per column
 # Every AUDIT_STRIDE-th column of a licensed call also scans its probes linearly.
 AUDIT_STRIDE = 16
 
@@ -622,10 +622,19 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
     indices (plus at mid moves a to mid + 1, minus moves b to mid) leaves
     the same lo and hi in about five rounds. A column that meets any other
     verdict goes back to the linear scan, which gives the same result from
-    the same verdicts. Every AUDIT_STRIDE-th column also scans linearly in
-    the same rounds; one that ends elsewhere than its binary search makes the
-    call return None. Bisection rounds then classify the midpoints of the
-    brackets still wider than curve_tol.
+    the same verdicts. Every AUDIT_STRIDE-th column also has all its probes
+    classified in the first round, and its linear scan reads them in probe
+    order; one that ends elsewhere than its binary search makes the call
+    return None.
+
+    Bisection then halves the brackets still wider than curve_tol, for at
+    most MAX_BISECTIONS levels. While more than BATCH_HANDOFF columns bisect
+    through a batch step, a call settles two levels: it also classifies
+    both midpoints the column may visit next, 0.5 * (lo + mid) and
+    0.5 * (mid + hi) where that half is still wider than curve_tol, and
+    applies the one the verdict at mid leads to. A point's verdict does not
+    depend on its batch, so every column ends as bisecting it on its own
+    would end it.
     """
     n = len(cxs)
     cx = np.asarray(cxs, dtype=float)
@@ -638,31 +647,46 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
     a, b = np.zeros(n, dtype=int), count.copy()  # a binary search's open range
     binary = np.full(n, licensed)
     searching = binary.copy()
-    scanning = ~binary | (np.arange(n) % AUDIT_STRIDE == 0)
-    audited = np.flatnonzero(binary & scanning)
-    while searching.any() or scanning.any():
-        srch, scan = np.flatnonzero(searching), np.flatnonzero(scanning)
-        s = len(srch)
-        mid = (a[srch] + b[srch]) // 2
-        act = np.concatenate((srch, scan))
-        py = P[act, np.concatenate((mid, k[scan]))]
-        codes = classify_batch(m, cx[act], py, fp, sopts)
-        plus, minus = codes == _PLUS, codes == _MINUS
-        a[srch[plus[:s]]] = mid[plus[:s]] + 1
-        b[srch[minus[:s]]] = mid[minus[:s]]
-        odd = srch[~(plus | minus)[:s]]
-        binary[odd] = False
-        scanning[odd] = True
-        searching[srch] = binary[srch] & (a[srch] < b[srch])
+    scanning = ~binary
+    audit = binary & (np.arange(n) % AUDIT_STRIDE == 0)
+    audited = np.flatnonzero(audit)
+    rows, cols = np.nonzero(~np.isnan(P[audited]))  # their probes, for round one
 
-        codes, py, plus, minus = codes[s:], py[s:], plus[s:], minus[s:]
-        band = codes == _BAND
-        closed = minus & ~np.isnan(lo[scan])
-        y[scan[band]] = py[band]
-        lo[scan[plus]] = py[plus]
-        hi[scan[minus]] = py[minus]
-        k[scan] += 1
-        scanning[scan] = ~(band | closed) & (k[scan] < count[scan])
+    def scan(j, codes):
+        """One linear-scan step of the columns j on the verdicts codes at
+        their probes k[j]."""
+        py = P[j, k[j]]
+        band, plus, minus = codes == _BAND, codes == _PLUS, codes == _MINUS
+        closed = minus & ~np.isnan(lo[j])
+        y[j[band]] = py[band]
+        lo[j[plus]] = py[plus]
+        hi[j[minus]] = py[minus]
+        k[j] += 1
+        scanning[j] = ~(band | closed) & (k[j] < count[j])
+
+    while searching.any() or scanning.any():
+        srch, scn = np.flatnonzero(searching), np.flatnonzero(scanning)
+        s, t = len(srch), len(srch) + len(scn)
+        mid = (a[srch] + b[srch]) // 2
+        act = np.concatenate((srch, scn, audited[rows]))
+        codes = classify_batch(m, cx[act],
+                               P[act, np.concatenate((mid, k[scn], cols))], fp, sopts)
+        plus, minus = codes[:s] == _PLUS, codes[:s] == _MINUS
+        a[srch[plus]] = mid[plus] + 1
+        b[srch[minus]] = mid[minus]
+        odd = srch[~(plus | minus)]
+        binary[odd] = False
+        scanning[odd] = ~audit[odd]  # an audited column has scanned in round one
+        searching[srch] = binary[srch] & (a[srch] < b[srch])
+        scan(scn, codes[s:t])
+        if len(rows):  # the audited columns' linear scans, on their rows of verdicts
+            verdicts = np.zeros(P[audited].shape, dtype=np.uint8)
+            verdicts[rows, cols] = codes[t:]
+            r = np.arange(len(audited))
+            while len(r):
+                scan(audited[r], verdicts[r, k[audited[r]]])
+                r = r[scanning[audited[r]]]
+            rows = cols = rows[:0]
 
     # the lo and hi a linear scan leaves on plus verdicts below index a and
     # minus verdicts from it on: no lo when a is 0, and then hi is the last
@@ -688,21 +712,40 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
         else:
             flags[j] = "no_bracket:mixed"
 
-    for _ in range(MAX_BISECTIONS):
+    def settle(j, ys, codes):
+        """Apply the verdicts codes at ordinates ys in the brackets of the
+        columns j: minus lowers hi, plus raises lo, band returns ys and any
+        other verdict returns ys with the undecided_probe flag; returns the
+        minus and plus masks."""
+        minus, plus = codes == _MINUS, codes == _PLUS
+        hi[j[minus]] = ys[minus]
+        lo[j[plus]] = ys[plus]
+        stop = ~(minus | plus)
+        y[j[stop]] = ys[stop]
+        bisecting[j[stop]] = False
+        for i in j[stop & (codes != _BAND)].tolist():
+            flags[i] = "undecided_probe"
+        return minus, plus
+
+    level = 0
+    while level < MAX_BISECTIONS:
         act = np.flatnonzero(bisecting & (hi - lo > curve_tol))
         if not len(act):
             break
-        mid = 0.5 * (lo[act] + hi[act])
-        codes = classify_batch(m, cx[act], mid, fp, sopts)
-        minus = codes == _MINUS
-        plus = codes == _PLUS
-        hi[act[minus]] = mid[minus]
-        lo[act[plus]] = mid[plus]
-        stop = ~(minus | plus)  # band returns mid; undecided flags it
-        y[act[stop]] = mid[stop]
-        bisecting[act[stop]] = False
-        for j in act[stop & (codes != _BAND)].tolist():
-            flags[j] = "undecided_probe"
+        l, h = lo[act], hi[act]
+        mid = 0.5 * (l + h)
+        two = (m.batch is not None and len(act) > BATCH_HANDOFF
+               and level + 1 < MAX_BISECTIONS)
+        # the next midpoints, of the halves still wider than curve_tol: 0 is
+        # the lower half (after minus), 1 the upper one (after plus)
+        side, kids = np.nonzero((np.stack((mid - l, h - mid)) > curve_tol) & two)
+        ky = np.where(side, 0.5 * (mid[kids] + h[kids]), 0.5 * (l[kids] + mid[kids]))
+        codes = classify_batch(m, cx[np.concatenate((act, act[kids]))],
+                               np.concatenate((mid, ky)), fp, sopts)
+        minus, plus = settle(act, mid, codes[:len(act)])
+        took = np.where(side, plus[kids], minus[kids])
+        settle(act[kids[took]], ky[took], codes[len(act):][took])
+        level += 1 + two
     rest = np.flatnonzero(bisecting)
     y[rest] = 0.5 * (lo[rest] + hi[rest])
     return [(None if math.isnan(yj) else yj, flag)
@@ -738,8 +781,9 @@ def trace_stable_curve(m: PlanarMap, fp: FixedPointRecord, window: Rect,
                        workers: int = 1) -> MonotoneCurve:
     """Trace the increasing invariant curve through fp over a bounded window.
 
-    All columns are solved together, one classify_batch call per probe or
-    bisection round (_solve_columns). Under the order licence
+    All columns are solved together (_solve_columns): one classify_batch
+    call per probe round, and one per two bisection levels while more than
+    BATCH_HANDOFF columns bisect through a batch step. Under the order licence
     (planarmap._order_licensed) a binary search over each column's probes
     finds the bracket the linear scan of a column on its own would find; a
     failed audit of the licence scans every column linearly and adds a note.

@@ -19,6 +19,7 @@ from compmap import (BoundaryEndpointReport, CompetitivityReport,
                      MonotoneCurve, NoConvergenceError, PlanarMap, Point2,
                      Rect, SingularityError, UnboundParameterError, classify_side,
                      endpoint_analysis, jacobian, validate_curve)
+from compmap import curves
 from compmap.curves import PROBES, UNSTABLE_SEEDS
 from compmap.fixedpoints import (BOUNDARY_GRID, MAX_HALVINGS, NEWTON_MAX_ITER,
                                  NEWTON_TOL, _delta_parts, _dt, _iterate_ahead,
@@ -360,7 +361,7 @@ def solve_column(m, fp, slope, cx, window, curve_tol, probes, sopts):
         if saw_plus and not saw_minus:
             return None, "no_bracket:all_plus"
         return None, "no_bracket:mixed"
-    for _ in range(200):
+    for _ in range(curves.MAX_BISECTIONS):
         if hi - lo <= curve_tol:
             break
         mid = 0.5 * (lo + hi)

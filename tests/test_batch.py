@@ -478,6 +478,7 @@ def trace_cases():
     w1 = Rect(0.0, 5.0, 0.0, 6.0)
     w5 = Rect(0.0, 1.5, 0.0, 1.5)
     return {
+        "ex1": (ex1, find_fixed_point(ex1, Point2(1e-9, 1.0)), w1, CurveOptions()),
         "ex1_limit": (ex1, find_fixed_point(ex1, Point2(1e-9, 1.0)), w1,
                       CurveOptions(mode="limit_equilibrium")),
         "ex3_T2": (ex3, find_fixed_point(ex3, Point2(3.0, 1.5)),
@@ -546,6 +547,118 @@ def test_lockstep_columns_match_on_odd_verdicts():
     assert {flag for _, flag in got} == {"no_bracket:mixed", "undecided_probe"}
 
 
+def _thin_band_map(band_y, raising):
+    # fp = (0, 0), columns at x < 0: every start steps once, to int Q2 (minus)
+    # above y = -0.6 and to int Q4 (plus) below; in the columns x < -0.8 the
+    # starts within 1e-4 of band_y step onto fp (band) or raise (undecided)
+    def step(x, y):
+        if x < -0.8 and abs(y - band_y) < 1e-4:
+            if raising:
+                raise SingularityError("thin singular band")
+            return 0.0, 0.0
+        return (-1.0, 1.0) if y > -0.6 else (1.0, -1.0)
+
+    def batch(X, Y):
+        hit = (X < -0.8) & (np.abs(Y - band_y) < 1e-4)
+        side = np.where(Y > -0.6, -1.0, 1.0)
+        at = math.nan if raising else 0.0
+        return np.where(hit, at, side), np.where(hit, at, -side)
+
+    return PlanarMap(name="thin-band", step=step, domain=Rect(-2, 2, -2, 2),
+                     batch=batch)
+
+
+# The probes bracket the curve in [-0.6176, -0.5588]: bisection classifies the
+# midpoint -0.5882 (minus) and with it the next midpoints -0.6029 and -0.5735,
+# of which the serial loop visits -0.6029.
+@pytest.mark.parametrize("band_y", [-0.5882, -0.6029], ids=["mid", "child"])
+@pytest.mark.parametrize("raising", [False, True], ids=["band", "undecided"])
+def test_two_level_bisection_stops_where_the_serial_loop_stops(band_y, raising,
+                                                               monkeypatch):
+    m = _thin_band_map(band_y, raising)
+    fp = Point2(0.0, 0.0)
+    w = Rect(-1.0, 0.0, -1.0, 0.0)
+    cxs = [-0.95 + 0.025 * i for i in range(32)]
+    sopts = SideOptions(epsilon_margin=1e-12, max_iter=10)
+    sizes = []
+
+    def spy(*args):
+        sizes.append(len(args[1]))
+        return classify_batch(*args)
+
+    monkeypatch.setattr(curves, "classify_batch", spy)
+    got = curves._solve_columns(m, fp, 1.0, cxs, w, 1e-8, sopts)
+    assert got == solve_columns_one_by_one(m, fp, 1.0, cxs, w, 1e-8, sopts)
+    assert 3 * len(cxs) in sizes  # a call classified both next midpoints
+    hit = [got[i] for i, x in enumerate(cxs) if x < -0.8]
+    assert len(hit) == 6
+    for y, flag in hit:
+        assert abs(y - band_y) < 1e-4
+        assert flag == ("undecided_probe" if raising else "")
+    assert all(abs(y + 0.6) <= 1e-8 and flag == "" for y, flag in got[6:])
+
+
+def _fallback_step(x, y):
+    # fp = (0, 0), columns at x < 0: every start steps once, to int Q2 (minus)
+    # above the curve and to int Q4 (plus) below; in the columns x < -0.8 the
+    # curve is y = -0.1, probe 14 (y = -0.1471) raises and probe 16
+    # (y = -0.0294) steps onto fp (band)
+    if x < -0.8 and abs(y + 0.1471) < 1e-4:
+        raise SingularityError("singular probe")
+    if x < -0.8 and abs(y + 0.0294) < 1e-4:
+        return 0.0, 0.0
+    return (-1.0, 1.0) if y > (-0.1 if x < -0.8 else -0.6) else (1.0, -1.0)
+
+
+def test_audited_column_keeps_its_scan_when_its_search_falls_back():
+    # column 0 is audited: the first call classifies all its probes, and its
+    # linear scan reads them up to the minus at probe 15; its binary search
+    # reads probes 8, 13, 15 and then 14, falls back there and must not
+    # scan on to the band at probe 16 (bisection meets probe 14 again, as
+    # the midpoint of probes 13 and 15)
+    m = PlanarMap(name="fallback", step=_fallback_step, domain=Rect(-2, 2, -2, 2))
+    fp = Point2(0.0, 0.0)
+    w = Rect(-1.0, 0.0, -1.0, 0.0)
+    cxs = [-0.95 + 0.025 * i for i in range(32)]
+    sopts = SideOptions(epsilon_margin=1e-12, max_iter=10)
+    got = curves._solve_columns(m, fp, 1.0, cxs, w, 1e-8, sopts, True)
+    assert got == solve_columns_one_by_one(m, fp, 1.0, cxs, w, 1e-8, sopts)
+
+
+@pytest.mark.parametrize("levels", [1, 5])
+def test_odd_bisection_levels_match_column_by_column(trace_cases, levels,
+                                                     monkeypatch):
+    # MAX_BISECTIONS counts levels: an odd count ends on a one-level call
+    monkeypatch.setattr(curves, "MAX_BISECTIONS", levels)
+    m, fp, w, opts = trace_cases["ex1_limit"]
+    opts = replace(opts, columns=64)
+    got = trace_stable_curve(m, fp, w, opts)
+    want = _oracle(trace_stable_curve, m, fp, w, opts)
+    assert (got.vertices, got.notes) == (want.vertices, want.notes)
+
+
+def test_licensed_probe_phase_takes_a_binary_search_of_calls(trace_cases,
+                                                             monkeypatch):
+    # the audited columns' probes ride in the first call, so the probe phase
+    # ends with the binary searches (17 to 19 probes: five rounds)
+    m, rec, w, opts = trace_cases["ex1_limit"]
+    fp = rec.location
+    slope = rec.eigen.v_lam.y / rec.eigen.v_lam.x
+    cxs = [x for x in curves._column_positions(w, fp.x, opts.columns) if x != fp.x]
+    sopts = curves._bisect_options(m, opts)
+    calls = []
+
+    def spy(*args):
+        calls.append(len(args[1]))
+        return classify_batch(*args)
+
+    monkeypatch.setattr(curves, "classify_batch", spy)
+    monkeypatch.setattr(curves, "MAX_BISECTIONS", 0)
+    assert curves._solve_columns(m, fp, slope, cxs, w, opts.curve_tol, sopts,
+                                 True) is not None
+    assert len(calls) <= 6
+
+
 def test_binary_scan_hands_a_band_verdict_to_the_linear_scan(trace_cases,
                                                               monkeypatch):
     # the window puts the saddle on uniform probe 13 of its own column: the
@@ -603,6 +716,7 @@ def test_order_audit_disagreement_scans_every_column_linearly(trace_cases,
 TRACE_REPR_SHA256 = {
     "ex1_limit": "1cd10cba9cfb84b8369d1d9b2786232c4d1dde4495473eccdf34e1106259983d",
     "ex3_T2": "f51bc1b7f5c4576d927d98f5de9794b3f88e4b2a143dac351f8c6e68a5f6bffa",
+    "ex1": "1cd10cba9cfb84b8369d1d9b2786232c4d1dde4495473eccdf34e1106259983d",
     "ex5_saddle": "5e6108cd0c8d2e8a425044366965f99382b96a720f140bcb05c39b7ea67765aa",
     "ex5_dsl": "5e6108cd0c8d2e8a425044366965f99382b96a720f140bcb05c39b7ea67765aa",
     "ex1_dsl": "1cd10cba9cfb84b8369d1d9b2786232c4d1dde4495473eccdf34e1106259983d",

@@ -4,10 +4,13 @@ inputs, and for the curve traces the number of batch calls too. A change
 that makes compmap do more or less work on them changes a pin here, and
 says why in CHANGES.md."""
 
+from dataclasses import replace
+
 from compmap import (CurveOptions, Point2, Rect, check_boundary_endpoint_conditions,
                      check_competitive, continuity_probe, ex5_equilibria,
                      find_fixed_point, make_example, raster, trace_stable_curve,
                      trace_unstable_curve)
+from compmap import curves
 
 from helpers import counting_map, patchy_map, wall_map
 
@@ -28,16 +31,17 @@ def test_ex1_trace_64_columns():
     m = make_example("ex1").map
     fp = find_fixed_point(m, Point2(1e-9, 1.0))
     assert _evaluations(m, lambda c: trace_stable_curve(
-        c, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions(columns=64))) == 38_728
+        c, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions(columns=64))) == 54_225
 
 
 def test_ex1_trace_64_columns_batch_calls():
-    # one batch call per lockstep round of every probe and bisection round
-    # (the licensed binary probe scan), plus the order licence's image batch
+    # one batch call per lockstep round of each classify_batch call, plus the
+    # order licence's image batch: about five probe calls (the licensed binary
+    # probe scan), then bisection calls that settle two levels each
     m = make_example("ex1").map
     fp = find_fixed_point(m, Point2(1e-9, 1.0))
     assert _evaluations_and_batch_calls(m, lambda c: trace_stable_curve(
-        c, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions(columns=64))) == (38_728, 798)
+        c, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions(columns=64))) == (54_225, 461)
 
 
 def test_ex5_trace_64_columns_quadrant_mode():
@@ -45,7 +49,29 @@ def test_ex5_trace_64_columns_quadrant_mode():
     sys = make_example("ex5")
     saddle = find_fixed_point(sys.map, ex5_equilibria(sys.params)[1])
     assert _evaluations_and_batch_calls(sys.map, lambda c: trace_stable_curve(
-        c, saddle, Rect(0.0, 1.5, 0.0, 1.5), CurveOptions(columns=64))) == (14_017, 301)
+        c, saddle, Rect(0.0, 1.5, 0.0, 1.5), CurveOptions(columns=64))) == (19_866, 168)
+
+
+def _ex1_columns(m, n, licensed=False):
+    fp = find_fixed_point(make_example("ex1").map, Point2(1e-9, 1.0))
+    slope = fp.eigen.v_lam.y / fp.eigen.v_lam.x
+    sopts = curves._bisect_options(m, CurveOptions())
+    return curves._solve_columns(m, fp.location, slope,
+                                 [0.05 + 0.07 * i for i in range(n)],
+                                 Rect(0.0, 5.0, 0.0, 6.0), 1e-8, sopts, licensed)
+
+
+def test_ex1_columns_without_batch_bisect_one_level():
+    # the scalar loops pay per evaluation, so no midpoint is classified ahead:
+    # the count of the columns solved one at a time
+    m = replace(make_example("ex1").map, batch=None)
+    assert _evaluations(m, lambda c: _ex1_columns(c, 64)) == 54_426
+
+
+def test_ex1_16_columns_bisect_one_level():
+    # BATCH_HANDOFF or fewer columns finish in the scalar loops too
+    assert _evaluations(make_example("ex1").map,
+                        lambda c: _ex1_columns(c, 16)) == 13_903
 
 
 def test_ex5_unstable_trace():
