@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import HypothesisError, NoConvergenceError, SingularityError
+from .expr import _Compiled, _function
 from .fixedpoints import FixedPointRecord, check_invariant_curve_hypotheses
 from .geometry import Point2, Rect, sup_norm
 from .planarmap import PlanarMap, _images, _order_licensed
@@ -87,31 +88,44 @@ def classify_side(m: PlanarMap, p: Point2, fp: Point2,
 
 def _classify_quadrant(m: PlanarMap, x: float, y: float, n: int, fp: Point2,
                        opts: SideOptions) -> SideVerdict:
-    """The quadrant-mode verdict from the orbit point x_n = (x, y)."""
-    eps = opts.epsilon_margin
-    fx, fy = fp
-    dom = m.domain
-    step = m.step
-    for n in range(n, opts.max_iter + 1):
+    """The quadrant-mode verdict from the orbit point x_n = (x, y).
+
+    Per iterate, in this order: band, minus, plus, beyond ESCAPE_BOUND
+    (divergence); then the step, where SingularityError or a non-finite
+    image reads singularity and an image outside the domain escape. Runs
+    _QUADRANT_LOOP (see _loop)."""
+    d = m.domain
+    return _loop(m.step, _QUADRANT_LOOP)(m.step, x, y, n, fp[0], fp[1],
+                                         opts.epsilon_margin, opts.max_iter,
+                                         d.x_lo, d.x_hi, d.y_lo, d.y_hi)
+
+
+_QUADRANT_LOOP = """\
+def quadrant(step, x, y, n, fx, fy, eps, max_iter, x_lo, x_hi, y_lo, y_hi):
+    meps = -eps
+    big = ESCAPE_BOUND
+    mbig = -big
+    for n in range(n, max_iter + 1):
         dx = x - fx
         dy = y - fy
-        if abs(dx) <= eps and abs(dy) <= eps:
+        if meps <= dx <= eps and meps <= dy <= eps:
             return SideVerdict("band", n)
-        if dx <= -eps and dy >= eps:
+        if dx <= meps and dy >= eps:
             return SideVerdict("minus", n)
-        if dx >= eps and dy <= -eps:
+        if dx >= eps and dy <= meps:
             return SideVerdict("plus", n)
-        if abs(x) > ESCAPE_BOUND or abs(y) > ESCAPE_BOUND:
+        if x > big or x < mbig or y > big or y < mbig:
             return SideVerdict("undecided", n, "divergence")
         try:
             x, y = step(x, y)
         except SingularityError:
             return SideVerdict("undecided", n, "singularity")
-        if not (math.isfinite(x) and math.isfinite(y)):
+        if not (isfinite(x) and isfinite(y)):
             return SideVerdict("undecided", n, "singularity")
-        if not (dom.x_lo <= x <= dom.x_hi and dom.y_lo <= y <= dom.y_hi):
+        if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):
             return SideVerdict("undecided", n, "escape")
-    return SideVerdict("undecided", opts.max_iter, "max_iter")
+    return SideVerdict("undecided", max_iter, "max_iter")
+"""
 
 
 # ---------------------------------------------------------------------------
@@ -168,28 +182,61 @@ def _limit_orbit(step, x: float, y: float, n: int, tol: float,
                  max_iter: int) -> tuple:
     """T* from the orbit point x_n = (x, y); returns (flag, x_k, y_k, k).
 
-    flag is '' when x_k is the limit, else what ended the orbit at x_k.
-    """
-    tol = min(tol, LIMIT_RESIDUAL_TOL)
+    flag is '' when x_k is the limit, else what ended the orbit at x_k. Per
+    iterate, in this order: the step, where SingularityError or a non-finite
+    image reads singularity; an image beyond ESCAPE_BOUND, divergence; a
+    step below min(tol, LIMIT_RESIDUAL_TOL) in both coordinates, the limit.
+    Runs _LIMIT_LOOP (see _loop)."""
+    return _loop(step, _LIMIT_LOOP)(step, x, y, n, min(tol, LIMIT_RESIDUAL_TOL),
+                                    max_iter)
+
+
+_LIMIT_LOOP = """\
+def limit(step, x, y, n, tol, max_iter):
+    mtol = -tol
+    big = ESCAPE_BOUND
+    mbig = -big
     while n < max_iter:
         try:
             xn, yn = step(x, y)
         except SingularityError:
             return "singularity", x, y, n
-        if not (math.isfinite(xn) and math.isfinite(yn)):
+        if not (mbig <= xn <= big and mbig <= yn <= big):
+            if isfinite(xn) and isfinite(yn):
+                return "divergence", x, y, n
             return "singularity", x, y, n
-        if abs(xn) > ESCAPE_BOUND or abs(yn) > ESCAPE_BOUND:
-            return "divergence", x, y, n
-        if abs(xn - x) < tol and abs(yn - y) < tol:
+        if mtol < xn - x < tol and mtol < yn - y < tol:
             return "", x, y, n
         x, y = xn, yn
         n += 1
     return "max_iter", x, y, n
+"""
+
+# The globals of the orbit loops
+_LOOP_NS = {"SideVerdict": SideVerdict, "SingularityError": SingularityError,
+            "isfinite": math.isfinite, "ESCAPE_BOUND": ESCAPE_BOUND}
+# The loops as they stand, for a step other than an expression map's
+_CALLING = {source: _function(source, dict(_LOOP_NS))
+            for source in (_QUADRANT_LOOP, _LIMIT_LOOP)}
+
+
+def _loop(step, source: str):
+    """The orbit loop source for step. The step of an expression map (and
+    so of every built-in) is written into the loop, compiled once per map
+    (expr._Compiled.inlined); the loop calls any other step, so a wrapper
+    around step sees every evaluation."""
+    compiled = getattr(step, "__self__", None)
+    if isinstance(compiled, _Compiled) and step == compiled.scalar:
+        return compiled.inlined(source, _LOOP_NS)
+    return _CALLING[source]
 
 
 # A lockstep round costs about as much for one point as for hundreds, and the
 # slowest orbits (next to a nonhyperbolic point) run for thousands of
 # iterations; the last few active points therefore finish in a scalar loop.
+# With the map's statements written in (_loop), an iteration of it takes
+# about 0.3-0.4 us on the built-in ex2 and ex5 maps, 30-35 % less than the
+# hand-written loop calling step took (2-vCPU shared VM, Python 3.11).
 BATCH_HANDOFF = 16
 
 
@@ -622,10 +669,11 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
     indices (plus at mid moves a to mid + 1, minus moves b to mid) leaves
     the same lo and hi in about five rounds. A column that meets any other
     verdict goes back to the linear scan, which gives the same result from
-    the same verdicts. Every AUDIT_STRIDE-th column also has all its probes
-    classified in the first round, and its linear scan reads them in probe
-    order; one that ends elsewhere than its binary search makes the call
-    return None.
+    the same verdicts. Every AUDIT_STRIDE-th column also scans linearly:
+    through a batch step all its probes are classified in the first round
+    and the scan reads them in probe order; without one (the scalar loops
+    pay per evaluation) it scans one probe a round. One that ends elsewhere
+    than its binary search makes the call return None.
 
     Bisection then halves the brackets still wider than curve_tol, for at
     most MAX_BISECTIONS levels. While more than BATCH_HANDOFF columns bisect
@@ -650,7 +698,11 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
     scanning = ~binary
     audit = binary & (np.arange(n) % AUDIT_STRIDE == 0)
     audited = np.flatnonzero(audit)
-    rows, cols = np.nonzero(~np.isnan(P[audited]))  # their probes, for round one
+    if m.batch is None:  # the scalar loops pay per evaluation: one probe a round
+        scanning |= audit
+        rows = cols = audited[:0]
+    else:  # their probes, for round one
+        rows, cols = np.nonzero(~np.isnan(P[audited]))
 
     def scan(j, codes):
         """One linear-scan step of the columns j on the verdicts codes at
@@ -676,7 +728,7 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
         b[srch[minus]] = mid[minus]
         odd = srch[~(plus | minus)]
         binary[odd] = False
-        scanning[odd] = ~audit[odd]  # an audited column has scanned in round one
+        scanning[odd] |= ~audit[odd]  # an audited column scans already
         searching[srch] = binary[srch] & (a[srch] < b[srch])
         scan(scn, codes[s:t])
         if len(rows):  # the audited columns' linear scans, on their rows of verdicts

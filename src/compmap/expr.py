@@ -238,19 +238,8 @@ def parse(text: str) -> Expr:
 
 def evaluate(e: Expr, x: float, y: float, params: Mapping[str, float] | None = None) -> float:
     """Evaluate with real arithmetic; |denominator| < 1e-12 raises SingularityError."""
-    return _compile_scalar(_interned((e,)), params or {}, "return {0}",
-                           "value")(None, x, y)
-
-
-def _compile_scalar(interned, params: Mapping[str, float], ret: str, name: str):
-    """A function name(self, x, y) computing the roots of interned on floats;
-    ret formats the return statement from the roots' variable names.
-
-    A denominator below DIV_TOL in magnitude, or a '^' that math.pow rejects,
-    raises SingularityError.
-    """
-    body, names, ns = _emit(interned, params, "float")
-    return _define(name, body, ret.format(*names), ns)
+    body, names, ns = _emit(_interned((e,)), params or {}, "float")
+    return _define("value", body, f"return {names[0]}", ns)(None, x, y)
 
 
 def _compile_batch(interned, params: Mapping[str, float], name: str):
@@ -284,9 +273,17 @@ def _define(name: str, body: list, ret: str, ns: dict):
     self lets it be bound as a method (see _Compiled)."""
     lines = [f"def {name}(self, x, y):"] + ["    " + s for s in body + [ret]]
     source = "\n".join(lines) + "\n"
-    exec(compile(source, "<compmap.expr>", "exec"), ns)
-    fn = ns[name]
+    fn = _function(source, ns)
     fn.source = source
+    return fn
+
+
+def _function(source: str, ns: dict):
+    """The function that source, one function definition, defines, with
+    globals ns."""
+    defined = {}
+    exec(compile(source, "<compmap.expr>", "exec"), ns, defined)
+    [fn] = defined.values()
     return fn
 
 
@@ -666,26 +663,59 @@ def _fmt_number(v: float) -> str:
 
 class _Compiled:
     """Expressions (the roots) compiled once into two functions bound as
-    methods: scalar(x, y) computes them on floats and returns the statement
-    ret formats from their values; batch(X, Y) computes them on numpy arrays
-    of one shape and returns them as a tuple, NaN in a root wherever scalar
-    raises computing it, and in every root if one has a '^'. Callers of
-    batch enter np.errstate. source is the generated code of scalar.
+    methods: scalar(x, y) computes them on floats and returns the Python
+    expression value formats from their names ("{0}, {1}" returns the two
+    roots as a pair); batch(X, Y) computes them on numpy arrays of one shape
+    and returns them as a tuple, NaN in a root wherever scalar raises
+    computing it, and in every root if one has a '^'. On floats a
+    denominator below DIV_TOL in magnitude, or a '^' that math.pow rejects,
+    raises SingularityError. Callers of batch enter np.errstate. source is
+    the generated code of scalar.
 
     Calling a method runs no Python code besides the compiled function, and
     a PlanarMap built from them pickles: a bound method pickles as its
-    attribute of the instance, and the instance recompiles."""
+    attribute of the instance, and the instance recompiles (see inlined for
+    what it does not carry)."""
 
-    __slots__ = ("roots", "params", "ret", "scalar", "batch", "source")
+    __slots__ = ("roots", "params", "value", "scalar", "batch", "source",
+                 "_inline", "_loops")
 
-    def __init__(self, roots, params: Mapping[str, float], ret: str):
+    def __init__(self, roots, params: Mapping[str, float], value: str):
         interned = _interned(roots)
         self.roots = tuple(interned[0])
         self.params = dict(params)
-        self.ret = ret
-        self.scalar = MethodType(_compile_scalar(interned, self.params, ret, "scalar"), self)
+        self.value = value
+        body, names, ns = _emit(interned, self.params, "float")
+        image = value.format(*names)
+        self.scalar = MethodType(_define("scalar", body, f"return {image}", ns), self)
         self.batch = MethodType(_compile_batch(interned, self.params, "batch"), self)
         self.source = self.scalar.source
+        self._inline = body, image, ns
+        self._loops = {}  # source -> its function, see inlined
+
+    def inlined(self, source: str, ns: Mapping):
+        """The function that source, one function definition, defines, with
+        scalar written in: each line `<targets> = step(x, y)` becomes
+        scalar's statements and `<targets> = <value>`, so that the function
+        computes what calling scalar there computes. Its globals are
+        scalar's namespace plus ns. No name in ns or local to the function
+        may be one the generated code uses: t<k>, k<k>, p<k> and n<k> for a
+        number k, or a name with a leading underscore.
+
+        Compiled once per source and kept on this instance; a pickle leaves
+        them behind and the copy compiles its own."""
+        fn = self._loops.get(source)
+        if fn is None:
+            body, image, own = self._inline
+            lines = []
+            for line in source.splitlines():
+                if line.endswith(" = step(x, y)"):
+                    indent = line[:len(line) - len(line.lstrip())]
+                    lines += [indent + s for s in body]
+                    line = f"{line[:-len('step(x, y)')]}{image}"
+                lines.append(line)
+            fn = self._loops[source] = _function("\n".join(lines) + "\n", {**own, **ns})
+        return fn
 
     def __reduce__(self):
         # Compiled functions do not pickle, and pickle recurses per tree level:
@@ -694,10 +724,11 @@ class _Compiled:
         index = {id(e): k for k, e in enumerate(nodes)}
         flat = [(e.op, *[index[id(c)] for c in _operands(e)]) if _operands(e) else e
                 for e in nodes]
-        return _unflattened, (flat, [index[id(r)] for r in self.roots], self.params, self.ret)
+        return _unflattened, (flat, [index[id(r)] for r in self.roots], self.params,
+                              self.value)
 
 
-def _unflattened(flat, roots, params: Mapping[str, float], ret: str) -> _Compiled:
+def _unflattened(flat, roots, params: Mapping[str, float], value: str) -> _Compiled:
     """The _Compiled that _Compiled.__reduce__ flattened, recompiled."""
     nodes = []
     for e in flat:
@@ -705,7 +736,7 @@ def _unflattened(flat, roots, params: Mapping[str, float], ret: str) -> _Compile
             kids = [nodes[k] for k in e[1:]]
             e = Neg(*kids) if e[0] == "neg" else BinOp(e[0], *kids)
         nodes.append(e)
-    return _Compiled([nodes[k] for k in roots], params, ret)
+    return _Compiled([nodes[k] for k in roots], params, value)
 
 
 def _planar_map(name: str, f: Expr, g: Expr, partials, values: Mapping[str, float],
@@ -714,8 +745,8 @@ def _planar_map(name: str, f: Expr, g: Expr, partials, values: Mapping[str, floa
     dg/dx, dg/dy), all compiled with the parameter values `values`."""
     from .planarmap import PlanarMap  # local import keeps module layering one-way
 
-    step = _Compiled((f, g), values, "return {0}, {1}")
-    jac = _Compiled(partials, values, "return _Matrix2({0}, {1}, {2}, {3})")
+    step = _Compiled((f, g), values, "{0}, {1}")
+    jac = _Compiled(partials, values, "_Matrix2({0}, {1}, {2}, {3})")
     return PlanarMap(name=name, step=step.scalar, batch=step.batch, domain=domain,
                      jac=jac.scalar, batch_jac=jac.batch, params=params, meta=meta)
 

@@ -3,7 +3,8 @@ the expression tree-walkers that compiled expressions replaced, the
 hand-written built-in steps and Jacobians that their expression form
 replaced, independent vectorized re-implementations of the built-in
 recurrences used as brute-force oracles (they deliberately bypass the
-library code paths they are checking), the scalar column solver,
+library code paths they are checking), the plain scalar orbit loops
+that curves compiles per map, the scalar column solver,
 unstable-curve trace, Newton search, boundary-endpoint check and
 competitivity check the lockstep ones replaced, a map-evaluation counter,
 and the orbit and quadrant predicates that only tests use as oracles."""
@@ -17,10 +18,10 @@ import numpy as np
 from compmap import (BoundaryEndpointReport, CompetitivityReport,
                      DegenerateRootError, EndpointLabel, Matrix2,
                      MonotoneCurve, NoConvergenceError, PlanarMap, Point2,
-                     Rect, SingularityError, UnboundParameterError, classify_side,
+                     Rect, SingularityError, UnboundParameterError,
                      endpoint_analysis, jacobian, validate_curve)
 from compmap import curves
-from compmap.curves import PROBES, UNSTABLE_SEEDS
+from compmap.curves import PROBES, UNSTABLE_SEEDS, LimitRecord, SideVerdict
 from compmap.fixedpoints import (BOUNDARY_GRID, MAX_HALVINGS, NEWTON_MAX_ITER,
                                  NEWTON_TOL, _delta_parts, _dt, _iterate_ahead,
                                  _record, _residual)
@@ -317,7 +318,80 @@ def ex1_boundary_scan(a, x_col, y_lo, y_hi, n_scan=513, fp_y=1.0, iters=400):
 
 
 # ---------------------------------------------------------------------------
-# Scalar column bisection: one classify_side call at a time, column by column
+# Scalar orbit loops: plain Python, calling the map's step once per iterate
+
+
+def classify_quadrant(m, x, y, n, fp, opts):
+    """curves._classify_quadrant written out: the quadrant-mode verdict from
+    the orbit point x_n = (x, y)."""
+    eps = opts.epsilon_margin
+    fx, fy = fp
+    dom = m.domain
+    step = m.step
+    for n in range(n, opts.max_iter + 1):
+        dx = x - fx
+        dy = y - fy
+        if abs(dx) <= eps and abs(dy) <= eps:
+            return SideVerdict("band", n)
+        if dx <= -eps and dy >= eps:
+            return SideVerdict("minus", n)
+        if dx >= eps and dy <= -eps:
+            return SideVerdict("plus", n)
+        if abs(x) > curves.ESCAPE_BOUND or abs(y) > curves.ESCAPE_BOUND:
+            return SideVerdict("undecided", n, "divergence")
+        try:
+            x, y = step(x, y)
+        except SingularityError:
+            return SideVerdict("undecided", n, "singularity")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return SideVerdict("undecided", n, "singularity")
+        if not (dom.x_lo <= x <= dom.x_hi and dom.y_lo <= y <= dom.y_hi):
+            return SideVerdict("undecided", n, "escape")
+    return SideVerdict("undecided", opts.max_iter, "max_iter")
+
+
+def limit_orbit(step, x, y, n, tol, max_iter):
+    """curves._limit_orbit written out: T* from the orbit point x_n = (x, y),
+    as (flag, x_k, y_k, k)."""
+    tol = min(tol, curves.LIMIT_RESIDUAL_TOL)
+    while n < max_iter:
+        try:
+            xn, yn = step(x, y)
+        except SingularityError:
+            return "singularity", x, y, n
+        if not (math.isfinite(xn) and math.isfinite(yn)):
+            return "singularity", x, y, n
+        if abs(xn) > curves.ESCAPE_BOUND or abs(yn) > curves.ESCAPE_BOUND:
+            return "divergence", x, y, n
+        if abs(xn - x) < tol and abs(yn - y) < tol:
+            return "", x, y, n
+        x, y = xn, yn
+        n += 1
+    return "max_iter", x, y, n
+
+
+def scalar_classify_side(m, p, fp, opts):
+    """classify_side on the loops above."""
+    x, y = float(p[0]), float(p[1])
+    if opts.mode == "quadrant_escape":
+        return classify_quadrant(m, x, y, 0, fp, opts)
+    flag, x, y, n = limit_orbit(m.step, x, y, 0, opts.conv_tol, opts.max_iter)
+    if flag:
+        return SideVerdict("undecided", n, flag)
+    code = int(curves._limit_codes(np.array([x]), np.array([y]), fp, opts)[0])
+    return SideVerdict(curves.LABEL_NAMES[code], n,
+                       "incomparable_limit" if code == curves._UNDECIDED else "")
+
+
+def scalar_limit_equilibrium(m, p, tol=1e-10, max_iter=100_000):
+    """limit_equilibrium on limit_orbit."""
+    start = Point2(*p)
+    flag, x, y, n = limit_orbit(m.step, float(start.x), float(start.y), 0, tol, max_iter)
+    return LimitRecord(start, None if flag else Point2(x, y), n, flag)
+
+
+# ---------------------------------------------------------------------------
+# Scalar column bisection: one scalar_classify_side call at a time, column by column
 
 
 def column_probes(fp, slope, cx, window, curve_tol, probes=PROBES):
@@ -344,7 +418,7 @@ def solve_column(m, fp, slope, cx, window, curve_tol, probes, sopts):
     saw_minus = False
     saw_plus = False
     for y in ys:
-        v = classify_side(m, Point2(cx, y), fp, sopts)
+        v = scalar_classify_side(m, Point2(cx, y), fp, sopts)
         if v.label == "band":
             return y, ""
         if v.label == "plus":
@@ -365,7 +439,7 @@ def solve_column(m, fp, slope, cx, window, curve_tol, probes, sopts):
         if hi - lo <= curve_tol:
             break
         mid = 0.5 * (lo + hi)
-        v = classify_side(m, Point2(cx, mid), fp, sopts)
+        v = scalar_classify_side(m, Point2(cx, mid), fp, sopts)
         if v.label == "minus":
             hi = mid
         elif v.label == "plus":

@@ -21,16 +21,17 @@ from hypothesis import given, settings, strategies as st
 from compmap import (DEFAULT_PARAMS, EXAMPLE_IDS, CurveOptions, DomainError,
                      Point2, Rect, SideOptions, SingularityError,
                      continuity_probe, ex5_equilibria, expr_map,
-                     find_fixed_point, limit_equilibrium, make_example, raster,
+                     find_fixed_point, make_example, raster,
                      raster_to_csv, raster_to_pgm, trace_stable_curve,
                      trace_unstable_curve)
 from compmap import curves, planarmap
 from compmap.basins import raster_options
 from compmap.curves import (BATCH_HANDOFF, LABEL_CODES, classify_batch,
-                            classify_side, label_code, locate_ordinate)
+                            label_code, locate_ordinate)
 from compmap.planarmap import PlanarMap
-from helpers import (column_probes, linear_saddle_step, scalar_trace_unstable_curve,
-                     solve_columns_one_by_one, wall_map)
+from helpers import (column_probes, limit_orbit, linear_saddle_step,
+                     scalar_classify_side, scalar_limit_equilibrium,
+                     scalar_trace_unstable_curve, solve_columns_one_by_one, wall_map)
 
 QUADRANT = Rect(0.0, math.inf, 0.0, math.inf)
 
@@ -115,7 +116,7 @@ def test_array_evaluators_report_what_the_scalar_map_raises(c, g, data):
 
 
 # ---------------------------------------------------------------------------
-# (b) classify_batch == classify_side per point
+# (b) classify_batch == classify_side per point, on the plain loops of helpers
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +164,7 @@ def test_classify_batch_matches_classify_side(side_cases, case, mode, uv,
         got = classify_batch(m, xs, ys, fp, opts)
     finally:
         curves.BATCH_HANDOFF = saved
-    want = [label_code(classify_side(m, Point2(x, y), fp, opts))
+    want = [label_code(scalar_classify_side(m, Point2(x, y), fp, opts))
             for x, y in zip(xs.tolist(), ys.tolist())]
     assert got.tolist() == want
 
@@ -176,12 +177,12 @@ def test_handoff_keeps_the_remaining_budget():
     slow = Point2(4.581, 2.963)
     opts = SideOptions(epsilon_margin=1e-4 * Rect(0.0, 6.0, 0.0, 4.0).diagonal(),
                        max_iter=5000)
-    need = classify_side(m, slow, fp, opts).iterations_used
+    need = scalar_classify_side(m, slow, fp, opts).iterations_used
     assert need >= 2
     opts = replace(opts, max_iter=need - 1)
     xs = [0.5] * 40 + [slow.x]
     ys = [3.5] * 40 + [slow.y]
-    want = [label_code(classify_side(m, Point2(x, y), fp, opts))
+    want = [label_code(scalar_classify_side(m, Point2(x, y), fp, opts))
             for x, y in zip(xs, ys)]
     assert want[-1] == LABEL_CODES["undecided"]
     assert classify_batch(m, xs, ys, fp, opts).tolist() == want
@@ -232,12 +233,12 @@ def test_lockstep_retirements_match_the_scalar_loops(name, mode, a, pts, fp, eps
     Y = np.array([p[1] for p in pts])
     opts = SideOptions(mode=mode, epsilon_margin=eps, max_iter=max_iter,
                        conv_tol=conv_tol)
-    want = [label_code(classify_side(m, Point2(x, y), Point2(*fp), opts))
+    want = [label_code(scalar_classify_side(m, Point2(x, y), Point2(*fp), opts))
             for x, y in pts]
     assert classify_batch(m, X, Y, Point2(*fp), opts).tolist() == want
     LX, LY, singular = curves._limits_lockstep(m, X, Y, conv_tol, max_iter)
     for k, (x, y) in enumerate(pts):
-        flag, lx, ly, _ = curves._limit_orbit(m.step, x, y, 0, conv_tol, max_iter)
+        flag, lx, ly, _ = limit_orbit(m.step, x, y, 0, conv_tol, max_iter)
         if flag:
             assert math.isnan(LX[k]) and math.isnan(LY[k])
         else:
@@ -257,12 +258,12 @@ def test_lockstep_retirements_cover_every_flag():
         Y = np.array([p[1] for p in grid])
         for mode in ("quadrant_escape", "limit_equilibrium"):
             opts = SideOptions(mode=mode, epsilon_margin=1e-9, max_iter=25)
-            verdicts = [classify_side(m, Point2(*p), Point2(0.0, 0.0), opts)
+            verdicts = [scalar_classify_side(m, Point2(*p), Point2(0.0, 0.0), opts)
                         for p in grid]
             assert (classify_batch(m, X, Y, Point2(0.0, 0.0), opts).tolist()
                     == [label_code(v) for v in verdicts])
             flags |= {v.flag or v.label for v in verdicts}
-        first = [curves._limit_orbit(m.step, x, y, 0, 1e-12, 25) for x, y in grid]
+        first = [limit_orbit(m.step, x, y, 0, 1e-12, 25) for x, y in grid]
         flags |= {"first_round" for f in first if not f[0] and f[3] == 0}
     assert flags >= {"singularity", "divergence", "escape", "max_iter",
                      "first_round", "minus", "plus"}
@@ -286,7 +287,7 @@ def test_quadrant_lockstep_retires_on_exact_boundaries(f, g, domain, start, fp, 
     m = expr_map(f, g, {}, domain=domain)
     opts = SideOptions(epsilon_margin=eps, max_iter=max_iter)
     n = BATCH_HANDOFF + 4
-    assert label_code(classify_side(m, Point2(*start), Point2(*fp), opts)) \
+    assert label_code(scalar_classify_side(m, Point2(*start), Point2(*fp), opts)) \
         == LABEL_CODES[label]
     got = classify_batch(m, [start[0]] * n, [start[1]] * n, Point2(*fp), opts)
     assert got.tolist() == [LABEL_CODES[label]] * n
@@ -299,7 +300,7 @@ def test_limit_lockstep_step_equal_to_tol_goes_on():
     X = np.zeros(BATCH_HANDOFF + 4)
     Y = np.arange(BATCH_HANDOFF + 4, dtype=float)
     LX, LY, singular = curves._limits_lockstep(m, X, Y, 1e-6, 30)
-    flag, x, _y, n = curves._limit_orbit(m.step, 0.0, 0.0, 0, 1e-6, 30)
+    flag, x, _y, n = limit_orbit(m.step, 0.0, 0.0, 0, 1e-6, 30)
     assert (flag, n) == ("", 3)
     assert LX.tolist() == [x] * len(X) and LY.tolist() == Y.tolist()
     assert not singular.any()
@@ -318,7 +319,7 @@ def test_limit_lockstep_on_the_escape_bound(f, flags):
     LX, LY, singular = curves._limits_lockstep(m, np.array(xs),
                                                np.full(len(xs), 1e-9), 1e-6, 50)
     for k, x in enumerate(xs):
-        flag, lx, ly, _ = curves._limit_orbit(m.step, x, 1e-9, 0, 1e-6, 50)
+        flag, lx, ly, _ = limit_orbit(m.step, x, 1e-9, 0, 1e-6, 50)
         assert flag == flags[k % 4]
         assert (math.isnan(LX[k]) if flag else (LX[k], LY[k]) == (lx, ly))
     assert not singular.any()
@@ -346,7 +347,7 @@ def test_probe_matrix_matches_the_per_column_lists(fp, slope, curve_tol, window,
 
 
 # ---------------------------------------------------------------------------
-# (c) raster == a classify_side loop over the cell centers
+# (c) raster == a scalar_classify_side loop over the cell centers
 
 
 def _scalar_raster_labels(m, fp, window, nx, ny, opts):
@@ -356,7 +357,7 @@ def _scalar_raster_labels(m, fp, window, nx, ny, opts):
         y = window.y_lo + (j + 0.5) * window.height() / ny
         for i in range(nx):
             x = window.x_lo + (i + 0.5) * dx
-            labels[j, i] = label_code(classify_side(m, Point2(x, y), fp, opts))
+            labels[j, i] = label_code(scalar_classify_side(m, Point2(x, y), fp, opts))
     return labels
 
 
@@ -369,7 +370,7 @@ def test_raster_matches_scalar_loop(side_cases, case):
 
 
 # ---------------------------------------------------------------------------
-# (d) continuity_probe limits == limit_equilibrium per sample
+# (d) continuity_probe limits == scalar_limit_equilibrium per sample
 
 
 PROBE_MAPS = {
@@ -398,7 +399,7 @@ def test_continuity_probe_matches_limit_equilibrium(name, ends, n, tol, max_iter
     for k in range(n):
         t = k / (n - 1)
         p = Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
-        want.append(limit_equilibrium(m, p, tol=tol, max_iter=max_iter).limit)
+        want.append(scalar_limit_equilibrium(m, p, tol=tol, max_iter=max_iter).limit)
     assert list(rep.limits) == want
     assert rep.divergent == sum(q is None for q in want)
 
@@ -424,7 +425,7 @@ def test_continuity_probe_hands_off_to_the_scalar_loop(name, seg, n, max_iter):
     for k in range(n):
         t = k / (n - 1)
         p = Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
-        want.append(limit_equilibrium(m, p, max_iter=max_iter).limit)
+        want.append(scalar_limit_equilibrium(m, p, max_iter=max_iter).limit)
     assert list(rep.limits) == want
     if n <= curves.BATCH_HANDOFF:  # every sample finishes in the scalar loop
         assert len(steps) >= n

@@ -68,6 +68,13 @@ def test_ex1_columns_without_batch_bisect_one_level():
     assert _evaluations(m, lambda c: _ex1_columns(c, 64)) == 54_426
 
 
+def test_ex1_licensed_columns_without_batch_audit_one_probe_a_round():
+    # without a batch step the audited columns scan one probe a round beside
+    # the binary searches instead of classifying all their probes at once
+    m = replace(make_example("ex1").map, batch=None)
+    assert _evaluations(m, lambda c: _ex1_columns(c, 64, licensed=True)) == 35_095
+
+
 def test_ex1_16_columns_bisect_one_level():
     # BATCH_HANDOFF or fewer columns finish in the scalar loops too
     assert _evaluations(make_example("ex1").map,

@@ -212,13 +212,13 @@ def _same_arrays(a, b):
 
 
 def _pair(f, g, params):
-    return _Compiled((f, g), params, "return {0}, {1}")
+    return _Compiled((f, g), params, "{0}, {1}")
 
 
 def _assert_compiled_matches_oracle(f, g, pts, params=PARAMS):
     pair = _pair(f, g, params)
     partials = [differentiate(e, v) for e in (f, g) for v in ("x", "y")]
-    jac = _Compiled(partials, params, "return _Matrix2({0}, {1}, {2}, {3})")
+    jac = _Compiled(partials, params, "_Matrix2({0}, {1}, {2}, {3})")
     for x, y in pts:
         assert _outcome(lambda: pair.scalar(x, y)) == _outcome(
             lambda: (tree_eval(f, x, y, params), tree_eval(g, x, y, params))), (x, y)
