@@ -348,10 +348,23 @@ def classify_batch(m: PlanarMap, xs, ys, fp: Point2,
     Y = np.asarray(ys, dtype=float).ravel()
     if opts.mode == "quadrant_escape":
         return _quadrant_batch(m, X, Y, fp, opts).reshape(xs.shape)
+    return _limit_verdicts(m, X, Y, fp, opts)[0].reshape(xs.shape)
+
+
+def _limit_verdicts(m: PlanarMap, X: np.ndarray, Y: np.ndarray, fp: Point2,
+                    opts: SideOptions) -> tuple:
+    """The limit-mode codes of the points (X[k], Y[k]) and their limits
+    T*(X[k], Y[k]): (codes, LX, LY), NaN where an orbit has no limit."""
     LX, LY, singular = _limits_lockstep(m, X, Y, opts.conv_tol, opts.max_iter)
-    out = _limit_codes(LX, LY, fp, opts)  # NaN limits read undecided
-    out[singular] = _SINGULAR
-    return out.reshape(xs.shape)
+    codes = _limit_codes(LX, LY, fp, opts)  # NaN limits read undecided
+    codes[singular] = _SINGULAR
+    return codes, LX, LY
+
+
+def _gap(LX: np.ndarray, LY: np.ndarray, fp: Point2) -> np.ndarray:
+    """s = (L_y - f_y) - (L_x - f_x) of limits L against fp = f: < 0 where
+    L reads plus, > 0 where it reads minus, NaN without a limit."""
+    return (LY - fp[1]) - (LX - fp[0])
 
 
 # The label of a stopped quadrant-mode image, at 4 not band + 2 not minus + not plus
@@ -652,6 +665,45 @@ def _probe_matrix(fp: Point2, slope: float, cx: np.ndarray, window: Rect,
 MAX_BISECTIONS = 200  # bisection levels per column
 # Every AUDIT_STRIDE-th column of a licensed call also scans its probes linearly.
 AUDIT_STRIDE = 16
+# _locate stops a column once its estimate moves by less than curve_tol *
+# LOCATE_STOP, and after LOCATE_ROUNDS rounds at the latest.
+LOCATE_STOP = 1.0 / 8.0
+LOCATE_ROUNDS = 16
+# A certification band of half-width curve_tol widens by WIDEN, at most
+# WIDENINGS times.
+WIDEN = 16
+WIDENINGS = 4
+_OPEN = 255  # a verdict that no certified band implies
+
+
+def _locate(m: PlanarMap, fp: Point2, cx: np.ndarray, lo: np.ndarray,
+            hi: np.ndarray, s_lo: np.ndarray, s_hi: np.ndarray, curve_tol: float,
+            sopts: SideOptions) -> np.ndarray:
+    """The root of s (_gap of T*) in every column cx[k], from the
+    bracket lo[k] < hi[k] where s_lo[k] < 0 < s_hi[k]: Illinois regula falsi
+    (Dowell & Jarratt, BIT 11, 1971), all columns in lockstep, one
+    _limits_lockstep call per round. A column whose s reads NaN gets NaN."""
+    a, b, fa, fb = lo.copy(), hi.copy(), s_lo.copy(), s_hi.copy()
+    est = a + (b - a) * (fa / (fa - fb))
+    last = np.zeros(len(cx), dtype=int)  # the end the last round moved: -1 a, 1 b
+    j = np.arange(len(cx))
+    for _ in range(LOCATE_ROUNDS):
+        if not len(j):
+            break
+        c = est[j]
+        LX, LY, _singular = _limits_lockstep(m, cx[j], c, sopts.conv_tol,
+                                             sopts.max_iter)
+        fc = _gap(LX, LY, fp)
+        neg, pos = fc < 0, fc > 0
+        ja, jb = j[neg], j[pos]
+        fb[ja[last[ja] == -1]] *= 0.5  # the same end twice: halve the other's s
+        fa[jb[last[jb] == 1]] *= 0.5
+        a[ja], fa[ja], last[ja] = c[neg], fc[neg], -1
+        b[jb], fb[jb], last[jb] = c[pos], fc[pos], 1
+        est[j] = np.where(np.isnan(fc), math.nan,
+                          a[j] + (b[j] - a[j]) * (fa[j] / (fa[j] - fb[j])))
+        j = j[np.abs(est[j] - c) >= curve_tol * LOCATE_STOP]
+    return est
 
 
 def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
@@ -676,13 +728,28 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
     than its binary search makes the call return None.
 
     Bisection then halves the brackets still wider than curve_tol, for at
-    most MAX_BISECTIONS levels. While more than BATCH_HANDOFF columns bisect
-    through a batch step, a call settles two levels: it also classifies
-    both midpoints the column may visit next, 0.5 * (lo + mid) and
-    0.5 * (mid + hi) where that half is still wider than curve_tol, and
+    most MAX_BISECTIONS levels per column. While more than BATCH_HANDOFF
+    columns bisect through a batch step, a call settles two levels: it also
+    classifies both midpoints the column may visit next, 0.5 * (lo + mid)
+    and 0.5 * (mid + hi) where that half is still wider than curve_tol, and
     applies the one the verdict at mid leads to. A point's verdict does not
     depend on its batch, so every column ends as bisecting it on its own
     would end it.
+
+    In limit mode under the licence a column that the binary search
+    bracketed is located, certified and replayed instead. Locate: _locate
+    finds the root y^ of s (_gap of T*), from the probe bracket whose s the
+    probe calls kept. Certify: y^ - w and y^ + w (w = curve_tol, kept
+    inside the bracket) must read plus and minus; if not, w widens by WIDEN,
+    at most WIDENINGS times, and then the column bisects as above. Replay:
+    the column bisects as above, but a midpoint at or below y^ - w reads
+    plus and one at or above y^ + w minus without a verdict, so only the
+    midpoints between are classified; the certification rides in the call
+    that classifies the first of them, and a failed one discards that
+    call's verdicts for the column. Under the licence the implied verdicts
+    are the real ones, so y and flag come out bit for bit as bisection's.
+    Every AUDIT_STRIDE-th column classifies its implied verdicts too; one
+    that differs makes the call return None.
     """
     n = len(cxs)
     cx = np.asarray(cxs, dtype=float)
@@ -698,6 +765,8 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
     scanning = ~binary
     audit = binary & (np.arange(n) % AUDIT_STRIDE == 0)
     audited = np.flatnonzero(audit)
+    guided = licensed and sopts.mode == "limit_equilibrium"
+    S = np.full(P.shape, math.nan)  # _gap at the probes, if guided
     if m.batch is None:  # the scalar loops pay per evaluation: one probe a round
         scanning |= audit
         rows = cols = audited[:0]
@@ -721,8 +790,12 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
         s, t = len(srch), len(srch) + len(scn)
         mid = (a[srch] + b[srch]) // 2
         act = np.concatenate((srch, scn, audited[rows]))
-        codes = classify_batch(m, cx[act],
-                               P[act, np.concatenate((mid, k[scn], cols))], fp, sopts)
+        probe = np.concatenate((mid, k[scn], cols))
+        if guided:
+            codes, LX, LY = _limit_verdicts(m, cx[act], P[act, probe], fp, sopts)
+            S[act, probe] = _gap(LX, LY, fp)
+        else:
+            codes = classify_batch(m, cx[act], P[act, probe], fp, sopts)
         plus, minus = codes[:s] == _PLUS, codes[:s] == _MINUS
         a[srch[plus]] = mid[plus] + 1
         b[srch[minus]] = mid[minus]
@@ -764,11 +837,36 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
         else:
             flags[j] = "no_bracket:mixed"
 
+    est = np.full(n, math.nan)  # T*'s estimate of the curve, in guided columns
+    if guided and MAX_BISECTIONS > 0:
+        j = np.flatnonzero(binary & bisecting & (hi - lo > curve_tol))
+        est[j] = _locate(m, fp, cx[j], lo[j], hi[j], S[j, a[j] - 1], S[j, a[j]],
+                         curve_tol, sopts)
+    if not _bisect(m, fp, cx, curve_tol, sopts, lo, hi, y, bisecting, flags, audit,
+                   est):
+        return None
+    rest = np.flatnonzero(bisecting)
+    y[rest] = 0.5 * (lo[rest] + hi[rest])
+    return [(None if math.isnan(yj) else yj, flag)
+            for yj, flag in zip(y.tolist(), flags)]
+
+
+def _bisect(m: PlanarMap, fp: Point2, cx: np.ndarray, curve_tol: float,
+            sopts: SideOptions, lo: np.ndarray, hi: np.ndarray, y: np.ndarray,
+            bisecting: np.ndarray, flags: list, audit: np.ndarray,
+            est: np.ndarray) -> bool:
+    """_solve_columns' bisection of the brackets (lo, hi) of the columns cx
+    marked bisecting, certified and replayed where est holds an estimate;
+    updates lo, hi, y, bisecting, flags and est in place. Returns False when
+    an audited column meets a verdict that its certified band does not
+    imply."""
+    n = len(cx)
+    guided = not np.isnan(est).all()
+
     def settle(j, ys, codes):
         """Apply the verdicts codes at ordinates ys in the brackets of the
         columns j: minus lowers hi, plus raises lo, band returns ys and any
-        other verdict returns ys with the undecided_probe flag; returns the
-        minus and plus masks."""
+        other verdict returns ys with the undecided_probe flag."""
         minus, plus = codes == _MINUS, codes == _PLUS
         hi[j[minus]] = ys[minus]
         lo[j[plus]] = ys[plus]
@@ -777,31 +875,93 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
         bisecting[j[stop]] = False
         for i in j[stop & (codes != _BAND)].tolist():
             flags[i] = "undecided_probe"
-        return minus, plus
 
-    level = 0
-    while level < MAX_BISECTIONS:
-        act = np.flatnonzero(bisecting & (hi - lo > curve_tol))
-        if not len(act):
+    def walk(l, h, lv, below, above):
+        """Bisect the brackets (l, h) at levels lv in place through every
+        midpoint at or below `below` (plus) or at or above `above` (minus);
+        returns the columns, ordinates and codes of the midpoints walked in
+        audited columns."""
+        j = np.flatnonzero(bisecting & ((below > -math.inf) | (above < math.inf)))
+        L, H, V, seen = l[j], h[j], lv[j], audit[j]
+        walked = [(j[:0], L[:0], np.zeros(0, dtype=np.uint8))]
+        while True:
+            mid = 0.5 * (L + H)
+            go = (H - L > curve_tol) & (V < MAX_BISECTIONS)
+            plus, minus = go & (mid <= below[j]), go & (mid >= above[j])
+            moved = plus | minus
+            if not moved.any():
+                break
+            L = np.where(plus, mid, L)
+            H = np.where(minus, mid, H)
+            V += moved
+            r = moved & seen
+            walked.append((j[r], mid[r], np.where(plus[r], _PLUS, _MINUS)))
+        l[j], h[j], lv[j] = L, H, V
+        return (np.concatenate(part) for part in zip(*walked))
+
+    level = np.zeros(n, dtype=int)  # bisection levels done
+    widened = np.zeros(n, dtype=int)
+    # certified: a midpoint at or below plus_at reads plus, at or above minus_at minus
+    plus_at, minus_at = np.full(n, -math.inf), np.full(n, math.inf)
+    none = np.zeros(0, dtype=int)
+    while True:
+        l, h, lv, below, above = lo, hi, level, plus_at, minus_at
+        pend, wj, wy, wc = none, none, none, none
+        if guided:
+            pend = np.flatnonzero(~np.isnan(est))
+            if len(pend):  # trial bands: the walk stands if the call certifies it
+                w = curve_tol * float(WIDEN) ** widened[pend]
+                below, above = plus_at.copy(), minus_at.copy()
+                below[pend] = np.maximum(est[pend] - w, lo[pend])
+                above[pend] = np.minimum(est[pend] + w, hi[pend])
+                l, h, lv = lo.copy(), hi.copy(), level.copy()
+            # an audited column classifies the midpoints it walks, for real too
+            wj, wy, wc = walk(l, h, lv, below, above)
+        act = np.flatnonzero(bisecting & (h - l > curve_tol) & (lv < MAX_BISECTIONS))
+        if not (len(act) or len(pend) or len(wj)):
             break
-        l, h = lo[act], hi[act]
-        mid = 0.5 * (l + h)
-        two = (m.batch is not None and len(act) > BATCH_HANDOFF
-               and level + 1 < MAX_BISECTIONS)
+        ml, mh = l[act], h[act]
+        mid = 0.5 * (ml + mh)
+        two = ((m.batch is not None and len(act) > BATCH_HANDOFF)
+               & (lv[act] + 1 < MAX_BISECTIONS))
         # the next midpoints, of the halves still wider than curve_tol: 0 is
         # the lower half (after minus), 1 the upper one (after plus)
-        side, kids = np.nonzero((np.stack((mid - l, h - mid)) > curve_tol) & two)
-        ky = np.where(side, 0.5 * (mid[kids] + h[kids]), 0.5 * (l[kids] + mid[kids]))
-        codes = classify_batch(m, cx[np.concatenate((act, act[kids]))],
-                               np.concatenate((mid, ky)), fp, sopts)
-        minus, plus = settle(act, mid, codes[:len(act)])
-        took = np.where(side, plus[kids], minus[kids])
-        settle(act[kids[took]], ky[took], codes[len(act):][took])
-        level += 1 + two
-    rest = np.flatnonzero(bisecting)
-    y[rest] = 0.5 * (lo[rest] + hi[rest])
-    return [(None if math.isnan(yj) else yj, flag)
-            for yj, flag in zip(y.tolist(), flags)]
+        side, kids = np.nonzero((np.stack((mid - ml, mh - mid)) > curve_tol) & two)
+        kj = act[kids]
+        ky = np.where(side, 0.5 * (mid[kids] + mh[kids]), 0.5 * (ml[kids] + mid[kids]))
+        kc = np.full(len(kids), _OPEN, dtype=np.uint8)  # implied, then classified
+        if guided:
+            kc[ky <= below[kj]] = _PLUS
+            kc[ky >= above[kj]] = _MINUS
+        implied = kc.copy()
+        ask = (kc == _OPEN) | audit[kj]
+        codes = classify_batch(
+            m, cx[np.concatenate((act, kj[ask], pend, pend, wj))],
+            np.concatenate((mid, ky[ask], below[pend], above[pend], wy)), fp, sopts)
+        at = np.cumsum([len(act), np.count_nonzero(ask), len(pend), len(pend)])
+        kc[ask] = codes[at[0]:at[1]]
+        mc = codes[:len(act)]
+        took = np.where(side, mc[kids] == _PLUS, mc[kids] == _MINUS)
+        if guided:
+            keep = np.ones(n, dtype=bool)  # the columns whose walk stands
+            ok = (codes[at[1]:at[2]] == _PLUS) & (codes[at[2]:at[3]] == _MINUS)
+            failed, passed = pend[~ok], pend[ok]
+            keep[failed] = False
+            if ((keep[wj] & (codes[at[3]:] != wc)).any()
+                    or (keep[kj] & (implied != _OPEN) & (kc != implied)).any()):
+                return False  # the audit met a verdict the band does not imply
+            lo[keep], hi[keep], level[keep] = l[keep], h[keep], lv[keep]
+            plus_at[passed], minus_at[passed] = below[passed], above[passed]
+            est[passed] = math.nan
+            widened[failed] += 1
+            est[failed[widened[failed] > WIDENINGS]] = math.nan  # they bisect
+            act, mid, mc = act[keep[act]], mid[keep[act]], mc[keep[act]]
+            took &= keep[kj]
+        settle(act, mid, mc)
+        settle(kj[took], ky[took], kc[took])
+        level[act] += 1
+        level[kj[took]] += 1
+    return True
 
 
 def _bisect_options(m: PlanarMap, opts: CurveOptions) -> SideOptions:
@@ -837,8 +997,12 @@ def trace_stable_curve(m: PlanarMap, fp: FixedPointRecord, window: Rect,
     call per probe round, and one per two bisection levels while more than
     BATCH_HANDOFF columns bisect through a batch step. Under the order licence
     (planarmap._order_licensed) a binary search over each column's probes
-    finds the bracket the linear scan of a column on its own would find; a
-    failed audit of the licence scans every column linearly and adds a note.
+    finds the bracket the linear scan of a column on its own would find,
+    and in limit mode T* locates the curve in each bracket (Illinois regula
+    falsi), a verdict on either side of it certifies the estimate, and the
+    bisection is replayed, classifying only the midpoints next to the
+    estimate. A failed audit of either step solves every column without the
+    licence (linear scan, plain bisection) and adds a note.
     The column through fp.x is seeded from the fixed point itself and the
     local tangent direction. workers has no effect; it stays only for
     perfbench's process-pool probe and must be >= 1.

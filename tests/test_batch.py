@@ -641,19 +641,21 @@ def test_odd_bisection_levels_match_column_by_column(trace_cases, levels,
 def test_licensed_probe_phase_takes_a_binary_search_of_calls(trace_cases,
                                                              monkeypatch):
     # the audited columns' probes ride in the first call, so the probe phase
-    # ends with the binary searches (17 to 19 probes: five rounds)
+    # ends with the binary searches (17 to 19 probes: five rounds); each
+    # lockstep call of limit mode is one _limits_lockstep call
     m, rec, w, opts = trace_cases["ex1_limit"]
     fp = rec.location
     slope = rec.eigen.v_lam.y / rec.eigen.v_lam.x
     cxs = [x for x in curves._column_positions(w, fp.x, opts.columns) if x != fp.x]
     sopts = curves._bisect_options(m, opts)
     calls = []
+    limits_lockstep = curves._limits_lockstep
 
-    def spy(*args):
-        calls.append(len(args[1]))
-        return classify_batch(*args)
+    def spy(m, X, *rest):
+        calls.append(len(X))
+        return limits_lockstep(m, X, *rest)
 
-    monkeypatch.setattr(curves, "classify_batch", spy)
+    monkeypatch.setattr(curves, "_limits_lockstep", spy)
     monkeypatch.setattr(curves, "MAX_BISECTIONS", 0)
     assert curves._solve_columns(m, fp, slope, cxs, w, opts.curve_tol, sopts,
                                  True) is not None
@@ -698,17 +700,134 @@ def test_order_audit_disagreement_scans_every_column_linearly(trace_cases,
              if x != fp.location.x)
     y1 = w.y_lo + 1.5 * w.height() / curves.PROBES
 
-    def odd_column(m, xs, ys, fp, sopts):
-        codes = classify_batch(m, xs, ys, fp, sopts)
-        codes[(xs == x0) & (np.abs(ys - y1) < 0.1)] = LABEL_CODES["minus"]
-        return codes
+    limit_verdicts = curves._limit_verdicts
 
-    monkeypatch.setattr(curves, "classify_batch", odd_column)
+    def odd_column(m, xs, ys, fp, sopts):  # every limit-mode verdict comes from here
+        codes, LX, LY = limit_verdicts(m, xs, ys, fp, sopts)
+        codes[(xs == x0) & (np.abs(ys - y1) < 0.1)] = LABEL_CODES["minus"]
+        return codes, LX, LY
+
+    monkeypatch.setattr(curves, "_limit_verdicts", odd_column)
     got = trace_stable_curve(m, fp, w, opts)
     monkeypatch.setattr(curves, "_order_licensed", lambda *args: False)
     want = trace_stable_curve(m, fp, w, opts)
     note = "order licence failed its audit (probes scanned linearly)"
     assert got.notes == want.notes + (note,)
+    assert replace(got, notes=want.notes) == want
+
+
+# ---------------------------------------------------------------------------
+# (f2) T*-guided location: Illinois on T*, certified, the bisection replayed
+
+
+def _columns_setup(trace_cases, case, columns, stretch=(0.0, 0.0)):
+    m, rec, w, opts = trace_cases[case]
+    w = Rect(w.x_lo, w.x_hi * (1.0 + stretch[0]), w.y_lo, w.y_hi * (1.0 + stretch[1]))
+    fp = rec.location
+    slope = rec.eigen.v_lam.y / rec.eigen.v_lam.x
+    cxs = [x for x in curves._column_positions(w, fp.x, columns) if x != fp.x]
+    return m, fp, slope, cxs, w, curves._bisect_options(m, opts)
+
+
+def _solved(m, fp, slope, cxs, w, sopts):
+    """_solve_columns as trace_stable_curve calls it: under the licence when
+    it holds, and without it when an audit fails."""
+    licensed = planarmap._order_licensed(m, w, len(cxs) * curves.PROBES)
+    got = curves._solve_columns(m, fp, slope, cxs, w, 1e-8, sopts, licensed)
+    if got is None:
+        got = curves._solve_columns(m, fp, slope, cxs, w, 1e-8, sopts)
+    return got
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(["ex1_limit", "ex1_dsl", "ex3_T2"]),
+       stretch=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+       columns=st.integers(4, 48), start=st.integers(0, 3),
+       stride=st.integers(1, 3), batch=st.booleans(),
+       max_iter=st.sampled_from([60, CurveOptions().max_iter]))
+def test_guided_columns_match_column_by_column(trace_cases, case, stretch,
+                                               columns, start, stride, batch,
+                                               max_iter):
+    # a short max_iter leaves T* undefined near the curve: those columns bisect
+    m, fp, slope, cxs, w, sopts = _columns_setup(trace_cases, case, columns, stretch)
+    cxs = cxs[start::stride]
+    sopts = replace(sopts, max_iter=max_iter)
+    if not batch:
+        m = replace(m, batch=None)
+    assert _solved(m, fp, slope, cxs, w, sopts) == solve_columns_one_by_one(
+        m, fp, slope, cxs, w, 1e-8, sopts)
+
+
+@pytest.mark.parametrize("fails", [1, curves.WIDENINGS + 1])
+def test_failed_certification_widens_then_bisects(trace_cases, fails,
+                                                  monkeypatch):
+    # every estimate sits 2 * WIDEN**(fails - 1) * curve_tol above the located
+    # curve: the first `fails` bands fail their certification and widen; past
+    # WIDENINGS widenings the column bisects without a band
+    m, fp, slope, cxs, w, sopts = _columns_setup(trace_cases, "ex1_limit", 32)
+    tol = 1e-8
+    off = 2.0 * curves.WIDEN ** (fails - 1) * tol
+    locate, estimates = curves._locate, []
+
+    def off_locate(*args):
+        est = locate(*args) + off
+        estimates.extend(zip(args[2].tolist(), est.tolist()))
+        return est
+
+    asked = set()
+
+    def spy(m, xs, ys, fp, sopts):
+        asked.update(zip(xs.tolist(), ys.tolist()))
+        return classify_batch(m, xs, ys, fp, sopts)
+
+    monkeypatch.setattr(curves, "_locate", off_locate)
+    monkeypatch.setattr(curves, "classify_batch", spy)
+    got = curves._solve_columns(m, fp, slope, cxs, w, tol, sopts, True)
+    assert got == solve_columns_one_by_one(m, fp, slope, cxs, w, tol, sopts)
+    assert len(estimates) > len(cxs) // 2
+    for x, e in estimates:
+        bands = [(x, e - tol * float(curves.WIDEN) ** k) in asked
+                 for k in range(curves.WIDENINGS + 2)]
+        assert bands == [k <= min(fails, curves.WIDENINGS)
+                         for k in range(curves.WIDENINGS + 2)]
+
+
+def test_replay_audit_disagreement_bisects_every_column(trace_cases):
+    # the first bisection midpoint of an audited column lies far below its
+    # curve, so the replay walks it as plus; a map that is singular at exactly
+    # that point makes the audit's verdict there disagree
+    m, fp, slope, cxs, w, sopts = _columns_setup(trace_cases, "ex1_limit", 64)
+    want = solve_columns_one_by_one(m, fp, slope, cxs, w, 1e-8, sopts)
+
+    def first_midpoint(i):
+        probes = column_probes(fp, slope, cxs[i], w, 1e-8)
+        y0 = want[i][0]
+        return 0.5 * (max(p for p in probes if p < y0) + min(p for p in probes if p > y0))
+
+    x0, y1 = next((cxs[i], first_midpoint(i))
+                  for i in range(0, len(cxs), curves.AUDIT_STRIDE)
+                  if want[i][0] is not None and want[i][1] == ""
+                  and abs(first_midpoint(i) - want[i][0]) > 1e-3)
+
+    def step(x, y):
+        if (x, y) == (x0, y1):
+            raise SingularityError("one singular point")
+        return m.step(x, y)
+
+    def batch(X, Y):
+        X1, Y1 = m.batch(X, Y)
+        hit = (X == x0) & (Y == y1)
+        return np.where(hit, math.nan, X1), np.where(hit, math.nan, Y1)
+
+    odd = replace(m, step=step, batch=batch)
+    assert curves._solve_columns(odd, fp, slope, cxs, w, 1e-8, sopts, True) is None
+    rec = find_fixed_point(odd, Point2(1e-9, 1.0))
+    opts = CurveOptions(columns=64, mode="limit_equilibrium")
+    got = trace_stable_curve(odd, rec, w, opts)
+    want = _oracle(trace_stable_curve, odd, rec, w, opts)
+    note = "order licence failed its audit (probes scanned linearly)"
+    assert got.notes == want.notes + (note,)
+    assert "1 columns flagged (bisection probe undecided)" in got.notes
     assert replace(got, notes=want.notes) == want
 
 

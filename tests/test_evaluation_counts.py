@@ -31,17 +31,36 @@ def test_ex1_trace_64_columns():
     m = make_example("ex1").map
     fp = find_fixed_point(m, Point2(1e-9, 1.0))
     assert _evaluations(m, lambda c: trace_stable_curve(
-        c, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions(columns=64))) == 54_225
+        c, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions(columns=64))) == 21_347
 
 
 def test_ex1_trace_64_columns_batch_calls():
-    # one batch call per lockstep round of each classify_batch call, plus the
-    # order licence's image batch: about five probe calls (the licensed binary
-    # probe scan), then bisection calls that settle two levels each
+    # one batch call per lockstep round of each lockstep call, plus the order
+    # licence's image batch: about five probe calls (the licensed binary probe
+    # scan), four calls of T*-guided location, then the calls that certify
+    # and replay the bisection, settling two levels each
     m = make_example("ex1").map
     fp = find_fixed_point(m, Point2(1e-9, 1.0))
     assert _evaluations_and_batch_calls(m, lambda c: trace_stable_curve(
-        c, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions(columns=64))) == (54_225, 461)
+        c, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions(columns=64))) == (21_347, 279)
+
+
+def test_ex1_trace_lockstep_calls(monkeypatch):
+    # every lockstep call of limit mode (classify_batch, and T* in _locate) is
+    # one _limits_lockstep call: 5 probe calls, 4 location calls and 2 calls
+    # that certify and replay
+    m = make_example("ex1").map
+    fp = find_fixed_point(m, Point2(1e-9, 1.0))
+    calls = [0]
+    limits_lockstep = curves._limits_lockstep
+
+    def spy(*args):
+        calls[0] += 1
+        return limits_lockstep(*args)
+
+    monkeypatch.setattr(curves, "_limits_lockstep", spy)
+    trace_stable_curve(m, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions())
+    assert calls[0] == 11
 
 
 def test_ex5_trace_64_columns_quadrant_mode():
@@ -70,9 +89,10 @@ def test_ex1_columns_without_batch_bisect_one_level():
 
 def test_ex1_licensed_columns_without_batch_audit_one_probe_a_round():
     # without a batch step the audited columns scan one probe a round beside
-    # the binary searches instead of classifying all their probes at once
+    # the binary searches instead of classifying all their probes at once;
+    # T*-guided location then replays the bisections
     m = replace(make_example("ex1").map, batch=None)
-    assert _evaluations(m, lambda c: _ex1_columns(c, 64, licensed=True)) == 35_095
+    assert _evaluations(m, lambda c: _ex1_columns(c, 64, licensed=True)) == 19_590
 
 
 def test_ex1_16_columns_bisect_one_level():
