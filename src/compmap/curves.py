@@ -663,7 +663,8 @@ def _probe_matrix(fp: Point2, slope: float, cx: np.ndarray, window: Rect,
 
 
 MAX_BISECTIONS = 200  # bisection levels per column
-# Every AUDIT_STRIDE-th column of a licensed call also scans its probes linearly.
+# Every AUDIT_STRIDE-th column of a guided call also classifies the bisection
+# midpoints its certified band implies.
 AUDIT_STRIDE = 16
 # _locate stops a column once its estimate moves by less than curve_tol *
 # LOCATE_STOP, and after LOCATE_ROUNDS rounds at the latest.
@@ -711,119 +712,68 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
                    licensed: bool = False) -> Optional[list]:
     """Locate the curve ordinate in every column of cxs, all columns together.
 
-    Returns one (y, flag) or (None, flag) per column, or None when the audit
-    below disagrees with the licence. Each round is a single classify_batch
-    call over the columns still active. The linear scan classifies a
-    column's ascending probes one a round: band returns the probe, plus sets
-    lo, minus sets hi and ends the scan once lo is set. licensed says the
-    order licence (planarmap._order_licensed) holds: verdicts are then plus
-    below the curve and minus above it, so a binary search over the probe
-    indices (plus at mid moves a to mid + 1, minus moves b to mid) leaves
-    the same lo and hi in about five rounds. A column that meets any other
-    verdict goes back to the linear scan, which gives the same result from
-    the same verdicts. Every AUDIT_STRIDE-th column also scans linearly:
-    through a batch step all its probes are classified in the first round
-    and the scan reads them in probe order; without one (the scalar loops
-    pay per evaluation) it scans one probe a round. One that ends elsewhere
-    than its binary search makes the call return None.
+    Returns one (y, flag) or (None, flag) per column, or None when an audit
+    below disagrees with the licence. One lockstep call classifies every
+    probe of every column: _limit_verdicts in limit mode, which keeps s
+    (_gap of T*) at each probe too, and classify_batch in quadrant mode. A
+    point's verdict does not depend on its batch, so each row, read in probe
+    order, scans its column as the column on its own would: band returns
+    the probe, plus sets lo, minus sets hi and ends the scan once lo is set.
 
     Bisection then halves the brackets still wider than curve_tol, for at
     most MAX_BISECTIONS levels per column. While more than BATCH_HANDOFF
     columns bisect through a batch step, a call settles two levels: it also
     classifies both midpoints the column may visit next, 0.5 * (lo + mid)
     and 0.5 * (mid + hi) where that half is still wider than curve_tol, and
-    applies the one the verdict at mid leads to. A point's verdict does not
-    depend on its batch, so every column ends as bisecting it on its own
-    would end it.
+    applies the one the verdict at mid leads to. Every column ends as
+    bisecting it on its own would end it.
 
-    In limit mode under the licence a column that the binary search
-    bracketed is located, certified and replayed instead. Locate: _locate
-    finds the root y^ of s (_gap of T*), from the probe bracket whose s the
-    probe calls kept. Certify: y^ - w and y^ + w (w = curve_tol, kept
-    inside the bracket) must read plus and minus; if not, w widens by WIDEN,
-    at most WIDENINGS times, and then the column bisects as above. Replay:
-    the column bisects as above, but a midpoint at or below y^ - w reads
-    plus and one at or above y^ + w minus without a verdict, so only the
-    midpoints between are classified; the certification rides in the call
-    that classifies the first of them, and a failed one discards that
-    call's verdicts for the column. Under the licence the implied verdicts
-    are the real ones, so y and flag come out bit for bit as bisection's.
-    Every AUDIT_STRIDE-th column classifies its implied verdicts too; one
-    that differs makes the call return None.
+    licensed says the order licence (planarmap._order_licensed) holds:
+    verdicts are then plus below the curve and minus above it. In limit
+    mode under the licence (a guided call) a plus above a minus in any row
+    makes the call return None, and a column whose probes all read plus or
+    minus is located, certified and replayed instead. Locate: _locate finds
+    the root y^ of s from the probe bracket and the s of its probes.
+    Certify: y^ - w and y^ + w (w = curve_tol, kept inside the bracket) must
+    read plus and minus; if not, w widens by WIDEN, at most WIDENINGS times,
+    and then the column bisects as above. Replay: the column bisects as
+    above, but a midpoint at or below y^ - w reads plus and one at or above
+    y^ + w minus without a verdict, so only the midpoints between are
+    classified; the certification rides in the call that classifies the
+    first of them, and a failed one discards that call's verdicts for the
+    column. Under the licence the implied verdicts are the real ones, so y
+    and flag come out bit for bit as bisection's. Every AUDIT_STRIDE-th
+    column classifies its implied verdicts too; one that differs makes the
+    call return None.
     """
     n = len(cxs)
     cx = np.asarray(cxs, dtype=float)
     P = _probe_matrix(fp, slope, cx, window, curve_tol)
-    count = np.count_nonzero(~np.isnan(P), axis=1)
-    P = np.c_[P, np.full(n, math.nan)]  # every row ends in NaN
-    # NaN stands for "not set" in lo, hi and y, the rows of state
-    lo, hi, y = state = np.full((3, n), math.nan)
-    k = np.zeros(n, dtype=int)  # the next probe of a linear scan
-    a, b = np.zeros(n, dtype=int), count.copy()  # a binary search's open range
-    binary = np.full(n, licensed)
-    searching = binary.copy()
-    scanning = ~binary
-    audit = binary & (np.arange(n) % AUDIT_STRIDE == 0)
-    audited = np.flatnonzero(audit)
-    guided = licensed and sopts.mode == "limit_equilibrium"
-    S = np.full(P.shape, math.nan)  # _gap at the probes, if guided
-    if m.batch is None:  # the scalar loops pay per evaluation: one probe a round
-        scanning |= audit
-        rows = cols = audited[:0]
-    else:  # their probes, for round one
-        rows, cols = np.nonzero(~np.isnan(P[audited]))
-
-    def scan(j, codes):
-        """One linear-scan step of the columns j on the verdicts codes at
-        their probes k[j]."""
-        py = P[j, k[j]]
+    rows, cols = np.nonzero(~np.isnan(P))
+    V = np.full(P.shape, _UNDECIDED, dtype=np.uint8)  # verdicts; NaN probes undecided
+    S = np.full(P.shape, math.nan)  # s at the probes, in limit mode
+    if sopts.mode == "limit_equilibrium":
+        codes, LX, LY = _limit_verdicts(m, cx[rows], P[rows, cols], fp, sopts)
+        S[rows, cols] = _gap(LX, LY, fp)
+    else:
+        codes = classify_batch(m, cx[rows], P[rows, cols], fp, sopts)
+    V[rows, cols] = codes
+    # NaN stands for "not set" in lo, hi and y
+    lo, hi, y = np.full((3, n), math.nan)
+    ilo, ihi = np.zeros((2, n), dtype=int)  # the probe indices of lo and hi
+    j = np.arange(n)  # the columns still scanning
+    for i in range(P.shape[1]):
+        codes, py = V[j, i], P[j, i]
         band, plus, minus = codes == _BAND, codes == _PLUS, codes == _MINUS
         closed = minus & ~np.isnan(lo[j])
         y[j[band]] = py[band]
-        lo[j[plus]] = py[plus]
-        hi[j[minus]] = py[minus]
-        k[j] += 1
-        scanning[j] = ~(band | closed) & (k[j] < count[j])
-
-    while searching.any() or scanning.any():
-        srch, scn = np.flatnonzero(searching), np.flatnonzero(scanning)
-        s, t = len(srch), len(srch) + len(scn)
-        mid = (a[srch] + b[srch]) // 2
-        act = np.concatenate((srch, scn, audited[rows]))
-        probe = np.concatenate((mid, k[scn], cols))
-        if guided:
-            codes, LX, LY = _limit_verdicts(m, cx[act], P[act, probe], fp, sopts)
-            S[act, probe] = _gap(LX, LY, fp)
-        else:
-            codes = classify_batch(m, cx[act], P[act, probe], fp, sopts)
-        plus, minus = codes[:s] == _PLUS, codes[:s] == _MINUS
-        a[srch[plus]] = mid[plus] + 1
-        b[srch[minus]] = mid[minus]
-        odd = srch[~(plus | minus)]
-        binary[odd] = False
-        scanning[odd] |= ~audit[odd]  # an audited column scans already
-        searching[srch] = binary[srch] & (a[srch] < b[srch])
-        scan(scn, codes[s:t])
-        if len(rows):  # the audited columns' linear scans, on their rows of verdicts
-            verdicts = np.zeros(P[audited].shape, dtype=np.uint8)
-            verdicts[rows, cols] = codes[t:]
-            r = np.arange(len(audited))
-            while len(r):
-                scan(audited[r], verdicts[r, k[audited[r]]])
-                r = r[scanning[audited[r]]]
-            rows = cols = rows[:0]
-
-    # the lo and hi a linear scan leaves on plus verdicts below index a and
-    # minus verdicts from it on: no lo when a is 0, and then hi is the last
-    # probe; no hi when a is count
-    j = np.flatnonzero(binary)
-    audited = audited[binary[audited]]
-    scanned = state[:, audited]
-    lo[j] = P[j, a[j] - 1]
-    hi[j] = P[j, np.where(a[j] > 0, a[j], count[j] - 1)]
-    y[j] = math.nan
-    if not np.array_equal(scanned, state[:, audited], equal_nan=True):
-        return None
+        lo[j[plus]], ilo[j[plus]] = py[plus], i
+        hi[j[minus]], ihi[j[minus]] = py[minus], i
+        j = j[~(band | closed)]
+    guided = licensed and sopts.mode == "limit_equilibrium"
+    plus, minus = V == _PLUS, V == _MINUS
+    if guided and (np.logical_or.accumulate(minus, axis=1) & plus).any():
+        return None  # a plus above a minus breaks the licence
 
     saw_plus = ~np.isnan(lo)
     saw_minus = ~np.isnan(hi)
@@ -839,9 +789,11 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
 
     est = np.full(n, math.nan)  # T*'s estimate of the curve, in guided columns
     if guided and MAX_BISECTIONS > 0:
-        j = np.flatnonzero(binary & bisecting & (hi - lo > curve_tol))
-        est[j] = _locate(m, fp, cx[j], lo[j], hi[j], S[j, a[j] - 1], S[j, a[j]],
+        sided = (plus | minus | np.isnan(P)).all(axis=1)
+        j = np.flatnonzero(sided & bisecting & (hi - lo > curve_tol))
+        est[j] = _locate(m, fp, cx[j], lo[j], hi[j], S[j, ilo[j]], S[j, ihi[j]],
                          curve_tol, sopts)
+    audit = np.arange(n) % AUDIT_STRIDE == 0
     if not _bisect(m, fp, cx, curve_tol, sopts, lo, hi, y, bisecting, flags, audit,
                    est):
         return None
@@ -993,16 +945,16 @@ def trace_stable_curve(m: PlanarMap, fp: FixedPointRecord, window: Rect,
                        workers: int = 1) -> MonotoneCurve:
     """Trace the increasing invariant curve through fp over a bounded window.
 
-    All columns are solved together (_solve_columns): one classify_batch
-    call per probe round, and one per two bisection levels while more than
-    BATCH_HANDOFF columns bisect through a batch step. Under the order licence
-    (planarmap._order_licensed) a binary search over each column's probes
-    finds the bracket the linear scan of a column on its own would find,
-    and in limit mode T* locates the curve in each bracket (Illinois regula
-    falsi), a verdict on either side of it certifies the estimate, and the
-    bisection is replayed, classifying only the midpoints next to the
-    estimate. A failed audit of either step solves every column without the
-    licence (linear scan, plain bisection) and adds a note.
+    All columns are solved together (_solve_columns): one lockstep call
+    classifies every probe of every column, and one call settles two
+    bisection levels while more than BATCH_HANDOFF columns bisect through a
+    batch step. In limit mode under the order licence
+    (planarmap._order_licensed) T* locates the curve in each bracket
+    (Illinois regula falsi), a verdict on either side of it certifies the
+    estimate, and the bisection is replayed, classifying only the midpoints
+    next to the estimate. A failed audit of the probe order or of the
+    replay solves every column again without T* (plain bisection) and adds
+    a note.
     The column through fp.x is seeded from the fixed point itself and the
     local tangent direction. workers has no effect; it stays only for
     perfbench's process-pool probe and must be >= 1.
@@ -1023,7 +975,9 @@ def trace_stable_curve(m: PlanarMap, fp: FixedPointRecord, window: Rect,
 
     cxs = [cx for cx in xs if cx != fpl.x]
     args = (m, fpl, slope, cxs, window, opts.curve_tol, sopts)
-    results = _solve_columns(*args, _order_licensed(m, window, len(cxs) * PROBES))
+    licensed = (sopts.mode == "limit_equilibrium"
+                and _order_licensed(m, window, len(cxs) * PROBES))
+    results = _solve_columns(*args, licensed)
     audit_failed = results is None
     if audit_failed:
         results = _solve_columns(*args)
@@ -1055,7 +1009,7 @@ def trace_stable_curve(m: PlanarMap, fp: FixedPointRecord, window: Rect,
     if dropped:
         notes.append(f"{dropped} vertices dropped by the monotonicity filter")
     if audit_failed:
-        notes.append("order licence failed its audit (probes scanned linearly)")
+        notes.append("order licence failed its audit (columns bisected without T*)")
     curve = MonotoneCurve(vertices=tuple(kept), monotonicity="increasing",
                           endpoint_left=EndpointLabel("truncated", kept[0]),
                           endpoint_right=EndpointLabel("truncated", kept[-1]),

@@ -611,12 +611,10 @@ def _fallback_step(x, y):
     return (-1.0, 1.0) if y > (-0.1 if x < -0.8 else -0.6) else (1.0, -1.0)
 
 
-def test_audited_column_keeps_its_scan_when_its_search_falls_back():
-    # column 0 is audited: the first call classifies all its probes, and its
-    # linear scan reads them up to the minus at probe 15; its binary search
-    # reads probes 8, 13, 15 and then 14, falls back there and must not
-    # scan on to the band at probe 16 (bisection meets probe 14 again, as
-    # the midpoint of probes 13 and 15)
+def test_licensed_scan_stops_before_a_band_probe_past_its_minus():
+    # in the columns x < -0.8 the scan reads the singular probe 14 and stops
+    # at the minus at probe 15, short of the band at probe 16 (bisection
+    # meets probe 14 again, as the midpoint of probes 13 and 15)
     m = PlanarMap(name="fallback", step=_fallback_step, domain=Rect(-2, 2, -2, 2))
     fp = Point2(0.0, 0.0)
     w = Rect(-1.0, 0.0, -1.0, 0.0)
@@ -638,11 +636,9 @@ def test_odd_bisection_levels_match_column_by_column(trace_cases, levels,
     assert (got.vertices, got.notes) == (want.vertices, want.notes)
 
 
-def test_licensed_probe_phase_takes_a_binary_search_of_calls(trace_cases,
-                                                             monkeypatch):
-    # the audited columns' probes ride in the first call, so the probe phase
-    # ends with the binary searches (17 to 19 probes: five rounds); each
-    # lockstep call of limit mode is one _limits_lockstep call
+def test_probe_phase_is_one_lockstep_call(trace_cases, monkeypatch):
+    # without bisection levels only the probe phase runs: one _limits_lockstep
+    # call over every probe of every column
     m, rec, w, opts = trace_cases["ex1_limit"]
     fp = rec.location
     slope = rec.eigen.v_lam.y / rec.eigen.v_lam.x
@@ -659,45 +655,35 @@ def test_licensed_probe_phase_takes_a_binary_search_of_calls(trace_cases,
     monkeypatch.setattr(curves, "MAX_BISECTIONS", 0)
     assert curves._solve_columns(m, fp, slope, cxs, w, opts.curve_tol, sopts,
                                  True) is not None
-    assert len(calls) <= 6
+    probes = sum(len(column_probes(fp, slope, x, w, opts.curve_tol)) for x in cxs)
+    assert calls == [probes]
 
 
-def test_binary_scan_hands_a_band_verdict_to_the_linear_scan(trace_cases,
-                                                              monkeypatch):
-    # the window puts the saddle on uniform probe 13 of its own column: the
-    # binary search classifies it in its second round (probe index 14, after
-    # the tangent probe below it) and reads band there
+def test_licensed_scan_returns_a_band_probe(trace_cases):
+    # the window puts the saddle on uniform probe 13 of its own column (probe
+    # index 14, after the tangent probe below it), which reads band
     m, rec, _w, _opts = trace_cases["ex5_saddle"]
     fp = rec.location
     w = Rect(0.0, 1.5, fp.y - 13.5 * 0.34 / 17, fp.y + 3.5 * 0.34 / 17)
-    assert planarmap._order_licensed(m, w, 3 * curves.PROBES)
     slope = rec.eigen.v_lam.y / rec.eigen.v_lam.x
     cxs = [fp.x - 0.01, fp.x, fp.x + 0.01]
     sopts = SideOptions(epsilon_margin=1e-6)
-    rounds = []
-
-    def spy(*args):
-        codes = classify_batch(*args)
-        rounds.append(dict(zip(zip(args[1].tolist(), args[2].tolist()),
-                               codes.tolist())))
-        return codes
-
-    monkeypatch.setattr(curves, "classify_batch", spy)
     got = curves._solve_columns(m, fp, slope, cxs, w, 1e-8, sopts, True)
-    assert rounds[1][fp.x, fp.y] == LABEL_CODES["band"]
     assert got == solve_columns_one_by_one(m, fp, slope, cxs, w, 1e-8, sopts)
     assert got[1][1] == "" and abs(got[1][0] - fp.y) <= 1e-6
 
 
-def test_order_audit_disagreement_scans_every_column_linearly(trace_cases,
-                                                              monkeypatch):
-    # the audited first column reads minus at its second probe, below the
-    # plus probes under the curve: the binary search never classifies it,
-    # the audit's linear scan stops there
+AUDIT_NOTE = "order licence failed its audit (columns bisected without T*)"
+
+
+def _odd_minus_traces(trace_cases, monkeypatch, column):
+    """The ex1 limit-mode trace over 32 columns whose column-th column reads
+    minus at its second uniform probe, below the plus probes under the
+    curve; and the same trace without the licence."""
     m, fp, w, opts = trace_cases["ex1_limit"]
     opts = replace(opts, columns=32)
-    x0 = min(x for x in curves._column_positions(w, fp.location.x, opts.columns)
-             if x != fp.location.x)
+    x0 = [x for x in curves._column_positions(w, fp.location.x, opts.columns)
+          if x != fp.location.x][column]
     y1 = w.y_lo + 1.5 * w.height() / curves.PROBES
 
     limit_verdicts = curves._limit_verdicts
@@ -710,9 +696,25 @@ def test_order_audit_disagreement_scans_every_column_linearly(trace_cases,
     monkeypatch.setattr(curves, "_limit_verdicts", odd_column)
     got = trace_stable_curve(m, fp, w, opts)
     monkeypatch.setattr(curves, "_order_licensed", lambda *args: False)
-    want = trace_stable_curve(m, fp, w, opts)
-    note = "order licence failed its audit (probes scanned linearly)"
-    assert got.notes == want.notes + (note,)
+    return got, trace_stable_curve(m, fp, w, opts)
+
+
+def test_order_audit_disagreement_scans_every_column_linearly(trace_cases,
+                                                              monkeypatch):
+    # the first column, which the replay audits too, reads a plus above its
+    # odd minus: every column is solved again without T*
+    got, want = _odd_minus_traces(trace_cases, monkeypatch, 0)
+    assert got.notes == want.notes + (AUDIT_NOTE,)
+    assert replace(got, notes=want.notes) == want
+
+
+def test_order_audit_reads_every_probe_of_every_column(trace_cases, monkeypatch):
+    # the second column lies off the AUDIT_STRIDE grid, and its odd minus
+    # lies below its bracket, where no binary search over the probe indices
+    # would read it
+    assert 1 % curves.AUDIT_STRIDE != 0
+    got, want = _odd_minus_traces(trace_cases, monkeypatch, 1)
+    assert got.notes == want.notes + (AUDIT_NOTE,)
     assert replace(got, notes=want.notes) == want
 
 
@@ -729,32 +731,34 @@ def _columns_setup(trace_cases, case, columns, stretch=(0.0, 0.0)):
     return m, fp, slope, cxs, w, curves._bisect_options(m, opts)
 
 
-def _solved(m, fp, slope, cxs, w, sopts):
-    """_solve_columns as trace_stable_curve calls it: under the licence when
-    it holds, and without it when an audit fails."""
-    licensed = planarmap._order_licensed(m, w, len(cxs) * curves.PROBES)
+def _solved(m, fp, slope, cxs, w, sopts, licensed):
+    """_solve_columns as trace_stable_curve calls it: if licensed, under the
+    licence when it holds, and without it when an audit fails."""
+    licensed = licensed and planarmap._order_licensed(m, w, len(cxs) * curves.PROBES)
     got = curves._solve_columns(m, fp, slope, cxs, w, 1e-8, sopts, licensed)
     if got is None:
         got = curves._solve_columns(m, fp, slope, cxs, w, 1e-8, sopts)
     return got
 
 
-@settings(max_examples=30, deadline=None)
-@given(case=st.sampled_from(["ex1_limit", "ex1_dsl", "ex3_T2"]),
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(["ex1_limit", "ex1_dsl", "ex3_T2", "ex5_saddle"]),
        stretch=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
        columns=st.integers(4, 48), start=st.integers(0, 3),
-       stride=st.integers(1, 3), batch=st.booleans(),
+       stride=st.integers(1, 3), batch=st.booleans(), licensed=st.booleans(),
        max_iter=st.sampled_from([60, CurveOptions().max_iter]))
 def test_guided_columns_match_column_by_column(trace_cases, case, stretch,
                                                columns, start, stride, batch,
-                                               max_iter):
-    # a short max_iter leaves T* undefined near the curve: those columns bisect
+                                               licensed, max_iter):
+    # the one-call probe phase in limit mode (guided when licensed) and in
+    # quadrant mode (ex5_saddle); a short max_iter leaves T* undefined near
+    # the curve: those columns bisect
     m, fp, slope, cxs, w, sopts = _columns_setup(trace_cases, case, columns, stretch)
     cxs = cxs[start::stride]
     sopts = replace(sopts, max_iter=max_iter)
     if not batch:
         m = replace(m, batch=None)
-    assert _solved(m, fp, slope, cxs, w, sopts) == solve_columns_one_by_one(
+    assert _solved(m, fp, slope, cxs, w, sopts, licensed) == solve_columns_one_by_one(
         m, fp, slope, cxs, w, 1e-8, sopts)
 
 
@@ -825,8 +829,7 @@ def test_replay_audit_disagreement_bisects_every_column(trace_cases):
     opts = CurveOptions(columns=64, mode="limit_equilibrium")
     got = trace_stable_curve(odd, rec, w, opts)
     want = _oracle(trace_stable_curve, odd, rec, w, opts)
-    note = "order licence failed its audit (probes scanned linearly)"
-    assert got.notes == want.notes + (note,)
+    assert got.notes == want.notes + (AUDIT_NOTE,)
     assert "1 columns flagged (bisection probe undecided)" in got.notes
     assert replace(got, notes=want.notes) == want
 

@@ -31,23 +31,23 @@ def test_ex1_trace_64_columns():
     m = make_example("ex1").map
     fp = find_fixed_point(m, Point2(1e-9, 1.0))
     assert _evaluations(m, lambda c: trace_stable_curve(
-        c, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions(columns=64))) == 21_347
+        c, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions(columns=64))) == 43_092
 
 
 def test_ex1_trace_64_columns_batch_calls():
     # one batch call per lockstep round of each lockstep call, plus the order
-    # licence's image batch: about five probe calls (the licensed binary probe
-    # scan), four calls of T*-guided location, then the calls that certify
-    # and replay the bisection, settling two levels each
+    # licence's image batch: one probe call over every probe of every column,
+    # four calls of T*-guided location, then the calls that certify and
+    # replay the bisection, settling two levels each
     m = make_example("ex1").map
     fp = find_fixed_point(m, Point2(1e-9, 1.0))
     assert _evaluations_and_batch_calls(m, lambda c: trace_stable_curve(
-        c, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions(columns=64))) == (21_347, 279)
+        c, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions(columns=64))) == (43_092, 199)
 
 
 def test_ex1_trace_lockstep_calls(monkeypatch):
     # every lockstep call of limit mode (classify_batch, and T* in _locate) is
-    # one _limits_lockstep call: 5 probe calls, 4 location calls and 2 calls
+    # one _limits_lockstep call: 1 probe call, 4 location calls and 2 calls
     # that certify and replay
     m = make_example("ex1").map
     fp = find_fixed_point(m, Point2(1e-9, 1.0))
@@ -60,15 +60,15 @@ def test_ex1_trace_lockstep_calls(monkeypatch):
 
     monkeypatch.setattr(curves, "_limits_lockstep", spy)
     trace_stable_curve(m, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions())
-    assert calls[0] == 11
+    assert calls[0] == 7
 
 
 def test_ex5_trace_64_columns_quadrant_mode():
-    # the saddle's separatrix in quadrant mode, under the same binary probe scan
+    # the saddle's separatrix in quadrant mode: one probe call, then bisection
     sys = make_example("ex5")
     saddle = find_fixed_point(sys.map, ex5_equilibria(sys.params)[1])
     assert _evaluations_and_batch_calls(sys.map, lambda c: trace_stable_curve(
-        c, saddle, Rect(0.0, 1.5, 0.0, 1.5), CurveOptions(columns=64))) == (19_866, 168)
+        c, saddle, Rect(0.0, 1.5, 0.0, 1.5), CurveOptions(columns=64))) == (20_360, 160)
 
 
 def _ex1_columns(m, n, licensed=False):
@@ -81,24 +81,23 @@ def _ex1_columns(m, n, licensed=False):
 
 
 def test_ex1_columns_without_batch_bisect_one_level():
-    # the scalar loops pay per evaluation, so no midpoint is classified ahead:
-    # the count of the columns solved one at a time
+    # the scalar loops pay per evaluation, so no midpoint is classified ahead;
+    # every probe is classified, past the bracket too
     m = replace(make_example("ex1").map, batch=None)
-    assert _evaluations(m, lambda c: _ex1_columns(c, 64)) == 54_426
+    assert _evaluations(m, lambda c: _ex1_columns(c, 64)) == 59_893
 
 
 def test_ex1_licensed_columns_without_batch_audit_one_probe_a_round():
-    # without a batch step the audited columns scan one probe a round beside
-    # the binary searches instead of classifying all their probes at once;
+    # without a batch step too, every probe of every column is classified;
     # T*-guided location then replays the bisections
     m = replace(make_example("ex1").map, batch=None)
-    assert _evaluations(m, lambda c: _ex1_columns(c, 64, licensed=True)) == 19_590
+    assert _evaluations(m, lambda c: _ex1_columns(c, 64, licensed=True)) == 44_388
 
 
 def test_ex1_16_columns_bisect_one_level():
     # BATCH_HANDOFF or fewer columns finish in the scalar loops too
     assert _evaluations(make_example("ex1").map,
-                        lambda c: _ex1_columns(c, 16)) == 13_903
+                        lambda c: _ex1_columns(c, 16)) == 17_343
 
 
 def test_ex5_unstable_trace():
