@@ -13,7 +13,8 @@ from .geometry import Point2, Rect
 from .planarmap import PlanarMap, _order_licensed
 from .curves import (_MINUS, _PLUS, _SINGULAR, _UNDECIDED, LABEL_CODES,
                      LABEL_NAMES, SideOptions, _check_limit_args,
-                     _limits_lockstep, _resolve_mode, classify_batch)
+                     _limit_verdicts, _limits_lockstep, _resolve_mode,
+                     classify_batch)
 from .curves import LimitRecord, limit_equilibrium  # noqa: F401  (re-exported)
 
 # PGM gray levels per label
@@ -75,6 +76,9 @@ def raster_options(m: PlanarMap, window: Rect) -> SideOptions:
 # Lattice strides of a licensed limit-mode raster: a coarse lattice, then
 # every cell the coarse verdicts leave open.
 ORDER_STRIDES = (8, 1)
+# A lattice verdict implies cells only if its orbit retired within this
+# share of max_iter: next to a slower orbit, cells may run out of iterations.
+SLOW_SHARE = 0.5
 _UNKNOWN = 255  # a cell not yet classified or inferred
 
 
@@ -82,17 +86,19 @@ def raster(m: PlanarMap, fp: Point2, window: Rect, nx: int, ny: int,
            opts: SideOptions = None, workers: int = 1) -> BasinRaster:
     """Classify every cell center against the separatrix through fp.
 
-    Cells are classified level by level over lattice strides, one
-    classify_batch call per level over the lattice cells that the verdicts
-    so far leave open; the other cells are inferred from the southeast
+    Cells are classified level by level over lattice strides, one lockstep
+    call per level (_limit_verdicts, which also counts each orbit's
+    iterations) over the lattice cells that the verdicts so far leave
+    open; the other cells are inferred from the southeast
     order. The paper's separatrix is an increasing curve that splits the
     region into two invariant parts, and a competitive map keeps z <=_se p
     in T^n(z) <=_se T^n(p). So the minus cells form a down-set of the order
     (a cell left of or above a minus cell is minus) and the plus cells an
     up-set. A cell implied minus and not plus is filled as minus, and the
     other way round; a cell implied both ways is classified. band,
-    undecided and singular cells imply nothing, and a level whose verdicts
-    include undecided or singular cells ends the inference.
+    undecided and singular cells imply nothing, nor does a verdict whose
+    orbit ran for more than SLOW_SHARE of max_iter, and a level whose
+    verdicts include undecided or singular cells ends the inference.
 
     The strides are ORDER_STRIDES in limit_equilibrium mode when the
     sampled licence of planarmap._order_licensed (which curve traces share)
@@ -115,18 +121,26 @@ def raster(m: PlanarMap, fp: Point2, window: Rect, nx: int, ny: int,
     infer = opts.mode == "limit_equilibrium" and _order_licensed(m, window, nx * ny)
     X, Y = np.meshgrid(*_cell_centers(window, nx, ny, np.arange(nx), np.arange(ny)))
     labels = np.full((ny, nx), _UNKNOWN, dtype=np.uint8)
+    slow = np.zeros((ny, nx), dtype=bool)  # verdicts past SLOW_SHARE * max_iter
     for s in ORDER_STRIDES if infer else (1,):
         lattice = (slice(None, None, s),) * 2
         known = labels[lattice]  # a view: writes go to labels
         todo = known == _UNKNOWN
         if infer and not todo.all():  # fill what the verdicts so far imply
-            minus, plus = (a[lattice] for a in _implied(labels))
+            implied = _implied(np.where(slow, _UNKNOWN, labels))
+            minus, plus = (a[lattice] for a in implied)
             known[todo & minus & ~plus] = _MINUS
             known[todo & plus & ~minus] = _PLUS
             todo &= minus == plus
         if todo.all():  # the whole lattice, in one call on its own shape
             todo = ...
-        codes = classify_batch(m, X[lattice][todo], Y[lattice][todo], Point2(*fp), opts)
+        xs, ys = X[lattice][todo], Y[lattice][todo]
+        if infer:
+            codes, _, _, n = _limit_verdicts(m, xs.ravel(), ys.ravel(), Point2(*fp), opts)
+            codes = codes.reshape(xs.shape)
+            slow[lattice][todo] = (n > SLOW_SHARE * opts.max_iter).reshape(xs.shape)
+        else:
+            codes = classify_batch(m, xs, ys, Point2(*fp), opts)
         known[todo] = codes
         # an undecided or singular verdict shows an orbit outside the
         # licence's premises (out of iterations, diverged, at a pole): the
@@ -284,9 +298,9 @@ def continuity_probe(m: PlanarMap, segment: tuple, n: int,
     a, b = Point2(*segment[0]), Point2(*segment[1])
     starts = [Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
               for t in (k / (n - 1) for k in range(n))]
-    LX, LY, _ = _limits_lockstep(m, np.array([p.x for p in starts], dtype=float),
-                                 np.array([p.y for p in starts], dtype=float),
-                                 tol, max_iter)
+    LX, LY, _, _ = _limits_lockstep(m, np.array([p.x for p in starts], dtype=float),
+                                    np.array([p.y for p in starts], dtype=float),
+                                    tol, max_iter)
     limits = [None if math.isnan(x) else Point2(x, y)
               for x, y in zip(LX.tolist(), LY.tolist())]
     divergent = sum(q is None for q in limits)

@@ -27,11 +27,9 @@ from .fixedpoints import (NONHYPERBOLIC_TOL, FixedPointRecord, _boundary_reports
                           _find_fixed_points, check_invariant_curve_hypotheses)
 from .classification import (classify_hyperbolic_ray, classify_nonhyperbolic,
                              taylor_along_eigenvector)
-from .curves import (SIDE_MODES, CurveOptions, trace_stable_curve,
-                     trace_unstable_curve)
-from .basins import raster, raster_options, raster_to_csv, raster_to_pgm
 from .geometry import Point2, Rect
-from .planarmap import _sample_grid, check_competitive, check_O_condition, orbit
+from .planarmap import (SIDE_MODES, _sample_grid, check_competitive,
+                        check_O_condition, orbit)
 from .systems import (DEFAULT_PARAMS, DESCRIPTIONS, EXAMPLE_IDS, make_example)
 
 _FMT = "{:.17g}"
@@ -411,6 +409,8 @@ def _cmd_analyze(cfg: dict) -> int:
 
 
 def _cmd_curve(cfg: dict) -> int:
+    from .curves import CurveOptions, trace_stable_curve, trace_unstable_curve
+
     m, sys_ = _build_map(cfg)
     window = _cfg_window(cfg)
     roots = _resolve_fixed_points(cfg, m, sys_, window, tol=1e-10)
@@ -439,6 +439,8 @@ def _cmd_curve(cfg: dict) -> int:
 
 
 def _cmd_basin(cfg: dict) -> int:
+    from .basins import raster, raster_options, raster_to_csv, raster_to_pgm
+
     if not cfg.get("out"):
         raise _CliError(2, "basin needs an --out path")
     m, sys_ = _build_map(cfg)

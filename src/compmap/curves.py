@@ -17,9 +17,10 @@ import numpy as np
 
 from .errors import HypothesisError, NoConvergenceError, SingularityError
 from .expr import _Compiled, _function
-from .fixedpoints import FixedPointRecord, check_invariant_curve_hypotheses
+from .fixedpoints import (NONHYPERBOLIC_TOL, EigenData, FixedPointRecord,
+                          check_invariant_curve_hypotheses)
 from .geometry import Point2, Rect, sup_norm
-from .planarmap import PlanarMap, _images, _order_licensed
+from .planarmap import SIDE_MODES, PlanarMap, _images, _order_licensed
 
 
 # ---------------------------------------------------------------------------
@@ -27,8 +28,6 @@ from .planarmap import PlanarMap, _images, _order_licensed
 
 # An orbit with a coordinate beyond ESCAPE_BOUND in magnitude has diverged.
 ESCAPE_BOUND = 1e6
-
-SIDE_MODES = ("quadrant_escape", "limit_equilibrium")
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,7 @@ def classify_side(m: PlanarMap, p: Point2, fp: Point2,
     """
     x, y = float(p[0]), float(p[1])
     if opts.mode == "quadrant_escape":
-        return _classify_quadrant(m, x, y, 0, fp, opts)
+        return _classify_quadrant(m, x, y, 0, fp, opts)[0]
     flag, x, y, n = _limit_orbit(m.step, x, y, 0, opts.conv_tol, opts.max_iter)
     if flag:
         return SideVerdict("undecided", n, flag)
@@ -87,8 +86,10 @@ def classify_side(m: PlanarMap, p: Point2, fp: Point2,
 
 
 def _classify_quadrant(m: PlanarMap, x: float, y: float, n: int, fp: Point2,
-                       opts: SideOptions) -> SideVerdict:
-    """The quadrant-mode verdict from the orbit point x_n = (x, y).
+                       opts: SideOptions) -> tuple:
+    """The quadrant-mode verdict from the orbit point x_n = (x, y), and the
+    orbit point it stopped at: (verdict, x_k, y_k), where k is
+    verdict.iterations_used for a plus, minus or band verdict.
 
     Per iterate, in this order: band, minus, plus, beyond ESCAPE_BOUND
     (divergence); then the step, where SingularityError or a non-finite
@@ -109,22 +110,22 @@ def quadrant(step, x, y, n, fx, fy, eps, max_iter, x_lo, x_hi, y_lo, y_hi):
         dx = x - fx
         dy = y - fy
         if meps <= dx <= eps and meps <= dy <= eps:
-            return SideVerdict("band", n)
+            return SideVerdict("band", n), x, y
         if dx <= meps and dy >= eps:
-            return SideVerdict("minus", n)
+            return SideVerdict("minus", n), x, y
         if dx >= eps and dy <= meps:
-            return SideVerdict("plus", n)
+            return SideVerdict("plus", n), x, y
         if x > big or x < mbig or y > big or y < mbig:
-            return SideVerdict("undecided", n, "divergence")
+            return SideVerdict("undecided", n, "divergence"), x, y
         try:
             x, y = step(x, y)
         except SingularityError:
-            return SideVerdict("undecided", n, "singularity")
+            return SideVerdict("undecided", n, "singularity"), x, y
         if not (isfinite(x) and isfinite(y)):
-            return SideVerdict("undecided", n, "singularity")
+            return SideVerdict("undecided", n, "singularity"), x, y
         if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):
-            return SideVerdict("undecided", n, "escape")
-    return SideVerdict("undecided", max_iter, "max_iter")
+            return SideVerdict("undecided", n, "escape"), x, y
+    return SideVerdict("undecided", max_iter, "max_iter"), x, y
 """
 
 
@@ -261,7 +262,9 @@ def _limits_lockstep(m: PlanarMap, X: np.ndarray, Y: np.ndarray, tol: float,
     """_limit_orbit from every (X[k], Y[k]), in lockstep numpy.
 
     Returns the limit coordinates, NaN where the orbit ended without one,
-    and a mask of the orbits that ended in a singularity. All points step
+    a mask of the orbits that ended in a singularity, and each orbit's
+    iteration count: the k of _limit_orbit, the index of the orbit point it
+    ended at (max_iter where it ran out of iterations). All points step
     together through m.batch, where NaN stands for a singularity; once
     BATCH_HANDOFF or fewer remain (at once without a batch step), each
     finishes in _limit_orbit from where it stands.
@@ -279,6 +282,7 @@ def _limits_lockstep(m: PlanarMap, X: np.ndarray, Y: np.ndarray, tol: float,
     LX = np.full(X.shape, math.nan)
     LY = np.full(X.shape, math.nan)
     singular = np.zeros(X.shape, dtype=bool)
+    N = np.zeros(X.shape, dtype=int)
     idx = np.arange(X.size)
     n = 0
     if m.batch is not None and X.size > BATCH_HANDOFF:
@@ -306,20 +310,22 @@ def _limits_lockstep(m: PlanarMap, X: np.ndarray, Y: np.ndarray, tol: float,
                 LX[k] = X[stop]
                 LY[k] = Y[stop]
                 ENDS[k] = a[stop]
+                N[k] = n - 1
                 idx, X, Y = idx[go], Xn[go], Yn[go]
                 a, b, go, conv = (v[:len(idx)] for v in buffers)
         no_limit = ~(ENDS <= ESCAPE_BOUND)
         LX[no_limit] = math.nan
         LY[no_limit] = math.nan
         singular[~(ENDS < math.inf)] = True  # a NaN or infinite image
-    if n < max_iter:  # otherwise the rest ran out of iterations
+    N[idx] = n  # max_iter, where the rest ran out of iterations
+    if n < max_iter:
         for k, x, y in zip(idx.tolist(), X.tolist(), Y.tolist()):
-            flag, x, y, _ = _limit_orbit(m.step, x, y, n, tol, max_iter)
+            flag, x, y, N[k] = _limit_orbit(m.step, x, y, n, tol, max_iter)
             if flag:
                 singular[k] = flag == "singularity"
             else:
                 LX[k], LY[k] = x, y
-    return LX, LY, singular
+    return LX, LY, singular, N
 
 
 # ---------------------------------------------------------------------------
@@ -347,18 +353,19 @@ def classify_batch(m: PlanarMap, xs, ys, fp: Point2,
     X = xs.ravel()
     Y = np.asarray(ys, dtype=float).ravel()
     if opts.mode == "quadrant_escape":
-        return _quadrant_batch(m, X, Y, fp, opts).reshape(xs.shape)
+        return _quadrant_batch(m, X, Y, fp, opts)[0].reshape(xs.shape)
     return _limit_verdicts(m, X, Y, fp, opts)[0].reshape(xs.shape)
 
 
 def _limit_verdicts(m: PlanarMap, X: np.ndarray, Y: np.ndarray, fp: Point2,
                     opts: SideOptions) -> tuple:
-    """The limit-mode codes of the points (X[k], Y[k]) and their limits
-    T*(X[k], Y[k]): (codes, LX, LY), NaN where an orbit has no limit."""
-    LX, LY, singular = _limits_lockstep(m, X, Y, opts.conv_tol, opts.max_iter)
+    """The limit-mode codes of the points (X[k], Y[k]), their limits
+    T*(X[k], Y[k]) and iteration counts: (codes, LX, LY, N), NaN where an
+    orbit has no limit (see _limits_lockstep)."""
+    LX, LY, singular, N = _limits_lockstep(m, X, Y, opts.conv_tol, opts.max_iter)
     codes = _limit_codes(LX, LY, fp, opts)  # NaN limits read undecided
     codes[singular] = _SINGULAR
-    return codes, LX, LY
+    return codes, LX, LY, N
 
 
 def _gap(LX: np.ndarray, LY: np.ndarray, fp: Point2) -> np.ndarray:
@@ -367,14 +374,58 @@ def _gap(LX: np.ndarray, LY: np.ndarray, fp: Point2) -> np.ndarray:
     return (LY - fp[1]) - (LX - fp[0])
 
 
+def _exit_rate(e: EigenData) -> Optional[tuple]:
+    """(w_x, w_y, mu) at a saddle with eigen data e, where the row w is dual
+    to v_mu (w . v_lam = 0, w . v_mu = 1); None unless e is real with
+    |lam| < 1 and mu > 1 (NONHYPERBOLIC_TOL clear of 1), and w_x > 0 > w_y,
+    as at a strongly competitive saddle (v_lam in int Q1, v_mu in int Q4)."""
+    if not (e.real_distinct and e.v_lam is not None and e.v_mu is not None
+            and abs(e.lam) < 1.0 < e.mu - NONHYPERBOLIC_TOL):
+        return None
+    (a, b), (c, d) = e.v_lam, e.v_mu
+    det = b * c - a * d
+    wx, wy = b / det, -a / det
+    return (wx, wy, e.mu) if wx > 0.0 > wy else None
+
+
+def _sided(m: PlanarMap, X: np.ndarray, Y: np.ndarray, fp: Point2,
+           opts: SideOptions, rate: Optional[tuple] = None) -> tuple:
+    """The codes of the points (X[k], Y[k]) and the gap s there, from one
+    lockstep call. In limit mode s is _gap of T*. In quadrant mode, given
+    the exit rate of a saddle fp (_exit_rate), s = -<w, x_n - fp> / mu^n
+    at the orbit point x_n that decided the verdict: < 0 on plus and > 0
+    on minus (w_x > 0 > w_y), as _gap; 0 on band (the orbit met fp, so the
+    start lies on the curve up to the verdict margin); NaN on undecided
+    and singular. Near the saddle's stable manifold, which is the curve,
+    an orbit leaves along v_mu, and s is close to a linear function of the
+    start's offset from the curve. Without a rate, quadrant mode gives
+    s = None."""
+    if opts.mode == "limit_equilibrium":
+        codes, LX, LY, _N = _limit_verdicts(m, X, Y, fp, opts)
+        return codes, _gap(LX, LY, fp)
+    codes, EX, EY, N = _quadrant_batch(m, X, Y, fp, opts, rate is not None)
+    if rate is None:
+        return codes, None
+    wx, wy, mu = rate
+    with np.errstate(all="ignore"):
+        s = -((EX - fp[0]) * wx + (EY - fp[1]) * wy) / mu ** N
+    s[codes == _BAND] = 0.0
+    s[codes > _BAND] = math.nan  # undecided or singular
+    return codes, s
+
+
 # The label of a stopped quadrant-mode image, at 4 not band + 2 not minus + not plus
 _STOPPED = np.array([_BAND] * 4 + [_MINUS, _MINUS, _PLUS, _UNDECIDED], dtype=np.uint8)
 
 
 def _quadrant_batch(m: PlanarMap, X: np.ndarray, Y: np.ndarray, fp: Point2,
-                    opts: SideOptions) -> np.ndarray:
+                    opts: SideOptions, exits: bool = False) -> tuple:
     """_classify_quadrant from every (X[k], Y[k]), in lockstep numpy; returns
-    the label codes.
+    the label codes and, if exits, the orbit point x_n each orbit stopped at
+    and its index n: (codes, EX, EY, N), where x_n decided a plus, minus or
+    band verdict; else (codes, None, None, None). Keeping them costs three
+    scatters in each round where an orbit stops: on the ex4 128x128
+    raster, about a quarter of the call's time.
 
     All points step together through m.batch; once BATCH_HANDOFF or fewer
     remain (at once without a batch step), each finishes in
@@ -395,6 +446,8 @@ def _quadrant_batch(m: PlanarMap, X: np.ndarray, Y: np.ndarray, fp: Point2,
     _classify_quadrant.
     """
     out = np.full(X.size, _UNDECIDED, dtype=np.uint8)
+    EX, EY, N = ((X.copy(), Y.copy(), np.zeros(X.size, dtype=int)) if exits
+                 else (None,) * 3)
     idx = np.arange(X.size)
     n = 0
     if m.batch is not None and X.size > BATCH_HANDOFF:
@@ -450,13 +503,19 @@ def _quadrant_batch(m: PlanarMap, X: np.ndarray, Y: np.ndarray, fp: Point2,
                     finite = np.isfinite(x) & np.isfinite(y)
                     codes[odd[~_within(sides, x, y, finite.copy())]] = _UNDECIDED
                     codes[odd[~finite]] = _SINGULAR
-                out[idx[stop]] = codes
+                k = idx[stop]
+                out[k] = codes
+                if exits:
+                    EX[k], EY[k], N[k] = Xn[stop], Yn[stop], n
                 idx, X, Y = idx[keep], Xn[keep], Yn[keep]
                 a, b, c, ok, not_minus, not_plus, not_band, go = (
                     v[:len(idx)] for v in buffers)
     for k, x, y in zip(idx.tolist(), X.tolist(), Y.tolist()):
-        out[k] = label_code(_classify_quadrant(m, x, y, n, fp, opts))
-    return out
+        v, x, y = _classify_quadrant(m, x, y, n, fp, opts)
+        out[k] = label_code(v)
+        if exits:
+            EX[k], EY[k], N[k] = x, y, v.iterations_used
+    return out, EX, EY, N
 
 
 def _limit_codes(X, Y, fp, opts):
@@ -679,11 +738,14 @@ _OPEN = 255  # a verdict that no certified band implies
 
 def _locate(m: PlanarMap, fp: Point2, cx: np.ndarray, lo: np.ndarray,
             hi: np.ndarray, s_lo: np.ndarray, s_hi: np.ndarray, curve_tol: float,
-            sopts: SideOptions) -> np.ndarray:
-    """The root of s (_gap of T*) in every column cx[k], from the
-    bracket lo[k] < hi[k] where s_lo[k] < 0 < s_hi[k]: Illinois regula falsi
-    (Dowell & Jarratt, BIT 11, 1971), all columns in lockstep, one
-    _limits_lockstep call per round. A column whose s reads NaN gets NaN."""
+            sopts: SideOptions, rate: Optional[tuple] = None) -> np.ndarray:
+    """The root of s (_sided's gap in the mode of sopts) in every column
+    cx[k], from the bracket lo[k] < hi[k] where s_lo[k] < 0 < s_hi[k]:
+    Anderson-Bjorck regula falsi (BIT 13, 1973), all columns in lockstep,
+    one lockstep call (_limits_lockstep or _quadrant_batch) per round. When
+    the same end moves twice in a row, the other end's s is scaled by
+    1 - s_c / s_moved (s_moved the moving end's s before the move), or by
+    1/2 where that is not positive. A column whose s reads NaN gets NaN."""
     a, b, fa, fb = lo.copy(), hi.copy(), s_lo.copy(), s_hi.copy()
     est = a + (b - a) * (fa / (fa - fb))
     last = np.zeros(len(cx), dtype=int)  # the end the last round moved: -1 a, 1 b
@@ -692,13 +754,14 @@ def _locate(m: PlanarMap, fp: Point2, cx: np.ndarray, lo: np.ndarray,
         if not len(j):
             break
         c = est[j]
-        LX, LY, _singular = _limits_lockstep(m, cx[j], c, sopts.conv_tol,
-                                             sopts.max_iter)
-        fc = _gap(LX, LY, fp)
+        fc = _sided(m, cx[j], c, fp, sopts, rate)[1]
         neg, pos = fc < 0, fc > 0
         ja, jb = j[neg], j[pos]
-        fb[ja[last[ja] == -1]] *= 0.5  # the same end twice: halve the other's s
-        fa[jb[last[jb] == 1]] *= 0.5
+        for moved, other, k, f, end in ((fa, fb, ja, fc[neg], -1),
+                                        (fb, fa, jb, fc[pos], 1)):
+            twice = last[k] == end
+            scale = 1.0 - f[twice] / moved[k[twice]]
+            other[k[twice]] *= np.where(scale > 0.0, scale, 0.5)
         a[ja], fa[ja], last[ja] = c[neg], fc[neg], -1
         b[jb], fb[jb], last[jb] = c[pos], fc[pos], 1
         est[j] = np.where(np.isnan(fc), math.nan,
@@ -708,17 +771,18 @@ def _locate(m: PlanarMap, fp: Point2, cx: np.ndarray, lo: np.ndarray,
 
 
 def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
-                   curve_tol: float, sopts: SideOptions,
-                   licensed: bool = False) -> Optional[list]:
+                   curve_tol: float, sopts: SideOptions, licensed: bool = False,
+                   rate: Optional[tuple] = None) -> Optional[list]:
     """Locate the curve ordinate in every column of cxs, all columns together.
 
     Returns one (y, flag) or (None, flag) per column, or None when an audit
-    below disagrees with the licence. One lockstep call classifies every
-    probe of every column: _limit_verdicts in limit mode, which keeps s
-    (_gap of T*) at each probe too, and classify_batch in quadrant mode. A
-    point's verdict does not depend on its batch, so each row, read in probe
-    order, scans its column as the column on its own would: band returns
-    the probe, plus sets lo, minus sets hi and ends the scan once lo is set.
+    below disagrees with the licence. One lockstep call (_sided) classifies
+    every probe of every column and keeps the gap s at each probe: _gap of
+    T* in limit mode, and in quadrant mode, given rate (_exit_rate of a
+    saddle fp), the exit-rate gap. A point's verdict does not depend on its
+    batch, so each row, read in probe order, scans its column as the column
+    on its own would: band returns the probe, plus sets lo, minus sets hi
+    and ends the scan once lo is set.
 
     Bisection then halves the brackets still wider than curve_tol, for at
     most MAX_BISECTIONS levels per column. While more than BATCH_HANDOFF
@@ -729,10 +793,11 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
     bisecting it on its own would end it.
 
     licensed says the order licence (planarmap._order_licensed) holds:
-    verdicts are then plus below the curve and minus above it. In limit
-    mode under the licence (a guided call) a plus above a minus in any row
-    makes the call return None, and a column whose probes all read plus or
-    minus is located, certified and replayed instead. Locate: _locate finds
+    verdicts are then plus below the curve and minus above it. Under the
+    licence, in limit mode or in quadrant mode with a rate (a guided call),
+    a plus above a minus in any row makes the call return None, and a
+    column whose probes all read plus or minus is located, certified and
+    replayed instead. Locate: _locate finds
     the root y^ of s from the probe bracket and the s of its probes.
     Certify: y^ - w and y^ + w (w = curve_tol, kept inside the bracket) must
     read plus and minus; if not, w widens by WIDEN, at most WIDENINGS times,
@@ -751,13 +816,11 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
     P = _probe_matrix(fp, slope, cx, window, curve_tol)
     rows, cols = np.nonzero(~np.isnan(P))
     V = np.full(P.shape, _UNDECIDED, dtype=np.uint8)  # verdicts; NaN probes undecided
-    S = np.full(P.shape, math.nan)  # s at the probes, in limit mode
-    if sopts.mode == "limit_equilibrium":
-        codes, LX, LY = _limit_verdicts(m, cx[rows], P[rows, cols], fp, sopts)
-        S[rows, cols] = _gap(LX, LY, fp)
-    else:
-        codes = classify_batch(m, cx[rows], P[rows, cols], fp, sopts)
-    V[rows, cols] = codes
+    S = np.full(P.shape, math.nan)  # s at the probes, in a guided call
+    guided = licensed and (sopts.mode == "limit_equilibrium" or rate is not None)
+    V[rows, cols], s = _sided(m, cx[rows], P[rows, cols], fp, sopts, rate)
+    if guided:
+        S[rows, cols] = s
     # NaN stands for "not set" in lo, hi and y
     lo, hi, y = np.full((3, n), math.nan)
     ilo, ihi = np.zeros((2, n), dtype=int)  # the probe indices of lo and hi
@@ -770,7 +833,6 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
         lo[j[plus]], ilo[j[plus]] = py[plus], i
         hi[j[minus]], ihi[j[minus]] = py[minus], i
         j = j[~(band | closed)]
-    guided = licensed and sopts.mode == "limit_equilibrium"
     plus, minus = V == _PLUS, V == _MINUS
     if guided and (np.logical_or.accumulate(minus, axis=1) & plus).any():
         return None  # a plus above a minus breaks the licence
@@ -787,12 +849,12 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
         else:
             flags[j] = "no_bracket:mixed"
 
-    est = np.full(n, math.nan)  # T*'s estimate of the curve, in guided columns
+    est = np.full(n, math.nan)  # the gap's estimate of the curve, in guided columns
     if guided and MAX_BISECTIONS > 0:
         sided = (plus | minus | np.isnan(P)).all(axis=1)
         j = np.flatnonzero(sided & bisecting & (hi - lo > curve_tol))
         est[j] = _locate(m, fp, cx[j], lo[j], hi[j], S[j, ilo[j]], S[j, ihi[j]],
-                         curve_tol, sopts)
+                         curve_tol, sopts, rate)
     audit = np.arange(n) % AUDIT_STRIDE == 0
     if not _bisect(m, fp, cx, curve_tol, sopts, lo, hi, y, bisecting, flags, audit,
                    est):
@@ -948,13 +1010,15 @@ def trace_stable_curve(m: PlanarMap, fp: FixedPointRecord, window: Rect,
     All columns are solved together (_solve_columns): one lockstep call
     classifies every probe of every column, and one call settles two
     bisection levels while more than BATCH_HANDOFF columns bisect through a
-    batch step. In limit mode under the order licence
-    (planarmap._order_licensed) T* locates the curve in each bracket
-    (Illinois regula falsi), a verdict on either side of it certifies the
-    estimate, and the bisection is replayed, classifying only the midpoints
-    next to the estimate. A failed audit of the probe order or of the
-    replay solves every column again without T* (plain bisection) and adds
-    a note.
+    batch step. Under the order licence (planarmap._order_licensed), which
+    is asked for in limit mode and in quadrant mode at a saddle with real
+    eigenvalues and mu > 1 (_exit_rate), a gap that changes sign at the
+    curve locates it in each bracket (Anderson-Bjorck regula falsi): T* in
+    limit mode, the unstable coordinate at exit over mu^n in quadrant mode.
+    A verdict on either side of the estimate certifies it, and the
+    bisection is replayed, classifying only the midpoints next to the
+    estimate. A failed audit of the probe order or of the replay solves
+    every column again without the gap (plain bisection) and adds a note.
     The column through fp.x is seeded from the fixed point itself and the
     local tangent direction. workers has no effect; it stays only for
     perfbench's process-pool probe and must be >= 1.
@@ -975,9 +1039,10 @@ def trace_stable_curve(m: PlanarMap, fp: FixedPointRecord, window: Rect,
 
     cxs = [cx for cx in xs if cx != fpl.x]
     args = (m, fpl, slope, cxs, window, opts.curve_tol, sopts)
-    licensed = (sopts.mode == "limit_equilibrium"
+    rate = _exit_rate(fp.eigen)
+    licensed = ((sopts.mode == "limit_equilibrium" or rate is not None)
                 and _order_licensed(m, window, len(cxs) * PROBES))
-    results = _solve_columns(*args, licensed)
+    results = _solve_columns(*args, licensed, rate)
     audit_failed = results is None
     if audit_failed:
         results = _solve_columns(*args)
@@ -1009,7 +1074,8 @@ def trace_stable_curve(m: PlanarMap, fp: FixedPointRecord, window: Rect,
     if dropped:
         notes.append(f"{dropped} vertices dropped by the monotonicity filter")
     if audit_failed:
-        notes.append("order licence failed its audit (columns bisected without T*)")
+        notes.append("order licence failed its audit "
+                     "(columns bisected without guidance)")
     curve = MonotoneCurve(vertices=tuple(kept), monotonicity="increasing",
                           endpoint_left=EndpointLabel("truncated", kept[0]),
                           endpoint_right=EndpointLabel("truncated", kept[-1]),

@@ -323,7 +323,7 @@ def ex1_boundary_scan(a, x_col, y_lo, y_hi, n_scan=513, fp_y=1.0, iters=400):
 
 def classify_quadrant(m, x, y, n, fp, opts):
     """curves._classify_quadrant written out: the quadrant-mode verdict from
-    the orbit point x_n = (x, y)."""
+    the orbit point x_n = (x, y), and the orbit point it stopped at."""
     eps = opts.epsilon_margin
     fx, fy = fp
     dom = m.domain
@@ -332,22 +332,22 @@ def classify_quadrant(m, x, y, n, fp, opts):
         dx = x - fx
         dy = y - fy
         if abs(dx) <= eps and abs(dy) <= eps:
-            return SideVerdict("band", n)
+            return SideVerdict("band", n), x, y
         if dx <= -eps and dy >= eps:
-            return SideVerdict("minus", n)
+            return SideVerdict("minus", n), x, y
         if dx >= eps and dy <= -eps:
-            return SideVerdict("plus", n)
+            return SideVerdict("plus", n), x, y
         if abs(x) > curves.ESCAPE_BOUND or abs(y) > curves.ESCAPE_BOUND:
-            return SideVerdict("undecided", n, "divergence")
+            return SideVerdict("undecided", n, "divergence"), x, y
         try:
             x, y = step(x, y)
         except SingularityError:
-            return SideVerdict("undecided", n, "singularity")
+            return SideVerdict("undecided", n, "singularity"), x, y
         if not (math.isfinite(x) and math.isfinite(y)):
-            return SideVerdict("undecided", n, "singularity")
+            return SideVerdict("undecided", n, "singularity"), x, y
         if not (dom.x_lo <= x <= dom.x_hi and dom.y_lo <= y <= dom.y_hi):
-            return SideVerdict("undecided", n, "escape")
-    return SideVerdict("undecided", opts.max_iter, "max_iter")
+            return SideVerdict("undecided", n, "escape"), x, y
+    return SideVerdict("undecided", opts.max_iter, "max_iter"), x, y
 
 
 def limit_orbit(step, x, y, n, tol, max_iter):
@@ -374,7 +374,7 @@ def scalar_classify_side(m, p, fp, opts):
     """classify_side on the loops above."""
     x, y = float(p[0]), float(p[1])
     if opts.mode == "quadrant_escape":
-        return classify_quadrant(m, x, y, 0, fp, opts)
+        return classify_quadrant(m, x, y, 0, fp, opts)[0]
     flag, x, y, n = limit_orbit(m.step, x, y, 0, opts.conv_tol, opts.max_iter)
     if flag:
         return SideVerdict("undecided", n, flag)
@@ -452,9 +452,10 @@ def solve_column(m, fp, slope, cx, window, curve_tol, probes, sopts):
 
 
 def solve_columns_one_by_one(m, fp, slope, cxs, window, curve_tol, sopts,
-                             licensed=False):
+                             licensed=False, rate=None):
     """Drop-in for curves._solve_columns that runs solve_column per column:
-    the linear scan whether or not the order licence holds."""
+    the linear scan whether or not the order licence holds, and without an
+    exit-rate gap."""
     return [solve_column(m, fp, slope, cx, window, curve_tol, PROBES, sopts)
             for cx in cxs]
 

@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from compmap import (Point2, Rect, SideOptions, SingularityError, basins,
                      check_competitive, classify_side, continuity_probe,
-                     expr_map, limit_equilibrium, load_csv_raster, load_pgm,
+                     expr_map, find_fixed_point, limit_equilibrium, load_csv_raster, load_pgm,
                      make_example, planarmap, raster, raster_to_csv,
                      raster_to_pgm, save_raster)
 from compmap.basins import LABEL_CODES, LABEL_NAMES, raster_options
-from compmap.curves import LIMIT_RESIDUAL_TOL, classify_batch
+from compmap.curves import LIMIT_RESIDUAL_TOL, _UNDECIDED, classify_batch
 from compmap.planarmap import PlanarMap
 
 from helpers import counting_map
@@ -335,12 +335,34 @@ def test_cells_implied_both_ways_are_classified(limit_cases, monkeypatch):
     def fake(m, X, Y, fp, opts):
         return np.where(Y > 2.0, LABEL_CODES["plus"], LABEL_CODES["minus"]).astype(np.uint8)
 
-    monkeypatch.setattr(basins, "classify_batch", fake)
+    def fake_verdicts(m, X, Y, fp, opts):  # (codes, limits, iteration counts)
+        return fake(m, X, Y, fp, opts), X + np.nan, Y + np.nan, np.zeros(X.shape, int)
+
+    monkeypatch.setattr(basins, "_limit_verdicts", fake_verdicts)
     r = raster(m, fp, w, 32, 32)
     want = fake(m, *np.meshgrid(*basins._cell_centers(w, 32, 32, np.arange(32),
                                                       np.arange(32))), fp, None)
     assert np.array_equal(r.labels[:25, :25], want[:25, :25])
     assert set(np.unique(r.labels)) == {LABEL_CODES["minus"], LABEL_CODES["plus"]}
+
+
+def test_slow_lattice_verdicts_imply_no_cells():
+    # max_iter 30 cuts short the orbits right of the last lattice column;
+    # the lattice verdicts next to them ran past half of max_iter, so they
+    # imply nothing, and the 9 cells that run out of iterations are
+    # classified, not filled as plus
+    m = make_example("ex1").map
+    fp = find_fixed_point(m, Point2(1e-9, 1.0)).location
+    w = Rect(2.4588722857925687, 4.424528463838813, 1.0772235603435014,
+             3.440251311088247)
+    opts = SideOptions(mode="limit_equilibrium", epsilon_margin=0.01, max_iter=30,
+                       conv_tol=1e-9)
+    assert planarmap._order_licensed(m, w, 14 * 15)
+    r = raster(m, fp, w, 14, 15, opts)
+    want = classify_batch(m, *np.meshgrid(*basins._cell_centers(
+        w, 14, 15, np.arange(14), np.arange(15))), fp, opts)
+    assert np.count_nonzero(want == _UNDECIDED) == 9
+    assert np.array_equal(r.labels, want)
 
 
 def test_raster_serialization_round_trip(tmp_path, ex4_raster):

@@ -236,14 +236,15 @@ def test_lockstep_retirements_match_the_scalar_loops(name, mode, a, pts, fp, eps
     want = [label_code(scalar_classify_side(m, Point2(x, y), Point2(*fp), opts))
             for x, y in pts]
     assert classify_batch(m, X, Y, Point2(*fp), opts).tolist() == want
-    LX, LY, singular = curves._limits_lockstep(m, X, Y, conv_tol, max_iter)
+    LX, LY, singular, N = curves._limits_lockstep(m, X, Y, conv_tol, max_iter)
     for k, (x, y) in enumerate(pts):
-        flag, lx, ly, _ = limit_orbit(m.step, x, y, 0, conv_tol, max_iter)
+        flag, lx, ly, n = limit_orbit(m.step, x, y, 0, conv_tol, max_iter)
         if flag:
             assert math.isnan(LX[k]) and math.isnan(LY[k])
         else:
             assert float(LX[k]).hex() == lx.hex() and float(LY[k]).hex() == ly.hex()
         assert bool(singular[k]) == (flag == "singularity")
+        assert N[k] == n
 
 
 def test_lockstep_retirements_cover_every_flag():
@@ -299,10 +300,11 @@ def test_limit_lockstep_step_equal_to_tol_goes_on():
     m = expr_map("x + 0.000001", "y", {})
     X = np.zeros(BATCH_HANDOFF + 4)
     Y = np.arange(BATCH_HANDOFF + 4, dtype=float)
-    LX, LY, singular = curves._limits_lockstep(m, X, Y, 1e-6, 30)
+    LX, LY, singular, N = curves._limits_lockstep(m, X, Y, 1e-6, 30)
     flag, x, _y, n = limit_orbit(m.step, 0.0, 0.0, 0, 1e-6, 30)
     assert (flag, n) == ("", 3)
     assert LX.tolist() == [x] * len(X) and LY.tolist() == Y.tolist()
+    assert N.tolist() == [n] * len(X)
     assert not singular.any()
 
 
@@ -316,11 +318,11 @@ def test_limit_lockstep_on_the_escape_bound(f, flags):
     m = expr_map(f, "0.5*y", {})
     edge = curves.ESCAPE_BOUND
     xs = [edge, edge - 1, math.nextafter(edge, math.inf), 1.0] * 5
-    LX, LY, singular = curves._limits_lockstep(m, np.array(xs),
-                                               np.full(len(xs), 1e-9), 1e-6, 50)
+    LX, LY, singular, N = curves._limits_lockstep(m, np.array(xs),
+                                                  np.full(len(xs), 1e-9), 1e-6, 50)
     for k, x in enumerate(xs):
-        flag, lx, ly, _ = limit_orbit(m.step, x, 1e-9, 0, 1e-6, 50)
-        assert flag == flags[k % 4]
+        flag, lx, ly, n = limit_orbit(m.step, x, 1e-9, 0, 1e-6, 50)
+        assert (flag, N[k]) == (flags[k % 4], n)
         assert (math.isnan(LX[k]) if flag else (LX[k], LY[k]) == (lx, ly))
     assert not singular.any()
 
@@ -673,7 +675,7 @@ def test_licensed_scan_returns_a_band_probe(trace_cases):
     assert got[1][1] == "" and abs(got[1][0] - fp.y) <= 1e-6
 
 
-AUDIT_NOTE = "order licence failed its audit (columns bisected without T*)"
+AUDIT_NOTE = "order licence failed its audit (columns bisected without guidance)"
 
 
 def _odd_minus_traces(trace_cases, monkeypatch, column):
@@ -689,9 +691,9 @@ def _odd_minus_traces(trace_cases, monkeypatch, column):
     limit_verdicts = curves._limit_verdicts
 
     def odd_column(m, xs, ys, fp, sopts):  # every limit-mode verdict comes from here
-        codes, LX, LY = limit_verdicts(m, xs, ys, fp, sopts)
+        codes, *rest = limit_verdicts(m, xs, ys, fp, sopts)
         codes[(xs == x0) & (np.abs(ys - y1) < 0.1)] = LABEL_CODES["minus"]
-        return codes, LX, LY
+        return (codes, *rest)
 
     monkeypatch.setattr(curves, "_limit_verdicts", odd_column)
     got = trace_stable_curve(m, fp, w, opts)
@@ -699,8 +701,8 @@ def _odd_minus_traces(trace_cases, monkeypatch, column):
     return got, trace_stable_curve(m, fp, w, opts)
 
 
-def test_order_audit_disagreement_scans_every_column_linearly(trace_cases,
-                                                              monkeypatch):
+def test_order_audit_disagreement_bisects_every_column_without_t_star(trace_cases,
+                                                                     monkeypatch):
     # the first column, which the replay audits too, reads a plus above its
     # odd minus: every column is solved again without T*
     got, want = _odd_minus_traces(trace_cases, monkeypatch, 0)
@@ -719,7 +721,8 @@ def test_order_audit_reads_every_probe_of_every_column(trace_cases, monkeypatch)
 
 
 # ---------------------------------------------------------------------------
-# (f2) T*-guided location: Illinois on T*, certified, the bisection replayed
+# (f2) guided location: Anderson-Bjorck on T* or on the exit-rate gap,
+# certified, the bisection replayed
 
 
 def _columns_setup(trace_cases, case, columns, stretch=(0.0, 0.0)):
@@ -731,11 +734,11 @@ def _columns_setup(trace_cases, case, columns, stretch=(0.0, 0.0)):
     return m, fp, slope, cxs, w, curves._bisect_options(m, opts)
 
 
-def _solved(m, fp, slope, cxs, w, sopts, licensed):
+def _solved(m, fp, slope, cxs, w, sopts, licensed, rate=None):
     """_solve_columns as trace_stable_curve calls it: if licensed, under the
     licence when it holds, and without it when an audit fails."""
     licensed = licensed and planarmap._order_licensed(m, w, len(cxs) * curves.PROBES)
-    got = curves._solve_columns(m, fp, slope, cxs, w, 1e-8, sopts, licensed)
+    got = curves._solve_columns(m, fp, slope, cxs, w, 1e-8, sopts, licensed, rate)
     if got is None:
         got = curves._solve_columns(m, fp, slope, cxs, w, 1e-8, sopts)
     return got
@@ -750,16 +753,46 @@ def _solved(m, fp, slope, cxs, w, sopts, licensed):
 def test_guided_columns_match_column_by_column(trace_cases, case, stretch,
                                                columns, start, stride, batch,
                                                licensed, max_iter):
-    # the one-call probe phase in limit mode (guided when licensed) and in
-    # quadrant mode (ex5_saddle); a short max_iter leaves T* undefined near
-    # the curve: those columns bisect
+    # the one-call probe phase in limit mode and in quadrant mode
+    # (ex5_saddle), both guided when licensed, quadrant mode by the saddle's
+    # exit-rate gap; a short max_iter leaves T* undefined near the curve:
+    # those columns bisect
     m, fp, slope, cxs, w, sopts = _columns_setup(trace_cases, case, columns, stretch)
+    rate = curves._exit_rate(trace_cases[case][1].eigen)
     cxs = cxs[start::stride]
     sopts = replace(sopts, max_iter=max_iter)
     if not batch:
         m = replace(m, batch=None)
-    assert _solved(m, fp, slope, cxs, w, sopts, licensed) == solve_columns_one_by_one(
+    assert _solved(m, fp, slope, cxs, w, sopts, licensed, rate) == solve_columns_one_by_one(
         m, fp, slope, cxs, w, 1e-8, sopts)
+
+
+@pytest.mark.parametrize("max_iter", [3, CurveOptions().max_iter])
+def test_exit_rate_gap_is_negative_exactly_on_plus(trace_cases, max_iter):
+    # at the ex5 saddle: s < 0 exactly on plus, s > 0 exactly on minus, 0 on
+    # band and NaN on undecided (max_iter 3 leaves some orbits undecided);
+    # starts 1e-6 off the curve exit after dozens of iterations
+    m, rec, w, opts = trace_cases["ex5_saddle"]
+    fp = rec.location
+    rate = curves._exit_rate(rec.eigen)
+    assert rate is not None
+    sopts = replace(curves._bisect_options(m, opts), max_iter=max_iter)
+    rng = np.random.default_rng(5)
+    near = trace_stable_curve(m, rec, w, opts).vertices[::8]
+    X = np.concatenate((rng.uniform(w.x_lo, w.x_hi, 400), [v.x for v in near] * 2,
+                        [fp.x]))
+    Y = np.concatenate((rng.uniform(w.y_lo, w.y_hi, 400),
+                        [v.y - 1e-6 for v in near], [v.y + 1e-6 for v in near],
+                        [fp.y]))
+    codes, s = curves._sided(m, X, Y, fp, sopts, rate)
+    assert codes.tolist() == classify_batch(m, X, Y, fp, sopts).tolist()
+    plus, minus = codes == LABEL_CODES["plus"], codes == LABEL_CODES["minus"]
+    band = codes == LABEL_CODES["band"]
+    assert plus.any() and minus.any() and band.any()
+    assert np.array_equal(s < 0, plus) and np.array_equal(s > 0, minus)
+    assert np.array_equal(s == 0, band)
+    assert np.array_equal(np.isnan(s), ~(plus | minus | band))
+    assert np.isnan(s).any() == (max_iter == 3)
 
 
 @pytest.mark.parametrize("fails", [1, curves.WIDENINGS + 1])
@@ -940,6 +973,7 @@ def test_import_loads_no_scipy():
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     code = ("import sys, compmap; "
+            "[getattr(compmap, name) for name in compmap.__all__]; "
             "print(sorted(m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +21,23 @@ def test_examples_verb(capsys):
     assert rc == 0
     for eid in ("ex1", "ex2", "ex3_T", "ex3_T2", "ex4", "ex5"):
         assert eid in out
+
+
+def test_analyze_loads_neither_curves_nor_basins():
+    # the package resolves its names on first use and the CLI imports curves
+    # and basins only in the verbs that use them; -X importtime lists every
+    # module the process imports
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    err = subprocess.run([sys.executable, "-X", "importtime", "-m", "compmap.cli",
+                          "analyze", "--example", "ex1"], env=env, check=True,
+                         capture_output=True, text=True).stderr
+    loaded = {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
+              if line.startswith("import time:")}
+    assert {"compmap.fixedpoints", "compmap.classification"} <= loaded
+    assert not loaded & {"compmap.curves", "compmap.basins"}
 
 
 def test_analyze_ex4_reports_taylor_case(capsys):

@@ -27,48 +27,91 @@ def _evaluations_and_batch_calls(m, run):
     return box[0], box[2]
 
 
+def _lockstep_calls(monkeypatch, kernel, run):
+    """The number of calls run makes to curves.<kernel>, the lockstep kernel
+    of a mode (_limits_lockstep or _quadrant_batch)."""
+    calls = [0]
+    kernel_fn = getattr(curves, kernel)
+
+    def spy(*args):
+        calls[0] += 1
+        return kernel_fn(*args)
+
+    monkeypatch.setattr(curves, kernel, spy)
+    run()
+    return calls[0]
+
+
 def test_ex1_trace_64_columns():
     m = make_example("ex1").map
     fp = find_fixed_point(m, Point2(1e-9, 1.0))
     assert _evaluations(m, lambda c: trace_stable_curve(
-        c, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions(columns=64))) == 43_092
+        c, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions(columns=64))) == 42_008
 
 
 def test_ex1_trace_64_columns_batch_calls():
     # one batch call per lockstep round of each lockstep call, plus the order
     # licence's image batch: one probe call over every probe of every column,
-    # four calls of T*-guided location, then the calls that certify and
+    # three calls of T*-guided location, then the calls that certify and
     # replay the bisection, settling two levels each
     m = make_example("ex1").map
     fp = find_fixed_point(m, Point2(1e-9, 1.0))
     assert _evaluations_and_batch_calls(m, lambda c: trace_stable_curve(
-        c, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions(columns=64))) == (43_092, 199)
+        c, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions(columns=64))) == (42_008, 173)
 
 
 def test_ex1_trace_lockstep_calls(monkeypatch):
     # every lockstep call of limit mode (classify_batch, and T* in _locate) is
-    # one _limits_lockstep call: 1 probe call, 4 location calls and 2 calls
+    # one _limits_lockstep call: 1 probe call, 3 location calls and 2 calls
     # that certify and replay
     m = make_example("ex1").map
     fp = find_fixed_point(m, Point2(1e-9, 1.0))
-    calls = [0]
-    limits_lockstep = curves._limits_lockstep
+    assert _lockstep_calls(monkeypatch, "_limits_lockstep", lambda: trace_stable_curve(
+        m, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions())) == 6
 
-    def spy(*args):
-        calls[0] += 1
-        return limits_lockstep(*args)
 
-    monkeypatch.setattr(curves, "_limits_lockstep", spy)
-    trace_stable_curve(m, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions())
-    assert calls[0] == 7
+def test_ex3_t2_trace_lockstep_calls(monkeypatch):
+    # 1 probe call, 5 location calls and 2 calls that certify and replay
+    m = make_example("ex3_T2").map
+    fp = find_fixed_point(m, Point2(3.0, 1.5))
+    assert _lockstep_calls(monkeypatch, "_limits_lockstep", lambda: trace_stable_curve(
+        m, fp, Rect(0.5, 8.0, 0.5, 8.0), CurveOptions())) == 8
 
 
 def test_ex5_trace_64_columns_quadrant_mode():
-    # the saddle's separatrix in quadrant mode: one probe call, then bisection
+    # the saddle's separatrix in quadrant mode: one probe call, location by
+    # the exit-rate gap, then the replayed bisection
     sys = make_example("ex5")
     saddle = find_fixed_point(sys.map, ex5_equilibria(sys.params)[1])
     assert _evaluations_and_batch_calls(sys.map, lambda c: trace_stable_curve(
-        c, saddle, Rect(0.0, 1.5, 0.0, 1.5), CurveOptions(columns=64))) == (20_360, 160)
+        c, saddle, Rect(0.0, 1.5, 0.0, 1.5), CurveOptions(columns=64))) == (9_376, 107)
+
+
+def test_ex5_trace_quadrant_mode_guided_calls(monkeypatch):
+    # 256 columns: 1 probe call, 5 location calls and 2 calls that certify
+    # and replay; the order licence samples 200 Jacobians next to the
+    # hypotheses' 200
+    sys = make_example("ex5")
+    saddle = find_fixed_point(sys.map, ex5_equilibria(sys.params)[1])
+    box = [0, 0, 0]
+    assert _lockstep_calls(monkeypatch, "_quadrant_batch", lambda: trace_stable_curve(
+        counting_map(sys.map, box), saddle, Rect(0.0, 1.5, 0.0, 1.5),
+        CurveOptions())) == 8
+    assert box == [37_840, 400, 121]
+
+
+def test_ex4_trace_quadrant_mode_is_not_guided(monkeypatch):
+    # ex4's fixed point is nonhyperbolic (mu = 1): no exit-rate gap and no
+    # licence, so the trace bisects every column, as before guided quadrant
+    # traces: 1 probe call and 13 bisection calls
+    m = make_example("ex4").map
+    fp = find_fixed_point(m, Point2(2.0, 1.0))
+    assert curves._exit_rate(fp.eigen) is None
+    box = [0, 0, 0]
+    assert _lockstep_calls(monkeypatch, "_quadrant_batch", lambda: trace_stable_curve(
+        counting_map(m, box), fp, Rect(0.0, 6.0, 0.0, 4.0),
+        CurveOptions(columns=64))) == 14
+    assert box == [13_720, 200, 105]
 
 
 def _ex1_columns(m, n, licensed=False):
@@ -87,11 +130,11 @@ def test_ex1_columns_without_batch_bisect_one_level():
     assert _evaluations(m, lambda c: _ex1_columns(c, 64)) == 59_893
 
 
-def test_ex1_licensed_columns_without_batch_audit_one_probe_a_round():
+def test_ex1_licensed_columns_without_batch_classify_every_probe():
     # without a batch step too, every probe of every column is classified;
     # T*-guided location then replays the bisections
     m = replace(make_example("ex1").map, batch=None)
-    assert _evaluations(m, lambda c: _ex1_columns(c, 64, licensed=True)) == 44_388
+    assert _evaluations(m, lambda c: _ex1_columns(c, 64, licensed=True)) == 43_406
 
 
 def test_ex1_16_columns_bisect_one_level():

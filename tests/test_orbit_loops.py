@@ -45,12 +45,16 @@ def _outcome(fn):
 
 
 def _bits(v):
-    """A LimitRecord or a _limit_orbit tuple with every float as hex."""
+    """A LimitRecord, a _limit_orbit tuple or a _classify_quadrant tuple
+    with every float as hex."""
     if isinstance(v, type):
         return v
     if isinstance(v, curves.LimitRecord):
         return (tuple(map(float.hex, v.start)),
                 v.limit and tuple(map(float.hex, v.limit)), v.iterations, v.flag)
+    if len(v) == 3:
+        verdict, x, y = v
+        return verdict, float(x).hex(), float(y).hex()
     flag, x, y, n = v
     return flag, float(x).hex(), float(y).hex(), n
 
@@ -67,8 +71,8 @@ def _assert_paths_agree(m, start, n, fp, opts):
     counted = counting_map(m, [0, 0, 0])
     assert _inlined(m) and not _inlined(counted)
     for mm in (m, counted):
-        assert _outcome(lambda: curves._classify_quadrant(mm, x, y, n, fp, opts)) \
-            == _outcome(lambda: classify_quadrant(m, x, y, n, fp, opts))
+        assert _bits(_outcome(lambda: curves._classify_quadrant(mm, x, y, n, fp, opts))) \
+            == _bits(_outcome(lambda: classify_quadrant(m, x, y, n, fp, opts)))
         assert _bits(_outcome(lambda: curves._limit_orbit(
             mm.step, x, y, n, opts.conv_tol, opts.max_iter))) == _bits(_outcome(
                 lambda: limit_orbit(m.step, x, y, n, opts.conv_tol, opts.max_iter)))
