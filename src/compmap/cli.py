@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass, replace
@@ -539,7 +540,14 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.command](_fold_args(args.command, args))
+        code = _COMMANDS[args.command](_fold_args(args.command, args))
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader has gone; point fd 1 at devnull so that the flush at
+        # exit cannot raise again (the SIGPIPE recipe of Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

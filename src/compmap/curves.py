@@ -10,7 +10,7 @@ would accumulate drift along the slow direction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -733,7 +733,6 @@ LOCATE_ROUNDS = 16
 # WIDENINGS times.
 WIDEN = 16
 WIDENINGS = 4
-_OPEN = 255  # a verdict that no certified band implies
 
 
 def _locate(m: PlanarMap, fp: Point2, cx: np.ndarray, lo: np.ndarray,
@@ -804,12 +803,13 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
     and then the column bisects as above. Replay: the column bisects as
     above, but a midpoint at or below y^ - w reads plus and one at or above
     y^ + w minus without a verdict, so only the midpoints between are
-    classified; the certification rides in the call that classifies the
-    first of them, and a failed one discards that call's verdicts for the
-    column. Under the licence the implied verdicts are the real ones, so y
-    and flag come out bit for bit as bisection's. Every AUDIT_STRIDE-th
-    column classifies its implied verdicts too; one that differs makes the
-    call return None.
+    classified, and a two-level call classifies a next midpoint ahead only
+    between them too; the certification rides in the call that classifies
+    the first of them, and a failed one discards that call's verdicts for
+    the column. Under the licence the implied verdicts are the real ones, so
+    y and flag come out bit for bit as bisection's. Every AUDIT_STRIDE-th
+    column classifies each implied verdict it uses too; one that differs
+    makes the call return None.
     """
     n = len(cxs)
     cx = np.asarray(cxs, dtype=float)
@@ -871,9 +871,16 @@ def _bisect(m: PlanarMap, fp: Point2, cx: np.ndarray, curve_tol: float,
             est: np.ndarray) -> bool:
     """_solve_columns' bisection of the brackets (lo, hi) of the columns cx
     marked bisecting, certified and replayed where est holds an estimate;
-    updates lo, hi, y, bisecting, flags and est in place. Returns False when
-    an audited column meets a verdict that its certified band does not
-    imply."""
+    updates lo, hi, y, bisecting, flags and est in place.
+
+    Each column has one band (plus_at, minus_at), (-inf, inf) where none
+    holds. Only walk applies the verdicts a band implies: each round walks
+    every column through its implied midpoints, and a next midpoint that
+    the band implies is left to the next round's walk, not classified ahead.
+    A pending column's band is on trial for one call, which walks it like a
+    certified one; a failed certification resets the band to (-inf, inf)
+    and discards the walk. Returns False when an audited column walks a
+    midpoint whose verdict its band does not imply."""
     n = len(cx)
     guided = not np.isnan(est).all()
 
@@ -890,18 +897,18 @@ def _bisect(m: PlanarMap, fp: Point2, cx: np.ndarray, curve_tol: float,
         for i in j[stop & (codes != _BAND)].tolist():
             flags[i] = "undecided_probe"
 
-    def walk(l, h, lv, below, above):
+    def walk(l, h, lv):
         """Bisect the brackets (l, h) at levels lv in place through every
-        midpoint at or below `below` (plus) or at or above `above` (minus);
-        returns the columns, ordinates and codes of the midpoints walked in
-        audited columns."""
-        j = np.flatnonzero(bisecting & ((below > -math.inf) | (above < math.inf)))
+        midpoint that the band implies, at or below plus_at (plus) or at or
+        above minus_at (minus); returns the columns, ordinates and codes of
+        the midpoints walked in audited columns."""
+        j = np.flatnonzero(bisecting & ((plus_at > -math.inf) | (minus_at < math.inf)))
         L, H, V, seen = l[j], h[j], lv[j], audit[j]
         walked = [(j[:0], L[:0], np.zeros(0, dtype=np.uint8))]
         while True:
             mid = 0.5 * (L + H)
             go = (H - L > curve_tol) & (V < MAX_BISECTIONS)
-            plus, minus = go & (mid <= below[j]), go & (mid >= above[j])
+            plus, minus = go & (mid <= plus_at[j]), go & (mid >= minus_at[j])
             moved = plus | minus
             if not moved.any():
                 break
@@ -915,22 +922,22 @@ def _bisect(m: PlanarMap, fp: Point2, cx: np.ndarray, curve_tol: float,
 
     level = np.zeros(n, dtype=int)  # bisection levels done
     widened = np.zeros(n, dtype=int)
-    # certified: a midpoint at or below plus_at reads plus, at or above minus_at minus
+    # the band: a midpoint at or below plus_at reads plus, at or above minus_at
+    # minus; a pending column's band is on trial until its call certifies it
     plus_at, minus_at = np.full(n, -math.inf), np.full(n, math.inf)
     none = np.zeros(0, dtype=int)
     while True:
-        l, h, lv, below, above = lo, hi, level, plus_at, minus_at
+        l, h, lv = lo, hi, level
         pend, wj, wy, wc = none, none, none, none
         if guided:
             pend = np.flatnonzero(~np.isnan(est))
-            if len(pend):  # trial bands: the walk stands if the call certifies it
+            if len(pend):  # the walk stands if the call certifies the band
                 w = curve_tol * float(WIDEN) ** widened[pend]
-                below, above = plus_at.copy(), minus_at.copy()
-                below[pend] = np.maximum(est[pend] - w, lo[pend])
-                above[pend] = np.minimum(est[pend] + w, hi[pend])
+                plus_at[pend] = np.maximum(est[pend] - w, lo[pend])
+                minus_at[pend] = np.minimum(est[pend] + w, hi[pend])
                 l, h, lv = lo.copy(), hi.copy(), level.copy()
             # an audited column classifies the midpoints it walks, for real too
-            wj, wy, wc = walk(l, h, lv, below, above)
+            wj, wy, wc = walk(l, h, lv)
         act = np.flatnonzero(bisecting & (h - l > curve_tol) & (lv < MAX_BISECTIONS))
         if not (len(act) or len(pend) or len(wj)):
             break
@@ -943,29 +950,24 @@ def _bisect(m: PlanarMap, fp: Point2, cx: np.ndarray, curve_tol: float,
         side, kids = np.nonzero((np.stack((mid - ml, mh - mid)) > curve_tol) & two)
         kj = act[kids]
         ky = np.where(side, 0.5 * (mid[kids] + mh[kids]), 0.5 * (ml[kids] + mid[kids]))
-        kc = np.full(len(kids), _OPEN, dtype=np.uint8)  # implied, then classified
-        if guided:
-            kc[ky <= below[kj]] = _PLUS
-            kc[ky >= above[kj]] = _MINUS
-        implied = kc.copy()
-        ask = (kc == _OPEN) | audit[kj]
+        if guided:  # a kid the band implies is left to the next walk
+            inside = (ky > plus_at[kj]) & (ky < minus_at[kj])
+            side, kids, kj, ky = side[inside], kids[inside], kj[inside], ky[inside]
         codes = classify_batch(
-            m, cx[np.concatenate((act, kj[ask], pend, pend, wj))],
-            np.concatenate((mid, ky[ask], below[pend], above[pend], wy)), fp, sopts)
-        at = np.cumsum([len(act), np.count_nonzero(ask), len(pend), len(pend)])
-        kc[ask] = codes[at[0]:at[1]]
-        mc = codes[:len(act)]
+            m, cx[np.concatenate((act, kj, pend, pend, wj))],
+            np.concatenate((mid, ky, plus_at[pend], minus_at[pend], wy)), fp, sopts)
+        at = np.cumsum([len(act), len(kj), len(pend), len(pend)])
+        mc, kc = codes[:at[0]], codes[at[0]:at[1]]
         took = np.where(side, mc[kids] == _PLUS, mc[kids] == _MINUS)
         if guided:
             keep = np.ones(n, dtype=bool)  # the columns whose walk stands
             ok = (codes[at[1]:at[2]] == _PLUS) & (codes[at[2]:at[3]] == _MINUS)
             failed, passed = pend[~ok], pend[ok]
             keep[failed] = False
-            if ((keep[wj] & (codes[at[3]:] != wc)).any()
-                    or (keep[kj] & (implied != _OPEN) & (kc != implied)).any()):
+            if (keep[wj] & (codes[at[3]:] != wc)).any():
                 return False  # the audit met a verdict the band does not imply
             lo[keep], hi[keep], level[keep] = l[keep], h[keep], lv[keep]
-            plus_at[passed], minus_at[passed] = below[passed], above[passed]
+            plus_at[failed], minus_at[failed] = -math.inf, math.inf
             est[passed] = math.nan
             widened[failed] += 1
             est[failed[widened[failed] > WIDENINGS]] = math.nan  # they bisect
@@ -1076,21 +1078,18 @@ def trace_stable_curve(m: PlanarMap, fp: FixedPointRecord, window: Rect,
     if audit_failed:
         notes.append("order licence failed its audit "
                      "(columns bisected without guidance)")
+    left = _exit_label(m, window, columns, kept[0], side="left")
+    right = _exit_label(m, window, columns, kept[-1], side="right")
     curve = MonotoneCurve(vertices=tuple(kept), monotonicity="increasing",
-                          endpoint_left=EndpointLabel("truncated", kept[0]),
-                          endpoint_right=EndpointLabel("truncated", kept[-1]),
-                          notes=tuple(notes))
-    left, right = endpoint_analysis(m, curve, window)
-    left = _exit_label(columns, kept[0], left, side="left")
-    right = _exit_label(columns, kept[-1], right, side="right")
-    curve = replace(curve, endpoint_left=left, endpoint_right=right)
+                          endpoint_left=left, endpoint_right=right, notes=tuple(notes))
     validate_curve(curve)
     return curve
 
 
-def _exit_label(columns, end_vertex: Point2, fallback: EndpointLabel,
+def _exit_label(m: PlanarMap, window: Rect, columns, end_vertex: Point2,
                 side: str) -> EndpointLabel:
-    """Label a traced end as domain_boundary when the curve leaves the window.
+    """Label a traced end: _endpoint_label, or domain_boundary where that
+    reads truncated and the curve leaves the window.
 
     The curve reaches the window frame when there are no columns beyond the
     end vertex (it runs into a vertical edge at column resolution) or when the
@@ -1098,8 +1097,9 @@ def _exit_label(columns, end_vertex: Point2, fallback: EndpointLabel,
     bottom edge between columns). A mixed adjacent column keeps the residual
     based label.
     """
-    if fallback.kind != "truncated":
-        return fallback
+    label = _endpoint_label(m, end_vertex, window)
+    if label.kind != "truncated":
+        return label
     if side == "right":
         beyond = [c for c in columns if c[0] > end_vertex.x]
         adjacent = beyond[0] if beyond else None
@@ -1111,7 +1111,7 @@ def _exit_label(columns, end_vertex: Point2, fallback: EndpointLabel,
     if adjacent[1] is None and adjacent[2] in ("no_bracket:all_minus",
                                                "no_bracket:all_plus"):
         return EndpointLabel("domain_boundary", end_vertex)
-    return fallback
+    return label
 
 
 # ---------------------------------------------------------------------------
@@ -1201,15 +1201,10 @@ def trace_unstable_curve(m: PlanarMap, fp: FixedPointRecord,
         kept.append(Point2(x, y))
         last_x, last_y = x, y
     notes = (f"{dropped} vertices dropped by the monotonicity filter",) if dropped else ()
+    left, right = (EndpointLabel("truncated", e) if (truncated & on_side).any()
+                   else _endpoint_label(m, e, m.domain)
+                   for e, on_side in ((kept[0], ~right_side), (kept[-1], right_side)))
     curve = MonotoneCurve(vertices=tuple(kept), monotonicity="decreasing",
-                          endpoint_left=EndpointLabel("truncated", kept[0]),
-                          endpoint_right=EndpointLabel("truncated", kept[-1]),
-                          notes=notes)
-    left, right = endpoint_analysis(m, curve, m.domain)
-    if (truncated & ~right_side).any():
-        left = EndpointLabel("truncated", kept[0])
-    if (truncated & right_side).any():
-        right = EndpointLabel("truncated", kept[-1])
-    curve = replace(curve, endpoint_left=left, endpoint_right=right)
+                          endpoint_left=left, endpoint_right=right, notes=notes)
     validate_curve(curve)
     return curve

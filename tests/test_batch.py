@@ -725,22 +725,22 @@ def test_order_audit_reads_every_probe_of_every_column(trace_cases, monkeypatch)
 # certified, the bisection replayed
 
 
-def _columns_setup(trace_cases, case, columns, stretch=(0.0, 0.0)):
+def _columns_setup(trace_cases, case, columns, stretch=(0.0, 0.0), curve_tol=1e-8):
     m, rec, w, opts = trace_cases[case]
     w = Rect(w.x_lo, w.x_hi * (1.0 + stretch[0]), w.y_lo, w.y_hi * (1.0 + stretch[1]))
     fp = rec.location
     slope = rec.eigen.v_lam.y / rec.eigen.v_lam.x
     cxs = [x for x in curves._column_positions(w, fp.x, columns) if x != fp.x]
-    return m, fp, slope, cxs, w, curves._bisect_options(m, opts)
+    return m, fp, slope, cxs, w, curves._bisect_options(m, replace(opts, curve_tol=curve_tol))
 
 
-def _solved(m, fp, slope, cxs, w, sopts, licensed, rate=None):
+def _solved(m, fp, slope, cxs, w, curve_tol, sopts, licensed, rate=None):
     """_solve_columns as trace_stable_curve calls it: if licensed, under the
     licence when it holds, and without it when an audit fails."""
     licensed = licensed and planarmap._order_licensed(m, w, len(cxs) * curves.PROBES)
-    got = curves._solve_columns(m, fp, slope, cxs, w, 1e-8, sopts, licensed, rate)
+    got = curves._solve_columns(m, fp, slope, cxs, w, curve_tol, sopts, licensed, rate)
     if got is None:
-        got = curves._solve_columns(m, fp, slope, cxs, w, 1e-8, sopts)
+        got = curves._solve_columns(m, fp, slope, cxs, w, curve_tol, sopts)
     return got
 
 
@@ -749,22 +749,25 @@ def _solved(m, fp, slope, cxs, w, sopts, licensed, rate=None):
        stretch=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
        columns=st.integers(4, 48), start=st.integers(0, 3),
        stride=st.integers(1, 3), batch=st.booleans(), licensed=st.booleans(),
-       max_iter=st.sampled_from([60, CurveOptions().max_iter]))
+       max_iter=st.sampled_from([60, CurveOptions().max_iter]),
+       curve_tol=st.sampled_from([1e-8, 1e-12]))
 def test_guided_columns_match_column_by_column(trace_cases, case, stretch,
                                                columns, start, stride, batch,
-                                               licensed, max_iter):
+                                               licensed, max_iter, curve_tol):
     # the one-call probe phase in limit mode and in quadrant mode
     # (ex5_saddle), both guided when licensed, quadrant mode by the saddle's
     # exit-rate gap; a short max_iter leaves T* undefined near the curve:
-    # those columns bisect
-    m, fp, slope, cxs, w, sopts = _columns_setup(trace_cases, case, columns, stretch)
+    # those columns bisect; at curve_tol 1e-12 the first band of a located
+    # limit-mode column fails its certification and widens
+    m, fp, slope, cxs, w, sopts = _columns_setup(trace_cases, case, columns, stretch,
+                                                 curve_tol)
     rate = curves._exit_rate(trace_cases[case][1].eigen)
     cxs = cxs[start::stride]
     sopts = replace(sopts, max_iter=max_iter)
     if not batch:
         m = replace(m, batch=None)
-    assert _solved(m, fp, slope, cxs, w, sopts, licensed, rate) == solve_columns_one_by_one(
-        m, fp, slope, cxs, w, 1e-8, sopts)
+    assert _solved(m, fp, slope, cxs, w, curve_tol, sopts, licensed,
+                   rate) == solve_columns_one_by_one(m, fp, slope, cxs, w, curve_tol, sopts)
 
 
 @pytest.mark.parametrize("max_iter", [3, CurveOptions().max_iter])

@@ -40,6 +40,32 @@ def test_analyze_loads_neither_curves_nor_basins():
     assert not loaded & {"compmap.curves", "compmap.basins"}
 
 
+@pytest.mark.parametrize("argv, unbuffered", [
+    (["analyze", "--example", "ex5"], True),  # print's second write raises
+    (["analyze", "--example", "ex5"], False),  # the flush at exit would raise
+    (["examples"], False)])
+def test_closed_stdout_exits_1_without_a_traceback(argv, unbuffered):
+    # stdout is a pipe whose read end is closed before the process starts,
+    # as after `compmap ... | head -1` once head has exited
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        done = subprocess.run([sys.executable, "-m", "compmap.cli", *argv], env=env,
+                              stdout=w, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(w)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert "Exception ignored" not in done.stderr
+
+
 def test_analyze_ex4_reports_taylor_case(capsys):
     rc, out, _ = _run(capsys, ["analyze", "--example", "ex4", "--param", "B1=1",
                                "--param", "gamma2=1", "--param", "alpha2=1",
