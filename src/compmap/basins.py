@@ -9,12 +9,12 @@ from typing import Mapping, Optional
 
 import numpy as np
 
+from .errors import check_count, check_tolerance
 from .geometry import Point2, Rect
 from .planarmap import PlanarMap, _order_licensed
 from .curves import (_MINUS, _PLUS, _SINGULAR, _UNDECIDED, LABEL_CODES,
-                     LABEL_NAMES, SideOptions, _check_limit_args,
-                     _limit_verdicts, _limits_lockstep, _resolve_mode,
-                     classify_batch)
+                     LABEL_NAMES, SideOptions, _limits_lockstep, _resolve_mode,
+                     _sided)
 from .curves import LimitRecord, limit_equilibrium  # noqa: F401  (re-exported)
 
 # PGM gray levels per label
@@ -87,9 +87,9 @@ def raster(m: PlanarMap, fp: Point2, window: Rect, nx: int, ny: int,
     """Classify every cell center against the separatrix through fp.
 
     Cells are classified level by level over lattice strides, one lockstep
-    call per level (_limit_verdicts, which also counts each orbit's
-    iterations) over the lattice cells that the verdicts so far leave
-    open; the other cells are inferred from the southeast
+    call per level (_sided, which also counts each orbit's iterations) over
+    the lattice cells that the verdicts so far leave open; the other cells
+    are inferred from the southeast
     order. The paper's separatrix is an increasing curve that splits the
     region into two invariant parts, and a competitive map keeps z <=_se p
     in T^n(z) <=_se T^n(p). So the minus cells form a down-set of the order
@@ -102,20 +102,20 @@ def raster(m: PlanarMap, fp: Point2, window: Rect, nx: int, ny: int,
 
     The strides are ORDER_STRIDES in limit_equilibrium mode when the
     sampled licence of planarmap._order_licensed (which curve traces share)
-    holds, and (1,) otherwise: one classify_batch call over every cell.
+    holds, and (1,) otherwise: one _sided call over every cell.
     Quadrant-mode cells cost about one evaluation each, so there the
-    lattice would cost more than it saves. workers has no effect; it stays
-    only for perfbench's process-pool probe and must be >= 1.
+    lattice would cost more than it saves. nx and ny must be ints >= 2.
+    workers has no effect; it stays only for perfbench's process-pool probe
+    and must be an int >= 1.
     """
     if not window.is_bounded():
         raise ValueError("raster needs a bounded window")
     if not (window.width() > 0 and window.height() > 0):
         raise ValueError(f"raster needs a window of positive width and height, "
                          f"got {window}")
-    if nx < 2 or ny < 2:
-        raise ValueError("raster needs nx, ny >= 2")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    check_count("nx", nx, 2)
+    check_count("ny", ny, 2)
+    check_count("workers", workers)
     if opts is None:
         opts = raster_options(m, window)
     infer = opts.mode == "limit_equilibrium" and _order_licensed(m, window, nx * ny)
@@ -135,12 +135,10 @@ def raster(m: PlanarMap, fp: Point2, window: Rect, nx: int, ny: int,
         if todo.all():  # the whole lattice, in one call on its own shape
             todo = ...
         xs, ys = X[lattice][todo], Y[lattice][todo]
+        codes, _, n = _sided(m, xs.ravel(), ys.ravel(), Point2(*fp), opts)
+        codes = codes.reshape(xs.shape)
         if infer:
-            codes, _, _, n = _limit_verdicts(m, xs.ravel(), ys.ravel(), Point2(*fp), opts)
-            codes = codes.reshape(xs.shape)
             slow[lattice][todo] = (n > SLOW_SHARE * opts.max_iter).reshape(xs.shape)
-        else:
-            codes = classify_batch(m, xs, ys, Point2(*fp), opts)
         known[todo] = codes
         # an undecided or singular verdict shows an orbit outside the
         # licence's premises (out of iterations, diverged, at a pole): the
@@ -290,11 +288,12 @@ def continuity_probe(m: PlanarMap, segment: tuple, n: int,
     Shrinking max_gap under refinement of n is numeric evidence that the
     limiting equilibrium varies continuously with the initial condition.
     The samples are iterated together; each limit equals limit_equilibrium's
-    at its sample. tol must be finite and > 0, and max_iter >= 1.
+    at its sample. n must be an int >= 2, tol finite and > 0, and max_iter
+    an int >= 1.
     """
-    if n < 2:
-        raise ValueError("need at least two probe points")
-    _check_limit_args(tol, max_iter)
+    check_count("n", n, 2)
+    check_tolerance("tol", tol)
+    check_count("max_iter", max_iter)
     a, b = Point2(*segment[0]), Point2(*segment[1])
     starts = [Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
               for t in (k / (n - 1) for k in range(n))]

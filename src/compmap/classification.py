@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import HypothesisError, SingularityError
+from .errors import HypothesisError, SingularityError, check_count, check_tolerance
 from .fixedpoints import NONHYPERBOLIC_TOL
 from .geometry import Point2, Rect, order_interval, sup_norm
 from .planarmap import PlanarMap
@@ -104,10 +104,8 @@ def taylor_along_eigenvector(m: PlanarMap, fp: Point2, v: Point2,
     |T(fp) - fp| < 1e-10; warns when the measured eigenvalue along v is not
     within NONHYPERBOLIC_TOL of 1.
     """
-    if not 2 <= degree <= 4:
-        raise ValueError("degree must be between 2 and 4")
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"step h must be finite and > 0, got {h!r}")
+    check_count("degree", degree, 2, 4)
+    check_tolerance("step h", h)
     fx, fy = m.step(fp[0], fp[1])
     if not sup_norm(fx - fp[0], fy - fp[1]) <= 1e-10:
         raise ValueError(f"({fp[0]:.6g}, {fp[1]:.6g}) is not a fixed point to "
@@ -170,6 +168,7 @@ def taylor_along_eigenvector(m: PlanarMap, fp: Point2, v: Point2,
 
 def first_nonzero_index(ray: TaylorRay, tol: float = COEFF_TOL) -> Optional[int]:
     """Smallest j with max(|c_j|, |d_j|) > tol, or None when all are below tol."""
+    check_tolerance("tol", tol, zero=True)
     for j, (c, d) in zip(range(2, ray.degree + 1), ray.coeffs):
         if max(abs(c), abs(d)) > tol:
             return j

@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import HypothesisError, NoConvergenceError, SingularityError
+from .errors import (HypothesisError, NoConvergenceError, SingularityError,
+                     check_count, check_tolerance)
 from .expr import _Compiled, _function
 from .fixedpoints import (NONHYPERBOLIC_TOL, EigenData, FixedPointRecord,
                           check_invariant_curve_hypotheses)
@@ -51,13 +52,9 @@ class SideOptions:
         if self.mode not in SIDE_MODES:
             raise ValueError(f"mode must be one of {', '.join(SIDE_MODES)}, "
                              f"got {self.mode!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
-        if not (math.isfinite(self.epsilon_margin) and self.epsilon_margin >= 0):
-            raise ValueError("epsilon_margin must be finite and >= 0, got "
-                             f"{self.epsilon_margin!r}")
-        if not (math.isfinite(self.conv_tol) and self.conv_tol > 0):
-            raise ValueError(f"conv_tol must be finite and > 0, got {self.conv_tol!r}")
+        check_count("max_iter", self.max_iter)
+        check_tolerance("epsilon_margin", self.epsilon_margin, zero=True)
+        check_tolerance("conv_tol", self.conv_tol)
 
 
 @dataclass(frozen=True)
@@ -154,13 +151,6 @@ class LimitRecord:
         return self.flag in ("singularity", "divergence")
 
 
-def _check_limit_args(tol: float, max_iter: int) -> None:
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
-
-
 def limit_equilibrium(m: PlanarMap, p: Point2, tol: float = 1e-10,
                       max_iter: int = 100_000) -> LimitRecord:
     """The limiting equilibrium T*(p).
@@ -170,9 +160,10 @@ def limit_equilibrium(m: PlanarMap, p: Point2, tol: float = 1e-10,
     that step certifies x_k. A raise or a non-finite iterate ends the orbit
     as 'singularity', an iterate beyond ESCAPE_BOUND as 'divergence', and k
     reaching max_iter as 'max_iter'; diverged marks the first two. tol must
-    be finite and > 0, and max_iter >= 1.
+    be finite and > 0, and max_iter an int >= 1.
     """
-    _check_limit_args(tol, max_iter)
+    check_tolerance("tol", tol)
+    check_count("max_iter", max_iter)
     start = Point2(*p)
     flag, x, y, n = _limit_orbit(m.step, float(start.x), float(start.y), 0,
                                  tol, max_iter)
@@ -346,32 +337,11 @@ def classify_batch(m: PlanarMap, xs, ys, fp: Point2,
     """classify_side for every point (xs[k], ys[k]), in lockstep numpy.
 
     Returns uint8 codes into LABEL_NAMES, shaped like xs, equal point by point
-    to label_code(classify_side(...)). T* comes from _limits_lockstep in
-    limit mode, and the quadrant-mode verdicts from _quadrant_batch.
+    to label_code(classify_side(...)): the codes of _sided.
     """
     xs = np.asarray(xs, dtype=float)
-    X = xs.ravel()
-    Y = np.asarray(ys, dtype=float).ravel()
-    if opts.mode == "quadrant_escape":
-        return _quadrant_batch(m, X, Y, fp, opts)[0].reshape(xs.shape)
-    return _limit_verdicts(m, X, Y, fp, opts)[0].reshape(xs.shape)
-
-
-def _limit_verdicts(m: PlanarMap, X: np.ndarray, Y: np.ndarray, fp: Point2,
-                    opts: SideOptions) -> tuple:
-    """The limit-mode codes of the points (X[k], Y[k]), their limits
-    T*(X[k], Y[k]) and iteration counts: (codes, LX, LY, N), NaN where an
-    orbit has no limit (see _limits_lockstep)."""
-    LX, LY, singular, N = _limits_lockstep(m, X, Y, opts.conv_tol, opts.max_iter)
-    codes = _limit_codes(LX, LY, fp, opts)  # NaN limits read undecided
-    codes[singular] = _SINGULAR
-    return codes, LX, LY, N
-
-
-def _gap(LX: np.ndarray, LY: np.ndarray, fp: Point2) -> np.ndarray:
-    """s = (L_y - f_y) - (L_x - f_x) of limits L against fp = f: < 0 where
-    L reads plus, > 0 where it reads minus, NaN without a limit."""
-    return (LY - fp[1]) - (LX - fp[0])
+    codes = _sided(m, xs.ravel(), np.asarray(ys, dtype=float).ravel(), fp, opts)[0]
+    return codes.reshape(xs.shape)
 
 
 def _exit_rate(e: EigenData) -> Optional[tuple]:
@@ -390,28 +360,34 @@ def _exit_rate(e: EigenData) -> Optional[tuple]:
 
 def _sided(m: PlanarMap, X: np.ndarray, Y: np.ndarray, fp: Point2,
            opts: SideOptions, rate: Optional[tuple] = None) -> tuple:
-    """The codes of the points (X[k], Y[k]) and the gap s there, from one
-    lockstep call. In limit mode s is _gap of T*. In quadrant mode, given
-    the exit rate of a saddle fp (_exit_rate), s = -<w, x_n - fp> / mu^n
-    at the orbit point x_n that decided the verdict: < 0 on plus and > 0
-    on minus (w_x > 0 > w_y), as _gap; 0 on band (the orbit met fp, so the
-    start lies on the curve up to the verdict margin); NaN on undecided
-    and singular. Near the saddle's stable manifold, which is the curve,
-    an orbit leaves along v_mu, and s is close to a linear function of the
-    start's offset from the curve. Without a rate, quadrant mode gives
-    s = None."""
+    """(codes, s, N) of the points (X[k], Y[k]), from one lockstep call:
+    their codes, the gap s there and each orbit's iteration count; the one
+    function that picks the lockstep kernel of opts.mode.
+
+    In limit mode (_limits_lockstep), s = (L_y - f_y) - (L_x - f_x) of the
+    limit L = T* against fp = f: < 0 where L reads plus, > 0 where it reads
+    minus, NaN without a limit. In quadrant mode, given the exit rate of a
+    saddle fp (_exit_rate), s = -<w, x_n - fp> / mu^n at the orbit point
+    x_n that decided the verdict, and N holds n: < 0 on plus and > 0 on
+    minus (w_x > 0 > w_y); 0 on band (the orbit met fp, so the start lies
+    on the curve up to the verdict margin); NaN on undecided and singular.
+    Near the saddle's stable manifold, which is the curve, an orbit leaves
+    along v_mu, and s is close to a linear function of the start's offset
+    from the curve. Without a rate, quadrant mode gives s = N = None."""
     if opts.mode == "limit_equilibrium":
-        codes, LX, LY, _N = _limit_verdicts(m, X, Y, fp, opts)
-        return codes, _gap(LX, LY, fp)
+        LX, LY, singular, N = _limits_lockstep(m, X, Y, opts.conv_tol, opts.max_iter)
+        codes = _limit_codes(LX, LY, fp, opts)  # NaN limits read undecided
+        codes[singular] = _SINGULAR
+        return codes, (LY - fp[1]) - (LX - fp[0]), N
     codes, EX, EY, N = _quadrant_batch(m, X, Y, fp, opts, rate is not None)
     if rate is None:
-        return codes, None
+        return codes, None, None
     wx, wy, mu = rate
     with np.errstate(all="ignore"):
         s = -((EX - fp[0]) * wx + (EY - fp[1]) * wy) / mu ** N
     s[codes == _BAND] = 0.0
     s[codes > _BAND] = math.nan  # undecided or singular
-    return codes, s
+    return codes, s, N
 
 
 # The label of a stopped quadrant-mode image, at 4 not band + 2 not minus + not plus
@@ -519,17 +495,19 @@ def _quadrant_batch(m: PlanarMap, X: np.ndarray, Y: np.ndarray, fp: Point2,
 
 
 def _limit_codes(X, Y, fp, opts):
-    """The comparison of limits (X, Y) with fp in the southeast order, with
-    the slack of ten times the tolerance the limits are certified at."""
+    """The comparison of limits (X, Y) with fp in the southeast order under
+    a slack of ten times the tolerance they are certified at: minus in
+    Q2(fp) and plus in Q4(fp), each widened by the slack, else undecided;
+    band within max(epsilon_margin, slack) of fp in both coordinates, where
+    the two meet, as a limit within the slack cannot be told from fp."""
     dx = X - fp[0]
     dy = Y - fp[1]
     slack = max(1e-12, 10.0 * min(opts.conv_tol, LIMIT_RESIDUAL_TOL))
-    in_q2 = (dx <= slack) & (dy >= -slack)
-    in_q4 = (dx >= -slack) & (dy <= slack)
     codes = np.full(X.shape, _UNDECIDED, dtype=np.uint8)
-    codes[in_q2 & ~in_q4] = _MINUS
-    codes[in_q4 & ~in_q2] = _PLUS
-    codes[np.maximum(np.abs(dx), np.abs(dy)) <= opts.epsilon_margin] = _BAND
+    codes[(dx <= slack) & (dy >= -slack)] = _MINUS
+    codes[(dx >= -slack) & (dy <= slack)] = _PLUS
+    band = max(opts.epsilon_margin, slack)
+    codes[np.maximum(np.abs(dx), np.abs(dy)) <= band] = _BAND
     return codes
 
 
@@ -645,13 +623,9 @@ class CurveOptions:
         if self.mode not in (None,) + SIDE_MODES:
             raise ValueError("mode must be None or one of "
                              f"{', '.join(SIDE_MODES)}, got {self.mode!r}")
-        for name in ("columns", "max_iter"):
-            v = getattr(self, name)
-            if v < 1:
-                raise ValueError(f"{name} must be >= 1, got {v!r}")
-        if not (math.isfinite(self.curve_tol) and self.curve_tol > 0):
-            raise ValueError(
-                f"curve_tol must be finite and > 0, got {self.curve_tol!r}")
+        check_count("columns", self.columns)
+        check_count("max_iter", self.max_iter)
+        check_tolerance("curve_tol", self.curve_tol)
 
 
 def _resolve_mode(m: PlanarMap, mode: Optional[str] = None) -> str:
@@ -741,10 +715,10 @@ def _locate(m: PlanarMap, fp: Point2, cx: np.ndarray, lo: np.ndarray,
     """The root of s (_sided's gap in the mode of sopts) in every column
     cx[k], from the bracket lo[k] < hi[k] where s_lo[k] < 0 < s_hi[k]:
     Anderson-Bjorck regula falsi (BIT 13, 1973), all columns in lockstep,
-    one lockstep call (_limits_lockstep or _quadrant_batch) per round. When
-    the same end moves twice in a row, the other end's s is scaled by
-    1 - s_c / s_moved (s_moved the moving end's s before the move), or by
-    1/2 where that is not positive. A column whose s reads NaN gets NaN."""
+    one lockstep call (_sided) per round. When the same end moves twice in
+    a row, the other end's s is scaled by 1 - s_c / s_moved (s_moved the
+    moving end's s before the move), or by 1/2 where that is not positive.
+    A column whose s reads NaN gets NaN."""
     a, b, fa, fb = lo.copy(), hi.copy(), s_lo.copy(), s_hi.copy()
     est = a + (b - a) * (fa / (fa - fb))
     last = np.zeros(len(cx), dtype=int)  # the end the last round moved: -1 a, 1 b
@@ -776,7 +750,7 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
 
     Returns one (y, flag) or (None, flag) per column, or None when an audit
     below disagrees with the licence. One lockstep call (_sided) classifies
-    every probe of every column and keeps the gap s at each probe: _gap of
+    every probe of every column and keeps the gap s at each probe: the gap of
     T* in limit mode, and in quadrant mode, given rate (_exit_rate of a
     saddle fp), the exit-rate gap. A point's verdict does not depend on its
     batch, so each row, read in probe order, scans its column as the column
@@ -818,7 +792,7 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
     V = np.full(P.shape, _UNDECIDED, dtype=np.uint8)  # verdicts; NaN probes undecided
     S = np.full(P.shape, math.nan)  # s at the probes, in a guided call
     guided = licensed and (sopts.mode == "limit_equilibrium" or rate is not None)
-    V[rows, cols], s = _sided(m, cx[rows], P[rows, cols], fp, sopts, rate)
+    V[rows, cols], s, _ = _sided(m, cx[rows], P[rows, cols], fp, sopts, rate)
     if guided:
         S[rows, cols] = s
     # NaN stands for "not set" in lo, hi and y
@@ -1023,10 +997,9 @@ def trace_stable_curve(m: PlanarMap, fp: FixedPointRecord, window: Rect,
     every column again without the gap (plain bisection) and adds a note.
     The column through fp.x is seeded from the fixed point itself and the
     local tangent direction. workers has no effect; it stays only for
-    perfbench's process-pool probe and must be >= 1.
+    perfbench's process-pool probe and must be an int >= 1.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    check_count("workers", workers)
     if not window.is_bounded():
         raise ValueError("curve tracing needs a bounded window")
     hyp = check_invariant_curve_hypotheses(m, fp, window)
@@ -1136,13 +1109,11 @@ def trace_unstable_curve(m: PlanarMap, fp: FixedPointRecord,
     when several seeds raise, as a loop over the seeds one by one would
     raise it. The fixed point, the seeds inside the domain and every image
     kept are sorted by x (descending y among equal x) and thinned to a
-    strictly decreasing polyline. steps must be >= 1 and seed_radius finite
-    and > 0.
+    strictly decreasing polyline. steps must be an int >= 1 and seed_radius
+    finite and > 0.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps!r}")
-    if not (math.isfinite(seed_radius) and seed_radius > 0):
-        raise ValueError(f"seed_radius must be finite and > 0, got {seed_radius!r}")
+    check_count("steps", steps)
+    check_tolerance("seed_radius", seed_radius)
     e = fp.eigen
     if not e.real_distinct or e.v_mu is None:
         raise HypothesisError("unstable tracing needs real distinct eigenvalues")

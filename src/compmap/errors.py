@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types and option-value checks shared across the package."""
+
+import math
+import numbers
 
 
 class MapEvalError(Exception):
@@ -50,3 +53,22 @@ class ParseError(ValueError):
 
 class UnboundParameterError(KeyError):
     """An expression references a parameter with no bound value."""
+
+
+def check_count(name: str, value, least: int = 1, most: float = math.inf) -> None:
+    """Raise ValueError unless value is an int (not a bool) in [least, most]."""
+    if not ((type(value) is int or (isinstance(value, numbers.Integral)
+                                    and not isinstance(value, bool)))
+            and least <= value <= most):
+        top = f" and <= {most}" if most < math.inf else ""
+        raise ValueError(f"{name} must be an int >= {least}{top}, got {value!r}")
+
+
+def check_tolerance(name: str, value, zero: bool = False) -> None:
+    """Raise ValueError unless value is a finite real (not a bool), > 0, or
+    >= 0 if zero."""
+    if not ((type(value) is float or (isinstance(value, numbers.Real)
+                                      and not isinstance(value, bool)))
+            and math.isfinite(value) and (value >= 0 if zero else value > 0)):
+        raise ValueError(f"{name} must be finite and {'>=' if zero else '>'} 0, "
+                         f"got {value!r}")

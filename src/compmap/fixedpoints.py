@@ -8,7 +8,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateRootError, NoConvergenceError, SingularityError
+from .errors import (DegenerateRootError, NoConvergenceError, SingularityError,
+                     check_tolerance)
 from .expr import _pow_array
 from .geometry import Matrix2, Point2, Rect, sup_norm
 from .planarmap import (_EVAL_ERRORS, PlanarMap, _images, _jacobians, _sample_grid,
@@ -304,8 +305,7 @@ def find_fixed_point(m: PlanarMap, guess: Point2,
 def _find_fixed_points(m: PlanarMap, X, Y, tol: float = NEWTON_TOL) -> list:
     """find_fixed_point from every start (X[i], Y[i]), in one lockstep
     search: per start its record, or the exception find_fixed_point raises."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    check_tolerance("tol", tol)
     sol = _solve(m, X, Y, tol=tol, fallback=True)
     out = []
     for i in range(len(sol.code)):

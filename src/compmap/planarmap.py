@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import DomainError, SingularityError
+from .errors import DomainError, SingularityError, check_count, check_tolerance
 from .geometry import DEFAULT_SAMPLING_WINDOW, Matrix2, Point2, Rect
 
 FD_STEP = 1e-6
@@ -155,13 +155,11 @@ def orbit(m: PlanarMap, p: Point2, max_iter: int,
 
     Rules, checked in order each step: singularity during evaluation,
     escape from the domain rectangle, convergence (sup-norm step < conv_tol)
-    and the max_iter cap. max_iter must be at least 1, and conv_tol finite
+    and the max_iter cap. max_iter must be an int >= 1, and conv_tol finite
     and non-negative (0 turns the convergence rule off).
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if not 0.0 <= conv_tol < math.inf:
-        raise ValueError(f"conv_tol must be finite and >= 0, got {conv_tol}")
+    check_count("max_iter", max_iter)
+    check_tolerance("conv_tol", conv_tol, zero=True)
     if not m.domain.contains(Point2(*p)):
         raise DomainError(f"{tuple(p)} outside domain of {m.name}")
     pts = [Point2(p[0], p[1])]
@@ -210,7 +208,7 @@ def _sample_grid(region: Rect, samples: int) -> tuple:
     """Quasi-uniform interior grid over _sampled_region(region), as arrays
     X, Y of the cell centres, x-major."""
     r = _sampled_region(region)
-    k = max(1, math.isqrt(max(1, samples)))
+    k = max(1, math.isqrt(samples))
     xs = r.x_lo + (np.arange(k) + 0.5) * r.width() / k
     ys = r.y_lo + (np.arange(k) + 0.5) * r.height() / k
     return np.repeat(xs, k), np.tile(ys, k)
@@ -243,8 +241,9 @@ def check_competitive(m: PlanarMap, region: Rect,
 
     competitive allows zeros on the off-diagonal; strongly requires all four
     strict, each by more than COMPETITIVE_TOL. This is a sampled certificate,
-    not a symbolic proof.
+    not a symbolic proof. samples must be an int >= 1.
     """
+    check_count("samples", samples)
     tol = COMPETITIVE_TOL
     X, Y = _sample_grid(region, samples)
     J, ok = _sampled_jacobians(m, X, Y)
@@ -307,8 +306,10 @@ def check_O_condition(m: PlanarMap, region: Rect, pairs: int = 10_000,
     negative determinants; inconclusive on mixed signs or a probe collision.
     The probe maps all pairs with two _images calls and drops the pairs
     with a failed image (see _failed), so the counts equal a per-pair step
-    loop's.
+    loop's. pairs must be an int >= 1, and seed an int >= 0.
     """
+    check_count("pairs", pairs)
+    check_count("seed", seed, 0)
     J, ok = _sampled_jacobians(m, *_sample_grid(region, GRID_SAMPLES))
     a11, a12, a21, a22 = J[:, ok]
     with np.errstate(all="ignore"):

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import ConstraintError
+from .errors import ConstraintError, check_count
 from .expr import _planar_map, parse
 from .fixedpoints import _record
 from .geometry import Point2, Rect, sup_norm
@@ -272,8 +272,9 @@ def sweep_continuum(sys: ExampleSystem, n: int) -> list:
     Returns FixedPointRecords at n parameter values spread evenly over
     [t_lo, t_hi] of the continuum. Raises if a sampled point fails its
     fixed-point residual (1e-10) or its computed eigenvalues drift from the
-    closed forms by more than 1e-8 relative.
+    closed forms by more than 1e-8 relative. n must be an int >= 1.
     """
+    check_count("n", n)
     if sys.continuum is None:
         raise ValueError(f"{sys.id} does not declare a continuum of fixed points")
     cont = sys.continuum

@@ -132,13 +132,13 @@ def test_limit_singularity_mid_orbit():
 
 def test_cell_centers_are_the_classified_points(ex4, monkeypatch):
     seen = []
-    classify = basins.classify_batch
+    sided = basins._sided
 
     def spy(m, X, Y, fp, opts):
-        seen.append((X, Y))
-        return classify(m, X, Y, fp, opts)
+        seen.append((X.reshape(33, 33), Y.reshape(33, 33)))
+        return sided(m, X, Y, fp, opts)
 
-    monkeypatch.setattr(basins, "classify_batch", spy)
+    monkeypatch.setattr(basins, "_sided", spy)
     # on this window 2.5 * (6/33) and 2.5 * 6 / 33 differ by an ulp
     r = raster(ex4.map, Point2(2, 1), Rect(0, 6, 0, 4), 33, 33,
                SideOptions(max_iter=5))
@@ -301,15 +301,15 @@ def test_limit_raster_on_a_domain_beside_the_sampling_window():
 def test_quadrant_raster_classifies_every_cell_in_one_call(ex4, monkeypatch):
     m, fp, w = ex4.map, Point2(2.0, 1.0), Rect(0.0, 6.0, 0.0, 4.0)
     calls = []
-    classify = basins.classify_batch
+    sided = basins._sided
 
     def spy(m, X, Y, fp, opts):
         calls.append(X.shape)
-        return classify(m, X, Y, fp, opts)
+        return sided(m, X, Y, fp, opts)
 
-    monkeypatch.setattr(basins, "classify_batch", spy)
+    monkeypatch.setattr(basins, "_sided", spy)
     got, want = _counted_raster_and_direct(m, fp, w, 32, raster_options(m, w))
-    assert calls == [(32, 32)]
+    assert calls == [(32 * 32,)]
     assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
 
@@ -335,10 +335,10 @@ def test_cells_implied_both_ways_are_classified(limit_cases, monkeypatch):
     def fake(m, X, Y, fp, opts):
         return np.where(Y > 2.0, LABEL_CODES["plus"], LABEL_CODES["minus"]).astype(np.uint8)
 
-    def fake_verdicts(m, X, Y, fp, opts):  # (codes, limits, iteration counts)
-        return fake(m, X, Y, fp, opts), X + np.nan, Y + np.nan, np.zeros(X.shape, int)
+    def fake_sided(m, X, Y, fp, opts):  # (codes, gaps, iteration counts)
+        return fake(m, X, Y, fp, opts), X + np.nan, np.zeros(X.shape, int)
 
-    monkeypatch.setattr(basins, "_limit_verdicts", fake_verdicts)
+    monkeypatch.setattr(basins, "_sided", fake_sided)
     r = raster(m, fp, w, 32, 32)
     want = fake(m, *np.meshgrid(*basins._cell_centers(w, 32, 32, np.arange(32),
                                                       np.arange(32))), fp, None)

@@ -688,14 +688,14 @@ def _odd_minus_traces(trace_cases, monkeypatch, column):
           if x != fp.location.x][column]
     y1 = w.y_lo + 1.5 * w.height() / curves.PROBES
 
-    limit_verdicts = curves._limit_verdicts
+    sided = curves._sided
 
-    def odd_column(m, xs, ys, fp, sopts):  # every limit-mode verdict comes from here
-        codes, *rest = limit_verdicts(m, xs, ys, fp, sopts)
+    def odd_column(m, xs, ys, fp, sopts, rate=None):  # every verdict comes from here
+        codes, *rest = sided(m, xs, ys, fp, sopts, rate)
         codes[(xs == x0) & (np.abs(ys - y1) < 0.1)] = LABEL_CODES["minus"]
         return (codes, *rest)
 
-    monkeypatch.setattr(curves, "_limit_verdicts", odd_column)
+    monkeypatch.setattr(curves, "_sided", odd_column)
     got = trace_stable_curve(m, fp, w, opts)
     monkeypatch.setattr(curves, "_order_licensed", lambda *args: False)
     return got, trace_stable_curve(m, fp, w, opts)
@@ -787,7 +787,7 @@ def test_exit_rate_gap_is_negative_exactly_on_plus(trace_cases, max_iter):
     Y = np.concatenate((rng.uniform(w.y_lo, w.y_hi, 400),
                         [v.y - 1e-6 for v in near], [v.y + 1e-6 for v in near],
                         [fp.y]))
-    codes, s = curves._sided(m, X, Y, fp, sopts, rate)
+    codes, s, _ = curves._sided(m, X, Y, fp, sopts, rate)
     assert codes.tolist() == classify_batch(m, X, Y, fp, sopts).tolist()
     plus, minus = codes == LABEL_CODES["plus"], codes == LABEL_CODES["minus"]
     band = codes == LABEL_CODES["band"]

@@ -159,9 +159,9 @@ def test_basin_contraction_single_label(tmp_path, capsys):
 
 
 def test_basin_loose_tolerance_compares_certified_limits(tmp_path, capsys):
-    # a T* limit is certified at min(tol, 1e-6); compared with fp under a
-    # slack of 10 * tol = 1e-2, ten cells near the segment of fixed points
-    # read incomparable
+    # a T* limit is certified at min(tol, 1e-6), and it is compared with fp
+    # under a slack of ten times that, 1e-5 (not 10 * tol = 1e-2): no cell
+    # near the segment of fixed points reads incomparable
     out_file = tmp_path / "b.pgm"
     rc, out, _ = _run(capsys, ["basin", "--example", "ex2", "--guess", "0.5,1",
                                "--window", "0,2,0,3", "--nx", "32", "--ny", "32",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -146,6 +147,32 @@ def test_ex3_t2_curve(ex3_t2, ex3_t2_curve, ex3_t2_fp):
     assert ex3_t2_curve.y_at(3.0) == pytest.approx(1.5, abs=1e-9)
     xs = [v.x for v in ex3_t2_curve.vertices]
     assert xs[0] < 3.0 < xs[-1]
+
+
+# sha256 of the vertices (repr) and endpoint labels of limit-mode traces at
+# small curve_tol, taken before limits within the slack of fp read band
+SMALL_TOL_TRACES = {
+    ("ex1", 1e-10): "4378f4e7dbe7d7e05e2a531b72d9f6a5b695a8ab0457dcd9425039de3c427726",
+    ("ex1", 1e-12): "67fe6d9c9bf60f357696dce4acc64ad550f55d6cedaa1dd5ef9d09775989bd00",
+    ("ex3_T2", 1e-10): "863cad8c3a4f05a6b22873f18fe8ebb8c0851029f3811ccfcdc1a4688ca15015",
+    ("ex3_T2", 1e-12): "dd6cbf48ec75bc61a95da9c92b7bff6a67bf888195bbb38057a0606b25e1e4a0",
+}
+
+
+@pytest.mark.parametrize("eid, tol", list(SMALL_TOL_TRACES))
+def test_small_tolerance_limit_traces_flag_no_columns(eid, tol):
+    # the verdict margin max(1e-12, tol / 100) lies below the limits' slack
+    # (1e-11): a limit within the slack of fp in both coordinates reads band,
+    # not incomparable_limit, so no bisection probe reads undecided
+    m = make_example(eid).map
+    guess, w = {"ex1": ((1e-9, 1.0), Rect(0.0, 5.0, 0.0, 6.0)),
+                "ex3_T2": ((3.0, 1.5), Rect(0.5, 8.0, 0.5, 8.0))}[eid]
+    curve = trace_stable_curve(m, find_fixed_point(m, Point2(*guess)), w,
+                               CurveOptions(curve_tol=tol))
+    assert not any("columns flagged" in note for note in curve.notes)
+    text = "".join(f"{v.x!r},{v.y!r}\n" for v in curve.vertices)
+    text += f"{curve.endpoint_left}\n{curve.endpoint_right}\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == SMALL_TOL_TRACES[eid, tol]
 
 
 @pytest.mark.parametrize("x", [math.nan, 0.4, 8.1])

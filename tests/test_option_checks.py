@@ -1,0 +1,126 @@
+"""Every public entry point that takes a count or a tolerance rejects an
+invalid one with ValueError before it evaluates the map: a count must be an
+int (not a bool) and at least its least value, a tolerance a finite real
+(not a bool), > 0 or >= 0."""
+
+import math
+from dataclasses import replace
+
+import pytest
+
+from compmap import (CurveOptions, Point2, Rect, SideOptions, check_competitive,
+                     check_O_condition, classify_side, continuity_probe,
+                     ex5_equilibria, find_fixed_point, first_nonzero_index,
+                     limit_equilibrium, make_example, orbit, raster,
+                     sweep_continuum, taylor_along_eigenvector,
+                     trace_stable_curve, trace_unstable_curve)
+
+from helpers import counting_map
+
+BAD = (math.nan, math.inf, 2.5, True, 0, -1)
+# the values of BAD each kind of option rejects: a count (at least 1 or 2),
+# a count >= 0, a tolerance > 0, a tolerance >= 0
+REJECTED = {"count": BAD, "count0": tuple(v for v in BAD if v != 0),
+            "tol": tuple(v for v in BAD if v != 2.5),
+            "tol0": tuple(v for v in BAD if v not in (2.5, 0))}
+
+EX2, EX4, EX5 = make_example("ex2"), make_example("ex4"), make_example("ex5")
+SADDLE = find_fixed_point(EX5.map, ex5_equilibria(EX5.params)[1])
+W5 = Rect(0.0, 1.5, 0.0, 1.5)
+P, FP = Point2(0.3, 0.5), SADDLE.location
+
+
+def _side(c, **kw):
+    return classify_side(c, P, FP, SideOptions(**kw))
+
+
+def _curve(c, **kw):
+    return trace_stable_curve(c, SADDLE, W5, CurveOptions(**{"columns": 8, **kw}))
+
+
+def _probe(c, **kw):
+    return continuity_probe(c, (Point2(0.1, 0.1), Point2(1.0, 1.0)),
+                            **{"n": 4, **kw})
+
+
+def _raster(c, **kw):
+    return raster(c, FP, W5, **{"nx": 4, "ny": 4, **kw})
+
+
+def _taylor(c, **kw):
+    return taylor_along_eigenvector(c, Point2(2.0, 1.0), Point2(-1.0, 1.0), **kw)
+
+
+def _sweep(c, **kw):
+    return sweep_continuum(replace(EX2, map=c), **{"n": 3, **kw})
+
+
+def _case(name, call, key, kind, m=EX5.map):
+    return pytest.param(call, key, kind, m, id=f"{name}-{key}")
+
+
+# (entry point, keyword, kind, the map it evaluates)
+CASES = [
+    _case("SideOptions", _side, "max_iter", "count"),
+    _case("SideOptions", _side, "epsilon_margin", "tol0"),
+    _case("SideOptions", _side, "conv_tol", "tol"),
+    _case("CurveOptions", _curve, "columns", "count"),
+    _case("CurveOptions", _curve, "max_iter", "count"),
+    _case("CurveOptions", _curve, "curve_tol", "tol"),
+    _case("limit_equilibrium", lambda c, **kw: limit_equilibrium(c, P, **kw),
+          "tol", "tol"),
+    _case("limit_equilibrium", lambda c, **kw: limit_equilibrium(c, P, **kw),
+          "max_iter", "count"),
+    _case("continuity_probe", _probe, "n", "count"),
+    _case("continuity_probe", _probe, "tol", "tol"),
+    _case("continuity_probe", _probe, "max_iter", "count"),
+    _case("raster", _raster, "nx", "count"),
+    _case("raster", _raster, "ny", "count"),
+    _case("raster", _raster, "workers", "count"),
+    _case("trace_stable_curve", lambda c, **kw: trace_stable_curve(
+        c, SADDLE, W5, CurveOptions(columns=8), **kw), "workers", "count"),
+    _case("trace_unstable_curve", lambda c, **kw: trace_unstable_curve(c, SADDLE, **kw),
+          "steps", "count"),
+    _case("trace_unstable_curve", lambda c, **kw: trace_unstable_curve(c, SADDLE, **kw),
+          "seed_radius", "tol"),
+    _case("orbit", lambda c, **kw: orbit(c, P, **{"max_iter": 10, **kw}),
+          "max_iter", "count"),
+    _case("orbit", lambda c, **kw: orbit(c, P, 10, **kw), "conv_tol", "tol0"),
+    _case("find_fixed_point", lambda c, **kw: find_fixed_point(c, P, **kw),
+          "tol", "tol"),
+    _case("taylor_along_eigenvector", _taylor, "degree", "count", EX4.map),
+    _case("taylor_along_eigenvector", _taylor, "h", "tol", EX4.map),
+    _case("check_competitive", lambda c, **kw: check_competitive(c, W5, **kw),
+          "samples", "count"),
+    _case("check_O_condition", lambda c, **kw: check_O_condition(c, W5, **kw),
+          "pairs", "count"),
+    _case("check_O_condition", lambda c, **kw: check_O_condition(c, W5, **kw),
+          "seed", "count0"),
+    _case("sweep_continuum", _sweep, "n", "count", EX2.map),
+]
+
+
+@pytest.mark.parametrize("call, key, kind, m", CASES)
+def test_invalid_counts_and_tolerances_raise_before_any_evaluation(call, key, kind, m):
+    for value in REJECTED[kind]:
+        box = [0, 0, 0]
+        with pytest.raises(ValueError, match=key):
+            call(counting_map(m, box), **{key: value})
+        assert box == [0, 0, 0], (key, value)
+
+
+@pytest.mark.parametrize("call, key, kind, m", CASES)
+def test_each_case_evaluates_the_counted_map(call, key, kind, m):
+    # without the keyword the call runs, on the counted map: the zero counts
+    # above are not for want of a counted path
+    box = [0, 0, 0]
+    call(counting_map(m, box))
+    assert box[0] + box[1] > 0
+
+
+def test_first_nonzero_index_rejects_invalid_tolerances(ex4):
+    ray = taylor_along_eigenvector(ex4.map, Point2(2.0, 1.0), Point2(-1.0, 1.0))
+    for value in REJECTED["tol0"]:
+        with pytest.raises(ValueError, match="tol"):
+            first_nonzero_index(ray, tol=value)
+    assert first_nonzero_index(ray, tol=0) == first_nonzero_index(ray, tol=0.0)
