@@ -16,7 +16,6 @@ Case ids:
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -78,31 +77,32 @@ class TaylorRay:
     ill_conditioned: bool = False
 
 
-def _fit_parity(vals: dict, powers: tuple) -> tuple:
-    """Solve sum_k a_k t^p_k = vals[t] for the three sampled step sizes.
+def _fit(rows: np.ndarray, base: float, powers: tuple) -> np.ndarray:
+    """Solve sum_k a_k t^p_k = rows[i] at t = base/2^i, i = 0..2, one column
+    (component) at a time; row k of the result is the coefficient of
+    t^powers[k].
 
-    The system is solved in the scaled variable s = t/h so the Vandermonde
+    The system is solved in the scaled variable s = t/base so the Vandermonde
     stays well conditioned; coefficients are unscaled afterwards.
     """
-    ts = sorted(vals.keys(), reverse=True)
-    h = ts[0]
-    A = np.array([[(t / h) ** p for p in powers] for t in ts])
-    b = np.array([vals[t] for t in ts])
-    scaled = np.linalg.solve(A, b)
-    return tuple(scaled[k] / h ** p for k, p in enumerate(powers))
+    A = np.array([[s ** p for p in powers] for s in (1.0, 0.5, 0.25)])
+    scale = [base ** p for p in powers]
+    return np.array([np.linalg.solve(A, col) / scale for col in rows.T]).T
 
 
 def taylor_along_eigenvector(m: PlanarMap, fp: Point2, v: Point2,
                              degree: int = 4, h: float = 0.1) -> TaylorRay:
     """Extract ray coefficients by Richardson-extrapolated central differences.
 
-    phi(t) = T(fp + t v) - fp - t v is sampled at t = +-h/2^k, k = 0..3; even
-    and odd parts are fitted separately so the (near-zero) linear term never
-    pollutes the quadratic one, and the estimator is repeated at base step h/2
-    to flag ill-conditioning. h is the largest ray offset; much below 0.05 the
-    degree-4 coefficient drowns in rounding noise (error ~ eps/h^4). Requires
-    |T(fp) - fp| < 1e-10; warns when the measured eigenvalue along v is not
-    within NONHYPERBOLIC_TOL of 1.
+    phi(t) = T(fp + t v) - fp - t v is sampled by scalar steps at t = h, -h,
+    h/2, -h/2, h/4, -h/4, h/8, -h/8, in that order, so when several samples
+    raise, the error raised is the first one's. Even and odd parts are
+    fitted separately so the (near-zero) linear term never pollutes the
+    quadratic one, and the estimator is repeated at base step h/2 to flag
+    ill-conditioning (a fit that is not finite is flagged too). h is the
+    largest ray offset; much below 0.05 the degree-4 coefficient drowns in
+    rounding noise (error ~ eps/h^4). Requires |T(fp) - fp| < 1e-10; warns
+    when the measured eigenvalue along v is not within NONHYPERBOLIC_TOL of 1.
     """
     check_count("degree", degree, 2, 4)
     check_tolerance("step h", h)
@@ -112,47 +112,17 @@ def taylor_along_eigenvector(m: PlanarMap, fp: Point2, v: Point2,
                          "residual 1e-10")
     v = Point2(*v).unit()
     x0, y0 = fp
-
-    def phi(t: float):
-        px, py = m.step(x0 + t * v.x, y0 + t * v.y)
-        return (px - x0 - t * v.x, py - y0 - t * v.y)
-
-    steps = (h, h / 2.0, h / 4.0, h / 8.0)
-    even = {0: {}, 1: {}}
-    odd = {0: {}, 1: {}}
-    for t in steps:
-        plus = phi(t)
-        minus = phi(-t)
-        for c in (0, 1):
-            even[c][t] = 0.5 * (plus[c] + minus[c])
-            odd[c][t] = 0.5 * (plus[c] - minus[c])
-
-    def fits(base):  # extrapolated estimator with base step `base`
-        sel = [t for t in steps if t <= base][:3]
-        out = {}
-        for c in (0, 1):
-            ev = {t: even[c][t] for t in sel}
-            od = {t: odd[c][t] for t in sel}
-            out[c] = (_fit_parity(ev, (2, 4, 6)), _fit_parity(od, (1, 3, 5)))
-        return out
-
-    primary = fits(h)
-    halved = fits(h / 2.0)
-
-    coeffs_by_power = {}
-    lin = [0.0, 0.0]
-    disagreement_sq = 0.0
-    norm_sq = 0.0
-    for c in (0, 1):
-        (a2, a4, _a6), (a1, a3, _a5) = primary[c]
-        (b2, b4, _), (_b1, b3, _) = halved[c]
-        lin[c] = a1
-        for j, val, check in ((2, a2, b2), (3, a3, b3), (4, a4, b4)):
-            coeffs_by_power.setdefault(j, [0.0, 0.0])[c] = val
-            if j <= degree:
-                disagreement_sq += (val - check) ** 2
-                norm_sq += val * val
-    ill = math.sqrt(disagreement_sq) > ILL_CONDITION_REL * max(1.0, math.sqrt(norm_sq))
+    t = h / np.array([1.0, -1.0, 2.0, -2.0, 4.0, -4.0, 8.0, -8.0])
+    phi = (np.array([m.step(x0 + s * v.x, y0 + s * v.y) for s in t.tolist()])
+           - (x0, y0) - np.outer(t, v))
+    plus, minus = phi[0::2], phi[1::2]  # a row per step h/2^k, a column per component
+    even, odd = 0.5 * (plus + minus), 0.5 * (plus - minus)
+    (lin, a3, _), (a2, a4, _) = _fit(odd[:3], h, (1, 3, 5)), _fit(even[:3], h, (2, 4, 6))
+    (_, b3, _), (b2, b4, _) = (_fit(odd[1:], h / 2.0, (1, 3, 5)),
+                               _fit(even[1:], h / 2.0, (2, 4, 6)))
+    coeffs = np.array([a2, a3, a4])[:degree - 1]
+    disagreement = np.linalg.norm(coeffs - np.array([b2, b3, b4])[:degree - 1])
+    ill = not (disagreement <= ILL_CONDITION_REL * max(1.0, np.linalg.norm(coeffs)))
 
     mu_est = 1.0 + lin[0] * v.x + lin[1] * v.y
     if abs(mu_est - 1.0) > NONHYPERBOLIC_TOL:
@@ -160,9 +130,7 @@ def taylor_along_eigenvector(m: PlanarMap, fp: Point2, v: Point2,
             f"eigenvalue along the ray is {mu_est:.9g}, not within "
             f"{NONHYPERBOLIC_TOL:g} of 1; nonhyperbolic classification does not apply",
             stacklevel=2)
-    coeffs = tuple((coeffs_by_power[j][0], coeffs_by_power[j][1])
-                   for j in range(2, degree + 1))
-    return TaylorRay(center=Point2(*fp), direction=v, coeffs=coeffs,
+    return TaylorRay(center=Point2(*fp), direction=v, coeffs=tuple(map(tuple, coeffs)),
                      degree=degree, mu_estimate=mu_est, ill_conditioned=ill)
 
 

@@ -6,10 +6,12 @@ recurrences used as brute-force oracles (they deliberately bypass the
 library code paths they are checking), the plain scalar orbit loops
 that curves compiles per map, the scalar column solver,
 unstable-curve trace, Newton search, boundary-endpoint check and
-competitivity check the lockstep ones replaced, a map-evaluation counter,
+competitivity check the lockstep ones replaced, the step-keyed Taylor ray
+fit that the one-array fit replaced, a map-evaluation counter,
 and the orbit and quadrant predicates that only tests use as oracles."""
 
 import math
+import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -18,12 +20,14 @@ import numpy as np
 from compmap import (BoundaryEndpointReport, CompetitivityReport,
                      DegenerateRootError, EndpointLabel, Matrix2,
                      MonotoneCurve, NoConvergenceError, PlanarMap, Point2,
-                     Rect, SingularityError, UnboundParameterError,
+                     Rect, SingularityError, TaylorRay, UnboundParameterError,
                      endpoint_analysis, jacobian, validate_curve)
+from compmap.classification import ILL_CONDITION_REL
+from compmap.errors import check_count, check_tolerance
 from compmap import curves
 from compmap.curves import PROBES, UNSTABLE_SEEDS, LimitRecord, SideVerdict
 from compmap.fixedpoints import (BOUNDARY_GRID, MAX_HALVINGS, NEWTON_MAX_ITER,
-                                 NEWTON_TOL, _delta_parts, _dt, _iterate_ahead,
+                                 NEWTON_TOL, NONHYPERBOLIC_TOL, _delta_parts, _dt, _iterate_ahead,
                                  _record, _residual)
 from compmap.geometry import sup_norm
 from compmap.planarmap import _EVAL_ERRORS, COMPETITIVE_TOL, _sample_grid
@@ -640,6 +644,83 @@ def scalar_check_competitive(m, region, samples=100):
     return CompetitivityReport(competitive=competitive,
                                strongly=competitive and strongly, samples=n_ok,
                                failures=failures, witness=witness)
+
+
+def _fit_parity(vals: dict, powers: tuple) -> tuple:
+    """Solve sum_k a_k t^p_k = vals[t] for the three sampled step sizes,
+    in the scaled variable s = t/h."""
+    ts = sorted(vals.keys(), reverse=True)
+    h = ts[0]
+    A = np.array([[(t / h) ** p for p in powers] for t in ts])
+    b = np.array([vals[t] for t in ts])
+    scaled = np.linalg.solve(A, b)
+    return tuple(scaled[k] / h ** p for k, p in enumerate(powers))
+
+
+def dict_taylor_along_eigenvector(m, fp, v, degree=4, h=0.1):
+    """taylor_along_eigenvector with its samples in dicts keyed by step, one
+    solve per component and parity, and the ill-conditioning flag computed
+    as sqrt(disagreement) > bound (False on a NaN fit)."""
+    check_count("degree", degree, 2, 4)
+    check_tolerance("step h", h)
+    fx, fy = m.step(fp[0], fp[1])
+    if not sup_norm(fx - fp[0], fy - fp[1]) <= 1e-10:
+        raise ValueError(f"({fp[0]:.6g}, {fp[1]:.6g}) is not a fixed point to "
+                         "residual 1e-10")
+    v = Point2(*v).unit()
+    x0, y0 = fp
+
+    def phi(t):
+        px, py = m.step(x0 + t * v.x, y0 + t * v.y)
+        return (px - x0 - t * v.x, py - y0 - t * v.y)
+
+    steps = (h, h / 2.0, h / 4.0, h / 8.0)
+    even = {0: {}, 1: {}}
+    odd = {0: {}, 1: {}}
+    for t in steps:
+        plus = phi(t)
+        minus = phi(-t)
+        for c in (0, 1):
+            even[c][t] = 0.5 * (plus[c] + minus[c])
+            odd[c][t] = 0.5 * (plus[c] - minus[c])
+
+    def fits(base):
+        sel = [t for t in steps if t <= base][:3]
+        out = {}
+        for c in (0, 1):
+            ev = {t: even[c][t] for t in sel}
+            od = {t: odd[c][t] for t in sel}
+            out[c] = (_fit_parity(ev, (2, 4, 6)), _fit_parity(od, (1, 3, 5)))
+        return out
+
+    primary = fits(h)
+    halved = fits(h / 2.0)
+
+    coeffs_by_power = {}
+    lin = [0.0, 0.0]
+    disagreement_sq = 0.0
+    norm_sq = 0.0
+    for c in (0, 1):
+        (a2, a4, _a6), (a1, a3, _a5) = primary[c]
+        (b2, b4, _), (_b1, b3, _) = halved[c]
+        lin[c] = a1
+        for j, val, check in ((2, a2, b2), (3, a3, b3), (4, a4, b4)):
+            coeffs_by_power.setdefault(j, [0.0, 0.0])[c] = val
+            if j <= degree:
+                disagreement_sq += (val - check) ** 2
+                norm_sq += val * val
+    ill = math.sqrt(disagreement_sq) > ILL_CONDITION_REL * max(1.0, math.sqrt(norm_sq))
+
+    mu_est = 1.0 + lin[0] * v.x + lin[1] * v.y
+    if abs(mu_est - 1.0) > NONHYPERBOLIC_TOL:
+        warnings.warn(
+            f"eigenvalue along the ray is {mu_est:.9g}, not within "
+            f"{NONHYPERBOLIC_TOL:g} of 1; nonhyperbolic classification does not apply",
+            stacklevel=2)
+    coeffs = tuple((coeffs_by_power[j][0], coeffs_by_power[j][1])
+                   for j in range(2, degree + 1))
+    return TaylorRay(center=Point2(*fp), direction=v, coeffs=coeffs,
+                     degree=degree, mu_estimate=mu_est, ill_conditioned=ill)
 
 
 def patchy_map():

@@ -1,16 +1,28 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from compmap import (HypothesisError, Point2, Rect, SingularityError, TaylorRay,
-                     classify_hyperbolic_ray, classify_nonhyperbolic,
+                     classify_hyperbolic_ray, classify_nonhyperbolic, expr_map,
                      find_order_interval, first_nonzero_index, is_subsolution,
-                     is_supersolution, le_se, taylor_along_eigenvector)
+                     is_supersolution, le_se, make_example,
+                     taylor_along_eigenvector)
 from compmap.planarmap import PlanarMap
 
-from helpers import converges_to, exits_interval
+from helpers import converges_to, dict_taylor_along_eigenvector, exits_interval
+
+EX4 = make_example("ex4")
+# (map, fixed point, direction): ex4 and its expression form along the centre
+# eigenvector, and every fixture eigenvector of ex1, ex2 and ex3_T2
+RAYS = ([(EX4.map, Point2(2.0, 1.0), EX4.center_eigenvector),
+         (expr_map("beta1*x/(B1*x+y)", "(alpha2+gamma2*y)/x", EX4.params,
+                   domain=EX4.map.domain), Point2(2.0, 1.0), EX4.center_eigenvector)]
+        + [(ex.map, f.point, v) for ex in map(make_example, ("ex1", "ex2", "ex3_T2"))
+           for f in ex.fixtures for v in f.eigenvectors if v is not None])
 
 
 def test_fixed_points_are_both_sub_and_super(ex1, ex4):
@@ -88,6 +100,48 @@ def test_taylor_extrapolation_stability(ex4):
     va = np.array(a.coeffs).ravel()
     vb = np.array(b.coeffs).ravel()
     assert np.linalg.norm(va - vb) < 1e-4 * max(1.0, np.linalg.norm(va))
+
+
+def _outcome(fit, m, fp, v, degree, h):
+    """The fit's ray or (exception type, message), with its warning messages."""
+    with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            ray = fit(m, fp, v, degree=degree, h=h)
+        except Exception as exc:
+            ray = (type(exc), str(exc))
+    return ray, [str(w.message) for w in caught]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ray=st.sampled_from(range(len(RAYS))), degree=st.integers(2, 4),
+       h=st.one_of(st.floats(1e-3, 0.5), st.sampled_from([1e-300, 5.0])))
+def test_taylor_fit_matches_the_step_keyed_oracle(ray, degree, h):
+    args = RAYS[ray] + (degree, h)
+    got, got_warned = _outcome(taylor_along_eigenvector, *args)
+    want, want_warned = _outcome(dict_taylor_along_eigenvector, *args)
+    assert got_warned == want_warned
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert [float(x).hex() for c in got.coeffs for x in c] == \
+        [float(x).hex() for c in want.coeffs for x in c]
+    assert float(got.mu_estimate).hex() == float(want.mu_estimate).hex()
+    assert (got.center, got.direction, got.degree) == \
+        (want.center, want.direction, want.degree)
+    if np.all(np.isfinite(got.coeffs)):
+        assert got.ill_conditioned == want.ill_conditioned
+    else:
+        assert got.ill_conditioned
+
+
+def test_taylor_nan_fit_is_ill_conditioned(ex4):
+    # h^6 underflows to 0 at h = 1e-300, so every coefficient is 0/0 or x/0
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ray = taylor_along_eigenvector(ex4.map, Point2(2, 1), Point2(-1, 1), h=1e-300)
+    assert np.isnan(ray.coeffs).any()
+    assert ray.ill_conditioned
 
 
 def test_first_nonzero_index_cases(ex4):
