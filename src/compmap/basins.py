@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Mapping, Optional
 
 import numpy as np
@@ -19,7 +20,11 @@ from .curves import LimitRecord, limit_equilibrium  # noqa: F401  (re-exported)
 
 # PGM gray levels per label
 PGM_GRAY = {"minus": 0, "band": 128, "plus": 255, "undecided": 64, "singular": 32}
-_GRAY_TO_LABEL = {v: k for k, v in PGM_GRAY.items()}
+# the gray level per label code, and the label code per gray level (0 at
+# levels not in PGM_GRAY, which load_pgm rejects before the lookup)
+_GRAY = np.array([PGM_GRAY[name] for name in LABEL_NAMES])
+_GRAY_CODE = np.zeros(256, dtype=np.uint8)
+_GRAY_CODE[_GRAY] = np.arange(len(LABEL_NAMES))
 
 
 # ---------------------------------------------------------------------------
@@ -185,26 +190,25 @@ def _implied(labels: np.ndarray) -> tuple:
 
 
 def raster_to_pgm(r: BasinRaster) -> str:
-    lines = ["P2"]
-    for k, v in r.meta.items():
-        lines.append(f"# {k}={v}")
-    lines.append(f"{r.nx} {r.ny}")
-    lines.append("255")
-    for j in range(r.ny - 1, -1, -1):  # top row first, image convention
-        lines.append(" ".join(str(PGM_GRAY[LABEL_NAMES[c]]) for c in r.labels[j]))
-    return "\n".join(lines) + "\n"
+    """The raster as a plain PGM (P2): '# key=value' comment lines for meta,
+    then 'nx ny', maxval 255 and one line of PGM_GRAY levels per cell row,
+    the top row (highest y) first."""
+    head = ["P2", *(f"# {k}={v}" for k, v in r.meta.items()), f"{r.nx} {r.ny}", "255"]
+    rows = _GRAY.astype(str)[r.labels[::-1]].tolist()  # top row first, image convention
+    return "\n".join(head + [" ".join(row) for row in rows]) + "\n"
 
 
 def raster_to_csv(r: BasinRaster) -> str:
-    lines = []
-    for k, v in r.meta.items():
-        lines.append(f"# {k}={v}")
-    lines.append("i,j,x,y,label")
-    for j in range(r.ny):
-        for i in range(r.nx):
-            c = r.cell_center(i, j)
-            lines.append(f"{i},{j},{c.x:.17g},{c.y:.17g},{LABEL_NAMES[r.labels[j, i]]}")
-    return "\n".join(lines) + "\n"
+    """The raster as long-form CSV: '# key=value' lines for meta, the header
+    'i,j,x,y,label', then one line per cell with its center to 17
+    significant digits, row j = 0 (lowest y) first and i fastest."""
+    i, j = np.arange(r.nx), np.arange(r.ny)[:, None]
+    x, y = _cell_centers(r.window, r.nx, r.ny, i, j)
+    cells = reduce(np.char.add, (np.char.mod("%d,", i), np.char.mod("%d,", j),
+                                 np.char.mod("%.17g,", x), np.char.mod("%.17g,", y),
+                                 np.array(LABEL_NAMES)[r.labels]))
+    head = [f"# {k}={v}" for k, v in r.meta.items()] + ["i,j,x,y,label"]
+    return "\n".join(head + cells.ravel().tolist()) + "\n"
 
 
 def save_raster(r: BasinRaster, path: str, fmt: str = "pgm") -> None:
@@ -229,42 +233,60 @@ def _read_meta(line: str, meta: dict) -> bool:
 
 
 def load_pgm(path: str):
-    """Read back a raster PGM; returns (labels array, meta dict)."""
+    """Read back a raster_to_pgm file; returns (labels, meta), labels of shape
+    (ny, nx) with row j = 0 the file's last (lowest y) row.
+
+    Raises ValueError for a file that is not a P2 PGM, one whose pixel count
+    is not nx*ny, or a gray level that is not in PGM_GRAY.
+    """
     meta = {}
     with open(path) as fh:
-        tokens = []
         magic = fh.readline().strip()
         if magic != "P2":
             raise ValueError(f"not a P2 PGM: {magic!r}")
-        for line in fh:
-            if not _read_meta(line, meta):
-                tokens.extend(line.split())
-    nx, ny, maxval = int(tokens[0]), int(tokens[1]), int(tokens[2])
-    vals = np.array(tokens[3:3 + nx * ny], dtype=int).reshape(ny, nx)
-    labels = np.empty((ny, nx), dtype=np.uint8)
-    for j in range(ny):
-        for i in range(nx):
-            labels[ny - 1 - j, i] = LABEL_CODES[_GRAY_TO_LABEL[int(vals[j, i])]]
-    return labels, meta
+        body = " ".join(line for line in fh if not _read_meta(line, meta))
+    nx, ny, _maxval, *grays = body.split()
+    nx, ny, grays = int(nx), int(ny), np.array(grays, dtype=int)
+    if grays.size != nx * ny:
+        raise ValueError(f"PGM holds {grays.size} pixels, not nx*ny = {nx}*{ny}")
+    unknown = ~np.isin(grays, _GRAY)
+    if unknown.any():
+        raise ValueError(f"unknown gray level {grays[unknown][0]} in PGM")
+    return _GRAY_CODE[grays.reshape(ny, nx)[::-1]], meta
 
 
 def load_csv_raster(path: str):
+    """Read back a raster_to_csv file; returns (labels, meta), labels[j, i]
+    the label code of the line 'i,j,x,y,label' (x and y are not read).
+
+    The grid is meta's nx by ny when the file records them, else it spans
+    the largest i and j. Raises ValueError for an unknown label, a cell
+    outside that grid, and a grid cell that is missing or repeated.
+    """
     meta = {}
-    cells = {}
-    nx = ny = 0
+    cells = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or _read_meta(line, meta) or line.startswith("i,"):
                 continue
-            i_s, j_s, _x, _y, label = line.split(",")
-            i, j = int(i_s), int(j_s)
-            nx = max(nx, i + 1)
-            ny = max(ny, j + 1)
-            cells[(i, j)] = LABEL_CODES[label]
-    labels = np.zeros((ny, nx), dtype=np.uint8)
-    for (i, j), c in cells.items():
-        labels[j, i] = c
+            i, j, _x, _y, label = line.split(",")
+            if label not in LABEL_CODES:
+                raise ValueError(f"unknown label {label!r} in CSV raster")
+            cells.append((int(i), int(j), LABEL_CODES[label]))
+    i, j, codes = np.array(cells, dtype=int).reshape(-1, 3).T
+    nx, ny = (int(meta.get(k, a.max(initial=-1) + 1)) for k, a in (("nx", i), ("ny", j)))
+    outside = (i < 0) | (i >= nx) | (j < 0) | (j >= ny)
+    if outside.any():
+        k = outside.argmax()
+        raise ValueError(f"cell ({i[k]}, {j[k]}) lies outside the {nx}x{ny} grid")
+    counts = np.bincount(j * nx + i, minlength=nx * ny)
+    if (counts != 1).any():
+        k = (counts != 1).argmax()
+        raise ValueError(f"cell ({k % nx}, {k // nx}) is "
+                         f"{'missing' if counts[k] == 0 else 'repeated'}")
+    labels = np.empty((ny, nx), dtype=np.uint8)
+    labels[j, i] = codes
     return labels, meta
 
 

@@ -99,10 +99,12 @@ def taylor_along_eigenvector(m: PlanarMap, fp: Point2, v: Point2,
     raise, the error raised is the first one's. Even and odd parts are
     fitted separately so the (near-zero) linear term never pollutes the
     quadratic one, and the estimator is repeated at base step h/2 to flag
-    ill-conditioning (a fit that is not finite is flagged too). h is the
-    largest ray offset; much below 0.05 the degree-4 coefficient drowns in
-    rounding noise (error ~ eps/h^4). Requires |T(fp) - fp| < 1e-10; warns
-    when the measured eigenvalue along v is not within NONHYPERBOLIC_TOL of 1.
+    ill-conditioning (a fit that is not finite, or one with a sample point
+    that rounds to fp, is flagged too). h is the largest ray offset; much
+    below 0.05 the degree-4 coefficient drowns in rounding noise (error ~
+    eps/h^4), and an h whose powers overflow raises ValueError. Requires
+    |T(fp) - fp| < 1e-10; warns when the measured eigenvalue along v is not
+    within NONHYPERBOLIC_TOL of 1.
     """
     check_count("degree", degree, 2, 4)
     check_tolerance("step h", h)
@@ -113,16 +115,21 @@ def taylor_along_eigenvector(m: PlanarMap, fp: Point2, v: Point2,
     v = Point2(*v).unit()
     x0, y0 = fp
     t = h / np.array([1.0, -1.0, 2.0, -2.0, 4.0, -4.0, 8.0, -8.0])
-    phi = (np.array([m.step(x0 + s * v.x, y0 + s * v.y) for s in t.tolist()])
-           - (x0, y0) - np.outer(t, v))
+    pts = [(x0 + s * v.x, y0 + s * v.y) for s in t.tolist()]
+    phi = np.array([m.step(x, y) for x, y in pts]) - (x0, y0) - np.outer(t, v)
     plus, minus = phi[0::2], phi[1::2]  # a row per step h/2^k, a column per component
     even, odd = 0.5 * (plus + minus), 0.5 * (plus - minus)
-    (lin, a3, _), (a2, a4, _) = _fit(odd[:3], h, (1, 3, 5)), _fit(even[:3], h, (2, 4, 6))
-    (_, b3, _), (b2, b4, _) = (_fit(odd[1:], h / 2.0, (1, 3, 5)),
-                               _fit(even[1:], h / 2.0, (2, 4, 6)))
+    try:
+        (lin, a3, _), (a2, a4, _) = _fit(odd[:3], h, (1, 3, 5)), _fit(even[:3], h, (2, 4, 6))
+        (_, b3, _), (b2, b4, _) = (_fit(odd[1:], h / 2.0, (1, 3, 5)),
+                                   _fit(even[1:], h / 2.0, (2, 4, 6)))
+    except OverflowError:
+        raise ValueError(f"step h={h!r} overflows the ray fit") from None
     coeffs = np.array([a2, a3, a4])[:degree - 1]
     disagreement = np.linalg.norm(coeffs - np.array([b2, b3, b4])[:degree - 1])
-    ill = not (disagreement <= ILL_CONDITION_REL * max(1.0, np.linalg.norm(coeffs)))
+    # a sample that rounds to fp itself carries no curvature
+    ill = ((x0, y0) in pts
+           or not (disagreement <= ILL_CONDITION_REL * max(1.0, np.linalg.norm(coeffs))))
 
     mu_est = 1.0 + lin[0] * v.x + lin[1] * v.y
     if abs(mu_est - 1.0) > NONHYPERBOLIC_TOL:

@@ -7,7 +7,8 @@ library code paths they are checking), the plain scalar orbit loops
 that curves compiles per map, the scalar column solver,
 unstable-curve trace, Newton search, boundary-endpoint check and
 competitivity check the lockstep ones replaced, the step-keyed Taylor ray
-fit that the one-array fit replaced, a map-evaluation counter,
+fit that the one-array fit replaced, the per-cell raster writers and
+readers that the array ones replaced, a map-evaluation counter,
 and the orbit and quadrant predicates that only tests use as oracles."""
 
 import math
@@ -22,10 +23,12 @@ from compmap import (BoundaryEndpointReport, CompetitivityReport,
                      MonotoneCurve, NoConvergenceError, PlanarMap, Point2,
                      Rect, SingularityError, TaylorRay, UnboundParameterError,
                      endpoint_analysis, jacobian, validate_curve)
+from compmap.basins import PGM_GRAY, _read_meta
 from compmap.classification import ILL_CONDITION_REL
 from compmap.errors import check_count, check_tolerance
 from compmap import curves
-from compmap.curves import PROBES, UNSTABLE_SEEDS, LimitRecord, SideVerdict
+from compmap.curves import (LABEL_CODES, LABEL_NAMES, PROBES, UNSTABLE_SEEDS,
+                            LimitRecord, SideVerdict)
 from compmap.fixedpoints import (BOUNDARY_GRID, MAX_HALVINGS, NEWTON_MAX_ITER,
                                  NEWTON_TOL, NONHYPERBOLIC_TOL, _delta_parts, _dt, _iterate_ahead,
                                  _record, _residual)
@@ -721,6 +724,76 @@ def dict_taylor_along_eigenvector(m, fp, v, degree=4, h=0.1):
                    for j in range(2, degree + 1))
     return TaylorRay(center=Point2(*fp), direction=v, coeffs=coeffs,
                      degree=degree, mu_estimate=mu_est, ill_conditioned=ill)
+
+
+# ---------------------------------------------------------------------------
+# Per-cell raster serialization: one gray level, CSV line or label per cell
+
+
+def cell_raster_to_pgm(r):
+    lines = ["P2"]
+    for k, v in r.meta.items():
+        lines.append(f"# {k}={v}")
+    lines.append(f"{r.nx} {r.ny}")
+    lines.append("255")
+    for j in range(r.ny - 1, -1, -1):  # top row first, image convention
+        lines.append(" ".join(str(PGM_GRAY[LABEL_NAMES[c]]) for c in r.labels[j]))
+    return "\n".join(lines) + "\n"
+
+
+def cell_raster_to_csv(r):
+    lines = []
+    for k, v in r.meta.items():
+        lines.append(f"# {k}={v}")
+    lines.append("i,j,x,y,label")
+    for j in range(r.ny):
+        for i in range(r.nx):
+            c = r.cell_center(i, j)
+            lines.append(f"{i},{j},{c.x:.17g},{c.y:.17g},{LABEL_NAMES[r.labels[j, i]]}")
+    return "\n".join(lines) + "\n"
+
+
+def cell_load_pgm(path):
+    """load_pgm without its checks: tokens past nx*ny are ignored."""
+    gray_to_label = {v: k for k, v in PGM_GRAY.items()}
+    meta = {}
+    with open(path) as fh:
+        tokens = []
+        magic = fh.readline().strip()
+        if magic != "P2":
+            raise ValueError(f"not a P2 PGM: {magic!r}")
+        for line in fh:
+            if not _read_meta(line, meta):
+                tokens.extend(line.split())
+    nx, ny = int(tokens[0]), int(tokens[1])
+    vals = np.array(tokens[3:3 + nx * ny], dtype=int).reshape(ny, nx)
+    labels = np.empty((ny, nx), dtype=np.uint8)
+    for j in range(ny):
+        for i in range(nx):
+            labels[ny - 1 - j, i] = LABEL_CODES[gray_to_label[int(vals[j, i])]]
+    return labels, meta
+
+
+def cell_load_csv_raster(path):
+    """load_csv_raster without its checks: the grid spans the largest i and
+    j, and a missing cell reads minus."""
+    meta = {}
+    cells = {}
+    nx = ny = 0
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or _read_meta(line, meta) or line.startswith("i,"):
+                continue
+            i_s, j_s, _x, _y, label = line.split(",")
+            i, j = int(i_s), int(j_s)
+            nx = max(nx, i + 1)
+            ny = max(ny, j + 1)
+            cells[(i, j)] = LABEL_CODES[label]
+    labels = np.zeros((ny, nx), dtype=np.uint8)
+    for (i, j), c in cells.items():
+        labels[j, i] = c
+    return labels, meta
 
 
 def patchy_map():

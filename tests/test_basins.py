@@ -1,11 +1,14 @@
 import math
+import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from compmap import (Point2, Rect, SideOptions, SingularityError, basins,
+from compmap import (BasinRaster, Point2, Rect, SideOptions, SingularityError, basins,
                      check_competitive, classify_side, continuity_probe,
                      expr_map, find_fixed_point, limit_equilibrium, load_csv_raster, load_pgm,
                      make_example, planarmap, raster, raster_to_csv,
@@ -14,7 +17,8 @@ from compmap.basins import LABEL_CODES, LABEL_NAMES, raster_options
 from compmap.curves import LIMIT_RESIDUAL_TOL, _UNDECIDED, classify_batch
 from compmap.planarmap import PlanarMap
 
-from helpers import counting_map
+from helpers import (cell_load_csv_raster, cell_load_pgm, cell_raster_to_csv,
+                     cell_raster_to_pgm, counting_map)
 
 QUADRANT = Rect(0.0, math.inf, 0.0, math.inf)
 
@@ -405,6 +409,117 @@ def test_pgm_gray_mapping(ex4_raster):
     assert lines[2] == "255"
     grays = {int(t) for ln in lines[3:] for t in ln.split()}
     assert grays <= {0, 32, 64, 128, 255}
+
+
+# window bounds, some of them not exact in binary
+_BOUNDS = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.1 / 3, -0.1 / 3, 2 / 3, 1e-300,
+                                                           0.1 + 0.2, 1e15 + 0.3]))
+# meta keys and values as the writers emit them: '=' may appear in a value
+_META = st.dictionaries(st.text("abxyz._09", min_size=1, max_size=6).filter(
+    lambda k: k not in ("nx", "ny")), st.text("ab=.,-+e#09", max_size=12), max_size=4)
+
+
+@st.composite
+def basin_rasters(draw):
+    """A BasinRaster built directly: any of the five label codes per cell,
+    meta with or without the nx and ny the CSV loader reads."""
+    nx, ny = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    (x_lo, x_hi), (y_lo, y_hi) = (draw(st.lists(_BOUNDS, min_size=2, max_size=2,
+                                                 unique=True).map(sorted))
+                                  for _ in range(2))
+    labels = draw(arrays(np.uint8, (ny, nx), elements=st.integers(0, len(LABEL_NAMES) - 1)))
+    meta = draw(_META)
+    if draw(st.booleans()):
+        meta.update(nx=str(nx), ny=str(ny))
+    return BasinRaster(window=Rect(x_lo, x_hi, y_lo, y_hi), nx=nx, ny=ny,
+                       labels=labels, meta=meta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=basin_rasters())
+def test_raster_files_match_the_per_cell_oracle(r):
+    pgm, csv = raster_to_pgm(r), raster_to_csv(r)
+    assert pgm == cell_raster_to_pgm(r)
+    assert csv == cell_raster_to_csv(r)
+    with tempfile.TemporaryDirectory() as tmp:
+        for text, loaders in ((pgm, (load_pgm, cell_load_pgm)),
+                              (csv, (load_csv_raster, cell_load_csv_raster))):
+            path = os.path.join(tmp, "r")
+            with open(path, "w", newline="\n") as fh:
+                fh.write(text)
+            for load in loaders:
+                labels, meta = load(path)
+                assert labels.dtype == np.uint8
+                assert np.array_equal(labels, r.labels)
+                assert meta == r.meta
+
+
+@pytest.fixture(scope="module")
+def small_files(ex4):
+    """The PGM and CSV lines of an 8x6 ex4 raster."""
+    r = raster(ex4.map, Point2(2, 1), Rect(0, 6, 0, 4), 8, 6)
+    assert {"minus", "plus"} <= {name for name, n in r.census().items() if n}
+    return raster_to_pgm(r).splitlines(), raster_to_csv(r).splitlines()
+
+
+def _write(tmp_path, lines):
+    path = tmp_path / "r"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_load_csv_raster_rejects_a_missing_cell(tmp_path, small_files):
+    lines = list(small_files[1])
+    lines.remove(next(ln for ln in lines if ln.endswith(",plus")))
+    with pytest.raises(ValueError, match=r"cell \(\d+, \d+\) is missing"):
+        load_csv_raster(_write(tmp_path, lines))
+
+
+def test_load_csv_raster_rejects_a_repeated_cell(tmp_path, small_files):
+    lines = small_files[1] + [small_files[1][-1]]
+    with pytest.raises(ValueError, match=r"cell \(7, 5\) is repeated"):
+        load_csv_raster(_write(tmp_path, lines))
+
+
+def test_load_csv_raster_rejects_cells_short_of_the_recorded_grid(tmp_path, small_files):
+    # without its top row the cells span 8x5, but the header records ny=6
+    assert "# ny=6" in small_files[1]
+    lines = [ln for ln in small_files[1] if ln.startswith("#") or ln.split(",")[1] != "5"]
+    assert len(lines) == len(small_files[1]) - 8
+    with pytest.raises(ValueError, match=r"cell \(0, 5\) is missing"):
+        load_csv_raster(_write(tmp_path, lines))
+
+
+def test_load_csv_raster_rejects_a_cell_outside_the_recorded_grid(tmp_path, small_files):
+    lines = small_files[1][:-1] + ["8" + small_files[1][-1][1:]]
+    with pytest.raises(ValueError, match=r"cell \(8, 5\) lies outside the 8x6 grid"):
+        load_csv_raster(_write(tmp_path, lines))
+
+
+def test_load_csv_raster_rejects_an_unknown_label(tmp_path, small_files):
+    lines = small_files[1][:-1] + [small_files[1][-1].rsplit(",", 1)[0] + ",basin"]
+    with pytest.raises(ValueError, match="unknown label 'basin'"):
+        load_csv_raster(_write(tmp_path, lines))
+
+
+def test_load_pgm_rejects_an_unknown_gray_level(tmp_path, small_files):
+    lines = small_files[0][:-1] + [" ".join(small_files[0][-1].split()[:-1] + ["17"])]
+    with pytest.raises(ValueError, match="unknown gray level 17"):
+        load_pgm(_write(tmp_path, lines))
+
+
+@pytest.mark.parametrize("edit", ["extra", "short"])
+def test_load_pgm_rejects_a_pixel_count_other_than_nx_ny(tmp_path, small_files, edit):
+    last = small_files[0][-1]
+    last = last + " 0" if edit == "extra" else last.rsplit(" ", 1)[0]
+    n = 49 if edit == "extra" else 47
+    with pytest.raises(ValueError, match=rf"PGM holds {n} pixels, not nx\*ny = 8\*6"):
+        load_pgm(_write(tmp_path, small_files[0][:-1] + [last]))
+
+
+def test_load_pgm_rejects_a_file_that_is_not_p2(tmp_path, small_files):
+    with pytest.raises(ValueError, match="not a P2 PGM: 'P5'"):
+        load_pgm(_write(tmp_path, ["P5"] + small_files[0][1:]))
 
 
 def test_continuity_probe_degenerate_segment(ex1):

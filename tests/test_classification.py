@@ -144,6 +144,22 @@ def test_taylor_nan_fit_is_ill_conditioned(ex4):
     assert ray.ill_conditioned
 
 
+def test_taylor_ray_that_rounds_to_the_fixed_point_is_ill_conditioned(ex4):
+    # at h = 1e-60 every sample fp + t v rounds to fp: the fit sees no curvature
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ray = taylor_along_eigenvector(ex4.map, Point2(2, 1), Point2(-1, 1), h=1e-60)
+    assert np.all(np.array(ray.coeffs) == 0.0)
+    assert ray.ill_conditioned
+
+
+def test_taylor_step_whose_powers_overflow_raises_value_error():
+    # h^6 overflows at h = 1e60, although every sample is finite
+    m = expr_map("x + 0.1*(x-y)*(x-y)", "y")
+    with pytest.raises(ValueError, match=r"step h=1e\+60 overflows the ray fit"):
+        taylor_along_eigenvector(m, Point2(0, 0), Point2(1, -1), h=1e60)
+
+
 def test_first_nonzero_index_cases(ex4):
     ray = taylor_along_eigenvector(ex4.map, Point2(2, 1), Point2(-1, 1))
     assert first_nonzero_index(ray, tol=1e-8) == 2
