@@ -10,7 +10,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import check_count, check_tolerance
+from .errors import check_count, check_tolerance, check_window
 from .geometry import Point2, Rect
 from .planarmap import PlanarMap, _order_licensed
 from .curves import (_MINUS, _PLUS, _SINGULAR, _UNDECIDED, LABEL_CODES,
@@ -113,11 +113,7 @@ def raster(m: PlanarMap, fp: Point2, window: Rect, nx: int, ny: int,
     workers has no effect; it stays only for perfbench's process-pool probe
     and must be an int >= 1.
     """
-    if not window.is_bounded():
-        raise ValueError("raster needs a bounded window")
-    if not (window.width() > 0 and window.height() > 0):
-        raise ValueError(f"raster needs a window of positive width and height, "
-                         f"got {window}")
+    check_window("raster", window)
     check_count("nx", nx, 2)
     check_count("ny", ny, 2)
     check_count("workers", workers)
@@ -232,12 +228,22 @@ def _read_meta(line: str, meta: dict) -> bool:
     return True
 
 
+def _int64s(values, what: str) -> np.ndarray:
+    """values (ints or integer strings) as an int64 array; ValueError for
+    one beyond int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"a {what} in the raster file lies beyond int64") from None
+
+
 def load_pgm(path: str):
     """Read back a raster_to_pgm file; returns (labels, meta), labels of shape
     (ny, nx) with row j = 0 the file's last (lowest y) row.
 
-    Raises ValueError for a file that is not a P2 PGM, one whose pixel count
-    is not nx*ny, or a gray level that is not in PGM_GRAY.
+    Raises ValueError for a file that is not a P2 PGM, one whose maxval is
+    not 255 (the one raster_to_pgm writes) or whose pixel count is not
+    nx*ny, and for a gray level that is not in PGM_GRAY.
     """
     meta = {}
     with open(path) as fh:
@@ -245,8 +251,11 @@ def load_pgm(path: str):
         if magic != "P2":
             raise ValueError(f"not a P2 PGM: {magic!r}")
         body = " ".join(line for line in fh if not _read_meta(line, meta))
-    nx, ny, _maxval, *grays = body.split()
-    nx, ny, grays = int(nx), int(ny), np.array(grays, dtype=int)
+    nx, ny, maxval, *grays = body.split()
+    if int(maxval) != 255:
+        raise ValueError(f"PGM maxval {maxval} is not 255, the one raster_to_pgm "
+                         f"writes")
+    nx, ny, grays = int(nx), int(ny), _int64s(grays, "gray level")
     if grays.size != nx * ny:
         raise ValueError(f"PGM holds {grays.size} pixels, not nx*ny = {nx}*{ny}")
     unknown = ~np.isin(grays, _GRAY)
@@ -260,8 +269,9 @@ def load_csv_raster(path: str):
     the label code of the line 'i,j,x,y,label' (x and y are not read).
 
     The grid is meta's nx by ny when the file records them, else it spans
-    the largest i and j. Raises ValueError for an unknown label, a cell
-    outside that grid, and a grid cell that is missing or repeated.
+    the largest i and j. Raises ValueError for an index beyond int64, an
+    unknown label, a cell outside that grid, and a grid cell that is missing
+    or repeated; the grid is allocated only once the cell lines fill it.
     """
     meta = {}
     cells = []
@@ -274,20 +284,24 @@ def load_csv_raster(path: str):
             if label not in LABEL_CODES:
                 raise ValueError(f"unknown label {label!r} in CSV raster")
             cells.append((int(i), int(j), LABEL_CODES[label]))
-    i, j, codes = np.array(cells, dtype=int).reshape(-1, 3).T
+    i, j, codes = _int64s(cells, "cell index").reshape(-1, 3).T
     nx, ny = (int(meta.get(k, a.max(initial=-1) + 1)) for k, a in (("nx", i), ("ny", j)))
     outside = (i < 0) | (i >= nx) | (j < 0) | (j >= ny)
     if outside.any():
         k = outside.argmax()
         raise ValueError(f"cell ({i[k]}, {j[k]}) lies outside the {nx}x{ny} grid")
-    counts = np.bincount(j * nx + i, minlength=nx * ny)
-    if (counts != 1).any():
-        k = (counts != 1).argmax()
-        raise ValueError(f"cell ({k % nx}, {k // nx}) is "
-                         f"{'missing' if counts[k] == 0 else 'repeated'}")
-    labels = np.empty((ny, nx), dtype=np.uint8)
-    labels[j, i] = codes
-    return labels, meta
+    # sorted row by row, the k-th line must hold cell (k % nx, k // nx); a
+    # divisor w past the line count gives the same cells and fits in int64
+    order = np.lexsort((i, j))
+    i, j, codes = i[order], j[order], codes[order]
+    k, w = np.arange(len(i)), min(nx, len(i) + 1)
+    off = np.flatnonzero((i != k % w) | (j != k // w))
+    if len(off) or len(i) < nx * ny:
+        k = int(off[0]) if len(off) else len(i)
+        if 0 < k < len(i) and (i[k], j[k]) == (i[k - 1], j[k - 1]):
+            raise ValueError(f"cell ({i[k]}, {j[k]}) is repeated")
+        raise ValueError(f"cell ({k % nx}, {k // nx}) is missing")
+    return codes.astype(np.uint8).reshape(ny, nx), meta
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,12 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import (ConstraintError, HypothesisError, MapEvalError,
-                     NoConvergenceError, ParseError, UnboundParameterError)
+                     NoConvergenceError, ParseError, UnboundParameterError,
+                     check_window)
 from .expr import expr_map
-from .fixedpoints import (NONHYPERBOLIC_TOL, FixedPointRecord, _boundary_reports,
-                          _find_fixed_points, check_invariant_curve_hypotheses)
+from .fixedpoints import (NEWTON_TOL, NONHYPERBOLIC_TOL, FixedPointRecord,
+                          _boundary_reports, _find_fixed_points,
+                          check_invariant_curve_hypotheses)
 from .classification import (classify_hyperbolic_ray, classify_nonhyperbolic,
                              taylor_along_eigenvector)
 from .geometry import Point2, Rect
@@ -222,9 +224,7 @@ def _cfg_window(cfg: dict) -> Rect:
         w = Rect(vals[0], vals[1], vals[2], vals[3])
     except ValueError as e:
         raise _CliError(2, f"malformed window {raw!r}: {e}")
-    if not w.is_bounded():
-        raise _CliError(2, f"window {raw!r} must be bounded, with a finite "
-                           f"width and height")
+    check_window(cfg["command"], w)  # main reports its ValueError with exit 2
     return w
 
 
@@ -303,6 +303,17 @@ def _resolve_fixed_points(cfg: dict, m, sys_, window: Rect,
     if not roots and eval_failures == len(X) and len(X):
         raise _CliError(3, "the map could not be evaluated at any start point")
     return roots
+
+
+def _first_fixed_point(cfg: dict) -> tuple:
+    """(map, window, the first fixed point resolved) of a curve or basin
+    run; exit 3 when none resolves."""
+    m, sys_ = _build_map(cfg)
+    window = _cfg_window(cfg)
+    roots = _resolve_fixed_points(cfg, m, sys_, window, NEWTON_TOL)
+    if not roots:
+        raise _CliError(3, "no fixed point could be resolved from the guesses")
+    return m, window, roots[0]
 
 
 def _local_verdict(m, rec: FixedPointRecord):
@@ -412,12 +423,7 @@ def _cmd_analyze(cfg: dict) -> int:
 def _cmd_curve(cfg: dict) -> int:
     from .curves import CurveOptions, trace_stable_curve, trace_unstable_curve
 
-    m, sys_ = _build_map(cfg)
-    window = _cfg_window(cfg)
-    roots = _resolve_fixed_points(cfg, m, sys_, window, tol=1e-10)
-    if not roots:
-        raise _CliError(3, "no fixed point could be resolved from the guesses")
-    fp = roots[0]
+    m, window, fp = _first_fixed_point(cfg)
     if cfg["unstable"] == "true":
         curve = trace_unstable_curve(m, fp, steps=_value(cfg, "steps"),
                                      seed_radius=_value(cfg, "seed_radius"))
@@ -444,12 +450,7 @@ def _cmd_basin(cfg: dict) -> int:
 
     if not cfg.get("out"):
         raise _CliError(2, "basin needs an --out path")
-    m, sys_ = _build_map(cfg)
-    window = _cfg_window(cfg)
-    roots = _resolve_fixed_points(cfg, m, sys_, window, tol=1e-10)
-    if not roots:
-        raise _CliError(3, "no fixed point could be resolved from the guesses")
-    fp = roots[0].location
+    m, window, fp = _first_fixed_point(cfg)
     nx = _value(cfg, "nx")
     ny = _value(cfg, "ny")
     overrides = {"max_iter": _value(cfg, "max_iter"),
@@ -459,7 +460,7 @@ def _cmd_basin(cfg: dict) -> int:
     if "epsilon" in cfg:
         overrides["epsilon_margin"] = _value(cfg, "epsilon")
     opts = replace(raster_options(m, window), **overrides)
-    r = raster(m, fp, window, nx, ny, opts)
+    r = raster(m, fp.location, window, nx, ny, opts)
     census = r.census()
     total = nx * ny
     if census["singular"] > 0.5 * total:

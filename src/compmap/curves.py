@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (HypothesisError, NoConvergenceError, SingularityError,
-                     check_count, check_tolerance)
+                     check_count, check_tolerance, check_window)
 from .expr import _Compiled, _function
 from .fixedpoints import (NONHYPERBOLIC_TOL, EigenData, FixedPointRecord,
                           check_invariant_curve_hypotheses)
@@ -655,8 +655,6 @@ def _column_positions(window: Rect, fpx: float, columns: int) -> list:
         xs.add(fpx)
     spans = (x0 - window.x_lo, window.x_hi - x0)
     total = spans[0] + spans[1]
-    if total <= 0:
-        raise ValueError("degenerate window")
     for side, span in enumerate(spans):
         if span <= 0:
             continue
@@ -744,7 +742,7 @@ def _locate(m: PlanarMap, fp: Point2, cx: np.ndarray, lo: np.ndarray,
 
 
 def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
-                   curve_tol: float, sopts: SideOptions, licensed: bool = False,
+                   curve_tol: float, sopts: SideOptions, guided: bool = False,
                    rate: Optional[tuple] = None) -> Optional[list]:
     """Locate the curve ordinate in every column of cxs, all columns together.
 
@@ -765,13 +763,13 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
     applies the one the verdict at mid leads to. Every column ends as
     bisecting it on its own would end it.
 
-    licensed says the order licence (planarmap._order_licensed) holds:
-    verdicts are then plus below the curve and minus above it. Under the
-    licence, in limit mode or in quadrant mode with a rate (a guided call),
-    a plus above a minus in any row makes the call return None, and a
-    column whose probes all read plus or minus is located, certified and
-    replayed instead. Locate: _locate finds
-    the root y^ of s from the probe bracket and the s of its probes.
+    guided says the order licence (planarmap._order_licensed) holds, in
+    limit mode or in quadrant mode with a rate: verdicts are then plus below
+    the curve and minus above it. In a guided call, a plus above a minus in
+    any row makes the call return None, and a column whose probes all read
+    plus or minus is located, certified and replayed instead. Locate:
+    _locate finds the root y^ of s from the probe bracket and the s of its
+    probes.
     Certify: y^ - w and y^ + w (w = curve_tol, kept inside the bracket) must
     read plus and minus; if not, w widens by WIDEN, at most WIDENINGS times,
     and then the column bisects as above. Replay: the column bisects as
@@ -791,7 +789,6 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
     rows, cols = np.nonzero(~np.isnan(P))
     V = np.full(P.shape, _UNDECIDED, dtype=np.uint8)  # verdicts; NaN probes undecided
     S = np.full(P.shape, math.nan)  # s at the probes, in a guided call
-    guided = licensed and (sopts.mode == "limit_equilibrium" or rate is not None)
     V[rows, cols], s, _ = _sided(m, cx[rows], P[rows, cols], fp, sopts, rate)
     if guided:
         S[rows, cols] = s
@@ -967,7 +964,10 @@ def locate_ordinate(m: PlanarMap, fp: FixedPointRecord, x: float, window: Rect,
 
     Returns the located y, or None when no minus/plus bracket exists in the
     column. Useful for spot-checking a traced curve at off-grid abscissae.
+    Raises ValueError unless window has a finite, positive width and height
+    (errors.check_window).
     """
+    check_window("locate_ordinate", window)
     if opts is None:
         opts = CurveOptions()
     sopts = _bisect_options(m, opts)
@@ -1000,8 +1000,7 @@ def trace_stable_curve(m: PlanarMap, fp: FixedPointRecord, window: Rect,
     perfbench's process-pool probe and must be an int >= 1.
     """
     check_count("workers", workers)
-    if not window.is_bounded():
-        raise ValueError("curve tracing needs a bounded window")
+    check_window("curve tracing", window)
     hyp = check_invariant_curve_hypotheses(m, fp, window)
     if not hyp.all_pass:
         raise HypothesisError(
@@ -1015,9 +1014,9 @@ def trace_stable_curve(m: PlanarMap, fp: FixedPointRecord, window: Rect,
     cxs = [cx for cx in xs if cx != fpl.x]
     args = (m, fpl, slope, cxs, window, opts.curve_tol, sopts)
     rate = _exit_rate(fp.eigen)
-    licensed = ((sopts.mode == "limit_equilibrium" or rate is not None)
-                and _order_licensed(m, window, len(cxs) * PROBES))
-    results = _solve_columns(*args, licensed, rate)
+    guided = ((sopts.mode == "limit_equilibrium" or rate is not None)
+              and _order_licensed(m, window, len(cxs) * PROBES))
+    results = _solve_columns(*args, True, rate) if guided else _solve_columns(*args)
     audit_failed = results is None
     if audit_failed:
         results = _solve_columns(*args)

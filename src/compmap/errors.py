@@ -72,3 +72,12 @@ def check_tolerance(name: str, value, zero: bool = False) -> None:
             and math.isfinite(value) and (value >= 0 if zero else value > 0)):
         raise ValueError(f"{name} must be finite and {'>=' if zero else '>'} 0, "
                          f"got {value!r}")
+
+
+def check_window(name: str, w) -> None:
+    """Raise ValueError unless the Rect w has a finite, positive width and
+    height (and so finite sides): the windows that traces, rasters and
+    analyses sample. name is the caller the message names."""
+    if not (0 < w.width() < math.inf and 0 < w.height() < math.inf):
+        raise ValueError(f"{name} needs a bounded window of finite, positive "
+                         f"width and height, got {w}")

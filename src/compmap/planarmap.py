@@ -95,18 +95,14 @@ def _ask(batch, scalar, n: int, X: np.ndarray, Y: np.ndarray) -> tuple:
     which it raised to what it raised, and the point's values are then NaN.
     Batch output without a NaN comes back as it is."""
     raised = {}
-    if batch is None:
-        out = np.full((n, len(X)), math.nan)
-        points = range(len(X))
-    else:
-        out = batch(X, Y)
-        nan = np.isnan(out[0])
-        for v in out[1:]:
-            nan |= np.isnan(v)
-        points = np.flatnonzero(nan).tolist()
-        if not points:
-            return out, raised
-        out = np.array(out, dtype=float)
+    out = batch(X, Y) if batch is not None else np.full((n, len(X)), math.nan)
+    nan = np.isnan(out[0])
+    for v in out[1:]:
+        nan |= np.isnan(v)
+    points = np.flatnonzero(nan).tolist()
+    if not points:
+        return tuple(out), raised
+    out = np.array(out, dtype=float)
     for k in points:
         try:
             v = scalar(float(X[k]), float(Y[k]))

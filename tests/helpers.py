@@ -459,7 +459,7 @@ def solve_column(m, fp, slope, cx, window, curve_tol, probes, sopts):
 
 
 def solve_columns_one_by_one(m, fp, slope, cxs, window, curve_tol, sopts,
-                             licensed=False, rate=None):
+                             guided=False, rate=None):
     """Drop-in for curves._solve_columns that runs solve_column per column:
     the linear scan whether or not the order licence holds, and without an
     exit-rate gap."""

@@ -522,6 +522,30 @@ def test_load_pgm_rejects_a_file_that_is_not_p2(tmp_path, small_files):
         load_pgm(_write(tmp_path, ["P5"] + small_files[0][1:]))
 
 
+def test_load_pgm_rejects_a_maxval_other_than_255(tmp_path):
+    # gray level 32 of 100 is not the writer's 32 of 255 (singular)
+    with pytest.raises(ValueError, match="PGM maxval 100 is not 255"):
+        load_pgm(_write(tmp_path, ["P2", "2 1", "100", "0 32"]))
+
+
+@pytest.mark.parametrize("lines", [
+    ["P2", "2 1", "255", "0 99999999999999999999"],
+    ["i,j,x,y,label", "99999999999999999999,0,0.5,0.5,minus"]],
+    ids=["pgm", "csv"])
+def test_loaders_reject_an_integer_beyond_int64(tmp_path, lines):
+    load = load_pgm if lines[0] == "P2" else load_csv_raster
+    with pytest.raises(ValueError, match="beyond int64"):
+        load(_write(tmp_path, lines))
+
+
+def test_load_csv_raster_rejects_a_grid_its_cells_cannot_fill(tmp_path):
+    # nx * ny = 2**64 overflows int64; the grid is refused before it is sized
+    lines = ["# nx=4294967296", "# ny=4294967296", "i,j,x,y,label",
+             "0,0,0.5,0.5,minus"]
+    with pytest.raises(ValueError, match=r"cell \(1, 0\) is missing"):
+        load_csv_raster(_write(tmp_path, lines))
+
+
 def test_continuity_probe_degenerate_segment(ex1):
     rep = continuity_probe(ex1.map, (Point2(1, 1), Point2(1, 1)), n=4)
     assert rep.max_gap == 0.0

@@ -622,7 +622,7 @@ def test_licensed_scan_stops_before_a_band_probe_past_its_minus():
     w = Rect(-1.0, 0.0, -1.0, 0.0)
     cxs = [-0.95 + 0.025 * i for i in range(32)]
     sopts = SideOptions(epsilon_margin=1e-12, max_iter=10)
-    got = curves._solve_columns(m, fp, 1.0, cxs, w, 1e-8, sopts, True)
+    got = curves._solve_columns(m, fp, 1.0, cxs, w, 1e-8, sopts)
     assert got == solve_columns_one_by_one(m, fp, 1.0, cxs, w, 1e-8, sopts)
 
 
@@ -670,7 +670,8 @@ def test_licensed_scan_returns_a_band_probe(trace_cases):
     slope = rec.eigen.v_lam.y / rec.eigen.v_lam.x
     cxs = [fp.x - 0.01, fp.x, fp.x + 0.01]
     sopts = SideOptions(epsilon_margin=1e-6)
-    got = curves._solve_columns(m, fp, slope, cxs, w, 1e-8, sopts, True)
+    got = curves._solve_columns(m, fp, slope, cxs, w, 1e-8, sopts, True,
+                                curves._exit_rate(rec.eigen))
     assert got == solve_columns_one_by_one(m, fp, slope, cxs, w, 1e-8, sopts)
     assert got[1][1] == "" and abs(got[1][0] - fp.y) <= 1e-6
 
@@ -718,6 +719,25 @@ def test_order_audit_reads_every_probe_of_every_column(trace_cases, monkeypatch)
     got, want = _odd_minus_traces(trace_cases, monkeypatch, 1)
     assert got.notes == want.notes + (AUDIT_NOTE,)
     assert replace(got, notes=want.notes) == want
+
+
+def test_unlicensed_saddle_trace_keeps_no_exit_points(trace_cases, monkeypatch):
+    # a saddle trace without the licence is not guided, so no lockstep call
+    # keeps the exit points that only the exit-rate gap reads
+    m, fp, w, opts = trace_cases["ex5_saddle"]
+    want = trace_stable_curve(m, fp, w, opts)
+    exits = []
+    quadrant_batch = curves._quadrant_batch
+
+    def spy(m, X, Y, fp, opts, keep=False):
+        exits.append(keep)
+        return quadrant_batch(m, X, Y, fp, opts, keep)
+
+    monkeypatch.setattr(curves, "_quadrant_batch", spy)
+    monkeypatch.setattr(curves, "_order_licensed", lambda *args: False)
+    got = trace_stable_curve(m, fp, w, opts)
+    assert exits and not any(exits)
+    assert got.vertices == want.vertices
 
 
 # ---------------------------------------------------------------------------

@@ -553,6 +553,15 @@ def test_non_finite_point_or_window_exit_2_without_output(tmp_path, capsys, argv
     assert "finite" in _refused(tmp_path, capsys, argv)
 
 
+@pytest.mark.parametrize("argv", [
+    ["curve", "--example", "ex1", "--guess", "1e-9,1", "--window", "0,5,3,3"],
+    ["analyze", "--example", "ex4", "--window", "0,6,1,1"],
+    _BASIN + ["--window", "1,1,0,3"]])
+def test_window_without_area_exit_2_without_output(tmp_path, capsys, argv):
+    err = _refused(tmp_path, capsys, argv)
+    assert err.startswith("configuration error: ") and "needs a bounded window" in err
+
+
 @pytest.mark.parametrize("argv, fmt", [
     (["analyze", "--example", "ex1"], "csv"), (_CURVE, "pgm"), (_CURVE, "json"),
     (_ORBIT, "json")])

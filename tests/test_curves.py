@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,21 @@ def test_trace_requires_bounded_window(ex1, ex1_fp):
 def test_trace_refuses_a_window_whose_width_overflows(ex1, ex1_fp):
     with pytest.raises(ValueError, match="needs a bounded window"):
         trace_stable_curve(ex1.map, ex1_fp, Rect(-1e308, 1e308, 0, 4))
+
+
+def test_trace_refuses_a_window_without_height(ex1, ex1_fp):
+    with pytest.raises(ValueError, match="needs a bounded window"):
+        trace_stable_curve(ex1.map, ex1_fp, Rect(0, 5, 3, 3))
+
+
+@pytest.mark.parametrize("window", [Rect(0, 5, 0, math.inf),
+                                    Rect(0, 5, -math.inf, math.inf),
+                                    Rect(0, 5, 3, 3)])
+def test_locate_ordinate_refuses_a_window_without_finite_area(ex1, ex1_fp, window):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="needs a bounded window"):
+            locate_ordinate(ex1.map, ex1_fp, 1.0, window)
 
 
 def test_trace_rejects_failed_hypotheses(ex1):
