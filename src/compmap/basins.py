@@ -237,6 +237,17 @@ def _int64s(values, what: str) -> np.ndarray:
         raise ValueError(f"a {what} in the raster file lies beyond int64") from None
 
 
+def _header_size(meta: dict, key: str) -> int:
+    """meta[key] as a positive int; ValueError naming key otherwise."""
+    try:
+        n = int(meta[key])
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"header {key}={meta[key].strip()} is not a positive integer")
+    return n
+
+
 def load_pgm(path: str):
     """Read back a raster_to_pgm file; returns (labels, meta), labels of shape
     (ny, nx) with row j = 0 the file's last (lowest y) row.
@@ -269,9 +280,10 @@ def load_csv_raster(path: str):
     the label code of the line 'i,j,x,y,label' (x and y are not read).
 
     The grid is meta's nx by ny when the file records them, else it spans
-    the largest i and j. Raises ValueError for an index beyond int64, an
-    unknown label, a cell outside that grid, and a grid cell that is missing
-    or repeated; the grid is allocated only once the cell lines fill it.
+    the largest i and j. Raises ValueError for a header nx or ny that is not
+    a positive integer, an index beyond int64, an unknown label, a cell
+    outside that grid, and a grid cell that is missing or repeated; the grid
+    is allocated only once the cell lines fill it.
     """
     meta = {}
     cells = []
@@ -285,7 +297,8 @@ def load_csv_raster(path: str):
                 raise ValueError(f"unknown label {label!r} in CSV raster")
             cells.append((int(i), int(j), LABEL_CODES[label]))
     i, j, codes = _int64s(cells, "cell index").reshape(-1, 3).T
-    nx, ny = (int(meta.get(k, a.max(initial=-1) + 1)) for k, a in (("nx", i), ("ny", j)))
+    nx, ny = (_header_size(meta, k) if k in meta else int(a.max(initial=-1) + 1)
+              for k, a in (("nx", i), ("ny", j)))
     outside = (i < 0) | (i >= nx) | (j < 0) | (j >= ny)
     if outside.any():
         k = outside.argmax()

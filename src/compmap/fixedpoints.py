@@ -12,8 +12,8 @@ from .errors import (DegenerateRootError, NoConvergenceError, SingularityError,
                      check_tolerance)
 from .expr import _pow_array
 from .geometry import Matrix2, Point2, Rect, sup_norm
-from .planarmap import (_EVAL_ERRORS, PlanarMap, _images, _jacobians, _sample_grid,
-                        check_competitive, jacobian)
+from .planarmap import (_EVAL_ERRORS, PlanarMap, _check_area, _images, _jacobians,
+                        _sample_grid, check_competitive, jacobian)
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 100
@@ -414,9 +414,11 @@ def check_invariant_curve_hypotheses(m: PlanarMap, fp: FixedPointRecord,
     (a) region meets int(Q1 u Q3) at fp; (b) real eigenvalues with
     0 < |lam| < mu and |lam| < 1; (c) the lam-eigenvector is off-axis;
     (d) strong competitivity sampled on the Q1/Q3 parts of the region.
+    region must have a positive width and height.
     """
     if fp.kind != "fixed":
         raise ValueError("the invariant-curve hypotheses apply to fixed points only")
+    _check_area("check_invariant_curve_hypotheses", region)
     x0, y0 = fp.location
     failed = []
 

@@ -182,6 +182,15 @@ def orbit(m: PlanarMap, p: Point2, max_iter: int,
 # Competitiveness / orientation checks
 
 
+def _check_area(name: str, region: Rect) -> None:
+    """Raise ValueError unless region has a width and a height > 0 (NaN is
+    not): samples on a line certify nothing of a region. Unlike
+    errors.check_window it lets a side be infinite, as map domains are."""
+    if not (region.width() > 0 and region.height() > 0):
+        raise ValueError(f"{name} needs a region of positive width and height, "
+                         f"got {region}")
+
+
 def _sampled_region(region: Rect) -> Rect:
     """region if bounded, else a box to sample it by, axis by axis: the
     axis's part of DEFAULT_SAMPLING_WINDOW where the two meet, else its own
@@ -237,9 +246,11 @@ def check_competitive(m: PlanarMap, region: Rect,
 
     competitive allows zeros on the off-diagonal; strongly requires all four
     strict, each by more than COMPETITIVE_TOL. This is a sampled certificate,
-    not a symbolic proof. samples must be an int >= 1.
+    not a symbolic proof. samples must be an int >= 1, and region have a
+    positive width and height.
     """
     check_count("samples", samples)
+    _check_area("check_competitive", region)
     tol = COMPETITIVE_TOL
     X, Y = _sample_grid(region, samples)
     J, ok = _sampled_jacobians(m, X, Y)
@@ -302,10 +313,12 @@ def check_O_condition(m: PlanarMap, region: Rect, pairs: int = 10_000,
     negative determinants; inconclusive on mixed signs or a probe collision.
     The probe maps all pairs with two _images calls and drops the pairs
     with a failed image (see _failed), so the counts equal a per-pair step
-    loop's. pairs must be an int >= 1, and seed an int >= 0.
+    loop's. pairs must be an int >= 1, seed an int >= 0, and region have a
+    positive width and height.
     """
     check_count("pairs", pairs)
     check_count("seed", seed, 0)
+    _check_area("check_O_condition", region)
     J, ok = _sampled_jacobians(m, *_sample_grid(region, GRID_SAMPLES))
     a11, a12, a21, a22 = J[:, ok]
     with np.errstate(all="ignore"):

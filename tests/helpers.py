@@ -1,6 +1,7 @@
 """Shared test utilities: direction comparison, a random-expression generator,
-the expression tree-walkers that compiled expressions replaced, the
-hand-written built-in steps and Jacobians that their expression form
+the expression tree-walkers that compiled expressions replaced, the batch
+compiler with one guard per division that the guard per level replaced,
+the hand-written built-in steps and Jacobians that their expression form
 replaced, independent vectorized re-implementations of the built-in
 recurrences used as brute-force oracles (they deliberately bypass the
 library code paths they are checking), the plain scalar orbit loops
@@ -34,7 +35,9 @@ from compmap.fixedpoints import (BOUNDARY_GRID, MAX_HALVINGS, NEWTON_MAX_ITER,
                                  _record, _residual)
 from compmap.geometry import sup_norm
 from compmap.planarmap import _EVAL_ERRORS, COMPETITIVE_TOL, _sample_grid
-from compmap.expr import DIV_TOL, BinOp, Const, Neg, Param, Var
+from compmap.expr import (DIV_TOL, NEST_DEPTH, BinOp, Const, Neg, Param, Var, _den, _define,
+                          _full, _interned, _leaf, _operands, _pow_array, _reused,
+                          _variables)
 
 
 def normalize_direction(v):
@@ -163,14 +166,62 @@ def tree_batch(f, g, x, y, params):
     """The batch step of the pair (f, g) by tree walk: NaN in a component
     wherever tree_eval raises on it; in both components wherever tree_eval
     raises on either, if f or g has a '^'."""
-    bad_f = np.zeros(np.broadcast(x, y).shape, dtype=bool)
-    bad_g = bad_f.copy()
+    return tree_batch_roots((f, g), x, y, params)
+
+
+def tree_batch_roots(roots, x, y, params):
+    """tree_batch for any number of roots: NaN in a root wherever tree_eval
+    raises on it; in every root wherever tree_eval raises on any, if one has
+    a '^'."""
+    shape = np.broadcast(x, y).shape
+    bads = [np.zeros(shape, dtype=bool) for _ in roots]
     with np.errstate(all="ignore"):
-        fv = tree_eval_array(f, x, y, params, bad_f)
-        gv = tree_eval_array(g, x, y, params, bad_g)
-    if has_power(f) or has_power(g):
-        bad_f = bad_g = bad_f | bad_g
-    return np.where(bad_f, np.nan, fv), np.where(bad_g, np.nan, gv)
+        values = [tree_eval_array(r, x, y, params, bad) for r, bad in zip(roots, bads)]
+    if any(has_power(r) for r in roots):
+        bads = [np.logical_or.reduce(bads)] * len(roots)
+    return tuple(np.where(bad, np.nan, v) for bad, v in zip(bads, values))
+
+
+# The array expressions of the compiled batch functions when every divisor
+# had its own guard; {bad} is ", bad" when a root has a '^'.
+_PER_DIVISION = {"neg": "(-{a})", "+": "({a} + {b})", "-": "({a} - {b})",
+                 "*": "({a} * {b})", "/": "({a} / _den({b}{bad}))",
+                 "^": "_pow_array({a}, {b}{bad})"}
+
+
+def per_division_batch(roots, params):
+    """The function (x, y) -> the roots on arrays, as expr compiled it with
+    one _den(divisor[, bad]) per division, before divisions were guarded
+    level by level: the oracle for the level guard, bit for bit."""
+    roots, nodes = interned = _interned(roots)
+    masked = any(isinstance(e, BinOp) and e.op == "^" for e in nodes)
+    bad = ", bad" if masked else ""
+    ns = {"_Unbound": UnboundParameterError, "_den": _den, "_pow_array": _pow_array,
+          "_where": np.where, "_nan": math.nan, "_zeros": np.zeros,
+          "_broadcast": np.broadcast, "_errstate": np.errstate, "_full": _full}
+    named = _reused(nodes) | {id(r) for r in roots}
+    body, code, depth = [], {}, {}
+    for k, e in enumerate(nodes):
+        kids = _operands(e)
+        if not kids:
+            code[id(e)], depth[id(e)] = _leaf(e, k, params, ns, body), 0
+            continue
+        text = _PER_DIVISION[e.op].format(
+            **dict(zip("ab", [code[id(c)] for c in kids])), bad=bad)
+        d = 1 + max(depth[id(c)] for c in kids)
+        if id(e) in named or d >= NEST_DEPTH:
+            body.append(f"t{k} = {text}")
+            text, d = f"t{k}", 0
+        code[id(e)], depth[id(e)] = text, d
+    names = [code[id(r)] for r in roots]
+    if masked:
+        body = ["bad = _zeros(_broadcast(x, y).shape, dtype=bool)",
+                "with _errstate(all='ignore'):"] + ["    " + s for s in body]
+        ret = ", ".join(f"_where(bad, _nan, {v})" for v in names)
+    else:
+        ret = ", ".join(v if {"x", "y"} <= _variables(r) else f"_full({v}, x, y)"
+                        for r, v in zip(roots, names))
+    return partial(_define("batch", body, f"return {ret}", ns), None)
 
 
 # ---------------------------------------------------------------------------

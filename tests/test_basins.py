@@ -546,6 +546,17 @@ def test_load_csv_raster_rejects_a_grid_its_cells_cannot_fill(tmp_path):
         load_csv_raster(_write(tmp_path, lines))
 
 
+@pytest.mark.parametrize("nx, ny, key", [
+    ("-1", "1", "nx"), ("2", "0", "ny"), ("1.5", "1", "nx"), ("2", "two", "ny")])
+def test_load_csv_raster_rejects_a_header_size_that_is_not_a_positive_integer(
+        tmp_path, nx, ny, key):
+    # with no cell lines a negative nx once loaded as a (1, 0) label grid
+    lines = [f"# nx={nx}", f"# ny={ny}", "i,j,x,y,label"]
+    bad = nx if key == "nx" else ny
+    with pytest.raises(ValueError, match=f"header {key}={bad} is not a positive integer"):
+        load_csv_raster(_write(tmp_path, lines))
+
+
 def test_continuity_probe_degenerate_segment(ex1):
     rep = continuity_probe(ex1.map, (Point2(1, 1), Point2(1, 1)), n=4)
     assert rep.max_gap == 0.0

@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from compmap import (ParseError, Point2, Rect, SingularityError, UnboundParameterError,
                      check_boundary_endpoint_conditions, make_example)
-from compmap.expr import (DIV_TOL, BinOp, Const, Neg, Param, Var, _Compiled, _den,
+from compmap.expr import (DIV_TOL, ONE, BinOp, Const, Neg, Param, Var, _Compiled, _den,
                           _pow_array, constant_fold, differentiate, evaluate, expr_map,
                           parse, to_text)
 from compmap.planarmap import jacobian, fd_jacobian
+from compmap.systems import EXAMPLE_IDS
 
-from helpers import random_expr, tree_batch, tree_eval
+from helpers import per_division_batch, random_expr, tree_batch, tree_batch_roots, tree_eval
 
 
 def test_parse_structure():
@@ -327,6 +328,88 @@ def test_den_is_the_where_guard(b):
     bad = np.zeros(np.shape(b), dtype=bool)
     assert _same_arrays(_den(b, bad), want)
     assert np.array_equal(bad, np.abs(b) < DIV_TOL)  # exactly the tiny elements
+
+
+# ---------------------------------------------------------------------------
+# One division guard per level against one guard per division (helpers.py)
+
+# b = -0.7: a parameter divisor is negative, and so the _den branch runs
+_LEAVES = st.sampled_from([
+    Var("x"), Var("y"), Param("a"), Param("b"), Const(1.0), Const(-2.0), Const(0.0),
+    Const(1e-13), Const(-1e-13), Const(math.inf), Const(-math.inf), Const(math.nan)])
+_POINT = st.sampled_from([0.0, -0.0, 1e-13, -1e-13, 1.0, -1.0, 2.5, -3.0, 1e300,
+                          math.inf, -math.inf, math.nan])
+
+
+def _division_trees(power: bool):
+    """Trees of + - * / and negation, '^' too if power, with divisions nested
+    in divisors (two levels per nesting step)."""
+    def extend(kids):
+        ops = [st.builds(BinOp, st.sampled_from("+-*/"), kids, kids),
+               st.builds(Neg, kids),
+               st.builds(lambda n, c, d: BinOp("/", n, BinOp("+", c, BinOp("/", ONE, d))),
+                         kids, _LEAVES, kids)]
+        if power:
+            ops.append(st.builds(lambda e, p: BinOp("^", e, Const(p)), kids,
+                                 st.sampled_from([2.0, 0.5, -1.0, 3.0])))
+        return st.one_of(ops)
+    return st.recursive(_LEAVES, extend, max_leaves=8)
+
+
+@st.composite
+def _division_pairs(draw):
+    """(f, g): f divides by a divisor that is also one of its operands
+    outside the division; g nests three levels of division when drawn so."""
+    trees = _division_trees(draw(st.booleans()))
+    d = draw(st.one_of(_LEAVES, trees))  # leaves: constant and parameter divisors
+    f = BinOp(draw(st.sampled_from("+-*")), BinOp("/", draw(trees), d), d)
+    g = draw(trees)
+    if draw(st.booleans()):
+        inner = BinOp("+", Var("y"), BinOp("/", Var("x"), draw(trees)))
+        g = BinOp("/", g, BinOp("-", draw(_LEAVES), BinOp("/", ONE, inner)))
+    return f, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_division_pairs(),
+       pts=st.one_of(st.tuples(_POINT, _POINT),  # 0-d inputs
+                     st.lists(st.tuples(_POINT, _POINT), min_size=0, max_size=8)))
+def test_level_guard_matches_one_guard_per_division(pair, pts):
+    if isinstance(pts, tuple):
+        X, Y = np.array(pts[0]), np.array(pts[1])
+    else:
+        X, Y = np.array([p[0] for p in pts]), np.array([p[1] for p in pts])
+    partials = [differentiate(e, v) for e in pair for v in ("x", "y")]
+    for roots, value in ((pair, "{0}, {1}"), (partials, "_Matrix2({0}, {1}, {2}, {3})")):
+        compiled = _Compiled(roots, PARAMS, value)
+        with np.errstate(all="ignore"):
+            got = compiled.batch(X, Y)
+            oracle = per_division_batch(roots, PARAMS)(X, Y)
+        walked = tree_batch_roots(compiled.roots, X, Y, PARAMS)
+        for u, v, w in zip(got, oracle, walked):
+            assert np.shape(u) == np.shape(X) and _same_arrays(u, v) and _same_arrays(u, w)
+
+
+def test_each_division_level_has_one_guard():
+    for eid in EXAMPLE_IDS:
+        assert make_example(eid).map.batch.__func__.source.count("_least(") == 1, eid
+    m = expr_map("x/(1+1/(y+2))", "y")
+    assert m.batch.__func__.source.count("_least(") == 2
+    # y + 2 vanishes at -2, and 1 + 1/(y + 2) is negative at -2.5
+    x = np.array([-2.0, -2.5, 0.5, 3.0])
+    with np.errstate(all="ignore"):
+        got = m.batch(x, x)
+    assert all(_same_arrays(u, v) for u, v in
+               zip(got, tree_batch(parse("x/(1+1/(y+2))"), Var("y"), x, x, {})))
+    assert math.isnan(got[0][0]) and got[0][1] == 2.5
+
+
+def test_a_guarded_divisor_keeps_its_value_elsewhere():
+    # y + 1 is a divisor and an operand outside the division: where it is 0
+    # the quotient is NaN and the sum keeps the 0
+    m = expr_map("x/(y+1) + (y+1)", "(y+1)*x")
+    f, g = m.batch(np.array([2.0, 2.0]), np.array([-1.0, 1.0]))
+    assert math.isnan(f[0]) and f[1] == 3.0 and g.tolist() == [0.0, 4.0]
 
 
 def test_boundary_check_with_no_starts_batches_empty_arrays(ex3_t2, ex3_t2_fp):

@@ -148,6 +148,13 @@ def test_curve_hypotheses_clamp_an_unbounded_region(ex1):
         ex1.map, rec, Rect(0, x0 + DELTA_CLAMP, 0, y0 + DELTA_CLAMP))
 
 
+def test_curve_hypotheses_refuse_a_region_without_area(ex1):
+    rec = find_fixed_point(ex1.map, Point2(1e-12, 1.0))
+    for region in (Rect(0, 5, 3, 3), Rect(0, 0, 0, 6), Rect(0, 5, math.inf, math.inf)):
+        with pytest.raises(ValueError, match="positive width and height"):
+            check_invariant_curve_hypotheses(ex1.map, rec, region)
+
+
 def test_curve_hypotheses_fail_at_origin(ex1):
     rec = find_fixed_point(ex1.map, Point2(1e-12, 1e-12))
     rep = check_invariant_curve_hypotheses(ex1.map, rec, Rect(0, 5, 0, 6))

@@ -134,6 +134,20 @@ def test_unbounded_region_is_sampled_axis_by_axis(ex1, region, box):
     assert check_O_condition(ex1.map, region) == check_O_condition(ex1.map, box)
 
 
+def test_check_competitive_refuses_a_region_without_area(ex4):
+    # 100 samples on a line certify nothing of a region; inf - inf is NaN
+    for region in (Rect(0, 6, 1, 1), Rect(2, 2, 0, 4), Rect(math.inf, math.inf, 0, 4)):
+        with pytest.raises(ValueError, match="positive width and height"):
+            check_competitive(ex4.map, region)
+
+
+def test_check_O_condition_refuses_a_region_without_area(ex4):
+    for region in (Rect(0, 6, 1, 1), Rect(2, 2, 0, math.inf),
+                   Rect(0, 6, -math.inf, -math.inf)):
+        with pytest.raises(ValueError, match="check_O_condition needs a region"):
+            check_O_condition(ex4.map, region)
+
+
 def test_strongly_competitive_preserves_se_order(ex1, ex2):
     # images of comparable distinct points stay comparable and differ in
     # both coordinates
