@@ -401,17 +401,13 @@ def _emit(interned, params: Mapping[str, float], flavour: str):
     expression, so numpy frees every intermediate array as soon as it is
     used; a node used twice, a divisor, or a node nested NEST_DEPTH deep
     gets its own statement. Divisions are guarded level by level (see
-    _levels): the divisors of a level are computed first, and one reduction
-    asks whether every element of every one is at least DIV_TOL (NaN is
-    not). If so, the divisions of that level divide by them as they are;
-    else each goes through _den, NaN where below DIV_TOL in magnitude, so
-    either way every bit is the one a _den per division gives, and no
-    division by a tiny divisor runs. The guard binds its own names q<j>, as
-    a divisor may also be an operand elsewhere. A divisor with a negative
-    element always takes the _den branch, which then costs one reduction
-    more than a _den per division; no built-in map has one inside its
-    benchmark windows. "masked" also records the tiny elements, and the
-    ones where math.pow raises, in the array `bad`.
+    _levels): the divisors of a level are computed first, and one _dens call
+    binds new names q<j> to them, as they are if every element of every one
+    is at least DIV_TOL, else through _den, NaN where below DIV_TOL in
+    magnitude. Either way every bit is the one a _den per division gives,
+    and no division by a tiny divisor runs. The names are new because a
+    divisor may also be an operand elsewhere. "masked" also records the tiny
+    elements, and the ones where math.pow raises, in the array `bad`.
 
     Constants and parameters are bound by name in the returned namespace.
     """
@@ -420,16 +416,15 @@ def _emit(interned, params: Mapping[str, float], flavour: str):
           "_Singular": SingularityError, "_Unbound": UnboundParameterError,
           "_pow_array": _pow_array, "_den": _den, "_where": np.where,
           "_zeros": np.zeros, "_broadcast": np.broadcast,
-          "_errstate": np.errstate, "_full": _full,
-          "_least": np.minimum.reduce, "_min": np.minimum, "_inf": math.inf}
+          "_errstate": np.errstate, "_full": _full, "_dens": _dens}
     roots, nodes = interned
     array = flavour != "float"
-    level, floats = _levels(nodes) if array else ({}, set())
+    level = _levels(nodes) if array else {}
     named = _reused(nodes) | {id(r) for r in roots} | {
         id(e.right) for e in nodes if isinstance(e, BinOp) and e.op == "/"} if array else set()
     bad = ", bad" if flavour == "masked" else ""
     stages = [[] for _ in range(max(level.values(), default=0) + 1)]  # by level
-    guarded = [{} for _ in stages]  # per level: (divisor code, one float) -> its name
+    guarded = [{} for _ in stages]  # per level: divisor code -> its guarded name
     code = {}  # id(node) -> its value as a Python expression
     depth = {}  # id(node) -> nesting depth of that expression
     for k, e in enumerate(nodes):
@@ -447,8 +442,7 @@ def _emit(interned, params: Mapping[str, float], flavour: str):
             continue
         if e.op == "/":
             names = guarded[level[id(e.right)] + 1]
-            fields["b"] = names.setdefault((fields["b"], id(e.right) in floats),
-                                           f"q{sum(map(len, guarded))}")
+            fields["b"] = names.setdefault(fields["b"], f"q{sum(map(len, guarded))}")
         text = expression.format(**fields)
         d = 1 + max(depth[id(c)] for c in kids)
         if id(e) in named or d >= NEST_DEPTH:
@@ -457,53 +451,25 @@ def _emit(interned, params: Mapping[str, float], flavour: str):
         code[id(e)], depth[id(e)] = text, d
     body = stages[0]
     for names, stage in zip(guarded[1:], stages[1:]):
-        body += _guard(names, bad) + stage
+        body += [f"{', '.join(names.values())}, = _dens(({', '.join(names)},){bad})"]
+        body += stage
     return body, [code[id(r)] for r in roots], ns
 
 
-def _levels(nodes) -> tuple:
-    """(level, floats) for nodes in walk order: id(node) -> the level of the
-    deepest division in it, 0 if none, and the ids of the nodes the array
-    flavours compute as one float, not as an array (no variable and no '^'
-    in them). A division's level is 1 plus the level of its divisor, so
-    every divisor of a level is computed before its guard."""
-    level, floats = {}, set()
+def _levels(nodes) -> dict:
+    """id(node) -> the level of the deepest division in node, 0 if none, for
+    nodes in walk order. A division's level is 1 plus the level of its
+    divisor, so every divisor of a level is computed before its guard."""
+    level = {}
     for e in nodes:  # unrolled per node type: maps compile in every process
         if isinstance(e, BinOp):
             a, b = level[id(e.left)], level[id(e.right)] + (e.op == "/")
             level[id(e)] = a if a > b else b
-            if e.op != "^" and id(e.left) in floats and id(e.right) in floats:
-                floats.add(id(e))
         elif isinstance(e, Neg):
             level[id(e)] = level[id(e.child)]
-            if id(e.child) in floats:
-                floats.add(id(e))
         else:
             level[id(e)] = 0
-            if not isinstance(e, Var):
-                floats.add(id(e))
-    return level, floats
-
-
-def _guard(names: dict, bad: str) -> list:
-    """The statements binding each guarded name in names ((divisor code,
-    whether it is one float) -> name) to its divisor, as it is if every
-    element of every divisor is at least DIV_TOL, else through _den. A
-    divisor that is one float is compared on its own: next to empty arrays
-    np.minimum would drop it, and a Python float division by 0 raises."""
-    divisors = [d for d, _ in names]
-    tests = [f"{d} >= DIV_TOL" for d, one in names if one]
-    arrays = [d for d, one in names if not one]
-    if arrays:
-        least = arrays[0]
-        for d in arrays[1:]:
-            least = f"_min({least}, {d})"
-        tests.insert(0, f"_least({least}, axis=None, initial=_inf) >= DIV_TOL")
-    guarded = ", ".join(names.values())
-    return [f"if {' and '.join(tests)}:",
-            f"    {guarded} = {', '.join(divisors)}",
-            "else:",
-            f"    {guarded} = {', '.join(f'_den({d}{bad})' for d in divisors)}"]
+    return level
 
 
 def _leaf(e, k: int, params: Mapping[str, float], ns: dict, body: list) -> str:
@@ -544,12 +510,29 @@ def _pow_array(a, b: float, bad: np.ndarray):
     return out
 
 
+def _dens(divisors: tuple, bad: np.ndarray | None = None):
+    """The divisors of one division level (see _emit): as they are if every
+    element of every one is at least DIV_TOL, else each through _den.
+
+    One reduction per divisor, which takes floats, 0-d and empty arrays and
+    any numeric dtype alike: the least of its elements and DIV_TOL (cast to
+    its dtype: 0 for integers, which so always take _den) reads DIV_TOL or
+    more, NaN never, only where _den would return the divisor itself. A
+    divisor with a negative element sends the level to _den after the
+    reductions up to its own, which a _den per division would not make.
+    """
+    for d in divisors:
+        if not np.minimum.reduce(d, axis=None, initial=DIV_TOL) >= DIV_TOL:
+            return [_den(d, bad) for d in divisors]
+    return divisors
+
+
 def _den(b, bad: np.ndarray | None = None):
     """Divisor b with NaN where |b| < DIV_TOL, marked in bad when given: the
-    fallback of a division level's guard (see _emit)."""
-    # Returning b itself when nothing is tiny (NaN is not >= DIV_TOL), as the
-    # guard's fast branch binds its q names to the divisors themselves, is
-    # safe only because generated code never writes into an array in place.
+    fallback of _dens."""
+    # Returning b itself when nothing is tiny (NaN is not >= DIV_TOL), as
+    # _dens does too, is safe only because generated code never writes into
+    # an array in place.
     if np.size(b) and np.abs(b).min() >= DIV_TOL:
         return b
     tiny = np.abs(b) < DIV_TOL

@@ -384,26 +384,26 @@ DELTA_CLAMP = 25.0
 
 def _delta_parts(region: Rect, x0: float, y0: float) -> list:
     """delta, the parts of region in Q1 and Q3 at (x0, y0), as (rect, k) pairs
-    with k in (1, 3); an unbounded part is clamped to DELTA_CLAMP."""
+    with k in (1, 3); an unbounded part is clamped to DELTA_CLAMP, and one
+    with no area left inside the clamp is dropped."""
     # a quadrant part narrower than eps is a numerical sliver (e.g. a Newton
     # root at x = 1e-17 instead of an exact axis point), not an open set
     eps = 1e-9 * max(1.0, abs(x0), abs(y0))
     cx = min(max(x0, region.x_lo), region.x_hi)
     cy = min(max(y0, region.y_lo), region.y_hi)
-
-    def clamp(q: Rect) -> Rect:
-        if q.is_bounded():
-            return q
-        return q.clamped(Rect(x0 - DELTA_CLAMP, x0 + DELTA_CLAMP,
-                              y0 - DELTA_CLAMP, y0 + DELTA_CLAMP))
+    clamp = Rect(x0 - DELTA_CLAMP, x0 + DELTA_CLAMP, y0 - DELTA_CLAMP, y0 + DELTA_CLAMP)
 
     parts = []
     q1 = Rect(cx, region.x_hi, cy, region.y_hi)
-    if q1.x_hi > x0 + eps and q1.y_hi > y0 + eps:
-        parts.append((clamp(q1), 1))
     q3 = Rect(region.x_lo, cx, region.y_lo, cy)
-    if q3.x_lo < x0 - eps and q3.y_lo < y0 - eps:
-        parts.append((clamp(q3), 3))
+    for q, k, ok in ((q1, 1, q1.x_hi > x0 + eps and q1.y_hi > y0 + eps),
+                     (q3, 3, q3.x_lo < x0 - eps and q3.y_lo < y0 - eps)):
+        if ok and not q.is_bounded():
+            ok = q.x_lo < clamp.x_hi and clamp.x_lo < q.x_hi \
+                and q.y_lo < clamp.y_hi and clamp.y_lo < q.y_hi
+            q = q.clamped(clamp) if ok else q
+        if ok:
+            parts.append((q, k))
     return parts
 
 

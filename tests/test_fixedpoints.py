@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from compmap import (DegenerateRootError, Matrix2, NoConvergenceError, Point2,
-                     Rect, check_invariant_curve_hypotheses, eigen2x2,
+                     Rect, check_boundary_endpoint_conditions,
+                     check_invariant_curve_hypotheses, eigen2x2,
                      find_fixed_point, find_period_two, jacobian, make_example)
 from compmap.fixedpoints import DELTA_CLAMP
 from compmap.planarmap import PlanarMap
@@ -146,6 +147,18 @@ def test_curve_hypotheses_clamp_an_unbounded_region(ex1):
     assert rep.all_pass, rep.failed
     assert rep == check_invariant_curve_hypotheses(
         ex1.map, rec, Rect(0, x0 + DELTA_CLAMP, 0, y0 + DELTA_CLAMP))
+
+
+def test_curve_hypotheses_drop_a_part_beyond_the_clamp(ex1):
+    # the region is unbounded and has area, but none of it lies within
+    # DELTA_CLAMP of the fixed point: delta is empty, nothing is sampled
+    rec = find_fixed_point(ex1.map, Point2(1e-12, 1.0))
+    x0, y0 = rec.location
+    far = x0 + DELTA_CLAMP + 5
+    for region in (Rect(far, math.inf, 0, math.inf), Rect(-math.inf, -far, -math.inf, 0)):
+        rep = check_invariant_curve_hypotheses(ex1.map, rec, region)
+        assert not rep.delta_nonempty and not rep.strongly_competitive and rep.samples == 0
+        assert check_boundary_endpoint_conditions(ex1.map, rec, region).starts == 0
 
 
 def test_curve_hypotheses_refuse_a_region_without_area(ex1):
