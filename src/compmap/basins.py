@@ -10,7 +10,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import check_count, check_tolerance, check_window
+from .errors import check_count, check_point, check_tolerance, check_window
 from .geometry import Point2, Rect
 from .planarmap import PlanarMap, _order_licensed
 from .curves import (_MINUS, _PLUS, _SINGULAR, _UNDECIDED, LABEL_CODES,
@@ -109,11 +109,12 @@ def raster(m: PlanarMap, fp: Point2, window: Rect, nx: int, ny: int,
     sampled licence of planarmap._order_licensed (which curve traces share)
     holds, and (1,) otherwise: one _sided call over every cell.
     Quadrant-mode cells cost about one evaluation each, so there the
-    lattice would cost more than it saves. nx and ny must be ints >= 2.
-    workers has no effect; it stays only for perfbench's process-pool probe
-    and must be an int >= 1.
+    lattice would cost more than it saves. fp must be finite
+    (errors.check_point) and nx and ny ints >= 2. workers has no effect; it
+    stays only for perfbench's process-pool probe and must be an int >= 1.
     """
     check_window("raster", window)
+    check_point("fp", fp)
     check_count("nx", nx, 2)
     check_count("ny", ny, 2)
     check_count("workers", workers)
@@ -337,12 +338,14 @@ def continuity_probe(m: PlanarMap, segment: tuple, n: int,
     Shrinking max_gap under refinement of n is numeric evidence that the
     limiting equilibrium varies continuously with the initial condition.
     The samples are iterated together; each limit equals limit_equilibrium's
-    at its sample. n must be an int >= 2, tol finite and > 0, and max_iter
-    an int >= 1.
+    at its sample. Both ends of segment must be finite, n an int >= 2, tol
+    finite and > 0, and max_iter an int >= 1.
     """
     check_count("n", n, 2)
     check_tolerance("tol", tol)
     check_count("max_iter", max_iter)
+    for end in segment:
+        check_point("segment end", end)
     a, b = Point2(*segment[0]), Point2(*segment[1])
     starts = [Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
               for t in (k / (n - 1) for k in range(n))]

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (HypothesisError, NoConvergenceError, SingularityError,
-                     check_count, check_tolerance, check_window)
+                     check_count, check_point, check_tolerance, check_window)
 from .expr import _Compiled, _function
 from .fixedpoints import (NONHYPERBOLIC_TOL, EigenData, FixedPointRecord,
                           check_invariant_curve_hypotheses)
@@ -337,11 +337,13 @@ def classify_batch(m: PlanarMap, xs, ys, fp: Point2,
     """classify_side for every point (xs[k], ys[k]), in lockstep numpy.
 
     Returns uint8 codes into LABEL_NAMES, shaped like xs, equal point by point
-    to label_code(classify_side(...)): the codes of _sided.
+    to label_code(classify_side(...)): the codes of _sided. xs and ys must
+    have one shape.
     """
-    xs = np.asarray(xs, dtype=float)
-    codes = _sided(m, xs.ravel(), np.asarray(ys, dtype=float).ravel(), fp, opts)[0]
-    return codes.reshape(xs.shape)
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if xs.shape != ys.shape:
+        raise ValueError(f"xs and ys must have one shape, got {xs.shape} and {ys.shape}")
+    return _sided(m, xs.ravel(), ys.ravel(), fp, opts)[0].reshape(xs.shape)
 
 
 def _exit_rate(e: EigenData) -> Optional[tuple]:
@@ -775,13 +777,15 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
     and then the column bisects as above. Replay: the column bisects as
     above, but a midpoint at or below y^ - w reads plus and one at or above
     y^ + w minus without a verdict, so only the midpoints between are
-    classified, and a two-level call classifies a next midpoint ahead only
-    between them too; the certification rides in the call that classifies
-    the first of them, and a failed one discards that call's verdicts for
-    the column. Under the licence the implied verdicts are the real ones, so
-    y and flag come out bit for bit as bisection's. Every AUDIT_STRIDE-th
-    column classifies each implied verdict it uses too; one that differs
-    makes the call return None.
+    classified. The certification rides in the first call that classifies
+    one of them; when that call settles two levels and w = curve_tol, it
+    classifies every midpoint between that the column's bisection may
+    reach, and the column ends in it. A failed certification discards that
+    call's verdicts for the column. Under the licence the implied verdicts
+    are the real ones, so y and flag come out bit for bit as bisection's.
+    Every AUDIT_STRIDE-th column classifies each implied verdict it uses
+    too, in the call that applies it; one that differs makes the call
+    return None.
     """
     n = len(cxs)
     cx = np.asarray(cxs, dtype=float)
@@ -826,9 +830,7 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
         j = np.flatnonzero(sided & bisecting & (hi - lo > curve_tol))
         est[j] = _locate(m, fp, cx[j], lo[j], hi[j], S[j, ilo[j]], S[j, ihi[j]],
                          curve_tol, sopts, rate)
-    audit = np.arange(n) % AUDIT_STRIDE == 0
-    if not _bisect(m, fp, cx, curve_tol, sopts, lo, hi, y, bisecting, flags, audit,
-                   est):
+    if not _bisect(m, fp, cx, curve_tol, sopts, lo, hi, y, bisecting, flags, est):
         return None
     rest = np.flatnonzero(bisecting)
     y[rest] = 0.5 * (lo[rest] + hi[rest])
@@ -838,116 +840,118 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
 
 def _bisect(m: PlanarMap, fp: Point2, cx: np.ndarray, curve_tol: float,
             sopts: SideOptions, lo: np.ndarray, hi: np.ndarray, y: np.ndarray,
-            bisecting: np.ndarray, flags: list, audit: np.ndarray,
-            est: np.ndarray) -> bool:
+            bisecting: np.ndarray, flags: list, est: np.ndarray) -> bool:
     """_solve_columns' bisection of the brackets (lo, hi) of the columns cx
     marked bisecting, certified and replayed where est holds an estimate;
     updates lo, hi, y, bisecting, flags and est in place.
 
     Each column has one band (plus_at, minus_at), (-inf, inf) where none
-    holds. Only walk applies the verdicts a band implies: each round walks
-    every column through its implied midpoints, and a next midpoint that
-    the band implies is left to the next round's walk, not classified ahead.
-    A pending column's band is on trial for one call, which walks it like a
-    certified one; a failed certification resets the band to (-inf, inf)
-    and discards the walk. Returns False when an audited column walks a
-    midpoint whose verdict its band does not imply."""
+    holds; a pending column's band is on trial in the call that certifies
+    it. Each call grows a tree per column. Its segments walk a bracket
+    through the midpoints the band implies; the midpoint where a walk stops
+    is the segment's node, classified if the column may classify at that
+    depth, and its halves are the next depth's segments. A column
+    classifies at depth 0 in every call and at depth 1 in a two-level call;
+    the halves of a depth-0 node walk only in a two-level call that tries
+    the column's first band, where the column classifies at every depth and
+    so ends. After the call each column descends its tree by the verdicts
+    down to a node that reads neither plus nor minus, or to a segment
+    without a node; a failed certification resets the band to (-inf, inf)
+    and discards the column's tree. Every AUDIT_STRIDE-th column also
+    classifies the midpoints it walks; returns False when one it descends
+    through reads other than its band implies."""
     n = len(cx)
-    guided = not np.isnan(est).all()
-
-    def settle(j, ys, codes):
-        """Apply the verdicts codes at ordinates ys in the brackets of the
-        columns j: minus lowers hi, plus raises lo, band returns ys and any
-        other verdict returns ys with the undecided_probe flag."""
-        minus, plus = codes == _MINUS, codes == _PLUS
-        hi[j[minus]] = ys[minus]
-        lo[j[plus]] = ys[plus]
-        stop = ~(minus | plus)
-        y[j[stop]] = ys[stop]
-        bisecting[j[stop]] = False
-        for i in j[stop & (codes != _BAND)].tolist():
-            flags[i] = "undecided_probe"
-
-    def walk(l, h, lv):
-        """Bisect the brackets (l, h) at levels lv in place through every
-        midpoint that the band implies, at or below plus_at (plus) or at or
-        above minus_at (minus); returns the columns, ordinates and codes of
-        the midpoints walked in audited columns."""
-        j = np.flatnonzero(bisecting & ((plus_at > -math.inf) | (minus_at < math.inf)))
-        L, H, V, seen = l[j], h[j], lv[j], audit[j]
-        walked = [(j[:0], L[:0], np.zeros(0, dtype=np.uint8))]
-        while True:
-            mid = 0.5 * (L + H)
-            go = (H - L > curve_tol) & (V < MAX_BISECTIONS)
-            plus, minus = go & (mid <= plus_at[j]), go & (mid >= minus_at[j])
-            moved = plus | minus
-            if not moved.any():
-                break
-            L = np.where(plus, mid, L)
-            H = np.where(minus, mid, H)
-            V += moved
-            r = moved & seen
-            walked.append((j[r], mid[r], np.where(plus[r], _PLUS, _MINUS)))
-        l[j], h[j], lv[j] = L, H, V
-        return (np.concatenate(part) for part in zip(*walked))
-
+    audit = np.arange(n) % AUDIT_STRIDE == 0
     level = np.zeros(n, dtype=int)  # bisection levels done
     widened = np.zeros(n, dtype=int)
-    # the band: a midpoint at or below plus_at reads plus, at or above minus_at
-    # minus; a pending column's band is on trial until its call certifies it
+    # the band: plus at or below plus_at, minus at or above minus_at
     plus_at, minus_at = np.full(n, -math.inf), np.full(n, math.inf)
-    none = np.zeros(0, dtype=int)
-    while True:
-        l, h, lv = lo, hi, level
-        pend, wj, wy, wc = none, none, none, none
-        if guided:
-            pend = np.flatnonzero(~np.isnan(est))
-            if len(pend):  # the walk stands if the call certifies the band
-                w = curve_tol * float(WIDEN) ** widened[pend]
-                plus_at[pend] = np.maximum(est[pend] - w, lo[pend])
-                minus_at[pend] = np.minimum(est[pend] + w, hi[pend])
-                l, h, lv = lo.copy(), hi.copy(), level.copy()
-            # an audited column classifies the midpoints it walks, for real too
-            wj, wy, wc = walk(l, h, lv)
-        act = np.flatnonzero(bisecting & (h - l > curve_tol) & (lv < MAX_BISECTIONS))
-        if not (len(act) or len(pend) or len(wj)):
-            break
-        ml, mh = l[act], h[act]
-        mid = 0.5 * (ml + mh)
-        two = ((m.batch is not None and len(act) > BATCH_HANDOFF)
-               & (lv[act] + 1 < MAX_BISECTIONS))
-        # the next midpoints, of the halves still wider than curve_tol: 0 is
-        # the lower half (after minus), 1 the upper one (after plus)
-        side, kids = np.nonzero((np.stack((mid - ml, mh - mid)) > curve_tol) & two)
-        kj = act[kids]
-        ky = np.where(side, 0.5 * (mid[kids] + mh[kids]), 0.5 * (ml[kids] + mid[kids]))
-        if guided:  # a kid the band implies is left to the next walk
-            inside = (ky > plus_at[kj]) & (ky < minus_at[kj])
-            side, kids, kj, ky = side[inside], kids[inside], kj[inside], ky[inside]
-        codes = classify_batch(
-            m, cx[np.concatenate((act, kj, pend, pend, wj))],
-            np.concatenate((mid, ky, plus_at[pend], minus_at[pend], wy)), fp, sopts)
-        at = np.cumsum([len(act), len(kj), len(pend), len(pend)])
-        mc, kc = codes[:at[0]], codes[at[0]:at[1]]
-        took = np.where(side, mc[kids] == _PLUS, mc[kids] == _MINUS)
-        if guided:
-            keep = np.ones(n, dtype=bool)  # the columns whose walk stands
-            ok = (codes[at[1]:at[2]] == _PLUS) & (codes[at[2]:at[3]] == _MINUS)
-            failed, passed = pend[~ok], pend[ok]
-            keep[failed] = False
-            if (keep[wj] & (codes[at[3]:] != wc)).any():
+    # the segments of a depth: their columns (at depth 0 the columns still
+    # bisecting wider than curve_tol), brackets and levels
+    while len(c := np.flatnonzero(bisecting & (hi - lo > curve_tol)
+                                  & (level < MAX_BISECTIONS))):
+        L, H, V = lo[c], hi[c], level[c]
+        pend = np.flatnonzero(~np.isnan(est))
+        w = curve_tol * float(WIDEN) ** widened[pend]
+        plus_at[pend] = np.maximum(est[pend] - w, lo[pend])
+        minus_at[pend] = np.minimum(est[pend] + w, hi[pend])
+        # per depth: segments (columns, brackets, levels, whether a node ends
+        # it), nodes (columns, ordinates, the segment indices of their halves)
+        # and the walked midpoints of audited columns (segment, ordinate, code)
+        segs, nodes, walked = [], [], [(c[:0], L[:0], np.zeros(0, dtype=np.uint8))]
+        count = depth = 0  # the segments of the depths before
+        while len(c):
+            pa, ma, room = plus_at[c], minus_at[c], MAX_BISECTIONS - V.max()
+            if depth:  # only the halves of a served column walk
+                pa[~served[c]], ma[~served[c]] = -math.inf, math.inf
+            # a walk keeps the band's part inside its bracket, which so stays
+            # wider than curve_tol where that part is
+            wide = not depth and (np.minimum(ma, H) - np.maximum(pa, L) > curve_tol).all()
+            a = np.flatnonzero(audit[c])  # the audited segments, at their levels
+            start = V[a]
+            steps = []  # the midpoints of each step of the walk
+            while True:
+                mid = (L + H) * 0.5
+                plus, minus = mid <= pa, mid >= ma
+                if not wide or len(steps) >= room:  # a bracket or level may end
+                    go = (H - L > curve_tol) & (V < MAX_BISECTIONS)
+                    plus, minus = plus & go, minus & go
+                moved = plus | minus
+                if not np.count_nonzero(moved):
+                    break
+                np.copyto(L, mid, where=plus)
+                np.copyto(H, mid, where=minus)
+                V += moved
+                steps.append(mid)
+            if steps and len(a):  # a walk moves a segment at its first steps only
+                M = np.array(steps)[:, a]
+                r = np.arange(len(steps))[:, None] < V[a] - start
+                walked.append((count + a[r.nonzero()[1]], M[r],
+                               np.where((M <= pa[a])[r], _PLUS, _MINUS)))
+            # a walk stops inside the band; a segment that does not walk keeps to it
+            go = ((H - L > curve_tol) & (V < MAX_BISECTIONS)
+                  & (mid > plus_at[c]) & (mid < minus_at[c]))
+            if not depth:  # a two-level call serves the columns that try their first band
+                two = m.batch is not None and np.count_nonzero(go) > BATCH_HANDOFF
+                served = ~np.isnan(est) & (widened == 0) & two
+            node = go & (served[c] | (depth <= two))
+            segs.append((c, L, H, V, node))
+            k = np.flatnonzero(node)
+            count += len(c)
+            kid = count + np.arange(len(k))
+            nodes.append((c[k], mid[k], kid, kid + len(k)))
+            c, V = (np.concatenate((u[k], u[k])) for u in (c, V + 1))
+            L, H = np.concatenate((L[k], mid[k])), np.concatenate((mid[k], H[k]))
+            depth += 1
+        SC, SL, SH, SV, SN = (np.concatenate(part) for part in zip(*segs))
+        NC, NY, NLO, NHI = (np.concatenate(part) for part in zip(*nodes))
+        WS, WY, WC = (np.concatenate(part) for part in zip(*walked))
+        at = np.cumsum([len(NY), len(pend), len(pend)])
+        ys = np.concatenate((NY, plus_at[pend], minus_at[pend], WY))
+        codes = classify_batch(m, cx[np.concatenate((NC, pend, pend, SC[WS]))], ys, fp,
+                               sopts) if len(ys) else WC
+        ok = (codes[at[0]:at[1]] == _PLUS) & (codes[at[1]:at[2]] == _MINUS)
+        failed, passed = pend[~ok], pend[ok]
+        plus_at[failed], minus_at[failed] = -math.inf, math.inf
+        est[passed] = math.nan
+        widened[failed] += 1
+        est[failed[widened[failed] > WIDENINGS]] = math.nan  # they bisect
+        bad = np.bincount(WS[codes[at[-1]:] != WC], minlength=len(SC)) > 0
+        nid = np.cumsum(SN) - 1  # the node index of each segment with one
+        s = np.flatnonzero(~np.isin(segs[0][0], failed))  # the roots descended
+        while len(s):
+            if bad[s].any():
                 return False  # the audit met a verdict the band does not imply
-            lo[keep], hi[keep], level[keep] = l[keep], h[keep], lv[keep]
-            plus_at[failed], minus_at[failed] = -math.inf, math.inf
-            est[passed] = math.nan
-            widened[failed] += 1
-            est[failed[widened[failed] > WIDENINGS]] = math.nan  # they bisect
-            act, mid, mc = act[keep[act]], mid[keep[act]], mc[keep[act]]
-            took &= keep[kj]
-        settle(act, mid, mc)
-        settle(kj[took], ky[took], kc[took])
-        level[act] += 1
-        level[kj[took]] += 1
+            j = SC[s]
+            lo[j], hi[j], level[j] = SL[s], SH[s], SV[s]
+            e = nid[s[SN[s]]]
+            j, ce = NC[e], codes[e]
+            stop = (ce != _PLUS) & (ce != _MINUS)  # band returns the ordinate,
+            y[j[stop]] = NY[e[stop]]                # any other verdict flags it
+            bisecting[j[stop]] = False
+            for i in j[stop & (ce != _BAND)].tolist():
+                flags[i] = "undecided_probe"
+            s = np.where(ce == _PLUS, NHI[e], NLO[e])[~stop]
     return True
 
 
@@ -965,9 +969,10 @@ def locate_ordinate(m: PlanarMap, fp: FixedPointRecord, x: float, window: Rect,
     Returns the located y, or None when no minus/plus bracket exists in the
     column. Useful for spot-checking a traced curve at off-grid abscissae.
     Raises ValueError unless window has a finite, positive width and height
-    (errors.check_window).
+    (errors.check_window) and x is finite (errors.check_point).
     """
     check_window("locate_ordinate", window)
+    check_point("x", x)
     if opts is None:
         opts = CurveOptions()
     sopts = _bisect_options(m, opts)
@@ -993,11 +998,13 @@ def trace_stable_curve(m: PlanarMap, fp: FixedPointRecord, window: Rect,
     limit mode, the unstable coordinate at exit over mu^n in quadrant mode.
     A verdict on either side of the estimate certifies it, and the
     bisection is replayed, classifying only the midpoints next to the
-    estimate. A failed audit of the probe order or of the replay solves
-    every column again without the gap (plain bisection) and adds a note.
-    The column through fp.x is seeded from the fixed point itself and the
-    local tangent direction. workers has no effect; it stays only for
-    perfbench's process-pool probe and must be an int >= 1.
+    estimate; a two-level call that certifies a column's first band
+    classifies all of them and finishes the column. A failed audit of the
+    probe order or of the replay solves every column again without the gap
+    (plain bisection) and adds a note. The column through fp.x is seeded
+    from the fixed point itself and the local tangent direction. workers
+    has no effect; it stays only for perfbench's process-pool probe and
+    must be an int >= 1.
     """
     check_count("workers", workers)
     check_window("curve tracing", window)

@@ -74,6 +74,19 @@ def check_tolerance(name: str, value, zero: bool = False) -> None:
                          f"got {value!r}")
 
 
+def check_point(name: str, p) -> None:
+    """Raise ValueError unless every coordinate of p, a point or a single
+    coordinate, is a finite real (not a bool): the points a map is asked
+    about. name is the argument the message names."""
+    try:
+        coords = tuple(p)
+    except TypeError:
+        coords = (p,)
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+               and math.isfinite(v) for v in coords):
+        raise ValueError(f"{name} must be finite, got {p!r}")
+
+
 def check_window(name: str, w) -> None:
     """Raise ValueError unless the Rect w has a finite, positive width and
     height (and so finite sides): the windows that traces, rasters and

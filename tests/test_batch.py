@@ -29,6 +29,7 @@ from compmap.basins import raster_options
 from compmap.curves import (BATCH_HANDOFF, LABEL_CODES, classify_batch,
                             label_code, locate_ordinate)
 from compmap.planarmap import PlanarMap
+import helpers
 from helpers import (column_probes, limit_orbit, linear_saddle_step,
                      scalar_classify_side, scalar_limit_equilibrium,
                      scalar_trace_unstable_curve, solve_columns_one_by_one, wall_map)
@@ -770,7 +771,7 @@ def _solved(m, fp, slope, cxs, w, curve_tol, sopts, licensed, rate=None):
        columns=st.integers(4, 48), start=st.integers(0, 3),
        stride=st.integers(1, 3), batch=st.booleans(), licensed=st.booleans(),
        max_iter=st.sampled_from([60, CurveOptions().max_iter]),
-       curve_tol=st.sampled_from([1e-8, 1e-12]))
+       curve_tol=st.sampled_from([1e-6, 1e-8, 1e-10, 1e-12]))
 def test_guided_columns_match_column_by_column(trace_cases, case, stretch,
                                                columns, start, stride, batch,
                                                licensed, max_iter, curve_tol):
@@ -778,7 +779,8 @@ def test_guided_columns_match_column_by_column(trace_cases, case, stretch,
     # (ex5_saddle), both guided when licensed, quadrant mode by the saddle's
     # exit-rate gap; a short max_iter leaves T* undefined near the curve:
     # those columns bisect; at curve_tol 1e-12 the first band of a located
-    # limit-mode column fails its certification and widens
+    # limit-mode column fails its certification and widens; a two-level call
+    # that certifies a first band finishes its column
     m, fp, slope, cxs, w, sopts = _columns_setup(trace_cases, case, columns, stretch,
                                                  curve_tol)
     rate = curves._exit_rate(trace_cases[case][1].eigen)
@@ -850,6 +852,50 @@ def test_failed_certification_widens_then_bisects(trace_cases, fails,
                  for k in range(curves.WIDENINGS + 2)]
         assert bands == [k <= min(fails, curves.WIDENINGS)
                          for k in range(curves.WIDENINGS + 2)]
+
+
+@pytest.mark.parametrize("case", ["ex1_limit", "ex3_T2", "ex5_saddle"])
+def test_guided_bisection_is_one_call_with_its_audit(trace_cases, case, monkeypatch):
+    # the benchmark-shaped traces certify every column's first band in the
+    # call that classifies the band's bisection subtree, so _bisect makes one
+    # classify_batch call; in it an audited column classifies every midpoint
+    # its bisection visits, the ones its band implies too, while the other
+    # columns leave implied midpoints unclassified
+    m, rec, w, opts = trace_cases[case]
+    fp = rec.location
+    slope = rec.eigen.v_lam.y / rec.eigen.v_lam.x
+    cxs = [x for x in curves._column_positions(w, fp.x, opts.columns) if x != fp.x]
+    sopts = curves._bisect_options(m, opts)
+    asked = []
+
+    def spy(m, xs, ys, fp, sopts):
+        asked.append(set(zip(xs.tolist(), ys.tolist())))
+        return classify_batch(m, xs, ys, fp, sopts)
+
+    monkeypatch.setattr(curves, "classify_batch", spy)
+    got = curves._solve_columns(m, fp, slope, cxs, w, opts.curve_tol, sopts, True,
+                                curves._exit_rate(rec.eigen))
+    assert len(asked) == 1  # the probes go to _sided directly
+    visited = []  # the ordinates a column's scalar bisection classifies
+
+    def record(m, p, *rest):
+        visited.append(p.y)
+        return scalar_classify_side(m, p, *rest)
+
+    monkeypatch.setattr(helpers, "scalar_classify_side", record)
+
+    def unasked(i):
+        """The midpoints of column i, past its probes, that _bisect did not
+        classify."""
+        visited.clear()
+        want = helpers.solve_column(m, fp, slope, cxs[i], w, opts.curve_tol,
+                                    curves.PROBES, sopts)
+        assert got[i] == want
+        probes = set(column_probes(fp, slope, cxs[i], w, opts.curve_tol))
+        return [y for y in visited if y not in probes and (cxs[i], y) not in asked[0]]
+
+    assert all(unasked(i) == [] for i in range(0, len(cxs), curves.AUDIT_STRIDE))
+    assert any(unasked(i) for i in range(1, len(cxs), curves.AUDIT_STRIDE))
 
 
 def test_replay_audit_disagreement_bisects_every_column(trace_cases):

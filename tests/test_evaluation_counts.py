@@ -43,61 +43,66 @@ def _lockstep_calls(monkeypatch, kernel, run):
 
 
 def test_ex1_trace_64_columns():
+    # the certifying call classifies each band's bisection subtree, both
+    # halves below every midpoint inside the band where bisection visits one,
+    # next to the curve where orbits run longest
     m = make_example("ex1").map
     fp = find_fixed_point(m, Point2(1e-9, 1.0))
     assert _evaluations(m, lambda c: trace_stable_curve(
-        c, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions(columns=64))) == 41_878
+        c, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions(columns=64))) == 42_881
 
 
 def test_ex1_trace_64_columns_batch_calls():
     # one batch call per lockstep round of each lockstep call, plus the order
     # licence's image batch: one probe call over every probe of every column,
-    # three calls of T*-guided location, then the calls that certify and
-    # replay the bisection, settling two levels each
+    # three calls of T*-guided location, then one call that certifies every
+    # band and classifies the bisection subtree inside it
     m = make_example("ex1").map
     fp = find_fixed_point(m, Point2(1e-9, 1.0))
     assert _evaluations_and_batch_calls(m, lambda c: trace_stable_curve(
-        c, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions(columns=64))) == (41_878, 173)
+        c, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions(columns=64))) == (42_881, 147)
 
 
 def test_ex1_trace_lockstep_calls(monkeypatch):
     # every lockstep call of limit mode (classify_batch, and T* in _locate) is
-    # one _limits_lockstep call: 1 probe call, 3 location calls and 2 calls
-    # that certify and replay
+    # one _limits_lockstep call: 1 probe call, 3 location calls and 1 call
+    # that certifies every band and classifies its bisection subtree
     m = make_example("ex1").map
     fp = find_fixed_point(m, Point2(1e-9, 1.0))
     assert _lockstep_calls(monkeypatch, "_limits_lockstep", lambda: trace_stable_curve(
-        m, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions())) == 6
+        m, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions())) == 5
 
 
 def test_ex3_t2_trace_lockstep_calls(monkeypatch):
-    # 1 probe call, 5 location calls and 2 calls that certify and replay
+    # 1 probe call, 5 location calls and 1 call that certifies and finishes
+    # every column
     m = make_example("ex3_T2").map
     fp = find_fixed_point(m, Point2(3.0, 1.5))
     assert _lockstep_calls(monkeypatch, "_limits_lockstep", lambda: trace_stable_curve(
-        m, fp, Rect(0.5, 8.0, 0.5, 8.0), CurveOptions())) == 8
+        m, fp, Rect(0.5, 8.0, 0.5, 8.0), CurveOptions())) == 7
 
 
 def test_ex5_trace_64_columns_quadrant_mode():
     # the saddle's separatrix in quadrant mode: one probe call, location by
-    # the exit-rate gap, then the replayed bisection
+    # the exit-rate gap, then one call that certifies every band and
+    # classifies the bisection subtree inside it
     sys = make_example("ex5")
     saddle = find_fixed_point(sys.map, ex5_equilibria(sys.params)[1])
     assert _evaluations_and_batch_calls(sys.map, lambda c: trace_stable_curve(
-        c, saddle, Rect(0.0, 1.5, 0.0, 1.5), CurveOptions(columns=64))) == (9_357, 107)
+        c, saddle, Rect(0.0, 1.5, 0.0, 1.5), CurveOptions(columns=64))) == (9_826, 88)
 
 
 def test_ex5_trace_quadrant_mode_guided_calls(monkeypatch):
-    # 256 columns: 1 probe call, 5 location calls and 2 calls that certify
-    # and replay; the order licence samples 200 Jacobians next to the
-    # hypotheses' 200
+    # 256 columns: 1 probe call, 5 location calls and 1 call that certifies
+    # and finishes every column; the order licence samples 200 Jacobians next
+    # to the hypotheses' 200
     sys = make_example("ex5")
     saddle = find_fixed_point(sys.map, ex5_equilibria(sys.params)[1])
     box = [0, 0, 0]
     assert _lockstep_calls(monkeypatch, "_quadrant_batch", lambda: trace_stable_curve(
         counting_map(sys.map, box), saddle, Rect(0.0, 1.5, 0.0, 1.5),
-        CurveOptions())) == 8
-    assert box == [37_576, 400, 121]
+        CurveOptions())) == 7
+    assert box == [40_297, 400, 100]
 
 
 def test_ex4_trace_quadrant_mode_is_not_guided(monkeypatch):

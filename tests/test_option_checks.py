@@ -1,7 +1,9 @@
 """Every public entry point that takes a count or a tolerance rejects an
 invalid one with ValueError before it evaluates the map: a count must be an
 int (not a bool) and at least its least value, a tolerance a finite real
-(not a bool), > 0 or >= 0."""
+(not a bool), > 0 or >= 0. So do the entry points that take a point they
+classify or iterate from, when a coordinate is not finite, and
+classify_batch when its coordinate arrays differ in shape."""
 
 import math
 from dataclasses import replace
@@ -15,6 +17,7 @@ from compmap import (CurveOptions, Point2, Rect, SideOptions, check_competitive,
                      sweep_continuum, taylor_along_eigenvector,
                      trace_stable_curve, trace_unstable_curve)
 
+from compmap.curves import classify_batch, locate_ordinate
 from helpers import counting_map
 
 BAD = (math.nan, math.inf, 2.5, True, 0, -1)
@@ -124,3 +127,47 @@ def test_first_nonzero_index_rejects_invalid_tolerances(ex4):
         with pytest.raises(ValueError, match="tol"):
             first_nonzero_index(ray, tol=value)
     assert first_nonzero_index(ray, tol=0) == first_nonzero_index(ray, tol=0.0)
+
+
+EX1 = make_example("ex1")
+EX1_FP = find_fixed_point(EX1.map, Point2(1e-9, 1.0))
+
+
+# (entry point, the argument the message names, a call with one coordinate
+# v, the map it evaluates)
+POINTS = [
+    pytest.param(lambda c, v: raster(c, Point2(v, 1.0), Rect(0, 6, 0, 4), 8, 8),
+                 "fp", EX4.map, id="raster-fp"),
+    pytest.param(lambda c, v: continuity_probe(c, ((v, 0.1), (0.1, 4.0)), 8),
+                 "segment end", EX1.map, id="continuity_probe-start"),
+    pytest.param(lambda c, v: continuity_probe(c, ((0.1, 0.1), (0.1, v)), 8),
+                 "segment end", EX1.map, id="continuity_probe-end"),
+    pytest.param(lambda c, v: locate_ordinate(c, EX1_FP, v, Rect(0, 5, 0, 6)),
+                 "x", EX1.map, id="locate_ordinate-x"),
+]
+
+
+@pytest.mark.parametrize("call, name, m", POINTS)
+def test_non_finite_points_raise_before_any_evaluation(call, name, m):
+    # unchecked, a non-finite coordinate gives a plausible answer: every
+    # raster cell band, a probe with max_gap 0 over divergent samples, a
+    # column without a bracket
+    for value in (math.nan, math.inf, -math.inf):
+        box = [0, 0, 0]
+        with pytest.raises(ValueError, match=name):
+            call(counting_map(m, box), value)
+        assert box == [0, 0, 0], (name, value)
+    box = [0, 0, 0]
+    call(counting_map(m, box), 0.5)
+    assert box[0] > 0
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (40, 3)])
+def test_classify_batch_refuses_coordinates_of_two_shapes(n, k):
+    # unchecked, 2 and 1 points give two codes, the second for a point never
+    # classified, and 40 and 3 raise numpy's broadcast error mid-call
+    box = [0, 0, 0]
+    with pytest.raises(ValueError, match=rf"\({n},\) and \({k},\)"):
+        classify_batch(counting_map(EX4.map, box), [2.5] * n, [0.5] * k,
+                       Point2(2.0, 1.0))
+    assert box == [0, 0, 0]
