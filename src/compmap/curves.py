@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import Optional
 
 import numpy as np
@@ -19,7 +20,7 @@ from .errors import (HypothesisError, NoConvergenceError, SingularityError,
                      check_count, check_point, check_tolerance, check_window)
 from .expr import _Compiled, _function
 from .fixedpoints import (NONHYPERBOLIC_TOL, EigenData, FixedPointRecord,
-                          check_invariant_curve_hypotheses)
+                          _curve_hypotheses)
 from .geometry import Point2, Rect, sup_norm
 from .planarmap import SIDE_MODES, PlanarMap, _images, _order_licensed
 
@@ -70,7 +71,10 @@ def classify_side(m: PlanarMap, p: Point2, fp: Point2,
 
     minus is the northwest component (orbit enters int Q2(fp), or its limit
     equilibrium is strictly southeast-less than fp); plus the southeast one.
+    p and fp must be finite (errors.check_point).
     """
+    check_point("p", p)
+    check_point("fp", fp)
     x, y = float(p[0]), float(p[1])
     if opts.mode == "quadrant_escape":
         return _classify_quadrant(m, x, y, 0, fp, opts)[0]
@@ -160,10 +164,12 @@ def limit_equilibrium(m: PlanarMap, p: Point2, tol: float = 1e-10,
     that step certifies x_k. A raise or a non-finite iterate ends the orbit
     as 'singularity', an iterate beyond ESCAPE_BOUND as 'divergence', and k
     reaching max_iter as 'max_iter'; diverged marks the first two. tol must
-    be finite and > 0, and max_iter an int >= 1.
+    be finite and > 0, max_iter an int >= 1 and p finite
+    (errors.check_point).
     """
     check_tolerance("tol", tol)
     check_count("max_iter", max_iter)
+    check_point("p", p)
     start = Point2(*p)
     flag, x, y, n = _limit_orbit(m.step, float(start.x), float(start.y), 0,
                                  tol, max_iter)
@@ -338,11 +344,14 @@ def classify_batch(m: PlanarMap, xs, ys, fp: Point2,
 
     Returns uint8 codes into LABEL_NAMES, shaped like xs, equal point by point
     to label_code(classify_side(...)): the codes of _sided. xs and ys must
-    have one shape.
+    have one shape and be finite, and so must fp (errors.check_point).
     """
+    check_point("fp", fp)
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if xs.shape != ys.shape:
         raise ValueError(f"xs and ys must have one shape, got {xs.shape} and {ys.shape}")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("xs and ys must be finite")
     return _sided(m, xs.ravel(), ys.ravel(), fp, opts)[0].reshape(xs.shape)
 
 
@@ -557,6 +566,22 @@ class MonotoneCurve:
         return a.y + t * (b.y - a.y)
 
 
+def _points(xs: list, ys: list, keep) -> tuple:
+    """The Point2s (xs[k], ys[k]) where keep[k], built without a Point2 call
+    per point and from the floats of xs and ys."""
+    return tuple(map(tuple.__new__, repeat(Point2), compress(zip(xs, ys), keep)))
+
+
+def _validated(curve: MonotoneCurve, X: np.ndarray, Y: np.ndarray) -> MonotoneCurve:
+    """curve, with vertices (X[k], Y[k]), once it passes validate_curve; the
+    vertex loop runs, for its error, only where the arrays are not strictly
+    monotone as curve.monotonicity promises."""
+    dy = np.diff(Y) if curve.monotonicity == "increasing" else -np.diff(Y)
+    if not ((np.diff(X) > 0).all() and (dy > 0).all()):
+        validate_curve(curve)
+    return curve
+
+
 def validate_curve(curve: MonotoneCurve) -> None:
     """Assert the strict vertex monotonicity the curve kind promises."""
     vs = curve.vertices
@@ -650,11 +675,12 @@ def _geometric_offsets(span: float, n: int) -> list:
     return [span * THETA_MIN ** (1.0 - i / (n - 1)) for i in range(n)]
 
 
-def _column_positions(window: Rect, fpx: float, columns: int) -> list:
+def _column_positions(window: Rect, fpx: float, columns: int) -> np.ndarray:
+    """The column abscissae of a trace, ascending and distinct: fpx if the
+    window holds it, and on each side of it half the side's share of
+    columns spread uniformly and half geometrically toward it."""
     x0 = min(max(fpx, window.x_lo), window.x_hi)
-    xs = set()
-    if window.x_lo <= fpx <= window.x_hi:
-        xs.add(fpx)
+    xs = [np.array([fpx] if window.x_lo <= fpx <= window.x_hi else [])]
     spans = (x0 - window.x_lo, window.x_hi - x0)
     total = spans[0] + spans[1]
     for side, span in enumerate(spans):
@@ -664,11 +690,10 @@ def _column_positions(window: Rect, fpx: float, columns: int) -> list:
         sign = -1.0 if side == 0 else 1.0
         n_uni = n_side // 2
         n_geo = n_side - n_uni
-        for i in range(n_uni):
-            xs.add(x0 + sign * span * (i + 0.5) / n_uni)
-        for off in _geometric_offsets(span, n_geo):
-            xs.add(x0 + sign * off)
-    return sorted(xs)
+        xs.append(x0 + sign * span * (np.arange(n_uni) + 0.5) / n_uni)
+        xs.append(x0 + sign * np.array(_geometric_offsets(span, n_geo)))
+    xs = np.sort(np.concatenate(xs))
+    return xs[np.diff(xs, prepend=-math.inf) > 0]
 
 
 # Uniform probe ordinates scanned per column before bisection.
@@ -745,17 +770,18 @@ def _locate(m: PlanarMap, fp: Point2, cx: np.ndarray, lo: np.ndarray,
 
 def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
                    curve_tol: float, sopts: SideOptions, guided: bool = False,
-                   rate: Optional[tuple] = None) -> Optional[list]:
+                   rate: Optional[tuple] = None) -> Optional[tuple]:
     """Locate the curve ordinate in every column of cxs, all columns together.
 
-    Returns one (y, flag) or (None, flag) per column, or None when an audit
-    below disagrees with the licence. One lockstep call (_sided) classifies
-    every probe of every column and keeps the gap s at each probe: the gap of
-    T* in limit mode, and in quadrant mode, given rate (_exit_rate of a
-    saddle fp), the exit-rate gap. A point's verdict does not depend on its
-    batch, so each row, read in probe order, scans its column as the column
-    on its own would: band returns the probe, plus sets lo, minus sets hi
-    and ends the scan once lo is set.
+    Returns (y, flags): the ordinates, NaN where a column has none, and a
+    list of one flag per column; or None when an audit below disagrees with
+    the licence. One lockstep call (_sided) classifies every probe of every
+    column and keeps the gap s at each probe: the gap of T* in limit mode,
+    and in quadrant mode, given rate (_exit_rate of a saddle fp), the
+    exit-rate gap. A point's verdict does not depend on its batch, so each
+    row, read in probe order, scans its column as the column on its own
+    would (_scan, on the whole verdict matrix): band returns the probe,
+    plus sets lo, minus sets hi and ends the scan once lo is set.
 
     Bisection then halves the brackets still wider than curve_tol, for at
     most MAX_BISECTIONS levels per column. While more than BATCH_HANDOFF
@@ -796,20 +822,8 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
     V[rows, cols], s, _ = _sided(m, cx[rows], P[rows, cols], fp, sopts, rate)
     if guided:
         S[rows, cols] = s
-    # NaN stands for "not set" in lo, hi and y
-    lo, hi, y = np.full((3, n), math.nan)
-    ilo, ihi = np.zeros((2, n), dtype=int)  # the probe indices of lo and hi
-    j = np.arange(n)  # the columns still scanning
-    for i in range(P.shape[1]):
-        codes, py = V[j, i], P[j, i]
-        band, plus, minus = codes == _BAND, codes == _PLUS, codes == _MINUS
-        closed = minus & ~np.isnan(lo[j])
-        y[j[band]] = py[band]
-        lo[j[plus]], ilo[j[plus]] = py[plus], i
-        hi[j[minus]], ihi[j[minus]] = py[minus], i
-        j = j[~(band | closed)]
-    plus, minus = V == _PLUS, V == _MINUS
-    if guided and (np.logical_or.accumulate(minus, axis=1) & plus).any():
+    lo, hi, y, ilo, ihi, inverted = _scan(V, P)
+    if guided and inverted:
         return None  # a plus above a minus breaks the licence
 
     saw_plus = ~np.isnan(lo)
@@ -826,7 +840,7 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
 
     est = np.full(n, math.nan)  # the gap's estimate of the curve, in guided columns
     if guided and MAX_BISECTIONS > 0:
-        sided = (plus | minus | np.isnan(P)).all(axis=1)
+        sided = ((V <= _PLUS) | np.isnan(P)).all(axis=1)  # plus or minus
         j = np.flatnonzero(sided & bisecting & (hi - lo > curve_tol))
         est[j] = _locate(m, fp, cx[j], lo[j], hi[j], S[j, ilo[j]], S[j, ihi[j]],
                          curve_tol, sopts, rate)
@@ -834,8 +848,36 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
         return None
     rest = np.flatnonzero(bisecting)
     y[rest] = 0.5 * (lo[rest] + hi[rest])
-    return [(None if math.isnan(yj) else yj, flag)
-            for yj, flag in zip(y.tolist(), flags)]
+    return y, flags
+
+
+def _scan(V: np.ndarray, P: np.ndarray) -> tuple:
+    """What the probe scan of _solve_columns reads in each row of the
+    verdicts V at the ordinates P, as (lo, hi, y, ilo, ihi, inverted): the
+    scan reads a row in probe order, where band returns the probe as y,
+    plus sets lo and minus hi, and a minus after a plus ends it; ilo and ihi
+    are the probe indices of lo and hi. NaN stands for "not set" in lo, hi
+    and y, and 0 in ilo and ihi. inverted says that some row reads plus
+    above a minus. Whole-matrix operations: a row's scan ends at its first
+    band or first minus after a plus (or at its last probe), and lo and hi
+    are its last plus and last minus up to there."""
+    n, k = V.shape
+    plus, minus = V == _PLUS, V == _MINUS
+    inverted = bool((np.logical_or.accumulate(minus, axis=1) & plus).any())
+    ends = np.ones((n, k + 1), dtype=bool)  # past the last probe too
+    np.logical_or(V == _BAND, minus & np.logical_or.accumulate(plus, axis=1),
+                  out=ends[:, :k])
+    t = ends.argmax(axis=1)
+    r, read = np.arange(n), np.arange(k) <= t[:, None]  # the probes the scan reads
+    found = []
+    for c in (plus & read, minus & read):  # the last one: the first from the end
+        last = k - 1 - c[:, ::-1].argmax(axis=1)
+        has = c[r, last]
+        found += np.where(has, P[r, last], math.nan), np.where(has, last, 0)
+    lo, ilo, hi, ihi = found
+    t = np.minimum(t, k - 1)
+    y = np.where(V[r, t] == _BAND, P[r, t], math.nan)
+    return lo, hi, y, ilo, ihi, inverted
 
 
 def _bisect(m: PlanarMap, fp: Point2, cx: np.ndarray, curve_tol: float,
@@ -894,7 +936,9 @@ def _bisect(m: PlanarMap, fp: Point2, cx: np.ndarray, curve_tol: float,
                 mid = (L + H) * 0.5
                 plus, minus = mid <= pa, mid >= ma
                 if not wide or len(steps) >= room:  # a bracket or level may end
-                    go = (H - L > curve_tol) & (V < MAX_BISECTIONS)
+                    go = H - L > curve_tol
+                    if len(steps) >= room:
+                        go &= V < MAX_BISECTIONS
                     plus, minus = plus & go, minus & go
                 moved = plus | minus
                 if not np.count_nonzero(moved):
@@ -928,8 +972,8 @@ def _bisect(m: PlanarMap, fp: Point2, cx: np.ndarray, curve_tol: float,
         WS, WY, WC = (np.concatenate(part) for part in zip(*walked))
         at = np.cumsum([len(NY), len(pend), len(pend)])
         ys = np.concatenate((NY, plus_at[pend], minus_at[pend], WY))
-        codes = classify_batch(m, cx[np.concatenate((NC, pend, pend, SC[WS]))], ys, fp,
-                               sopts) if len(ys) else WC
+        codes = _sided(m, cx[np.concatenate((NC, pend, pend, SC[WS]))], ys, fp,
+                       sopts)[0] if len(ys) else WC
         ok = (codes[at[0]:at[1]] == _PLUS) & (codes[at[1]:at[2]] == _MINUS)
         failed, passed = pend[~ok], pend[ok]
         plus_at[failed], minus_at[failed] = -math.inf, math.inf
@@ -978,9 +1022,9 @@ def locate_ordinate(m: PlanarMap, fp: FixedPointRecord, x: float, window: Rect,
     sopts = _bisect_options(m, opts)
     v = fp.eigen.v_lam
     slope = v.y / v.x if v is not None and v.x != 0 else 1.0
-    [(y, _flag)] = _solve_columns(m, fp.location, slope, [x], window,
-                                  opts.curve_tol, sopts)
-    return y
+    [y] = _solve_columns(m, fp.location, slope, [x], window, opts.curve_tol,
+                         sopts)[0].tolist()
+    return None if math.isnan(y) else y
 
 
 def trace_stable_curve(m: PlanarMap, fp: FixedPointRecord, window: Rect,
@@ -1002,73 +1046,66 @@ def trace_stable_curve(m: PlanarMap, fp: FixedPointRecord, window: Rect,
     classifies all of them and finishes the column. A failed audit of the
     probe order or of the replay solves every column again without the gap
     (plain bisection) and adds a note. The column through fp.x is seeded
-    from the fixed point itself and the local tangent direction. workers
-    has no effect; it stays only for perfbench's process-pool probe and
-    must be an int >= 1.
+    from the fixed point itself and the local tangent direction. The
+    invariant-curve hypotheses and, where the trace can be guided, the
+    licence's Jacobian samples of the window and the domain come from one
+    _jacobians call (fixedpoints._curve_hypotheses). workers has no effect;
+    it stays only for perfbench's process-pool probe and must be an int >= 1.
     """
     check_count("workers", workers)
     check_window("curve tracing", window)
-    hyp = check_invariant_curve_hypotheses(m, fp, window)
+    sopts = _bisect_options(m, opts)
+    rate = _exit_rate(fp.eigen)
+    guidable = sopts.mode == "limit_equilibrium" or rate is not None
+    # one Jacobian sample set: delta's parts, and the licence's regions
+    hyp, reports = _curve_hypotheses(m, fp, window,
+                                     (window, m.domain) if guidable else ())
     if not hyp.all_pass:
         raise HypothesisError(
             "invariant-curve hypotheses failed: " + ", ".join(hyp.failed))
-    sopts = _bisect_options(m, opts)
     v = fp.eigen.v_lam
     slope = v.y / v.x
     fpl = fp.location
     xs = _column_positions(window, fpl.x, opts.columns)
-
-    cxs = [cx for cx in xs if cx != fpl.x]
-    args = (m, fpl, slope, cxs, window, opts.curve_tol, sopts)
-    rate = _exit_rate(fp.eigen)
-    guided = ((sopts.mode == "limit_equilibrium" or rate is not None)
-              and _order_licensed(m, window, len(cxs) * PROBES))
+    cx = xs != fpl.x  # the columns solved; the one through fp is seeded from it
+    args = (m, fpl, slope, xs[cx], window, opts.curve_tol, sopts)
+    guided = guidable and _order_licensed(m, window, np.count_nonzero(cx) * PROBES,
+                                          reports)
     results = _solve_columns(*args, True, rate) if guided else _solve_columns(*args)
     audit_failed = results is None
     if audit_failed:
         results = _solve_columns(*args)
-    columns = [(cx, y, flag) for cx, (y, flag) in zip(cxs, results)]
-    skipped = sum(y is None for _cx, y, _flag in columns)
-    flagged = sum(y is not None and flag != "" for _cx, y, flag in columns)
-    if len(cxs) < len(xs) and window.y_lo <= fpl.y <= window.y_hi:
-        columns.append((fpl.x, fpl.y, ""))
-    columns.sort(key=lambda c: c[0])
-
-    kept = []
-    dropped = 0
-    for cx, y, _flag in columns:
-        if y is None:
-            continue
-        p = Point2(cx, y)
-        if kept and not (p.x > kept[-1].x and p.y > kept[-1].y):
-            dropped += 1
-            continue
-        kept.append(p)
-    if not kept:
+    ys, flags = np.full(len(xs), fpl.y), np.full(len(xs), "", dtype=object)
+    ys[cx], flags[cx] = results
+    if not window.y_lo <= fpl.y <= window.y_hi:  # no vertex at fp
+        xs, ys, flags = xs[cx], ys[cx], flags[cx]
+    located = ~np.isnan(ys)
+    skipped, flagged = np.count_nonzero(~located), np.count_nonzero(located & (flags != ""))
+    # a vertex must rise above every one before it (xs ascend)
+    keep = located & (ys > np.fmax.accumulate(np.concatenate(([-math.inf], ys[:-1]))))
+    if not keep.any():
         raise NoConvergenceError("no curve vertices could be located in the window")
+    dropped = np.count_nonzero(located) - np.count_nonzero(keep)
 
-    notes = []
-    if skipped:
-        notes.append(f"{skipped} columns skipped (no bracket)")
-    if flagged:
-        notes.append(f"{flagged} columns flagged (bisection probe undecided)")
-    if dropped:
-        notes.append(f"{dropped} vertices dropped by the monotonicity filter")
-    if audit_failed:
-        notes.append("order licence failed its audit "
-                     "(columns bisected without guidance)")
-    left = _exit_label(m, window, columns, kept[0], side="left")
-    right = _exit_label(m, window, columns, kept[-1], side="right")
-    curve = MonotoneCurve(vertices=tuple(kept), monotonicity="increasing",
-                          endpoint_left=left, endpoint_right=right, notes=tuple(notes))
-    validate_curve(curve)
-    return curve
+    notes = [f"{count} {what}" for count, what in (
+        (skipped, "columns skipped (no bracket)"),
+        (flagged, "columns flagged (bisection probe undecided)"),
+        (dropped, "vertices dropped by the monotonicity filter")) if count]
+    notes += ["order licence failed its audit (columns bisected without guidance)"
+              ] * audit_failed
+    kept = _points(xs.tolist(), ys.tolist(), keep.tolist())
+    left = _exit_label(m, window, xs, ys, flags, kept[0], side="left")
+    right = _exit_label(m, window, xs, ys, flags, kept[-1], side="right")
+    return _validated(MonotoneCurve(vertices=kept, monotonicity="increasing",
+                                    endpoint_left=left, endpoint_right=right,
+                                    notes=tuple(notes)), xs[keep], ys[keep])
 
 
-def _exit_label(m: PlanarMap, window: Rect, columns, end_vertex: Point2,
-                side: str) -> EndpointLabel:
+def _exit_label(m: PlanarMap, window: Rect, xs: np.ndarray, ys: np.ndarray,
+                flags: np.ndarray, end_vertex: Point2, side: str) -> EndpointLabel:
     """Label a traced end: _endpoint_label, or domain_boundary where that
-    reads truncated and the curve leaves the window.
+    reads truncated and the curve leaves the window. xs are the columns,
+    ascending, ys their ordinates (NaN where none) and flags their flags.
 
     The curve reaches the window frame when there are no columns beyond the
     end vertex (it runs into a vertical edge at column resolution) or when the
@@ -1079,16 +1116,9 @@ def _exit_label(m: PlanarMap, window: Rect, columns, end_vertex: Point2,
     label = _endpoint_label(m, end_vertex, window)
     if label.kind != "truncated":
         return label
-    if side == "right":
-        beyond = [c for c in columns if c[0] > end_vertex.x]
-        adjacent = beyond[0] if beyond else None
-    else:
-        beyond = [c for c in columns if c[0] < end_vertex.x]
-        adjacent = beyond[-1] if beyond else None
-    if adjacent is None:
-        return EndpointLabel("domain_boundary", end_vertex)
-    if adjacent[1] is None and adjacent[2] in ("no_bracket:all_minus",
-                                               "no_bracket:all_plus"):
+    k = int(np.searchsorted(xs, end_vertex.x)) + (1 if side == "right" else -1)
+    if not 0 <= k < len(xs) or (math.isnan(ys[k]) and flags[k] in (
+            "no_bracket:all_minus", "no_bracket:all_plus")):
         return EndpointLabel("domain_boundary", end_vertex)
     return label
 
@@ -1113,9 +1143,14 @@ def trace_unstable_curve(m: PlanarMap, fp: FixedPointRecord,
     A non-finite image or one outside the domain ends it too and truncates
     its end of the curve. Any other exception propagates, the lowest seed's
     when several seeds raise, as a loop over the seeds one by one would
-    raise it. The fixed point, the seeds inside the domain and every image
-    kept are sorted by x (descending y among equal x) and thinned to a
-    strictly decreasing polyline. steps must be an int >= 1 and seed_radius
+    raise it. A step in which no orbit ends keeps its image arrays as they
+    are; only a step in which one ends compacts them. The fixed point, the
+    seeds inside the domain and every image kept are sorted by x
+    (descending y among equal x) and thinned, in one pass over Python
+    floats, to a strictly decreasing polyline: a point less than 1e-6 right
+    of the last vertex kept is skipped, and one not below it is dropped
+    (and counted in the notes). The monotonicity validate_curve asserts is
+    checked on the vertex arrays. steps must be an int >= 1 and seed_radius
     finite and > 0.
     """
     check_count("steps", steps)
@@ -1146,16 +1181,14 @@ def trace_unstable_curve(m: PlanarMap, fp: FixedPointRecord,
         for _ in range(steps):
             if not len(idx):
                 break
-            (Xn, Yn), raised = _images(m, X, Y)
-            ended = np.zeros(len(idx), dtype=bool)  # by a raise: no truncation
-            for j, exc in raised.items():
-                ended[j] = True
-                if not isinstance(exc, SingularityError):
-                    errors[int(idx[j])] = exc
-            ok = _within(sides, Xn, Yn, np.isfinite(Xn) & np.isfinite(Yn))
-            truncated[idx[~(ok | ended)]] = True
-            ok &= ~ended
-            idx, X, Y = idx[ok], Xn[ok], Yn[ok]
+            (X, Y), raised = _images(m, X, Y)
+            ok = _within(sides, X, Y, np.isfinite(X) & np.isfinite(Y))
+            if raised or np.count_nonzero(ok) < len(ok):  # some orbits end here
+                errors.update((int(idx[j]), exc) for j, exc in raised.items()
+                              if not isinstance(exc, SingularityError))
+                ended = np.isin(np.arange(len(idx)), list(raised))  # no truncation
+                truncated[idx[~(ok | ended)]] = True
+                idx, X, Y = idx[ok], X[ok], Y[ok]  # a raise leaves NaN: not ok
             parts.append((idx, X, Y))
     if errors:
         raise errors[min(errors)]
@@ -1165,23 +1198,23 @@ def trace_unstable_curve(m: PlanarMap, fp: FixedPointRecord,
     PX = np.concatenate(([fpl.x], PX[order]))
     PY = np.concatenate(([fpl.y], PY[order]))
     perm = np.lexsort((-PY, PX))  # stable: by x, then by descending y
-    xs, ys = PX[perm].tolist(), PY[perm].tolist()
-    kept = [Point2(xs[0], ys[0])]
-    last_x, last_y = xs[0], ys[0]
-    dropped = 0
-    for x, y in zip(xs[1:], ys[1:]):
+    PX, PY = PX[perm], PY[perm]
+    xs, ys = PX.tolist(), PY.tolist()
+    keep, dropped = bytearray(len(xs)), 0  # a strictly decreasing polyline
+    keep[0], last_x, last_y = 1, xs[0], ys[0]
+    for i, x, y in zip(range(len(xs)), xs, ys):
         if x - last_x < 1e-6:
             continue
-        if not y < last_y:
+        if y < last_y:
+            keep[i], last_x, last_y = 1, x, y
+        else:
             dropped += 1
-            continue
-        kept.append(Point2(x, y))
-        last_x, last_y = x, y
+    kept = _points(xs, ys, keep)
+    keep = np.frombuffer(keep, dtype=bool)
     notes = (f"{dropped} vertices dropped by the monotonicity filter",) if dropped else ()
     left, right = (EndpointLabel("truncated", e) if (truncated & on_side).any()
                    else _endpoint_label(m, e, m.domain)
                    for e, on_side in ((kept[0], ~right_side), (kept[-1], right_side)))
-    curve = MonotoneCurve(vertices=tuple(kept), monotonicity="decreasing",
-                          endpoint_left=left, endpoint_right=right, notes=notes)
-    validate_curve(curve)
-    return curve
+    return _validated(MonotoneCurve(vertices=kept, monotonicity="decreasing",
+                                    endpoint_left=left, endpoint_right=right,
+                                    notes=notes), PX[keep], PY[keep])

@@ -82,9 +82,11 @@ def check_point(name: str, p) -> None:
         coords = tuple(p)
     except TypeError:
         coords = (p,)
-    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-               and math.isfinite(v) for v in coords):
-        raise ValueError(f"{name} must be finite, got {p!r}")
+    for v in coords:  # a float skips the slower abstract-class test
+        if not ((type(v) is float or (isinstance(v, numbers.Real)
+                                      and not isinstance(v, bool)))
+                and math.isfinite(v)):
+            raise ValueError(f"{name} must be finite, got {p!r}")
 
 
 def check_window(name: str, w) -> None:

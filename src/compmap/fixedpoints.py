@@ -12,8 +12,8 @@ from .errors import (DegenerateRootError, NoConvergenceError, SingularityError,
                      check_tolerance)
 from .expr import _pow_array
 from .geometry import Matrix2, Point2, Rect, sup_norm
-from .planarmap import (_EVAL_ERRORS, PlanarMap, _check_area, _images, _jacobians,
-                        _sample_grid, check_competitive, jacobian)
+from .planarmap import (_EVAL_ERRORS, PlanarMap, _check_area, _competitive_reports,
+                        _images, _jacobians, _sample_grid, jacobian)
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 100
@@ -413,9 +413,19 @@ def check_invariant_curve_hypotheses(m: PlanarMap, fp: FixedPointRecord,
 
     (a) region meets int(Q1 u Q3) at fp; (b) real eigenvalues with
     0 < |lam| < mu and |lam| < 1; (c) the lam-eigenvector is off-axis;
-    (d) strong competitivity sampled on the Q1/Q3 parts of the region.
+    (d) strong competitivity sampled on the Q1/Q3 parts of the region
+    (check_competitive on each part, all parts in one _jacobians call).
     region must have a positive width and height.
     """
+    return _curve_hypotheses(m, fp, region)[0]
+
+
+def _curve_hypotheses(m: PlanarMap, fp: FixedPointRecord, region: Rect,
+                      extra=()) -> tuple:
+    """check_invariant_curve_hypotheses, and the planarmap._competitive_reports
+    generator it read the parts of delta from. The generator's next reports
+    are those of the regions of extra, whose sample grids join the parts'
+    in one _jacobians call (a curve trace samples its order licence there)."""
     if fp.kind != "fixed":
         raise ValueError("the invariant-curve hypotheses apply to fixed points only")
     _check_area("check_invariant_curve_hypotheses", region)
@@ -440,19 +450,20 @@ def check_invariant_curve_hypotheses(m: PlanarMap, fp: FixedPointRecord,
 
     n = 0
     strong = True
-    for part, _k in parts:
-        # grid samples sit at cell centers, so they are interior to the
-        # quadrant part automatically
-        rep = check_competitive(m, part)
+    # grid samples sit at cell centers, so they are interior to the quadrant
+    # part automatically
+    reports = _competitive_reports(m, [part for part, _k in parts] + list(extra))
+    for _ in parts:
+        rep = next(reports)
         n += rep.samples
         strong = strong and rep.strongly
     if not (strong and n > 0):
         failed.append("strongly_competitive")
         strong = False
     return InvariantCurveHypotheses(delta_nonempty=delta_nonempty, eigen_ok=eigen_ok,
-                          eigenvector_off_axis=off_axis,
-                          strongly_competitive=strong, samples=n,
-                          failed=tuple(failed))
+                                    eigenvector_off_axis=off_axis,
+                                    strongly_competitive=strong, samples=n,
+                                    failed=tuple(failed)), reports
 
 
 # ---------------------------------------------------------------------------

@@ -99,11 +99,10 @@ def _ask(batch, scalar, n: int, X: np.ndarray, Y: np.ndarray) -> tuple:
     nan = np.isnan(out[0])
     for v in out[1:]:
         nan |= np.isnan(v)
-    points = np.flatnonzero(nan).tolist()
-    if not points:
+    if not np.count_nonzero(nan):
         return tuple(out), raised
     out = np.array(out, dtype=float)
-    for k in points:
+    for k in np.flatnonzero(nan).tolist():
         try:
             v = scalar(float(X[k]), float(Y[k]))
         except Exception as e:
@@ -216,7 +215,7 @@ def _sample_grid(region: Rect, samples: int) -> tuple:
     k = max(1, math.isqrt(samples))
     xs = r.x_lo + (np.arange(k) + 0.5) * r.width() / k
     ys = r.y_lo + (np.arange(k) + 0.5) * r.height() / k
-    return np.repeat(xs, k), np.tile(ys, k)
+    return xs.repeat(k), ys[None, :].repeat(k, axis=0).ravel()
 
 
 @dataclass(frozen=True)
@@ -251,46 +250,70 @@ def check_competitive(m: PlanarMap, region: Rect,
     """
     check_count("samples", samples)
     _check_area("check_competitive", region)
+    return next(_competitive_reports(m, (region,), samples))
+
+
+def _competitive_reports(m: PlanarMap, regions, samples: int = GRID_SAMPLES):
+    """check_competitive's report on each of regions, in order, from one
+    _jacobians call over all their sample grids (a Jacobian sample does not
+    depend on the others in its batch).
+
+    A generator: the call runs when the first report is taken, and each
+    report is finished only when it is taken. So a region without area
+    raises ValueError, and a sample's exception other than a map error
+    (see _failed) propagates, the region's lowest sample first, when that
+    region's report is taken, and a caller that stops taking reports raises
+    what the check_competitive calls it stops before would not have raised.
+    """
+    grids = [_sample_grid(r, samples) for r in regions]
+    if not grids:
+        return
+    X, Y = (np.concatenate(c) for c in zip(*grids))
     tol = COMPETITIVE_TOL
-    X, Y = _sample_grid(region, samples)
-    J, ok = _sampled_jacobians(m, X, Y)
-    a11, a12, a21, a22 = J[:, ok]
-    weak = (a11 >= -tol) & (a12 <= tol) & (a21 <= tol) & (a22 >= -tol)
-    strong = (a11 > tol) & (a12 < -tol) & (a21 < -tol) & (a22 > tol)
-    competitive = bool(weak.all())
-    witness = None
-    if not competitive:  # the first sample, in grid order, off the weak pattern
-        i = int(np.flatnonzero(ok)[np.argmin(weak)])
-        witness = (Point2(float(X[i]), float(Y[i])), Matrix2(*J[:, i].tolist()))
-    return CompetitivityReport(competitive=competitive,
-                               strongly=competitive and bool(strong.all()),
-                               samples=int(np.count_nonzero(ok)),
-                               failures=int(np.count_nonzero(~ok)), witness=witness)
+    with np.errstate(all="ignore"):
+        J, raised = _jacobians(m, X, Y)
+        J = np.array(J, dtype=float)
+        a11, a12, a21, a22 = J
+        off_weak = ~((a11 >= -tol) & (a12 <= tol) & (a21 <= tol) & (a22 >= -tol))
+        off_strong = ~((a11 > tol) & (a12 < -tol) & (a21 < -tol) & (a22 > tol))
+    stop = 0
+    for region, (x, y) in zip(regions, grids):
+        _check_area("check_competitive", region)
+        start, stop = stop, stop + len(x)
+        ok = ~_failed({k - start: e for k, e in raised.items() if start <= k < stop},
+                      stop - start)
+        off = np.flatnonzero(off_weak[start:stop] & ok)
+        witness = None
+        if len(off):  # the first sample, in grid order, off the weak pattern
+            i = int(off[0])
+            witness = (Point2(float(x[i]), float(y[i])),
+                       Matrix2(*J[:, start + i].tolist()))
+        samples = int(np.count_nonzero(ok))
+        yield CompetitivityReport(  # the strong pattern implies the weak one
+            competitive=not len(off),
+            strongly=not np.count_nonzero(off_strong[start:stop] & ok),
+            samples=samples, failures=len(x) - samples, witness=witness)
 
 
-def _order_licensed(m: PlanarMap, window: Rect, points: int) -> bool:
+def _order_licensed(m: PlanarMap, window: Rect, points: int, reports=None) -> bool:
     """The sampled licence for reading verdicts from the southeast order (in
     rasters and in curve traces): check_competitive passes (weak sign
     pattern) on the window and on m's domain, and the images of
     min(GRID_SAMPLES, points) sample points of the window are finite and lie
     in the domain (a call that classifies few points cannot repay more
-    images than it has points)."""
-    if not (check_competitive(m, window).competitive
-            and check_competitive(m, m.domain).competitive):
+    images than it has points). reports, if given, are the
+    _competitive_reports whose next two are the window's and the domain's
+    (a trace samples them with its hypotheses); else one _jacobians call
+    samples both."""
+    if reports is None:
+        reports = _competitive_reports(m, (window, m.domain))
+    if not (next(reports).competitive and next(reports).competitive):
         return False
     d = m.domain
     with np.errstate(all="ignore"):
         (X, Y), raised = _images(m, *_sample_grid(window, min(GRID_SAMPLES, points)))
     _failed(raised, len(X))  # a map error leaves NaN, which fails the licence
     return bool(np.all((d.x_lo <= X) & (X <= d.x_hi) & (d.y_lo <= Y) & (Y <= d.y_hi)))
-
-
-def _sampled_jacobians(m: PlanarMap, X: np.ndarray, Y: np.ndarray) -> tuple:
-    """The Jacobian entries of m at the samples, as rows of a 4 x n array,
-    and where jacobian evaluates (see _failed)."""
-    with np.errstate(all="ignore"):
-        J, raised = _jacobians(m, X, Y)
-    return np.array(J, dtype=float), ~_failed(raised, len(X))
 
 
 @dataclass(frozen=True)
@@ -319,9 +342,10 @@ def check_O_condition(m: PlanarMap, region: Rect, pairs: int = 10_000,
     check_count("pairs", pairs)
     check_count("seed", seed, 0)
     _check_area("check_O_condition", region)
-    J, ok = _sampled_jacobians(m, *_sample_grid(region, GRID_SAMPLES))
-    a11, a12, a21, a22 = J[:, ok]
+    X, Y = _sample_grid(region, GRID_SAMPLES)
     with np.errstate(all="ignore"):
+        J, raised = _jacobians(m, X, Y)
+        a11, a12, a21, a22 = np.array(J, dtype=float)[:, ~_failed(raised, len(X))]
         dets = (a11 * a22 - a12 * a21).tolist()
     if not dets:
         return OConditionReport("inconclusive", math.nan, math.nan, 0, 0, 0,

@@ -5,7 +5,8 @@ the hand-written built-in steps and Jacobians that their expression form
 replaced, independent vectorized re-implementations of the built-in
 recurrences used as brute-force oracles (they deliberately bypass the
 library code paths they are checking), the plain scalar orbit loops
-that curves compiles per map, the scalar column solver,
+that curves compiles per map, the scalar column solver, the probe scan's
+row loop and the column positions' sorted set that array code replaced,
 unstable-curve trace, Newton search, boundary-endpoint check and
 competitivity check the lockstep ones replaced, the step-keyed Taylor ray
 fit that the one-array fit replaced, the per-cell raster writers and
@@ -13,6 +14,7 @@ readers that the array ones replaced, a map-evaluation counter,
 and the orbit and quadrant predicates that only tests use as oracles."""
 
 import math
+import sys
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -468,6 +470,26 @@ def column_probes(fp, slope, cx, window, curve_tol, probes=PROBES):
     return ys
 
 
+def column_positions(window, fpx, columns):
+    """curves._column_positions as a sorted set of Python floats, each
+    geometric offset a Python ** power."""
+    x0 = min(max(fpx, window.x_lo), window.x_hi)
+    xs = {fpx} if window.x_lo <= fpx <= window.x_hi else set()
+    spans = (x0 - window.x_lo, window.x_hi - x0)
+    for side, span in enumerate(spans):
+        if span <= 0:
+            continue
+        n_side = max(2, round(columns * span / (spans[0] + spans[1])))
+        sign = -1.0 if side == 0 else 1.0
+        n_uni = n_side // 2
+        n_geo = n_side - n_uni
+        xs.update(x0 + sign * span * (i + 0.5) / n_uni for i in range(n_uni))
+        xs.update(x0 + sign * (span if n_geo == 1 else
+                               span * curves.THETA_MIN ** (1.0 - i / (n_geo - 1)))
+                  for i in range(n_geo))
+    return sorted(xs)
+
+
 def solve_column(m, fp, slope, cx, window, curve_tol, probes, sopts):
     """Locate the curve ordinate in one column; returns (y, flag) or (None, flag)."""
     ys = column_probes(fp, slope, cx, window, curve_tol, probes)
@@ -511,11 +533,68 @@ def solve_column(m, fp, slope, cx, window, curve_tol, probes, sopts):
 
 def solve_columns_one_by_one(m, fp, slope, cxs, window, curve_tol, sopts,
                              guided=False, rate=None):
-    """Drop-in for curves._solve_columns that runs solve_column per column:
-    the linear scan whether or not the order licence holds, and without an
-    exit-rate gap."""
+    """curves._solve_columns' columns, as column_pairs gives them, from
+    solve_column per column: the linear scan whether or not the order
+    licence holds, and without an exit-rate gap."""
     return [solve_column(m, fp, slope, cx, window, curve_tol, PROBES, sopts)
             for cx in cxs]
+
+
+def scan_rows(V, P):
+    """curves._scan as the probe scan was written before it: one round per
+    probe index over the columns still scanning, and a plus above a minus
+    sought row by row."""
+    n = len(V)
+    lo, hi, y = np.full((3, n), math.nan)
+    ilo, ihi = np.zeros((2, n), dtype=int)
+    j = np.arange(n)  # the columns still scanning
+    for i in range(P.shape[1]):
+        codes, py = V[j, i], P[j, i]
+        band = codes == LABEL_CODES["band"]
+        plus, minus = codes == LABEL_CODES["plus"], codes == LABEL_CODES["minus"]
+        closed = minus & ~np.isnan(lo[j])
+        y[j[band]] = py[band]
+        lo[j[plus]], ilo[j[plus]] = py[plus], i
+        hi[j[minus]], ihi[j[minus]] = py[minus], i
+        j = j[~(band | closed)]
+    inverted = False
+    for row in V.tolist():
+        seen_minus = False
+        for code in row:
+            inverted |= seen_minus and code == LABEL_CODES["plus"]
+            seen_minus |= code == LABEL_CODES["minus"]
+    return lo, hi, y, ilo, ihi, inverted
+
+
+def spy_bisection(monkeypatch, record):
+    """Patch curves._sided so that every call curves._bisect makes passes
+    its points to record(xs, ys) first; the probe and location calls of
+    _solve_columns and _locate, told apart by the calling frame, do not."""
+    sided = curves._sided
+
+    def spy(m, xs, ys, *rest):
+        if sys._getframe(1).f_code.co_name == "_bisect":
+            record(xs, ys)
+        return sided(m, xs, ys, *rest)
+
+    monkeypatch.setattr(curves, "_sided", spy)
+
+
+def column_pairs(result):
+    """curves._solve_columns' (y, flags) as one (y, flag) or (None, flag)
+    pair per column, as solve_column returns them; None stays None."""
+    if result is None:
+        return None
+    y, flags = result
+    return [(None if math.isnan(v) else v, flag) for v, flag in zip(y.tolist(), flags)]
+
+
+def solved_one_by_one(*args):
+    """Drop-in for curves._solve_columns: solve_columns_one_by_one in its
+    (y, flags) form."""
+    pairs = solve_columns_one_by_one(*args)
+    return (np.array([math.nan if y is None else y for y, _flag in pairs]),
+            [flag for _y, flag in pairs])
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,10 @@ from compmap.curves import (BATCH_HANDOFF, LABEL_CODES, classify_batch,
                             label_code, locate_ordinate)
 from compmap.planarmap import PlanarMap
 import helpers
-from helpers import (column_probes, limit_orbit, linear_saddle_step,
+from helpers import (column_pairs, column_probes, limit_orbit, linear_saddle_step,
                      scalar_classify_side, scalar_limit_equilibrium,
-                     scalar_trace_unstable_curve, solve_columns_one_by_one, wall_map)
+                     scalar_trace_unstable_curve, solve_columns_one_by_one,
+                     solved_one_by_one, spy_bisection, wall_map)
 
 QUADRANT = Rect(0.0, math.inf, 0.0, math.inf)
 
@@ -349,6 +350,40 @@ def test_probe_matrix_matches_the_per_column_lists(fp, slope, curve_tol, window,
         assert all(math.isnan(v) for v in row[len(col):])
 
 
+@settings(max_examples=200, deadline=None)
+@given(x_lo=st.floats(-5.0, 5.0), width=st.floats(1e-6, 10.0),
+       at=st.one_of(st.floats(-0.2, 1.2), st.sampled_from([0.0, 1.0])),
+       columns=st.integers(1, 1000))
+def test_column_positions_match_the_sorted_set(x_lo, width, at, columns):
+    # the array form keeps every abscissa's bits, Python's ** powers included
+    w = Rect(x_lo, x_lo + width, 0.0, 1.0)
+    fpx = w.x_lo + at * width
+    got = curves._column_positions(w, fpx, columns).tolist()
+    assert [x.hex() for x in got] == [x.hex() for x in helpers.column_positions(
+        w, fpx, columns)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 40), probes=st.integers(1, 19))
+def test_probe_scan_matches_the_row_loop(data, rows, probes):
+    # drawn verdicts of all five codes over ascending ordinates, each row
+    # NaN-padded (and undecided) past its own probe count as _probe_matrix
+    # pads it: the whole-matrix scan reads what the loop over probe indices
+    # read, field by field, and finds a plus above a minus where it did
+    code = st.integers(0, len(curves.LABEL_NAMES) - 1)
+    V = np.array(data.draw(st.lists(st.lists(code, min_size=probes, max_size=probes),
+                                    min_size=rows, max_size=rows)), dtype=np.uint8)
+    counts = np.array(data.draw(st.lists(st.integers(1, probes), min_size=rows,
+                                         max_size=rows)))
+    P = np.arange(rows * probes, dtype=float).reshape(rows, probes) / probes
+    pad = np.arange(probes) >= counts[:, None]
+    P[pad], V[pad] = math.nan, curves._UNDECIDED
+    got, want = curves._scan(V, P), helpers.scan_rows(V, P)
+    for g, w in zip(got[:5], want[:5]):
+        assert g.dtype.kind == w.dtype.kind and np.array_equal(g, w, equal_nan=True)
+    assert got[5] is want[5]
+
+
 # ---------------------------------------------------------------------------
 # (c) raster == a scalar_classify_side loop over the cell centers
 
@@ -459,7 +494,7 @@ def test_demo_raster_bytes_pinned():
 def _oracle(fn, *args):
     """fn(*args) with trace_stable_curve's columns solved one by one."""
     saved = curves._solve_columns
-    curves._solve_columns = solve_columns_one_by_one
+    curves._solve_columns = solved_one_by_one
     try:
         return fn(*args)
     finally:
@@ -545,7 +580,7 @@ def test_lockstep_columns_match_on_odd_verdicts():
     w = Rect(-1.0, 0.0, -1.0, 0.0)
     cxs = [-0.95, -0.9, -0.8, -0.7, -0.6, -0.55]
     sopts = SideOptions(epsilon_margin=1e-12, max_iter=10)
-    got = curves._solve_columns(m, fp, 1.0, cxs, w, 1e-8, sopts)
+    got = column_pairs(curves._solve_columns(m, fp, 1.0, cxs, w, 1e-8, sopts))
     want = solve_columns_one_by_one(m, fp, 1.0, cxs, w, 1e-8, sopts)
     assert got == want
     assert {flag for _, flag in got} == {"no_bracket:mixed", "undecided_probe"}
@@ -586,12 +621,8 @@ def test_two_level_bisection_stops_where_the_serial_loop_stops(band_y, raising,
     sopts = SideOptions(epsilon_margin=1e-12, max_iter=10)
     sizes = []
 
-    def spy(*args):
-        sizes.append(len(args[1]))
-        return classify_batch(*args)
-
-    monkeypatch.setattr(curves, "classify_batch", spy)
-    got = curves._solve_columns(m, fp, 1.0, cxs, w, 1e-8, sopts)
+    spy_bisection(monkeypatch, lambda xs, ys: sizes.append(len(xs)))
+    got = column_pairs(curves._solve_columns(m, fp, 1.0, cxs, w, 1e-8, sopts))
     assert got == solve_columns_one_by_one(m, fp, 1.0, cxs, w, 1e-8, sopts)
     assert 3 * len(cxs) in sizes  # a call classified both next midpoints
     hit = [got[i] for i, x in enumerate(cxs) if x < -0.8]
@@ -623,7 +654,7 @@ def test_licensed_scan_stops_before_a_band_probe_past_its_minus():
     w = Rect(-1.0, 0.0, -1.0, 0.0)
     cxs = [-0.95 + 0.025 * i for i in range(32)]
     sopts = SideOptions(epsilon_margin=1e-12, max_iter=10)
-    got = curves._solve_columns(m, fp, 1.0, cxs, w, 1e-8, sopts)
+    got = column_pairs(curves._solve_columns(m, fp, 1.0, cxs, w, 1e-8, sopts))
     assert got == solve_columns_one_by_one(m, fp, 1.0, cxs, w, 1e-8, sopts)
 
 
@@ -671,8 +702,8 @@ def test_licensed_scan_returns_a_band_probe(trace_cases):
     slope = rec.eigen.v_lam.y / rec.eigen.v_lam.x
     cxs = [fp.x - 0.01, fp.x, fp.x + 0.01]
     sopts = SideOptions(epsilon_margin=1e-6)
-    got = curves._solve_columns(m, fp, slope, cxs, w, 1e-8, sopts, True,
-                                curves._exit_rate(rec.eigen))
+    got = column_pairs(curves._solve_columns(m, fp, slope, cxs, w, 1e-8, sopts, True,
+                                             curves._exit_rate(rec.eigen)))
     assert got == solve_columns_one_by_one(m, fp, slope, cxs, w, 1e-8, sopts)
     assert got[1][1] == "" and abs(got[1][0] - fp.y) <= 1e-6
 
@@ -762,7 +793,7 @@ def _solved(m, fp, slope, cxs, w, curve_tol, sopts, licensed, rate=None):
     got = curves._solve_columns(m, fp, slope, cxs, w, curve_tol, sopts, licensed, rate)
     if got is None:
         got = curves._solve_columns(m, fp, slope, cxs, w, curve_tol, sopts)
-    return got
+    return column_pairs(got)
 
 
 @settings(max_examples=60, deadline=None)
@@ -838,13 +869,9 @@ def test_failed_certification_widens_then_bisects(trace_cases, fails,
 
     asked = set()
 
-    def spy(m, xs, ys, fp, sopts):
-        asked.update(zip(xs.tolist(), ys.tolist()))
-        return classify_batch(m, xs, ys, fp, sopts)
-
     monkeypatch.setattr(curves, "_locate", off_locate)
-    monkeypatch.setattr(curves, "classify_batch", spy)
-    got = curves._solve_columns(m, fp, slope, cxs, w, tol, sopts, True)
+    spy_bisection(monkeypatch, lambda xs, ys: asked.update(zip(xs.tolist(), ys.tolist())))
+    got = column_pairs(curves._solve_columns(m, fp, slope, cxs, w, tol, sopts, True))
     assert got == solve_columns_one_by_one(m, fp, slope, cxs, w, tol, sopts)
     assert len(estimates) > len(cxs) // 2
     for x, e in estimates:
@@ -858,7 +885,7 @@ def test_failed_certification_widens_then_bisects(trace_cases, fails,
 def test_guided_bisection_is_one_call_with_its_audit(trace_cases, case, monkeypatch):
     # the benchmark-shaped traces certify every column's first band in the
     # call that classifies the band's bisection subtree, so _bisect makes one
-    # classify_batch call; in it an audited column classifies every midpoint
+    # _sided call; in it an audited column classifies every midpoint
     # its bisection visits, the ones its band implies too, while the other
     # columns leave implied midpoints unclassified
     m, rec, w, opts = trace_cases[case]
@@ -868,14 +895,11 @@ def test_guided_bisection_is_one_call_with_its_audit(trace_cases, case, monkeypa
     sopts = curves._bisect_options(m, opts)
     asked = []
 
-    def spy(m, xs, ys, fp, sopts):
-        asked.append(set(zip(xs.tolist(), ys.tolist())))
-        return classify_batch(m, xs, ys, fp, sopts)
-
-    monkeypatch.setattr(curves, "classify_batch", spy)
-    got = curves._solve_columns(m, fp, slope, cxs, w, opts.curve_tol, sopts, True,
-                                curves._exit_rate(rec.eigen))
-    assert len(asked) == 1  # the probes go to _sided directly
+    spy_bisection(monkeypatch, lambda xs, ys: asked.append(set(zip(xs.tolist(),
+                                                                  ys.tolist()))))
+    got = column_pairs(curves._solve_columns(m, fp, slope, cxs, w, opts.curve_tol,
+                                             sopts, True, curves._exit_rate(rec.eigen)))
+    assert len(asked) == 1  # one bisection call
     visited = []  # the ordinates a column's scalar bisection classifies
 
     def record(m, p, *rest):
@@ -1011,6 +1035,33 @@ def test_unstable_trace_matches_seed_by_seed_where_orbits_stop(m, steps):
     _same_curve(got, scalar_trace_unstable_curve(m, rec, steps=steps))
     if steps == 40:
         assert got.endpoint_left.kind == got.endpoint_right.kind == "truncated"
+
+
+def _singular_fence_step(x, y):
+    if x > 0.5:
+        raise SingularityError(f"fence at x = {x!r}")
+    return linear_saddle_step(x, y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(["ex5", "wall", "fence"]), steps=st.integers(1, 300),
+       seed_radius=st.floats(1e-6, 1e-2))
+def test_drawn_unstable_traces_match_seed_by_seed(trace_cases, case, steps,
+                                                  seed_radius):
+    # ex5's orbits all go on, so every step appends its images as they are;
+    # at the wall (no batch step) and at the fence (NaN from the batch step,
+    # a SingularityError from the step) seeds end by a raise, and the others
+    # leave the domain and truncate their ends
+    if case == "ex5":
+        m, rec, _w, _opts = trace_cases["ex5_saddle"]
+    else:
+        m = wall_map() if case == "wall" else PlanarMap(
+            name="fence", step=_singular_fence_step, domain=Rect(-1, 1, -1, 1),
+            batch=_fence_batch)
+        rec = find_fixed_point(m, Point2(0.1, 0.05))
+    _same_curve(trace_unstable_curve(m, rec, steps=steps, seed_radius=seed_radius),
+                scalar_trace_unstable_curve(m, rec, steps=steps,
+                                            seed_radius=seed_radius))
 
 
 @pytest.mark.parametrize("error, batch", [

@@ -166,6 +166,45 @@ def test_unstable_trace_without_batch_where_seeds_fail():
     assert _evaluations(m, lambda c: trace_unstable_curve(c, rec, steps=40)) == 1_005
 
 
+def _jacobian_batches(m, run):
+    """The number of points of each batch_jac call run makes on a copy of m."""
+    sizes = []
+
+    def batch_jac(X, Y):
+        sizes.append(X.size)
+        return m.batch_jac(X, Y)
+
+    run(replace(m, batch_jac=batch_jac))
+    return sizes
+
+
+def test_guided_traces_sample_jacobians_in_one_call():
+    # the parts of delta (one at ex1's fixed point on the axis, two at the ex5
+    # saddle) and the order licence's window and domain, 100 samples each
+    ex1 = make_example("ex1").map
+    fp = find_fixed_point(ex1, Point2(1e-9, 1.0))
+    assert _jacobian_batches(ex1, lambda c: trace_stable_curve(
+        c, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions(columns=64))) == [300]
+    sys = make_example("ex5")
+    saddle = find_fixed_point(sys.map, ex5_equilibria(sys.params)[1])
+    assert _jacobian_batches(sys.map, lambda c: trace_stable_curve(
+        c, saddle, Rect(0.0, 1.5, 0.0, 1.5), CurveOptions(columns=64))) == [400]
+
+
+def test_unguided_trace_samples_delta_only():
+    # no order licence at ex4's nonhyperbolic point: its two parts of delta
+    m = make_example("ex4").map
+    fp = find_fixed_point(m, Point2(2.0, 1.0))
+    assert _jacobian_batches(m, lambda c: trace_stable_curve(
+        c, fp, Rect(0.0, 6.0, 0.0, 4.0), CurveOptions(columns=64))) == [200]
+
+
+def test_raster_licence_samples_in_one_call():
+    # the window and the domain
+    assert _jacobian_batches(make_example("ex2").map, lambda c: raster(
+        c, Point2(0.5, 1.0), Rect(0.0, 2.0, 0.0, 3.0), 32, 32)) == [200]
+
+
 def test_competitivity_check_without_batch_jac():
     # one jacobian call per sample, the 20 raising and 16 NaN ones included
     assert _evaluations(patchy_map(), lambda c: check_competitive(

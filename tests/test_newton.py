@@ -12,11 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from compmap import (DEFAULT_PARAMS, EXAMPLE_IDS, Matrix2, NoConvergenceError, PlanarMap,
                      Point2, Rect, SingularityError, check_boundary_endpoint_conditions,
-                     check_competitive, check_O_condition, ex5_equilibria, expr_map,
-                     find_fixed_point, find_period_two, jacobian, make_example)
+                     check_competitive, check_invariant_curve_hypotheses,
+                     check_O_condition, ex5_equilibria, expr_map, find_fixed_point,
+                     find_period_two, jacobian, make_example)
 from compmap import cli
 from compmap.fixedpoints import (_EVAL, _OVERFLOW, _SINGULAR, _STALLED, _boundary_reports,
-                                 _residuals, _solve)
+                                 _curve_hypotheses, _delta_parts, _residuals, _solve)
+from compmap.planarmap import _competitive_reports, _order_licensed
 
 from helpers import (patchy_map, scalar_boundary_report, scalar_check_competitive,
                      scalar_solve)
@@ -310,6 +312,49 @@ def test_check_competitive_matches_the_scalar_loop(name):
         if rep.witness is not None:
             p, j = rep.witness
             assert all(type(v) is float for v in (*p, *j))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(MAPS) + ["patchy"]),
+       boxes=st.lists(st.tuples(st.floats(0.0, 4.0), st.floats(0.05, 3.0),
+                                st.floats(0.0, 4.0), st.floats(0.05, 3.0)),
+                      min_size=1, max_size=4))
+def test_one_jacobian_call_gives_each_regions_report(name, boxes):
+    # a trace samples the parts of delta, then its licence's window and
+    # domain, in one _jacobians call; each region's report is the one the
+    # loop over that region's samples gives, and the hypotheses are those
+    # of the per-part checks
+    m = patchy_map() if name == "patchy" else MAPS[name][0]
+    regions = [Rect(x, x + w, y, y + h) for x, w, y, h in boxes] + [m.domain]
+    assert [repr(r) for r in _competitive_reports(m, regions)] == \
+        [repr(scalar_check_competitive(m, r)) for r in regions]  # NaN != NaN
+    if name == "patchy":
+        return
+    rec, window = find_fixed_point(m, MAPS[name][1]), regions[0]
+    hyp, reports = _curve_hypotheses(m, rec, window, (window, m.domain))
+    parts = [scalar_check_competitive(m, part)
+             for part, _k in _delta_parts(window, *rec.location)]
+    assert hyp.samples == sum(r.samples for r in parts)
+    assert hyp.strongly_competitive == (bool(parts) and hyp.samples > 0
+                                        and all(r.strongly for r in parts))
+    assert hyp == check_invariant_curve_hypotheses(m, rec, window)
+    assert [repr(r) for r in reports] == \
+        [repr(scalar_check_competitive(m, r)) for r in (window, m.domain)]
+
+
+def test_licence_takes_no_domain_report_after_a_failed_window():
+    # the window breaks the weak pattern, so the licence fails there, as the
+    # separate checks did, before the domain's report raises its ValueError
+    def jac(x, y):
+        if x > 6:
+            raise ValueError(f"x = {x!r}")
+        return Matrix2(1.0, 0.5 if x < 1 else -1.0, -1.0, 1.0)
+
+    m = PlanarMap(name="lazy", step=lambda x, y: (x, y), domain=Rect(0, 10, 0, 10),
+                  jac=jac)
+    assert not _order_licensed(m, Rect(0, 2, 0, 2), 100)
+    with pytest.raises(ValueError):
+        check_competitive(m, m.domain)
 
 
 @pytest.mark.parametrize("batch", [False, True])

@@ -2,8 +2,9 @@
 invalid one with ValueError before it evaluates the map: a count must be an
 int (not a bool) and at least its least value, a tolerance a finite real
 (not a bool), > 0 or >= 0. So do the entry points that take a point they
-classify or iterate from, when a coordinate is not finite, and
-classify_batch when its coordinate arrays differ in shape."""
+classify or iterate from, when a coordinate is not finite (classify_side,
+classify_batch and limit_equilibrium included), and classify_batch when its
+coordinate arrays differ in shape."""
 
 import math
 from dataclasses import replace
@@ -160,6 +161,39 @@ def test_non_finite_points_raise_before_any_evaluation(call, name, m):
     box = [0, 0, 0]
     call(counting_map(m, box), 0.5)
     assert box[0] > 0
+
+
+CLASSIFIERS = [
+    pytest.param(lambda c, v: classify_side(c, Point2(v, 1.0), Point2(2.0, 1.0)),
+                 "p", id="classify_side-p"),
+    pytest.param(lambda c, v: classify_side(c, Point2(1.0, 1.0), Point2(v, 1.0)),
+                 "fp", id="classify_side-fp"),
+    pytest.param(lambda c, v: classify_batch(c, [1.0], [1.0], Point2(v, 1.0)),
+                 "fp", id="classify_batch-fp"),
+    pytest.param(lambda c, v: classify_batch(c, [2.5] * 40, [0.5] * 39 + [v],
+                                             Point2(2.0, 1.0)),
+                 "xs and ys", id="classify_batch-ys"),
+    pytest.param(lambda c, v: classify_batch(c, [[v, 2.5]], [[0.5, 0.5]],
+                                             Point2(2.0, 1.0)),
+                 "xs and ys", id="classify_batch-xs"),
+    pytest.param(lambda c, v: limit_equilibrium(c, Point2(v, 1.0)), "p",
+                 id="limit_equilibrium-p"),
+]
+
+
+@pytest.mark.parametrize("call, name", CLASSIFIERS)
+def test_classifiers_refuse_non_finite_points(call, name):
+    # unchecked, classify_side(ex4, (1, 1), (nan, 1)) reads undecided after
+    # 11 iterations and limit_equilibrium(ex1, (nan, 1)) a singularity record
+    for m in (EX4.map, EX1.map):
+        for value in (math.nan, math.inf, -math.inf):
+            box = [0, 0, 0]
+            with pytest.raises(ValueError, match=name):
+                call(counting_map(m, box), value)
+            assert box == [0, 0, 0], (name, value)
+        box = [0, 0, 0]
+        call(counting_map(m, box), 1.5)
+        assert box[0] > 0
 
 
 @pytest.mark.parametrize("n, k", [(2, 1), (40, 3)])

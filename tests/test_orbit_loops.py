@@ -4,7 +4,8 @@ curves._classify_quadrant and curves._limit_orbit run one loop text each,
 compiled with an expression map's statements written in, or as it stands
 calling any other step. Both must give what the plain loops give, on maps
 whose steps raise (poles, '^' that math.pow rejects, unbound parameters),
-from starts at the poles, at ±0, ±inf, NaN and beyond ESCAPE_BOUND.
+from starts at the poles, at ±0, ±inf, NaN and beyond ESCAPE_BOUND; the
+public classify_side and limit_equilibrium refuse the non-finite starts.
 """
 
 import gc
@@ -76,13 +77,17 @@ def _assert_paths_agree(m, start, n, fp, opts):
         assert _bits(_outcome(lambda: curves._limit_orbit(
             mm.step, x, y, n, opts.conv_tol, opts.max_iter))) == _bits(_outcome(
                 lambda: limit_orbit(m.step, x, y, n, opts.conv_tol, opts.max_iter)))
+        # the public entries refuse a non-finite start before any evaluation
+        finite = all(map(math.isfinite, start))
         assert _bits(_outcome(lambda: limit_equilibrium(
-            mm, start, opts.conv_tol, opts.max_iter))) == _bits(_outcome(
+            mm, start, opts.conv_tol, opts.max_iter))) == (_bits(_outcome(
                 lambda: scalar_limit_equilibrium(m, start, opts.conv_tol, opts.max_iter)))
+                if finite else ValueError)
         for mode in curves.SIDE_MODES:
             o = SideOptions(mode, opts.epsilon_margin, opts.max_iter, opts.conv_tol)
             assert _outcome(lambda: classify_side(mm, start, fp, o)) \
-                == _outcome(lambda: scalar_classify_side(m, start, fp, o))
+                == (_outcome(lambda: scalar_classify_side(m, start, fp, o)) if finite
+                    else ValueError)
 
 
 def _starts(c):
