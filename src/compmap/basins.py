@@ -4,14 +4,14 @@ map T* (which curves defines; limit_equilibrium is re-exported here)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import reduce
 from typing import Mapping, Optional
 
 import numpy as np
 
 from .errors import check_count, check_point, check_tolerance, check_window
-from .geometry import Point2, Rect
+from .geometry import Point2, Rect, record_class
 from .planarmap import PlanarMap, _order_licensed
 from .curves import (_MINUS, _PLUS, _SINGULAR, _UNDECIDED, LABEL_CODES,
                      LABEL_NAMES, SideOptions, _limits_lockstep, _resolve_mode,
@@ -31,7 +31,7 @@ _GRAY_CODE[_GRAY] = np.arange(len(LABEL_NAMES))
 # Rasters
 
 
-@dataclass(frozen=True)
+@record_class
 class BasinRaster:
     """Labeled grid over a bounded window; labels[j][i] is the cell at (i, j).
 
@@ -322,7 +322,7 @@ def load_csv_raster(path: str):
 # Continuity probe for the limiting-equilibrium map
 
 
-@dataclass(frozen=True)
+@record_class
 class ContinuityReport:
     max_gap: float
     argmax: int  # index of the left point of the widest adjacent pair

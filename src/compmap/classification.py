@@ -17,14 +17,13 @@ Case ids:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import HypothesisError, SingularityError, check_count, check_tolerance
 from .fixedpoints import NONHYPERBOLIC_TOL
-from .geometry import Point2, Rect, order_interval, sup_norm
+from .geometry import Point2, Rect, order_interval, record_class, sup_norm
 from .planarmap import PlanarMap
 
 COEFF_TOL = 1e-8
@@ -60,7 +59,7 @@ def is_supersolution(m: PlanarMap, p: Point2) -> bool:
     return p[0] <= fx and p[1] >= fy
 
 
-@dataclass(frozen=True)
+@record_class
 class TaylorRay:
     """Coefficient pairs (c_j, d_j), j = 2..degree, of T(fp + t v) - fp - t v.
 
@@ -150,7 +149,7 @@ def first_nonzero_index(ray: TaylorRay, tol: float = COEFF_TOL) -> Optional[int]
     return None
 
 
-@dataclass(frozen=True)
+@record_class
 class LocalVerdict:
     ell: Optional[int]
     case_id: str
@@ -211,7 +210,7 @@ def classify_nonhyperbolic(ray: TaylorRay) -> LocalVerdict:
 # Concrete order intervals and orbit checks
 
 
-@dataclass(frozen=True)
+@record_class
 class OrderInterval:
     """[[q2_corner, q4_corner]] around a fixed point, corners on the ray fp + t v."""
 

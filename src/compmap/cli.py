@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional
 
 from .errors import (ConstraintError, HypothesisError, MapEvalError,
@@ -30,7 +30,7 @@ from .fixedpoints import (NEWTON_TOL, NONHYPERBOLIC_TOL, FixedPointRecord,
                           check_invariant_curve_hypotheses)
 from .classification import (classify_hyperbolic_ray, classify_nonhyperbolic,
                              taylor_along_eigenvector)
-from .geometry import Point2, Rect
+from .geometry import Point2, Rect, record_class
 from .planarmap import (SIDE_MODES, _sample_grid, check_competitive,
                         check_O_condition, orbit)
 from .systems import (DEFAULT_PARAMS, DESCRIPTIONS, EXAMPLE_IDS, make_example)
@@ -55,7 +55,7 @@ class _CliError(Exception):
 # written in a config file; flags are folded into it.
 
 
-@dataclass(frozen=True)
+@record_class
 class _Opt:
     """One option of a verb, keyed by its flag name with '-' read as '_'.
 

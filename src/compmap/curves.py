@@ -10,7 +10,6 @@ would accumulate drift along the slow direction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import Optional
 
@@ -21,7 +20,7 @@ from .errors import (HypothesisError, NoConvergenceError, SingularityError,
 from .expr import _Compiled, _function
 from .fixedpoints import (NONHYPERBOLIC_TOL, EigenData, FixedPointRecord,
                           _curve_hypotheses)
-from .geometry import Point2, Rect, sup_norm
+from .geometry import Point2, Rect, record_class, sup_norm
 from .planarmap import SIDE_MODES, PlanarMap, _images, _order_licensed
 
 
@@ -32,7 +31,7 @@ from .planarmap import SIDE_MODES, PlanarMap, _images, _order_licensed
 ESCAPE_BOUND = 1e6
 
 
-@dataclass(frozen=True)
+@record_class
 class SideOptions:
     """Options for classify_side.
 
@@ -58,7 +57,7 @@ class SideOptions:
         check_tolerance("conv_tol", self.conv_tol)
 
 
-@dataclass(frozen=True)
+@record_class
 class SideVerdict:
     label: str  # 'minus' | 'plus' | 'band' | 'undecided'
     iterations_used: int
@@ -136,7 +135,7 @@ def quadrant(step, x, y, n, fx, fy, eps, max_iter, x_lo, x_hi, y_lo, y_hi):
 LIMIT_RESIDUAL_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@record_class
 class LimitRecord:
     """T*(start) = T^iterations(start), or limit None with the flag that
     ended the orbit at its iterations-th point."""
@@ -526,7 +525,7 @@ def _limit_codes(X, Y, fp, opts):
 # Monotone curves
 
 
-@dataclass(frozen=True)
+@record_class
 class EndpointLabel:
     kind: str  # 'domain_boundary' | 'fixed_point' | 'period_two_pair' | 'truncated'
     at: Point2
@@ -539,7 +538,7 @@ class EndpointLabel:
         return f"{self.kind}(({self.at.x:.9g}, {self.at.y:.9g}))"
 
 
-@dataclass(frozen=True)
+@record_class
 class MonotoneCurve:
     vertices: tuple
     monotonicity: str  # 'increasing' | 'decreasing'
@@ -630,7 +629,7 @@ def _endpoint_label(m: PlanarMap, e: Point2, region: Rect) -> EndpointLabel:
 # Stable curve tracing
 
 
-@dataclass(frozen=True)
+@record_class
 class CurveOptions:
     """Options for trace_stable_curve.
 

@@ -20,14 +20,13 @@ parentheses) is a ParseError; every transform walks trees of any depth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import MethodType
 from typing import Mapping, Union
 
 import numpy as np
 
 from .errors import ParseError, SingularityError, UnboundParameterError
-from .geometry import Matrix2, Point2, Rect
+from .geometry import Matrix2, Point2, Rect, record_class
 
 DIV_TOL = 1e-12
 
@@ -41,12 +40,12 @@ class Expr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record_class
 class Const(Expr):
     value: float
 
 
-@dataclass(frozen=True)
+@record_class
 class Var(Expr):
     name: str  # 'x' or 'y'
 
@@ -55,18 +54,18 @@ class Var(Expr):
             raise ValueError(f"unknown variable {self.name!r}: use 'x' or 'y'")
 
 
-@dataclass(frozen=True)
+@record_class
 class Param(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@record_class
 class Neg(Expr):
     child: Expr
     op = "neg"  # its key in _OPS, as BinOp.op is
 
 
-@dataclass(frozen=True)
+@record_class
 class BinOp(Expr):
     op: str  # one of + - * / ^
     left: Expr
@@ -87,7 +86,7 @@ ONE = Const(1.0)
 # Tokenizer / parser
 
 
-@dataclass(frozen=True)
+@record_class
 class _Token:
     kind: str  # 'number' | 'ident' | one of + - * / ^ ( ) | 'end'
     text: str

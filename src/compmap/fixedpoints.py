@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -11,7 +10,7 @@ import numpy as np
 from .errors import (DegenerateRootError, NoConvergenceError, SingularityError,
                      check_tolerance)
 from .expr import _pow_array
-from .geometry import Matrix2, Point2, Rect, sup_norm
+from .geometry import Matrix2, Point2, Rect, record_class, sup_norm
 from .planarmap import (_EVAL_ERRORS, PlanarMap, _check_area, _competitive_reports,
                         _images, _jacobians, _sample_grid, jacobian)
 
@@ -22,7 +21,7 @@ NONHYPERBOLIC_TOL = 1e-7  # an eigenvalue (or |eigenvalue|) within this of 1 cou
 REPEATED_EIG_REL_TOL = 1e-12  # discriminant below this * norm^2 counts as repeated
 
 
-@dataclass(frozen=True)
+@record_class
 class EigenData:
     """Eigenvalues ordered by absolute value, with unit eigenvectors.
 
@@ -78,7 +77,7 @@ def eigen2x2(m: Matrix2) -> EigenData:
     return EigenData(lam, mu, _eigvec(m, lam), _eigvec(m, mu), real_distinct=True)
 
 
-@dataclass(frozen=True)
+@record_class
 class FixedPointRecord:
     location: Point2
     kind: str  # 'fixed' | 'period_two'
@@ -126,7 +125,7 @@ def _iterate_ahead(m: PlanarMap, p: Point2) -> Optional[Point2]:
 _EVAL, _SINGULAR, _OVERFLOW, _STALLED, _MAX_ITER = 1, 2, 3, 4, 5
 
 
-@dataclass(frozen=True)
+@record_class
 class _Newton:
     """The outcome of _solve per start i: the root (x[i], y[i]) and its
     sup-norm residual res[i] where code[i] is 0, else the point and residual
@@ -349,7 +348,7 @@ def find_period_two(m: PlanarMap, guess: Point2) -> FixedPointRecord:
 # Invariant-curve hypothesis checking
 
 
-@dataclass(frozen=True)
+@record_class
 class InvariantCurveHypotheses:
     """Verdicts for the invariant-curve existence hypotheses at a fixed point.
 
@@ -470,7 +469,7 @@ def _curve_hypotheses(m: PlanarMap, fp: FixedPointRecord, region: Rect,
 # Boundary-endpoint sufficient conditions
 
 
-@dataclass(frozen=True)
+@record_class
 class BoundaryEndpointReport:
     """Sampled verdicts for the boundary-endpoint sufficient conditions.
 

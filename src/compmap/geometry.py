@@ -7,7 +7,8 @@ The southeast order is the one competitive planar maps preserve:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+from operator import attrgetter
 from typing import NamedTuple
 
 
@@ -42,6 +43,103 @@ def sup_norm(dx: float, dy: float) -> float:
     return max(abs(dx), abs(dy))
 
 
+def record_class(cls):
+    """Make cls a frozen dataclass without generating code for it.
+
+    @dataclass(frozen=True) compiles six methods per class with exec, which
+    costs 0.6-0.8 ms a class; a CLI process imports 25 records, so it paid
+    for that on every start. record_class installs shared functions over
+    the fields with the frozen dataclass's behaviour: __init__ (positional
+    or keyword arguments, default and default_factory, then __post_init__),
+    the dataclass __repr__, __eq__ and __hash__ over the field tuple, and a
+    __setattr__ and __delattr__ that raise FrozenInstanceError. A method the
+    class body defines is kept. dataclass(init=False, repr=False, eq=False)
+    then records the fields, so fields, replace and is_dataclass work.
+
+    The functions go in before dataclass() runs, whose __doc__ for a class
+    without a docstring would otherwise compile tokenize's regex (through
+    inspect.signature of object.__init__). __init__ writes each field with
+    object.__setattr__: touching self.__dict__ would make the instance's
+    dict and slow every later attribute read on it.
+    """
+    setattr_ = object.__setattr__
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > n:
+            raise TypeError(f"{cls.__qualname__}() takes {n} positional arguments "
+                            f"but {len(args)} were given")
+        for name, value in zip(names, args):
+            setattr_(self, name, value)
+        if kwargs or len(args) < n:
+            for name in names[len(args):]:
+                if name in kwargs:
+                    value = kwargs.pop(name)
+                elif name in defaults:
+                    value = defaults[name]
+                elif name in factories:
+                    value = factories[name]()
+                else:
+                    raise TypeError(f"{cls.__qualname__}() missing required "
+                                    f"argument: {name!r}")
+                setattr_(self, name, value)
+            for name in kwargs:
+                raise TypeError(f"{cls.__qualname__}() got multiple values for argument "
+                                f"{name!r}" if name in names else
+                                f"{cls.__qualname__}() got an unexpected keyword "
+                                f"argument {name!r}")
+        if post_init:
+            self.__post_init__()
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in shown) + ")"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return compared(self) == compared(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(hashed(self))
+
+    def __setattr__(self, name, value):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        super(cls, self).__delattr__(name)
+
+    for fn in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
+        if fn.__name__ not in cls.__dict__:
+            fn.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"
+            setattr(cls, fn.__name__, fn)
+    dataclass(init=False, repr=False, eq=False)(cls)
+    # the closures above read these names, bound once dataclass() has
+    # collected the fields
+    fs = fields(cls)
+    names = tuple(f.name for f in fs)
+    n = len(names)
+    defaults = {f.name: f.default for f in fs if f.default is not MISSING}
+    factories = {f.name: f.default_factory for f in fs if f.default_factory is not MISSING}
+    post_init = hasattr(cls, "__post_init__")
+    shown = tuple(f.name for f in fs if f.repr)
+    compared = _tuple_getter(tuple(f.name for f in fs if f.compare))
+    hashed = _tuple_getter(tuple(f.name for f in fs
+                                 if (f.compare if f.hash is None else f.hash)))
+    return cls
+
+
+def _tuple_getter(names: tuple):
+    """obj -> the tuple of its attributes `names` (attrgetter would give a
+    bare value for one name)."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    return lambda obj: tuple(getattr(obj, name) for name in names)
+
+
 class Matrix2(NamedTuple):
     a11: float
     a12: float
@@ -62,7 +160,7 @@ class Matrix2(NamedTuple):
         return max(abs(self.a11) + abs(self.a12), abs(self.a21) + abs(self.a22))
 
 
-@dataclass(frozen=True)
+@record_class
 class Rect:
     """Cartesian product of two intervals; +-inf allowed at outer ends."""
 

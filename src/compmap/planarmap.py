@@ -20,13 +20,14 @@ caller decides what a raise means to it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import random
+from dataclasses import field
 from typing import Callable, Mapping, Optional
 
 import numpy as np
 
 from .errors import DomainError, SingularityError, check_count, check_tolerance
-from .geometry import DEFAULT_SAMPLING_WINDOW, Matrix2, Point2, Rect
+from .geometry import DEFAULT_SAMPLING_WINDOW, Matrix2, Point2, Rect, record_class
 
 FD_STEP = 1e-6
 GRID_SAMPLES = 100  # Jacobian samples of the competitivity and orientation checks
@@ -39,7 +40,7 @@ _EVAL_ERRORS = (SingularityError, DomainError, OverflowError, ZeroDivisionError)
 SIDE_MODES = ("quadrant_escape", "limit_equilibrium")
 
 
-@dataclass(frozen=True)
+@record_class
 class PlanarMap:
     name: str
     step: Callable[[float, float], tuple]
@@ -138,7 +139,7 @@ def _failed(raised: dict, n: int) -> np.ndarray:
 # Orbits
 
 
-@dataclass(frozen=True)
+@record_class
 class Orbit:
     points: tuple
     terminated_by: str  # 'max_iter' | 'escape' | 'convergence' | 'singularity'
@@ -218,7 +219,7 @@ def _sample_grid(region: Rect, samples: int) -> tuple:
     return xs.repeat(k), ys[None, :].repeat(k, axis=0).ravel()
 
 
-@dataclass(frozen=True)
+@record_class
 class CompetitivityReport:
     competitive: bool
     strongly: bool
@@ -316,7 +317,7 @@ def _order_licensed(m: PlanarMap, window: Rect, points: int, reports=None) -> bo
     return bool(np.all((d.x_lo <= X) & (X <= d.x_hi) & (d.y_lo <= Y) & (Y <= d.y_hi)))
 
 
-@dataclass(frozen=True)
+@record_class
 class OConditionReport:
     verdict: str  # 'O_plus' | 'O_minus' | 'inconclusive'
     det_min: float
@@ -334,10 +335,12 @@ def check_O_condition(m: PlanarMap, region: Rect, pairs: int = 10_000,
     O_plus when every sampled det > DET_TOL and no random pair of distinct
     points maps to images within COLLISION_TOL; O_minus for uniformly
     negative determinants; inconclusive on mixed signs or a probe collision.
-    The probe maps all pairs with two _images calls and drops the pairs
-    with a failed image (see _failed), so the counts equal a per-pair step
-    loop's. pairs must be an int >= 1, seed an int >= 0, and region have a
-    positive width and height.
+    The probe's pairs are uniform in the sampled region, drawn from
+    random.Random(seed).randbytes, so a seed reproduces them. It maps all
+    pairs with two _images calls and drops the pairs with a failed image
+    (see _failed), so the counts equal a per-pair step loop's. pairs must
+    be an int >= 1, seed an int >= 0, and region have a positive width and
+    height.
     """
     check_count("pairs", pairs)
     check_count("seed", seed, 0)
@@ -360,11 +363,12 @@ def check_O_condition(m: PlanarMap, region: Rect, pairs: int = 10_000,
                                 "mixed or vanishing determinant signs")
 
     r = _sampled_region(region)
-    rng = np.random.default_rng(seed)
-    ax = rng.uniform(r.x_lo, r.x_hi, pairs)
-    ay = rng.uniform(r.y_lo, r.y_hi, pairs)
-    bx = rng.uniform(r.x_lo, r.x_hi, pairs)
-    by = rng.uniform(r.y_lo, r.y_hi, pairs)
+    lo = np.array([[r.x_lo], [r.y_lo], [r.x_lo], [r.y_lo]])
+    hi = np.array([[r.x_hi], [r.y_hi], [r.x_hi], [r.y_hi]])
+    # 53-bit uniforms in [0, 1) from random.Random, which numpy has already
+    # imported; np.random would cost an analyze process ~10 ms of imports
+    u = np.frombuffer(random.Random(seed).randbytes(32 * pairs), dtype="<u8")
+    ax, ay, bx, by = lo + (hi - lo) * ((u.reshape(4, pairs) >> 11) * 2.0 ** -53)
     with np.errstate(all="ignore"):
         (pax, pay), raised_a = _images(m, ax, ay)
         (pbx, pby), raised_b = _images(m, bx, by)

@@ -17,7 +17,6 @@ continua describe one-parameter families of equilibria where they exist.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping, Optional
 
@@ -26,7 +25,7 @@ import numpy as np
 from .errors import ConstraintError, check_count
 from .expr import _planar_map, parse
 from .fixedpoints import _record
-from .geometry import Point2, Rect, sup_norm
+from .geometry import Point2, Rect, record_class, sup_norm
 from .planarmap import FD_STEP, PlanarMap, jacobian
 
 _POS_QUADRANT = Rect(0.0, math.inf, 0.0, math.inf)
@@ -55,7 +54,7 @@ DEFAULT_PARAMS = {
 }
 
 
-@dataclass(frozen=True)
+@record_class
 class Fixture:
     point: Point2
     eigenvalues: tuple  # (lam, mu), |lam| <= |mu|
@@ -63,7 +62,7 @@ class Fixture:
     note: str = ""
 
 
-@dataclass(frozen=True)
+@record_class
 class Continuum:
     t_lo: float
     t_hi: float
@@ -73,7 +72,7 @@ class Continuum:
     note: str = ""
 
 
-@dataclass(frozen=True)
+@record_class
 class ExampleSystem:
     id: str
     params: Mapping[str, float]
@@ -301,7 +300,7 @@ def sweep_continuum(sys: ExampleSystem, n: int) -> list:
 # ex5 critical curves and the two-equilibria instance
 
 
-@dataclass(frozen=True)
+@record_class
 class Ex5Curves:
     """The two critical curves whose intersections are the ex5 equilibria."""
 
@@ -441,7 +440,7 @@ def _leftmost_local_min(cur: Ex5Curves):
     return x, cur.gap(x)
 
 
-@dataclass(frozen=True)
+@record_class
 class Ex5TwoEquilibria:
     system: ExampleSystem
     nonhyperbolic: Point2

@@ -40,6 +40,20 @@ def test_analyze_loads_neither_curves_nor_basins():
     assert not loaded & {"compmap.curves", "compmap.basins"}
 
 
+def test_analyze_loads_no_numpy_random():
+    # the O-condition probe draws its pairs from the standard library's random
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = ("import sys; from compmap.cli import main; "
+            "rc = main(['analyze', '--example', 'ex4']); "
+            "print(rc, 'numpy.random' in sys.modules, file=sys.stderr)")
+    err = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stderr
+    assert err.splitlines()[-1] == "0 False"
+
+
 @pytest.mark.parametrize("argv, unbuffered", [
     (["analyze", "--example", "ex5"], True),  # print's second write raises
     (["analyze", "--example", "ex5"], False),  # the flush at exit would raise

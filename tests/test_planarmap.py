@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 from dataclasses import replace
 
@@ -237,8 +238,10 @@ def test_O_probe_counts_pairs_like_the_scalar_loop(with_batch):
                   jac=lambda x, y: Matrix2(0.5, 0.1, 0.1, 0.5),
                   batch=batch if with_batch else None)
     rep = check_O_condition(m, Rect(0, 1, 0, 1), pairs=4000, seed=3)
-    rng = np.random.default_rng(3)
-    ax, ay, bx, by = (rng.uniform(0.0, 1.0, 4000) for _ in range(4))
+    # the probe's draw: 4 x 4000 53-bit uniforms from random.Random(seed), in
+    # the rows ax, ay, bx, by, scaled to the region (here the unit square)
+    u = np.frombuffer(random.Random(3).randbytes(32 * 4000), dtype="<u8")
+    ax, ay, bx, by = (u.reshape(4, 4000) >> 11) * 2.0 ** -53
     corner = lambda x, y: (x > 0.8) & (y > 0.8)
     want = ~corner(ax, ay) & ~corner(bx, by) \
         & (np.maximum(np.abs(ax - bx), np.abs(ay - by)) >= 1e-7)
