@@ -238,14 +238,14 @@ def _int64s(values, what: str) -> np.ndarray:
         raise ValueError(f"a {what} in the raster file lies beyond int64") from None
 
 
-def _header_size(meta: dict, key: str) -> int:
-    """meta[key] as a positive int; ValueError naming key otherwise."""
+def _header_size(key: str, text: str) -> int:
+    """The header size text as a positive int; ValueError naming key otherwise."""
     try:
-        n = int(meta[key])
+        n = int(text)
     except ValueError:
         n = 0
     if n < 1:
-        raise ValueError(f"header {key}={meta[key].strip()} is not a positive integer")
+        raise ValueError(f"header {key}={text.strip()} is not a positive integer")
     return n
 
 
@@ -253,9 +253,10 @@ def load_pgm(path: str):
     """Read back a raster_to_pgm file; returns (labels, meta), labels of shape
     (ny, nx) with row j = 0 the file's last (lowest y) row.
 
-    Raises ValueError for a file that is not a P2 PGM, one whose maxval is
-    not 255 (the one raster_to_pgm writes) or whose pixel count is not
-    nx*ny, and for a gray level that is not in PGM_GRAY.
+    Raises ValueError for a file that is not a P2 PGM, one whose nx or ny is
+    not a positive integer, whose maxval is not 255 (the one raster_to_pgm
+    writes) or whose pixel count is not nx*ny, and for a gray level that is
+    not in PGM_GRAY.
     """
     meta = {}
     with open(path) as fh:
@@ -267,7 +268,8 @@ def load_pgm(path: str):
     if int(maxval) != 255:
         raise ValueError(f"PGM maxval {maxval} is not 255, the one raster_to_pgm "
                          f"writes")
-    nx, ny, grays = int(nx), int(ny), _int64s(grays, "gray level")
+    nx, ny = _header_size("nx", nx), _header_size("ny", ny)
+    grays = _int64s(grays, "gray level")
     if grays.size != nx * ny:
         raise ValueError(f"PGM holds {grays.size} pixels, not nx*ny = {nx}*{ny}")
     unknown = ~np.isin(grays, _GRAY)
@@ -281,7 +283,8 @@ def load_csv_raster(path: str):
     the label code of the line 'i,j,x,y,label' (x and y are not read).
 
     The grid is meta's nx by ny when the file records them, else it spans
-    the largest i and j. Raises ValueError for a header nx or ny that is not
+    the largest i and j (and cell (0, 0), so a file without cells is
+    refused as missing it). Raises ValueError for a header nx or ny that is not
     a positive integer, an index beyond int64, an unknown label, a cell
     outside that grid, and a grid cell that is missing or repeated; the grid
     is allocated only once the cell lines fill it.
@@ -298,7 +301,7 @@ def load_csv_raster(path: str):
                 raise ValueError(f"unknown label {label!r} in CSV raster")
             cells.append((int(i), int(j), LABEL_CODES[label]))
     i, j, codes = _int64s(cells, "cell index").reshape(-1, 3).T
-    nx, ny = (_header_size(meta, k) if k in meta else int(a.max(initial=-1) + 1)
+    nx, ny = (_header_size(k, meta[k]) if k in meta else int(a.max(initial=0) + 1)
               for k, a in (("nx", i), ("ny", j)))
     outside = (i < 0) | (i >= nx) | (j < 0) | (j >= ny)
     if outside.any():

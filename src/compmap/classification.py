@@ -21,7 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import HypothesisError, SingularityError, check_count, check_tolerance
+from .errors import (HypothesisError, SingularityError, check_count, check_point,
+                     check_tolerance)
 from .fixedpoints import NONHYPERBOLIC_TOL
 from .geometry import Point2, Rect, order_interval, record_class, sup_norm
 from .planarmap import PlanarMap
@@ -101,12 +102,14 @@ def taylor_along_eigenvector(m: PlanarMap, fp: Point2, v: Point2,
     ill-conditioning (a fit that is not finite, or one with a sample point
     that rounds to fp, is flagged too). h is the largest ray offset; much
     below 0.05 the degree-4 coefficient drowns in rounding noise (error ~
-    eps/h^4), and an h whose powers overflow raises ValueError. Requires
-    |T(fp) - fp| < 1e-10; warns when the measured eigenvalue along v is not
+    eps/h^4), and an h whose powers overflow raises ValueError. fp and v
+    must be finite, and |T(fp) - fp| < 1e-10; warns when the measured eigenvalue along v is not
     within NONHYPERBOLIC_TOL of 1.
     """
     check_count("degree", degree, 2, 4)
     check_tolerance("step h", h)
+    check_point("fp", fp)
+    check_point("v", v)
     fx, fy = m.step(fp[0], fp[1])
     if not sup_norm(fx - fp[0], fy - fp[1]) <= 1e-10:
         raise ValueError(f"({fp[0]:.6g}, {fp[1]:.6g}) is not a fixed point to "
@@ -241,8 +244,10 @@ def find_order_interval(m: PlanarMap, fp: Point2, v: Point2,
 
     The corners fp + t v must satisfy the sub/supersolution inequality the
     verdict requires at each end; the largest workable |t| from ORDER_OFFSETS
-    is kept.
+    is kept. fp and v must be finite.
     """
+    check_point("fp", fp)
+    check_point("v", v)
     if case_id not in _END_KIND:
         raise ValueError(f"no order interval for case {case_id!r}")
     v = Point2(*v).unit()

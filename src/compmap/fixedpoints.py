@@ -8,15 +8,16 @@ from typing import Optional
 import numpy as np
 
 from .errors import (DegenerateRootError, NoConvergenceError, SingularityError,
-                     check_tolerance)
+                     check_point, check_tolerance)
 from .expr import _pow_array
-from .geometry import Matrix2, Point2, Rect, record_class, sup_norm
+from .geometry import Matrix2, Point2, Rect, record_class
 from .planarmap import (_EVAL_ERRORS, PlanarMap, _check_area, _competitive_reports,
                         _images, _jacobians, _sample_grid, jacobian)
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 100
 MAX_HALVINGS = 20
+RESTART_STEPS = 50  # plain map steps a singular Newton matrix restarts after
 NONHYPERBOLIC_TOL = 1e-7  # an eigenvalue (or |eigenvalue|) within this of 1 counts as 1
 REPEATED_EIG_REL_TOL = 1e-12  # discriminant below this * norm^2 counts as repeated
 
@@ -87,40 +88,6 @@ class FixedPointRecord:
     residual: float
 
 
-def _residual(m: PlanarMap, p: Point2, k: int, target: Optional[Point2]) -> Point2:
-    """T^k(p) - target, with target None meaning p."""
-    x, y = p
-    for _ in range(k):
-        x, y = m.step(x, y)
-    t = p if target is None else target
-    return Point2(x - t.x, y - t.y)
-
-
-def _dt(m: PlanarMap, p: Point2, k: int) -> Matrix2:
-    """DT^k(p), by the chain rule along the orbit of p."""
-    j = jacobian(m, p)
-    for _ in range(k - 1):
-        p = Point2(*m.step(p.x, p.y))
-        a = jacobian(m, p)
-        j = Matrix2(a.a11 * j.a11 + a.a12 * j.a21, a.a11 * j.a12 + a.a12 * j.a22,
-                    a.a21 * j.a11 + a.a22 * j.a21, a.a21 * j.a12 + a.a22 * j.a22)
-    return j
-
-
-def _iterate_ahead(m: PlanarMap, p: Point2) -> Optional[Point2]:
-    """The 50th iterate of p, or None if the orbit breaks down or stays put."""
-    x, y = p
-    for _ in range(50):
-        try:
-            x, y = m.step(x, y)
-        except SingularityError:
-            return None
-        if not (math.isfinite(x) and math.isfinite(y)):
-            return None
-    q = Point2(x, y)
-    return q if q.dist_inf(p) > 0 else None
-
-
 # Why a lockstep Newton search gave up on a start (_Newton.code; 0: converged)
 _EVAL, _SINGULAR, _OVERFLOW, _STALLED, _MAX_ITER = 1, 2, 3, 4, 5
 
@@ -157,8 +124,8 @@ class _Newton:
 
 
 def _residuals(m: PlanarMap, X, Y, k: int, TX, TY) -> tuple:
-    """_residual on arrays, NaN where it raises, and per start what it
-    raises (the first raise along the orbit)."""
+    """T^k(X, Y) - (TX, TY), NaN where evaluating it raises, and per start
+    what it raises (the first raise along the orbit)."""
     raised = {}
     for _ in range(k):
         (X, Y), r = _images(m, X, Y)
@@ -169,8 +136,9 @@ def _residuals(m: PlanarMap, X, Y, k: int, TX, TY) -> tuple:
 
 
 def _dts(m: PlanarMap, X, Y, k: int) -> tuple:
-    """_dt on arrays, as entry arrays (a11, a12, a21, a22), and per start
-    what it raises (the first raise along the orbit)."""
+    """DT^k(X, Y) by the chain rule along the orbit, as entry arrays (a11,
+    a12, a21, a22), and per start what it raises (the first raise along the
+    orbit)."""
     j, raised = _jacobians(m, X, Y)
     for _ in range(k - 1):
         (X, Y), ri = _images(m, X, Y)
@@ -189,11 +157,13 @@ def _solve(m: PlanarMap, X, Y, k: int = 1, target: Optional[tuple] = None,
 
     Each step is halved until the sup-norm residual decreases; a candidate
     at which the map raises a map error (_EVAL_ERRORS) is no decrease. With
-    fallback, a singular Newton matrix restarts from _iterate_ahead before
-    the search is abandoned. Every start follows the arithmetic of a scalar
-    search from it, so roots and residuals are those of one, and anything
-    else the map raises ends the start's search; each Newton iteration and
-    each halving round is one batch call over the starts still in it.
+    fallback, a start whose Newton matrix is singular restarts from its
+    RESTART_STEPS-th plain iterate, unless the orbit meets a SingularityError
+    or a non-finite point, or stays put, on the way (the start then ends as
+    singular). Every start follows the arithmetic of a scalar search from it,
+    so roots and residuals are those of one, and anything else the map raises
+    ends the start's search; each Newton iteration, each halving round and
+    each step of the restart is one batch call over the starts still in it.
     """
     X = np.array(X, dtype=float)
     Y = np.array(Y, dtype=float)
@@ -223,20 +193,29 @@ def _solve(m: PlanarMap, X, Y, k: int = 1, target: Optional[tuple] = None,
             square = _pow_array(scale, 2.0, overflow)  # the bits of scale ** 2
             singular = np.abs(det) < 1e-14 * square
             code[idx[overflow & (code[idx] == 0)]] = _OVERFLOW
-            for i in idx[singular & (code[idx] == 0)].tolist():
-                p = Point2(float(X[i]), float(Y[i]))
-                aim = None if target is None else Point2(float(TX[i]), float(TY[i]))
-                try:
-                    q = _iterate_ahead(m, p) if fallback else None
-                    f = None if q is None else _residual(m, q, k, aim)
-                except Exception as e:
-                    code[i], raised[i] = _EVAL, e
-                    continue
-                if f is None:
-                    code[i] = _SINGULAR
-                else:
-                    X[i], Y[i], FX[i], FY[i] = q.x, q.y, f.x, f.y
-                    res[i] = sup_norm(f.x, f.y)
+            s = idx[singular & (code[idx] == 0)]
+            code[s] = _SINGULAR
+            if fallback and s.size:
+                qx, qy = X[s], Y[s]
+                for _ in range(RESTART_STEPS):
+                    if not s.size:
+                        break
+                    (qx, qy), r = _images(m, qx, qy)
+                    for n, e in r.items():
+                        if not isinstance(e, SingularityError):
+                            code[s[n]], raised[int(s[n])] = _EVAL, e
+                    on = np.isfinite(qx) & np.isfinite(qy)  # a raise reads NaN
+                    s, qx, qy = s[on], qx[on], qy[on]
+                on = np.maximum(np.abs(qx - X[s]), np.abs(qy - Y[s])) > 0
+                s, qx, qy = s[on], qx[on], qy[on]
+                gx, gy, r = _residuals(
+                    m, qx, qy, k, *((qx, qy) if target is None else (TX[s], TY[s])))
+                for n, e in r.items():
+                    code[s[n]], raised[int(s[n])] = _EVAL, e
+                on = code[s] == _SINGULAR  # no raise on the way to the residual
+                s, gx, gy = s[on], gx[on], gy[on]
+                X[s], Y[s], FX[s], FY[s] = qx[on], qy[on], gx, gy
+                res[s], code[s] = np.maximum(np.abs(gx), np.abs(gy)), 0
             go = ~singular & (code[idx] == 0)
             idx, det = idx[go], det[go]
             a11, a12, a21, a22 = a11[go], a12[go], a21[go], a22[go]
@@ -288,60 +267,72 @@ def _record(root: Point2, kind: str, partner: Optional[Point2], dt: Matrix2,
                             classification=cls, residual=residual)
 
 
+def _records(m: PlanarMap, sol: _Newton, idx, k: int = 1) -> list:
+    """Per start i of idx, the record of the root sol found from it on T^k - id
+    (k in {1, 2}), or the exception its search or its record raises.
+
+    A fixed root's record takes DT there, a period-two root's its image
+    (refusing a plain fixed point as degenerate) and DT^2, each from one
+    batch call over the converged starts of idx.
+    """
+    idx = np.asarray(idx, dtype=int)
+    ok = idx[sol.code[idx] == 0]
+    X, Y = sol.x[ok], sol.y[ok]
+    (IX, IY), ri = _images(m, X, Y) if k == 2 else ((X, Y), {})
+    j, rj = _dts(m, X, Y, k)
+    out = {}
+    for n, i in enumerate(ok.tolist()):
+        root, img = sol.root(i), Point2(float(IX[n]), float(IY[n]))
+        if n in ri:
+            out[i] = ri[n]
+        elif k == 2 and root.dist_inf(img) < 10.0 * NEWTON_TOL:
+            out[i] = DegenerateRootError(
+                f"degenerate: fixed point at ({root.x:.6g}, {root.y:.6g}),"
+                " not a minimal period-two point")
+        elif n in rj:
+            out[i] = rj[n]
+        else:
+            out[i] = _record(root, "period_two" if k == 2 else "fixed",
+                             img if k == 2 else None,
+                             Matrix2(*(float(a[n]) for a in j)), float(sol.res[i]))
+    return [out[i] if i in out else sol.error(i) for i in idx.tolist()]
+
+
+def _only(out: list) -> FixedPointRecord:
+    """The record of a one-start search, raising what it raised instead."""
+    if isinstance(out[0], Exception):
+        raise out[0]
+    return out[0]
+
+
 def find_fixed_point(m: PlanarMap, guess: Point2,
                      tol: float = NEWTON_TOL) -> FixedPointRecord:
     """Damped Newton on T(p) - p; eigen data and classification at the root.
 
-    A singular Newton matrix triggers a fallback of 50 plain map iterations
-    before the search is abandoned. tol must be finite and > 0.
+    A singular Newton matrix restarts the search from the RESTART_STEPS-th
+    plain iterate before the search is abandoned. guess must be finite, and
+    tol finite and > 0.
     """
-    out = _find_fixed_points(m, [float(guess[0])], [float(guess[1])], tol)[0]
-    if isinstance(out, Exception):
-        raise out
-    return out
+    check_point("guess", guess)
+    return _only(_find_fixed_points(m, [float(guess[0])], [float(guess[1])], tol))
 
 
 def _find_fixed_points(m: PlanarMap, X, Y, tol: float = NEWTON_TOL) -> list:
     """find_fixed_point from every start (X[i], Y[i]), in one lockstep
     search: per start its record, or the exception find_fixed_point raises."""
     check_tolerance("tol", tol)
-    sol = _solve(m, X, Y, tol=tol, fallback=True)
-    out = []
-    for i in range(len(sol.code)):
-        err = sol.error(i)
-        if err is None:
-            root = sol.root(i)
-            try:
-                err = _record(root, "fixed", None, jacobian(m, root), float(sol.res[i]))
-            except Exception as e:
-                err = e
-        out.append(err)
-    return out
-
-
-def _partner(m: PlanarMap, root: Point2) -> Point2:
-    """T(root) for a root of T^2 - id; raises DegenerateRootError where root
-    is a plain fixed point."""
-    img = Point2(*m.step(root.x, root.y))
-    if root.dist_inf(img) < 10.0 * NEWTON_TOL:
-        raise DegenerateRootError(
-            f"degenerate: fixed point at ({root.x:.6g}, {root.y:.6g}),"
-            " not a minimal period-two point")
-    return img
+    return _records(m, _solve(m, X, Y, tol=tol, fallback=True), range(len(X)))
 
 
 def find_period_two(m: PlanarMap, guess: Point2) -> FixedPointRecord:
     """Newton on T^2(p) - p, rejecting roots that are plain fixed points.
 
-    Eigen data and classification come from DT^2 at the root.
+    Eigen data and classification come from DT^2 at the root. guess must be
+    finite.
     """
+    check_point("guess", guess)
     sol = _solve(m, [float(guess[0])], [float(guess[1])], k=2)
-    err = sol.error(0)
-    if err is not None:
-        raise err
-    root = sol.root(0)
-    img = _partner(m, root)
-    return _record(root, "period_two", img, _dt(m, root, 2), float(sol.res[0]))
+    return _only(_records(m, sol, [0], k=2))
 
 
 # ---------------------------------------------------------------------------
@@ -529,24 +520,18 @@ def _boundary_reports(m: PlanarMap, fps, region: Rect) -> list:
     q1 = np.array(q1, dtype=bool)[owner]
     q3 = np.array(q3, dtype=bool)[owner]
 
-    def fixed_ok(r):
-        jacobian(m, r)
-
-    def period_two_ok(r):
-        _partner(m, r)
-        _dt(m, r, 2)
-
-    # (search, whether fp itself is excluded, what must evaluate at a witness)
-    searches = ((_solve(m, X, Y, fallback=True), True, fixed_ok),
-                (_solve(m, X, Y, k=2), False, period_two_ok),
-                (_solve(m, X, Y, target=(FX, FY)), True, None))
+    # (search, whether fp itself is excluded, k of the records a witness
+    # needs, 0 for none)
+    searches = ((_solve(m, X, Y, fallback=True), True, 1),
+                (_solve(m, X, Y, k=2), False, 2),
+                (_solve(m, X, Y, target=(FX, FY)), True, 0))
     # anything else a search raises ends the check: the first, in start order
     fatal = [(s, n, e) for n, (sol, _, _) in enumerate(searches)
              for s, e in sol.raised.items() if not isinstance(e, _NO_ROOT)]
     if fatal:
         raise min(fatal, key=lambda t: t[:2])[2]
     bags = [([], [], []) for _ in fps]
-    for n, (sol, off_fp, evaluates) in enumerate(searches):
+    for n, (sol, off_fp, k) in enumerate(searches):
         dx, dy = sol.x - FX, sol.y - FY
         near = (sol.code == 0) \
             & (region.x_lo <= sol.x) & (sol.x <= region.x_hi) \
@@ -554,15 +539,14 @@ def _boundary_reports(m: PlanarMap, fps, region: Rect) -> list:
             & ((q1 & (dx >= 1e-9) & (dy >= 1e-9)) | (q3 & (-dx >= 1e-9) & (-dy >= 1e-9)))
         if off_fp:
             near &= np.maximum(np.abs(dx), np.abs(dy)) > 1e-6
-        for s in np.flatnonzero(near).tolist():
+        near = np.flatnonzero(near)
+        records = _records(m, sol, near, k) if k else [None] * near.size
+        for s, rec in zip(near.tolist(), records):
             bag, r = bags[owner[s]][n], sol.root(s)
-            if any(r.dist_inf(q) < 1e-6 for q in bag):
+            if any(r.dist_inf(q) < 1e-6 for q in bag) or isinstance(rec, _NO_ROOT):
                 continue
-            try:
-                if evaluates is not None:
-                    evaluates(r)
-            except _NO_ROOT:
-                continue
+            if isinstance(rec, Exception):
+                raise rec
             bag.append(r)
 
     reports = []

@@ -33,8 +33,8 @@ from compmap import curves
 from compmap.curves import (LABEL_CODES, LABEL_NAMES, PROBES, UNSTABLE_SEEDS,
                             LimitRecord, SideVerdict)
 from compmap.fixedpoints import (BOUNDARY_GRID, MAX_HALVINGS, NEWTON_MAX_ITER,
-                                 NEWTON_TOL, NONHYPERBOLIC_TOL, _delta_parts, _dt, _iterate_ahead,
-                                 _record, _residual)
+                                 NEWTON_TOL, NONHYPERBOLIC_TOL, RESTART_STEPS, _delta_parts,
+                                 _record)
 from compmap.geometry import sup_norm
 from compmap.planarmap import _EVAL_ERRORS, COMPETITIVE_TOL, _sample_grid
 from compmap.expr import (DIV_TOL, NEST_DEPTH, BinOp, Const, Neg, Param, Var, _den, _define,
@@ -657,7 +657,43 @@ def scalar_trace_unstable_curve(m, fp, steps=100, seed_radius=1e-4):
 
 
 # ---------------------------------------------------------------------------
-# Scalar Newton: one start at a time, raising where the search fails
+# Scalar Newton: one start at a time, raising where the search fails, with its
+# own residual, chain-rule Jacobian and restart
+
+
+def _residual(m, p, k, target):
+    """T^k(p) - target, with target None meaning p."""
+    x, y = p
+    for _ in range(k):
+        x, y = m.step(x, y)
+    t = p if target is None else target
+    return Point2(x - t.x, y - t.y)
+
+
+def _dt(m, p, k):
+    """DT^k(p), by the chain rule along the orbit of p."""
+    j = jacobian(m, p)
+    for _ in range(k - 1):
+        p = Point2(*m.step(p.x, p.y))
+        a = jacobian(m, p)
+        j = Matrix2(a.a11 * j.a11 + a.a12 * j.a21, a.a11 * j.a12 + a.a12 * j.a22,
+                    a.a21 * j.a11 + a.a22 * j.a21, a.a21 * j.a12 + a.a22 * j.a22)
+    return j
+
+
+def _iterate_ahead(m, p):
+    """The RESTART_STEPS-th iterate of p, or None if the orbit meets a
+    SingularityError or a non-finite point, or stays put."""
+    x, y = p
+    for _ in range(RESTART_STEPS):
+        try:
+            x, y = m.step(x, y)
+        except SingularityError:
+            return None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return None
+    q = Point2(x, y)
+    return q if q.dist_inf(p) > 0 else None
 
 
 def scalar_solve(m, guess, k=1, target=None, tol=NEWTON_TOL, fallback=False):
@@ -712,6 +748,16 @@ def scalar_solve(m, guess, k=1, target=None, tol=NEWTON_TOL, fallback=False):
                              f"iterations (residual {res:.3g})")
 
 
+def scalar_period_two(m, guess):
+    """find_period_two with scalar_solve, one step for the image and the
+    chain-rule DT^2."""
+    root, res = scalar_solve(m, guess, k=2)
+    img = Point2(*m.step(root.x, root.y))
+    if root.dist_inf(img) < 10.0 * NEWTON_TOL:
+        raise DegenerateRootError("degenerate")
+    return _record(root, "period_two", img, _dt(m, root, 2), res)
+
+
 def scalar_boundary_report(m, fp, region):
     """check_boundary_endpoint_conditions with one scalar search per start
     and kind of root, each building the record the search returns."""
@@ -720,19 +766,13 @@ def scalar_boundary_report(m, fp, region):
         root, res = scalar_solve(m, s, fallback=True)
         return _record(root, "fixed", None, jacobian(m, root), res).location
 
-    def period_two(s):
-        root, res = scalar_solve(m, s, k=2)
-        img = Point2(*m.step(root.x, root.y))
-        if root.dist_inf(img) < 10.0 * NEWTON_TOL:
-            raise DegenerateRootError("degenerate")
-        return _record(root, "period_two", img, _dt(m, root, 2), res).location
-
     fp_pt = fp.location
     parts = _delta_parts(region, fp_pt.x, fp_pt.y)
     starts = [Point2(x, y) for r, _k in parts
               for x, y in zip(*(a.tolist() for a in _sample_grid(r, BOUNDARY_GRID ** 2)))]
     fixed_w, p2_w, pre_w = [], [], []
-    searches = ((fixed_w, True, fixed), (p2_w, False, period_two),
+    searches = ((fixed_w, True, fixed),
+                (p2_w, False, lambda s: scalar_period_two(m, s).location),
                 (pre_w, True, lambda s: scalar_solve(m, s, target=fp_pt)[0]))
     for s in starts:
         for bag, off_fp, search in searches:

@@ -557,6 +557,24 @@ def test_load_csv_raster_rejects_a_header_size_that_is_not_a_positive_integer(
         load_csv_raster(_write(tmp_path, lines))
 
 
+@pytest.mark.parametrize("size, key, bad", [("0 5", "nx", "0"), ("-2 -1", "nx", "-2"),
+                                            ("3 0", "ny", "0")])
+def test_load_pgm_rejects_a_size_that_is_not_a_positive_integer(tmp_path, size, key, bad):
+    # nx = 0 once loaded as a (5, 0) label grid, and -2 -1 failed in reshape
+    with pytest.raises(ValueError, match=f"header {key}={bad} is not a positive integer"):
+        load_pgm(_write(tmp_path, ["P2", size, "255"]))
+
+
+@pytest.mark.parametrize("text", ["", "i,j,x,y,label\n", "# nx=2\ni,j,x,y,label\n"],
+                         ids=["empty", "column-names", "nx-only"])
+def test_load_csv_raster_rejects_a_file_without_cells(tmp_path, text):
+    # these once loaded as (0, 0) and (0, 2) label grids
+    path = tmp_path / "r"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=r"cell \(0, 0\) is missing"):
+        load_csv_raster(str(path))
+
+
 def test_continuity_probe_degenerate_segment(ex1):
     rep = continuity_probe(ex1.map, (Point2(1, 1), Point2(1, 1)), n=4)
     assert rep.max_gap == 0.0

@@ -10,18 +10,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compmap import (DEFAULT_PARAMS, EXAMPLE_IDS, Matrix2, NoConvergenceError, PlanarMap,
-                     Point2, Rect, SingularityError, check_boundary_endpoint_conditions,
+from compmap import (DEFAULT_PARAMS, EXAMPLE_IDS, DomainError, Matrix2, NoConvergenceError,
+                     PlanarMap, Point2, Rect, SingularityError,
+                     check_boundary_endpoint_conditions,
                      check_competitive, check_invariant_curve_hypotheses,
                      check_O_condition, ex5_equilibria, expr_map, find_fixed_point,
                      find_period_two, jacobian, make_example)
 from compmap import cli
 from compmap.fixedpoints import (_EVAL, _OVERFLOW, _SINGULAR, _STALLED, _boundary_reports,
-                                 _curve_hypotheses, _delta_parts, _residuals, _solve)
+                                 _curve_hypotheses, _delta_parts, _find_fixed_points,
+                                 _residuals, _solve)
 from compmap.planarmap import _competitive_reports, _order_licensed
 
 from helpers import (patchy_map, scalar_boundary_report, scalar_check_competitive,
-                     scalar_solve)
+                     scalar_period_two, scalar_solve)
 
 DSL = {"ex1": ("x/(a+y)", "y/(1+x)"),
        "ex4": ("beta1*x/(B1*x+y)", "(alpha2+gamma2*y)/x"),
@@ -239,6 +241,85 @@ def test_singular_matrix_with_and_without_fallback():
     # here the orbit ahead meets the pole of 1/y
     m = expr_map("x + 1/y", "y/2")
     assert _assert_matches_scalar(m, [(0.3, 0.2)], fallback=True).code[0] == _SINGULAR
+
+
+def _raise(e):
+    raise e
+
+
+@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("step, code", [
+    (lambda x, y: (x, 1.0 - y), _SINGULAR),  # 50 steps ahead the orbit is back
+    (lambda x, y: (x, y * 1e10), _SINGULAR),  # the orbit overflows to inf
+    (lambda x, y: (x, y / 2) if y >= 1e-3 else 1 / 0, _EVAL),
+    (lambda x, y: (x, y / 2) if y >= 1e-3 else _raise(DomainError("y < 1e-3")), _EVAL),
+    (lambda x, y: (x, y / 2) if y >= 1e-3 else _raise(SingularityError("y < 1e-3")),
+     _SINGULAR)], ids=["stays", "overflows", "zero-division", "domain", "singularity"])
+def test_restart_ends_where_the_scalar_one_does(step, code, batch):
+    # DT - I = diag(0, *) is singular everywhere; from y = 0.2 the eighth step
+    # of the restart is the first from y < 1e-3
+    def batch_step(X, Y):
+        out = np.array([step(x, y) if y >= 1e-3 else (np.nan, np.nan)
+                        for x, y in zip(X.tolist(), Y.tolist())]).reshape(-1, 2)
+        return out[:, 0], out[:, 1]
+
+    m = PlanarMap(name="restart", step=step, domain=Rect(-5, 5, -5, 5),
+                  jac=lambda x, y: Matrix2(1.0, 0.0, 0.0, 0.5),
+                  batch=batch_step if batch else None)
+    sol = _assert_matches_scalar(m, [(0.3, 0.2), (0.1, 0.4)], fallback=True)
+    assert list(sol.code) == [code, code]
+
+
+def _scalar_calls(m, run):
+    """What run returns on a copy of m, and the (step, jac) calls it makes
+    there; batch and batch_jac calls are not counted."""
+    box = [0, 0]
+
+    def step(x, y):
+        box[0] += 1
+        return m.step(x, y)
+
+    def jac(x, y):
+        box[1] += 1
+        return m.jac(x, y)
+
+    return run(replace(m, step=step, jac=jac)), tuple(box)
+
+
+def test_restart_steps_in_batch():
+    # the restart of test_singular_matrix_with_and_without_fallback, whose
+    # 50 steps and one residual were 51 step calls
+    m = expr_map("x", "y/2")
+    rec, calls = _scalar_calls(m, lambda c: find_fixed_point(c, Point2(0.3, 0.2)))
+    assert calls[0] == 0
+    assert rec.location == (0.3, 1.7763568394002506e-16)
+    assert rec.classification == "nonhyperbolic"
+
+
+def test_period_two_record_takes_image_and_dt2_in_batch():
+    m = make_example("ex3_T").map
+    rec, calls = _scalar_calls(m, lambda c: find_period_two(c, Point2(1.5, 4.0)))
+    assert calls == (0, 0)
+    assert rec == scalar_period_two(m, Point2(1.5, 4.0))
+
+
+def test_fixed_point_records_take_one_batch_jac_call():
+    # the first start is a root already: Newton asks DT at the other two only,
+    # and the records of all three come from one more call
+    ex5 = make_example("ex5")
+    m = ex5.map
+    eq = ex5_equilibria(ex5.params)
+    X, Y = [eq[0].x, eq[1].x * 1.05, eq[2].x * 1.05], [eq[0].y, eq[1].y * 0.95, eq[2].y * 0.95]
+    sizes = []
+
+    def batch_jac(X, Y):
+        sizes.append(X.size)
+        return m.batch_jac(X, Y)
+
+    out, calls = _scalar_calls(m, lambda c: _find_fixed_points(
+        replace(c, batch_jac=batch_jac), X, Y))
+    assert calls == (0, 0) and sizes == [2, 2, 2, 3]
+    assert out == [find_fixed_point(m, Point2(x, y)) for x, y in zip(X, Y)]
 
 
 def _logistic_maps():

@@ -2,8 +2,9 @@
 invalid one with ValueError before it evaluates the map: a count must be an
 int (not a bool) and at least its least value, a tolerance a finite real
 (not a bool), > 0 or >= 0. So do the entry points that take a point they
-classify or iterate from, when a coordinate is not finite (classify_side,
-classify_batch and limit_equilibrium included), and classify_batch when its
+classify, iterate, search from or expand along, when a coordinate is not
+finite (classify_side, classify_batch, limit_equilibrium, the Newton guesses
+and the Taylor ray's fp and v included), and classify_batch when its
 coordinate arrays differ in shape."""
 
 import math
@@ -13,8 +14,8 @@ import pytest
 
 from compmap import (CurveOptions, Point2, Rect, SideOptions, check_competitive,
                      check_O_condition, classify_side, continuity_probe,
-                     ex5_equilibria, find_fixed_point, first_nonzero_index,
-                     limit_equilibrium, make_example, orbit, raster,
+                     ex5_equilibria, find_fixed_point, find_order_interval,
+                     find_period_two, first_nonzero_index, limit_equilibrium, make_example, orbit, raster,
                      sweep_continuum, taylor_along_eigenvector,
                      trace_stable_curve, trace_unstable_curve)
 
@@ -130,7 +131,7 @@ def test_first_nonzero_index_rejects_invalid_tolerances(ex4):
     assert first_nonzero_index(ray, tol=0) == first_nonzero_index(ray, tol=0.0)
 
 
-EX1 = make_example("ex1")
+EX1, EX3_T = make_example("ex1"), make_example("ex3_T")
 EX1_FP = find_fixed_point(EX1.map, Point2(1e-9, 1.0))
 
 
@@ -145,6 +146,20 @@ POINTS = [
                  "segment end", EX1.map, id="continuity_probe-end"),
     pytest.param(lambda c, v: locate_ordinate(c, EX1_FP, v, Rect(0, 5, 0, 6)),
                  "x", EX1.map, id="locate_ordinate-x"),
+    pytest.param(lambda c, v: find_fixed_point(c, (v, 1.0)),
+                 "guess", EX4.map, id="find_fixed_point-guess"),
+    pytest.param(lambda c, v: find_period_two(c, (1.0 + v, 4.0)),
+                 "guess", EX3_T.map, id="find_period_two-guess"),
+    pytest.param(lambda c, v: taylor_along_eigenvector(c, (4.0 * v, 1.0), (-1.0, 1.0)),
+                 "fp", EX4.map, id="taylor_along_eigenvector-fp"),
+    pytest.param(lambda c, v: taylor_along_eigenvector(c, (2.0, 1.0), (-2.0 * v, 1.0)),
+                 "v", EX4.map, id="taylor_along_eigenvector-v"),
+    pytest.param(lambda c, v: find_order_interval(c, (4.0 * v, 1.0), (-1.0, 1.0),
+                                                  "even_se_negative"),
+                 "fp", EX4.map, id="find_order_interval-fp"),
+    pytest.param(lambda c, v: find_order_interval(c, (2.0, 1.0), (-2.0 * v, 1.0),
+                                                  "even_se_negative"),
+                 "v", EX4.map, id="find_order_interval-v"),
 ]
 
 
@@ -152,7 +167,8 @@ POINTS = [
 def test_non_finite_points_raise_before_any_evaluation(call, name, m):
     # unchecked, a non-finite coordinate gives a plausible answer: every
     # raster cell band, a probe with max_gap 0 over divergent samples, a
-    # column without a bracket
+    # column without a bracket, an all-NaN Taylor ray; or a misleading error:
+    # Newton stalled at a NaN guess, a ray direction refused as one-signed
     for value in (math.nan, math.inf, -math.inf):
         box = [0, 0, 0]
         with pytest.raises(ValueError, match=name):
