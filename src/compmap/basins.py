@@ -229,13 +229,21 @@ def _read_meta(line: str, meta: dict) -> bool:
     return True
 
 
-def _int64s(values, what: str) -> np.ndarray:
-    """values (ints or integer strings) as an int64 array; ValueError for
-    one beyond int64."""
+def _int64s(values: list, what: str) -> np.ndarray:
+    """values (ints or integer strings) as an int64 array; ValueError naming
+    the first one that is not an integer, or for one beyond int64."""
     try:
         return np.array(values, dtype=np.int64)
     except OverflowError:
         raise ValueError(f"a {what} in the raster file lies beyond int64") from None
+    except ValueError:
+        for v in values:
+            try:
+                int(v)
+            except ValueError:
+                raise ValueError(f"{what} {v!r} in the raster file is not an "
+                                 f"integer") from None
+        raise
 
 
 def _header_size(key: str, text: str) -> int:
@@ -253,10 +261,11 @@ def load_pgm(path: str):
     """Read back a raster_to_pgm file; returns (labels, meta), labels of shape
     (ny, nx) with row j = 0 the file's last (lowest y) row.
 
-    Raises ValueError for a file that is not a P2 PGM, one whose nx or ny is
-    not a positive integer, whose maxval is not 255 (the one raster_to_pgm
-    writes) or whose pixel count is not nx*ny, and for a gray level that is
-    not in PGM_GRAY.
+    Raises ValueError for a file that is not a P2 PGM, one whose header
+    ends before nx, ny or maxval, whose nx or ny is not a positive integer,
+    whose maxval is not 255 (the one raster_to_pgm writes) or whose pixel
+    count is not nx*ny, and for a gray level that is not an integer or not
+    in PGM_GRAY.
     """
     meta = {}
     with open(path) as fh:
@@ -264,8 +273,11 @@ def load_pgm(path: str):
         if magic != "P2":
             raise ValueError(f"not a P2 PGM: {magic!r}")
         body = " ".join(line for line in fh if not _read_meta(line, meta))
-    nx, ny, maxval, *grays = body.split()
-    if int(maxval) != 255:
+    fields = body.split()
+    if len(fields) < 3:
+        raise ValueError(f"PGM header ends before its {('nx', 'ny', 'maxval')[len(fields)]}")
+    nx, ny, maxval, *grays = fields
+    if maxval != "255":
         raise ValueError(f"PGM maxval {maxval} is not 255, the one raster_to_pgm "
                          f"writes")
     nx, ny = _header_size("nx", nx), _header_size("ny", ny)
@@ -285,21 +297,26 @@ def load_csv_raster(path: str):
     The grid is meta's nx by ny when the file records them, else it spans
     the largest i and j (and cell (0, 0), so a file without cells is
     refused as missing it). Raises ValueError for a header nx or ny that is not
-    a positive integer, an index beyond int64, an unknown label, a cell
-    outside that grid, and a grid cell that is missing or repeated; the grid
-    is allocated only once the cell lines fill it.
+    a positive integer, a line without the five fields, an index that is not
+    an integer or lies beyond int64, an unknown label, a cell outside that
+    grid, and a grid cell that is missing or repeated; the grid is allocated
+    only once the cell lines fill it.
     """
     meta = {}
-    cells = []
+    cells = []  # i, j and the label code of each cell, one after the other
     with open(path) as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
             if not line or _read_meta(line, meta) or line.startswith("i,"):
                 continue
-            i, j, _x, _y, label = line.split(",")
+            fields = line.split(",")
+            if len(fields) != 5:
+                raise ValueError(f"CSV raster line {n} holds {len(fields)} fields, "
+                                 f"not the 5 of i,j,x,y,label: {line!r}")
+            i, j, _x, _y, label = fields
             if label not in LABEL_CODES:
                 raise ValueError(f"unknown label {label!r} in CSV raster")
-            cells.append((int(i), int(j), LABEL_CODES[label]))
+            cells += i, j, LABEL_CODES[label]
     i, j, codes = _int64s(cells, "cell index").reshape(-1, 3).T
     nx, ny = (_header_size(k, meta[k]) if k in meta else int(a.max(initial=0) + 1)
               for k, a in (("nx", i), ("ny", j)))

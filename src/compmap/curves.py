@@ -86,30 +86,34 @@ def classify_side(m: PlanarMap, p: Point2, fp: Point2,
 
 
 def _classify_quadrant(m: PlanarMap, x: float, y: float, n: int, fp: Point2,
-                       opts: SideOptions) -> tuple:
+                       opts: SideOptions, near: Optional[float] = None) -> tuple:
     """The quadrant-mode verdict from the orbit point x_n = (x, y), and the
     orbit point it stopped at: (verdict, x_k, y_k), where k is
     verdict.iterations_used for a plus, minus or band verdict.
 
-    Per iterate, in this order: band, minus, plus, beyond ESCAPE_BOUND
-    (divergence); then the step, where SingularityError or a non-finite
-    image reads singularity and an image outside the domain escape. Runs
-    _QUADRANT_LOOP (see _loop)."""
+    Per iterate, in this order: band (within near of fp in both
+    coordinates; near defaults to opts.epsilon_margin), minus, plus, beyond
+    ESCAPE_BOUND (divergence); then the step, where SingularityError or a
+    non-finite image reads singularity and an image outside the domain
+    escape. Runs _QUADRANT_LOOP (see _loop)."""
     d = m.domain
-    return _loop(m.step, _QUADRANT_LOOP)(m.step, x, y, n, fp[0], fp[1],
-                                         opts.epsilon_margin, opts.max_iter,
-                                         d.x_lo, d.x_hi, d.y_lo, d.y_hi)
+    eps = opts.epsilon_margin
+    return _loop(m.step, _QUADRANT_LOOP)(m.step, x, y, n, fp[0], fp[1], eps,
+                                         eps if near is None else near,
+                                         opts.max_iter, d.x_lo, d.x_hi,
+                                         d.y_lo, d.y_hi)
 
 
 _QUADRANT_LOOP = """\
-def quadrant(step, x, y, n, fx, fy, eps, max_iter, x_lo, x_hi, y_lo, y_hi):
+def quadrant(step, x, y, n, fx, fy, eps, near, max_iter, x_lo, x_hi, y_lo, y_hi):
     meps = -eps
+    mnear = -near
     big = ESCAPE_BOUND
     mbig = -big
     for n in range(n, max_iter + 1):
         dx = x - fx
         dy = y - fy
-        if meps <= dx <= eps and meps <= dy <= eps:
+        if mnear <= dx <= near and mnear <= dy <= near:
             return SideVerdict("band", n), x, y
         if dx <= meps and dy >= eps:
             return SideVerdict("minus", n), x, y
@@ -354,49 +358,74 @@ def classify_batch(m: PlanarMap, xs, ys, fp: Point2,
     return _sided(m, xs.ravel(), ys.ravel(), fp, opts)[0].reshape(xs.shape)
 
 
-def _exit_rate(e: EigenData) -> Optional[tuple]:
-    """(w_x, w_y, mu) at a saddle with eigen data e, where the row w is dual
-    to v_mu (w . v_lam = 0, w . v_mu = 1); None unless e is real with
-    |lam| < 1 and mu > 1 (NONHYPERBOLIC_TOL clear of 1), and w_x > 0 > w_y,
-    as at a strongly competitive saddle (v_lam in int Q1, v_mu in int Q4)."""
+def _linear_gap(e: EigenData) -> Optional[tuple]:
+    """The linear gap (w_x, w_y, mu) of a fixed point with eigen data e,
+    where the row w is dual to v_mu (w . v_lam = 0, w . v_mu = 1) up to the
+    sign that makes w_x < 0 < w_y, so that s = <w, x - fp> reads < 0 below
+    the increasing curve C through fp and > 0 above it; None unless e is
+    real with |lam| < 1 <= mu + NONHYPERBOLIC_TOL and v_lam in int Q1.
+
+    C leaves fp tangent to v_lam, so near fp a point's side of C is read
+    off its coordinate along v_mu, and <w, x_n - fp> / mu^n of its orbit
+    stays about constant while the orbit is near fp. That covers a saddle
+    (mu > 1), a nonhyperbolic point (mu = 1: ex4's, and every point of a
+    continuum of equilibria, where limit mode reads s at T*). A node
+    (|lam| < mu < 1) is left out, since no built-in trace has one to check
+    the gap against."""
     if not (e.real_distinct and e.v_lam is not None and e.v_mu is not None
-            and abs(e.lam) < 1.0 < e.mu - NONHYPERBOLIC_TOL):
+            and abs(e.lam) < 1.0 <= e.mu + NONHYPERBOLIC_TOL):
         return None
     (a, b), (c, d) = e.v_lam, e.v_mu
-    det = b * c - a * d
-    wx, wy = b / det, -a / det
-    return (wx, wy, e.mu) if wx > 0.0 > wy else None
+    det = a * d - b * c
+    wx, wy = -b / det, a / det
+    if wy < 0.0:
+        wx, wy = -wx, -wy
+    return (wx, wy, e.mu) if wx < 0.0 < wy else None
 
 
 def _sided(m: PlanarMap, X: np.ndarray, Y: np.ndarray, fp: Point2,
-           opts: SideOptions, rate: Optional[tuple] = None) -> tuple:
+           opts: SideOptions, gap: Optional[tuple] = None,
+           linear: Optional[float] = None) -> tuple:
     """(codes, s, N) of the points (X[k], Y[k]), from one lockstep call:
     their codes, the gap s there and each orbit's iteration count; the one
     function that picks the lockstep kernel of opts.mode.
 
-    In limit mode (_limits_lockstep), s = (L_y - f_y) - (L_x - f_x) of the
-    limit L = T* against fp = f: < 0 where L reads plus, > 0 where it reads
-    minus, NaN without a limit. In quadrant mode, given the exit rate of a
-    saddle fp (_exit_rate), s = -<w, x_n - fp> / mu^n at the orbit point
-    x_n that decided the verdict, and N holds n: < 0 on plus and > 0 on
-    minus (w_x > 0 > w_y); 0 on band (the orbit met fp, so the start lies
-    on the curve up to the verdict margin); NaN on undecided and singular.
-    Near the saddle's stable manifold, which is the curve, an orbit leaves
-    along v_mu, and s is close to a linear function of the start's offset
-    from the curve. Without a rate, quadrant mode gives s = N = None."""
-    if opts.mode == "limit_equilibrium":
-        LX, LY, singular, N = _limits_lockstep(m, X, Y, opts.conv_tol, opts.max_iter)
-        codes = _limit_codes(LX, LY, fp, opts)  # NaN limits read undecided
+    Given the linear gap (w_x, w_y, mu) of fp (_linear_gap), s = <w, x_n -
+    fp> / mu^n at the orbit point x_n where each orbit stopped, and N holds
+    n: in limit mode the limit T* (_limits_lockstep), NaN without one; in
+    quadrant mode the point that decided a plus, minus or band verdict, 0 on
+    band (the orbit met fp, so the start lies on the curve up to the
+    verdict margin) and NaN on undecided and singular. s < 0 on plus and
+    s > 0 on minus: in limit mode since T* lies in Q4(fp) or Q2(fp), in
+    quadrant mode since the orbit left through int Q4 or int Q2. Near the
+    curve, which is fp's stable set, s is close to a linear function of the
+    start's offset from it. Without a gap, s is None, and so is N in
+    quadrant mode.
+
+    linear, the curve_tol of _locate's calls and given only there, stops
+    each orbit once its s reads linear: in quadrant mode at the first orbit
+    point within sqrt(curve_tol) of fp in both coordinates, which reads
+    band and keeps its s; in limit mode once its step is below
+    min(LIMIT_RESIDUAL_TOL, sqrt(curve_tol) / 10). The codes of such a call
+    are not classify_side's verdicts."""
+    limit = opts.mode == "limit_equilibrium"
+    if limit:
+        tol = opts.conv_tol if linear is None else math.sqrt(linear) / 10.0
+        EX, EY, singular, N = _limits_lockstep(m, X, Y, tol, opts.max_iter)
+        codes = _limit_codes(EX, EY, fp, opts)  # NaN limits read undecided
         codes[singular] = _SINGULAR
-        return codes, (LY - fp[1]) - (LX - fp[0]), N
-    codes, EX, EY, N = _quadrant_batch(m, X, Y, fp, opts, rate is not None)
-    if rate is None:
-        return codes, None, None
-    wx, wy, mu = rate
+    else:
+        near = None if linear is None else max(opts.epsilon_margin, math.sqrt(linear))
+        codes, EX, EY, N = _quadrant_batch(m, X, Y, fp, opts, gap is not None, near)
+    if gap is None:
+        return codes, None, N
+    wx, wy, mu = gap
     with np.errstate(all="ignore"):
-        s = -((EX - fp[0]) * wx + (EY - fp[1]) * wy) / mu ** N
-    s[codes == _BAND] = 0.0
-    s[codes > _BAND] = math.nan  # undecided or singular
+        s = ((EX - fp[0]) * wx + (EY - fp[1]) * wy) / mu ** N
+    if not limit:
+        if linear is None:
+            s[codes == _BAND] = 0.0
+        s[codes > _BAND] = math.nan  # undecided or singular
     return codes, s, N
 
 
@@ -405,8 +434,10 @@ _STOPPED = np.array([_BAND] * 4 + [_MINUS, _MINUS, _PLUS, _UNDECIDED], dtype=np.
 
 
 def _quadrant_batch(m: PlanarMap, X: np.ndarray, Y: np.ndarray, fp: Point2,
-                    opts: SideOptions, exits: bool = False) -> tuple:
-    """_classify_quadrant from every (X[k], Y[k]), in lockstep numpy; returns
+                    opts: SideOptions, exits: bool = False,
+                    near: Optional[float] = None) -> tuple:
+    """_classify_quadrant (with its band half-width near) from every
+    (X[k], Y[k]), in lockstep numpy; returns
     the label codes and, if exits, the orbit point x_n each orbit stopped at
     and its index n: (codes, EX, EY, N), where x_n decided a plus, minus or
     band verdict; else (codes, None, None, None). Keeping them costs three
@@ -424,7 +455,7 @@ def _quadrant_batch(m: PlanarMap, X: np.ndarray, Y: np.ndarray, fp: Point2,
     <= ESCAPE_BOUND (False for NaN and inf too) inside the domain's finite
     sides; and, with u = x - fx, w = fy - y, hi = max(u, w) and lo =
     min(u, w), not minus (hi > -eps), not plus (lo < eps) and not band
-    (max(hi, -lo) > eps). The live points go on where all four hold. Only
+    (max(hi, -lo) > near). The live points go on where all four hold. Only
     a round in which an image stopped labels it, from those masks, and
     compacts the arrays; the rare image that stopped not ok is told
     singular, escaped or beyond ESCAPE_BOUND on its own. The image of
@@ -439,13 +470,14 @@ def _quadrant_batch(m: PlanarMap, X: np.ndarray, Y: np.ndarray, fp: Point2,
     if m.batch is not None and X.size > BATCH_HANDOFF:
         with np.errstate(all="ignore"):
             eps = opts.epsilon_margin
+            near = eps if near is None else near
             fx, fy = fp
             sides = _finite_sides(m.domain)
             dx = X - fx
             dy = Y - fy
             out[(dx >= eps) & (dy <= -eps)] = _PLUS
             out[(dx <= -eps) & (dy >= eps)] = _MINUS
-            out[(np.abs(dx) <= eps) & (np.abs(dy) <= eps)] = _BAND
+            out[(np.abs(dx) <= near) & (np.abs(dy) <= near)] = _BAND
             idx = ((out == _UNDECIDED) & ~((np.abs(X) > ESCAPE_BOUND)
                                            | (np.abs(Y) > ESCAPE_BOUND))).nonzero()[0]
             X, Y = X[idx], Y[idx]
@@ -468,7 +500,7 @@ def _quadrant_batch(m: PlanarMap, X: np.ndarray, Y: np.ndarray, fp: Point2,
                 np.minimum(a, b, out=a)
                 np.greater(c, -eps, out=not_minus)
                 np.less(a, eps, out=not_plus)
-                np.greater(np.maximum(c, np.negative(a, out=b), out=b), eps,
+                np.greater(np.maximum(c, np.negative(a, out=b), out=b), near,
                            out=not_band)
                 np.logical_and(ok, not_minus, out=go)
                 go &= not_plus
@@ -497,7 +529,7 @@ def _quadrant_batch(m: PlanarMap, X: np.ndarray, Y: np.ndarray, fp: Point2,
                 a, b, c, ok, not_minus, not_plus, not_band, go = (
                     v[:len(idx)] for v in buffers)
     for k, x, y in zip(idx.tolist(), X.tolist(), Y.tolist()):
-        v, x, y = _classify_quadrant(m, x, y, n, fp, opts)
+        v, x, y = _classify_quadrant(m, x, y, n, fp, opts, near)
         out[k] = label_code(v)
         if exits:
             EX[k], EY[k], N[k] = x, y, v.iterations_used
@@ -735,11 +767,14 @@ WIDENINGS = 4
 
 def _locate(m: PlanarMap, fp: Point2, cx: np.ndarray, lo: np.ndarray,
             hi: np.ndarray, s_lo: np.ndarray, s_hi: np.ndarray, curve_tol: float,
-            sopts: SideOptions, rate: Optional[tuple] = None) -> np.ndarray:
-    """The root of s (_sided's gap in the mode of sopts) in every column
-    cx[k], from the bracket lo[k] < hi[k] where s_lo[k] < 0 < s_hi[k]:
-    Anderson-Bjorck regula falsi (BIT 13, 1973), all columns in lockstep,
-    one lockstep call (_sided) per round. When the same end moves twice in
+            sopts: SideOptions, gap: tuple) -> np.ndarray:
+    """The root of s (_sided's gap, gap from _linear_gap, in the mode of
+    sopts) in every column cx[k], from the bracket lo[k] < hi[k] where
+    s_lo[k] < 0 < s_hi[k]: Anderson-Bjorck regula falsi (BIT 13, 1973),
+    all columns in lockstep, one lockstep call (_sided) per round. Its
+    calls, and only those, stop each orbit once its s reads linear (_sided's
+    linear, at curve_tol): the root only centres a certification band,
+    which the verdicts of _bisect check. When the same end moves twice in
     a row, the other end's s is scaled by 1 - s_c / s_moved (s_moved the
     moving end's s before the move), or by 1/2 where that is not positive.
     A column whose s reads NaN gets NaN."""
@@ -751,7 +786,7 @@ def _locate(m: PlanarMap, fp: Point2, cx: np.ndarray, lo: np.ndarray,
         if not len(j):
             break
         c = est[j]
-        fc = _sided(m, cx[j], c, fp, sopts, rate)[1]
+        fc = _sided(m, cx[j], c, fp, sopts, gap, curve_tol)[1]
         neg, pos = fc < 0, fc > 0
         ja, jb = j[neg], j[pos]
         for moved, other, k, f, end in ((fa, fb, ja, fc[neg], -1),
@@ -768,16 +803,15 @@ def _locate(m: PlanarMap, fp: Point2, cx: np.ndarray, lo: np.ndarray,
 
 
 def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
-                   curve_tol: float, sopts: SideOptions, guided: bool = False,
-                   rate: Optional[tuple] = None) -> Optional[tuple]:
+                   curve_tol: float, sopts: SideOptions,
+                   gap: Optional[tuple] = None) -> Optional[tuple]:
     """Locate the curve ordinate in every column of cxs, all columns together.
 
     Returns (y, flags): the ordinates, NaN where a column has none, and a
     list of one flag per column; or None when an audit below disagrees with
     the licence. One lockstep call (_sided) classifies every probe of every
-    column and keeps the gap s at each probe: the gap of T* in limit mode,
-    and in quadrant mode, given rate (_exit_rate of a saddle fp), the
-    exit-rate gap. A point's verdict does not depend on its batch, so each
+    column and, given gap (_linear_gap of fp), keeps the gap s at each
+    probe. A point's verdict does not depend on its batch, so each
     row, read in probe order, scans its column as the column on its own
     would (_scan, on the whole verdict matrix): band returns the probe,
     plus sets lo, minus sets hi and ends the scan once lo is set.
@@ -790,8 +824,8 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
     applies the one the verdict at mid leads to. Every column ends as
     bisecting it on its own would end it.
 
-    guided says the order licence (planarmap._order_licensed) holds, in
-    limit mode or in quadrant mode with a rate: verdicts are then plus below
+    A call is guided when it is given gap, which says that the order
+    licence (planarmap._order_licensed) holds: verdicts are then plus below
     the curve and minus above it. In a guided call, a plus above a minus in
     any row makes the call return None, and a column whose probes all read
     plus or minus is located, certified and replayed instead. Locate:
@@ -818,7 +852,8 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
     rows, cols = np.nonzero(~np.isnan(P))
     V = np.full(P.shape, _UNDECIDED, dtype=np.uint8)  # verdicts; NaN probes undecided
     S = np.full(P.shape, math.nan)  # s at the probes, in a guided call
-    V[rows, cols], s, _ = _sided(m, cx[rows], P[rows, cols], fp, sopts, rate)
+    V[rows, cols], s, _ = _sided(m, cx[rows], P[rows, cols], fp, sopts, gap)
+    guided = gap is not None
     if guided:
         S[rows, cols] = s
     lo, hi, y, ilo, ihi, inverted = _scan(V, P)
@@ -842,7 +877,7 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
         sided = ((V <= _PLUS) | np.isnan(P)).all(axis=1)  # plus or minus
         j = np.flatnonzero(sided & bisecting & (hi - lo > curve_tol))
         est[j] = _locate(m, fp, cx[j], lo[j], hi[j], S[j, ilo[j]], S[j, ihi[j]],
-                         curve_tol, sopts, rate)
+                         curve_tol, sopts, gap)
     if not _bisect(m, fp, cx, curve_tol, sopts, lo, hi, y, bisecting, flags, est):
         return None
     rest = np.flatnonzero(bisecting)
@@ -1034,12 +1069,15 @@ def trace_stable_curve(m: PlanarMap, fp: FixedPointRecord, window: Rect,
     All columns are solved together (_solve_columns): one lockstep call
     classifies every probe of every column, and one call settles two
     bisection levels while more than BATCH_HANDOFF columns bisect through a
-    batch step. Under the order licence (planarmap._order_licensed), which
-    is asked for in limit mode and in quadrant mode at a saddle with real
-    eigenvalues and mu > 1 (_exit_rate), a gap that changes sign at the
-    curve locates it in each bracket (Anderson-Bjorck regula falsi): T* in
-    limit mode, the unstable coordinate at exit over mu^n in quadrant mode.
-    A verdict on either side of the estimate certifies it, and the
+    batch step. Where fp has a linear gap (_linear_gap: real eigenvalues,
+    |lam| < 1 <= mu, at a saddle, at ex4's nonhyperbolic point and on a
+    continuum of equilibria, not at a node) the order licence
+    (planarmap._order_licensed) is asked for, and under it the gap, which
+    changes sign at the curve, locates the curve in each bracket
+    (Anderson-Bjorck regula falsi): s = <w, x_n - fp> / mu^n, read at T*
+    in limit mode and at the iterate that decided the verdict in quadrant
+    mode, and read early in the location calls, once it is linear. A
+    verdict on either side of the estimate certifies it, and the
     bisection is replayed, classifying only the midpoints next to the
     estimate; a two-level call that certifies a column's first band
     classifies all of them and finishes the column. A failed audit of the
@@ -1054,11 +1092,10 @@ def trace_stable_curve(m: PlanarMap, fp: FixedPointRecord, window: Rect,
     check_count("workers", workers)
     check_window("curve tracing", window)
     sopts = _bisect_options(m, opts)
-    rate = _exit_rate(fp.eigen)
-    guidable = sopts.mode == "limit_equilibrium" or rate is not None
+    gap = _linear_gap(fp.eigen)
     # one Jacobian sample set: delta's parts, and the licence's regions
     hyp, reports = _curve_hypotheses(m, fp, window,
-                                     (window, m.domain) if guidable else ())
+                                     () if gap is None else (window, m.domain))
     if not hyp.all_pass:
         raise HypothesisError(
             "invariant-curve hypotheses failed: " + ", ".join(hyp.failed))
@@ -1068,9 +1105,10 @@ def trace_stable_curve(m: PlanarMap, fp: FixedPointRecord, window: Rect,
     xs = _column_positions(window, fpl.x, opts.columns)
     cx = xs != fpl.x  # the columns solved; the one through fp is seeded from it
     args = (m, fpl, slope, xs[cx], window, opts.curve_tol, sopts)
-    guided = guidable and _order_licensed(m, window, np.count_nonzero(cx) * PROBES,
-                                          reports)
-    results = _solve_columns(*args, True, rate) if guided else _solve_columns(*args)
+    if gap is not None and not _order_licensed(m, window, np.count_nonzero(cx) * PROBES,
+                                               reports):
+        gap = None  # unguided
+    results = _solve_columns(*args, gap)
     audit_failed = results is None
     if audit_failed:
         results = _solve_columns(*args)

@@ -532,10 +532,10 @@ def solve_column(m, fp, slope, cx, window, curve_tol, probes, sopts):
 
 
 def solve_columns_one_by_one(m, fp, slope, cxs, window, curve_tol, sopts,
-                             guided=False, rate=None):
+                             gap=None):
     """curves._solve_columns' columns, as column_pairs gives them, from
     solve_column per column: the linear scan whether or not the order
-    licence holds, and without an exit-rate gap."""
+    licence holds, and without a linear gap."""
     return [solve_column(m, fp, slope, cx, window, curve_tol, PROBES, sopts)
             for cx in cxs]
 
@@ -572,10 +572,10 @@ def spy_bisection(monkeypatch, record):
     _solve_columns and _locate, told apart by the calling frame, do not."""
     sided = curves._sided
 
-    def spy(m, xs, ys, *rest):
+    def spy(m, xs, ys, *rest, **kwargs):
         if sys._getframe(1).f_code.co_name == "_bisect":
             record(xs, ys)
-        return sided(m, xs, ys, *rest)
+        return sided(m, xs, ys, *rest, **kwargs)
 
     monkeypatch.setattr(curves, "_sided", spy)
 

@@ -557,6 +557,26 @@ def test_load_csv_raster_rejects_a_header_size_that_is_not_a_positive_integer(
         load_csv_raster(_write(tmp_path, lines))
 
 
+@pytest.mark.parametrize("lines, message", [
+    (["P2", "2 1"], "PGM header ends before its maxval"),
+    (["P2", "2"], "PGM header ends before its ny"),
+    (["P2"], "PGM header ends before its nx"),
+    (["P2", "2 1", "x"], "PGM maxval x is not 255"),
+    (["P2", "2 1", "255", "0 x"], "gray level 'x' in the raster file is not an integer"),
+    (["i,j,x,y,label", "0,0,0.5"],
+     r"CSV raster line 2 holds 3 fields, not the 5 of i,j,x,y,label: '0,0,0.5'"),
+    (["# nx=1", "0,0,0.5,0.5,minus,plus"], "CSV raster line 2 holds 6 fields"),
+    (["i,j,x,y,label", "0,1.5,0.5,0.5,minus"],
+     "cell index '1.5' in the raster file is not an integer")],
+    ids=["pgm-maxval", "pgm-ny", "pgm-nx", "pgm-maxval-token", "pgm-gray",
+         "csv-short", "csv-long", "csv-index"])
+def test_loaders_name_the_fault_in_a_truncated_file(tmp_path, lines, message):
+    # these raised Python's own unpacking and int() messages
+    load = load_pgm if lines[0] == "P2" else load_csv_raster
+    with pytest.raises(ValueError, match=message):
+        load(_write(tmp_path, lines))
+
+
 @pytest.mark.parametrize("size, key, bad", [("0 5", "nx", "0"), ("-2 -1", "nx", "-2"),
                                             ("3 0", "ny", "0")])
 def test_load_pgm_rejects_a_size_that_is_not_a_positive_integer(tmp_path, size, key, bad):

@@ -511,6 +511,7 @@ def trace_cases():
     ex1 = make_example("ex1").map
     ex3 = make_example("ex3_T2").map
     ex5 = make_example("ex5").map
+    ex4 = make_example("ex4").map
     dsl1 = _dsl_example("ex1", "x/(a+y)", "y/(1+x)")
     dsl5 = _dsl_example("ex5", "b1*x/(1+x+c1*y)+h1", "b2*y/(1+y+c2*x)+h2")
     saddle = ex5_equilibria(make_example("ex5").params)[1]
@@ -526,11 +527,13 @@ def trace_cases():
         "ex5_dsl": (dsl5, find_fixed_point(dsl5, saddle), w5, CurveOptions()),
         "ex1_dsl": (dsl1, find_fixed_point(dsl1, Point2(1e-9, 1.0)), w1,
                     CurveOptions(mode="limit_equilibrium")),
+        "ex4": (ex4, find_fixed_point(ex4, Point2(2.0, 1.0)), Rect(0.0, 6.0, 0.0, 4.0),
+                CurveOptions()),
     }
 
 
 @pytest.mark.parametrize("case", ["ex1_limit", "ex3_T2", "ex5_saddle",
-                                  "ex5_dsl", "ex1_dsl"])
+                                  "ex5_dsl", "ex1_dsl", "ex4"])
 def test_trace_matches_column_by_column(trace_cases, case):
     m, fp, w, opts = trace_cases[case]
     got = trace_stable_curve(m, fp, w, opts)
@@ -688,7 +691,7 @@ def test_probe_phase_is_one_lockstep_call(trace_cases, monkeypatch):
     monkeypatch.setattr(curves, "_limits_lockstep", spy)
     monkeypatch.setattr(curves, "MAX_BISECTIONS", 0)
     assert curves._solve_columns(m, fp, slope, cxs, w, opts.curve_tol, sopts,
-                                 True) is not None
+                                 curves._linear_gap(rec.eigen)) is not None
     probes = sum(len(column_probes(fp, slope, x, w, opts.curve_tol)) for x in cxs)
     assert calls == [probes]
 
@@ -702,8 +705,8 @@ def test_licensed_scan_returns_a_band_probe(trace_cases):
     slope = rec.eigen.v_lam.y / rec.eigen.v_lam.x
     cxs = [fp.x - 0.01, fp.x, fp.x + 0.01]
     sopts = SideOptions(epsilon_margin=1e-6)
-    got = column_pairs(curves._solve_columns(m, fp, slope, cxs, w, 1e-8, sopts, True,
-                                             curves._exit_rate(rec.eigen)))
+    got = column_pairs(curves._solve_columns(m, fp, slope, cxs, w, 1e-8, sopts,
+                                             curves._linear_gap(rec.eigen)))
     assert got == solve_columns_one_by_one(m, fp, slope, cxs, w, 1e-8, sopts)
     assert got[1][1] == "" and abs(got[1][0] - fp.y) <= 1e-6
 
@@ -723,8 +726,8 @@ def _odd_minus_traces(trace_cases, monkeypatch, column):
 
     sided = curves._sided
 
-    def odd_column(m, xs, ys, fp, sopts, rate=None):  # every verdict comes from here
-        codes, *rest = sided(m, xs, ys, fp, sopts, rate)
+    def odd_column(m, xs, ys, fp, sopts, *args):  # every verdict comes from here
+        codes, *rest = sided(m, xs, ys, fp, sopts, *args)
         codes[(xs == x0) & (np.abs(ys - y1) < 0.1)] = LABEL_CODES["minus"]
         return (codes, *rest)
 
@@ -755,15 +758,15 @@ def test_order_audit_reads_every_probe_of_every_column(trace_cases, monkeypatch)
 
 def test_unlicensed_saddle_trace_keeps_no_exit_points(trace_cases, monkeypatch):
     # a saddle trace without the licence is not guided, so no lockstep call
-    # keeps the exit points that only the exit-rate gap reads
+    # keeps the exit points that only the linear gap reads
     m, fp, w, opts = trace_cases["ex5_saddle"]
     want = trace_stable_curve(m, fp, w, opts)
     exits = []
     quadrant_batch = curves._quadrant_batch
 
-    def spy(m, X, Y, fp, opts, keep=False):
+    def spy(m, X, Y, fp, opts, keep=False, *rest):
         exits.append(keep)
-        return quadrant_batch(m, X, Y, fp, opts, keep)
+        return quadrant_batch(m, X, Y, fp, opts, keep, *rest)
 
     monkeypatch.setattr(curves, "_quadrant_batch", spy)
     monkeypatch.setattr(curves, "_order_licensed", lambda *args: False)
@@ -773,8 +776,8 @@ def test_unlicensed_saddle_trace_keeps_no_exit_points(trace_cases, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# (f2) guided location: Anderson-Bjorck on T* or on the exit-rate gap,
-# certified, the bisection replayed
+# (f2) guided location: Anderson-Bjorck on the linear gap, read at T* or at
+# the quadrant exit, certified, the bisection replayed
 
 
 def _columns_setup(trace_cases, case, columns, stretch=(0.0, 0.0), curve_tol=1e-8):
@@ -786,18 +789,23 @@ def _columns_setup(trace_cases, case, columns, stretch=(0.0, 0.0), curve_tol=1e-
     return m, fp, slope, cxs, w, curves._bisect_options(m, replace(opts, curve_tol=curve_tol))
 
 
-def _solved(m, fp, slope, cxs, w, curve_tol, sopts, licensed, rate=None):
-    """_solve_columns as trace_stable_curve calls it: if licensed, under the
-    licence when it holds, and without it when an audit fails."""
+def _gap(trace_cases, case):
+    return curves._linear_gap(trace_cases[case][1].eigen)
+
+
+def _solved(m, fp, slope, cxs, w, curve_tol, sopts, licensed, gap):
+    """_solve_columns as trace_stable_curve calls it: if licensed, guided by
+    gap when the licence holds, and unguided when an audit fails."""
     licensed = licensed and planarmap._order_licensed(m, w, len(cxs) * curves.PROBES)
-    got = curves._solve_columns(m, fp, slope, cxs, w, curve_tol, sopts, licensed, rate)
+    got = curves._solve_columns(m, fp, slope, cxs, w, curve_tol, sopts,
+                                gap if licensed else None)
     if got is None:
         got = curves._solve_columns(m, fp, slope, cxs, w, curve_tol, sopts)
     return column_pairs(got)
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=st.sampled_from(["ex1_limit", "ex1_dsl", "ex3_T2", "ex5_saddle"]),
+@given(case=st.sampled_from(["ex1_limit", "ex1_dsl", "ex3_T2", "ex5_saddle", "ex4"]),
        stretch=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
        columns=st.integers(4, 48), start=st.integers(0, 3),
        stride=st.integers(1, 3), batch=st.booleans(), licensed=st.booleans(),
@@ -806,21 +814,21 @@ def _solved(m, fp, slope, cxs, w, curve_tol, sopts, licensed, rate=None):
 def test_guided_columns_match_column_by_column(trace_cases, case, stretch,
                                                columns, start, stride, batch,
                                                licensed, max_iter, curve_tol):
-    # the one-call probe phase in limit mode and in quadrant mode
-    # (ex5_saddle), both guided when licensed, quadrant mode by the saddle's
-    # exit-rate gap; a short max_iter leaves T* undefined near the curve:
+    # the one-call probe phase in limit mode and in quadrant mode (the ex5
+    # saddle and ex4's nonhyperbolic point), all guided by the linear gap
+    # when licensed; a short max_iter leaves T* undefined near the curve:
     # those columns bisect; at curve_tol 1e-12 the first band of a located
     # limit-mode column fails its certification and widens; a two-level call
     # that certifies a first band finishes its column
     m, fp, slope, cxs, w, sopts = _columns_setup(trace_cases, case, columns, stretch,
                                                  curve_tol)
-    rate = curves._exit_rate(trace_cases[case][1].eigen)
+    gap = _gap(trace_cases, case)
     cxs = cxs[start::stride]
     sopts = replace(sopts, max_iter=max_iter)
     if not batch:
         m = replace(m, batch=None)
     assert _solved(m, fp, slope, cxs, w, curve_tol, sopts, licensed,
-                   rate) == solve_columns_one_by_one(m, fp, slope, cxs, w, curve_tol, sopts)
+                   gap) == solve_columns_one_by_one(m, fp, slope, cxs, w, curve_tol, sopts)
 
 
 @pytest.mark.parametrize("max_iter", [3, CurveOptions().max_iter])
@@ -830,8 +838,8 @@ def test_exit_rate_gap_is_negative_exactly_on_plus(trace_cases, max_iter):
     # starts 1e-6 off the curve exit after dozens of iterations
     m, rec, w, opts = trace_cases["ex5_saddle"]
     fp = rec.location
-    rate = curves._exit_rate(rec.eigen)
-    assert rate is not None
+    gap = curves._linear_gap(rec.eigen)
+    assert gap is not None and gap[2] > 1.0
     sopts = replace(curves._bisect_options(m, opts), max_iter=max_iter)
     rng = np.random.default_rng(5)
     near = trace_stable_curve(m, rec, w, opts).vertices[::8]
@@ -840,7 +848,7 @@ def test_exit_rate_gap_is_negative_exactly_on_plus(trace_cases, max_iter):
     Y = np.concatenate((rng.uniform(w.y_lo, w.y_hi, 400),
                         [v.y - 1e-6 for v in near], [v.y + 1e-6 for v in near],
                         [fp.y]))
-    codes, s, _ = curves._sided(m, X, Y, fp, sopts, rate)
+    codes, s, _ = curves._sided(m, X, Y, fp, sopts, gap)
     assert codes.tolist() == classify_batch(m, X, Y, fp, sopts).tolist()
     plus, minus = codes == LABEL_CODES["plus"], codes == LABEL_CODES["minus"]
     band = codes == LABEL_CODES["band"]
@@ -849,6 +857,68 @@ def test_exit_rate_gap_is_negative_exactly_on_plus(trace_cases, max_iter):
     assert np.array_equal(s == 0, band)
     assert np.array_equal(np.isnan(s), ~(plus | minus | band))
     assert np.isnan(s).any() == (max_iter == 3)
+
+
+@pytest.mark.parametrize("max_iter", [20, CurveOptions().max_iter])
+@pytest.mark.parametrize("case", ["ex1_limit", "ex3_T2"])
+def test_limit_gap_is_negative_exactly_on_plus(trace_cases, case, max_iter):
+    # limit mode reads the linear gap at T*: s < 0 exactly on plus, s > 0
+    # exactly on minus, 0 on band (the start at fp) and NaN without a limit
+    # (max_iter 20 leaves some orbits without one)
+    m, rec, w, opts = trace_cases[case]
+    fp = rec.location
+    gap = curves._linear_gap(rec.eigen)
+    assert gap is not None and gap[2] == 1.0
+    sopts = replace(curves._bisect_options(m, opts), max_iter=max_iter)
+    assert sopts.mode == "limit_equilibrium"
+    rng = np.random.default_rng(5)
+    near = trace_stable_curve(m, rec, w, opts).vertices[::8]
+    X = np.concatenate((rng.uniform(w.x_lo, w.x_hi, 400), [v.x for v in near] * 2,
+                        [fp.x]))
+    Y = np.concatenate((rng.uniform(w.y_lo, w.y_hi, 400),
+                        [v.y - 1e-6 for v in near], [v.y + 1e-6 for v in near],
+                        [fp.y]))
+    codes, s, N = curves._sided(m, X, Y, fp, sopts, gap)
+    assert codes.tolist() == classify_batch(m, X, Y, fp, sopts).tolist()
+    LX = curves._limits_lockstep(m, X, Y, sopts.conv_tol, max_iter)[0]
+    plus, minus = codes == LABEL_CODES["plus"], codes == LABEL_CODES["minus"]
+    band = codes == LABEL_CODES["band"]
+    assert plus.any() and minus.any() and band.any()
+    assert np.array_equal(s < 0, plus) and np.array_equal(s > 0, minus)
+    assert np.array_equal(s == 0, band)
+    assert np.array_equal(np.isnan(s), np.isnan(LX))
+    assert np.array_equal(np.isnan(s), ~(plus | minus | band))
+    assert np.isnan(s).any() == (max_iter == 20)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(["ex5_saddle", "ex4"]), batch=st.booleans(),
+       columns=st.integers(1, 40), offset=st.floats(-1e-3, 1e-3),
+       curve_tol=st.sampled_from([1e-6, 1e-8, 1e-12]))
+def test_location_calls_stop_where_the_scalar_loop_stops(trace_cases, case, batch,
+                                                         columns, offset, curve_tol):
+    # a location call (linear given) stops each quadrant-mode orbit at its
+    # first point within sqrt(curve_tol) of fp, in lockstep as in the
+    # scalar loop, and keeps s there
+    m, rec, w, opts = trace_cases[case]
+    if not batch:
+        m = replace(m, batch=None)
+    fp = rec.location
+    gap = curves._linear_gap(rec.eigen)
+    sopts = curves._bisect_options(m, replace(opts, curve_tol=curve_tol))
+    near = math.sqrt(curve_tol)
+    X = np.linspace(w.x_lo, w.x_hi, columns + 2)[1:-1]
+    Y = fp.y + (X - fp.x) * rec.eigen.v_lam.y / rec.eigen.v_lam.x + offset
+    codes, s, N = curves._sided(m, X, Y, fp, sopts, gap, curve_tol)
+    for k, (x, y) in enumerate(zip(X.tolist(), Y.tolist())):
+        v, ex, ey = curves._classify_quadrant(m, x, y, 0, fp, sopts, near)
+        assert codes[k] == label_code(v)
+        if v.label in ("minus", "plus", "band"):
+            assert N[k] == v.iterations_used
+            want = ((ex - fp.x) * gap[0] + (ey - fp.y) * gap[1]) / gap[2] ** N[k]
+            assert float(s[k]).hex() == float(want).hex()
+        else:
+            assert math.isnan(s[k])
 
 
 @pytest.mark.parametrize("fails", [1, curves.WIDENINGS + 1])
@@ -871,7 +941,8 @@ def test_failed_certification_widens_then_bisects(trace_cases, fails,
 
     monkeypatch.setattr(curves, "_locate", off_locate)
     spy_bisection(monkeypatch, lambda xs, ys: asked.update(zip(xs.tolist(), ys.tolist())))
-    got = column_pairs(curves._solve_columns(m, fp, slope, cxs, w, tol, sopts, True))
+    got = column_pairs(curves._solve_columns(m, fp, slope, cxs, w, tol, sopts,
+                                             _gap(trace_cases, "ex1_limit")))
     assert got == solve_columns_one_by_one(m, fp, slope, cxs, w, tol, sopts)
     assert len(estimates) > len(cxs) // 2
     for x, e in estimates:
@@ -898,7 +969,7 @@ def test_guided_bisection_is_one_call_with_its_audit(trace_cases, case, monkeypa
     spy_bisection(monkeypatch, lambda xs, ys: asked.append(set(zip(xs.tolist(),
                                                                   ys.tolist()))))
     got = column_pairs(curves._solve_columns(m, fp, slope, cxs, w, opts.curve_tol,
-                                             sopts, True, curves._exit_rate(rec.eigen)))
+                                             sopts, curves._linear_gap(rec.eigen)))
     assert len(asked) == 1  # one bisection call
     visited = []  # the ordinates a column's scalar bisection classifies
 
@@ -950,7 +1021,8 @@ def test_replay_audit_disagreement_bisects_every_column(trace_cases):
         return np.where(hit, math.nan, X1), np.where(hit, math.nan, Y1)
 
     odd = replace(m, step=step, batch=batch)
-    assert curves._solve_columns(odd, fp, slope, cxs, w, 1e-8, sopts, True) is None
+    assert curves._solve_columns(odd, fp, slope, cxs, w, 1e-8, sopts,
+                                 _gap(trace_cases, "ex1_limit")) is None
     rec = find_fixed_point(odd, Point2(1e-9, 1.0))
     opts = CurveOptions(columns=64, mode="limit_equilibrium")
     got = trace_stable_curve(odd, rec, w, opts)

@@ -5,6 +5,9 @@ that makes compmap do more or less work on them changes a pin here, and
 says why in CHANGES.md."""
 
 from dataclasses import replace
+from sys import _getframe
+
+import pytest
 
 from compmap import (CurveOptions, Point2, Rect, check_boundary_endpoint_conditions,
                      check_competitive, continuity_probe, ex5_equilibria,
@@ -45,22 +48,24 @@ def _lockstep_calls(monkeypatch, kernel, run):
 def test_ex1_trace_64_columns():
     # the certifying call classifies each band's bisection subtree, both
     # halves below every midpoint inside the band where bisection visits one,
-    # next to the curve where orbits run longest
+    # next to the curve where orbits run longest; the location calls stop
+    # each orbit once its gap reads linear
     m = make_example("ex1").map
     fp = find_fixed_point(m, Point2(1e-9, 1.0))
     assert _evaluations(m, lambda c: trace_stable_curve(
-        c, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions(columns=64))) == 42_881
+        c, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions(columns=64))) == 41_195
 
 
 def test_ex1_trace_64_columns_batch_calls():
     # one batch call per lockstep round of each lockstep call, plus the order
     # licence's image batch: one probe call over every probe of every column,
-    # three calls of T*-guided location, then one call that certifies every
-    # band and classifies the bisection subtree inside it
+    # three location calls, which stop each orbit once the step of T* is
+    # below 1e-6, then one call that certifies every band and classifies the
+    # bisection subtree inside it
     m = make_example("ex1").map
     fp = find_fixed_point(m, Point2(1e-9, 1.0))
     assert _evaluations_and_batch_calls(m, lambda c: trace_stable_curve(
-        c, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions(columns=64))) == (42_881, 147)
+        c, fp, Rect(0.0, 5.0, 0.0, 6.0), CurveOptions(columns=64))) == (41_195, 111)
 
 
 def test_ex1_trace_lockstep_calls(monkeypatch):
@@ -84,12 +89,13 @@ def test_ex3_t2_trace_lockstep_calls(monkeypatch):
 
 def test_ex5_trace_64_columns_quadrant_mode():
     # the saddle's separatrix in quadrant mode: one probe call, location by
-    # the exit-rate gap, then one call that certifies every band and
-    # classifies the bisection subtree inside it
+    # the linear gap, whose orbits stop within sqrt(curve_tol) of the
+    # saddle, then one call that certifies every band and classifies the
+    # bisection subtree inside it
     sys = make_example("ex5")
     saddle = find_fixed_point(sys.map, ex5_equilibria(sys.params)[1])
     assert _evaluations_and_batch_calls(sys.map, lambda c: trace_stable_curve(
-        c, saddle, Rect(0.0, 1.5, 0.0, 1.5), CurveOptions(columns=64))) == (9_826, 88)
+        c, saddle, Rect(0.0, 1.5, 0.0, 1.5), CurveOptions(columns=64))) == (8_616, 61)
 
 
 def test_ex5_trace_quadrant_mode_guided_calls(monkeypatch):
@@ -102,21 +108,56 @@ def test_ex5_trace_quadrant_mode_guided_calls(monkeypatch):
     assert _lockstep_calls(monkeypatch, "_quadrant_batch", lambda: trace_stable_curve(
         counting_map(sys.map, box), saddle, Rect(0.0, 1.5, 0.0, 1.5),
         CurveOptions())) == 7
-    assert box == [40_297, 400, 100]
+    assert box == [35_330, 400, 68]
 
 
-def test_ex4_trace_quadrant_mode_is_not_guided(monkeypatch):
-    # ex4's fixed point is nonhyperbolic (mu = 1): no exit-rate gap and no
-    # licence, so the trace bisects every column, as before guided quadrant
-    # traces: 1 probe call and 13 bisection calls
+def test_ex4_trace_quadrant_mode_guided_calls(monkeypatch):
+    # ex4's fixed point is nonhyperbolic (mu = 1 - 1e-16), and its linear
+    # gap guides the trace as at a saddle: 1 probe call, 4 location calls
+    # and 1 call that certifies and finishes every column; the order licence
+    # samples 200 Jacobians next to the hypotheses' 200 (unguided, the trace
+    # made 1 probe call and 13 bisection calls: 13,720 evaluations in 105
+    # batch calls)
     m = make_example("ex4").map
     fp = find_fixed_point(m, Point2(2.0, 1.0))
-    assert curves._exit_rate(fp.eigen) is None
+    assert curves._linear_gap(fp.eigen) is not None
     box = [0, 0, 0]
     assert _lockstep_calls(monkeypatch, "_quadrant_batch", lambda: trace_stable_curve(
         counting_map(m, box), fp, Rect(0.0, 6.0, 0.0, 4.0),
-        CurveOptions(columns=64))) == 14
-    assert box == [13_720, 200, 105]
+        CurveOptions(columns=64))) == 6
+    assert box == [5_280, 400, 37]
+
+
+def _trace_fixed_point(eid):
+    """The map of example eid, the fixed point its benchmark trace runs at
+    and that trace's window."""
+    sys = make_example(eid)
+    if eid == "ex5":
+        return (sys.map, find_fixed_point(sys.map, ex5_equilibria(sys.params)[1]),
+                Rect(0.0, 1.5, 0.0, 1.5))
+    guess, window = {"ex1": (Point2(1e-9, 1.0), Rect(0.0, 5.0, 0.0, 6.0)),
+                     "ex3_T2": (Point2(3.0, 1.5), Rect(0.5, 8.0, 0.5, 8.0))}[eid]
+    return sys.map, find_fixed_point(sys.map, guess), window
+
+
+@pytest.mark.parametrize("eid, longest", [("ex1", 13), ("ex3_T2", 10), ("ex5", 15)])
+def test_location_orbits_stop_once_their_gap_is_linear(monkeypatch, eid, longest):
+    # 256 columns: the location calls stop each orbit once its gap reads
+    # linear, so none runs on to a verdict or a limit converged to 1e-12 (the
+    # longest ran 25 iterations on ex1, 20 on ex3_T2 and 31 at the ex5 saddle)
+    m, fp, window = _trace_fixed_point(eid)
+    runs = []
+    sided = curves._sided
+
+    def spy(*args, **kwargs):
+        codes, s, n = sided(*args, **kwargs)
+        if _getframe(1).f_code.co_name == "_locate":
+            runs.append(int(n.max()))
+        return codes, s, n
+
+    monkeypatch.setattr(curves, "_sided", spy)
+    trace_stable_curve(m, fp, window, CurveOptions())
+    assert runs and max(runs) <= longest
 
 
 def _ex1_columns(m, n, licensed=False):
@@ -125,7 +166,8 @@ def _ex1_columns(m, n, licensed=False):
     sopts = curves._bisect_options(m, CurveOptions())
     return curves._solve_columns(m, fp.location, slope,
                                  [0.05 + 0.07 * i for i in range(n)],
-                                 Rect(0.0, 5.0, 0.0, 6.0), 1e-8, sopts, licensed)
+                                 Rect(0.0, 5.0, 0.0, 6.0), 1e-8, sopts,
+                                 curves._linear_gap(fp.eigen) if licensed else None)
 
 
 def test_ex1_columns_without_batch_bisect_one_level():
@@ -137,9 +179,10 @@ def test_ex1_columns_without_batch_bisect_one_level():
 
 def test_ex1_licensed_columns_without_batch_classify_every_probe():
     # without a batch step too, every probe of every column is classified;
-    # T*-guided location then replays the bisections
+    # T*-guided location, its orbits stopped once their step is below 1e-6,
+    # then replays the bisections
     m = replace(make_example("ex1").map, batch=None)
-    assert _evaluations(m, lambda c: _ex1_columns(c, 64, licensed=True)) == 43_406
+    assert _evaluations(m, lambda c: _ex1_columns(c, 64, licensed=True)) == 41_956
 
 
 def test_ex1_16_columns_bisect_one_level():
@@ -192,11 +235,13 @@ def test_guided_traces_sample_jacobians_in_one_call():
 
 
 def test_unguided_trace_samples_delta_only():
-    # no order licence at ex4's nonhyperbolic point: its two parts of delta
-    m = make_example("ex4").map
-    fp = find_fixed_point(m, Point2(2.0, 1.0))
-    assert _jacobian_batches(m, lambda c: trace_stable_curve(
-        c, fp, Rect(0.0, 6.0, 0.0, 4.0), CurveOptions(columns=64))) == [200]
+    # no linear gap, so no order licence, at the ex5 node (|lam| < mu < 1):
+    # its two parts of delta
+    sys = make_example("ex5")
+    node = find_fixed_point(sys.map, ex5_equilibria(sys.params)[0])
+    assert curves._linear_gap(node.eigen) is None
+    assert _jacobian_batches(sys.map, lambda c: trace_stable_curve(
+        c, node, Rect(0.0, 1.5, 0.0, 1.5), CurveOptions(columns=64))) == [200]
 
 
 def test_raster_licence_samples_in_one_call():

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from compmap import (CurveOptions, Point2, Rect, ex5_equilibria, find_fixed_point,
                      make_example, raster, trace_stable_curve)
+from compmap import curves
 from compmap.basins import LABEL_CODES, raster_options
 
 SLACK = 1e-6
@@ -35,6 +36,13 @@ CASES = {
 def fixed_points():
     maps = {name: make_example(eid).map for name, (eid, _guess, _w) in CASES.items()}
     return {name: (m, find_fixed_point(m, CASES[name][1])) for name, m in maps.items()}
+
+
+def test_every_case_has_a_linear_gap(fixed_points):
+    # so every trace below is guided where the order licence holds, the one
+    # at ex4's nonhyperbolic fixed point too
+    assert all(curves._linear_gap(rec.eigen) is not None
+               for _m, rec in fixed_points.values())
 
 
 def sides(curve, r):
