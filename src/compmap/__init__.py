@@ -34,12 +34,12 @@ _EXPORTS = {
                          classify_nonhyperbolic find_order_interval
                          first_nonzero_index is_subsolution is_supersolution
                          taylor_along_eigenvector""",
-    "curves": """CurveOptions EndpointLabel LimitRecord MonotoneCurve SideOptions
-                 SideVerdict classify_batch classify_side endpoint_analysis
-                 limit_equilibrium trace_stable_curve trace_unstable_curve
-                 validate_curve""",
-    "basins": """BasinRaster ContinuityReport continuity_probe load_csv_raster
-                 load_pgm raster raster_to_csv raster_to_pgm save_raster""",
+    "curves": """CurveOptions EndpointLabel MonotoneCurve endpoint_analysis
+                 trace_stable_curve trace_unstable_curve validate_curve""",
+    "basins": """BasinRaster ContinuityReport LimitRecord SideOptions SideVerdict
+                 classify_batch classify_side continuity_probe limit_equilibrium
+                 load_csv_raster load_pgm raster raster_to_csv raster_to_pgm
+                 save_raster""",
     "systems": """DEFAULT_PARAMS DESCRIPTIONS EXAMPLE_IDS Continuum Ex5Curves
                   Ex5TwoEquilibria ExampleSystem Fixture ex5_critical_curves
                   ex5_equilibria find_ex5_two_equilibria make_example

@@ -1,10 +1,11 @@
 """Tracing the invariant separatrix and unstable curves of competitive maps.
 
 The separatrix through a fixed point is computed as the decision boundary of
-classify_side: along each vertical column of the window the minus/plus
-labels are bisected down to curve_tol. This realizes the global boundary
-characterization directly instead of continuing the curve locally, which
-would accumulate drift along the slow direction.
+basins.classify_side: along each vertical column of the window the
+minus/plus labels are bisected down to curve_tol. This realizes the global
+boundary characterization directly instead of continuing the curve locally,
+which would accumulate drift along the slow direction. The public side
+classification names are re-exported here.
 """
 
 from __future__ import annotations
@@ -15,542 +16,16 @@ from typing import Optional
 
 import numpy as np
 
+from .basins import (_BAND, _MINUS, _PLUS, _UNDECIDED, BATCH_HANDOFF, SideOptions,
+                     _finite_sides, _resolve_mode, _sided, _within)
+from .basins import (LimitRecord, SideVerdict, classify_batch,  # noqa: F401  (re-exported)
+                     classify_side, limit_equilibrium)
 from .errors import (HypothesisError, NoConvergenceError, SingularityError,
                      check_count, check_point, check_tolerance, check_window)
-from .expr import _Compiled, _function
 from .fixedpoints import (NONHYPERBOLIC_TOL, EigenData, FixedPointRecord,
                           _curve_hypotheses)
 from .geometry import Point2, Rect, record_class, sup_norm
 from .planarmap import SIDE_MODES, PlanarMap, _images, _order_licensed
-
-
-# ---------------------------------------------------------------------------
-# Side classification
-
-# An orbit with a coordinate beyond ESCAPE_BOUND in magnitude has diverged.
-ESCAPE_BOUND = 1e6
-
-
-@record_class
-class SideOptions:
-    """Options for classify_side.
-
-    mode 'quadrant_escape' watches for entry into int Q2 / int Q4 relative to
-    the fixed point with both inequalities cleared by epsilon_margin; it is
-    the right tool for isolated equilibria. mode 'limit_equilibrium' takes
-    the limiting equilibrium T* (limit_equilibrium with tol conv_tol) and
-    compares it with the fixed point in the southeast order; use it when the
-    map has a continuum of equilibria, where quadrant entry never happens.
-    """
-
-    mode: str = "quadrant_escape"
-    epsilon_margin: float = 1e-9
-    max_iter: int = 10_000
-    conv_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.mode not in SIDE_MODES:
-            raise ValueError(f"mode must be one of {', '.join(SIDE_MODES)}, "
-                             f"got {self.mode!r}")
-        check_count("max_iter", self.max_iter)
-        check_tolerance("epsilon_margin", self.epsilon_margin, zero=True)
-        check_tolerance("conv_tol", self.conv_tol)
-
-
-@record_class
-class SideVerdict:
-    label: str  # 'minus' | 'plus' | 'band' | 'undecided'
-    iterations_used: int
-    flag: str = ""  # 'singularity' | 'divergence' | 'escape' | 'max_iter' | ...
-
-
-def classify_side(m: PlanarMap, p: Point2, fp: Point2,
-                  opts: SideOptions = SideOptions()) -> SideVerdict:
-    """Decide which side of the separatrix through fp the point p lies on.
-
-    minus is the northwest component (orbit enters int Q2(fp), or its limit
-    equilibrium is strictly southeast-less than fp); plus the southeast one.
-    p and fp must be finite (errors.check_point).
-    """
-    check_point("p", p)
-    check_point("fp", fp)
-    x, y = float(p[0]), float(p[1])
-    if opts.mode == "quadrant_escape":
-        return _classify_quadrant(m, x, y, 0, fp, opts)[0]
-    flag, x, y, n = _limit_orbit(m.step, x, y, 0, opts.conv_tol, opts.max_iter)
-    if flag:
-        return SideVerdict("undecided", n, flag)
-    code = int(_limit_codes(np.array([x]), np.array([y]), fp, opts)[0])
-    return SideVerdict(LABEL_NAMES[code], n,
-                       "incomparable_limit" if code == _UNDECIDED else "")
-
-
-def _classify_quadrant(m: PlanarMap, x: float, y: float, n: int, fp: Point2,
-                       opts: SideOptions, near: Optional[float] = None) -> tuple:
-    """The quadrant-mode verdict from the orbit point x_n = (x, y), and the
-    orbit point it stopped at: (verdict, x_k, y_k), where k is
-    verdict.iterations_used for a plus, minus or band verdict.
-
-    Per iterate, in this order: band (within near of fp in both
-    coordinates; near defaults to opts.epsilon_margin), minus, plus, beyond
-    ESCAPE_BOUND (divergence); then the step, where SingularityError or a
-    non-finite image reads singularity and an image outside the domain
-    escape. Runs _QUADRANT_LOOP (see _loop)."""
-    d = m.domain
-    eps = opts.epsilon_margin
-    return _loop(m.step, _QUADRANT_LOOP)(m.step, x, y, n, fp[0], fp[1], eps,
-                                         eps if near is None else near,
-                                         opts.max_iter, d.x_lo, d.x_hi,
-                                         d.y_lo, d.y_hi)
-
-
-_QUADRANT_LOOP = """\
-def quadrant(step, x, y, n, fx, fy, eps, near, max_iter, x_lo, x_hi, y_lo, y_hi):
-    meps = -eps
-    mnear = -near
-    big = ESCAPE_BOUND
-    mbig = -big
-    for n in range(n, max_iter + 1):
-        dx = x - fx
-        dy = y - fy
-        if mnear <= dx <= near and mnear <= dy <= near:
-            return SideVerdict("band", n), x, y
-        if dx <= meps and dy >= eps:
-            return SideVerdict("minus", n), x, y
-        if dx >= eps and dy <= meps:
-            return SideVerdict("plus", n), x, y
-        if x > big or x < mbig or y > big or y < mbig:
-            return SideVerdict("undecided", n, "divergence"), x, y
-        try:
-            x, y = step(x, y)
-        except SingularityError:
-            return SideVerdict("undecided", n, "singularity"), x, y
-        if not (isfinite(x) and isfinite(y)):
-            return SideVerdict("undecided", n, "singularity"), x, y
-        if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):
-            return SideVerdict("undecided", n, "escape"), x, y
-    return SideVerdict("undecided", max_iter, "max_iter"), x, y
-"""
-
-
-# ---------------------------------------------------------------------------
-# The limiting-equilibrium map T*
-
-LIMIT_RESIDUAL_TOL = 1e-6
-
-
-@record_class
-class LimitRecord:
-    """T*(start) = T^iterations(start), or limit None with the flag that
-    ended the orbit at its iterations-th point."""
-
-    start: Point2
-    limit: Optional[Point2]
-    iterations: int
-    flag: str = ""  # '' | 'singularity' | 'divergence' | 'max_iter'
-
-    @property
-    def converged(self) -> bool:
-        return self.limit is not None
-
-    @property
-    def diverged(self) -> bool:
-        return self.flag in ("singularity", "divergence")
-
-
-def limit_equilibrium(m: PlanarMap, p: Point2, tol: float = 1e-10,
-                      max_iter: int = 100_000) -> LimitRecord:
-    """The limiting equilibrium T*(p).
-
-    T*(p) is the first orbit point x_k = T^k(p), k < max_iter, whose step
-    T(x_k) - x_k is below min(tol, LIMIT_RESIDUAL_TOL) in both coordinates;
-    that step certifies x_k. A raise or a non-finite iterate ends the orbit
-    as 'singularity', an iterate beyond ESCAPE_BOUND as 'divergence', and k
-    reaching max_iter as 'max_iter'; diverged marks the first two. tol must
-    be finite and > 0, max_iter an int >= 1 and p finite
-    (errors.check_point).
-    """
-    check_tolerance("tol", tol)
-    check_count("max_iter", max_iter)
-    check_point("p", p)
-    start = Point2(*p)
-    flag, x, y, n = _limit_orbit(m.step, float(start.x), float(start.y), 0,
-                                 tol, max_iter)
-    return LimitRecord(start, None if flag else Point2(x, y), n, flag)
-
-
-def _limit_orbit(step, x: float, y: float, n: int, tol: float,
-                 max_iter: int) -> tuple:
-    """T* from the orbit point x_n = (x, y); returns (flag, x_k, y_k, k).
-
-    flag is '' when x_k is the limit, else what ended the orbit at x_k. Per
-    iterate, in this order: the step, where SingularityError or a non-finite
-    image reads singularity; an image beyond ESCAPE_BOUND, divergence; a
-    step below min(tol, LIMIT_RESIDUAL_TOL) in both coordinates, the limit.
-    Runs _LIMIT_LOOP (see _loop)."""
-    return _loop(step, _LIMIT_LOOP)(step, x, y, n, min(tol, LIMIT_RESIDUAL_TOL),
-                                    max_iter)
-
-
-_LIMIT_LOOP = """\
-def limit(step, x, y, n, tol, max_iter):
-    mtol = -tol
-    big = ESCAPE_BOUND
-    mbig = -big
-    while n < max_iter:
-        try:
-            xn, yn = step(x, y)
-        except SingularityError:
-            return "singularity", x, y, n
-        if not (mbig <= xn <= big and mbig <= yn <= big):
-            if isfinite(xn) and isfinite(yn):
-                return "divergence", x, y, n
-            return "singularity", x, y, n
-        if mtol < xn - x < tol and mtol < yn - y < tol:
-            return "", x, y, n
-        x, y = xn, yn
-        n += 1
-    return "max_iter", x, y, n
-"""
-
-# The globals of the orbit loops
-_LOOP_NS = {"SideVerdict": SideVerdict, "SingularityError": SingularityError,
-            "isfinite": math.isfinite, "ESCAPE_BOUND": ESCAPE_BOUND}
-# The loops as they stand, for a step other than an expression map's
-_CALLING = {source: _function(source, dict(_LOOP_NS))
-            for source in (_QUADRANT_LOOP, _LIMIT_LOOP)}
-
-
-def _loop(step, source: str):
-    """The orbit loop source for step. The step of an expression map (and
-    so of every built-in) is written into the loop, compiled once per map
-    (expr._Compiled.inlined); the loop calls any other step, so a wrapper
-    around step sees every evaluation."""
-    compiled = getattr(step, "__self__", None)
-    if isinstance(compiled, _Compiled) and step == compiled.scalar:
-        return compiled.inlined(source, _LOOP_NS)
-    return _CALLING[source]
-
-
-# A lockstep round costs about as much for one point as for hundreds, and the
-# slowest orbits (next to a nonhyperbolic point) run for thousands of
-# iterations; the last few active points therefore finish in a scalar loop.
-# With the map's statements written in (_loop), an iteration of it takes
-# about 0.3-0.4 us on the built-in ex2 and ex5 maps, 30-35 % less than the
-# hand-written loop calling step took (2-vCPU shared VM, Python 3.11).
-BATCH_HANDOFF = 16
-
-
-def _finite_sides(dom: Rect) -> tuple:
-    """(coordinate, comparison, bound) of each finite side of dom; a finite
-    point lies in dom when comparison(point[coordinate], bound) holds for
-    all of them."""
-    sides = ((0, np.greater_equal, dom.x_lo), (0, np.less_equal, dom.x_hi),
-             (1, np.greater_equal, dom.y_lo), (1, np.less_equal, dom.y_hi))
-    return tuple(s for s in sides if math.isfinite(s[2]))
-
-
-def _within(sides, X, Y, mask: np.ndarray) -> np.ndarray:
-    """mask, and-ed in place with the _finite_sides tests of (X, Y)."""
-    for coord, compare, bound in sides:
-        mask &= compare(Y if coord else X, bound)
-    return mask
-
-
-def _limits_lockstep(m: PlanarMap, X: np.ndarray, Y: np.ndarray, tol: float,
-                     max_iter: int) -> tuple:
-    """_limit_orbit from every (X[k], Y[k]), in lockstep numpy.
-
-    Returns the limit coordinates, NaN where the orbit ended without one,
-    a mask of the orbits that ended in a singularity, and each orbit's
-    iteration count: the k of _limit_orbit, the index of the orbit point it
-    ended at (max_iter where it ran out of iterations). All points step
-    together through m.batch, where NaN stands for a singularity; once
-    BATCH_HANDOFF or fewer remain (at once without a batch step), each
-    finishes in _limit_orbit from where it stands.
-
-    A round is the batch call and twelve ufunc calls into preallocated
-    buffers, which leave one "going" mask: max(|x|, |y|) <= ESCAPE_BOUND of
-    the images (False for NaN and inf too), less the orbits whose step is
-    below tol. Only a round in which an orbit ended writes anything: each
-    ended orbit's last point, as its limit, and that max of its image; then
-    it compacts the arrays. After the last round the max tells limits (an
-    image that was going), singularities (NaN or inf) and divergence apart,
-    all at once.
-    """
-    tol = min(tol, LIMIT_RESIDUAL_TOL)
-    LX = np.full(X.shape, math.nan)
-    LY = np.full(X.shape, math.nan)
-    singular = np.zeros(X.shape, dtype=bool)
-    N = np.zeros(X.shape, dtype=int)
-    idx = np.arange(X.size)
-    n = 0
-    if m.batch is not None and X.size > BATCH_HANDOFF:
-        # max(|x|, |y|) of the image that ended each orbit; 0 while it goes on
-        ENDS = np.zeros(X.size)
-        buffers = ([np.empty(X.size) for _ in range(2)]
-                   + [np.empty(X.size, dtype=bool) for _ in range(2)])
-        a, b, go, conv = buffers  # views sized to the live points
-        with np.errstate(all="ignore"):
-            while len(idx) > BATCH_HANDOFF and n < max_iter:
-                Xn, Yn = m.batch(X, Y)
-                np.maximum(np.abs(np.subtract(Xn, X, out=a), out=a),
-                           np.abs(np.subtract(Yn, Y, out=b), out=b), out=a)
-                np.less(a, tol, out=conv)
-                np.maximum(np.abs(Xn, out=a), np.abs(Yn, out=b), out=a)
-                np.less_equal(a, ESCAPE_BOUND, out=go)
-                conv &= go  # X is the limit
-                go ^= conv
-                n += 1
-                if np.count_nonzero(go) == len(go):
-                    X, Y = Xn, Yn
-                    continue
-                stop = ~go
-                k = idx[stop]
-                LX[k] = X[stop]
-                LY[k] = Y[stop]
-                ENDS[k] = a[stop]
-                N[k] = n - 1
-                idx, X, Y = idx[go], Xn[go], Yn[go]
-                a, b, go, conv = (v[:len(idx)] for v in buffers)
-        no_limit = ~(ENDS <= ESCAPE_BOUND)
-        LX[no_limit] = math.nan
-        LY[no_limit] = math.nan
-        singular[~(ENDS < math.inf)] = True  # a NaN or infinite image
-    N[idx] = n  # max_iter, where the rest ran out of iterations
-    if n < max_iter:
-        for k, x, y in zip(idx.tolist(), X.tolist(), Y.tolist()):
-            flag, x, y, N[k] = _limit_orbit(m.step, x, y, n, tol, max_iter)
-            if flag:
-                singular[k] = flag == "singularity"
-            else:
-                LX[k], LY[k] = x, y
-    return LX, LY, singular, N
-
-
-# ---------------------------------------------------------------------------
-# Lockstep side classification of many points
-
-LABEL_NAMES = ("minus", "plus", "band", "undecided", "singular")
-LABEL_CODES = {name: i for i, name in enumerate(LABEL_NAMES)}
-_MINUS, _PLUS, _BAND, _UNDECIDED, _SINGULAR = range(len(LABEL_NAMES))
-
-
-def label_code(v: SideVerdict) -> int:
-    """Code into LABEL_NAMES of a verdict; a singularity flag reads 'singular'."""
-    return _SINGULAR if v.flag == "singularity" else LABEL_CODES[v.label]
-
-
-def classify_batch(m: PlanarMap, xs, ys, fp: Point2,
-                   opts: SideOptions = SideOptions()) -> np.ndarray:
-    """classify_side for every point (xs[k], ys[k]), in lockstep numpy.
-
-    Returns uint8 codes into LABEL_NAMES, shaped like xs, equal point by point
-    to label_code(classify_side(...)): the codes of _sided. xs and ys must
-    have one shape and be finite, and so must fp (errors.check_point).
-    """
-    check_point("fp", fp)
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape:
-        raise ValueError(f"xs and ys must have one shape, got {xs.shape} and {ys.shape}")
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-        raise ValueError("xs and ys must be finite")
-    return _sided(m, xs.ravel(), ys.ravel(), fp, opts)[0].reshape(xs.shape)
-
-
-def _linear_gap(e: EigenData) -> Optional[tuple]:
-    """The linear gap (w_x, w_y, mu) of a fixed point with eigen data e,
-    where the row w is dual to v_mu (w . v_lam = 0, w . v_mu = 1) up to the
-    sign that makes w_x < 0 < w_y, so that s = <w, x - fp> reads < 0 below
-    the increasing curve C through fp and > 0 above it; None unless e is
-    real with |lam| < 1 <= mu + NONHYPERBOLIC_TOL and v_lam in int Q1.
-
-    C leaves fp tangent to v_lam, so near fp a point's side of C is read
-    off its coordinate along v_mu, and <w, x_n - fp> / mu^n of its orbit
-    stays about constant while the orbit is near fp. That covers a saddle
-    (mu > 1), a nonhyperbolic point (mu = 1: ex4's, and every point of a
-    continuum of equilibria, where limit mode reads s at T*). A node
-    (|lam| < mu < 1) is left out, since no built-in trace has one to check
-    the gap against."""
-    if not (e.real_distinct and e.v_lam is not None and e.v_mu is not None
-            and abs(e.lam) < 1.0 <= e.mu + NONHYPERBOLIC_TOL):
-        return None
-    (a, b), (c, d) = e.v_lam, e.v_mu
-    det = a * d - b * c
-    wx, wy = -b / det, a / det
-    if wy < 0.0:
-        wx, wy = -wx, -wy
-    return (wx, wy, e.mu) if wx < 0.0 < wy else None
-
-
-def _sided(m: PlanarMap, X: np.ndarray, Y: np.ndarray, fp: Point2,
-           opts: SideOptions, gap: Optional[tuple] = None,
-           linear: Optional[float] = None) -> tuple:
-    """(codes, s, N) of the points (X[k], Y[k]), from one lockstep call:
-    their codes, the gap s there and each orbit's iteration count; the one
-    function that picks the lockstep kernel of opts.mode.
-
-    Given the linear gap (w_x, w_y, mu) of fp (_linear_gap), s = <w, x_n -
-    fp> / mu^n at the orbit point x_n where each orbit stopped, and N holds
-    n: in limit mode the limit T* (_limits_lockstep), NaN without one; in
-    quadrant mode the point that decided a plus, minus or band verdict, 0 on
-    band (the orbit met fp, so the start lies on the curve up to the
-    verdict margin) and NaN on undecided and singular. s < 0 on plus and
-    s > 0 on minus: in limit mode since T* lies in Q4(fp) or Q2(fp), in
-    quadrant mode since the orbit left through int Q4 or int Q2. Near the
-    curve, which is fp's stable set, s is close to a linear function of the
-    start's offset from it. Without a gap, s is None, and so is N in
-    quadrant mode.
-
-    linear, the curve_tol of _locate's calls and given only there, stops
-    each orbit once its s reads linear: in quadrant mode at the first orbit
-    point within sqrt(curve_tol) of fp in both coordinates, which reads
-    band and keeps its s; in limit mode once its step is below
-    min(LIMIT_RESIDUAL_TOL, sqrt(curve_tol) / 10). The codes of such a call
-    are not classify_side's verdicts."""
-    limit = opts.mode == "limit_equilibrium"
-    if limit:
-        tol = opts.conv_tol if linear is None else math.sqrt(linear) / 10.0
-        EX, EY, singular, N = _limits_lockstep(m, X, Y, tol, opts.max_iter)
-        codes = _limit_codes(EX, EY, fp, opts)  # NaN limits read undecided
-        codes[singular] = _SINGULAR
-    else:
-        near = None if linear is None else max(opts.epsilon_margin, math.sqrt(linear))
-        codes, EX, EY, N = _quadrant_batch(m, X, Y, fp, opts, gap is not None, near)
-    if gap is None:
-        return codes, None, N
-    wx, wy, mu = gap
-    with np.errstate(all="ignore"):
-        s = ((EX - fp[0]) * wx + (EY - fp[1]) * wy) / mu ** N
-    if not limit:
-        if linear is None:
-            s[codes == _BAND] = 0.0
-        s[codes > _BAND] = math.nan  # undecided or singular
-    return codes, s, N
-
-
-# The label of a stopped quadrant-mode image, at 4 not band + 2 not minus + not plus
-_STOPPED = np.array([_BAND] * 4 + [_MINUS, _MINUS, _PLUS, _UNDECIDED], dtype=np.uint8)
-
-
-def _quadrant_batch(m: PlanarMap, X: np.ndarray, Y: np.ndarray, fp: Point2,
-                    opts: SideOptions, exits: bool = False,
-                    near: Optional[float] = None) -> tuple:
-    """_classify_quadrant (with its band half-width near) from every
-    (X[k], Y[k]), in lockstep numpy; returns
-    the label codes and, if exits, the orbit point x_n each orbit stopped at
-    and its index n: (codes, EX, EY, N), where x_n decided a plus, minus or
-    band verdict; else (codes, None, None, None). Keeping them costs three
-    scatters in each round where an orbit stops: on the ex4 128x128
-    raster, about a quarter of the call's time.
-
-    All points step together through m.batch; once BATCH_HANDOFF or fewer
-    remain (at once without a batch step), each finishes in
-    _classify_quadrant from where it stands.
-
-    The starts are labelled first. A round then steps the live points (all
-    finite, inside the domain, within ESCAPE_BOUND and undecided) and
-    builds, with 16 ufunc calls plus two per finite side of the domain, all
-    into preallocated buffers, the masks of the images: ok, max(|x|, |y|)
-    <= ESCAPE_BOUND (False for NaN and inf too) inside the domain's finite
-    sides; and, with u = x - fx, w = fy - y, hi = max(u, w) and lo =
-    min(u, w), not minus (hi > -eps), not plus (lo < eps) and not band
-    (max(hi, -lo) > near). The live points go on where all four hold. Only
-    a round in which an image stopped labels it, from those masks, and
-    compacts the arrays; the rare image that stopped not ok is told
-    singular, escaped or beyond ESCAPE_BOUND on its own. The image of
-    round max_iter only tells singular from undecided, as in
-    _classify_quadrant.
-    """
-    out = np.full(X.size, _UNDECIDED, dtype=np.uint8)
-    EX, EY, N = ((X.copy(), Y.copy(), np.zeros(X.size, dtype=int)) if exits
-                 else (None,) * 3)
-    idx = np.arange(X.size)
-    n = 0
-    if m.batch is not None and X.size > BATCH_HANDOFF:
-        with np.errstate(all="ignore"):
-            eps = opts.epsilon_margin
-            near = eps if near is None else near
-            fx, fy = fp
-            sides = _finite_sides(m.domain)
-            dx = X - fx
-            dy = Y - fy
-            out[(dx >= eps) & (dy <= -eps)] = _PLUS
-            out[(dx <= -eps) & (dy >= eps)] = _MINUS
-            out[(np.abs(dx) <= near) & (np.abs(dy) <= near)] = _BAND
-            idx = ((out == _UNDECIDED) & ~((np.abs(X) > ESCAPE_BOUND)
-                                           | (np.abs(Y) > ESCAPE_BOUND))).nonzero()[0]
-            X, Y = X[idx], Y[idx]
-            buffers = ([np.empty(len(idx)) for _ in range(3)]
-                       + [np.empty(len(idx), dtype=bool) for _ in range(5)])
-            # views sized to the live points
-            a, b, c, ok, not_minus, not_plus, not_band, go = buffers
-            while len(idx) and (len(idx) > BATCH_HANDOFF or n == opts.max_iter):
-                Xn, Yn = m.batch(X, Y)
-                np.maximum(np.abs(Xn, out=a), np.abs(Yn, out=b), out=a)
-                if n == opts.max_iter:  # the rest stay undecided
-                    out[idx[~(a < math.inf)]] = _SINGULAR
-                    idx, X, Y = idx[:0], X[:0], Y[:0]
-                    break
-                np.less_equal(a, ESCAPE_BOUND, out=ok)
-                for coord, compare, bound in sides:
-                    ok &= compare(Yn if coord else Xn, bound, out=go)
-                np.maximum(np.subtract(Xn, fx, out=a), np.subtract(fy, Yn, out=b),
-                           out=c)
-                np.minimum(a, b, out=a)
-                np.greater(c, -eps, out=not_minus)
-                np.less(a, eps, out=not_plus)
-                np.greater(np.maximum(c, np.negative(a, out=b), out=b), near,
-                           out=not_band)
-                np.logical_and(ok, not_minus, out=go)
-                go &= not_plus
-                go &= not_band
-                n += 1
-                if np.count_nonzero(go) == len(go):
-                    X, Y = Xn, Yn
-                    continue
-                # integer indices: each serves several gathers
-                stop, keep = (~go).nonzero()[0], go.nonzero()[0]
-                key = not_band[stop].view(np.uint8) << 2
-                key |= not_minus[stop].view(np.uint8) << 1
-                key |= not_plus[stop].view(np.uint8)
-                codes = _STOPPED.take(key)
-                if np.count_nonzero(ok) < len(ok):  # not finite, out of the domain,
-                    odd = (~ok[stop]).nonzero()[0]   # or beyond ESCAPE_BOUND
-                    x, y = Xn[stop[odd]], Yn[stop[odd]]
-                    finite = np.isfinite(x) & np.isfinite(y)
-                    codes[odd[~_within(sides, x, y, finite.copy())]] = _UNDECIDED
-                    codes[odd[~finite]] = _SINGULAR
-                k = idx[stop]
-                out[k] = codes
-                if exits:
-                    EX[k], EY[k], N[k] = Xn[stop], Yn[stop], n
-                idx, X, Y = idx[keep], Xn[keep], Yn[keep]
-                a, b, c, ok, not_minus, not_plus, not_band, go = (
-                    v[:len(idx)] for v in buffers)
-    for k, x, y in zip(idx.tolist(), X.tolist(), Y.tolist()):
-        v, x, y = _classify_quadrant(m, x, y, n, fp, opts, near)
-        out[k] = label_code(v)
-        if exits:
-            EX[k], EY[k], N[k] = x, y, v.iterations_used
-    return out, EX, EY, N
-
-
-def _limit_codes(X, Y, fp, opts):
-    """The comparison of limits (X, Y) with fp in the southeast order under
-    a slack of ten times the tolerance they are certified at: minus in
-    Q2(fp) and plus in Q4(fp), each widened by the slack, else undecided;
-    band within max(epsilon_margin, slack) of fp in both coordinates, where
-    the two meet, as a limit within the slack cannot be told from fp."""
-    dx = X - fp[0]
-    dy = Y - fp[1]
-    slack = max(1e-12, 10.0 * min(opts.conv_tol, LIMIT_RESIDUAL_TOL))
-    codes = np.full(X.shape, _UNDECIDED, dtype=np.uint8)
-    codes[(dx <= slack) & (dy >= -slack)] = _MINUS
-    codes[(dx >= -slack) & (dy <= slack)] = _PLUS
-    band = max(opts.epsilon_margin, slack)
-    codes[np.maximum(np.abs(dx), np.abs(dy)) <= band] = _BAND
-    return codes
 
 
 # ---------------------------------------------------------------------------
@@ -686,21 +161,11 @@ class CurveOptions:
         check_tolerance("curve_tol", self.curve_tol)
 
 
-def _resolve_mode(m: PlanarMap, mode: Optional[str] = None) -> str:
-    """The given mode, else limit_equilibrium for maps with a continuum of
-    equilibria and quadrant_escape otherwise."""
-    if mode is not None:
-        return mode
-    return "limit_equilibrium" if m.meta.get("continuum") else "quadrant_escape"
-
-
 # The geometric columns of a side sit at offsets from span * THETA_MIN to span.
 THETA_MIN = 1e-3
 
 
 def _geometric_offsets(span: float, n: int) -> list:
-    if n <= 0:
-        return []
     if n == 1:
         return [span]
     return [span * THETA_MIN ** (1.0 - i / (n - 1)) for i in range(n)]
@@ -763,6 +228,31 @@ LOCATE_ROUNDS = 16
 # WIDENINGS times.
 WIDEN = 16
 WIDENINGS = 4
+
+
+def _linear_gap(e: EigenData) -> Optional[tuple]:
+    """The linear gap (w_x, w_y, mu) of a fixed point with eigen data e,
+    where the row w is dual to v_mu (w . v_lam = 0, w . v_mu = 1) up to the
+    sign that makes w_x < 0 < w_y, so that s = <w, x - fp> reads < 0 below
+    the increasing curve C through fp and > 0 above it; None unless e is
+    real with |lam| < 1 <= mu + NONHYPERBOLIC_TOL and v_lam in int Q1.
+
+    C leaves fp tangent to v_lam, so near fp a point's side of C is read
+    off its coordinate along v_mu, and <w, x_n - fp> / mu^n of its orbit
+    stays about constant while the orbit is near fp. That covers a saddle
+    (mu > 1), a nonhyperbolic point (mu = 1: ex4's, and every point of a
+    continuum of equilibria, where limit mode reads s at T*). A node
+    (|lam| < mu < 1) is left out, since no built-in trace has one to check
+    the gap against."""
+    if not (e.real_distinct and e.v_lam is not None and e.v_mu is not None
+            and abs(e.lam) < 1.0 <= e.mu + NONHYPERBOLIC_TOL):
+        return None
+    (a, b), (c, d) = e.v_lam, e.v_mu
+    det = a * d - b * c
+    wx, wy = -b / det, a / det
+    if wy < 0.0:
+        wx, wy = -wx, -wy
+    return (wx, wy, e.mu) if wx < 0.0 < wy else None
 
 
 def _locate(m: PlanarMap, fp: Point2, cx: np.ndarray, lo: np.ndarray,

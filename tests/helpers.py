@@ -26,12 +26,13 @@ from compmap import (BoundaryEndpointReport, CompetitivityReport,
                      MonotoneCurve, NoConvergenceError, PlanarMap, Point2,
                      Rect, SingularityError, TaylorRay, UnboundParameterError,
                      endpoint_analysis, jacobian, validate_curve)
-from compmap.basins import PGM_GRAY, _read_meta
+from compmap import basins
+from compmap.basins import (LABEL_CODES, LABEL_NAMES, PGM_GRAY, LimitRecord,
+                            SideVerdict, _read_meta)
 from compmap.classification import ILL_CONDITION_REL
 from compmap.errors import check_count, check_tolerance
 from compmap import curves
-from compmap.curves import (LABEL_CODES, LABEL_NAMES, PROBES, UNSTABLE_SEEDS,
-                            LimitRecord, SideVerdict)
+from compmap.curves import PROBES, UNSTABLE_SEEDS
 from compmap.fixedpoints import (BOUNDARY_GRID, MAX_HALVINGS, NEWTON_MAX_ITER,
                                  NEWTON_TOL, NONHYPERBOLIC_TOL, RESTART_STEPS, _delta_parts,
                                  _record)
@@ -382,7 +383,7 @@ def ex1_boundary_scan(a, x_col, y_lo, y_hi, n_scan=513, fp_y=1.0, iters=400):
 
 
 def classify_quadrant(m, x, y, n, fp, opts):
-    """curves._classify_quadrant written out: the quadrant-mode verdict from
+    """basins._classify_quadrant written out: the quadrant-mode verdict from
     the orbit point x_n = (x, y), and the orbit point it stopped at."""
     eps = opts.epsilon_margin
     fx, fy = fp
@@ -397,7 +398,7 @@ def classify_quadrant(m, x, y, n, fp, opts):
             return SideVerdict("minus", n), x, y
         if dx >= eps and dy <= -eps:
             return SideVerdict("plus", n), x, y
-        if abs(x) > curves.ESCAPE_BOUND or abs(y) > curves.ESCAPE_BOUND:
+        if abs(x) > basins.ESCAPE_BOUND or abs(y) > basins.ESCAPE_BOUND:
             return SideVerdict("undecided", n, "divergence"), x, y
         try:
             x, y = step(x, y)
@@ -411,9 +412,9 @@ def classify_quadrant(m, x, y, n, fp, opts):
 
 
 def limit_orbit(step, x, y, n, tol, max_iter):
-    """curves._limit_orbit written out: T* from the orbit point x_n = (x, y),
+    """basins._limit_orbit written out: T* from the orbit point x_n = (x, y),
     as (flag, x_k, y_k, k)."""
-    tol = min(tol, curves.LIMIT_RESIDUAL_TOL)
+    tol = min(tol, basins.LIMIT_RESIDUAL_TOL)
     while n < max_iter:
         try:
             xn, yn = step(x, y)
@@ -421,7 +422,7 @@ def limit_orbit(step, x, y, n, tol, max_iter):
             return "singularity", x, y, n
         if not (math.isfinite(xn) and math.isfinite(yn)):
             return "singularity", x, y, n
-        if abs(xn) > curves.ESCAPE_BOUND or abs(yn) > curves.ESCAPE_BOUND:
+        if abs(xn) > basins.ESCAPE_BOUND or abs(yn) > basins.ESCAPE_BOUND:
             return "divergence", x, y, n
         if abs(xn - x) < tol and abs(yn - y) < tol:
             return "", x, y, n
@@ -438,9 +439,9 @@ def scalar_classify_side(m, p, fp, opts):
     flag, x, y, n = limit_orbit(m.step, x, y, 0, opts.conv_tol, opts.max_iter)
     if flag:
         return SideVerdict("undecided", n, flag)
-    code = int(curves._limit_codes(np.array([x]), np.array([y]), fp, opts)[0])
-    return SideVerdict(curves.LABEL_NAMES[code], n,
-                       "incomparable_limit" if code == curves._UNDECIDED else "")
+    code = int(basins._limit_codes(np.array([x]), np.array([y]), fp, opts)[0])
+    return SideVerdict(basins.LABEL_NAMES[code], n,
+                       "incomparable_limit" if code == basins._UNDECIDED else "")
 
 
 def scalar_limit_equilibrium(m, p, tol=1e-10, max_iter=100_000):

@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 import tempfile
 from dataclasses import replace
 
@@ -13,8 +14,8 @@ from compmap import (BasinRaster, Point2, Rect, SideOptions, SingularityError, b
                      expr_map, find_fixed_point, limit_equilibrium, load_csv_raster, load_pgm,
                      make_example, planarmap, raster, raster_to_csv,
                      raster_to_pgm, save_raster)
-from compmap.basins import LABEL_CODES, LABEL_NAMES, raster_options
-from compmap.curves import LIMIT_RESIDUAL_TOL, _UNDECIDED, classify_batch
+from compmap.basins import (LABEL_CODES, LABEL_NAMES, LIMIT_RESIDUAL_TOL, _UNDECIDED,
+                            classify_batch, raster_options)
 from compmap.planarmap import PlanarMap
 
 from helpers import (cell_load_csv_raster, cell_load_pgm, cell_raster_to_csv,
@@ -307,8 +308,9 @@ def test_quadrant_raster_classifies_every_cell_in_one_call(ex4, monkeypatch):
     calls = []
     sided = basins._sided
 
-    def spy(m, X, Y, fp, opts):
-        calls.append(X.shape)
+    def spy(m, X, Y, fp, opts):  # the raster's calls, not classify_batch's
+        if sys._getframe(1).f_code.co_name == "raster":
+            calls.append(X.shape)
         return sided(m, X, Y, fp, opts)
 
     monkeypatch.setattr(basins, "_sided", spy)

@@ -24,14 +24,14 @@ from compmap import (DEFAULT_PARAMS, EXAMPLE_IDS, CurveOptions, DomainError,
                      find_fixed_point, make_example, raster,
                      raster_to_csv, raster_to_pgm, trace_stable_curve,
                      trace_unstable_curve)
-from compmap import curves, planarmap
-from compmap.basins import raster_options
-from compmap.curves import (BATCH_HANDOFF, LABEL_CODES, classify_batch,
-                            label_code, locate_ordinate)
+from compmap import basins, curves, planarmap
+from compmap.basins import (BATCH_HANDOFF, LABEL_CODES, classify_batch, label_code,
+                            raster_options)
+from compmap.curves import locate_ordinate
 from compmap.planarmap import PlanarMap
 import helpers
-from helpers import (column_pairs, column_probes, limit_orbit, linear_saddle_step,
-                     scalar_classify_side, scalar_limit_equilibrium,
+from helpers import (column_pairs, column_probes, counting_map, limit_orbit,
+                     linear_saddle_step, scalar_classify_side, scalar_limit_equilibrium,
                      scalar_trace_unstable_curve, solve_columns_one_by_one,
                      solved_one_by_one, spy_bisection, wall_map)
 
@@ -160,15 +160,23 @@ def test_classify_batch_matches_classify_side(side_cases, case, mode, uv,
     ys = np.array([w.y_lo + v * w.height() for _, v in uv])
     opts = replace(raster_options(m, w), mode=mode, max_iter=max_iter,
                    conv_tol=conv_tol)
-    saved = curves.BATCH_HANDOFF
-    curves.BATCH_HANDOFF = handoff
+    box = [0, 0, 0]
+    saved = basins.BATCH_HANDOFF
+    basins.BATCH_HANDOFF = handoff
     try:
-        got = classify_batch(m, xs, ys, fp, opts)
+        got = classify_batch(counting_map(m, box), xs, ys, fp, opts)
     finally:
-        curves.BATCH_HANDOFF = saved
-    want = [label_code(scalar_classify_side(m, Point2(x, y), fp, opts))
-            for x, y in zip(xs.tolist(), ys.tolist())]
-    assert got.tolist() == want
+        basins.BATCH_HANDOFF = saved
+    verdicts = [scalar_classify_side(m, Point2(x, y), fp, opts)
+                for x, y in zip(xs.tolist(), ys.tolist())]
+    assert got.tolist() == [label_code(v) for v in verdicts]
+    # the patch reaches the kernels: at hand-off 10**9 no orbit steps in
+    # lockstep, at 0 one does once any orbit takes a step (16, the default,
+    # shows nothing of the patch)
+    stepped = m.batch is not None and any(
+        mode == "limit_equilibrium" or v.iterations_used or v.flag for v in verdicts)
+    if handoff != 16:
+        assert (box[2] > 0) == (handoff == 0 and stepped)
 
 
 def test_handoff_keeps_the_remaining_budget():
@@ -235,10 +243,13 @@ def test_lockstep_retirements_match_the_scalar_loops(name, mode, a, pts, fp, eps
     Y = np.array([p[1] for p in pts])
     opts = SideOptions(mode=mode, epsilon_margin=eps, max_iter=max_iter,
                        conv_tol=conv_tol)
-    want = [label_code(scalar_classify_side(m, Point2(x, y), Point2(*fp), opts))
-            for x, y in pts]
-    assert classify_batch(m, X, Y, Point2(*fp), opts).tolist() == want
-    LX, LY, singular, N = curves._limits_lockstep(m, X, Y, conv_tol, max_iter)
+    verdicts = [scalar_classify_side(m, Point2(x, y), Point2(*fp), opts) for x, y in pts]
+    assert classify_batch(m, X, Y, Point2(*fp), opts).tolist() == [
+        label_code(v) for v in verdicts]
+    if mode == "quadrant_escape":  # one iteration count on every label
+        N = basins._quadrant_batch(m, X, Y, Point2(*fp), opts, exits=True)[3]
+        assert N.tolist() == [v.iterations_used for v in verdicts]
+    LX, LY, singular, N = basins._limits_lockstep(m, X, Y, conv_tol, max_iter)
     for k, (x, y) in enumerate(pts):
         flag, lx, ly, n = limit_orbit(m.step, x, y, 0, conv_tol, max_iter)
         if flag:
@@ -302,7 +313,7 @@ def test_limit_lockstep_step_equal_to_tol_goes_on():
     m = expr_map("x + 0.000001", "y", {})
     X = np.zeros(BATCH_HANDOFF + 4)
     Y = np.arange(BATCH_HANDOFF + 4, dtype=float)
-    LX, LY, singular, N = curves._limits_lockstep(m, X, Y, 1e-6, 30)
+    LX, LY, singular, N = basins._limits_lockstep(m, X, Y, 1e-6, 30)
     flag, x, _y, n = limit_orbit(m.step, 0.0, 0.0, 0, 1e-6, 30)
     assert (flag, n) == ("", 3)
     assert LX.tolist() == [x] * len(X) and LY.tolist() == Y.tolist()
@@ -318,9 +329,9 @@ def test_limit_lockstep_step_equal_to_tol_goes_on():
 ])
 def test_limit_lockstep_on_the_escape_bound(f, flags):
     m = expr_map(f, "0.5*y", {})
-    edge = curves.ESCAPE_BOUND
+    edge = basins.ESCAPE_BOUND
     xs = [edge, edge - 1, math.nextafter(edge, math.inf), 1.0] * 5
-    LX, LY, singular, N = curves._limits_lockstep(m, np.array(xs),
+    LX, LY, singular, N = basins._limits_lockstep(m, np.array(xs),
                                                   np.full(len(xs), 1e-9), 1e-6, 50)
     for k, x in enumerate(xs):
         flag, lx, ly, n = limit_orbit(m.step, x, 1e-9, 0, 1e-6, 50)
@@ -370,14 +381,14 @@ def test_probe_scan_matches_the_row_loop(data, rows, probes):
     # NaN-padded (and undecided) past its own probe count as _probe_matrix
     # pads it: the whole-matrix scan reads what the loop over probe indices
     # read, field by field, and finds a plus above a minus where it did
-    code = st.integers(0, len(curves.LABEL_NAMES) - 1)
+    code = st.integers(0, len(basins.LABEL_NAMES) - 1)
     V = np.array(data.draw(st.lists(st.lists(code, min_size=probes, max_size=probes),
                                     min_size=rows, max_size=rows)), dtype=np.uint8)
     counts = np.array(data.draw(st.lists(st.integers(1, probes), min_size=rows,
                                          max_size=rows)))
     P = np.arange(rows * probes, dtype=float).reshape(rows, probes) / probes
     pad = np.arange(probes) >= counts[:, None]
-    P[pad], V[pad] = math.nan, curves._UNDECIDED
+    P[pad], V[pad] = math.nan, basins._UNDECIDED
     got, want = curves._scan(V, P), helpers.scan_rows(V, P)
     for g, w in zip(got[:5], want[:5]):
         assert g.dtype.kind == w.dtype.kind and np.array_equal(g, w, equal_nan=True)
@@ -465,7 +476,7 @@ def test_continuity_probe_hands_off_to_the_scalar_loop(name, seg, n, max_iter):
         p = Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
         want.append(scalar_limit_equilibrium(m, p, max_iter=max_iter).limit)
     assert list(rep.limits) == want
-    if n <= curves.BATCH_HANDOFF:  # every sample finishes in the scalar loop
+    if n <= basins.BATCH_HANDOFF:  # every sample finishes in the scalar loop
         assert len(steps) >= n
     elif name == "ex1" and max_iter >= 34:  # the slowest samples do
         assert steps
@@ -682,13 +693,13 @@ def test_probe_phase_is_one_lockstep_call(trace_cases, monkeypatch):
     cxs = [x for x in curves._column_positions(w, fp.x, opts.columns) if x != fp.x]
     sopts = curves._bisect_options(m, opts)
     calls = []
-    limits_lockstep = curves._limits_lockstep
+    limits_lockstep = basins._limits_lockstep
 
     def spy(m, X, *rest):
         calls.append(len(X))
         return limits_lockstep(m, X, *rest)
 
-    monkeypatch.setattr(curves, "_limits_lockstep", spy)
+    monkeypatch.setattr(basins, "_limits_lockstep", spy)
     monkeypatch.setattr(curves, "MAX_BISECTIONS", 0)
     assert curves._solve_columns(m, fp, slope, cxs, w, opts.curve_tol, sopts,
                                  curves._linear_gap(rec.eigen)) is not None
@@ -762,13 +773,13 @@ def test_unlicensed_saddle_trace_keeps_no_exit_points(trace_cases, monkeypatch):
     m, fp, w, opts = trace_cases["ex5_saddle"]
     want = trace_stable_curve(m, fp, w, opts)
     exits = []
-    quadrant_batch = curves._quadrant_batch
+    quadrant_batch = basins._quadrant_batch
 
     def spy(m, X, Y, fp, opts, keep=False, *rest):
         exits.append(keep)
         return quadrant_batch(m, X, Y, fp, opts, keep, *rest)
 
-    monkeypatch.setattr(curves, "_quadrant_batch", spy)
+    monkeypatch.setattr(basins, "_quadrant_batch", spy)
     monkeypatch.setattr(curves, "_order_licensed", lambda *args: False)
     got = trace_stable_curve(m, fp, w, opts)
     assert exits and not any(exits)
@@ -848,7 +859,7 @@ def test_exit_rate_gap_is_negative_exactly_on_plus(trace_cases, max_iter):
     Y = np.concatenate((rng.uniform(w.y_lo, w.y_hi, 400),
                         [v.y - 1e-6 for v in near], [v.y + 1e-6 for v in near],
                         [fp.y]))
-    codes, s, _ = curves._sided(m, X, Y, fp, sopts, gap)
+    codes, s, _ = basins._sided(m, X, Y, fp, sopts, gap)
     assert codes.tolist() == classify_batch(m, X, Y, fp, sopts).tolist()
     plus, minus = codes == LABEL_CODES["plus"], codes == LABEL_CODES["minus"]
     band = codes == LABEL_CODES["band"]
@@ -878,9 +889,9 @@ def test_limit_gap_is_negative_exactly_on_plus(trace_cases, case, max_iter):
     Y = np.concatenate((rng.uniform(w.y_lo, w.y_hi, 400),
                         [v.y - 1e-6 for v in near], [v.y + 1e-6 for v in near],
                         [fp.y]))
-    codes, s, N = curves._sided(m, X, Y, fp, sopts, gap)
+    codes, s, N = basins._sided(m, X, Y, fp, sopts, gap)
     assert codes.tolist() == classify_batch(m, X, Y, fp, sopts).tolist()
-    LX = curves._limits_lockstep(m, X, Y, sopts.conv_tol, max_iter)[0]
+    LX = basins._limits_lockstep(m, X, Y, sopts.conv_tol, max_iter)[0]
     plus, minus = codes == LABEL_CODES["plus"], codes == LABEL_CODES["minus"]
     band = codes == LABEL_CODES["band"]
     assert plus.any() and minus.any() and band.any()
@@ -909,12 +920,11 @@ def test_location_calls_stop_where_the_scalar_loop_stops(trace_cases, case, batc
     near = math.sqrt(curve_tol)
     X = np.linspace(w.x_lo, w.x_hi, columns + 2)[1:-1]
     Y = fp.y + (X - fp.x) * rec.eigen.v_lam.y / rec.eigen.v_lam.x + offset
-    codes, s, N = curves._sided(m, X, Y, fp, sopts, gap, curve_tol)
+    codes, s, N = basins._sided(m, X, Y, fp, sopts, gap, curve_tol)
     for k, (x, y) in enumerate(zip(X.tolist(), Y.tolist())):
-        v, ex, ey = curves._classify_quadrant(m, x, y, 0, fp, sopts, near)
-        assert codes[k] == label_code(v)
+        v, ex, ey = basins._classify_quadrant(m, x, y, 0, fp, sopts, near)
+        assert codes[k] == label_code(v) and N[k] == v.iterations_used
         if v.label in ("minus", "plus", "band"):
-            assert N[k] == v.iterations_used
             want = ((ex - fp.x) * gap[0] + (ey - fp.y) * gap[1]) / gap[2] ** N[k]
             assert float(s[k]).hex() == float(want).hex()
         else:

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -269,6 +270,35 @@ def test_config_echo_reproduces_output(tmp_path, capsys):
         rc, _, err = _run(capsys, [argv[0], "--config", str(cfg), "--out", str(f3)])
         assert rc == 2 and "colums" in err
         assert not f3.exists()
+
+
+def test_restated_defaults_are_the_library_defaults():
+    # the echo prints the verbs' default strings as they stand; each that
+    # restates a library default must parse to it, so neither side drifts
+    from compmap import (CurveOptions, Rect, SideOptions, make_example, orbit,
+                         trace_unstable_curve)
+    from compmap.basins import raster_options
+    from compmap.cli import _OPTIONS, _parse
+    from compmap.fixedpoints import NEWTON_TOL
+
+    curve = CurveOptions()
+    unstable = inspect.signature(trace_unstable_curve).parameters
+    library = {
+        ("curve", "tol"): curve.curve_tol,
+        ("curve", "max_iter"): curve.max_iter,
+        ("curve", "columns"): curve.columns,
+        ("curve", "steps"): unstable["steps"].default,
+        ("curve", "seed_radius"): unstable["seed_radius"].default,
+        ("basin", "tol"): SideOptions().conv_tol,
+        ("basin", "max_iter"): raster_options(make_example("ex4").map,
+                                              Rect(0.0, 6.0, 0.0, 4.0)).max_iter,
+        ("analyze", "tol"): NEWTON_TOL,
+        ("orbit", "tol"): inspect.signature(orbit).parameters["conv_tol"].default,
+    }
+    for (verb, key), want in library.items():
+        o = _OPTIONS[verb][key]
+        got = _parse(o, o.default)
+        assert (type(got), got) == (type(want), want), (verb, key)
 
 
 # sha256 of the basin files: the labels from before limit-mode rasters

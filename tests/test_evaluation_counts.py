@@ -13,7 +13,7 @@ from compmap import (CurveOptions, Point2, Rect, check_boundary_endpoint_conditi
                      check_competitive, continuity_probe, ex5_equilibria,
                      find_fixed_point, make_example, raster, trace_stable_curve,
                      trace_unstable_curve)
-from compmap import curves
+from compmap import basins, curves
 
 from helpers import counting_map, patchy_map, wall_map
 
@@ -31,16 +31,16 @@ def _evaluations_and_batch_calls(m, run):
 
 
 def _lockstep_calls(monkeypatch, kernel, run):
-    """The number of calls run makes to curves.<kernel>, the lockstep kernel
+    """The number of calls run makes to basins.<kernel>, the lockstep kernel
     of a mode (_limits_lockstep or _quadrant_batch)."""
     calls = [0]
-    kernel_fn = getattr(curves, kernel)
+    kernel_fn = getattr(basins, kernel)
 
     def spy(*args):
         calls[0] += 1
         return kernel_fn(*args)
 
-    monkeypatch.setattr(curves, kernel, spy)
+    monkeypatch.setattr(basins, kernel, spy)
     run()
     return calls[0]
 

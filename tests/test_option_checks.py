@@ -19,7 +19,8 @@ from compmap import (CurveOptions, Point2, Rect, SideOptions, check_competitive,
                      sweep_continuum, taylor_along_eigenvector,
                      trace_stable_curve, trace_unstable_curve)
 
-from compmap.curves import classify_batch, locate_ordinate
+from compmap.basins import classify_batch
+from compmap.curves import locate_ordinate
 from helpers import counting_map
 
 BAD = (math.nan, math.inf, 2.5, True, 0, -1)

@@ -1,6 +1,6 @@
 """The scalar orbit loops of curves against the plain loops of helpers.
 
-curves._classify_quadrant and curves._limit_orbit run one loop text each,
+basins._classify_quadrant and basins._limit_orbit run one loop text each,
 compiled with an expression map's statements written in, or as it stands
 calling any other step. Both must give what the plain loops give, on maps
 whose steps raise (poles, '^' that math.pow rejects, unbound parameters),
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from compmap import Point2, Rect, SideOptions, classify_side, expr_map, limit_equilibrium
-from compmap import curves
+from compmap import basins
 from compmap.expr import _planar_map, differentiate, parse
 
 from helpers import (classify_quadrant, counting_map, limit_orbit, scalar_classify_side,
@@ -50,7 +50,7 @@ def _bits(v):
     with every float as hex."""
     if isinstance(v, type):
         return v
-    if isinstance(v, curves.LimitRecord):
+    if isinstance(v, basins.LimitRecord):
         return (tuple(map(float.hex, v.start)),
                 v.limit and tuple(map(float.hex, v.limit)), v.iterations, v.flag)
     if len(v) == 3:
@@ -61,8 +61,8 @@ def _bits(v):
 
 
 def _inlined(m):
-    return all(curves._loop(m.step, s) is not curves._CALLING[s]
-               for s in (curves._QUADRANT_LOOP, curves._LIMIT_LOOP))
+    return all(basins._loop(m.step, s) is not basins._CALLING[s]
+               for s in (basins._QUADRANT_LOOP, basins._LIMIT_LOOP))
 
 
 def _assert_paths_agree(m, start, n, fp, opts):
@@ -72,9 +72,9 @@ def _assert_paths_agree(m, start, n, fp, opts):
     counted = counting_map(m, [0, 0, 0])
     assert _inlined(m) and not _inlined(counted)
     for mm in (m, counted):
-        assert _bits(_outcome(lambda: curves._classify_quadrant(mm, x, y, n, fp, opts))) \
+        assert _bits(_outcome(lambda: basins._classify_quadrant(mm, x, y, n, fp, opts))) \
             == _bits(_outcome(lambda: classify_quadrant(m, x, y, n, fp, opts)))
-        assert _bits(_outcome(lambda: curves._limit_orbit(
+        assert _bits(_outcome(lambda: basins._limit_orbit(
             mm.step, x, y, n, opts.conv_tol, opts.max_iter))) == _bits(_outcome(
                 lambda: limit_orbit(m.step, x, y, n, opts.conv_tol, opts.max_iter)))
         # the public entries refuse a non-finite start before any evaluation
@@ -83,7 +83,7 @@ def _assert_paths_agree(m, start, n, fp, opts):
             mm, start, opts.conv_tol, opts.max_iter))) == (_bits(_outcome(
                 lambda: scalar_limit_equilibrium(m, start, opts.conv_tol, opts.max_iter)))
                 if finite else ValueError)
-        for mode in curves.SIDE_MODES:
+        for mode in basins.SIDE_MODES:
             o = SideOptions(mode, opts.epsilon_margin, opts.max_iter, opts.conv_tol)
             assert _outcome(lambda: classify_side(mm, start, fp, o)) \
                 == (_outcome(lambda: scalar_classify_side(m, start, fp, o)) if finite
@@ -93,7 +93,7 @@ def _assert_paths_agree(m, start, n, fp, opts):
 def _starts(c):
     special = st.sampled_from([0.0, -0.0, c, math.nextafter(c, 9.0), 1.0, -1.0,
                                math.inf, -math.inf, math.nan, 2e6, -2e6,
-                               curves.ESCAPE_BOUND, 5e-324])
+                               basins.ESCAPE_BOUND, 5e-324])
     coord = st.one_of(special, st.floats(-5.0, 5.0))
     return st.tuples(coord, coord)
 
