@@ -246,24 +246,15 @@ def _compile_batch(interned, params: Mapping[str, float], name: str):
     arrays of one shape, NaN in a root wherever the scalar function raises
     computing it.
 
-    Without '^' the code is the plain arithmetic: a guarded division turns a
-    vanishing denominator into NaN, which + - * / and negation carry to the
-    root; the guard runs once per division level (see _emit). Callers enter
-    np.errstate. A '^' would turn NaN into 1 (math.pow(nan, 0)), so with one
-    the code collects every singularity in a mask and returns NaN in every
-    root where the mask is set.
+    The code is the plain arithmetic: a guarded division turns a vanishing
+    denominator into NaN, as '^' does where math.pow raises, and + - * / ^
+    and negation carry a NaN to the root (see _pow_array); the guard runs
+    once per division level (see _emit). Callers enter np.errstate.
     """
-    roots, nodes = interned
-    if not any(isinstance(e, BinOp) and e.op == "^" for e in nodes):
-        body, names, ns = _emit(interned, params, "lean")
-        ret = ", ".join(
-            v if {"x", "y"} <= _variables(r) else f"_full({v}, x, y)"
-            for r, v in zip(roots, names))
-        return _define(name, body, f"return {ret}", ns)
-    body, names, ns = _emit(interned, params, "masked")
-    body = ["bad = _zeros(_broadcast(x, y).shape, dtype=bool)",
-            "with _errstate(all='ignore'):"] + ["    " + s for s in body]
-    ret = ", ".join(f"_where(bad, _nan, {v})" for v in names)
+    body, names, ns = _emit(interned, params, "array")
+    ret = ", ".join(
+        v if {"x", "y"} <= _variables(r) else f"_full({v}, x, y)"
+        for r, v in zip(interned[0], names))
     return _define(name, body, f"return {ret}", ns)
 
 
@@ -367,14 +358,13 @@ def _reused(nodes) -> set:
     return reused
 
 
-# The array flavours name a subexpression nested this deep, which keeps the
+# The array flavour names a subexpression nested this deep, which keeps the
 # generated code within the Python parser's nesting limits.
 NEST_DEPTH = 32
 
 # Per operation: the "float" flavour's statements computing t from operands a
 # and b, raising SingularityError inline (no call per division), and the array
-# flavours' expression, where a divisor b is its guarded name (see _emit);
-# {bad} is ", bad" in "masked" (the only one with '^').
+# flavour's expression, where a divisor b is its guarded name (see _emit).
 _OPS = {
     "neg": (["{t} = -{a}"], "(-{a})"),
     "+": (["{t} = {a} + {b}"], "({a} + {b})"),
@@ -384,19 +374,19 @@ _OPS = {
            "{t} = {a} / {b}"], "({a} / {b})"),
     "^": (["try:", "    {t} = _pow({a}, {b})", "except _pow_errors:",
            "    raise _Singular(f'cannot raise {{{a}!r}} to power {{{b}!r}}')"],
-          "_pow_array({a}, {b}{bad})"),
+          "_pow_array({a}, {b})"),
 }
 
 
 def _emit(interned, params: Mapping[str, float], flavour: str):
     """Python statements computing the roots of interned (see _interned), in
-    one of three flavours. Returns (statements, root names, namespace).
+    one of two flavours. Returns (statements, root names, namespace).
 
     "float" computes one node per statement, in the order the tree walk
     evaluates them, left operand first, so every value is the same
     floating-point result and the first singularity met is the same one.
 
-    "lean" and "masked" compute on numpy arrays, each root as one nested
+    "array" computes on numpy arrays, each root as one nested
     expression, so numpy frees every intermediate array as soon as it is
     used; a node used twice, a divisor, or a node nested NEST_DEPTH deep
     gets its own statement. Divisions are guarded level by level (see
@@ -405,23 +395,19 @@ def _emit(interned, params: Mapping[str, float], flavour: str):
     is at least DIV_TOL, else through _den, NaN where below DIV_TOL in
     magnitude. Either way every bit is the one a _den per division gives,
     and no division by a tiny divisor runs. The names are new because a
-    divisor may also be an operand elsewhere. "masked" also records the tiny
-    elements, and the ones where math.pow raises, in the array `bad`.
+    divisor may also be an operand elsewhere.
 
     Constants and parameters are bound by name in the returned namespace.
     """
-    ns = {"DIV_TOL": DIV_TOL, "_Matrix2": Matrix2, "_nan": math.nan,
+    ns = {"DIV_TOL": DIV_TOL, "_Matrix2": Matrix2,
           "_pow": math.pow, "_pow_errors": (ValueError, OverflowError),
           "_Singular": SingularityError, "_Unbound": UnboundParameterError,
-          "_pow_array": _pow_array, "_den": _den, "_where": np.where,
-          "_zeros": np.zeros, "_broadcast": np.broadcast,
-          "_errstate": np.errstate, "_full": _full, "_dens": _dens}
+          "_pow_array": _pow_array, "_full": _full, "_dens": _dens}
     roots, nodes = interned
-    array = flavour != "float"
+    array = flavour == "array"
     level = _levels(nodes) if array else {}
     named = _reused(nodes) | {id(r) for r in roots} | {
         id(e.right) for e in nodes if isinstance(e, BinOp) and e.op == "/"} if array else set()
-    bad = ", bad" if flavour == "masked" else ""
     stages = [[] for _ in range(max(level.values(), default=0) + 1)]  # by level
     guarded = [{} for _ in stages]  # per level: divisor code -> its guarded name
     code = {}  # id(node) -> its value as a Python expression
@@ -434,7 +420,7 @@ def _emit(interned, params: Mapping[str, float], flavour: str):
             continue
         t = f"t{k}"
         statements, expression = _OPS[e.op]
-        fields = dict(zip("ab", [code[id(c)] for c in kids]), t=t, bad=bad)
+        fields = dict(zip("ab", [code[id(c)] for c in kids]), t=t)
         if not array:
             code[id(e)] = t
             body += [s.format(**fields) for s in statements]
@@ -450,7 +436,7 @@ def _emit(interned, params: Mapping[str, float], flavour: str):
         code[id(e)], depth[id(e)] = text, d
     body = stages[0]
     for names, stage in zip(guarded[1:], stages[1:]):
-        body += [f"{', '.join(names.values())}, = _dens(({', '.join(names)},){bad})"]
+        body += [f"{', '.join(names.values())}, = _dens(({', '.join(names)},))"]
         body += stage
     return body, [code[id(r)] for r in roots], ns
 
@@ -491,25 +477,26 @@ def _leaf(e, k: int, params: Mapping[str, float], ns: dict, body: list) -> str:
 _POW = np.frompyfunc(math.pow, 2, 1)
 
 
-def _pow_array(a, b: float, bad: np.ndarray):
-    """math.pow per element (np.power rounds differently in the last bit);
-    marks in bad where math.pow raises."""
-    a = np.broadcast_to(a, bad.shape)
+def _pow_array(a, b: float):
+    """math.pow per element (np.power rounds differently in the last bit),
+    NaN where math.pow raises, and NaN where a is NaN and b is ±0, where
+    math.pow returns 1: so '^' carries NaN as every other operator does."""
     try:
-        return np.asarray(_POW(a, b), dtype=float)
-    except (ValueError, OverflowError):
-        pass  # some element raises: find which, one at a time
-    out = np.empty(bad.shape)
-    for k, v in enumerate(a.flat):
-        try:
-            out.flat[k] = math.pow(v, b)
-        except (ValueError, OverflowError):
-            out.flat[k] = math.nan
-            bad.flat[k] = True
+        out = np.asarray(_POW(a, b), dtype=float)
+    except (ValueError, OverflowError):  # some element raises: find which, one at a time
+        a = np.asarray(a)
+        out = np.empty(a.shape)
+        for k, v in enumerate(a.flat):
+            try:
+                out.flat[k] = math.pow(v, b)
+            except (ValueError, OverflowError):
+                out.flat[k] = math.nan
+    if b == 0:
+        out[np.isnan(a)] = math.nan
     return out
 
 
-def _dens(divisors: tuple, bad: np.ndarray | None = None):
+def _dens(divisors: tuple):
     """The divisors of one division level (see _emit): as they are if every
     element of every one is at least DIV_TOL, else each through _den.
 
@@ -522,22 +509,18 @@ def _dens(divisors: tuple, bad: np.ndarray | None = None):
     """
     for d in divisors:
         if not np.minimum.reduce(d, axis=None, initial=DIV_TOL) >= DIV_TOL:
-            return [_den(d, bad) for d in divisors]
+            return [_den(d) for d in divisors]
     return divisors
 
 
-def _den(b, bad: np.ndarray | None = None):
-    """Divisor b with NaN where |b| < DIV_TOL, marked in bad when given: the
-    fallback of _dens."""
+def _den(b):
+    """Divisor b with NaN where |b| < DIV_TOL: the fallback of _dens."""
     # Returning b itself when nothing is tiny (NaN is not >= DIV_TOL), as
     # _dens does too, is safe only because generated code never writes into
     # an array in place.
     if np.size(b) and np.abs(b).min() >= DIV_TOL:
         return b
-    tiny = np.abs(b) < DIV_TOL
-    if bad is not None:
-        bad |= tiny
-    return np.where(tiny, np.nan, b)
+    return np.where(np.abs(b) < DIV_TOL, np.nan, b)
 
 
 def _full(v, x, y) -> np.ndarray:
@@ -719,7 +702,7 @@ class _Compiled:
     expression value formats from their names ("{0}, {1}" returns the two
     roots as a pair); batch(X, Y) computes them on numpy arrays of one shape
     and returns them as a tuple, NaN in a root wherever scalar raises
-    computing it, and in every root if one has a '^'. On floats a
+    computing it (a NaN base carries through '^', see _pow_array). On floats a
     denominator below DIV_TOL in magnitude, or a '^' that math.pow rejects,
     raises SingularityError. Callers of batch enter np.errstate. source is
     the generated code of scalar.

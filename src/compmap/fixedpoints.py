@@ -189,8 +189,8 @@ def _solve(m: PlanarMap, X, Y, k: int = 1, target: Optional[tuple] = None,
             r1 = np.abs(a11) + np.abs(a12)
             r2 = np.abs(a21) + np.abs(a22)
             scale = np.fmax(1.0, np.where(r2 > r1, r2, r1))
-            overflow = np.zeros(idx.shape, dtype=bool)
-            square = _pow_array(scale, 2.0, overflow)  # the bits of scale ** 2
+            square = _pow_array(scale, 2.0)  # the bits of scale ** 2
+            overflow = np.isnan(square)  # scale is never NaN
             singular = np.abs(det) < 1e-14 * square
             code[idx[overflow & (code[idx] == 0)]] = _OVERFLOW
             s = idx[singular & (code[idx] == 0)]

@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import DomainError, SingularityError, check_count, check_tolerance
+from .errors import DomainError, SingularityError, check_count, check_point, check_tolerance
 from .geometry import DEFAULT_SAMPLING_WINDOW, Matrix2, Point2, Rect, record_class
 
 FD_STEP = 1e-6
@@ -151,11 +151,12 @@ def orbit(m: PlanarMap, p: Point2, max_iter: int,
 
     Rules, checked in order each step: singularity during evaluation,
     escape from the domain rectangle, convergence (sup-norm step < conv_tol)
-    and the max_iter cap. max_iter must be an int >= 1, and conv_tol finite
-    and non-negative (0 turns the convergence rule off).
+    and the max_iter cap. max_iter must be an int >= 1, conv_tol finite
+    and non-negative (0 turns the convergence rule off), and p finite.
     """
     check_count("max_iter", max_iter)
     check_tolerance("conv_tol", conv_tol, zero=True)
+    check_point("p", p)
     if not m.domain.contains(Point2(*p)):
         raise DomainError(f"{tuple(p)} outside domain of {m.name}")
     pts = [Point2(p[0], p[1])]

@@ -125,7 +125,8 @@ def tree_eval(e, x, y, params):
 
 def tree_eval_array(e, x, y, params, bad):
     """Elementwise tree_eval on arrays; marks in bad where tree_eval raises.
-    '^' goes through math.pow per element."""
+    '^' goes through math.pow per element, except that a NaN base stays NaN
+    at exponent 0, where math.pow returns 1."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
@@ -136,11 +137,12 @@ def tree_eval_array(e, x, y, params, bad):
         return -tree_eval_array(e.child, x, y, params, bad)
     a = tree_eval_array(e.left, x, y, params, bad)
     if e.op == "^":
+        b = e.right.value
         a = np.broadcast_to(a, bad.shape)
         out = np.empty(bad.shape)
         for k, v in enumerate(a.flat):
             try:
-                out.flat[k] = math.pow(v, e.right.value)
+                out.flat[k] = math.nan if math.isnan(v) and b == 0 else math.pow(v, b)
             except (ValueError, OverflowError):
                 out.flat[k] = math.nan
                 bad.flat[k] = True
@@ -157,51 +159,36 @@ def tree_eval_array(e, x, y, params, bad):
     return a / np.where(tiny, np.nan, b)
 
 
-def has_power(e):
-    if isinstance(e, Neg):
-        return has_power(e.child)
-    if isinstance(e, BinOp):
-        return e.op == "^" or has_power(e.left) or has_power(e.right)
-    return False
-
-
 def tree_batch(f, g, x, y, params):
     """The batch step of the pair (f, g) by tree walk: NaN in a component
-    wherever tree_eval raises on it; in both components wherever tree_eval
-    raises on either, if f or g has a '^'."""
+    wherever tree_eval raises on it."""
     return tree_batch_roots((f, g), x, y, params)
 
 
 def tree_batch_roots(roots, x, y, params):
     """tree_batch for any number of roots: NaN in a root wherever tree_eval
-    raises on it; in every root wherever tree_eval raises on any, if one has
-    a '^'."""
+    raises on it."""
     shape = np.broadcast(x, y).shape
     bads = [np.zeros(shape, dtype=bool) for _ in roots]
     with np.errstate(all="ignore"):
         values = [tree_eval_array(r, x, y, params, bad) for r, bad in zip(roots, bads)]
-    if any(has_power(r) for r in roots):
-        bads = [np.logical_or.reduce(bads)] * len(roots)
     return tuple(np.where(bad, np.nan, v) for bad, v in zip(bads, values))
 
 
 # The array expressions of the compiled batch functions when every divisor
-# had its own guard; {bad} is ", bad" when a root has a '^'.
+# had its own guard.
 _PER_DIVISION = {"neg": "(-{a})", "+": "({a} + {b})", "-": "({a} - {b})",
-                 "*": "({a} * {b})", "/": "({a} / _den({b}{bad}))",
-                 "^": "_pow_array({a}, {b}{bad})"}
+                 "*": "({a} * {b})", "/": "({a} / _den({b}))",
+                 "^": "_pow_array({a}, {b})"}
 
 
 def per_division_batch(roots, params):
     """The function (x, y) -> the roots on arrays, as expr compiled it with
-    one _den(divisor[, bad]) per division, before divisions were guarded
-    level by level: the oracle for the level guard, bit for bit."""
-    roots, nodes = interned = _interned(roots)
-    masked = any(isinstance(e, BinOp) and e.op == "^" for e in nodes)
-    bad = ", bad" if masked else ""
+    one _den(divisor) per division, before divisions were guarded level by
+    level: the oracle for the level guard, bit for bit."""
+    roots, nodes = _interned(roots)
     ns = {"_Unbound": UnboundParameterError, "_den": _den, "_pow_array": _pow_array,
-          "_where": np.where, "_nan": math.nan, "_zeros": np.zeros,
-          "_broadcast": np.broadcast, "_errstate": np.errstate, "_full": _full}
+          "_full": _full}
     named = _reused(nodes) | {id(r) for r in roots}
     body, code, depth = [], {}, {}
     for k, e in enumerate(nodes):
@@ -209,21 +196,15 @@ def per_division_batch(roots, params):
         if not kids:
             code[id(e)], depth[id(e)] = _leaf(e, k, params, ns, body), 0
             continue
-        text = _PER_DIVISION[e.op].format(
-            **dict(zip("ab", [code[id(c)] for c in kids])), bad=bad)
+        text = _PER_DIVISION[e.op].format(**dict(zip("ab", [code[id(c)] for c in kids])))
         d = 1 + max(depth[id(c)] for c in kids)
         if id(e) in named or d >= NEST_DEPTH:
             body.append(f"t{k} = {text}")
             text, d = f"t{k}", 0
         code[id(e)], depth[id(e)] = text, d
     names = [code[id(r)] for r in roots]
-    if masked:
-        body = ["bad = _zeros(_broadcast(x, y).shape, dtype=bool)",
-                "with _errstate(all='ignore'):"] + ["    " + s for s in body]
-        ret = ", ".join(f"_where(bad, _nan, {v})" for v in names)
-    else:
-        ret = ", ".join(v if {"x", "y"} <= _variables(r) else f"_full({v}, x, y)"
-                        for r, v in zip(roots, names))
+    ret = ", ".join(v if {"x", "y"} <= _variables(r) else f"_full({v}, x, y)"
+                    for r, v in zip(roots, names))
     return partial(_define("batch", body, f"return {ret}", ns), None)
 
 

@@ -139,6 +139,7 @@ EX1_FP = find_fixed_point(EX1.map, Point2(1e-9, 1.0))
 # (entry point, the argument the message names, a call with one coordinate
 # v, the map it evaluates)
 POINTS = [
+    pytest.param(lambda c, v: orbit(c, Point2(v, 1.0), 10), "p", EX1.map, id="orbit-p"),
     pytest.param(lambda c, v: raster(c, Point2(v, 1.0), Rect(0, 6, 0, 4), 8, 8),
                  "fp", EX4.map, id="raster-fp"),
     pytest.param(lambda c, v: continuity_probe(c, ((v, 0.1), (0.1, 4.0)), 8),
@@ -166,10 +167,12 @@ POINTS = [
 
 @pytest.mark.parametrize("call, name, m", POINTS)
 def test_non_finite_points_raise_before_any_evaluation(call, name, m):
-    # unchecked, a non-finite coordinate gives a plausible answer: every
-    # raster cell band, a probe with max_gap 0 over divergent samples, a
-    # column without a bracket, an all-NaN Taylor ray; or a misleading error:
-    # Newton stalled at a NaN guess, a ray direction refused as one-signed
+    # unchecked, a non-finite coordinate gives a plausible answer: an orbit
+    # from (inf, 1) ended by a singularity, every raster cell band, a probe
+    # with max_gap 0 over divergent samples, a column without a bracket, an
+    # all-NaN Taylor ray; or a misleading error: an orbit start outside the
+    # domain, Newton stalled at a NaN guess, a ray direction refused as
+    # one-signed
     for value in (math.nan, math.inf, -math.inf):
         box = [0, 0, 0]
         with pytest.raises(ValueError, match=name):
