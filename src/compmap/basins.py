@@ -889,26 +889,14 @@ def continuity_probe(m: PlanarMap, segment: tuple, n: int,
     for end in segment:
         check_point("segment end", end)
     a, b = Point2(*segment[0]), Point2(*segment[1])
-    starts = [Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
-              for t in (k / (n - 1) for k in range(n))]
-    LX, LY, _, _ = _limits_lockstep(m, np.array([p.x for p in starts], dtype=float),
-                                    np.array([p.y for p in starts], dtype=float),
+    t = np.arange(n) / (n - 1)
+    LX, LY, _, _ = _limits_lockstep(m, a.x + t * (b.x - a.x), a.y + t * (b.y - a.y),
                                     tol, max_iter)
     limits = [None if math.isnan(x) else Point2(x, y)
               for x, y in zip(LX.tolist(), LY.tolist())]
-    divergent = sum(q is None for q in limits)
-    max_gap = 0.0
-    argmax = 0
-    prev = None
-    prev_idx = -1
-    for idx, q in enumerate(limits):
-        if q is None:
-            continue
-        if prev is not None and idx == prev_idx + 1:
-            gap = prev.dist2(q)
-            if gap > max_gap:
-                max_gap = gap
-                argmax = prev_idx
-        prev, prev_idx = q, idx
+    max_gap, argmax = 0.0, 0  # the first widest pair of adjacent limits
+    for k, p, q in zip(range(n), limits, limits[1:]):
+        if p is not None and q is not None and (gap := p.dist2(q)) > max_gap:
+            max_gap, argmax = gap, k
     return ContinuityReport(max_gap=max_gap, argmax=argmax, n=n,
-                            divergent=divergent, limits=tuple(limits))
+                            divergent=limits.count(None), limits=tuple(limits))

@@ -334,10 +334,7 @@ def _local_verdict(m, rec: FixedPointRecord):
             return {"case": v.case_id, "ell": v.ell, "condition": v.detail,
                     "coefficients": [list(c) for c in ray.coeffs],
                     "conclusion": v.conclusion}
-        try:
-            v = classify_hyperbolic_ray(val, vec)
-        except HypothesisError:
-            continue
+        v = classify_hyperbolic_ray(val, vec)
         return {"case": v.case_id, "ell": None, "condition": v.detail,
                 "conclusion": v.conclusion}
     return None

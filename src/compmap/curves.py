@@ -79,25 +79,21 @@ def _points(xs: list, ys: list, keep) -> tuple:
 
 
 def _validated(curve: MonotoneCurve, X: np.ndarray, Y: np.ndarray) -> MonotoneCurve:
-    """curve, with vertices (X[k], Y[k]), once it passes validate_curve; the
-    vertex loop runs, for its error, only where the arrays are not strictly
-    monotone as curve.monotonicity promises."""
-    dy = np.diff(Y) if curve.monotonicity == "increasing" else -np.diff(Y)
-    if not ((np.diff(X) > 0).all() and (dy > 0).all()):
-        validate_curve(curve)
+    """curve, with vertices (X[k], Y[k]), once they are strictly monotone as
+    curve.monotonicity promises; raises ValueError naming the first pair of
+    vertices that is not (a NaN coordinate fails its pairs)."""
+    kind = "increasing" if curve.monotonicity == "increasing" else "decreasing"
+    rises = Y[1:] > Y[:-1] if kind == "increasing" else Y[1:] < Y[:-1]
+    bad = np.flatnonzero(~((X[1:] > X[:-1]) & rises))
+    if len(bad):
+        a, b = curve.vertices[bad[0]:bad[0] + 2]
+        raise ValueError(f"{kind} curve violated between {a} and {b}")
     return curve
 
 
 def validate_curve(curve: MonotoneCurve) -> None:
     """Assert the strict vertex monotonicity the curve kind promises."""
-    vs = curve.vertices
-    for a, b in zip(vs, vs[1:]):
-        if curve.monotonicity == "increasing":
-            if not (b.x > a.x and b.y > a.y):
-                raise ValueError(f"increasing curve violated between {a} and {b}")
-        else:
-            if not (b.x > a.x and b.y < a.y):
-                raise ValueError(f"decreasing curve violated between {a} and {b}")
+    _validated(curve, *np.array(curve.vertices, dtype=float).reshape(-1, 2).T)
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +294,10 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
     """Locate the curve ordinate in every column of cxs, all columns together.
 
     Returns (y, flags): the ordinates, NaN where a column has none, and a
-    list of one flag per column; or None when an audit below disagrees with
-    the licence. One lockstep call (_sided) classifies every probe of every
-    column and, given gap (_linear_gap of fp), keeps the gap s at each
-    probe. A point's verdict does not depend on its batch, so each
+    string array of one flag per column; or None when an audit below
+    disagrees with the licence. One lockstep call (_sided) classifies every
+    probe of every column and, given gap (_linear_gap of fp), keeps the gap
+    s at each probe. A point's verdict does not depend on its batch, so each
     row, read in probe order, scans its column as the column on its own
     would (_scan, on the whole verdict matrix): band returns the probe,
     plus sets lo, minus sets hi and ends the scan once lo is set.
@@ -353,14 +349,10 @@ def _solve_columns(m: PlanarMap, fp: Point2, slope: float, cxs, window: Rect,
     saw_plus = ~np.isnan(lo)
     saw_minus = ~np.isnan(hi)
     bisecting = np.isnan(y) & saw_plus & saw_minus & (hi > lo)
-    flags = [""] * n
-    for j in np.flatnonzero(np.isnan(y) & ~bisecting).tolist():
-        if saw_minus[j] and not saw_plus[j]:
-            flags[j] = "no_bracket:all_minus"  # curve below the window
-        elif saw_plus[j] and not saw_minus[j]:
-            flags[j] = "no_bracket:all_plus"  # curve above the window
-        else:
-            flags[j] = "no_bracket:mixed"
+    # all minus: the curve runs below the window; all plus: above it
+    flags = np.select(
+        [~np.isnan(y) | bisecting, saw_minus & ~saw_plus, saw_plus & ~saw_minus],
+        ["", "no_bracket:all_minus", "no_bracket:all_plus"], "no_bracket:mixed")
 
     est = np.full(n, math.nan)  # the gap's estimate of the curve, in guided columns
     if guided and MAX_BISECTIONS > 0:
@@ -406,7 +398,7 @@ def _scan(V: np.ndarray, P: np.ndarray) -> tuple:
 
 def _bisect(m: PlanarMap, fp: Point2, cx: np.ndarray, curve_tol: float,
             sopts: SideOptions, lo: np.ndarray, hi: np.ndarray, y: np.ndarray,
-            bisecting: np.ndarray, flags: list, est: np.ndarray) -> bool:
+            bisecting: np.ndarray, flags: np.ndarray, est: np.ndarray) -> bool:
     """_solve_columns' bisection of the brackets (lo, hi) of the columns cx
     marked bisecting, certified and replayed where est holds an estimate;
     updates lo, hi, y, bisecting, flags and est in place.
@@ -517,8 +509,7 @@ def _bisect(m: PlanarMap, fp: Point2, cx: np.ndarray, curve_tol: float,
             stop = (ce != _PLUS) & (ce != _MINUS)  # band returns the ordinate,
             y[j[stop]] = NY[e[stop]]                # any other verdict flags it
             bisecting[j[stop]] = False
-            for i in j[stop & (ce != _BAND)].tolist():
-                flags[i] = "undecided_probe"
+            flags[j[stop & (ce != _BAND)]] = "undecided_probe"
             s = np.where(ce == _PLUS, NHI[e], NLO[e])[~stop]
     return True
 

@@ -9,7 +9,6 @@ import numpy as np
 
 from .errors import (DegenerateRootError, NoConvergenceError, SingularityError,
                      check_point, check_tolerance)
-from .expr import _pow_array
 from .geometry import Matrix2, Point2, Rect, record_class
 from .planarmap import (_EVAL_ERRORS, PlanarMap, _check_area, _competitive_reports,
                         _images, _jacobians, _sample_grid, jacobian)
@@ -189,8 +188,8 @@ def _solve(m: PlanarMap, X, Y, k: int = 1, target: Optional[tuple] = None,
             r1 = np.abs(a11) + np.abs(a12)
             r2 = np.abs(a21) + np.abs(a22)
             scale = np.fmax(1.0, np.where(r2 > r1, r2, r1))
-            square = _pow_array(scale, 2.0)  # the bits of scale ** 2
-            overflow = np.isnan(square)  # scale is never NaN
+            square = scale * scale
+            overflow = np.isinf(square)
             singular = np.abs(det) < 1e-14 * square
             code[idx[overflow & (code[idx] == 0)]] = _OVERFLOW
             s = idx[singular & (code[idx] == 0)]

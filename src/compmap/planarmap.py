@@ -35,8 +35,8 @@ COMPETITIVE_TOL = 1e-9  # a Jacobian entry within this of 0 has no sign
 DET_TOL = 1e-12  # a determinant within this of 0 has no sign
 COLLISION_TOL = 1e-9  # images closer than this (sup norm) collide
 _EVAL_ERRORS = (SingularityError, DomainError, OverflowError, ZeroDivisionError)
-# The modes of side classification (curves.SideOptions), here so that the
-# command line can offer them without loading curves
+# The modes of side classification (basins.SideOptions), here so that the
+# command line can offer them without loading basins
 SIDE_MODES = ("quadrant_escape", "limit_equilibrium")
 
 

@@ -638,6 +638,19 @@ def scalar_trace_unstable_curve(m, fp, steps=100, seed_radius=1e-4):
     return curve
 
 
+def validate_curve_loop(curve):
+    """curves.validate_curve as a loop over the vertex pairs: the first pair
+    that is not strictly monotone as curve.monotonicity promises raises."""
+    vs = curve.vertices
+    for a, b in zip(vs, vs[1:]):
+        if curve.monotonicity == "increasing":
+            if not (b.x > a.x and b.y > a.y):
+                raise ValueError(f"increasing curve violated between {a} and {b}")
+        else:
+            if not (b.x > a.x and b.y < a.y):
+                raise ValueError(f"decreasing curve violated between {a} and {b}")
+
+
 # ---------------------------------------------------------------------------
 # Scalar Newton: one start at a time, raising where the search fails, with its
 # own residual, chain-rule Jacobian and restart
@@ -691,12 +704,11 @@ def scalar_solve(m, guess, k=1, target=None, tol=NEWTON_TOL, fallback=False):
         if target is None:
             j = Matrix2(j.a11 - 1.0, j.a12, j.a21, j.a22 - 1.0)
         det = j.det()
-        try:
-            singular = abs(det) < 1e-14 * max(1.0, j.norm_inf()) ** 2
-        except OverflowError:
-            raise NoConvergenceError(
-                f"Newton matrix overflows at ({p.x:.6g}, {p.y:.6g})") from None
-        if singular:
+        scale = max(1.0, j.norm_inf())
+        square = scale * scale
+        if math.isinf(square):
+            raise NoConvergenceError(f"Newton matrix overflows at ({p.x:.6g}, {p.y:.6g})")
+        if abs(det) < 1e-14 * square:
             q = _iterate_ahead(m, p) if fallback else None
             if q is not None:
                 p = q

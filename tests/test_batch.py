@@ -451,6 +451,14 @@ def test_continuity_probe_matches_limit_equilibrium(name, ends, n, tol, max_iter
         want.append(scalar_limit_equilibrium(m, p, tol=tol, max_iter=max_iter).limit)
     assert list(rep.limits) == want
     assert rep.divergent == sum(q is None for q in want)
+    widest = (0.0, 0)  # the first widest gap between adjacent limits that exist
+    for k in range(n - 1):
+        p, q = want[k], want[k + 1]
+        if p is not None and q is not None:
+            gap = math.hypot(p.x - q.x, p.y - q.y)
+            if gap > widest[0]:
+                widest = (gap, k)
+    assert (rep.max_gap, rep.argmax) == widest
 
 
 @pytest.mark.parametrize("name, seg", [

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from compmap.curves import locate_ordinate
 from compmap.fixedpoints import FixedPointRecord, eigen2x2
 from compmap.planarmap import PlanarMap, jacobian
 
-from helpers import converges_to
+from helpers import converges_to, validate_curve_loop
 
 
 def _limit_opts(margin=1e-6):
@@ -300,13 +301,56 @@ def test_endpoint_analysis_nan_image_is_truncated():
     assert (left.kind, right.kind) == ("truncated", "truncated")
 
 
+def _curve(kind, points):
+    vs = tuple(Point2(*p) for p in points)
+    end = EndpointLabel("truncated", Point2(0, 0))
+    return MonotoneCurve(vertices=vs, monotonicity=kind, endpoint_left=end,
+                         endpoint_right=end)
+
+
 def test_validate_curve_rejects_bad_vertices():
-    bad = MonotoneCurve(vertices=(Point2(0, 0), Point2(1, 0)),
-                        monotonicity="increasing",
-                        endpoint_left=EndpointLabel("truncated", Point2(0, 0)),
-                        endpoint_right=EndpointLabel("truncated", Point2(1, 0)))
-    with pytest.raises(ValueError):
-        validate_curve(bad)
+    nan = math.nan
+    for kind, points, first_bad in [
+            ("increasing", [(0, 0), (1, 0)], 0),
+            ("increasing", [(0, 0), (1, 1), (2, 1.5), (2, 2), (1, 0)], 2),
+            ("decreasing", [(0, 3), (1, 2), (2, 2.5), (3, 0), (2, 9)], 1),
+            ("increasing", [(0, 0), (1, 1), (2, nan), (3, 3)], 1),  # a NaN vertex
+            ("decreasing", [(nan, 3), (1, 2)], 0),
+            ("decreasing", [(0, 3), (1, 2), (1, 1)], 1),  # equal abscissae
+            ("increasing", [(0, 0), (1, 1e-300), (2, 3)], None),
+            ("decreasing", [(0, 3), (1, 2), (5, -1)], None),
+            ("increasing", [(0, 0)], None),
+            ("decreasing", [], None)]:
+        c = _curve(kind, points)
+        if first_bad is None:
+            validate_curve(c)
+            continue
+        a, b = c.vertices[first_bad:first_bad + 2]
+        with pytest.raises(ValueError) as e:
+            validate_curve(c)
+        assert str(e.value) == f"{kind} curve violated between {a} and {b}"
+    # drawn vertex lists: the message of the vertex loop, or both pass
+    rng = random.Random(0)
+    coords = (-1.0, 0, 0.5, 1.0, 2.0, 1e308, -1e308, 5e-324, math.inf, nan)
+    for _ in range(2000):
+        kind = rng.choice(("increasing", "decreasing", "other"))
+        n = rng.randrange(7)
+        xs = sorted(rng.choice(coords) for _ in range(n))  # mostly monotone lists,
+        ys = sorted((rng.choice(coords) for _ in range(n)), reverse=kind != "increasing")
+        if n and rng.random() < 0.5:  # then one coordinate redrawn
+            (xs, ys)[rng.randrange(2)][rng.randrange(n)] = rng.choice(coords)
+        c = _curve(kind, zip(xs, ys))
+        try:
+            validate_curve_loop(c)
+            want = None
+        except ValueError as err:
+            want = str(err)
+        try:
+            validate_curve(c)
+            got = None
+        except ValueError as err:
+            got = str(err)
+        assert got == want, c.vertices
 
 
 def test_boundary_endpoint_conditions_ex1(ex1, ex1_fp):

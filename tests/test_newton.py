@@ -231,6 +231,11 @@ def test_overflowing_newton_matrix():
     assert list(sol.code[:2]) == [_OVERFLOW, _EVAL] and sol.error(2) is None
     with pytest.raises(NoConvergenceError, match="overflows"):
         find_fixed_point(m, Point2(5.0, 1.0))
+    # an infinite entry makes the row norm infinite, and its square overflows too
+    m = PlanarMap(name="infinite-entry", domain=Rect(-9, 9, -9, 9),
+                  step=lambda x, y: (x / 2 + 1, y / 2),
+                  jac=lambda x, y: Matrix2(0.5, math.inf, 0.0, 0.5))
+    assert _assert_matches_scalar(m, [(3.0, 1.0)]).code[0] == _OVERFLOW
 
 
 def test_singular_matrix_with_and_without_fallback():
