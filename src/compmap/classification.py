@@ -164,15 +164,17 @@ class LocalVerdict:
 
 
 def classify_hyperbolic_ray(mu: float, v: Point2) -> LocalVerdict:
-    """Hyperbolic local dynamics along an eigenvector with v1*v2 < 0."""
+    """Hyperbolic local dynamics along an eigenvector with v1*v2 < 0: the
+    ray expands iff |mu| > 1, the modulus rule fixed-point records use."""
     if not (v[0] * v[1] < 0):
         raise HypothesisError("eigenvector components must have opposite signs")
-    if abs(mu - 1.0) <= NONHYPERBOLIC_TOL:
-        raise HypothesisError(f"eigenvalue within {NONHYPERBOLIC_TOL:g} of 1: "
-                              "use the nonhyperbolic Taylor path")
-    if mu > 1.0:
-        return LocalVerdict(None, "hyperbolic_expanding", f"mu = {mu:.9g} > 1")
-    return LocalVerdict(None, "hyperbolic_contracting", f"mu = {mu:.9g} < 1")
+    if abs(abs(mu) - 1.0) <= NONHYPERBOLIC_TOL:
+        raise HypothesisError(f"eigenvalue modulus within {NONHYPERBOLIC_TOL:g} of 1: "
+                              "not hyperbolic")
+    size = f"mu = {mu:.9g}" if mu >= 0 else f"|mu| = {-mu:.9g}"
+    if abs(mu) > 1.0:
+        return LocalVerdict(None, "hyperbolic_expanding", f"{size} > 1")
+    return LocalVerdict(None, "hyperbolic_contracting", f"{size} < 1")
 
 
 def classify_nonhyperbolic(ray: TaylorRay) -> LocalVerdict:

@@ -334,6 +334,8 @@ def _local_verdict(m, rec: FixedPointRecord):
             return {"case": v.case_id, "ell": v.ell, "condition": v.detail,
                     "coefficients": [list(c) for c in ray.coeffs],
                     "conclusion": v.conclusion}
+        if abs(val + 1.0) <= NONHYPERBOLIC_TOL:
+            return None  # a flip: period-two points pass through, no ray verdict holds
         v = classify_hyperbolic_ray(val, vec)
         return {"case": v.case_id, "ell": None, "condition": v.detail,
                 "conclusion": v.conclusion}

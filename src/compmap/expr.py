@@ -99,87 +99,74 @@ def _tokenize(text: str) -> list[_Token]:
     n = len(text)
     while i < n:
         c = text[i]
-        if c.isspace():
-            i += 1
-            continue
+        j = i + 1  # where the next token may start
         if c in "+-*/^()":
             toks.append(_Token(c, c, i))
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
+        elif c.isdigit() or (c == "." and j < n and text[j].isdigit()):
             while j < n and (text[j].isdigit() or text[j] == "."):
                 j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
+            k = j + 1 + (text[j + 1:j + 2] in ("+", "-"))  # an exponent's digits
+            if text[j:j + 1] in ("e", "E") and text[k:k + 1].isdigit():
+                j = k
+                while j < n and text[j].isdigit():
+                    j += 1
             lexeme = text[i:j]
             try:
                 float(lexeme)
             except ValueError:
                 raise ParseError(f"malformed number {lexeme!r}", i, ("number",))
             toks.append(_Token("number", lexeme, i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
+        elif c.isalpha() or c == "_":
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             toks.append(_Token("ident", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i,
-                         ("number", "identifier", "'('", "'-'"))
+        elif not c.isspace():
+            raise ParseError(f"unexpected character {c!r}", i,
+                             ("number", "identifier", "'('", "'-'"))
+        i = j
     toks.append(_Token("end", "", n))
     return toks
 
 
 class _Parser:
     _BASE_EXPECTED = ("number", "identifier", "'('", "'-'")
+    _LEVELS = (("+", "-"), ("*", "/"))  # binary operators, loosest first
+    # What base takes, as a set: `in` on a tuple compares the kind with each
+    # item before its own, one level past take toward the recursion limit,
+    # so the deepest nesting would meet that limit a token earlier
+    _ATOMS = frozenset(("number", "ident", "("))
 
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.toks[self.pos]
-
-    def advance(self) -> _Token:
+    def take(self, kinds: tuple | frozenset = ()) -> _Token:
+        """The next token, consumed if its kind is in kinds."""
         t = self.toks[self.pos]
-        self.pos += 1
+        if t.kind in kinds:
+            self.pos += 1
         return t
 
     def parse(self) -> Expr:
-        e = self.expr()
-        t = self.peek()
+        e = self.binary(0)
+        t = self.take()
         if t.kind != "end":
             raise ParseError(f"unexpected token {t.text!r}", t.offset,
                              ("operator", "end of input"))
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            e = BinOp(op, e, self.term())
-        return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            e = BinOp(op, e, self.factor())
+    def binary(self, level: int) -> Expr:
+        """Operands joined left to right by the operators of _LEVELS[level]:
+        a sum (level 0) of products, a product (level 1) of factors."""
+        ops = self._LEVELS[level]
+        e = self.factor() if level else self.binary(1)
+        while (t := self.take(ops)).kind in ops:
+            e = BinOp(t.kind, e, self.factor() if level else self.binary(1))
         return e
 
     def factor(self) -> Expr:
         negations = 0
-        while self.peek().kind == "-":
-            self.advance()
+        while self.take(("-",)).kind == "-":
             negations += 1
         e = self.power()
         for _ in range(negations):
@@ -188,34 +175,26 @@ class _Parser:
 
     def power(self) -> Expr:
         e = self.base()
-        if self.peek().kind == "^":
-            self.advance()
-            sign = self.advance().text if self.peek().kind == "-" else ""
-            t = self.peek()
+        if self.take(("^",)).kind == "^":
+            sign = "-" if self.take(("-",)).kind == "-" else ""
+            t = self.take(("number",))
             if t.kind != "number":
                 raise ParseError("exponent must be a literal number", t.offset,
                                  ("number",))
-            self.advance()
             e = BinOp("^", e, Const(float(sign + t.text)))
         return e
 
     def base(self) -> Expr:
-        t = self.peek()
+        t = self.take(self._ATOMS)
         if t.kind == "number":
-            self.advance()
             return Const(float(t.text))
         if t.kind == "ident":
-            self.advance()
-            if t.text in ("x", "y"):
-                return Var(t.text)
-            return Param(t.text)
+            return Var(t.text) if t.text in ("x", "y") else Param(t.text)
         if t.kind == "(":
-            self.advance()
-            e = self.expr()
-            t = self.peek()
+            e = self.binary(0)
+            t = self.take((")",))
             if t.kind != ")":
                 raise ParseError("unbalanced parenthesis", t.offset, ("')'",))
-            self.advance()
             return e
         found = repr(t.text) if t.text else "end of input"
         raise ParseError(f"expected an expression, found {found}",
@@ -228,7 +207,7 @@ def parse(text: str) -> Expr:
     try:
         return parser.parse()
     except RecursionError:
-        raise ParseError("expression nests too deeply", parser.peek().offset) from None
+        raise ParseError("expression nests too deeply", parser.take().offset) from None
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +368,15 @@ def _emit(interned, params: Mapping[str, float], flavour: str):
     "array" computes on numpy arrays, each root as one nested
     expression, so numpy frees every intermediate array as soon as it is
     used; a node used twice, a divisor, or a node nested NEST_DEPTH deep
-    gets its own statement. Divisions are guarded level by level (see
-    _levels): the divisors of a level are computed first, and one _dens call
-    binds new names q<j> to them, as they are if every element of every one
-    is at least DIV_TOL, else through _den, NaN where below DIV_TOL in
-    magnitude. Either way every bit is the one a _den per division gives,
-    and no division by a tiny divisor runs. The names are new because a
-    divisor may also be an operand elsewhere.
+    gets its own statement. Divisions are guarded level by level, the levels
+    counted in this same walk: a node's level is the highest of its
+    operands', and a division's guard goes one level past its divisor's, so
+    the division is at least at that level. The divisors of a level are thus
+    computed first, and one _dens call binds new names q<j> to them, as they
+    are if every element of every one is at least DIV_TOL, else through
+    _den, NaN where below DIV_TOL in magnitude. Either way every bit is the
+    one a _den per division gives, and no division by a tiny divisor runs.
+    The names are new because a divisor may also be an operand elsewhere.
 
     Constants and parameters are bound by name in the returned namespace.
     """
@@ -405,56 +386,43 @@ def _emit(interned, params: Mapping[str, float], flavour: str):
           "_pow_array": _pow_array, "_full": _full, "_dens": _dens}
     roots, nodes = interned
     array = flavour == "array"
-    level = _levels(nodes) if array else {}
     named = _reused(nodes) | {id(r) for r in roots} | {
         id(e.right) for e in nodes if isinstance(e, BinOp) and e.op == "/"} if array else set()
-    stages = [[] for _ in range(max(level.values(), default=0) + 1)]  # by level
-    guarded = [{} for _ in stages]  # per level: divisor code -> its guarded name
+    stages, guarded = [[]], [{}]  # by level: statements, divisor code -> guarded name
     code = {}  # id(node) -> its value as a Python expression
     depth = {}  # id(node) -> nesting depth of that expression
+    level = {}  # id(node) -> the level of the deepest division in node; 0 if absent
     for k, e in enumerate(nodes):
         kids = _operands(e)
-        body = stages[level.get(id(e), 0)]
         if not kids:
-            code[id(e)], depth[id(e)] = _leaf(e, k, params, ns, body), 0
+            code[id(e)], depth[id(e)] = _leaf(e, k, params, ns, stages[0]), 0
             continue
         t = f"t{k}"
         statements, expression = _OPS[e.op]
         fields = dict(zip("ab", [code[id(c)] for c in kids]), t=t)
         if not array:
             code[id(e)] = t
-            body += [s.format(**fields) for s in statements]
+            stages[0] += [s.format(**fields) for s in statements]
             continue
-        if e.op == "/":
-            names = guarded[level[id(e.right)] + 1]
-            fields["b"] = names.setdefault(fields["b"], f"q{sum(map(len, guarded))}")
+        at = max(level.get(id(c), 0) for c in kids)
+        if e.op == "/":  # its guard runs one level past its divisor's
+            guard = level.get(id(e.right), 0) + 1
+            if guard == len(stages):
+                stages.append([])
+                guarded.append({})
+            fields["b"] = guarded[guard].setdefault(fields["b"], f"q{sum(map(len, guarded))}")
+            at = max(at, guard)
         text = expression.format(**fields)
         d = 1 + max(depth[id(c)] for c in kids)
         if id(e) in named or d >= NEST_DEPTH:
-            body.append(f"{t} = {text}")
+            stages[at].append(f"{t} = {text}")
             text, d = t, 0
-        code[id(e)], depth[id(e)] = text, d
+        code[id(e)], depth[id(e)], level[id(e)] = text, d, at
     body = stages[0]
     for names, stage in zip(guarded[1:], stages[1:]):
         body += [f"{', '.join(names.values())}, = _dens(({', '.join(names)},))"]
         body += stage
     return body, [code[id(r)] for r in roots], ns
-
-
-def _levels(nodes) -> dict:
-    """id(node) -> the level of the deepest division in node, 0 if none, for
-    nodes in walk order. A division's level is 1 plus the level of its
-    divisor, so every divisor of a level is computed before its guard."""
-    level = {}
-    for e in nodes:  # unrolled per node type: maps compile in every process
-        if isinstance(e, BinOp):
-            a, b = level[id(e.left)], level[id(e.right)] + (e.op == "/")
-            level[id(e)] = a if a > b else b
-        elif isinstance(e, Neg):
-            level[id(e)] = level[id(e.child)]
-        else:
-            level[id(e)] = 0
-    return level
 
 
 def _leaf(e, k: int, params: Mapping[str, float], ns: dict, body: list) -> str:

@@ -179,6 +179,13 @@ def test_classify_hyperbolic_ray():
         classify_hyperbolic_ray(1.0, Point2(1, -1))
     with pytest.raises(HypothesisError):
         classify_hyperbolic_ray(2.0, Point2(1, 1))
+    # the modulus decides, as in fixed-point records: -1 is a flip, not a contraction
+    with pytest.raises(HypothesisError):
+        classify_hyperbolic_ray(-1.0, Point2(1, -1))
+    v = classify_hyperbolic_ray(-2.0, Point2(1, -1))
+    assert (v.case_id, v.detail) == ("hyperbolic_expanding", "|mu| = 2 > 1")
+    v = classify_hyperbolic_ray(-0.5, Point2(1, -1))
+    assert (v.case_id, v.detail) == ("hyperbolic_contracting", "|mu| = 0.5 < 1")
 
 
 def _ray(coeffs):

@@ -346,36 +346,6 @@ def test_stable_curve_bytes_pinned(tmp_path, capsys, name):
                  (stdout.encode(), stderr.encode(), out.read_bytes())) == digests
 
 
-def test_cli_defaults_match_library_defaults():
-    import inspect
-
-    from compmap import CurveOptions, Rect, SideOptions, make_example
-    from compmap.basins import raster_options
-    from compmap.cli import _OPTIONS
-    from compmap.curves import trace_unstable_curve
-    from compmap.fixedpoints import NEWTON_TOL
-    from compmap.planarmap import orbit
-
-    def cli(verb, key):
-        o = _OPTIONS[verb][key]
-        return o.type(o.default)
-
-    def lib(fn, name):
-        return inspect.signature(fn).parameters[name].default
-
-    curve = CurveOptions()
-    assert cli("curve", "tol") == curve.curve_tol
-    assert cli("curve", "max_iter") == curve.max_iter
-    assert cli("curve", "columns") == curve.columns
-    assert cli("curve", "steps") == lib(trace_unstable_curve, "steps")
-    assert cli("curve", "seed_radius") == lib(trace_unstable_curve, "seed_radius")
-    ex4 = make_example("ex4").map
-    assert cli("basin", "max_iter") == raster_options(ex4, Rect(0, 6, 0, 4)).max_iter
-    assert cli("basin", "tol") == SideOptions().conv_tol
-    assert cli("orbit", "tol") == lib(orbit, "conv_tol")
-    assert cli("analyze", "tol") == NEWTON_TOL
-
-
 def test_config_flags_override_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("example=ex1\nparam.a=0.5\n")
@@ -490,8 +460,8 @@ ANALYZE_PINS = {
     ("ex1", "json"): "ed8f701531b6e90a852e0ef29bcb08cc4fd1088e07e35d0a1fdbd62c86321962",
     ("ex2", "text"): "6b5642b7eff56b1594b8e7c3875bbacf6455b2309319c2af9a29528528849c86",
     ("ex2", "json"): "d2d9c73daa9e4be5a29980d9ed917051fc44f87c69fe1e76f1dde5db35de79e9",
-    ("ex3_T", "text"): "16644a4baeb08dcafa776b4db64079969ec8d64bf05ed6995f300a99f40a6e15",
-    ("ex3_T", "json"): "86cf305ce5bbef3cf80bd7d7f0858270ffadfe773d03b897495360a4ae5963c1",
+    ("ex3_T", "text"): "65c7cfe822d15fa3924d949dfb435be3487066a175d0612cd20fce96274f0287",
+    ("ex3_T", "json"): "dc7bf0b3ba9cde408bdb9526371fca4d1cb8c19e3f66ea2d514f1c407cd292a7",
     ("ex3_T2", "text"): "d01f3e1f7c904da2eee1a0a99d894784c2ee603f928f9f732cc72864ef2f81d0",
     ("ex3_T2", "json"): "4ac3c976445ae0f74ca6a228e244e63a9b471329652c26786aee94265b7fb5f8",
     ("ex4", "text"): "5262210384f14207a0d5c2fed161b1b18f112c89e0276e9b8505d93d464a1771",
@@ -501,6 +471,17 @@ ANALYZE_PINS = {
     ("ex1_dsl", "text"): "aed44a328d38fed53a586bb03a60cba0364d0dd53dd6b6aa5d2975a226b5a410",
     ("ex1_dsl", "json"): "390f381a59acbaa9a54685c707a0156c44dfb3c6a1bf707903971893994c2ab7",
 }
+
+
+def test_analyze_gives_no_local_verdict_at_eigenvalue_minus_one(capsys):
+    # ex3_T's fixed point (2, 2) has eigenvalues 0.5 and -1: period-two
+    # points pass through it, so neither the ray nor the Taylor verdict holds
+    rc, out, _ = _run(capsys, ["analyze", "--example", "ex3_T", "--format", "json"])
+    assert rc == 0
+    [fp] = json.loads(out)["fixed_points"]
+    assert (fp["classification"], fp["local_dynamics"]) == ("nonhyperbolic", None)
+    rc, out, _ = _run(capsys, ["analyze", "--example", "ex3_T"])
+    assert rc == 0 and "[nonhyperbolic]" in out and "local dynamics" not in out
 
 
 @pytest.mark.parametrize("name, fmt", sorted(ANALYZE_PINS))

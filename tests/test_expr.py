@@ -28,32 +28,50 @@ def test_unary_minus_binds_looser_than_power():
     assert e == Neg(BinOp("^", Var("x"), Const(2.0)))
 
 
+ATOM = ("number", "identifier", "'('", "'-'")  # what may start an expression
+_ATOM = ", ".join(ATOM)
+
+# (text, message, offset, expected) at each site that raises ParseError; the
+# str tests (isdigit, isalpha, isalnum, isspace) decide the Unicode cases
+PARSE_ERRORS = [
+    ("x*(", f"expected an expression, found end of input at offset 3 (expected {_ATOM})",
+     3, ATOM),
+    ("", f"expected an expression, found end of input at offset 0 (expected {_ATOM})",
+     0, ATOM),
+    ("2x", "unexpected token 'x' at offset 1 (expected operator, end of input)",
+     1, ("operator", "end of input")),  # no implicit multiplication
+    ("x^y", "exponent must be a literal number at offset 2 (expected number)",
+     2, ("number",)),
+    ("x^-y", "exponent must be a literal number at offset 3 (expected number)",
+     3, ("number",)),
+    ("x^(2)", "exponent must be a literal number at offset 2 (expected number)",
+     2, ("number",)),
+    ("(x+y", "unbalanced parenthesis at offset 4 (expected ')')", 4, ("')'",)),
+    ("1.2.3", "malformed number '1.2.3' at offset 0 (expected number)", 0, ("number",)),
+    ("1e\u00b2", "malformed number '1e\u00b2' at offset 0 (expected number)", 0, ("number",)),
+    ("x $", f"unexpected character '$' at offset 2 (expected {_ATOM})", 2, ATOM),
+    # the whole text is tokenized before parsing: the "$" is met, not the ")"
+    ("x) $", f"unexpected character '$' at offset 3 (expected {_ATOM})", 3, ATOM),
+    ("\u00bd", f"unexpected character '\u00bd' at offset 0 (expected {_ATOM})", 0, ATOM),
+]
+
+
 def test_parse_errors_carry_offsets():
-    with pytest.raises(ParseError) as exc:
-        parse("x*(")
-    assert exc.value.offset == 3
-    assert "number" in exc.value.expected
-
-    with pytest.raises(ParseError) as exc:
-        parse("2x")  # no implicit multiplication
-    assert exc.value.offset == 1
-
-    with pytest.raises(ParseError) as exc:
-        parse("x^y")  # exponents are literal numbers
-    assert exc.value.offset == 2
-
-    with pytest.raises(ParseError):
-        parse("")
-    with pytest.raises(ParseError):
-        parse("(x+y")
+    for text, message, offset, expected in PARSE_ERRORS:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (str(exc.value), exc.value.offset, exc.value.expected) == \
+            (message, offset, expected), text
+    assert parse("\u0663") == Const(3.0)  # ARABIC-INDIC DIGIT THREE
+    assert parse("x^-\u0663") == BinOp("^", Var("x"), Const(-3.0))
 
 
 def test_deep_nesting_parses_or_is_a_parse_error():
     minuses = "-" * 1000 + "x"
     assert to_text(parse(minuses)) == minuses
     assert evaluate(parse(minuses), 0.5, 0.0) == 0.5
-    with pytest.raises(ParseError, match="nests too deeply"):
-        parse("(" * 1000 + "x" + ")" * 1000)
+    with pytest.raises(ParseError, match="^expression nests too deeply at offset"):
+        parse("(" * 1000 + "x" + ")" * 1000)  # the offset depends on the stack in use
 
 
 @pytest.mark.parametrize("text", ["x^0.5", "(x+y)^-2", "y^0.25"])
@@ -408,6 +426,16 @@ def test_each_division_level_has_one_guard():
     assert all(_same_arrays(u, v) for u, v in
                zip(got, tree_batch(parse("x/(1+1/(y+2))"), Var("y"), x, x, {})))
     assert math.isnan(got[0][0]) and got[0][1] == 2.5
+    # a guard goes one level past its divisor's, not to its division's level:
+    # y + 3 is guarded with y, though its division sits a level higher
+    assert expr_map("(x/(1+1/y))/(y+3)", "y").batch.__func__.source == (
+        "def batch(self, x, y):\n"
+        "    t7 = (y + k6)\n"
+        "    q0, q2, = _dens((y, t7,))\n"
+        "    t4 = (k1 + (k1 / q0))\n"
+        "    q1, = _dens((t4,))\n"
+        "    t8 = ((x / q1) / q2)\n"
+        "    return t8, _full(y, x, y)\n")
 
 
 def test_a_guarded_divisor_keeps_its_value_elsewhere():
